@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Mutex;
 use std::time::Instant;
 use tspdb_core::sigma_cache::{SigmaCache, SigmaCacheConfig};
-use tspdb_core::{Engine, MetricConfig, OmegaSpec, SharedEngine, ViewBuilderConfig};
+use tspdb_core::{MetricConfig, OmegaSpec, SharedEngine, ViewBuilderConfig};
 use tspdb_timeseries::generate::TemperatureGenerator;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -103,20 +103,14 @@ const SELECT_SQL: &str = "SELECT * FROM pv WHERE prob >= 0.1 ORDER BY prob DESC 
 fn bench_select_scaling(c: &mut Criterion) {
     let series = TemperatureGenerator::default().generate(360);
 
-    // Baseline: one engine behind a Mutex — SELECTs serialize.
-    let mut engine = Engine::new(view_config());
-    engine.load_series("raw_values", "r", &series).unwrap();
-    engine
-        .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.1, n=20 FROM raw_values")
-        .unwrap();
-    let locked = Mutex::new(engine);
-
     // Lock-free read path: SharedEngine, SELECTs share the read lock.
     let shared = SharedEngine::new(view_config());
     shared.load_series("raw_values", "r", &series).unwrap();
     shared
         .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.1, n=20 FROM raw_values")
         .unwrap();
+    // Baseline: the same engine behind a Mutex — SELECTs serialize.
+    let locked = Mutex::new(shared.clone());
 
     let mut group = c.benchmark_group("select_scaling");
     group.sample_size(10);

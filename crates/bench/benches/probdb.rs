@@ -2,7 +2,7 @@
 //! end-to-end Ω-view build.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tspdb_core::{Engine, MetricConfig, ViewBuilderConfig};
+use tspdb_core::{MetricConfig, SharedEngine, ViewBuilderConfig};
 use tspdb_probdb::query::{project_prob, select_prob, top_k, CmpOp, Comparison};
 use tspdb_probdb::{parse, ColumnType, ProbTable, Schema, Value};
 use tspdb_timeseries::datasets::campus_data;
@@ -47,7 +47,7 @@ fn bench_probdb(c: &mut Criterion) {
     group.bench_function("sql_to_view_300_tuples", |b| {
         let series = campus_data().head(360);
         b.iter(|| {
-            let mut engine = Engine::new(ViewBuilderConfig {
+            let engine = SharedEngine::new(ViewBuilderConfig {
                 window: 60,
                 metric_config: MetricConfig {
                     p: 1,
@@ -60,7 +60,8 @@ fn bench_probdb(c: &mut Criterion) {
             engine
                 .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.1, n=20 FROM raw_values")
                 .unwrap();
-            std::hint::black_box(engine.db().prob_table("pv").unwrap().len())
+            let tuples = engine.read().prob_table("pv").unwrap().len();
+            std::hint::black_box(tuples)
         })
     });
     group.finish();

@@ -1,7 +1,7 @@
 //! Reproductions of every table and figure in the paper's evaluation
 //! (Section VII). Each function prints the same rows/series the paper
-//! reports; EXPERIMENTS.md records the output together with the paper's
-//! numbers and the shape comparison.
+//! reports, followed by the paper's numbers and a shape comparison
+//! (`cargo run --release -p tspdb-bench --bin experiments -- <fig>`).
 //!
 //! Absolute times differ from the paper (MATLAB/Java on a 2 GHz Core Duo
 //! vs. Rust); the claims checked here are the *relative* ones: metric
@@ -672,7 +672,7 @@ fn exp_fig13(opts: Options) -> String {
     out.push_str(
         "paper: C-GARCH detects >2x more errors than GARCH at high error counts, at \
          comparable per-value cost. note: our plain baseline re-estimates per window \
-         and is therefore stronger than the paper's (see EXPERIMENTS.md); the \
+         and is therefore stronger than the paper's; the \
          volatility-inflation failure shows up in the max-sigma columns instead\n",
     );
     let (cg_hi, plain_hi) = *ratios.last().unwrap();
@@ -903,8 +903,8 @@ fn exp_fig15(opts: Options) -> String {
     );
     out.push_str(
         "paper: Phi(m) > chi2 for all m on both datasets; car-data closer to the \
-         threshold. note: with clean synthetic data the statistic decays in m (see \
-         EXPERIMENTS.md), so rejection holds at low orders and weakens at m near 8\n",
+         threshold. note: with clean synthetic data the statistic decays in m, \
+         so rejection holds at low orders and weakens at m near 8\n",
     );
     out
 }

@@ -11,8 +11,8 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (Section VII), plus shared helpers for the Criterion
 //! micro-benchmarks. The `experiments` binary drives the functions in
-//! [`experiments`]; each prints the same rows/series the paper reports so
-//! the output can be diffed against EXPERIMENTS.md.
+//! [`experiments`]; each prints the same rows/series the paper reports
+//! (`cargo run --release -p tspdb-bench --bin experiments -- <fig>`).
 
 pub mod experiments;
 pub mod report;

@@ -1,8 +1,7 @@
 //! Text-table rendering for experiment output.
 //!
 //! The harness prints aligned plain-text tables — one per paper artifact —
-//! so EXPERIMENTS.md can record harness output verbatim and diffs stay
-//! readable.
+//! so harness output can be recorded verbatim and diffs stay readable.
 
 use std::fmt::Write as _;
 

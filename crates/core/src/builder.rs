@@ -10,17 +10,17 @@
 //! Both passes are embarrassingly parallel across windows (the metrics are
 //! stateless between windows and the σ-cache is lock-free), so the builder
 //! fans each pass out over contiguous window segments via
-//! [`crate::parallel`]. Segment results are concatenated in order, making
+//! [`tspdb_stats::parallel`]. Segment results are concatenated in order, making
 //! the output bit-for-bit identical to a sequential build for any thread
 //! count.
 
 use crate::error::CoreError;
 use crate::metrics::{make_metric, MetricConfig, MetricKind};
 use crate::omega::{probability_values, OmegaSpec, ProbabilityValue};
-use crate::parallel::{effective_threads, map_segments, try_map_segments};
 use crate::sigma_cache::{direct_probability_values, CacheStats, SigmaCache, SigmaCacheConfig};
 use std::time::{Duration, Instant};
 use tspdb_probdb::{ColumnType, ProbTable, Schema, Value};
+use tspdb_stats::parallel::{effective_threads, map_segments, try_map_segments};
 use tspdb_stats::Density;
 use tspdb_timeseries::TimeSeries;
 

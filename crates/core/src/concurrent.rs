@@ -11,13 +11,16 @@
 //!   revisions serialized every lookup behind a `Mutex` just to bump the
 //!   counters; the atomic counters removed the last reason for exclusive
 //!   access.)
-//! * [`SharedEngine`] shares one catalog behind an [`RwLock`]: `SELECT`s
-//!   take the read lock and run concurrently, only mutating statements
-//!   (loads, `INSERT`, `DROP`, view registration) take the write lock.
-//!   Density-view *builds* — the expensive part of `CREATE VIEW … AS
-//!   DENSITY` — run under the read lock too, since building only reads the
-//!   source table; the write lock is held just long enough to register the
-//!   finished view.
+//! * [`SharedEngine`] is the statement executor — SQL in, probabilistic
+//!   views out. It shares one catalog behind an [`RwLock`] and has exactly
+//!   one read path and one write path. Every `SELECT`, whichever entry
+//!   point it came in through, runs [`SharedEngine::execute_planned`]: the
+//!   read lock is held just long enough to clone an immutable snapshot of
+//!   the scanned relation, and the scan itself runs outside it. Only
+//!   mutating statements (loads, `INSERT`, `DROP`, view registration,
+//!   including the Fig. 7 `CREATE VIEW … AS DENSITY …`, fulfilled by the
+//!   [`OmegaViewBuilder`]) take the write lock. This is the "offline mode"
+//!   of the framework; the "online mode" lives in [`crate::online`].
 //!
 //! ## Streaming ingestion
 //!
@@ -34,17 +37,17 @@
 //! in-flight [`tspdb_probdb::RelationSnapshot`] readers survive a stream of
 //! them untouched.
 
-use crate::builder::ViewBuilderConfig;
-use crate::engine::{build_density_view, series_to_table, Engine, LastBuild};
+use crate::builder::{BuiltView, OmegaViewBuilder, ViewBuilderConfig};
 use crate::error::CoreError;
+use crate::metrics::MetricKind;
 use crate::omega::{OmegaSpec, ProbabilityValue};
 use crate::sigma_cache::{CacheStats, SigmaCache, SigmaCacheConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use tspdb_probdb::{
-    CmpOp, Comparison, Database, DbError, DensityViewSpec, Planner, QueryOutput, Relation,
-    ScanSource, SelectStmt, Statement, Table, Value,
+    CmpOp, ColumnType, Comparison, Conjunction, Database, DbError, DensityViewSpec, PlannedQuery,
+    Planner, ProbTable, QueryOutput, Relation, ScanSource, Schema, Statement, Table, Value,
 };
 use tspdb_storage::{CheckpointSource, JournalOp, Storage, StorageOptions};
 use tspdb_timeseries::TimeSeries;
@@ -136,6 +139,15 @@ impl SharedSigmaCache {
     }
 }
 
+/// Build diagnostics of the most recent `CREATE VIEW … AS DENSITY`.
+#[derive(Debug, Clone)]
+pub struct LastBuild {
+    /// Name of the created view.
+    pub view_name: String,
+    /// Full diagnostics from the builder.
+    pub built: BuiltView,
+}
+
 /// A cloneable, `Send + Sync` handle to one engine shared across threads.
 ///
 /// The catalog (the [`Database`] of tables and views) is the only state
@@ -182,20 +194,6 @@ impl SharedEngine {
         }
     }
 
-    /// Promotes a single-threaded [`Engine`] (tables, views and build
-    /// diagnostics included) into a shared handle.
-    pub fn from_engine(engine: Engine) -> Self {
-        let (db, defaults, last_build) = engine.into_parts();
-        SharedEngine {
-            catalog: Arc::new(RwLock::new(db)),
-            defaults,
-            last_build: Arc::new(RwLock::new(last_build)),
-            storage: None,
-            lineage: Arc::new(Mutex::new(BTreeMap::new())),
-            dirty: Arc::new(Mutex::new(BTreeMap::new())),
-        }
-    }
-
     /// Opens (creating if absent) a **persistent** engine on `dir` and
     /// runs crash recovery:
     ///
@@ -219,12 +217,8 @@ impl SharedEngine {
             .map_err(CoreError::from)?;
         let storage = Arc::new(storage);
         let engine = SharedEngine {
-            catalog: Arc::new(RwLock::new(Database::new())),
-            defaults,
-            last_build: Arc::new(RwLock::new(None)),
             storage: Some(Arc::clone(&storage)),
-            lineage: Arc::new(Mutex::new(BTreeMap::new())),
-            dirty: Arc::new(Mutex::new(BTreeMap::new())),
+            ..SharedEngine::new(defaults)
         };
         {
             let mut catalog = engine.catalog.write().expect("catalog lock poisoned");
@@ -272,7 +266,7 @@ impl SharedEngine {
         match op {
             JournalOp::Sql(sql) => {
                 let stmt = tspdb_probdb::parse(sql)?;
-                self.apply_locked(catalog, stmt)?;
+                self.apply_locked(catalog, stmt, None)?;
             }
             JournalOp::LoadTable { name, schema, rows } => {
                 let mut table = Table::new(name.clone(), schema.clone());
@@ -298,21 +292,28 @@ impl SharedEngine {
         Ok(())
     }
 
-    /// Applies a statement against an exclusively borrowed catalog — the
-    /// write path shared by journaled execution and WAL replay. Density
-    /// views build inside the exclusive borrow here (unlike the in-memory
-    /// engine's build-under-read-lock path) so the WAL's commit order and
-    /// the apply order are the same order.
+    /// Applies a mutating statement against an exclusively borrowed
+    /// catalog — the one write path, shared by [`SharedEngine::write`] and
+    /// WAL replay. A density view is built here, inside the exclusive
+    /// borrow, unless the caller hands in one it `prebuilt` under the read
+    /// lock.
     fn apply_locked(
         &self,
         catalog: &mut Database,
         stmt: Statement,
+        prebuilt: Option<(ProbTable, BuiltView)>,
     ) -> Result<QueryOutput, CoreError> {
         self.mark_dirty(statement_dirty_targets(&stmt));
         match stmt {
             Statement::CreateDensityView(spec) => {
-                let (view, built) = build_density_view(catalog, self.defaults, &spec)?;
+                let (view, built) = match prebuilt {
+                    Some(built) => built,
+                    None => build_density_view(catalog, self.defaults, &spec)?,
+                };
                 catalog.register_prob_table(view)?;
+                // Lock order: catalog before last_build (the only place
+                // both are held at once), so `last_build()` always names
+                // the view registered last.
                 *self.last_build.write().expect("last-build lock poisoned") = Some(LastBuild {
                     view_name: spec.view_name.clone(),
                     built,
@@ -451,10 +452,47 @@ impl SharedEngine {
         self.catalog.read().expect("catalog lock poisoned")
     }
 
-    /// Runs a read-only statement (`SELECT`) under the shared read lock.
-    /// Any number of threads can be inside this call at once.
+    /// The one read path: executes a planned `SELECT` against an immutable
+    /// snapshot. The read lock is held only long enough to take the plan's
+    /// [`Database::scan_input`] — for a resident relation, clones of the
+    /// `Arc`s of its rung, synopses and shard layout; for an evicted one,
+    /// the leaf-at-a-time filtered stream off disk — and the strategy then
+    /// runs entirely outside the lock while appends land new rungs next to
+    /// it. Any number of threads can be inside this call at once.
+    ///
+    /// `worlds_threads` overrides the engine-wide `WITH WORLDS` fork-join
+    /// width for this one query (a server session's setting); it never
+    /// changes an answer, only its latency.
+    pub fn execute_planned(
+        &self,
+        planned: &PlannedQuery,
+        worlds_threads: Option<usize>,
+    ) -> Result<QueryOutput, CoreError> {
+        let (snapshot, plan, threads) = {
+            let catalog = self.read();
+            let (snapshot, plan) = catalog.scan_input(planned)?;
+            let threads = worlds_threads.unwrap_or_else(|| catalog.worlds_threads());
+            (snapshot, plan, threads)
+        };
+        snapshot
+            .execute(planned, &plan, threads)
+            .map_err(CoreError::from)
+    }
+
+    /// Runs a parsed read-only statement; anything else is turned away
+    /// with [`DbError::ReadOnly`].
+    fn run_read(&self, stmt: Statement) -> Result<QueryOutput, CoreError> {
+        match stmt {
+            Statement::Select(sel) => self.execute_planned(&Planner::plan(&sel)?, None),
+            Statement::Explain(sel) => self.read().explain_select(&sel).map_err(CoreError::from),
+            other => Err(CoreError::Db(DbError::ReadOnly(format!("{other:?}")))),
+        }
+    }
+
+    /// Runs a read-only statement (`SELECT` / `EXPLAIN`), planning it
+    /// afresh.
     pub fn query(&self, sql: &str) -> Result<QueryOutput, CoreError> {
-        self.read().query(sql).map_err(CoreError::from)
+        self.run_read(tspdb_probdb::parse(sql)?)
     }
 
     /// [`SharedEngine::query`] through the catalog's shared plan cache:
@@ -462,51 +500,12 @@ impl SharedEngine {
     /// are identical to [`SharedEngine::query`] — DDL bumps the catalog
     /// generation, which invalidates cached plans (tuple-only appends
     /// bump a separate data generation and leave plans standing).
-    ///
-    /// This is the MVCC read path: the read lock is held only long enough
-    /// to resolve the plan and clone an immutable [`RelationSnapshot`]
-    /// (`Arc`s of the relation rung, synopses and shard layout); the
-    /// query then executes entirely outside the lock while appends land
-    /// new rungs next to it.
-    ///
-    /// [`RelationSnapshot`]: tspdb_probdb::RelationSnapshot
     pub fn query_cached(&self, sql: &str) -> Result<QueryOutput, CoreError> {
-        let (planned, snap, threads) = {
-            let catalog = self.read();
-            let planned = match catalog.cached_plan(sql) {
-                Some(planned) => planned,
-                None => match tspdb_probdb::parse(sql)? {
-                    Statement::Select(sel) => catalog.plan_select_cached(sql, &sel)?,
-                    Statement::Explain(sel) => {
-                        return catalog.explain_select(&sel).map_err(CoreError::from)
-                    }
-                    other => return Err(CoreError::Db(DbError::ReadOnly(format!("{other:?}")))),
-                },
-            };
-            let snap = catalog.snapshot(&planned.physical.table)?;
-            (planned, snap, catalog.worlds_threads())
-        };
-        planned
-            .strategy_with_context(threads, snap.synopses, snap.shards)
-            .execute(&snap.relation, &planned.physical)
-            .map_err(CoreError::from)
-    }
-
-    /// Plans and executes one already-parsed `SELECT` against an immutable
-    /// relation snapshot, holding the read lock only for plan + snapshot —
-    /// the entry point standing (TAIL) queries re-run on every emission
-    /// without ever blocking the write path mid-scan.
-    pub fn query_select_snapshot(&self, sel: &SelectStmt) -> Result<QueryOutput, CoreError> {
-        let (planned, snap, threads) = {
-            let catalog = self.read();
-            let planned = Planner::plan(sel).map_err(CoreError::from)?;
-            let snap = catalog.snapshot(&planned.physical.table)?;
-            (planned, snap, catalog.worlds_threads())
-        };
-        planned
-            .strategy_with_context(threads, snap.synopses, snap.shards)
-            .execute(&snap.relation, &planned.physical)
-            .map_err(CoreError::from)
+        let resolved = self.read().plan_cached(sql)?;
+        match resolved {
+            Ok(planned) => self.execute_planned(&planned, None),
+            Err(stmt) => self.run_read(stmt),
+        }
     }
 
     /// The catalog generation (bumped by every DDL/write; keys the plan
@@ -529,134 +528,63 @@ impl SharedEngine {
 
     /// Executes any SQL statement.
     ///
-    /// * `SELECT` / `EXPLAIN` — read lock, concurrent with other readers.
-    /// * `CREATE VIEW … AS DENSITY` — the view is **built under the read
-    ///   lock** (inference only reads the source table), then registered
-    ///   under a brief write lock, so long builds do not starve queries.
-    ///   The build therefore works on a *snapshot*: if a writer replaces
-    ///   the source table in the gap, the registered view still reflects
-    ///   the data that was visible when the build began. Registration and
-    ///   the last-build diagnostics are updated inside one write-lock
-    ///   critical section, so `last_build()` always names the view
-    ///   registered last.
-    /// * Everything else — write lock.
+    /// * `SELECT` / `EXPLAIN` — the read path
+    ///   ([`SharedEngine::execute_planned`]), concurrent with other readers.
+    /// * `TAIL` — rejected: it registers a continuous query, so there is
+    ///   no one-shot answer to produce and nothing to redo on recovery (it
+    ///   never reaches the WAL).
+    /// * Everything else — the write path: write lock, journaled first on
+    ///   a persistent engine.
     pub fn execute(&self, sql: &str) -> Result<QueryOutput, CoreError> {
-        let stmt = tspdb_probdb::parse(sql)?;
-        self.execute_journaled(Some(sql), stmt)
+        self.execute_statement(sql, tspdb_probdb::parse(sql)?)
     }
 
-    /// [`SharedEngine::execute`] for an already-parsed statement — the
-    /// parse-free entry point for callers that classified the statement
-    /// themselves. Lock discipline is identical to `execute`.
-    ///
-    /// On a **persistent** engine, mutating statements are rejected here:
-    /// the journal records original SQL text, so persistent writers must
-    /// supply it via [`SharedEngine::execute_sql_statement`] (or
-    /// [`SharedEngine::execute`]).
-    pub fn execute_statement(
-        &self,
-        stmt: tspdb_probdb::Statement,
-    ) -> Result<QueryOutput, CoreError> {
-        self.execute_journaled(None, stmt)
+    /// [`SharedEngine::execute`] for a statement the caller already parsed
+    /// from `sql` (the wire server, which classifies statements itself) —
+    /// no re-parse, and the journal still records the original text.
+    pub fn execute_statement(&self, sql: &str, stmt: Statement) -> Result<QueryOutput, CoreError> {
+        match stmt {
+            Statement::Tail(_) => Err(CoreError::Db(DbError::Unsupported(
+                "TAIL is a continuous query; submit it over the server wire protocol".into(),
+            ))),
+            Statement::Select(_) | Statement::Explain(_) => self.run_read(stmt),
+            mutating => self.write(sql, mutating),
+        }
     }
 
-    /// [`SharedEngine::execute_statement`] with the statement's original
-    /// SQL text alongside the parsed form — the entry point the wire
-    /// server uses, avoiding a re-parse while keeping the journal able to
-    /// record the text.
-    pub fn execute_sql_statement(
-        &self,
-        sql: &str,
-        stmt: tspdb_probdb::Statement,
-    ) -> Result<QueryOutput, CoreError> {
-        self.execute_journaled(Some(sql), stmt)
-    }
-
-    /// The write path behind every `execute*` variant. In-memory engines
-    /// keep the original lock discipline (density views build under the
-    /// read lock). Persistent engines serialise mutating statements under
-    /// the write lock and journal them **before** applying: append + fsync
-    /// to the WAL first, then apply in memory — the redo-log ordering that
-    /// makes the committed prefix recoverable. Holding the write lock
+    /// The write path. Mutating statements serialise under the write lock;
+    /// a persistent engine journals them **before** applying — append +
+    /// fsync to the WAL first, then apply in memory, the redo-log ordering
+    /// that makes the committed prefix recoverable. Holding the write lock
     /// across both steps keeps WAL order and apply order identical, which
     /// replay depends on.
-    fn execute_journaled(
-        &self,
-        sql: Option<&str>,
-        stmt: tspdb_probdb::Statement,
-    ) -> Result<QueryOutput, CoreError> {
-        // TAIL registers a continuous query; there is no one-shot answer
-        // to produce and nothing to redo on recovery. Reject it *before*
-        // the journaling branch so the statement never reaches the WAL.
-        if matches!(stmt, Statement::Tail(_)) {
-            return Err(CoreError::Db(DbError::Unsupported(
-                "TAIL is a continuous query; submit it over the server wire protocol".into(),
-            )));
-        }
-        let mutating = !matches!(stmt, Statement::Select(_) | Statement::Explain(_));
-        if let (Some(storage), true) = (&self.storage, mutating) {
-            let Some(sql) = sql else {
-                return Err(CoreError::Db(DbError::Storage(
-                    "persistent engines journal original SQL text; \
-                     use execute() or execute_sql_statement()"
-                        .into(),
-                )));
-            };
-            let mut catalog = self.catalog.write().expect("catalog lock poisoned");
+    ///
+    /// An in-memory engine has no such order to keep, so it **builds a
+    /// density view under the read lock** (inference only reads the source
+    /// table) and takes the write lock just to register it: long builds do
+    /// not starve queries. The build therefore works on a *snapshot* — if
+    /// a writer replaces the source table in the gap, the registered view
+    /// still reflects the data that was visible when the build began.
+    fn write(&self, sql: &str, stmt: Statement) -> Result<QueryOutput, CoreError> {
+        let prebuilt = match (&self.storage, &stmt) {
+            (None, Statement::CreateDensityView(spec)) => {
+                Some(build_density_view(&self.read(), self.defaults, spec)?)
+            }
+            _ => None,
+        };
+        let mut catalog = self.catalog.write().expect("catalog lock poisoned");
+        if let Some(storage) = &self.storage {
             storage
                 .log(&JournalOp::Sql(sql.to_string()))
                 .map_err(DbError::from)?;
-            let out = self.apply_locked(&mut catalog, stmt)?;
+        }
+        let out = self.apply_locked(&mut catalog, stmt, prebuilt)?;
+        if let Some(storage) = &self.storage {
             if storage.wal_bytes().map_err(DbError::from)? >= WAL_AUTOCHECKPOINT_BYTES {
                 self.checkpoint_locked(&mut catalog, storage)?;
             }
-            return Ok(out);
         }
-        match stmt {
-            tspdb_probdb::Statement::CreateDensityView(spec) => {
-                let (view, built) = build_density_view(&self.read(), self.defaults, &spec)?;
-                {
-                    // Lock order: catalog before last_build (the only place
-                    // both are held at once).
-                    let mut catalog = self.catalog.write().expect("catalog lock poisoned");
-                    catalog.register_prob_table(view)?;
-                    *self.last_build.write().expect("last-build lock poisoned") = Some(LastBuild {
-                        view_name: spec.view_name.clone(),
-                        built,
-                    });
-                }
-                self.lineage
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(spec.view_name.clone(), spec);
-                Ok(QueryOutput::None)
-            }
-            tspdb_probdb::Statement::Select(sel) => {
-                self.read().query_select(&sel).map_err(CoreError::from)
-            }
-            tspdb_probdb::Statement::Explain(sel) => {
-                self.read().explain_select(&sel).map_err(CoreError::from)
-            }
-            other => {
-                let dropped = match &other {
-                    Statement::Drop { name } => Some(name.clone()),
-                    _ => None,
-                };
-                let out = self
-                    .catalog
-                    .write()
-                    .expect("catalog lock poisoned")
-                    .execute_parsed(other)
-                    .map_err(CoreError::from)?;
-                if let Some(name) = dropped {
-                    self.lineage
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .remove(&name);
-                }
-                Ok(out)
-            }
-        }
+        Ok(out)
     }
 
     /// Appends `rows` to one deterministic table — a single-batch
@@ -809,8 +737,9 @@ impl SharedEngine {
         }
     }
 
-    /// Loads a time series as a `(t INT, <value_col> FLOAT)` table (write
-    /// lock; see [`Engine::load_series`]).
+    /// Loads a time series as a two-column table `(t INT, <value_col>
+    /// FLOAT)` — the `raw_values` table of the paper's running example
+    /// (write lock).
     pub fn load_series(
         &self,
         table_name: &str,
@@ -851,9 +780,8 @@ impl SharedEngine {
     /// Sets the fork-join width for `SELECT … WITH WORLDS` queries (`0` =
     /// one thread per core). The knob is an atomic on the catalog's read
     /// path, so tuning it takes only the *read* lock and never blocks
-    /// concurrent queries; the Monte-Carlo queries themselves also run
-    /// under the read lock like every other `SELECT`. The width never
-    /// changes MC estimates, only their latency.
+    /// concurrent queries. The width never changes MC estimates, only
+    /// their latency.
     pub fn set_worlds_threads(&self, threads: usize) {
         self.read().set_worlds_threads(threads);
     }
@@ -910,6 +838,136 @@ fn monotone_suffix_floor(
         }
     }
     Ok(Some(old_max))
+}
+
+/// Fulfils a density-view spec against a catalog borrow. Building only
+/// reads the source table, so a *read* lock suffices.
+fn build_density_view(
+    db: &Database,
+    defaults: ViewBuilderConfig,
+    spec: &DensityViewSpec,
+) -> Result<(ProbTable, BuiltView), CoreError> {
+    let source = db.table(&spec.source_table)?;
+    let series = table_to_series(source, &spec.time_column, &spec.value_column)?;
+    let omega = OmegaSpec::new(spec.delta, spec.n)?;
+    let bounds = time_bounds_from_predicate(&spec.predicate, &spec.time_column)?;
+
+    let mut config = defaults;
+    if let Some(name) = &spec.metric {
+        config.metric = MetricKind::parse(name)?;
+    }
+    if let Some(w) = spec.window {
+        config.window = w;
+    }
+    let builder = OmegaViewBuilder::new(config)?;
+    let built = builder.build(&series, omega, &spec.view_name, bounds)?;
+    Ok((built.view.clone(), built))
+}
+
+/// Builds the `(t INT, <value_col> FLOAT)` table representation of a time
+/// series.
+fn series_to_table(
+    table_name: &str,
+    value_column: &str,
+    series: &TimeSeries,
+) -> Result<Table, CoreError> {
+    let schema = Schema::new(vec![
+        ("t".to_string(), ColumnType::Int),
+        (value_column.to_string(), ColumnType::Float),
+    ]);
+    let mut table = Table::new(table_name.to_string(), schema);
+    for obs in series.iter() {
+        table.insert(vec![Value::Int(obs.time), Value::Float(obs.value)])?;
+    }
+    Ok(table)
+}
+
+/// Converts a `(time, value)` table into a [`TimeSeries`], sorting by the
+/// time column.
+pub fn table_to_series(
+    table: &Table,
+    time_column: &str,
+    value_column: &str,
+) -> Result<TimeSeries, CoreError> {
+    let t_idx = table.schema().index_of(time_column)?;
+    let v_idx = table.schema().index_of(value_column)?;
+    let mut pairs: Vec<(i64, f64)> = Vec::with_capacity(table.len());
+    for row in table.rows() {
+        let t = row[t_idx].as_i64().ok_or_else(|| {
+            CoreError::Db(DbError::TypeMismatch {
+                column: time_column.to_string(),
+                expected: ColumnType::Int,
+                got: row[t_idx].column_type(),
+            })
+        })?;
+        let v = row[v_idx].as_f64().ok_or_else(|| {
+            CoreError::Db(DbError::TypeMismatch {
+                column: value_column.to_string(),
+                expected: ColumnType::Float,
+                got: row[v_idx].column_type(),
+            })
+        })?;
+        pairs.push((t, v));
+    }
+    pairs.sort_by_key(|&(t, _)| t);
+    if pairs.windows(2).any(|w| w[0].0 == w[1].0) {
+        return Err(CoreError::InvalidConfig(format!(
+            "duplicate timestamps in {}.{time_column}",
+            table.name()
+        )));
+    }
+    let (timestamps, values): (Vec<i64>, Vec<f64>) = pairs.into_iter().unzip();
+    Ok(TimeSeries::from_parts(
+        value_column.to_string(),
+        timestamps,
+        values,
+    ))
+}
+
+/// Reduces a conjunction over the time column into inclusive `(lo, hi)`
+/// bounds. Only comparisons on the time column are allowed in a density
+/// view's `WHERE` clause (the paper's queries restrict time intervals).
+pub fn time_bounds_from_predicate(
+    pred: &Conjunction,
+    time_column: &str,
+) -> Result<Option<(i64, i64)>, CoreError> {
+    if pred.is_empty() {
+        return Ok(None);
+    }
+    let mut lo = i64::MIN;
+    let mut hi = i64::MAX;
+    for cmp in pred {
+        if cmp.column != time_column {
+            return Err(CoreError::InvalidConfig(format!(
+                "density view WHERE clauses may only reference the time column \
+                 {time_column:?}, found {:?}",
+                cmp.column
+            )));
+        }
+        let v = cmp
+            .value
+            .as_i64()
+            .or_else(|| cmp.value.as_f64().map(|f| f as i64));
+        let v = v.ok_or_else(|| {
+            CoreError::InvalidConfig("time predicate literal must be numeric".into())
+        })?;
+        match cmp.op {
+            CmpOp::Ge => lo = lo.max(v),
+            CmpOp::Gt => lo = lo.max(v.saturating_add(1)),
+            CmpOp::Le => hi = hi.min(v),
+            CmpOp::Lt => hi = hi.min(v.saturating_sub(1)),
+            CmpOp::Eq => {
+                lo = lo.max(v);
+                hi = hi.min(v);
+            }
+            CmpOp::Ne => {
+                return Err(CoreError::InvalidConfig(
+                    "'!=' is not meaningful for a time interval".into(),
+                ))
+            }
+        }
+    }
+    Ok(Some((lo, hi)))
 }
 
 #[cfg(test)]
@@ -971,16 +1029,7 @@ mod tests {
     }
 
     fn shared_engine_with_view() -> SharedEngine {
-        let engine = SharedEngine::new(ViewBuilderConfig {
-            window: 60,
-            metric_config: MetricConfig {
-                p: 1,
-                ..MetricConfig::default()
-            },
-            ..ViewBuilderConfig::default()
-        });
-        let series = TemperatureGenerator::default().generate(150);
-        engine.load_series("raw_values", "r", &series).unwrap();
+        let engine = engine_with_series(150);
         engine
             .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
             .unwrap();
@@ -1122,39 +1171,6 @@ mod tests {
         });
         let out = engine.query("SELECT * FROM scratch").unwrap();
         assert_eq!(out.rows().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn shared_engine_from_engine_preserves_state() {
-        let mut e = Engine::new(ViewBuilderConfig {
-            window: 60,
-            metric_config: MetricConfig {
-                p: 1,
-                ..MetricConfig::default()
-            },
-            ..ViewBuilderConfig::default()
-        });
-        let series = TemperatureGenerator::default().generate(150);
-        e.load_series("raw_values", "r", &series).unwrap();
-        e.execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
-            .unwrap();
-        let rows_before = e
-            .query("SELECT * FROM pv")
-            .unwrap()
-            .prob_rows()
-            .unwrap()
-            .len();
-
-        let shared = SharedEngine::from_engine(e);
-        let rows_after = shared
-            .query("SELECT * FROM pv")
-            .unwrap()
-            .prob_rows()
-            .unwrap()
-            .len();
-        assert_eq!(rows_before, rows_after);
-        assert_eq!(shared.last_build().unwrap().view_name, "pv");
-        assert!(shared.read().prob_table("pv").is_ok());
     }
 
     /// Self-cleaning temp dir for the persistent-engine tests (no
@@ -1500,5 +1516,232 @@ mod tests {
         });
         assert_eq!(engine.last_build().unwrap().view_name, "pv2");
         assert!(engine.read().prob_table("pv2").is_ok());
+    }
+
+    fn engine_with_series(n: usize) -> SharedEngine {
+        let e = SharedEngine::new(ViewBuilderConfig {
+            window: 60,
+            metric_config: MetricConfig {
+                p: 1,
+                ..MetricConfig::default()
+            },
+            ..ViewBuilderConfig::default()
+        });
+        let s = TemperatureGenerator::default().generate(n);
+        e.load_series("raw_values", "r", &s).unwrap();
+        e
+    }
+
+    #[test]
+    fn end_to_end_density_view_via_sql() {
+        let e = engine_with_series(150);
+        e.execute("CREATE VIEW prob_view AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
+            .unwrap();
+        let out = e.execute("SELECT * FROM prob_view LIMIT 6").unwrap();
+        let rows = out.prob_rows().unwrap();
+        assert_eq!(rows.len(), 6);
+        let lb = e.last_build().unwrap();
+        assert_eq!(lb.view_name, "prob_view");
+        assert_eq!(lb.built.model.len(), 90);
+    }
+
+    #[test]
+    fn where_clause_limits_time_interval() {
+        let e = engine_with_series(200);
+        // Timestamps are 0, 120, 240, …; pick an interval covering 5 ticks
+        // past the warm-up window of 60 samples (t = 7200 s).
+        e.execute(
+            "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=4 \
+             FROM raw_values WHERE t >= 12000 AND t <= 12480",
+        )
+        .unwrap();
+        let catalog = e.read();
+        let view = catalog.prob_table("pv").unwrap();
+        assert_eq!(view.len(), 5 * 4);
+        for (row, _) in view.iter() {
+            let t = row[0].as_i64().unwrap();
+            assert!((12000..=12480).contains(&t));
+        }
+    }
+
+    #[test]
+    fn using_metric_and_window_override_defaults() {
+        let e = engine_with_series(150);
+        e.execute(
+            "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=4 \
+             FROM raw_values USING METRIC vt WINDOW 80",
+        )
+        .unwrap();
+        // Window 80 ⇒ 150 − 80 = 70 model rows.
+        assert_eq!(e.last_build().unwrap().built.model.len(), 70);
+    }
+
+    #[test]
+    fn unknown_metric_is_reported() {
+        let e = engine_with_series(120);
+        let err = e
+            .execute(
+                "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=4 \
+                 FROM raw_values USING METRIC bogus",
+            )
+            .unwrap_err();
+        assert!(matches!(err, CoreError::UnknownMetric(_)));
+    }
+
+    #[test]
+    fn non_time_predicate_is_rejected() {
+        let e = engine_with_series(120);
+        let err = e
+            .execute(
+                "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=1, n=4 \
+                 FROM raw_values WHERE r >= 1",
+            )
+            .unwrap_err();
+        assert!(matches!(err, CoreError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn time_bounds_reduction() {
+        let pred = vec![
+            Comparison::new("t", CmpOp::Ge, 10i64),
+            Comparison::new("t", CmpOp::Le, 20i64),
+            Comparison::new("t", CmpOp::Gt, 11i64),
+            Comparison::new("t", CmpOp::Lt, 20i64),
+        ];
+        let bounds = time_bounds_from_predicate(&pred, "t").unwrap();
+        assert_eq!(bounds, Some((12, 19)));
+        assert_eq!(time_bounds_from_predicate(&Vec::new(), "t").unwrap(), None);
+        let eq = vec![Comparison::new("t", CmpOp::Eq, 5i64)];
+        assert_eq!(time_bounds_from_predicate(&eq, "t").unwrap(), Some((5, 5)));
+        let ne = vec![Comparison::new("t", CmpOp::Ne, 5i64)];
+        assert!(time_bounds_from_predicate(&ne, "t").is_err());
+    }
+
+    #[test]
+    fn table_to_series_sorts_and_validates() {
+        let schema = Schema::of(&[("t", ColumnType::Int), ("r", ColumnType::Float)]);
+        let mut table = Table::new("raw", schema.clone());
+        table
+            .insert(vec![Value::Int(3), Value::Float(3.0)])
+            .unwrap();
+        table
+            .insert(vec![Value::Int(1), Value::Float(1.0)])
+            .unwrap();
+        table
+            .insert(vec![Value::Int(2), Value::Float(2.0)])
+            .unwrap();
+        let s = table_to_series(&table, "t", "r").unwrap();
+        assert_eq!(s.values(), &[1.0, 2.0, 3.0]);
+
+        let mut dup = Table::new("raw", schema);
+        dup.insert(vec![Value::Int(1), Value::Float(1.0)]).unwrap();
+        dup.insert(vec![Value::Int(1), Value::Float(2.0)]).unwrap();
+        assert!(table_to_series(&dup, "t", "r").is_err());
+    }
+
+    #[test]
+    fn ordinary_sql_still_works_through_engine() {
+        let e = SharedEngine::default();
+        e.execute("CREATE TABLE x (a INT)").unwrap();
+        e.execute("INSERT INTO x VALUES (1), (2)").unwrap();
+        let out = e.execute("SELECT * FROM x WHERE a > 1").unwrap();
+        assert_eq!(out.rows().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn query_takes_shared_reference_and_rejects_writes() {
+        let e = engine_with_series(150);
+        e.execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
+            .unwrap();
+        // Read path through a shared reference only.
+        let shared: &SharedEngine = &e;
+        let out = shared.query("SELECT * FROM pv LIMIT 3").unwrap();
+        assert_eq!(out.prob_rows().unwrap().len(), 3);
+        // Writes are refused on the read path.
+        assert!(shared.query("DROP TABLE raw_values").is_err());
+        assert!(shared
+            .query("INSERT INTO raw_values VALUES (1, 1.0)")
+            .is_err());
+        // …and still work through the write path.
+        assert!(e.execute("DROP VIEW pv").is_ok());
+    }
+
+    #[test]
+    fn with_worlds_query_runs_against_a_density_view() {
+        let e = engine_with_series(150);
+        e.execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
+            .unwrap();
+        e.set_worlds_threads(2);
+        let out = e
+            .query("SELECT * FROM pv THRESHOLD 0.2 WITH WORLDS 4000 SEED 17")
+            .unwrap();
+        let w = out.worlds().unwrap();
+        assert_eq!(w.worlds, 4000);
+        assert_eq!(w.seed, 17);
+        assert!(w.matching_tuples > 0);
+        // Exact cross-check on the same sub-relation.
+        let sub = e
+            .query("SELECT * FROM pv THRESHOLD 0.2")
+            .unwrap()
+            .prob_rows()
+            .unwrap()
+            .clone();
+        let exact = tspdb_probdb::query::event_probability(&sub, &Vec::new()).unwrap();
+        assert!(
+            (w.event_probability - exact).abs() < 3.0 * w.event_ci_half_width + 1e-3,
+            "MC {} vs exact {exact}",
+            w.event_probability
+        );
+    }
+
+    #[test]
+    fn aggregate_queries_run_through_the_planner_on_views() {
+        let e = engine_with_series(150);
+        e.execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
+            .unwrap();
+        // Exact grouped aggregate: E[count | t] = Σ prob over the 6 cells.
+        let out = e.query("SELECT t, COUNT(*) FROM pv GROUP BY t").unwrap();
+        let agg = out.aggregate().unwrap();
+        assert_eq!(agg.strategy, "exact");
+        assert_eq!(agg.groups.len(), 90);
+        // The MC strategy answers the same plan within tolerance.
+        let mc = e
+            .query("SELECT COUNT(*) FROM pv WITH WORLDS 4000 SEED 5")
+            .unwrap();
+        let mc = mc.aggregate().unwrap();
+        let exact = e.query("SELECT COUNT(*) FROM pv").unwrap();
+        let exact = exact.aggregate().unwrap();
+        let tol = 4.0 * mc.groups[0].values[0].ci_half_width.unwrap() + 1e-3;
+        assert!(
+            (mc.groups[0].values[0].value - exact.groups[0].values[0].value).abs() <= tol,
+            "MC {} vs exact {}",
+            mc.groups[0].values[0].value,
+            exact.groups[0].values[0].value
+        );
+        // EXPLAIN reports the plan without executing it.
+        let report = e
+            .execute("EXPLAIN SELECT t, COUNT(*) FROM pv GROUP BY t")
+            .unwrap();
+        let report = report.explain().unwrap();
+        assert!(report.logical.contains("Aggregate [COUNT(*)] GROUP BY t"));
+        assert!(report.strategy.starts_with("exact"));
+    }
+
+    #[test]
+    fn fig1_style_query_on_view() {
+        // Downstream probabilistic query over the created view: the most
+        // probable range per timestamp (the "which room is Alice in" shape).
+        let e = engine_with_series(130);
+        e.execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=4 FROM raw_values")
+            .unwrap();
+        let catalog = e.read();
+        let view = catalog.prob_table("pv").unwrap();
+        let best = tspdb_probdb::query::most_probable_per_group(view, "t").unwrap();
+        assert_eq!(best.len(), 70);
+        // The winning cell must be adjacent to the mean (λ ∈ {−1, 0}).
+        for (row, _) in best.iter() {
+            let lambda = row[1].as_i64().unwrap();
+            assert!((-1..=0).contains(&lambda), "winning λ = {lambda}");
+        }
     }
 }

@@ -15,16 +15,16 @@
 //! * [`sigma_cache`] — the σ-cache with Theorem 1/2 guarantees
 //!   (Section VI-A/B); [`online`] adds the lazily grown streaming variant.
 //! * [`builder`] — the Ω-view builder materialising tuple-independent
-//!   probabilistic views; [`engine`] exposes it behind the paper's
-//!   SQL-like syntax (Fig. 7).
+//!   probabilistic views; [`concurrent::SharedEngine`] exposes it behind
+//!   the paper's SQL-like syntax (Fig. 7).
 //!
 //! ## Quick start
 //!
 //! ```
-//! use tspdb_core::engine::Engine;
+//! use tspdb_core::SharedEngine;
 //! use tspdb_timeseries::generate::TemperatureGenerator;
 //!
-//! let mut engine = Engine::default();
+//! let engine = SharedEngine::default();
 //! let series = TemperatureGenerator::default().generate(150);
 //! engine.load_series("raw_values", "r", &series).unwrap();
 //! engine
@@ -48,13 +48,11 @@
 pub mod builder;
 pub mod cgarch;
 pub mod concurrent;
-pub mod engine;
 pub mod error;
 pub mod horizon;
 pub mod metrics;
 pub mod omega;
 pub mod online;
-pub mod parallel;
 pub mod quality;
 pub mod sigma_cache;
 pub mod svr;
@@ -62,7 +60,6 @@ pub mod svr;
 pub use builder::{BuiltView, OmegaViewBuilder, ViewBuilderConfig};
 pub use cgarch::{CGarch, CGarchConfig, CGarchReport};
 pub use concurrent::{SharedEngine, SharedSigmaCache};
-pub use engine::Engine;
 pub use error::CoreError;
 pub use metrics::{
     ArmaGarch, DynamicDensityMetric, Inference, KalmanGarch, MetricConfig, MetricKind,

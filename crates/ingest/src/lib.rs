@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tspdb_core::{CoreError, SharedEngine};
-use tspdb_probdb::{parse, AggregateResult, QueryOutput, SelectStmt, Statement, Value};
+use tspdb_probdb::{parse, AggregateResult, Planner, QueryOutput, SelectStmt, Statement, Value};
 
 /// Flush policy for an [`Appender`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -302,7 +302,10 @@ impl TailRegistry {
             if sub.seen == Some(generations) {
                 continue; // nothing changed since the last evaluation
             }
-            let agg = match engine.query_select_snapshot(&sub.sel) {
+            let answer = Planner::plan(&sub.sel)
+                .map_err(CoreError::from)
+                .and_then(|planned| engine.execute_planned(&planned, None));
+            let agg = match answer {
                 Ok(QueryOutput::Aggregate(agg)) => agg,
                 Ok(other) => {
                     lapsed.push((id, format!("standing query stopped aggregating: {other:?}")));

@@ -12,20 +12,21 @@
 //!
 //! The one statement the catalog cannot execute by itself is `CREATE VIEW
 //! … AS DENSITY …` — inferring densities is the job of the `tspdb-core`
-//! crate — so [`Database::execute_with`] accepts a *density handler*
-//! callback that the upper layer provides. This keeps the dependency arrow
+//! crate, whose engine builds the view and hands it to
+//! [`Database::register_prob_table`]. This keeps the dependency arrow
 //! pointing from the paper's contribution down into the substrate, never
 //! backwards.
 
 use crate::error::DbError;
-use crate::plan::{AggregateResult, ExplainReport, PlannedQuery, Planner};
+use crate::plan::{AggregateResult, ExplainReport, PhysicalPlan, PlannedQuery, Planner};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::schema::Schema;
 use crate::shard::ShardMap;
-use crate::sql::{parse, DensityViewSpec, SelectStmt, Statement};
+use crate::sql::{parse, SelectStmt, Statement};
 use crate::table::{ProbTable, Table};
 use crate::value::{ColumnType, Value};
 use crate::worlds::WorldsResult;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -183,7 +184,7 @@ pub enum Relation {
 
 /// An immutable, internally-consistent snapshot of one relation and the
 /// derived structures a query strategy consumes — see
-/// [`Database::snapshot`]. All three `Arc`s were taken under the same
+/// [`Database::scan_input`]. All three `Arc`s were taken under the same
 /// catalog borrow, so the synopses and shard layout always describe
 /// exactly the tuples in `relation`.
 #[derive(Debug, Clone)]
@@ -194,6 +195,26 @@ pub struct RelationSnapshot {
     pub synopses: Option<Arc<RelationSynopses>>,
     /// Shard layout (sharded probabilistic views only).
     pub shards: Option<Arc<ShardMap>>,
+}
+
+impl RelationSnapshot {
+    /// Runs `planned`'s strategy over this snapshot — the one place a
+    /// strategy is instantiated and executed, whichever entry point the
+    /// statement came in through. `plan` is the physical plan
+    /// [`Database::scan_input`] returned next to the snapshot; `threads`
+    /// is the fork-join width (it never changes an answer). Needs no
+    /// catalog borrow, so callers sharing the catalog behind a lock run
+    /// this after releasing it.
+    pub fn execute(
+        self,
+        planned: &PlannedQuery,
+        plan: &PhysicalPlan,
+        threads: usize,
+    ) -> Result<QueryOutput, DbError> {
+        planned
+            .strategy_with_context(threads, self.synopses, self.shards)
+            .execute(&self.relation, plan)
+    }
 }
 
 /// Result of executing one statement.
@@ -271,12 +292,6 @@ impl QueryOutput {
     }
 }
 
-/// Signature of the density-view handler supplied by the upper layer: given
-/// the source table and the parsed view spec, produce the probabilistic
-/// view contents.
-pub type DensityHandler<'a> =
-    dyn FnMut(&Table, &DensityViewSpec) -> Result<ProbTable, DbError> + 'a;
-
 /// A fallback provider of relations that are not resident in memory —
 /// implemented by the persistent storage engine upstream (`tspdb-storage`),
 /// which materialises relations from its paged on-disk tables.
@@ -319,31 +334,6 @@ pub trait TupleStream {
     fn probabilistic(&self) -> bool;
     /// The next tuple, or `None` at exhaustion.
     fn next_tuple(&mut self) -> Result<Option<StreamedTuple>, DbError>;
-}
-
-/// Drains a lazy stream into a whole relation (used when a strategy needs
-/// every tuple anyway — the whole-relation synopsis path).
-fn materialize_stream(
-    name: &str,
-    schema: &Schema,
-    stream: &mut dyn TupleStream,
-) -> Result<Relation, DbError> {
-    if stream.probabilistic() {
-        let mut t = ProbTable::new(name, schema.clone());
-        while let Some((row, prob)) = stream.next_tuple()? {
-            let prob = prob.ok_or_else(|| {
-                DbError::Storage(format!("{name}: probabilistic tuple without probability"))
-            })?;
-            t.insert(row, prob)?;
-        }
-        Ok(Relation::Probabilistic(t))
-    } else {
-        let mut t = Table::new(name, schema.clone());
-        while let Some((row, _)) = stream.next_tuple()? {
-            t.insert(row)?;
-        }
-        Ok(Relation::Deterministic(t))
-    }
 }
 
 /// An in-memory database of named relations.
@@ -450,48 +440,48 @@ impl Database {
         self.plan_cache.lookup(sql, self.generation())
     }
 
-    /// Plans a `SELECT` through the shared plan cache: a normalized-text
-    /// hit (the statement's `Display`, which the parser round-trips)
-    /// reuses the cached plan and aliases this spelling's raw text for
-    /// next time; a miss plans fresh and caches under both keys.
-    pub fn plan_select_cached(
-        &self,
-        sql: &str,
-        sel: &SelectStmt,
-    ) -> Result<Arc<PlannedQuery>, DbError> {
+    /// Resolves statement text to a plan through the shared plan cache —
+    /// the one place that sequence is written. An exact textual repeat
+    /// skips the parser (raw-text hit); otherwise the statement is parsed
+    /// and a normalized-text hit (the statement's `Display`, which the
+    /// parser round-trips) reuses the cached plan and aliases this
+    /// spelling's raw text for next time; a miss plans fresh and caches
+    /// under both keys. Only `SELECT`s are planned: `Ok(Err(stmt))` hands
+    /// any other statement back parsed, for the caller to route.
+    pub fn plan_cached(&self, sql: &str) -> Result<Result<Arc<PlannedQuery>, Statement>, DbError> {
+        if let Some(plan) = self.cached_plan(sql) {
+            return Ok(Ok(plan));
+        }
+        let sel = match parse(sql)? {
+            Statement::Select(sel) => sel,
+            other => return Ok(Err(other)),
+        };
         let generation = self.generation();
         let normalized = sel.to_string();
         if let Some(plan) = self.plan_cache.lookup(&normalized, generation) {
             if normalized != sql {
                 self.plan_cache.insert(&[sql], &plan, generation);
             }
-            return Ok(plan);
+            return Ok(Ok(plan));
         }
         self.plan_cache.record_miss();
-        let planned = Arc::new(Planner::plan(sel)?);
+        let planned = Arc::new(Planner::plan(&sel)?);
         if normalized == sql {
             self.plan_cache.insert(&[sql], &planned, generation);
         } else {
             self.plan_cache
                 .insert(&[sql, normalized.as_str()], &planned, generation);
         }
-        Ok(planned)
+        Ok(Ok(planned))
     }
 
     /// [`Database::query`] through the shared plan cache: hot statements
     /// skip parse+plan entirely (raw-text hit) or at least planning
     /// (normalized hit). Semantics are identical to [`Database::query`].
     pub fn query_cached(&self, sql: &str) -> Result<QueryOutput, DbError> {
-        if let Some(planned) = self.cached_plan(sql) {
-            return self.execute_planned(&planned);
-        }
-        match parse(sql)? {
-            Statement::Select(sel) => {
-                let planned = self.plan_select_cached(sql, &sel)?;
-                self.execute_planned(&planned)
-            }
-            Statement::Explain(sel) => self.explain_select(&sel),
-            other => Err(DbError::ReadOnly(format!("{other:?}"))),
+        match self.plan_cached(sql)? {
+            Ok(planned) => self.execute_planned(&planned),
+            Err(stmt) => self.query_parsed(stmt),
         }
     }
 
@@ -820,37 +810,6 @@ impl Database {
         self.relations.get(name).map(|r| r.as_ref())
     }
 
-    /// The current rung of one resident relation — an immutable snapshot a
-    /// caller can keep executing against after dropping whatever lock
-    /// guards the catalog. Appends swap in a new rung rather than mutating
-    /// this one in place (unless nobody else holds it), so the snapshot
-    /// stays internally consistent for as long as the `Arc` lives.
-    pub fn relation_snapshot(&self, name: &str) -> Option<Arc<Relation>> {
-        self.relations.get(name).cloned()
-    }
-
-    /// Everything a planned query needs to execute against one relation,
-    /// as immutable snapshots: the relation rung plus the matching synopsis
-    /// and shard-layout `Arc`s. This is the MVCC read path — clone the
-    /// snapshot under a shared lock, release the lock, then run
-    /// [`crate::plan::PlannedQuery::strategy_with_context`] against it
-    /// while writers land new rungs. Falls through to the scan source for
-    /// evicted relations (materialising a fresh snapshot).
-    pub fn snapshot(&self, name: &str) -> Result<RelationSnapshot, DbError> {
-        let relation = match self.relations.get(name).cloned() {
-            Some(r) => r,
-            None => match self.scan_from_source(name)? {
-                Some(r) => Arc::new(r),
-                None => return Err(DbError::UnknownTable(name.to_string())),
-            },
-        };
-        Ok(RelationSnapshot {
-            relation,
-            synopses: self.synopses(name),
-            shards: self.shard_map(name),
-        })
-    }
-
     /// Looks up a deterministic table.
     pub fn table(&self, name: &str) -> Result<&Table, DbError> {
         match self.relations.get(name).map(|r| r.as_ref()) {
@@ -909,83 +868,73 @@ impl Database {
     /// assert!(db.query("DROP TABLE pv").is_err());
     /// ```
     pub fn query(&self, sql: &str) -> Result<QueryOutput, DbError> {
-        match parse(sql)? {
-            Statement::Select(sel) => self.query_select(&sel),
+        self.query_parsed(parse(sql)?)
+    }
+
+    /// The parse-free core of [`Database::query`].
+    fn query_parsed(&self, stmt: Statement) -> Result<QueryOutput, DbError> {
+        match stmt {
+            Statement::Select(sel) => self.execute_planned(&Planner::plan(&sel)?),
             Statement::Explain(sel) => self.explain_select(&sel),
             other => Err(DbError::ReadOnly(format!("{other:?}"))),
         }
     }
 
-    /// Runs an already-parsed `SELECT` with a shared borrow — the
-    /// parse-free core of [`Database::query`], for callers (like the
-    /// engines) that classified the statement themselves. Planning and
-    /// execution are split so callers can also plan once and execute many
-    /// times via [`Database::execute_planned`].
-    pub fn query_select(&self, sel: &SelectStmt) -> Result<QueryOutput, DbError> {
-        self.execute_planned(&Planner::plan(sel)?)
-    }
-
-    /// [`Database::query_select`] with a per-query override of the
-    /// `WITH WORLDS` fork-join width (`None` uses the database setting) —
-    /// the hook server sessions use to tune MC parallelism per connection
-    /// without touching shared state.
-    pub fn query_select_with_threads(
-        &self,
-        sel: &SelectStmt,
-        worlds_threads: Option<usize>,
-    ) -> Result<QueryOutput, DbError> {
-        self.execute_planned_with_threads(&Planner::plan(sel)?, worlds_threads)
-    }
-
     /// Executes a planned query: resolves the scanned relation and runs
     /// the plan's strategy over it.
     pub fn execute_planned(&self, planned: &PlannedQuery) -> Result<QueryOutput, DbError> {
-        self.execute_planned_with_threads(planned, None)
+        let (snapshot, plan) = self.scan_input(planned)?;
+        snapshot.execute(planned, &plan, self.worlds_threads())
     }
 
-    /// [`Database::execute_planned`] with a per-query override of the
-    /// `WITH WORLDS` fork-join width (`None` uses the database setting;
-    /// the override never changes MC estimates, only their latency).
-    pub fn execute_planned_with_threads(
+    /// Everything `planned` needs in order to execute, as immutable
+    /// snapshots: the relation rung with the matching synopsis and
+    /// shard-layout `Arc`s, plus the physical plan to run over them. This
+    /// is the MVCC read path — take the input under a shared lock, release
+    /// the lock, then [`RelationSnapshot::execute`] it while writers land
+    /// new rungs (appends swap in a new rung rather than mutating the old
+    /// one in place, so the snapshot stays internally consistent for as
+    /// long as its `Arc`s live).
+    ///
+    /// Resident relations win and cost three `Arc` clones; otherwise the
+    /// scan source's lazy stream is filtered leaf by leaf, and only when
+    /// the plan or the source can't stream is the relation materialised
+    /// whole. Either way the same strategy executes over the same tuple
+    /// representation, so results are bit-identical across media for a
+    /// fixed query + seed.
+    pub fn scan_input<'p>(
         &self,
-        planned: &PlannedQuery,
-        worlds_threads: Option<usize>,
-    ) -> Result<QueryOutput, DbError> {
-        // Resident relations win; otherwise try the scan source's lazy
-        // stream, and fall through to whole-relation materialisation only
-        // when the source can't stream. Either way the same strategy
-        // executes over the same tuple representation, so results are
-        // bit-identical across media for a fixed query + seed.
-        let fetched;
-        let relation = match self.relations.get(&planned.physical.table) {
-            Some(r) => r.as_ref(),
+        planned: &'p PlannedQuery,
+    ) -> Result<(RelationSnapshot, Cow<'p, PhysicalPlan>), DbError> {
+        let name = &planned.physical.table;
+        let relation = match self.relations.get(name) {
+            Some(r) => Arc::clone(r),
             None => {
-                if let Some(out) = self.execute_streamed(planned, worlds_threads)? {
-                    return Ok(out);
+                if let Some(streamed) = self.stream_input(planned)? {
+                    return Ok(streamed);
                 }
-                match self.scan_from_source(&planned.physical.table)? {
-                    Some(r) => {
-                        fetched = r;
-                        &fetched
-                    }
-                    None => return Err(DbError::UnknownTable(planned.physical.table.clone())),
+                match self.scan_from_source(name)? {
+                    Some(r) => Arc::new(r),
+                    None => return Err(DbError::UnknownTable(name.clone())),
                 }
             }
         };
-        planned
-            .strategy_with_context(
-                worlds_threads.unwrap_or_else(|| self.worlds_threads()),
-                self.synopses(&planned.physical.table),
-                self.shard_map(&planned.physical.table),
-            )
-            .execute(relation, &planned.physical)
+        let snapshot = RelationSnapshot {
+            relation,
+            synopses: self.synopses(name),
+            shards: self.shard_map(name),
+        };
+        Ok((snapshot, Cow::Borrowed(&planned.physical)))
     }
 
-    /// Executes `planned` over the scan source's lazy tuple stream,
+    /// [`Database::scan_input`] over the scan source's lazy tuple stream,
     /// filtering leaf by leaf instead of materialising the relation
-    /// whole. Returns `Ok(None)` when the plan or source can't stream —
-    /// `WITH WORLDS` plans (MC passes over the tuples many times, so they
-    /// materialise; `EXPLAIN` notes it) and sources without a stream.
+    /// whole. Returns `Ok(None)` when the source can't stream or the plan
+    /// needs every tuple anyway, so the caller materialises the relation:
+    /// `WITH WORLDS` plans (MC passes over the tuples many times; `EXPLAIN`
+    /// notes it) and synopsis plans with no fallback, which answer from
+    /// bucketed moments over the **whole** relation and its cached
+    /// synopses (whose staleness guard compares tuple counts).
     ///
     /// Bit-identity with the materialised path is preserved by applying
     /// the *same* restrictions in the *same* observable order: `WHERE`
@@ -994,18 +943,20 @@ impl Database {
     /// executes; `TOP` stays with the strategy, which also keeps
     /// ownership of the deterministic `THRESHOLD`/`TOP` rejection and the
     /// τ range check.
-    fn execute_streamed(
+    fn stream_input<'p>(
         &self,
-        planned: &PlannedQuery,
-        worlds_threads: Option<usize>,
-    ) -> Result<Option<QueryOutput>, DbError> {
+        planned: &'p PlannedQuery,
+    ) -> Result<Option<(RelationSnapshot, Cow<'p, PhysicalPlan>)>, DbError> {
         use crate::plan::StrategyKind;
         use crate::query::eval_conjunction;
 
-        if matches!(planned.strategy, StrategyKind::Worlds(_)) {
+        if matches!(planned.strategy, StrategyKind::Worlds(_))
+            || planned.synopsis_answers_whole_relation()
+        {
             return Ok(None);
         }
-        let name = &planned.physical.table;
+        let plan = &planned.physical;
+        let name = &plan.table;
         if self.dropped.contains(name) {
             return Ok(None);
         }
@@ -1015,19 +966,18 @@ impl Database {
         let Some(mut stream) = source.scan_stream(name)? else {
             return Ok(None);
         };
-        let threads = worlds_threads.unwrap_or_else(|| self.worlds_threads());
-        let plan = &planned.physical;
         let schema = stream.schema().clone();
-
-        // A synopsis plan with no fallback answers from bucketed moments
-        // over the whole relation: stream it through unfiltered and hand
-        // the strategy the cached synopses, exactly like the materialised
-        // path (the synopses' staleness guard compares tuple counts).
-        if planned.synopsis_answers_whole_relation() {
-            let relation = materialize_stream(name, &schema, stream.as_mut())?;
-            let strategy = planned.strategy_with_context(threads, self.synopses(name), None);
-            return strategy.execute(&relation, plan).map(Some);
-        }
+        // No synopses (the restricted tuple set no longer matches the
+        // cached ones — their staleness guard would reject them anyway)
+        // and no shards (layouts describe the unrestricted relation).
+        let input = |relation: Relation, plan| {
+            let snapshot = RelationSnapshot {
+                relation: Arc::new(relation),
+                synopses: None,
+                shards: None,
+            };
+            Ok(Some((snapshot, plan)))
+        };
 
         if !stream.probabilistic() {
             if plan.threshold.is_some() || plan.top.is_some() {
@@ -1036,8 +986,7 @@ impl Database {
                 // an empty relation and the unstripped plan reproduces
                 // that error (and its ordering) without reading a page.
                 let empty = Relation::Deterministic(Table::new(name, schema));
-                let strategy = planned.strategy_with_context(threads, None, None);
-                return strategy.execute(&empty, plan).map(Some);
+                return input(empty, Cow::Borrowed(plan));
             }
             let mut t = Table::new(name, schema.clone());
             while let Some((row, _)) = stream.next_tuple()? {
@@ -1047,10 +996,7 @@ impl Database {
             }
             let mut stripped = plan.clone();
             stripped.predicate = Vec::new();
-            let strategy = planned.strategy_with_context(threads, None, None);
-            return strategy
-                .execute(&Relation::Deterministic(t), &stripped)
-                .map(Some);
+            return input(Relation::Deterministic(t), Cow::Owned(stripped));
         }
 
         // Probabilistic: WHERE and THRESHOLD filter per tuple during the
@@ -1081,13 +1027,7 @@ impl Database {
         let mut stripped = plan.clone();
         stripped.predicate = Vec::new();
         stripped.threshold = None;
-        // No synopses (the restricted tuple set no longer matches the
-        // cached ones — their staleness guard would reject them anyway)
-        // and no shards (layouts describe the unrestricted relation).
-        let strategy = planned.strategy_with_context(threads, None, None);
-        strategy
-            .execute(&Relation::Probabilistic(t), &stripped)
-            .map(Some)
+        input(Relation::Probabilistic(t), Cow::Owned(stripped))
     }
 
     /// Plans a `SELECT` and returns its [`ExplainReport`] instead of
@@ -1148,17 +1088,19 @@ impl Database {
             logical: planned.logical.to_string(),
             physical: planned.physical.to_string(),
             strategy: planned
-                .strategy_with_synopses(
+                .strategy_with_context(
                     self.worlds_threads(),
                     self.synopses(&planned.physical.table),
+                    None,
                 )
                 .describe(),
         }))
     }
 
     /// Executes a SQL statement that does not require density inference.
-    /// `CREATE VIEW … AS DENSITY …` returns [`DbError::Unsupported`]; use
-    /// [`Database::execute_with`] for that.
+    /// `CREATE VIEW … AS DENSITY …` returns [`DbError::Unsupported`]: the
+    /// `tspdb-core` engine builds the view and registers it through
+    /// [`Database::register_prob_table`].
     pub fn execute(&mut self, sql: &str) -> Result<QueryOutput, DbError> {
         self.execute_parsed(parse(sql)?)
     }
@@ -1166,44 +1108,6 @@ impl Database {
     /// [`Database::execute`] for an already-parsed statement (no
     /// re-tokenizing on paths where the caller holds the AST).
     pub fn execute_parsed(&mut self, stmt: Statement) -> Result<QueryOutput, DbError> {
-        match stmt {
-            Statement::CreateDensityView(_) => Err(DbError::Unsupported(
-                "DENSITY views need a density handler; use execute_with (or the \
-                 tspdb-core engine)"
-                    .into(),
-            )),
-            other => self.execute_statement(other),
-        }
-    }
-
-    /// Executes any SQL statement, delegating `DENSITY` view creation to
-    /// the supplied handler.
-    pub fn execute_with(
-        &mut self,
-        sql: &str,
-        handler: &mut DensityHandler<'_>,
-    ) -> Result<QueryOutput, DbError> {
-        let stmt = parse(sql)?;
-        match stmt {
-            Statement::CreateDensityView(spec) => {
-                let source = self.table(&spec.source_table)?;
-                let mut view = handler(source, &spec)?;
-                // The handler may not know the requested view name.
-                if view.name() != spec.view_name {
-                    let mut renamed = ProbTable::new(spec.view_name.clone(), view.schema().clone());
-                    for (row, p) in view.iter() {
-                        renamed.insert(row.to_vec(), p)?;
-                    }
-                    view = renamed;
-                }
-                self.register_prob_table(view)?;
-                Ok(QueryOutput::None)
-            }
-            other => self.execute_statement(other),
-        }
-    }
-
-    fn execute_statement(&mut self, stmt: Statement) -> Result<QueryOutput, DbError> {
         match stmt {
             Statement::CreateTable { name, columns } => {
                 let table = Table::new(name, Schema::new(columns));
@@ -1213,9 +1117,11 @@ impl Database {
             Statement::Insert { table, rows } => {
                 self.append_rows(&table, rows).map(|_| QueryOutput::None)
             }
-            Statement::Select(sel) => self.query_select(&sel),
-            Statement::Explain(sel) => self.explain_select(&sel),
-            Statement::CreateDensityView(_) => unreachable!("handled by callers"),
+            Statement::Select(_) | Statement::Explain(_) => self.query_parsed(stmt),
+            Statement::CreateDensityView(_) => Err(DbError::Unsupported(
+                "DENSITY views are built by the tspdb-core engine; execute the statement there"
+                    .into(),
+            )),
             Statement::Tail(_) => Err(DbError::Unsupported(
                 "TAIL is a continuous query; submit it over the server wire protocol".into(),
             )),
@@ -1286,43 +1192,10 @@ mod tests {
     }
 
     #[test]
-    fn density_view_without_handler_is_unsupported() {
+    fn density_view_is_unsupported_below_the_engine() {
         let mut db = setup();
         let sql = "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 FROM raw_values";
         assert!(matches!(db.execute(sql), Err(DbError::Unsupported(_))));
-    }
-
-    #[test]
-    fn density_view_with_handler_registers_view() {
-        let mut db = setup();
-        let sql = "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=2 \
-                   FROM raw_values WHERE t >= 1 AND t <= 2";
-        let mut handler = |src: &Table, spec: &DensityViewSpec| {
-            assert_eq!(src.name(), "raw_values");
-            assert_eq!(spec.n, 2);
-            let schema = Schema::of(&[
-                ("t", crate::value::ColumnType::Int),
-                ("lo", crate::value::ColumnType::Float),
-                ("hi", crate::value::ColumnType::Float),
-            ]);
-            let mut v = ProbTable::new("anything", schema);
-            v.insert(
-                vec![Value::Int(1), Value::Float(0.0), Value::Float(1.0)],
-                0.7,
-            )
-            .unwrap();
-            Ok(v)
-        };
-        db.execute_with(sql, &mut handler).unwrap();
-        let view = db.prob_table("v").unwrap();
-        assert_eq!(view.len(), 1);
-        assert_eq!(view.name(), "v");
-
-        // SELECT over the created probabilistic view.
-        let out = db.execute("SELECT * FROM v WHERE prob >= 0.5").unwrap();
-        assert_eq!(out.prob_rows().unwrap().len(), 1);
-        let none = db.execute("SELECT * FROM v WHERE prob >= 0.9").unwrap();
-        assert!(none.prob_rows().unwrap().is_empty());
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub enum DbError {
     /// SQL text could not be parsed.
     Parse(String),
     /// Statement is valid but cannot be executed in this context (e.g. a
-    /// DENSITY view without a registered density handler).
+    /// DENSITY view submitted to the bare catalog, below the engine that
+    /// builds it).
     Unsupported(String),
     /// A mutating statement was issued on the read-only query path.
     ReadOnly(String),

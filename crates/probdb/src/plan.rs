@@ -338,32 +338,16 @@ pub struct PlannedQuery {
 }
 
 impl PlannedQuery {
-    /// Instantiates the chosen strategy (`worlds_threads` is the engine's
-    /// fork-join width for sampling; it never changes MC estimates).
-    ///
-    /// [`SynopsisStrategy`] is instantiated without precomputed synopses
-    /// and builds them on demand; the catalog injects its cached ones via
-    /// [`PlannedQuery::strategy_with_synopses`].
-    pub fn strategy(&self, worlds_threads: usize) -> Box<dyn EvalStrategy> {
-        self.strategy_with_synopses(worlds_threads, None)
-    }
-
-    /// Like [`PlannedQuery::strategy`], but hands the synopsis backend the
-    /// relation's precomputed [`RelationSynopses`] snapshot (if any) so it
-    /// answers in O(B) instead of rebuilding histograms per query.
-    pub fn strategy_with_synopses(
-        &self,
-        worlds_threads: usize,
-        synopses: Option<Arc<RelationSynopses>>,
-    ) -> Box<dyn EvalStrategy> {
-        self.strategy_with_context(worlds_threads, synopses, None)
-    }
-
-    /// Like [`PlannedQuery::strategy_with_synopses`], additionally handing
-    /// every strategy the scanned relation's [`ShardMap`] (if the catalog
-    /// sharded it) so tuple restriction can prune and fan out across
-    /// shards. Sharding is a pure performance knob: the shard-ordered
-    /// reduction keeps every answer bit-identical to unsharded execution.
+    /// Instantiates the chosen strategy. `threads` is the fork-join width
+    /// for sampling and shard fan-out (it never changes an answer);
+    /// `synopses` hands the synopsis backend the relation's precomputed
+    /// [`RelationSynopses`] snapshot so it answers in O(B) instead of
+    /// rebuilding histograms per query (`None` builds them on demand);
+    /// `shards` hands every strategy the scanned relation's [`ShardMap`]
+    /// (if the catalog sharded it) so tuple restriction can prune and fan
+    /// out across shards. Sharding is a pure performance knob: the
+    /// shard-ordered reduction keeps every answer bit-identical to
+    /// unsharded execution.
     pub fn strategy_with_context(
         &self,
         threads: usize,
@@ -378,7 +362,7 @@ impl PlannedQuery {
                 threads,
                 scan,
             }),
-            StrategyKind::Synopsis(clause) => Box::new(SynopsisStrategy::new_with_context(
+            StrategyKind::Synopsis(clause) => Box::new(SynopsisStrategy::new(
                 clause.clone(),
                 &self.physical,
                 synopses,
@@ -1097,19 +1081,10 @@ pub struct SynopsisStrategy {
 
 impl SynopsisStrategy {
     /// Builds the strategy for a plan, deciding up front — from the plan
-    /// shape alone — whether it must fall back to exact evaluation.
+    /// shape alone — whether it must fall back to exact evaluation. `scan`
+    /// is handed to that fallback, so sharded relations keep their fan-out
+    /// when the synopsis cannot answer.
     pub fn new(
-        clause: SynopsisClause,
-        plan: &PhysicalPlan,
-        synopses: Option<Arc<RelationSynopses>>,
-    ) -> Self {
-        SynopsisStrategy::new_with_context(clause, plan, synopses, ScanContext::default())
-    }
-
-    /// [`SynopsisStrategy::new`] with a [`ScanContext`] for the exact
-    /// fallback path (so sharded relations keep their fan-out when the
-    /// synopsis cannot answer).
-    pub fn new_with_context(
         clause: SynopsisClause,
         plan: &PhysicalPlan,
         synopses: Option<Arc<RelationSynopses>>,
@@ -2255,7 +2230,10 @@ mod tests {
 
     fn run(sql: &str, rel: &Relation) -> QueryOutput {
         let planned = plan_sql(sql);
-        planned.strategy(1).execute(rel, &planned.physical).unwrap()
+        planned
+            .strategy_with_context(1, None, None)
+            .execute(rel, &planned.physical)
+            .unwrap()
     }
 
     #[test]
@@ -2377,11 +2355,11 @@ mod tests {
                    HAVING COUNT(*) >= 1 WITH WORLDS 40000 SEED 21";
         let planned = plan_sql(sql);
         let one = planned
-            .strategy(1)
+            .strategy_with_context(1, None, None)
             .execute(&rel, &planned.physical)
             .unwrap();
         let eight = planned
-            .strategy(8)
+            .strategy_with_context(8, None, None)
             .execute(&rel, &planned.physical)
             .unwrap();
         let (one, eight) = match (&one, &eight) {
@@ -2448,7 +2426,7 @@ mod tests {
         let rel = Relation::Probabilistic(v);
         let planned = plan_sql("SELECT COUNT(*) FROM pv GROUP BY WINDOW(tag, 2)");
         let err = planned
-            .strategy(1)
+            .strategy_with_context(1, None, None)
             .execute(&rel, &planned.physical)
             .unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }));
@@ -2574,11 +2552,11 @@ mod tests {
                    HAVING COUNT(*) >= 1 WITH WORLDS 40000 SEED 11";
         let planned = plan_sql(sql);
         let one = planned
-            .strategy(1)
+            .strategy_with_context(1, None, None)
             .execute(&rel, &planned.physical)
             .unwrap();
         let eight = planned
-            .strategy(8)
+            .strategy_with_context(8, None, None)
             .execute(&rel, &planned.physical)
             .unwrap();
         let (one, eight) = match (&one, &eight) {
@@ -2650,7 +2628,7 @@ mod tests {
         let rel = Relation::Probabilistic(v);
         let planned = plan_sql("SELECT SUM(tag) FROM pv");
         let err = planned
-            .strategy(1)
+            .strategy_with_context(1, None, None)
             .execute(&rel, &planned.physical)
             .unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }));
@@ -2741,6 +2719,7 @@ mod tests {
                         },
                         &physical,
                         None,
+                        ScanContext::default(),
                     )) as Box<dyn EvalStrategy>,
                     &rel,
                 ),
@@ -2774,7 +2753,7 @@ mod tests {
             relation: "pv: probabilistic (6 tuples)".into(),
             logical: planned.logical.to_string(),
             physical: planned.physical.to_string(),
-            strategy: planned.strategy(0).describe(),
+            strategy: planned.strategy_with_context(0, None, None).describe(),
         };
         let text = report.to_string();
         assert!(text.contains("Aggregate [COUNT(*)]"), "{text}");
@@ -2888,11 +2867,14 @@ mod tests {
     fn synopsis_planner_selects_the_strategy() {
         let planned = plan_sql("SELECT COUNT(*) FROM pv WITH SYNOPSIS BUCKETS 8 MAXERROR 0.5");
         assert!(matches!(planned.strategy, StrategyKind::Synopsis(_)));
-        let described = planned.strategy(0).describe();
+        let described = planned.strategy_with_context(0, None, None).describe();
         for part in ["synopsis", "buckets=8", "bands=20", "maxerror=0.5"] {
             assert!(described.contains(part), "{described} missing {part}");
         }
-        assert_eq!(planned.strategy(0).name(), "synopsis");
+        assert_eq!(
+            planned.strategy_with_context(0, None, None).name(),
+            "synopsis"
+        );
     }
 
     #[test]
@@ -3013,14 +2995,14 @@ mod tests {
             ),
         ] {
             let planned = plan_sql(sql);
-            let described = planned.strategy(0).describe();
+            let described = planned.strategy_with_context(0, None, None).describe();
             assert!(
                 described.contains("falls back to exact") && described.contains(reason),
                 "{sql}: {described}"
             );
             // The fallback executes — and reports itself as exact.
             match planned
-                .strategy(0)
+                .strategy_with_context(0, None, None)
                 .execute(&rel, &planned.physical)
                 .unwrap()
             {
@@ -3032,9 +3014,12 @@ mod tests {
         // Supported shapes do not advertise a fallback.
         let planned = plan_sql("SELECT COUNT(*) FROM pv THRESHOLD 0.3 WITH SYNOPSIS");
         assert!(
-            !planned.strategy(0).describe().contains("falls back"),
+            !planned
+                .strategy_with_context(0, None, None)
+                .describe()
+                .contains("falls back"),
             "{}",
-            planned.strategy(0).describe()
+            planned.strategy_with_context(0, None, None).describe()
         );
     }
 
@@ -3068,7 +3053,7 @@ mod tests {
         let planned = plan_sql(sql);
         let cached = Arc::new(RelationSynopses::build(&table, 64));
         let out = planned
-            .strategy_with_synopses(1, Some(cached))
+            .strategy_with_context(1, Some(cached), None)
             .execute(&rel, &planned.physical)
             .unwrap();
         let QueryOutput::Aggregate(c) = out else {

@@ -10,7 +10,7 @@
 
 use crate::error::DbError;
 use crate::schema::Schema;
-use crate::table::{ProbTable, Table};
+use crate::table::ProbTable;
 use crate::value::{row_key, Value, ValueKey};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -113,17 +113,6 @@ pub fn eval_conjunction(
         }
     }
     Ok(true)
-}
-
-/// Selection over a deterministic table.
-pub fn select_table(table: &Table, pred: &Conjunction) -> Result<Table, DbError> {
-    let mut out = Table::new(table.name().to_string(), table.schema().clone());
-    for row in table.rows() {
-        if eval_conjunction(table.schema(), row, None, pred)? {
-            out.insert(row.clone())?;
-        }
-    }
-    Ok(out)
 }
 
 /// Selection over a probabilistic relation: rows keep their probabilities

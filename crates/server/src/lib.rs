@@ -37,11 +37,12 @@
 //!   state forever.
 //! * Sessions own a prepared-statement map (`Prepare` plans a `SELECT`
 //!   once — through the engine's shared plan cache — and `Execute`
-//!   replays the plan through
-//!   [`Database::execute_planned_with_threads`]) and a session-scoped
-//!   `WITH WORLDS` fork-join override that never touches shared state.
-//!   Ad-hoc `Query` text is also answered from the plan cache when the
-//!   catalog generation still matches, skipping parse and plan entirely.
+//!   replays the plan through [`SharedEngine::execute_planned`]) and a
+//!   session-scoped `WITH WORLDS` fork-join override that never touches
+//!   shared state: it is that call's `worlds_threads` argument. Ad-hoc
+//!   `Query` text resolves through the same plan cache and runs through
+//!   the same call, skipping parse and plan entirely when the catalog
+//!   generation still matches.
 //! * **TAIL continuous queries**: a [`tspdb_ingest::TailRegistry`] shared
 //!   by the workers holds every standing `TAIL SELECT ... GROUP BY
 //!   WINDOW(...)` query. After each request a worker polls the registry
@@ -51,9 +52,6 @@
 //!   path replies travel; the loop appends them to write buffers under
 //!   the usual backpressure rules. Subscriptions die with their
 //!   connection.
-//!
-//! [`Database::execute_planned_with_threads`]:
-//! tspdb_probdb::Database::execute_planned_with_threads
 //!
 //! ## Quick start
 //!
@@ -95,7 +93,7 @@ use tspdb_core::{CoreError, SharedEngine};
 use tspdb_ingest::{TailEvent, TailRegistry, TailToken};
 use tspdb_probdb::plan::{PlannedQuery, Planner};
 use tspdb_probdb::sql::SelectStmt;
-use tspdb_probdb::{parse, DbError, QueryOutput, Statement};
+use tspdb_probdb::{DbError, QueryOutput, Statement};
 use tspdb_wire::{
     decode_message, write_frame, Request, Response, StatementId, Wire, WireError, MAX_FRAME_LEN,
     PROTOCOL_VERSION,
@@ -1096,28 +1094,18 @@ fn core_to_db(e: CoreError) -> DbError {
     }
 }
 
-/// Runs one SQL statement with session-level routing: `SELECT`s are
-/// answered through the shared plan cache (an exact textual repeat skips
-/// the parser entirely), `EXPLAIN` under the read lock, everything else
-/// through the engine's write path.
+/// Runs one SQL statement with session-level routing: the text resolves
+/// through the shared plan cache (an exact textual repeat of a `SELECT`
+/// skips the parser entirely) and a resolved plan runs on the engine's
+/// read path at the session's fork-join width; every other statement
+/// goes to the engine parsed, with its text for the journal.
 fn run_sql(engine: &SharedEngine, session: &Session, sql: &str) -> Result<QueryOutput, DbError> {
-    {
-        let db = engine.read();
-        if let Some(plan) = db.cached_plan(sql) {
-            return db.execute_planned_with_threads(&plan, session.worlds_threads);
-        }
+    let resolved = engine.read().plan_cached(sql)?;
+    match resolved {
+        Ok(planned) => engine.execute_planned(&planned, session.worlds_threads),
+        Err(stmt) => engine.execute_statement(sql, stmt),
     }
-    match parse(sql)? {
-        Statement::Select(sel) => {
-            let db = engine.read();
-            let plan = db.plan_select_cached(sql, &sel)?;
-            db.execute_planned_with_threads(&plan, session.worlds_threads)
-        }
-        Statement::Explain(sel) => engine.read().explain_select(&sel),
-        // Writes carry the original SQL text alongside the parsed form so
-        // a persistent engine can journal the text to its WAL.
-        other => engine.execute_sql_statement(sql, other).map_err(core_to_db),
-    }
+    .map_err(core_to_db)
 }
 
 /// Builds the response to one post-handshake request; the bool is
@@ -1135,17 +1123,15 @@ fn respond(engine: &SharedEngine, session: &mut Session, req: Request) -> (Respo
             Err(e) => (Response::Error(e), true),
         },
         Request::Prepare { sql } => {
-            let prepared = match parse(&sql) {
-                Ok(Statement::Select(sel)) => engine
-                    .read()
-                    .plan_select_cached(&sql, &sel)
-                    .map(Prepared::Select),
-                Ok(Statement::Explain(sel)) => {
+            let resolved = engine.read().plan_cached(&sql);
+            let prepared = match resolved {
+                Ok(Ok(planned)) => Ok(Prepared::Select(planned)),
+                Ok(Err(Statement::Explain(sel))) => {
                     // Validate now so Prepare surfaces plan errors; the
                     // report itself is rebuilt per execute.
                     Planner::plan(&sel).map(|_| Prepared::Explain(Box::new(sel)))
                 }
-                Ok(other) => Err(DbError::ReadOnly(format!(
+                Ok(Err(other)) => Err(DbError::ReadOnly(format!(
                     "only read-only statements can be prepared: {other:?}"
                 ))),
                 Err(e) => Err(e),
@@ -1168,8 +1154,8 @@ fn respond(engine: &SharedEngine, session: &mut Session, req: Request) -> (Respo
         Request::Execute { statement } => {
             let result = match session.prepared.get(&statement.0) {
                 Some(Prepared::Select(planned)) => engine
-                    .read()
-                    .execute_planned_with_threads(planned, session.worlds_threads),
+                    .execute_planned(planned, session.worlds_threads)
+                    .map_err(core_to_db),
                 Some(Prepared::Explain(sel)) => engine.read().explain_select(sel),
                 None => Err(DbError::Unsupported(format!(
                     "unknown prepared statement {statement}"

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use tspdb::timeseries::generate::TemperatureGenerator;
-use tspdb::{Engine, MetricConfig, MetricKind, ViewBuilderConfig};
+use tspdb::{MetricConfig, MetricKind, SharedEngine, ViewBuilderConfig};
 
 fn main() {
     // 1. An imprecise sensor feed: half a day of 2-minute temperature
@@ -14,7 +14,7 @@ fn main() {
 
     // 2. An engine with the paper's main metric (ARMA-GARCH) and a σ-cache
     //    with the default Hellinger distance constraint H' = 0.01.
-    let mut engine = Engine::new(ViewBuilderConfig {
+    let engine = SharedEngine::new(ViewBuilderConfig {
         metric: MetricKind::ArmaGarch,
         metric_config: MetricConfig::default(),
         window: 60,
@@ -51,7 +51,8 @@ fn main() {
     print!("{}", out.prob_rows().unwrap().render(8));
 
     // 5. Downstream probabilistic reasoning with the query operators.
-    let view = engine.db().prob_table("prob_view").unwrap();
+    let db = engine.read();
+    let view = db.prob_table("prob_view").unwrap();
     let best = tspdb::probdb::query::most_probable_per_group(view, "t").unwrap();
     println!("\nmost probable range per timestamp (first 5):");
     print!("{}", best.render(5));

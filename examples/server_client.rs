@@ -3,7 +3,8 @@
 //!
 //! The example drives one statement script twice — through a
 //! [`tspdb_client::Client`] against a running server, and through a local
-//! in-process [`tspdb::Engine`] mirror — and asserts that each response
+//! in-process [`tspdb::SharedEngine`] mirror, read through its plain
+//! borrowed `Database` path — and asserts that each response
 //! crosses the wire **byte for byte** identical to the in-process result
 //! (Monte-Carlo results compare by their bit-exact fingerprint, which
 //! excludes only wall-clock time). Prepared statements then replay the
@@ -70,7 +71,7 @@ fn main() {
     println!("connected to {} at {addr}", client.server_info());
 
     // The in-process mirror executes the identical script locally.
-    let mut mirror = tspdb::Engine::new(demo_config());
+    let mirror = tspdb::SharedEngine::new(demo_config());
 
     let mut script: Vec<String> = vec![
         SETUP[0].to_string(),
@@ -85,7 +86,15 @@ fn main() {
             Ok(out) => out,
             Err(e) => panic!("server rejected {sql:?}: {e}"),
         };
-        let in_process = mirror.execute(sql).expect("mirror executes the script");
+        // Reads take the borrowed catalog path (no plan cache, no
+        // snapshot); the setup statements it turns away go to the engine.
+        let read = mirror.read().query(sql);
+        let in_process = match read {
+            Err(tspdb::DbError::ReadOnly(_)) => {
+                mirror.execute(sql).expect("mirror executes the script")
+            }
+            read => read.expect("mirror executes the script"),
+        };
         assert_eq!(
             canonical_result_bytes(&over_wire),
             canonical_result_bytes(&in_process),

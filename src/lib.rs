@@ -20,10 +20,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use tspdb::Engine;
+//! use tspdb::SharedEngine;
 //! use tspdb::timeseries::generate::TemperatureGenerator;
 //!
-//! let mut engine = Engine::default();
+//! let engine = SharedEngine::default();
 //! let series = TemperatureGenerator::default().generate(200);
 //! engine.load_series("raw_values", "r", &series).unwrap();
 //!
@@ -51,8 +51,8 @@ pub use tspdb_stats as stats;
 pub use tspdb_timeseries as timeseries;
 
 pub use tspdb_core::{
-    CoreError, DynamicDensityMetric, Engine, Inference, MetricConfig, MetricKind, OmegaSpec,
-    SharedEngine, SharedSigmaCache, SigmaCache, SigmaCacheConfig, ViewBuilderConfig,
+    CoreError, DynamicDensityMetric, Inference, MetricConfig, MetricKind, OmegaSpec, SharedEngine,
+    SharedSigmaCache, SigmaCache, SigmaCacheConfig, ViewBuilderConfig,
 };
 pub use tspdb_probdb::{Database, DbError, ProbTable, QueryOutput, Table, Value};
 pub use tspdb_timeseries::TimeSeries;

@@ -1,5 +1,6 @@
 //! The lock-free read path under fire: N threads of `SELECT`s against one
-//! `SharedEngine`, cross-checked against a single-threaded `Engine`, plus
+//! `SharedEngine`, cross-checked against the plain borrowed `Database`
+//! path of a single-owner engine (no plan cache, no snapshot), plus
 //! properties pinning down that parallel and sequential Ω-view builds are
 //! identical.
 
@@ -7,9 +8,7 @@ use proptest::prelude::*;
 use tspdb::core::builder::OmegaViewBuilder;
 use tspdb::core::OmegaSpec;
 use tspdb::timeseries::generate::TemperatureGenerator;
-use tspdb::{
-    Engine, MetricConfig, SharedEngine, SharedSigmaCache, SigmaCacheConfig, ViewBuilderConfig,
-};
+use tspdb::{MetricConfig, SharedEngine, SharedSigmaCache, SigmaCacheConfig, ViewBuilderConfig};
 
 fn config() -> ViewBuilderConfig {
     ViewBuilderConfig {
@@ -59,13 +58,13 @@ fn fingerprint(out: &tspdb::probdb::QueryOutput) -> String {
 fn eight_threads_of_selects_match_single_threaded_engine() {
     let series = TemperatureGenerator::default().generate(260);
 
-    // Reference: the plain single-threaded engine.
-    let mut reference = Engine::new(config());
+    // Reference: a single-owner engine read through the borrowed catalog.
+    let reference = SharedEngine::new(config());
     reference.load_series("raw_values", "r", &series).unwrap();
     reference.execute(CREATE_VIEW).unwrap();
     let expected: Vec<String> = QUERIES
         .iter()
-        .map(|sql| fingerprint(&reference.query(sql).unwrap()))
+        .map(|sql| fingerprint(&reference.read().query(sql).unwrap()))
         .collect();
 
     // Shared engine with identical content.

@@ -3,10 +3,10 @@
 
 use tspdb::stats::special::std_normal_cdf;
 use tspdb::timeseries::generate::TemperatureGenerator;
-use tspdb::{Engine, MetricConfig, MetricKind, SigmaCacheConfig, ViewBuilderConfig};
+use tspdb::{MetricConfig, MetricKind, SharedEngine, SigmaCacheConfig, ViewBuilderConfig};
 
-fn engine(cache: Option<SigmaCacheConfig>) -> Engine {
-    Engine::new(ViewBuilderConfig {
+fn engine(cache: Option<SigmaCacheConfig>) -> SharedEngine {
+    SharedEngine::new(ViewBuilderConfig {
         metric: MetricKind::ArmaGarch,
         metric_config: MetricConfig {
             p: 1,
@@ -21,13 +21,14 @@ fn engine(cache: Option<SigmaCacheConfig>) -> Engine {
 
 #[test]
 fn sql_pipeline_produces_consistent_view() {
-    let mut e = engine(None);
+    let e = engine(None);
     let series = TemperatureGenerator::default().generate(200);
     e.load_series("raw_values", "r", &series).unwrap();
     e.execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.4, n=10 FROM raw_values")
         .unwrap();
 
-    let view = e.db().prob_table("pv").unwrap();
+    let db = e.read();
+    let view = db.prob_table("pv").unwrap();
     let build = e.last_build().unwrap();
     assert_eq!(view.len(), build.built.model.len() * 10);
 
@@ -61,19 +62,19 @@ fn sql_pipeline_produces_consistent_view() {
 fn cached_view_respects_hellinger_tolerance() {
     let series = TemperatureGenerator::default().generate(260);
 
-    let mut naive = engine(None);
+    let naive = engine(None);
     naive.load_series("raw_values", "r", &series).unwrap();
     naive
         .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.2, n=20 FROM raw_values")
         .unwrap();
-    let naive_view = naive.db().prob_table("pv").unwrap().clone();
+    let naive_view = naive.read().prob_table("pv").unwrap().clone();
 
-    let mut cached = engine(Some(SigmaCacheConfig::default()));
+    let cached = engine(Some(SigmaCacheConfig::default()));
     cached.load_series("raw_values", "r", &series).unwrap();
     cached
         .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.2, n=20 FROM raw_values")
         .unwrap();
-    let cached_view = cached.db().prob_table("pv").unwrap().clone();
+    let cached_view = cached.read().prob_table("pv").unwrap().clone();
 
     assert_eq!(naive_view.len(), cached_view.len());
     let mut max_err = 0.0f64;
@@ -93,7 +94,7 @@ fn cached_view_respects_hellinger_tolerance() {
 
 #[test]
 fn where_clause_and_prob_filters_compose() {
-    let mut e = engine(None);
+    let e = engine(None);
     let series = TemperatureGenerator::default().generate(160);
     e.load_series("raw_values", "r", &series).unwrap();
     let t0 = series.timestamps()[80];
@@ -121,19 +122,19 @@ fn where_clause_and_prob_filters_compose() {
 
 #[test]
 fn views_are_replaceable_and_droppable() {
-    let mut e = engine(None);
+    let e = engine(None);
     let series = TemperatureGenerator::default().generate(120);
     e.load_series("raw_values", "r", &series).unwrap();
     let sql = "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=4 FROM raw_values";
     e.execute(sql).unwrap();
-    let first = e.db().prob_table("pv").unwrap().len();
+    let first = e.read().prob_table("pv").unwrap().len();
     // Re-creating the same view succeeds (derived data).
     e.execute(sql).unwrap();
-    assert_eq!(e.db().prob_table("pv").unwrap().len(), first);
+    assert_eq!(e.read().prob_table("pv").unwrap().len(), first);
     e.execute("DROP VIEW pv").unwrap();
-    assert!(e.db().prob_table("pv").is_err());
+    assert!(e.read().prob_table("pv").is_err());
     // The base table survives.
-    assert!(e.db().table("raw_values").is_ok());
+    assert!(e.read().table("raw_values").is_ok());
 }
 
 #[test]
@@ -141,7 +142,7 @@ fn per_metric_views_differ_in_dispersion() {
     // UT views have hard-edged uniform masses; ARMA-GARCH views track
     // conditional variance. Verify both build through SQL and differ.
     let series = TemperatureGenerator::default().generate(150);
-    let mut e = engine(None);
+    let e = engine(None);
     e.load_series("raw_values", "r", &series).unwrap();
     e.execute(
         "CREATE VIEW v_ut AS DENSITY r OVER t OMEGA delta=0.3, n=8 \
@@ -153,8 +154,9 @@ fn per_metric_views_differ_in_dispersion() {
          FROM raw_values USING METRIC arma_garch",
     )
     .unwrap();
-    let ut = e.db().prob_table("v_ut").unwrap();
-    let ag = e.db().prob_table("v_ag").unwrap();
+    let db = e.read();
+    let ut = db.prob_table("v_ut").unwrap();
+    let ag = db.prob_table("v_ag").unwrap();
     assert_eq!(ut.len(), ag.len());
     let diff: f64 = ut
         .probs()

@@ -162,7 +162,8 @@ fn fig15_shape_volatility_test_rejects_iid() {
     };
     let campus = residuals(&campus_data().head(4000));
     let car = residuals(&car_data().head(4000));
-    // Rejection at low lag orders (see EXPERIMENTS.md for why a clean
+    // Rejection at low lag orders (`cargo run --release -p tspdb-bench
+    // --bin experiments -- fig15` prints the full table; a clean
     // synthetic process cannot push the paper's literal Φ(m) statistic
     // past χ²_m at m = 8: the χ²₁ kurtosis of ε² caps the a²
     // autocorrelation, hence Φ ≈ K·R²/m decays below the growing

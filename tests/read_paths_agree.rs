@@ -1,0 +1,194 @@
+//! Every way a read-only statement can reach the engine returns the same
+//! bytes: `SharedEngine::{query, query_cached, execute}`, the wire's
+//! ad-hoc and prepared paths, and — as the reference with no plan cache
+//! and no snapshot — the plain borrowed `Database` path. Checked on a
+//! resident Ω-view and on its evicted, disk-served twin, at session
+//! fork-join widths 1 and 8.
+
+use std::path::PathBuf;
+use tspdb::timeseries::generate::TemperatureGenerator;
+use tspdb::{DbError, MetricConfig, QueryOutput, SharedEngine, ViewBuilderConfig};
+use tspdb_client::{Client, ClientError};
+use tspdb_server::{Server, ServerConfig, ServerHandle};
+use tspdb_wire::canonical_result_bytes;
+
+/// Minimal self-cleaning temp dir (no external crates in the offline
+/// build).
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        let path = std::env::temp_dir().join(format!(
+            "tspdb-read-paths-test-{}-{tag}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&path).unwrap();
+        TempDir(path)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The resident view and its evicted twin.
+const RESIDENT: &str = "pv";
+const EVICTED: &str = "pv_disk";
+
+/// A persistent engine holding `raw_values`, the Ω-view `pv` and its twin
+/// `pv_disk`, built from the same spec and then evicted to disk.
+fn engine(dir: &TempDir) -> SharedEngine {
+    let engine = SharedEngine::open_persistent(
+        &dir.0,
+        ViewBuilderConfig {
+            window: 60,
+            metric_config: MetricConfig {
+                p: 1,
+                q: 0,
+                ..MetricConfig::default()
+            },
+            ..ViewBuilderConfig::default()
+        },
+    )
+    .unwrap();
+    let series = TemperatureGenerator::default().generate(180);
+    engine.load_series("raw_values", "r", &series).unwrap();
+    for view in [RESIDENT, EVICTED] {
+        engine
+            .execute(&format!(
+                "CREATE VIEW {view} AS DENSITY r OVER t OMEGA delta=0.25, n=8 FROM raw_values"
+            ))
+            .unwrap();
+    }
+    engine.evict_to_disk(EVICTED).unwrap();
+    engine
+}
+
+fn serve(engine: &SharedEngine) -> ServerHandle {
+    Server::bind("127.0.0.1:0", engine.clone(), ServerConfig::default())
+        .expect("bind ephemeral port")
+        .spawn()
+        .expect("spawn server")
+}
+
+/// One statement per result shape and strategy, plus typed errors raised
+/// by the planner, by the scan and by the strategy.
+fn statements(rel: &str) -> Vec<String> {
+    [
+        "SELECT t, lambda FROM {rel} WHERE lambda >= 0 ORDER BY prob DESC LIMIT 40",
+        "SELECT * FROM {rel} WHERE t >= 9000 THRESHOLD 0.1 TOP 25",
+        "SELECT t, COUNT(*), SUM(lambda) FROM {rel} GROUP BY t",
+        "SELECT COUNT(*), AVG(lambda) FROM {rel} GROUP BY WINDOW(t, 1800)",
+        "SELECT t, COUNT(*) FROM {rel} GROUP BY t HAVING COUNT(*) >= 2",
+        "SELECT * FROM {rel} WHERE prob >= 0.05 WITH WORLDS 600 SEED 11",
+        "SELECT COUNT(*), SUM(lambda) FROM {rel} THRESHOLD 0.05 WITH WORLDS 400 SEED 3",
+        "SELECT COUNT(*), SUM(lambda) FROM {rel} WITH SYNOPSIS BUCKETS 16",
+        "SELECT COUNT(*) FROM {rel} WHERE lambda >= 1 WITH SYNOPSIS",
+        "EXPLAIN SELECT SUM(lambda) FROM {rel} GROUP BY t WITH WORLDS 256",
+        "SELECT nope FROM {rel} WHERE lambda >= 0",
+        "SELECT * FROM {rel} WHERE nope >= 1",
+        "SELECT lambda, COUNT(*) FROM {rel}",
+    ]
+    .iter()
+    .map(|sql| sql.replace("{rel}", rel))
+    .collect()
+}
+
+/// An entry point's answer in comparable form: the canonical result bytes,
+/// or the typed error.
+type Answer = Result<Vec<u8>, DbError>;
+
+fn local<E: Into<tspdb::CoreError>>(out: Result<QueryOutput, E>) -> Answer {
+    match out.map_err(Into::into) {
+        Ok(out) => Ok(canonical_result_bytes(&out)),
+        Err(tspdb::CoreError::Db(e)) => Err(e),
+        Err(other) => panic!("engine-layer error on a read: {other}"),
+    }
+}
+
+fn remote(out: Result<QueryOutput, ClientError>) -> Answer {
+    match out {
+        Ok(out) => Ok(canonical_result_bytes(&out)),
+        Err(ClientError::Server(e)) => Err(e),
+        Err(other) => panic!("transport error: {other}"),
+    }
+}
+
+#[test]
+fn every_read_path_returns_the_same_bytes() {
+    let dir = TempDir::new("matrix");
+    let engine = engine(&dir);
+    let handle = serve(&engine);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    for threads in [1, 8] {
+        client.set_worlds_threads(threads).unwrap();
+        for rel in [RESIDENT, EVICTED] {
+            for sql in statements(rel) {
+                let reference = local(engine.read().query(&sql));
+                let prepared = client.prepare(&sql).and_then(|id| {
+                    let out = client.execute(id);
+                    client.close_statement(id)?;
+                    out
+                });
+                let paths = [
+                    ("query", local(engine.query(&sql))),
+                    ("query_cached", local(engine.query_cached(&sql))),
+                    ("execute", local(engine.execute(&sql))),
+                    ("Client::query", remote(client.query(&sql))),
+                    ("prepared execute", remote(prepared)),
+                ];
+                for (path, answer) in paths {
+                    assert_eq!(
+                        answer, reference,
+                        "{path} diverges from read().query at worlds_threads {threads}: {sql}"
+                    );
+                }
+                assert!(
+                    engine.read().relation(EVICTED).is_none(),
+                    "{sql} made the evicted twin resident"
+                );
+            }
+        }
+    }
+    assert!(engine.read().relation(RESIDENT).is_some());
+
+    // A write is turned away identically by the read-only entry points.
+    let write = format!("DROP VIEW {RESIDENT}");
+    let reference = local(engine.read().query(&write));
+    assert!(matches!(reference, Err(DbError::ReadOnly(_))));
+    assert_eq!(local(engine.query(&write)), reference);
+    assert_eq!(local(engine.query_cached(&write)), reference);
+
+    client.close().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn a_repeated_statement_plans_once_per_server_session() {
+    let dir = TempDir::new("plan-cache");
+    let engine = engine(&dir);
+    let handle = serve(&engine);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    const N: u64 = 12;
+    for rel in [RESIDENT, EVICTED] {
+        let before = engine.plan_cache_stats();
+        let sql = format!("SELECT t, COUNT(*) FROM {rel} WHERE t >= 6000 GROUP BY t");
+        let first = remote(client.query(&sql));
+        for _ in 1..N {
+            assert_eq!(remote(client.query(&sql)), first);
+        }
+        let after = engine.plan_cache_stats();
+        assert_eq!(
+            (after.hits - before.hits, after.misses - before.misses),
+            (N - 1, 1),
+            "{rel}: {before:?} -> {after:?}"
+        );
+    }
+
+    client.close().unwrap();
+    handle.shutdown();
+}

@@ -5,7 +5,7 @@ use tspdb::core::cgarch::{CGarch, CGarchConfig};
 use tspdb::core::metrics::{make_metric, MetricKind};
 use tspdb::core::online::OnlineViewBuilder;
 use tspdb::timeseries::generate::TemperatureGenerator;
-use tspdb::{Engine, MetricConfig, OmegaSpec, TimeSeries, ViewBuilderConfig};
+use tspdb::{MetricConfig, OmegaSpec, SharedEngine, TimeSeries, ViewBuilderConfig};
 
 fn all_kinds() -> [MetricKind; 5] {
     MetricKind::all()
@@ -57,7 +57,7 @@ fn metrics_reject_infinite_windows_without_panicking() {
 fn constant_and_near_constant_series_produce_views() {
     // A flat-lined sensor still deserves a (degenerate, tight) view.
     let series = TimeSeries::regular("flat", 0, 1, vec![21.5; 150]);
-    let mut engine = Engine::new(ViewBuilderConfig {
+    let engine = SharedEngine::new(ViewBuilderConfig {
         window: 60,
         ..ViewBuilderConfig::default()
     });
@@ -65,7 +65,8 @@ fn constant_and_near_constant_series_produce_views() {
     engine
         .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.1, n=4 FROM raw_values")
         .unwrap();
-    let view = engine.db().prob_table("pv").unwrap();
+    let db = engine.read();
+    let view = db.prob_table("pv").unwrap();
     assert_eq!(view.len(), 90 * 4);
     // The density collapses around 21.5: central cells carry ~all mass.
     let central_mass: f64 = view
@@ -88,7 +89,7 @@ fn engine_with_poisoned_region_skips_failed_windows() {
         .to_vec();
     values[150] = f64::NAN;
     let series = TimeSeries::regular("t", 0, 1, values);
-    let mut engine = Engine::new(ViewBuilderConfig {
+    let engine = SharedEngine::new(ViewBuilderConfig {
         window: 60,
         ..ViewBuilderConfig::default()
     });
@@ -105,7 +106,7 @@ fn engine_with_poisoned_region_skips_failed_windows() {
         build.built.model.len()
     );
     // Every emitted probability is a valid number.
-    for (_, p) in engine.db().prob_table("pv").unwrap().iter() {
+    for (_, p) in engine.read().prob_table("pv").unwrap().iter() {
         assert!(p.is_finite() && (0.0..=1.0).contains(&p));
     }
 }
@@ -175,7 +176,7 @@ fn online_and_offline_modes_agree() {
 
 #[test]
 fn sql_errors_are_typed_not_panics() {
-    let mut engine = Engine::default();
+    let engine = SharedEngine::default();
     let bad_statements = [
         "SELECT * FROM missing_table",
         "CREATE VIEW v AS DENSITY r OVER t OMEGA delta=1, n=4 FROM nowhere",
@@ -193,7 +194,7 @@ fn sql_errors_are_typed_not_panics() {
 #[test]
 fn window_larger_than_series_is_a_typed_error() {
     let series = TemperatureGenerator::default().generate(50);
-    let mut engine = Engine::new(ViewBuilderConfig {
+    let engine = SharedEngine::new(ViewBuilderConfig {
         window: 60,
         ..ViewBuilderConfig::default()
     });
@@ -203,7 +204,7 @@ fn window_larger_than_series_is_a_typed_error() {
     engine
         .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=4 FROM raw_values")
         .unwrap();
-    assert!(engine.db().prob_table("pv").unwrap().is_empty());
+    assert!(engine.read().prob_table("pv").unwrap().is_empty());
 
     // An explicitly undersized WINDOW clause, however, is rejected.
     let err = engine

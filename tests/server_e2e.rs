@@ -4,7 +4,7 @@
 //! results by their bit-exact fingerprint, which excludes only wall
 //! time).
 
-use tspdb::Engine;
+use tspdb::SharedEngine;
 use tspdb_client::{Client, ClientError};
 use tspdb_server::{demo_config, demo_insert_statement, Server, ServerConfig, ServerHandle};
 use tspdb_wire::canonical_result_bytes;
@@ -13,7 +13,7 @@ use tspdb_wire::canonical_result_bytes;
 fn start_server() -> ServerHandle {
     Server::bind(
         "127.0.0.1:0",
-        tspdb::SharedEngine::new(demo_config()),
+        SharedEngine::new(demo_config()),
         ServerConfig::default(),
     )
     .expect("bind ephemeral port")
@@ -62,16 +62,22 @@ fn pipeline_statements() -> Vec<String> {
 fn pipeline_statement_set_matches_in_process_execution() {
     let handle = start_server();
     let mut client = Client::connect(handle.addr()).expect("connect");
-    let mut mirror = Engine::new(demo_config());
+    let mirror = SharedEngine::new(demo_config());
 
     let mut variants_seen = std::collections::BTreeSet::new();
     for sql in pipeline_statements() {
         let over_wire = client
             .query(&sql)
             .unwrap_or_else(|e| panic!("server rejected {sql:?}: {e}"));
-        let in_process = mirror
-            .execute(&sql)
-            .unwrap_or_else(|e| panic!("mirror rejected {sql:?}: {e}"));
+        // Reads take the plain borrowed `Database` path (no plan cache, no
+        // snapshot); the writes it turns away go through the engine.
+        let read = mirror.read().query(&sql);
+        let in_process = match read {
+            Err(tspdb::DbError::ReadOnly(_)) => mirror
+                .execute(&sql)
+                .unwrap_or_else(|e| panic!("mirror rejected {sql:?}: {e}")),
+            read => read.unwrap_or_else(|e| panic!("mirror rejected {sql:?}: {e}")),
+        };
         assert_eq!(
             canonical_result_bytes(&over_wire),
             canonical_result_bytes(&in_process),

@@ -128,7 +128,7 @@ fn raw_values_to_view_round_trip_via_sql_strings() {
     // Full textual pipeline: create the raw table via SQL, insert the
     // Fig. 2 values, build a density view, query it — no Rust-level table
     // construction at all.
-    let mut engine = tspdb::Engine::new(tspdb::ViewBuilderConfig {
+    let engine = tspdb::SharedEngine::new(tspdb::ViewBuilderConfig {
         window: 40,
         metric_config: tspdb::MetricConfig {
             p: 1,
