@@ -486,9 +486,9 @@ mod streaming {
 
     /// Engine defaults for the stream: a short AR(1) window keeps the
     /// per-batch incremental Ω-maintenance cheap enough to sustain 100k+
-    /// appends, and `cache: None` keeps maintenance on the direct
-    /// evaluation path whose incremental-equals-rebuild contract the
-    /// differential suite pins.
+    /// appends. The σ-cache stays on (the default), so the run exercises
+    /// ladder-preserving appends, regeneration when min σ̂ falls and, after
+    /// a crash, the rebuild that restores the unpersisted model.
     fn config() -> ViewBuilderConfig {
         ViewBuilderConfig {
             window: 30,
@@ -497,7 +497,6 @@ mod streaming {
                 q: 0,
                 ..MetricConfig::default()
             },
-            cache: None,
             ..ViewBuilderConfig::default()
         }
     }

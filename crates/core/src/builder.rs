@@ -80,6 +80,9 @@ pub struct BuiltView {
     pub cache_len: Option<usize>,
     /// Cache memory footprint in bytes.
     pub cache_bytes: Option<usize>,
+    /// The cache ladder's resolved ratio threshold `d_s`: with min σ̂ it
+    /// fixes which rung answers each σ̂.
+    pub ratio_threshold: Option<f64>,
     /// Wall-clock time spent inferring densities.
     pub inference_time: Duration,
     /// Wall-clock time spent generating probability values (the part the
@@ -88,6 +91,20 @@ pub struct BuiltView {
     /// Windows where the metric failed and no tuples were emitted.
     pub failures: usize,
     /// Worker threads the build fanned out over.
+    pub threads_used: usize,
+}
+
+/// The outcome of the inference pass: the model table as densities, in
+/// time order, plus the pass's diagnostics.
+#[derive(Debug, Clone)]
+pub struct InferredModel {
+    /// One `(timestamp, density)` per window the metric could fit.
+    pub densities: Vec<(i64, Density)>,
+    /// Windows where the metric failed and no density was produced.
+    pub failures: usize,
+    /// Wall-clock time of the pass.
+    pub inference_time: Duration,
+    /// Worker threads the pass fanned out over.
     pub threads_used: usize,
 }
 
@@ -124,18 +141,16 @@ impl OmegaViewBuilder {
         &self.config
     }
 
-    /// Builds the probabilistic view for `series` over the Ω lattice,
-    /// restricted to timestamps in `time_bounds` (inclusive; `None` means
-    /// the whole series). Window history may extend before the bound —
-    /// the interval restricts which tuples are *emitted*, matching the
-    /// `WHERE` semantics of the paper's Fig. 7 query.
-    pub fn build(
+    /// Pass 1 — the model table: infers a density for every window of
+    /// `series` whose timestamp lies in `time_bounds` (inclusive; `None`
+    /// means the whole series). Window history may extend before the bound
+    /// — the interval restricts which timestamps are *emitted*, matching
+    /// the `WHERE` semantics of the paper's Fig. 7 query.
+    pub fn infer(
         &self,
         series: &TimeSeries,
-        omega: OmegaSpec,
-        view_name: &str,
         time_bounds: Option<(i64, i64)>,
-    ) -> Result<BuiltView, CoreError> {
+    ) -> Result<InferredModel, CoreError> {
         let h = self.config.window;
         let metric = make_metric(self.config.metric, self.config.metric_config)?;
         if h < metric.min_window() {
@@ -157,10 +172,10 @@ impl OmegaViewBuilder {
             .collect();
         let threads_used = effective_threads(self.config.threads, emitted.len());
 
-        // Pass 1: infer a density per emitted timestamp, one segment of
-        // windows per worker. Metrics are stateless across windows, so each
-        // worker's fresh instance produces the sequential result.
-        let infer_started = Instant::now();
+        // One segment of windows per worker. Metrics are stateless across
+        // windows, so each worker's fresh instance produces the sequential
+        // result.
+        let started = Instant::now();
         let segments = try_map_segments(emitted.len(), self.config.threads, |range| {
             let mut metric = make_metric(self.config.metric, self.config.metric_config)?;
             let mut densities: Vec<(i64, Density)> = Vec::with_capacity(range.len());
@@ -179,65 +194,65 @@ impl OmegaViewBuilder {
             densities.extend(segment);
             failures += segment_failures;
         }
-        let inference_time = infer_started.elapsed();
+        Ok(InferredModel {
+            densities,
+            failures,
+            inference_time: started.elapsed(),
+            threads_used,
+        })
+    }
 
-        // Optional σ-cache over the Gaussian σ̂ spread of this view (the
-        // paper computes min/max σ̂ over tuples matching the WHERE clause).
-        let cache = match self.config.cache {
-            Some(cfg) => {
-                let sigmas: Vec<f64> = densities
-                    .iter()
-                    .filter(|(_, d)| matches!(d, Density::Gaussian(_)))
-                    .map(|(_, d)| d.std())
-                    .collect();
-                match (
-                    sigmas.iter().cloned().fold(f64::INFINITY, f64::min),
-                    sigmas.iter().cloned().fold(0.0f64, f64::max),
-                ) {
-                    (lo, hi) if lo.is_finite() && hi > 0.0 => {
-                        Some(SigmaCache::build(lo, hi, omega, cfg)?)
-                    }
-                    _ => None,
-                }
+    /// The σ-cache for a view whose Gaussian σ̂ span the given
+    /// [`sigma_range`] (the paper computes min/max σ̂ over the tuples
+    /// matching the `WHERE` clause) — `None` when no cache is configured or
+    /// the view holds no Gaussian density.
+    pub fn ladder(
+        &self,
+        (lo, hi): (f64, f64),
+        omega: OmegaSpec,
+    ) -> Result<Option<SigmaCache>, CoreError> {
+        match self.config.cache {
+            Some(cfg) if lo.is_finite() && hi > 0.0 => {
+                Ok(Some(SigmaCache::build(lo, hi, omega, cfg)?))
             }
-            None => None,
-        };
+            _ => Ok(None),
+        }
+    }
 
-        // Pass 2: generate probability values per tuple (eq. 9). The
-        // σ-cache is lock-free (`&self` lookups), so all workers share it
-        // directly.
-        let gen_started = Instant::now();
-        let cache_ref = cache.as_ref();
+    /// Pass 2 — evaluates the probability value generation query (eq. 9)
+    /// for every density, through `cache` when there is one. The densities
+    /// may be any time-ordered slice of the model the cache was laid out
+    /// for: a tuple depends only on its own density and the ladder.
+    pub fn generate(
+        &self,
+        densities: &[(i64, Density)],
+        cache: Option<&SigmaCache>,
+        omega: OmegaSpec,
+        view_name: &str,
+    ) -> Result<ProbTable, CoreError> {
+        // The σ-cache is lock-free (`&self` lookups), so all workers share
+        // it directly.
         let tuple_segments = map_segments(densities.len(), self.config.threads, |range| {
             densities[range]
                 .iter()
                 .map(|(time, density)| {
-                    let rows: Vec<ProbabilityValue> = match (cache_ref, density) {
+                    let rows: Vec<ProbabilityValue> = match (cache, density) {
                         (Some(c), Density::Gaussian(g)) => c.probability_values(g.mean(), g.std()),
-                        (Some(_), other) => {
-                            // Uniform densities bypass the Gaussian cache.
-                            probability_values(other, &omega)
-                        }
                         (None, Density::Gaussian(g)) => {
                             direct_probability_values(g.mean(), g.std(), &omega)
                         }
-                        (None, other) => probability_values(other, &omega),
+                        // Uniform densities bypass the Gaussian cache.
+                        (_, other) => probability_values(other, &omega),
                     };
-                    (*time, *density, rows)
+                    (*time, rows)
                 })
                 .collect::<Vec<_>>()
         });
 
-        // Assembly: segment order == time order, so the view and model are
-        // identical to the sequential build.
+        // Assembly: segment order == time order, so the view is identical
+        // to the sequential build.
         let mut view = ProbTable::new(view_name.to_string(), view_schema());
-        let mut model = Vec::with_capacity(densities.len());
-        for (time, density, rows) in tuple_segments.into_iter().flatten() {
-            model.push(ModelRow {
-                time,
-                expected: density.mean(),
-                sigma: density.std(),
-            });
+        for (time, rows) in tuple_segments.into_iter().flatten() {
             for pv in rows {
                 view.insert(
                     vec![
@@ -250,20 +265,67 @@ impl OmegaViewBuilder {
                 )?;
             }
         }
-        let generation_time = gen_started.elapsed();
+        Ok(view)
+    }
 
+    /// Builds the probabilistic view for `series` over the Ω lattice:
+    /// [`OmegaViewBuilder::infer`], then [`OmegaViewBuilder::generate`]
+    /// through the ladder over the inferred σ̂ range.
+    pub fn build(
+        &self,
+        series: &TimeSeries,
+        omega: OmegaSpec,
+        view_name: &str,
+        time_bounds: Option<(i64, i64)>,
+    ) -> Result<BuiltView, CoreError> {
+        self.build_from(&self.infer(series, time_bounds)?, omega, view_name)
+    }
+
+    /// [`OmegaViewBuilder::build`] from an inference pass already run —
+    /// for callers that keep the densities as well.
+    pub fn build_from(
+        &self,
+        inferred: &InferredModel,
+        omega: OmegaSpec,
+        view_name: &str,
+    ) -> Result<BuiltView, CoreError> {
+        let cache = self.ladder(sigma_range(&inferred.densities), omega)?;
+        let gen_started = Instant::now();
+        let view = self.generate(&inferred.densities, cache.as_ref(), omega, view_name)?;
+        let generation_time = gen_started.elapsed();
         Ok(BuiltView {
             view,
-            model,
+            model: inferred
+                .densities
+                .iter()
+                .map(|(time, density)| ModelRow {
+                    time: *time,
+                    expected: density.mean(),
+                    sigma: density.std(),
+                })
+                .collect(),
             cache_stats: cache.as_ref().map(|c| c.stats()),
             cache_len: cache.as_ref().map(|c| c.len()),
             cache_bytes: cache.as_ref().map(|c| c.memory_bytes()),
-            inference_time,
+            ratio_threshold: cache.as_ref().map(|c| c.ratio_threshold()),
+            inference_time: inferred.inference_time,
             generation_time,
-            failures,
-            threads_used,
+            failures: inferred.failures,
+            threads_used: inferred.threads_used,
         })
     }
+}
+
+/// `(min σ̂, max σ̂)` over the Gaussian densities — the spread a view's
+/// σ-cache ladder is laid out over. `(∞, 0)` when there is none, so the
+/// ranges of two model segments merge by plain `min`/`max`.
+pub fn sigma_range(densities: &[(i64, Density)]) -> (f64, f64) {
+    densities
+        .iter()
+        .filter(|(_, d)| matches!(d, Density::Gaussian(_)))
+        .fold((f64::INFINITY, 0.0f64), |(lo, hi), (_, d)| {
+            (lo.min(d.std()), hi.max(d.std()))
+        })
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //!   mutating statements (loads, `INSERT`, `DROP`, view registration,
 //!   including the Fig. 7 `CREATE VIEW … AS DENSITY …`, fulfilled by the
 //!   [`OmegaViewBuilder`]) take the write lock. This is the "offline mode"
-//!   of the framework; the "online mode" lives in [`crate::online`].
+//!   of the framework; its "online mode" is the streaming path below.
 //!
 //! ## Streaming ingestion
 //!
@@ -28,16 +28,17 @@
 //! subsystem: a whole flush of per-relation row batches is journaled as one
 //! group commit (one WAL fsync amortized over every batch), applied under
 //! one write lock, and every Ω-view derived from an appended source table
-//! is maintained in place. When the fresh rows are a strict suffix in time
-//! and densities are evaluated directly (no σ-cache), maintenance re-runs
-//! the builder over just the new time interval and *appends* the resulting
+//! is maintained in place. The engine keeps each view's model table next
+//! to its lineage, so when the fresh rows are a strict suffix in time it
+//! infers densities for the appended windows only and *appends* their
 //! tuples — bit-identical to a full rebuild, because per-window density
-//! inference is stateless. Any other shape falls back to the rebuild.
-//! Appends bump only the catalog's *data* generation, so cached plans and
-//! in-flight [`tspdb_probdb::RelationSnapshot`] readers survive a stream of
-//! them untouched.
+//! inference is stateless and a σ-cache ladder that keeps its base rung and
+//! ratio keeps every old tuple (see `maintain_view`). Any other shape falls
+//! back to the rebuild. Appends bump only the catalog's *data* generation,
+//! so cached plans and in-flight [`tspdb_probdb::RelationSnapshot`] readers
+//! survive a stream of them untouched.
 
-use crate::builder::{BuiltView, OmegaViewBuilder, ViewBuilderConfig};
+use crate::builder::{sigma_range, BuiltView, OmegaViewBuilder, ViewBuilderConfig};
 use crate::error::CoreError;
 use crate::metrics::MetricKind;
 use crate::omega::{OmegaSpec, ProbabilityValue};
@@ -46,9 +47,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use tspdb_probdb::{
-    CmpOp, ColumnType, Comparison, Conjunction, Database, DbError, DensityViewSpec, PlannedQuery,
-    Planner, ProbTable, QueryOutput, Relation, ScanSource, Schema, Statement, Table, Value,
+    CmpOp, ColumnType, Conjunction, Database, DbError, DensityViewSpec, PlannedQuery, Planner,
+    QueryOutput, Relation, ScanSource, Schema, Statement, Table, Value,
 };
+use tspdb_stats::Density;
 use tspdb_storage::{CheckpointSource, JournalOp, Storage, StorageOptions};
 use tspdb_timeseries::TimeSeries;
 
@@ -148,6 +150,64 @@ pub struct LastBuild {
     pub built: BuiltView,
 }
 
+/// How an append brought an Ω-view up to date.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MaintenancePath {
+    /// Densities inferred for the appended windows only; their tuples
+    /// appended to the view.
+    Appended,
+    /// Densities inferred for the appended windows only; every tuple
+    /// regenerated from the stored model because the σ-cache ladder moved.
+    Regenerated,
+    /// The whole view rebuilt from the source table.
+    Rebuilt,
+}
+
+/// What the most recent append cost one Ω-view — counts, not timings, so
+/// tests can pin the complexity of maintenance exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Maintenance {
+    /// The path taken.
+    pub path: MaintenancePath,
+    /// Windows handed to the density metric.
+    pub windows_inferred: usize,
+}
+
+/// The model behind a live Ω-view (the paper's Fig. 2 model table), kept so
+/// an append infers only the appended windows.
+#[derive(Debug)]
+struct ViewModel {
+    /// One density per emitted timestamp, in time order.
+    densities: Vec<(i64, Density)>,
+    /// [`sigma_range`] of `densities`.
+    sigma_range: (f64, f64),
+    /// `(min σ̂, d_s)` of the σ-cache ladder the view's tuples were generated
+    /// through; `None` when they were evaluated directly.
+    ladder: Option<(f64, f64)>,
+    /// The last `window` source readings in time order: all the history
+    /// the next appended windows look back on.
+    tail: Vec<(i64, f64)>,
+    /// Source rows the model accounts for; any other row count under an
+    /// append means the source changed behind the model's back.
+    source_rows: usize,
+}
+
+/// An Ω-view's lineage: the spec it was created from and, when in hand,
+/// its model. The model is not persisted — a reopened engine starts
+/// without one and the first append rebuilds it.
+#[derive(Debug)]
+struct ViewLineage {
+    spec: DensityViewSpec,
+    model: Option<ViewModel>,
+    last_maintenance: Option<Maintenance>,
+}
+
+/// A density view built from its source table, with the model to keep.
+struct BuiltDensityView {
+    built: BuiltView,
+    model: ViewModel,
+}
+
 /// A cloneable, `Send + Sync` handle to one engine shared across threads.
 ///
 /// The catalog (the [`Database`] of tables and views) is the only state
@@ -162,10 +222,11 @@ pub struct SharedEngine {
     /// The persistent storage engine, when this engine was opened with
     /// [`SharedEngine::open_persistent`]. `None` = purely in-memory.
     storage: Option<Arc<Storage>>,
-    /// Ω-view lineage: view name → the spec it was created from, so
-    /// appends to a source table know which views to maintain. Persisted
-    /// as spec text in the storage meta sidecar at every checkpoint.
-    lineage: Arc<Mutex<BTreeMap<String, DensityViewSpec>>>,
+    /// Ω-view lineage: view name → the spec it was created from (plus its
+    /// model), so appends to a source table know which views to maintain.
+    /// The specs are persisted as text in the storage meta sidecar at
+    /// every checkpoint.
+    lineage: Arc<Mutex<BTreeMap<String, ViewLineage>>>,
     /// Relations written since the last checkpoint, and *how* (append vs
     /// arbitrary rewrite). An empty map (with an empty WAL) means the
     /// on-disk file already equals the catalog, so checkpoints and
@@ -237,7 +298,14 @@ impl SharedEngine {
                 let mut lineage = engine.lineage.lock().unwrap_or_else(|e| e.into_inner());
                 for line in meta.lines().map(str::trim).filter(|l| !l.is_empty()) {
                     if let Ok(Statement::CreateDensityView(spec)) = tspdb_probdb::parse(line) {
-                        lineage.insert(spec.view_name.clone(), spec);
+                        lineage.insert(
+                            spec.view_name.clone(),
+                            ViewLineage {
+                                spec,
+                                model: None,
+                                last_maintenance: None,
+                            },
+                        );
                     }
                 }
             }
@@ -301,16 +369,16 @@ impl SharedEngine {
         &self,
         catalog: &mut Database,
         stmt: Statement,
-        prebuilt: Option<(ProbTable, BuiltView)>,
+        prebuilt: Option<BuiltDensityView>,
     ) -> Result<QueryOutput, CoreError> {
         self.mark_dirty(statement_dirty_targets(&stmt));
         match stmt {
             Statement::CreateDensityView(spec) => {
-                let (view, built) = match prebuilt {
+                let BuiltDensityView { built, model } = match prebuilt {
                     Some(built) => built,
                     None => build_density_view(catalog, self.defaults, &spec)?,
                 };
-                catalog.register_prob_table(view)?;
+                catalog.register_prob_table(built.view.clone())?;
                 // Lock order: catalog before last_build (the only place
                 // both are held at once), so `last_build()` always names
                 // the view registered last.
@@ -321,7 +389,14 @@ impl SharedEngine {
                 self.lineage
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .insert(spec.view_name.clone(), spec);
+                    .insert(
+                        spec.view_name.clone(),
+                        ViewLineage {
+                            spec,
+                            model: Some(model),
+                            last_maintenance: None,
+                        },
+                    );
                 Ok(QueryOutput::None)
             }
             other => {
@@ -331,10 +406,16 @@ impl SharedEngine {
                 };
                 let out = catalog.execute_parsed(other).map_err(CoreError::from)?;
                 if let Some(name) = dropped {
-                    self.lineage
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .remove(&name);
+                    // A dropped view takes its lineage along; a dropped
+                    // source leaves its views standing but their models
+                    // describe a table that is gone.
+                    let mut lineage = self.lineage.lock().unwrap_or_else(|e| e.into_inner());
+                    lineage.remove(&name);
+                    for entry in lineage.values_mut() {
+                        if entry.spec.source_table == name {
+                            entry.model = None;
+                        }
+                    }
                 }
                 Ok(out)
             }
@@ -400,7 +481,7 @@ impl SharedEngine {
             let lineage = self.lineage.lock().unwrap_or_else(|e| e.into_inner());
             lineage
                 .values()
-                .map(|spec| spec.to_string())
+                .map(|entry| entry.spec.to_string())
                 .collect::<Vec<_>>()
                 .join("\n")
         };
@@ -662,19 +743,9 @@ impl SharedEngine {
     }
 
     /// Brings every Ω-view derived from `source` up to date after
-    /// `appended` fresh source rows.
-    ///
-    /// When the new rows form a strict suffix in time (every new timestamp
-    /// greater than every old one) **and** densities are evaluated
-    /// directly (`defaults.cache == None`), the builder re-runs over just
-    /// the new interval and the produced tuples are *appended* to the
-    /// view. That is bit-identical to a full rebuild: per-window density
-    /// inference is stateless, the builder walks the series in time order,
-    /// and the view's synopses absorb the suffix through the same stable
-    /// merge a rebuild would sort through. A σ-cache build quantizes
-    /// against the σ̂ range of the *whole* view, so with a cache configured
-    /// — or on backfill — maintenance falls back to the full rebuild
-    /// (which bumps the DDL generation like any re-registration).
+    /// `appended` fresh source rows, each through [`Self::maintain_view`].
+    /// A view whose maintenance fails is left without a model, so the next
+    /// append retries it from the source table.
     fn maintain_dependent_views(
         &self,
         catalog: &mut Database,
@@ -684,37 +755,25 @@ impl SharedEngine {
         if appended == 0 {
             return Ok(());
         }
-        let specs: Vec<DensityViewSpec> = {
-            let lineage = self.lineage.lock().unwrap_or_else(|e| e.into_inner());
-            lineage
-                .values()
-                .filter(|spec| spec.source_table == source)
-                .cloned()
-                .collect()
-        };
-        for spec in specs {
-            let floor = monotone_suffix_floor(catalog, &spec, appended)?;
-            let kind = match floor {
-                Some(floor) if self.defaults.cache.is_none() => {
-                    let mut suffix = spec.clone();
-                    suffix.predicate.push(Comparison::new(
-                        spec.time_column.clone(),
-                        CmpOp::Gt,
-                        Value::Int(floor),
-                    ));
-                    let (view, _) = build_density_view(catalog, self.defaults, &suffix)?;
-                    let rows = view.rows().to_vec();
-                    let probs = view.probs().to_vec();
-                    catalog.append_prob_rows(&spec.view_name, rows, probs)?;
-                    DirtyKind::Appended
-                }
-                _ => {
-                    let (view, _) = build_density_view(catalog, self.defaults, &spec)?;
-                    catalog.register_prob_table(view)?;
-                    DirtyKind::Rewritten
-                }
+        let mut lineage = self.lineage.lock().unwrap_or_else(|e| e.into_inner());
+        for entry in lineage.values_mut() {
+            if entry.spec.source_table != source {
+                continue;
+            }
+            let (model, done) = maintain_view(
+                catalog,
+                self.defaults,
+                &entry.spec,
+                entry.model.take(),
+                appended,
+            )?;
+            entry.model = Some(model);
+            entry.last_maintenance = Some(done);
+            let kind = match done.path {
+                MaintenancePath::Appended => DirtyKind::Appended,
+                MaintenancePath::Regenerated | MaintenancePath::Rebuilt => DirtyKind::Rewritten,
             };
-            self.mark_dirty(std::iter::once((spec.view_name.clone(), kind)));
+            self.mark_dirty(std::iter::once((entry.spec.view_name.clone(), kind)));
         }
         Ok(())
     }
@@ -777,6 +836,15 @@ impl SharedEngine {
             .clone()
     }
 
+    /// What the most recent append to its source table cost the named
+    /// Ω-view: the path maintenance took and the windows it inferred.
+    /// `None` for a view no append has reached since it was created or the
+    /// engine opened.
+    pub fn last_maintenance(&self, view_name: &str) -> Option<Maintenance> {
+        let lineage = self.lineage.lock().unwrap_or_else(|e| e.into_inner());
+        lineage.get(view_name)?.last_maintenance
+    }
+
     /// Sets the fork-join width for `SELECT … WITH WORLDS` queries (`0` =
     /// one thread per core). The knob is an atomic on the catalog's read
     /// path, so tuning it takes only the *read* lock and never blocks
@@ -805,39 +873,141 @@ fn statement_dirty_targets(stmt: &Statement) -> Vec<(String, DirtyKind)> {
     }
 }
 
-/// If the `appended` newest rows of a view's source table all carry
-/// timestamps strictly greater than every pre-existing one, returns that
-/// old maximum — the time floor the incremental suffix build starts
-/// after. `None` (history empty, a backfilled timestamp, or a non-integer
-/// time cell) sends maintenance down the full-rebuild path.
-fn monotone_suffix_floor(
-    catalog: &Database,
+/// Brings one Ω-view up to date after `appended` rows landed at the end of
+/// its source table. The contract on every path: the view, its synopses
+/// and every query answer are bit-identical to a `CREATE VIEW` from scratch
+/// over the same rows. Three outcomes:
+///
+/// * **Appended.** With the `model` in hand and the fresh rows a strict
+///   suffix in time, the metric runs over the appended windows only — the
+///   stored tail of `window` readings is all the history they look back on,
+///   and per-window inference is stateless, so the densities are those a
+///   rebuild would infer. Their tuples are appended when the σ-cache
+///   ladder a rebuild would lay out gives every old σ̂ its old rung. Rungs
+///   sit at `min σ̂ · d_s^q` and a lookup takes the largest rung ≤ σ̂, so
+///   that holds whenever `(min σ̂, d_s)` is unchanged: a larger max σ̂ only
+///   adds rungs above every old σ̂. With no cache configured it always
+///   holds. Only the data generation moves; cached plans survive.
+/// * **Regenerated.** A new minimum σ̂ re-bases the ladder (and under a
+///   memory constraint a new maximum changes `d_s`), which can move any old
+///   tuple. All tuples are then regenerated from the stored model — no
+///   window is re-fitted — and the view re-registered.
+/// * **Rebuilt.** Without a model (the first append after
+///   [`SharedEngine::open_persistent`], which persists specs only, or after
+///   a failed maintenance), on backfill, duplicate or non-integer times, or
+///   when the source changed other than through this path, the view is
+///   built from the whole source table as `CREATE VIEW` does, which also
+///   restores the model. Recovery therefore costs one full build per view,
+///   on its first replayed or live append.
+fn maintain_view(
+    catalog: &mut Database,
+    defaults: ViewBuilderConfig,
     spec: &DensityViewSpec,
+    model: Option<ViewModel>,
     appended: usize,
-) -> Result<Option<i64>, CoreError> {
-    let table = catalog.table(&spec.source_table).map_err(CoreError::from)?;
-    let Ok(t_idx) = table.schema().index_of(&spec.time_column) else {
-        return Ok(None);
+) -> Result<(ViewModel, Maintenance), CoreError> {
+    let source = catalog.table(&spec.source_table)?;
+    let suffix = model.and_then(|model| {
+        let fresh = strict_suffix(source, spec, &model, appended)?;
+        Some((model, fresh))
+    });
+    let Some((mut model, fresh)) = suffix else {
+        let BuiltDensityView { built, model } = build_density_view(catalog, defaults, spec)?;
+        let windows_inferred = built.model.len() + built.failures;
+        catalog.register_prob_table(built.view)?;
+        let done = Maintenance {
+            path: MaintenancePath::Rebuilt,
+            windows_inferred,
+        };
+        return Ok((model, done));
     };
-    let rows = table.rows();
-    let old_len = rows.len().saturating_sub(appended);
-    if old_len == 0 {
-        return Ok(None);
+
+    let (builder, omega) = view_builder(defaults, spec)?;
+    let floor = model.tail.last().map(|&(t, _)| t);
+    model.tail.extend(fresh);
+    let (lo, hi) = time_bounds_from_predicate(&spec.predicate, &spec.time_column)?
+        .unwrap_or((i64::MIN, i64::MAX));
+    let bounds = (floor.map_or(lo, |t| lo.max(t.saturating_add(1))), hi);
+    let inferred = builder.infer(&points_to_series(spec, &model.tail), Some(bounds))?;
+    let stale = model.tail.len().saturating_sub(builder.config().window);
+    model.tail.drain(..stale);
+    model.source_rows += appended;
+
+    let old_len = model.densities.len();
+    let fresh_range = sigma_range(&inferred.densities);
+    model.sigma_range = (
+        model.sigma_range.0.min(fresh_range.0),
+        model.sigma_range.1.max(fresh_range.1),
+    );
+    model.densities.extend(inferred.densities);
+    let cache = builder.ladder(model.sigma_range, omega)?;
+    let ladder = cache
+        .as_ref()
+        .map(|c| (model.sigma_range.0, c.ratio_threshold()));
+    let path = if ladder == model.ladder {
+        let suffix = builder.generate(
+            &model.densities[old_len..],
+            cache.as_ref(),
+            omega,
+            &spec.view_name,
+        )?;
+        catalog.append_prob_rows(
+            &spec.view_name,
+            suffix.rows().to_vec(),
+            suffix.probs().to_vec(),
+        )?;
+        MaintenancePath::Appended
+    } else {
+        let view = builder.generate(&model.densities, cache.as_ref(), omega, &spec.view_name)?;
+        catalog.register_prob_table(view)?;
+        model.ladder = ladder;
+        MaintenancePath::Regenerated
+    };
+    let done = Maintenance {
+        path,
+        windows_inferred: model.densities.len() - old_len + inferred.failures,
+    };
+    Ok((model, done))
+}
+
+/// The `appended` newest rows of a view's source table as `(time, value)`
+/// points in time order, when they extend the history `model` accounts for
+/// as a strict suffix: every time an integer greater than every old one,
+/// no two equal. `None` sends maintenance down the full-rebuild path, which
+/// also reports whatever is wrong with the rows.
+fn strict_suffix(
+    source: &Table,
+    spec: &DensityViewSpec,
+    model: &ViewModel,
+    appended: usize,
+) -> Option<Vec<(i64, f64)>> {
+    let old_len = source.len().checked_sub(appended)?;
+    if old_len != model.source_rows {
+        return None;
     }
-    let mut old_max = i64::MIN;
-    for row in &rows[..old_len] {
-        match row[t_idx].as_i64() {
-            Some(t) => old_max = old_max.max(t),
-            None => return Ok(None),
-        }
+    let fresh = sorted_points(source, &source.rows()[old_len..], spec).ok()?;
+    match (model.tail.last(), fresh.first()) {
+        (Some(&(old_max, _)), Some(&(first, _))) if first <= old_max => None,
+        _ => Some(fresh),
     }
-    for row in &rows[old_len..] {
-        match row[t_idx].as_i64() {
-            Some(t) if t > old_max => {}
-            _ => return Ok(None),
-        }
+}
+
+/// The builder and Ω lattice a density-view spec resolves to.
+fn view_builder(
+    defaults: ViewBuilderConfig,
+    spec: &DensityViewSpec,
+) -> Result<(OmegaViewBuilder, OmegaSpec), CoreError> {
+    let mut config = defaults;
+    if let Some(name) = &spec.metric {
+        config.metric = MetricKind::parse(name)?;
     }
-    Ok(Some(old_max))
+    if let Some(w) = spec.window {
+        config.window = w;
+    }
+    Ok((
+        OmegaViewBuilder::new(config)?,
+        OmegaSpec::new(spec.delta, spec.n)?,
+    ))
 }
 
 /// Fulfils a density-view spec against a catalog borrow. Building only
@@ -846,22 +1016,23 @@ fn build_density_view(
     db: &Database,
     defaults: ViewBuilderConfig,
     spec: &DensityViewSpec,
-) -> Result<(ProbTable, BuiltView), CoreError> {
+) -> Result<BuiltDensityView, CoreError> {
     let source = db.table(&spec.source_table)?;
-    let series = table_to_series(source, &spec.time_column, &spec.value_column)?;
-    let omega = OmegaSpec::new(spec.delta, spec.n)?;
+    let mut tail = sorted_points(source, source.rows(), spec)?;
     let bounds = time_bounds_from_predicate(&spec.predicate, &spec.time_column)?;
-
-    let mut config = defaults;
-    if let Some(name) = &spec.metric {
-        config.metric = MetricKind::parse(name)?;
-    }
-    if let Some(w) = spec.window {
-        config.window = w;
-    }
-    let builder = OmegaViewBuilder::new(config)?;
-    let built = builder.build(&series, omega, &spec.view_name, bounds)?;
-    Ok((built.view.clone(), built))
+    let (builder, omega) = view_builder(defaults, spec)?;
+    let inferred = builder.infer(&points_to_series(spec, &tail), bounds)?;
+    let built = builder.build_from(&inferred, omega, &spec.view_name)?;
+    tail.drain(..tail.len().saturating_sub(builder.config().window));
+    let sigma_range = sigma_range(&inferred.densities);
+    let model = ViewModel {
+        ladder: built.ratio_threshold.map(|ds| (sigma_range.0, ds)),
+        densities: inferred.densities,
+        sigma_range,
+        tail,
+        source_rows: source.len(),
+    };
+    Ok(BuiltDensityView { built, model })
 }
 
 /// Builds the `(t INT, <value_col> FLOAT)` table representation of a time
@@ -882,17 +1053,18 @@ fn series_to_table(
     Ok(table)
 }
 
-/// Converts a `(time, value)` table into a [`TimeSeries`], sorting by the
-/// time column.
-pub fn table_to_series(
+/// Reads `rows` of a view's source table as `(time, value)` points sorted
+/// by time; mistyped cells and duplicate timestamps are errors.
+fn sorted_points(
     table: &Table,
-    time_column: &str,
-    value_column: &str,
-) -> Result<TimeSeries, CoreError> {
+    rows: &[Vec<Value>],
+    spec: &DensityViewSpec,
+) -> Result<Vec<(i64, f64)>, CoreError> {
+    let (time_column, value_column) = (&spec.time_column, &spec.value_column);
     let t_idx = table.schema().index_of(time_column)?;
     let v_idx = table.schema().index_of(value_column)?;
-    let mut pairs: Vec<(i64, f64)> = Vec::with_capacity(table.len());
-    for row in table.rows() {
+    let mut pairs: Vec<(i64, f64)> = Vec::with_capacity(rows.len());
+    for row in rows {
         let t = row[t_idx].as_i64().ok_or_else(|| {
             CoreError::Db(DbError::TypeMismatch {
                 column: time_column.to_string(),
@@ -916,12 +1088,13 @@ pub fn table_to_series(
             table.name()
         )));
     }
-    let (timestamps, values): (Vec<i64>, Vec<f64>) = pairs.into_iter().unzip();
-    Ok(TimeSeries::from_parts(
-        value_column.to_string(),
-        timestamps,
-        values,
-    ))
+    Ok(pairs)
+}
+
+/// The [`TimeSeries`] of strictly increasing `(time, value)` points.
+fn points_to_series(spec: &DensityViewSpec, points: &[(i64, f64)]) -> TimeSeries {
+    let (timestamps, values) = points.iter().copied().unzip();
+    TimeSeries::from_parts(spec.value_column.clone(), timestamps, values)
 }
 
 /// Reduces a conjunction over the time column into inclusive `(lo, hi)`
@@ -975,6 +1148,7 @@ mod tests {
     use super::*;
     use crate::metrics::MetricConfig;
     use crate::sigma_cache::direct_probability_values;
+    use tspdb_probdb::Comparison;
     use tspdb_timeseries::generate::TemperatureGenerator;
 
     fn shared() -> SharedSigmaCache {
@@ -1199,8 +1373,7 @@ mod tests {
 
     /// Deterministic synthetic series: strictly increasing integer times,
     /// smooth values — the shape the ingest subsystem streams.
-    fn synthetic_rows(range: std::ops::Range<i64>) -> Vec<Vec<tspdb_probdb::Value>> {
-        use tspdb_probdb::Value;
+    fn synthetic_rows(range: std::ops::Range<i64>) -> Vec<Vec<Value>> {
         range
             .map(|t| {
                 let v = 20.0 + 3.0 * ((t as f64) * 0.21).sin() + 0.01 * (t % 7) as f64;
@@ -1209,8 +1382,8 @@ mod tests {
             .collect()
     }
 
-    /// A config whose densities are evaluated directly (no σ-cache) —
-    /// the mode whose incremental maintenance is bit-identical.
+    /// A cheap AR(1) config whose densities are evaluated directly (no
+    /// σ-cache): every suffix append stays on the append path.
     fn direct_config() -> ViewBuilderConfig {
         ViewBuilderConfig {
             window: 30,
@@ -1226,17 +1399,7 @@ mod tests {
     }
 
     fn engine_with_rows(config: ViewBuilderConfig, upto: i64) -> SharedEngine {
-        let engine = SharedEngine::new(config);
-        engine
-            .execute("CREATE TABLE raw_values (t INT, r FLOAT)")
-            .unwrap();
-        engine
-            .append_rows("raw_values", synthetic_rows(0..upto))
-            .unwrap();
-        engine
-            .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
-            .unwrap();
-        engine
+        rebuilt_twin(config, synthetic_rows(0..upto))
     }
 
     #[test]
@@ -1275,6 +1438,197 @@ mod tests {
         // And derived answers agree across every strategy surface.
         let agg = "SELECT COUNT(*) FROM pv GROUP BY WINDOW(t, 16)";
         assert_eq!(engine.query(agg).unwrap(), twin.query(agg).unwrap());
+    }
+
+    /// `direct_config` with the default σ-cache (H′ = 0.01) switched on.
+    fn cached_config() -> ViewBuilderConfig {
+        ViewBuilderConfig {
+            cache: Some(SigmaCacheConfig::default()),
+            ..direct_config()
+        }
+    }
+
+    /// Readings around 20 whose deterministic jitter has the given
+    /// amplitude: a louder batch raises σ̂, a quieter one lowers it.
+    fn jittery_rows(range: std::ops::Range<i64>, amplitude: f64) -> Vec<Vec<Value>> {
+        range
+            .map(|t| {
+                let noise = ((t as f64 * 12.9898).sin() * 43758.5453).fract();
+                vec![Value::Int(t), Value::Float(20.0 + amplitude * noise)]
+            })
+            .collect()
+    }
+
+    const PV_SQL: &str = "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values";
+
+    /// A fresh engine handed `rows` at once, with `pv` built from scratch.
+    fn rebuilt_twin(config: ViewBuilderConfig, rows: Vec<Vec<Value>>) -> SharedEngine {
+        let twin = SharedEngine::new(config);
+        twin.execute("CREATE TABLE raw_values (t INT, r FLOAT)")
+            .unwrap();
+        twin.append_rows("raw_values", rows).unwrap();
+        twin.execute(PV_SQL).unwrap();
+        twin
+    }
+
+    fn assert_pv_equals(engine: &SharedEngine, twin: &SharedEngine) {
+        let sql = "SELECT * FROM pv";
+        assert_eq!(engine.query(sql).unwrap(), twin.query(sql).unwrap());
+        assert_eq!(
+            *engine.read().synopses("pv").unwrap(),
+            *twin.read().synopses("pv").unwrap()
+        );
+    }
+
+    fn stored_sigma_range(engine: &SharedEngine) -> (f64, f64) {
+        let lineage = engine.lineage.lock().unwrap();
+        lineage["pv"].model.as_ref().unwrap().sigma_range
+    }
+
+    #[test]
+    fn a_larger_max_sigma_keeps_cached_views_on_the_append_path() {
+        let mut rows = jittery_rows(0..100, 1.0);
+        let engine = rebuilt_twin(cached_config(), rows.clone());
+        let ddl_gen = engine.catalog_generation();
+        let (min_before, max_before) = stored_sigma_range(&engine);
+        engine.dirty.lock().unwrap().clear();
+
+        let loud = jittery_rows(100..130, 6.0);
+        engine.append_rows("raw_values", loud.clone()).unwrap();
+        rows.extend(loud);
+        let (min_after, max_after) = stored_sigma_range(&engine);
+        assert!(
+            max_after > max_before && min_after == min_before,
+            "the batch must only raise max σ̂: [{min_before}, {max_before}] → [{min_after}, {max_after}]"
+        );
+        assert_eq!(
+            engine.last_maintenance("pv"),
+            Some(Maintenance {
+                path: MaintenancePath::Appended,
+                windows_inferred: 30,
+            })
+        );
+        assert_eq!(engine.catalog_generation(), ddl_gen);
+        assert_eq!(
+            engine.dirty.lock().unwrap().get("pv"),
+            Some(&DirtyKind::Appended)
+        );
+        assert_pv_equals(&engine, &rebuilt_twin(cached_config(), rows));
+    }
+
+    #[test]
+    fn a_smaller_min_sigma_regenerates_cached_views_from_the_stored_model() {
+        let mut rows = jittery_rows(0..100, 1.0);
+        let engine = rebuilt_twin(cached_config(), rows.clone());
+        let ddl_gen = engine.catalog_generation();
+        let (min_before, _) = stored_sigma_range(&engine);
+        engine.dirty.lock().unwrap().clear();
+
+        let quiet = jittery_rows(100..140, 0.05);
+        engine.append_rows("raw_values", quiet.clone()).unwrap();
+        rows.extend(quiet);
+        let (min_after, _) = stored_sigma_range(&engine);
+        assert!(
+            min_after < min_before,
+            "the batch must lower min σ̂: {min_before} → {min_after}"
+        );
+        assert_eq!(
+            engine.last_maintenance("pv"),
+            Some(Maintenance {
+                path: MaintenancePath::Regenerated,
+                windows_inferred: 40,
+            })
+        );
+        assert!(engine.catalog_generation() > ddl_gen);
+        assert_eq!(
+            engine.dirty.lock().unwrap().get("pv"),
+            Some(&DirtyKind::Rewritten)
+        );
+        assert_pv_equals(&engine, &rebuilt_twin(cached_config(), rows.clone()));
+
+        // The re-based ladder is the stored one now: once the windows
+        // hold louder readings again, σ̂ stays above the new minimum and
+        // batches go back to the append path.
+        for from in [140, 150] {
+            let next = jittery_rows(from..from + 10, 1.0);
+            engine.append_rows("raw_values", next.clone()).unwrap();
+            rows.extend(next);
+            assert_pv_equals(&engine, &rebuilt_twin(cached_config(), rows.clone()));
+        }
+        assert_eq!(
+            engine.last_maintenance("pv").unwrap().path,
+            MaintenancePath::Appended
+        );
+    }
+
+    #[test]
+    fn ddl_and_backfill_discard_or_replace_the_stored_model() {
+        let path = |engine: &SharedEngine| engine.last_maintenance("pv").map(|m| m.path);
+        let mut rows = jittery_rows(0..100, 1.0);
+        let engine = rebuilt_twin(cached_config(), rows.clone());
+
+        // DROP VIEW takes the model along with the lineage…
+        engine.execute("DROP VIEW pv").unwrap();
+        assert!(engine.lineage.lock().unwrap().get("pv").is_none());
+        rows.extend(jittery_rows(100..110, 1.0));
+        engine
+            .append_rows("raw_values", rows[100..].to_vec())
+            .unwrap();
+        assert_eq!(path(&engine), None);
+        // …and re-creating it stores the model of the new build.
+        engine.execute(PV_SQL).unwrap();
+        assert_eq!(
+            engine.lineage.lock().unwrap()["pv"]
+                .model
+                .as_ref()
+                .unwrap()
+                .source_rows,
+            110
+        );
+        rows.extend(jittery_rows(110..120, 1.0));
+        engine
+            .append_rows("raw_values", rows[110..].to_vec())
+            .unwrap();
+        assert_eq!(path(&engine), Some(MaintenancePath::Appended));
+        assert_pv_equals(&engine, &rebuilt_twin(cached_config(), rows.clone()));
+
+        // Backfill rebuilds, and the rebuild's model (tail in time order,
+        // whatever the row order) carries the next suffix append.
+        rows.extend(jittery_rows(-20..0, 1.0));
+        engine
+            .append_rows("raw_values", rows[120..].to_vec())
+            .unwrap();
+        assert_eq!(path(&engine), Some(MaintenancePath::Rebuilt));
+        rows.extend(jittery_rows(120..130, 1.0));
+        engine
+            .append_rows("raw_values", rows[140..].to_vec())
+            .unwrap();
+        assert_eq!(path(&engine), Some(MaintenancePath::Appended));
+        assert_pv_equals(&engine, &rebuilt_twin(cached_config(), rows.clone()));
+
+        // Rows that reach the source around the append path (a SQL INSERT
+        // maintains nothing) leave the model short: the next append rebuilds.
+        engine
+            .execute("INSERT INTO raw_values VALUES (130, 20.5)")
+            .unwrap();
+        rows.push(vec![Value::Int(130), Value::Float(20.5)]);
+        rows.extend(jittery_rows(131..140, 1.0));
+        engine
+            .append_rows("raw_values", rows[151..].to_vec())
+            .unwrap();
+        assert_eq!(path(&engine), Some(MaintenancePath::Rebuilt));
+        assert_pv_equals(&engine, &rebuilt_twin(cached_config(), rows));
+
+        // Dropping the source keeps the view but not its model.
+        engine.execute("DROP TABLE raw_values").unwrap();
+        assert!(engine.lineage.lock().unwrap()["pv"].model.is_none());
+        engine
+            .execute("CREATE TABLE raw_values (t INT, r FLOAT)")
+            .unwrap();
+        let fresh = jittery_rows(0..80, 2.0);
+        engine.append_rows("raw_values", fresh.clone()).unwrap();
+        assert_eq!(path(&engine), Some(MaintenancePath::Rebuilt));
+        assert_pv_equals(&engine, &rebuilt_twin(cached_config(), fresh));
     }
 
     #[test]
@@ -1618,25 +1972,27 @@ mod tests {
     }
 
     #[test]
-    fn table_to_series_sorts_and_validates() {
+    fn sorted_points_sorts_and_validates() {
+        let spec = match tspdb_probdb::parse(
+            "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw",
+        ) {
+            Ok(Statement::CreateDensityView(spec)) => spec,
+            other => panic!("{other:?}"),
+        };
         let schema = Schema::of(&[("t", ColumnType::Int), ("r", ColumnType::Float)]);
         let mut table = Table::new("raw", schema.clone());
-        table
-            .insert(vec![Value::Int(3), Value::Float(3.0)])
-            .unwrap();
-        table
-            .insert(vec![Value::Int(1), Value::Float(1.0)])
-            .unwrap();
-        table
-            .insert(vec![Value::Int(2), Value::Float(2.0)])
-            .unwrap();
-        let s = table_to_series(&table, "t", "r").unwrap();
-        assert_eq!(s.values(), &[1.0, 2.0, 3.0]);
+        for t in [3, 1, 2] {
+            table
+                .insert(vec![Value::Int(t), Value::Float(t as f64)])
+                .unwrap();
+        }
+        let points = sorted_points(&table, table.rows(), &spec).unwrap();
+        assert_eq!(points, [(1, 1.0), (2, 2.0), (3, 3.0)]);
 
         let mut dup = Table::new("raw", schema);
         dup.insert(vec![Value::Int(1), Value::Float(1.0)]).unwrap();
         dup.insert(vec![Value::Int(1), Value::Float(2.0)]).unwrap();
-        assert!(table_to_series(&dup, "t", "r").is_err());
+        assert!(sorted_points(&dup, dup.rows(), &spec).is_err());
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! * [`omega`] — the Ω lattice and the probability value generation query
 //!   (Definition 2, eq. 9).
 //! * [`sigma_cache`] — the σ-cache with Theorem 1/2 guarantees
-//!   (Section VI-A/B); [`online`] adds the lazily grown streaming variant.
+//!   (Section VI-A/B).
 //! * [`builder`] — the Ω-view builder materialising tuple-independent
 //!   probabilistic views; [`concurrent::SharedEngine`] exposes it behind
-//!   the paper's SQL-like syntax (Fig. 7).
+//!   the paper's SQL-like syntax (Fig. 7) and, as rows stream in, keeps
+//!   each view's model table and infers only the appended windows (the
+//!   paper's online mode).
 //!
 //! ## Quick start
 //!
@@ -52,14 +54,13 @@ pub mod error;
 pub mod horizon;
 pub mod metrics;
 pub mod omega;
-pub mod online;
 pub mod quality;
 pub mod sigma_cache;
 pub mod svr;
 
 pub use builder::{BuiltView, OmegaViewBuilder, ViewBuilderConfig};
 pub use cgarch::{CGarch, CGarchConfig, CGarchReport};
-pub use concurrent::{SharedEngine, SharedSigmaCache};
+pub use concurrent::{Maintenance, MaintenancePath, SharedEngine, SharedSigmaCache};
 pub use error::CoreError;
 pub use metrics::{
     ArmaGarch, DynamicDensityMetric, Inference, KalmanGarch, MetricConfig, MetricKind,

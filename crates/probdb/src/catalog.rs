@@ -29,7 +29,7 @@ use crate::worlds::WorldsResult;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tspdb_stats::synopsis::{merge_sorted_pairs, ProbHistogram};
 
 /// Probabilistic views at or above this tuple count are sharded
@@ -45,32 +45,56 @@ pub const AUTO_SHARD_TARGET_ROWS: usize = 8_192;
 /// `BUCKETS` clause, and the catalog's precomputed histograms).
 pub const DEFAULT_SYNOPSIS_BUCKETS: usize = 64;
 
-/// The precomputed probabilistic-histogram synopses of one relation: a
-/// B-bucket [`ProbHistogram`] per numeric column, all built from the same
-/// tuple snapshot.
+/// The probabilistic-histogram synopses of one relation: a B-bucket
+/// [`ProbHistogram`] per numeric column, all over the same tuple snapshot.
 ///
 /// The catalog keeps one per probabilistic view behind an [`Arc`] and
-/// replaces the whole value on every write (views are registered whole),
-/// so readers clone the `Arc` lock-free and never observe a half-rebuilt
-/// synopsis.
-#[derive(Debug, Clone, PartialEq)]
+/// replaces the whole value on every write, so readers clone the `Arc`
+/// lock-free and never observe a half-rebuilt synopsis. A write pays only
+/// for the sorted runs; a column's buckets are laid out by the first query
+/// that reads them (outside the catalog lock) and kept for the rest.
+#[derive(Debug, Clone)]
 pub struct RelationSynopses {
     buckets: usize,
     tuples: usize,
-    columns: BTreeMap<String, ProbHistogram>,
-    /// The canonical sorted `(value, probability)` run each histogram was
-    /// built from, retained per column so an append can stable-merge the
-    /// new tuples' run into it and rebuild buckets from the merged run —
+    columns: BTreeMap<String, ColumnSynopsis>,
+}
+
+#[derive(Debug, Clone)]
+struct ColumnSynopsis {
+    /// The canonical sorted `(value, probability)` run of the column,
+    /// retained so an append can stable-merge the new tuples' run into it
+    /// — the merged run, and so every bucket laid out from it, is
     /// bit-identical to a from-scratch build over the whole view, without
     /// re-sorting the old tuples (the Cormode & Garofalakis incremental
     /// recipe). Empty on [`RelationSynopses::merge_to`]-derived copies,
     /// which are per-query throwaways never appended to.
-    pairs: BTreeMap<String, Vec<(f64, f64)>>,
+    run: Vec<(f64, f64)>,
+    /// `ProbHistogram::from_sorted(run, buckets)`, on first use.
+    histogram: OnceLock<ProbHistogram>,
+}
+
+impl PartialEq for RelationSynopses {
+    /// Equal summaries of equal tuples: compares the laid-out histograms
+    /// (laying out any not read yet) as well as the runs behind them.
+    fn eq(&self, other: &Self) -> bool {
+        self.buckets == other.buckets
+            && self.tuples == other.tuples
+            && self.columns.len() == other.columns.len()
+            && self
+                .columns
+                .iter()
+                .zip(&other.columns)
+                .all(|((a, x), (b, y))| {
+                    a == b && x.run == y.run && self.column(a) == other.column(b)
+                })
+    }
 }
 
 impl RelationSynopses {
-    /// Builds `buckets`-bucket histograms for every numeric column of the
-    /// view (text columns have no value order to bucket and are skipped).
+    /// Summarises every numeric column of the view in `buckets`-bucket
+    /// histograms (text columns have no value order to bucket and are
+    /// skipped).
     pub fn build(t: &ProbTable, buckets: usize) -> Self {
         Self::build_from(t, 0, buckets, &BTreeMap::new())
     }
@@ -82,17 +106,16 @@ impl RelationSynopses {
     /// suffix is extracted and sorted; the retained runs absorb it by
     /// stable merge.
     pub fn append_from(&self, t: &ProbTable, from_row: usize) -> Self {
-        Self::build_from(t, from_row, self.buckets, &self.pairs)
+        Self::build_from(t, from_row, self.buckets, &self.columns)
     }
 
     fn build_from(
         t: &ProbTable,
         from_row: usize,
         buckets: usize,
-        base: &BTreeMap<String, Vec<(f64, f64)>>,
+        base: &BTreeMap<String, ColumnSynopsis>,
     ) -> Self {
         let mut columns = BTreeMap::new();
-        let mut pairs = BTreeMap::new();
         for c in 0..t.schema().arity() {
             let (name, ty) = t.schema().column(c);
             if ty == ColumnType::Text {
@@ -101,7 +124,8 @@ impl RelationSynopses {
             // A column without a retained run (never the case for
             // catalog-built synopses; schemas are fixed per view) falls
             // back to extracting the whole column from row 0.
-            let start = if base.contains_key(name) { from_row } else { 0 };
+            let base = base.get(name);
+            let start = if base.is_some() { from_row } else { 0 };
             let delta = ProbHistogram::prepare_pairs(
                 t.rows()[start..]
                     .iter()
@@ -113,18 +137,17 @@ impl RelationSynopses {
             // ties) is exactly the stable sort of their concatenation, so
             // the merged run — and every bucket built from it — matches a
             // from-scratch build bit for bit.
-            let run = match base.get(name) {
-                Some(b) => merge_sorted_pairs(b, &delta),
+            let run = match base {
+                Some(b) => merge_sorted_pairs(&b.run, &delta),
                 None => delta,
             };
-            columns.insert(name.to_string(), ProbHistogram::from_sorted(&run, buckets));
-            pairs.insert(name.to_string(), run);
+            let histogram = OnceLock::new();
+            columns.insert(name.to_string(), ColumnSynopsis { run, histogram });
         }
         RelationSynopses {
             buckets,
             tuples: t.len(),
             columns,
-            pairs,
         }
     }
 
@@ -140,7 +163,12 @@ impl RelationSynopses {
 
     /// The histogram of one column (`None` for text/unknown columns).
     pub fn column(&self, name: &str) -> Option<&ProbHistogram> {
-        self.columns.get(name)
+        let column = self.columns.get(name)?;
+        Some(
+            column
+                .histogram
+                .get_or_init(|| ProbHistogram::from_sorted(&column.run, self.buckets)),
+        )
     }
 
     /// Names of the summarised columns, sorted.
@@ -163,12 +191,18 @@ impl RelationSynopses {
             tuples: self.tuples,
             columns: self
                 .columns
-                .iter()
-                .map(|(name, hist)| (name.clone(), hist.merge_to(buckets)))
+                .keys()
+                .map(|name| {
+                    let merged = self.column(name).expect("own column").merge_to(buckets);
+                    let column = ColumnSynopsis {
+                        // Coarsened copies are per-query throwaways; cloning
+                        // the runs into them would only burn memory.
+                        run: Vec::new(),
+                        histogram: OnceLock::from(merged),
+                    };
+                    (name.clone(), column)
+                })
                 .collect(),
-            // Coarsened copies are per-query throwaways; cloning the runs
-            // into them would only burn memory.
-            pairs: BTreeMap::new(),
         }
     }
 }

@@ -1,70 +1,99 @@
-//! Online mode: streaming probability-view generation over a GPS feed.
+//! Online mode: a GPS feed streamed into a live Ω-view.
 //!
 //! The paper's framework works online ("the dynamic density metrics infer
 //! p_t(R_t) as soon as a new value r_t is streamed to the system"). This
-//! example pushes the car-data stream through the online Ω-view builder
-//! twice — once computing every tuple directly, once through the adaptive
-//! σ-cache — and reports the speedup and cache behaviour.
+//! example pushes the car-data stream through an `Appender` into a
+//! `SharedEngine` that holds a density view over the table: every flush
+//! infers densities for the appended windows only, reuses the σ-cache
+//! ladder while its base rung stands, and leaves the view bit-identical to
+//! one built offline over the finished series.
 //!
 //! Run with: `cargo run --release --example streaming_online`
 
-use std::time::Instant;
-use tspdb::core::online::OnlineViewBuilder;
+use std::time::{Duration, Instant};
+use tspdb::core::MaintenancePath;
 use tspdb::timeseries::generate::GpsGenerator;
-use tspdb::{MetricConfig, MetricKind, OmegaSpec};
+use tspdb::{MetricConfig, MetricKind, SharedEngine, Value, ViewBuilderConfig};
+use tspdb_ingest::{Appender, AppenderConfig};
 
-fn run(label: &str, cache: Option<f64>, omega: OmegaSpec) -> (std::time::Duration, usize) {
+const TABLE: &str = "CREATE TABLE gps (t INT, x FLOAT)";
+const VIEW: &str = "CREATE VIEW pv AS DENSITY x OVER t OMEGA delta=0.5, n=40 FROM gps";
+const PRELOAD: usize = 100;
+
+fn main() {
     let series = GpsGenerator::default().generate(2500);
-    let mut builder = OnlineViewBuilder::new(
-        MetricKind::VariableThresholding, // cheap inference isolates generation cost
-        MetricConfig {
+    let rows: Vec<Vec<Value>> = series
+        .iter()
+        .map(|obs| vec![Value::Int(obs.time), Value::Float(obs.value)])
+        .collect();
+    let config = ViewBuilderConfig {
+        metric: MetricKind::VariableThresholding,
+        metric_config: MetricConfig {
             p: 1,
             q: 0,
             ..MetricConfig::default()
         },
-        40,
-        omega,
-        cache,
-    )
-    .expect("builder");
+        window: 40,
+        ..ViewBuilderConfig::default() // σ-cache on, H′ = 0.01
+    };
 
+    let live = SharedEngine::new(config);
+    live.execute(TABLE).expect("create table");
+    live.append_rows("gps", rows[..PRELOAD].to_vec())
+        .expect("preload");
+    live.execute(VIEW).expect("create view");
+
+    let mut appender = Appender::new(
+        live.clone(),
+        AppenderConfig {
+            max_rows: 64,
+            max_delay: Duration::from_millis(50),
+        },
+    );
+    let (mut appended, mut regenerated, mut rebuilt, mut windows) = (0, 0, 0, 0);
+    let mut tally = |engine: &SharedEngine| {
+        let done = engine.last_maintenance("pv").expect("view was maintained");
+        windows += done.windows_inferred;
+        match done.path {
+            MaintenancePath::Appended => appended += 1,
+            MaintenancePath::Regenerated => regenerated += 1,
+            MaintenancePath::Rebuilt => rebuilt += 1,
+        }
+    };
     let started = Instant::now();
-    let mut emitted = 0usize;
-    let mut mass_check = 0.0f64;
-    for obs in series.iter() {
-        if let Some(row) = builder.push(obs.time, obs.value).expect("push") {
-            emitted += 1;
-            mass_check += row.values.iter().map(|v| v.rho).sum::<f64>();
+    for row in &rows[PRELOAD..] {
+        if appender.append("gps", row.clone()).expect("append") > 0 {
+            tally(&live);
         }
     }
-    let elapsed = started.elapsed();
-    println!(
-        "{label:<18} emitted {emitted} rows in {elapsed:?} (avg mass {:.3})",
-        mass_check / emitted as f64
-    );
-    if let Some(stats) = builder.cache_stats() {
-        println!(
-            "{:<18} cache: {} hits, {} misses",
-            "", stats.hits, stats.misses
-        );
+    if appender.flush().expect("final flush") > 0 {
+        tally(&live);
     }
-    (elapsed, emitted)
-}
-
-fn main() {
-    // A fine lattice makes per-tuple CDF work dominate — the regime the
-    // σ-cache is built for.
-    let omega = OmegaSpec::new(0.5, 400).expect("omega");
-
-    println!("streaming 2500 GPS observations, Omega lattice n = 400:\n");
-    let (naive, n1) = run("direct (no cache)", None, omega);
-    let (cached, n2) = run("adaptive σ-cache", Some(0.01), omega);
-    assert_eq!(n1, n2);
-
-    let speedup = naive.as_secs_f64() / cached.as_secs_f64();
-    println!("\nspeedup from the adaptive σ-cache: {speedup:.1}x");
+    let streamed = started.elapsed();
+    let stats = appender.stats();
     println!(
-        "(the offline σ-cache of Fig. 14a achieves ~10x on the full campus \
-         workload; see `cargo run -p tspdb-bench --bin experiments -- fig14a`)"
+        "streamed {} GPS observations in {} flushes: {streamed:?} ({:.0} rows/s)",
+        stats.rows,
+        stats.flushes,
+        stats.rows as f64 / streamed.as_secs_f64()
     );
+    println!(
+        "view maintenance: {appended} flushes appended, {regenerated} regenerated from the \
+         stored model, {rebuilt} rebuilt; {windows} windows inferred for {} rows",
+        stats.rows
+    );
+
+    let offline = SharedEngine::new(config);
+    offline.execute(TABLE).expect("create table");
+    offline.append_rows("gps", rows).expect("load");
+    let started = Instant::now();
+    offline.execute(VIEW).expect("create view");
+    println!("one-shot build over the same rows: {:?}", started.elapsed());
+    let sql = "SELECT * FROM pv";
+    assert_eq!(
+        live.query(sql).expect("live scan"),
+        offline.query(sql).expect("offline scan"),
+        "the streamed view must equal the one-shot build"
+    );
+    println!("streamed view == one-shot view, bit for bit");
 }

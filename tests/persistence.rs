@@ -322,6 +322,93 @@ fn checkpoint_crash_points_recover_bit_identical_state() {
     }
 }
 
+/// The model behind an Ω-view is not persisted: a reopened engine rebuilds
+/// the view on its first append and maintains it from the restored model
+/// afterwards. Under the σ-cache both must equal an engine that was never
+/// closed.
+#[test]
+fn reopened_sigma_cache_views_keep_tracking_the_in_memory_twin() {
+    use tspdb::core::MaintenancePath;
+    const VIEW: &str = "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values";
+    let queries = [
+        "SELECT * FROM pv",
+        "SELECT COUNT(*), SUM(lambda) FROM pv GROUP BY WINDOW(t, 25)",
+        "SELECT COUNT(*) FROM pv WITH WORLDS 300 SEED 5",
+        "SELECT COUNT(*), SUM(lambda) FROM pv WITH SYNOPSIS BUCKETS 8",
+    ];
+    assert!(config().cache.is_some(), "this test is about the σ-cache");
+    let twin = SharedEngine::new(config());
+    let dir = TempDir::new();
+    {
+        let engine = reopen(&dir);
+        for e in [&engine, &twin] {
+            e.execute("CREATE TABLE raw_values (t INT, r FLOAT)")
+                .unwrap();
+            e.append_rows("raw_values", synthetic_rows(0..100)).unwrap();
+            e.execute(VIEW).unwrap();
+            e.append_rows("raw_values", synthetic_rows(100..110))
+                .unwrap();
+        }
+        engine.checkpoint().unwrap();
+    }
+    let engine = reopen(&dir);
+    assert_eq!(engine.last_maintenance("pv"), None);
+    for (range, rebuilt) in [(110..125, true), (125..140, false)] {
+        for e in [&engine, &twin] {
+            e.append_rows("raw_values", synthetic_rows(range.clone()))
+                .unwrap();
+        }
+        let path = engine.last_maintenance("pv").unwrap().path;
+        assert_eq!(path == MaintenancePath::Rebuilt, rebuilt, "{range:?}");
+        for q in &queries {
+            assert_eq!(
+                fingerprint(&engine.query(q).unwrap()),
+                fingerprint(&twin.query(q).unwrap()),
+                "rows {range:?}: reopened engine diverged from the twin for {q}"
+            );
+        }
+    }
+}
+
+/// The complexity of append maintenance as a count, not a timing: a
+/// 64-row suffix on a 4 000-reading view hands the metric exactly 64
+/// windows. Recovery costs one full build (the model is not persisted);
+/// the append after it is back to 64.
+#[test]
+fn suffix_appends_infer_only_the_appended_windows() {
+    use tspdb::core::MaintenancePath;
+    const STEP: i64 = 120; // the generator's sampling interval
+    let batch = |k: i64| -> Vec<Vec<Value>> {
+        synthetic_rows(4_000 + 64 * k..4_000 + 64 * (k + 1))
+            .into_iter()
+            .map(|row| vec![Value::Int(row[0].as_i64().unwrap() * STEP), row[1].clone()])
+            .collect()
+    };
+    let dir = TempDir::new();
+    {
+        let engine = reopen(&dir);
+        let series = TemperatureGenerator::default().generate(4_000);
+        engine.load_series("raw_values", "r", &series).unwrap();
+        engine
+            .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
+            .unwrap();
+        engine.append_rows("raw_values", batch(0)).unwrap();
+        let done = engine.last_maintenance("pv").unwrap();
+        assert_ne!(done.path, MaintenancePath::Rebuilt);
+        assert_eq!(done.windows_inferred, 64);
+        engine.checkpoint().unwrap();
+    }
+    let engine = reopen(&dir);
+    engine.append_rows("raw_values", batch(1)).unwrap();
+    let done = engine.last_maintenance("pv").unwrap();
+    assert_eq!(done.path, MaintenancePath::Rebuilt);
+    assert_eq!(done.windows_inferred, 4_000 + 2 * 64 - config().window);
+    engine.append_rows("raw_values", batch(2)).unwrap();
+    let done = engine.last_maintenance("pv").unwrap();
+    assert_ne!(done.path, MaintenancePath::Rebuilt);
+    assert_eq!(done.windows_inferred, 64);
+}
+
 /// A checkpointed page whose bytes rot on disk must surface as a
 /// checksummed storage error naming the page — never as silently wrong
 /// tuples.

@@ -3,9 +3,8 @@
 
 use tspdb::core::cgarch::{CGarch, CGarchConfig};
 use tspdb::core::metrics::{make_metric, MetricKind};
-use tspdb::core::online::OnlineViewBuilder;
 use tspdb::timeseries::generate::TemperatureGenerator;
-use tspdb::{MetricConfig, OmegaSpec, SharedEngine, TimeSeries, ViewBuilderConfig};
+use tspdb::{MetricConfig, SharedEngine, TimeSeries, ViewBuilderConfig};
 
 fn all_kinds() -> [MetricKind; 5] {
     MetricKind::all()
@@ -133,45 +132,52 @@ fn cgarch_rides_through_sensor_dropouts() {
 }
 
 #[test]
-fn online_and_offline_modes_agree() {
-    // Same metric, same windows ⇒ identical densities, whether streamed or
-    // built offline. (VT is deterministic, making bit-equality checkable.)
+fn streamed_appends_equal_a_one_shot_build() {
+    // The paper's two modes agree: a view maintained online, a few readings
+    // at a time, is the view built offline over the finished series —
+    // same tuples, same probabilities, bit for bit, σ-cache included.
+    const VIEW: &str = "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.3, n=6 FROM raw_values";
     let series = TemperatureGenerator::default().generate(140);
-    let omega = OmegaSpec::new(0.3, 6).unwrap();
-    let h = 60;
+    let row = |obs: tspdb::timeseries::Observation| {
+        vec![tspdb::Value::Int(obs.time), tspdb::Value::Float(obs.value)]
+    };
 
-    let offline = tspdb::core::builder::OmegaViewBuilder::new(ViewBuilderConfig {
-        metric: MetricKind::VariableThresholding,
-        metric_config: MetricConfig::default(),
-        window: h,
-        cache: None,
+    // AR(1) keeps the model fits cheap; the σ-cache stays on.
+    let config = ViewBuilderConfig {
+        metric_config: MetricConfig {
+            p: 1,
+            q: 0,
+            ..MetricConfig::default()
+        },
         ..ViewBuilderConfig::default()
-    })
-    .unwrap()
-    .build(&series, omega, "pv", None)
-    .unwrap();
+    };
+    let offline = SharedEngine::new(config);
+    offline.load_series("raw_values", "r", &series).unwrap();
+    offline.execute(VIEW).unwrap();
 
-    let mut online = OnlineViewBuilder::new(
-        MetricKind::VariableThresholding,
-        MetricConfig::default(),
-        h,
-        omega,
-        None,
-    )
-    .unwrap();
-    let mut streamed = Vec::new();
-    for obs in series.iter() {
-        if let Some(row) = online.push(obs.time, obs.value).unwrap() {
-            streamed.push(row);
-        }
+    let online = SharedEngine::new(config);
+    online
+        .execute("CREATE TABLE raw_values (t INT, r FLOAT)")
+        .unwrap();
+    let rows: Vec<_> = series.iter().map(row).collect();
+    online
+        .append_rows("raw_values", rows[..100].to_vec())
+        .unwrap();
+    online.execute(VIEW).unwrap();
+    let mut at = 100;
+    for batch in [1, 1, 2, 1, 12, 1, 22] {
+        online
+            .append_rows("raw_values", rows[at..at + batch].to_vec())
+            .unwrap();
+        at += batch;
+        let done = online.last_maintenance("pv").unwrap();
+        assert_ne!(done.path, tspdb::core::MaintenancePath::Rebuilt);
+        assert_eq!(done.windows_inferred, batch);
     }
+    assert_eq!(at, rows.len());
 
-    assert_eq!(streamed.len(), offline.model.len());
-    for (row, model) in streamed.iter().zip(&offline.model) {
-        assert_eq!(row.time, model.time);
-        assert!((row.inference.expected - model.expected).abs() < 1e-12);
-        assert!((row.inference.density.std() - model.sigma).abs() < 1e-12);
-    }
+    let sql = "SELECT * FROM pv";
+    assert_eq!(online.query(sql).unwrap(), offline.query(sql).unwrap());
 }
 
 #[test]

@@ -874,11 +874,10 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Engine defaults for the append-differential property: a small AR(1)
-/// window keeps per-case model fits cheap, `cache: None` keeps Ω-view
-/// maintenance on the direct evaluation path, and one build thread avoids
+/// window keeps per-case model fits cheap and one build thread avoids
 /// oversubscribing 64 proptest cases (the produced view is identical for
 /// every thread count anyway).
-fn append_config() -> tspdb::ViewBuilderConfig {
+fn append_config(cache: Option<tspdb::SigmaCacheConfig>) -> tspdb::ViewBuilderConfig {
     tspdb::ViewBuilderConfig {
         window: 24,
         metric_config: tspdb::MetricConfig {
@@ -886,10 +885,25 @@ fn append_config() -> tspdb::ViewBuilderConfig {
             q: 0,
             ..Default::default()
         },
-        cache: None,
+        cache,
         threads: 1,
         ..Default::default()
     }
+}
+
+/// The builder configurations append maintenance must hold under: direct
+/// evaluation, the default distance-constrained σ-cache (`d_s` fixed, the
+/// ladder re-bases when min σ̂ falls) and a memory-only one (`d_s` follows
+/// the σ̂ spread, so a new maximum moves the ladder too).
+fn append_caches() -> [Option<tspdb::SigmaCacheConfig>; 3] {
+    [
+        None,
+        Some(tspdb::SigmaCacheConfig::default()),
+        Some(tspdb::SigmaCacheConfig {
+            distance_constraint: None,
+            memory_constraint: Some(12),
+        }),
+    ]
 }
 
 proptest! {
@@ -926,28 +940,31 @@ proptest! {
                 .collect()
         };
 
-        let live = SharedEngine::new(append_config());
-        live.execute(TABLE).unwrap();
-        live.append_rows("stream", rows(0, &base)).unwrap();
-        live.execute(VIEW).unwrap();
+        for cache in append_caches() {
+            let live = SharedEngine::new(append_config(cache));
+            live.execute(TABLE).unwrap();
+            live.append_rows("stream", rows(0, &base)).unwrap();
+            live.execute(VIEW).unwrap();
 
-        let mut all = base.clone();
-        for batch in &batches {
-            live.append_rows("stream", rows(all.len(), batch)).unwrap();
-            all.extend_from_slice(batch);
+            let mut all = base.clone();
+            for batch in &batches {
+                live.append_rows("stream", rows(all.len(), batch)).unwrap();
+                all.extend_from_slice(batch);
 
-            let rebuilt = SharedEngine::new(append_config());
-            rebuilt.execute(TABLE).unwrap();
-            rebuilt.append_rows("stream", rows(0, &all)).unwrap();
-            rebuilt.execute(VIEW).unwrap();
-            for sql in CHECKS {
-                prop_assert_eq!(
-                    tspdb_wire::canonical_result_bytes(&live.query(sql).unwrap()),
-                    tspdb_wire::canonical_result_bytes(&rebuilt.query(sql).unwrap()),
-                    "{} diverged after {} appended rows",
-                    sql,
-                    all.len() - base.len()
-                );
+                let rebuilt = SharedEngine::new(append_config(cache));
+                rebuilt.execute(TABLE).unwrap();
+                rebuilt.append_rows("stream", rows(0, &all)).unwrap();
+                rebuilt.execute(VIEW).unwrap();
+                for sql in CHECKS {
+                    prop_assert_eq!(
+                        tspdb_wire::canonical_result_bytes(&live.query(sql).unwrap()),
+                        tspdb_wire::canonical_result_bytes(&rebuilt.query(sql).unwrap()),
+                        "{} diverged after {} appended rows under {:?}",
+                        sql,
+                        all.len() - base.len(),
+                        cache
+                    );
+                }
             }
         }
     }
