@@ -14,13 +14,20 @@
 //!    sampling, `WITH SYNOPSIS` O(B) histograms — compare on the same
 //!    aggregate as the relation grows 1k → 100k, and what does building
 //!    (and narrowing) the synopsis itself cost?
+//! 5. what does each of `tspbench`'s four `query_scan` statement classes
+//!    cost over a 240 k-tuple Ω-view-shaped relation, resident and evicted
+//!    (served leaf by leaf from the storage engine through a 4 MiB page
+//!    cache)? `scan_240k/{class}/{resident,evicted}` is the per-class view
+//!    of what the end-to-end `query_scan` workload mixes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 use tspdb_probdb::query::{select_prob, top_k};
 use tspdb_probdb::{
-    parse, CmpOp, ColumnType, Comparison, Database, Planner, ProbTable, RelationSynopses, Schema,
-    Statement, Value,
+    parse, CmpOp, ColumnType, Comparison, Database, Planner, ProbTable, Relation, RelationSynopses,
+    Schema, Statement, Value,
 };
+use tspdb_storage::{Storage, StorageOptions};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -231,6 +238,92 @@ fn bench_synopsis_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// The shape `CREATE VIEW … AS DENSITY … OMEGA n=6` gives a 40 000-reading
+/// series: six `(t, lambda, lo, hi)` tuples per reading in time order, a
+/// bell of probabilities across the six ranges.
+fn omega_view(name: &str, readings: usize) -> ProbTable {
+    const BELL: [f64; 6] = [0.03, 0.13, 0.34, 0.33, 0.14, 0.03];
+    let schema = Schema::of(&[
+        ("t", ColumnType::Int),
+        ("lambda", ColumnType::Int),
+        ("lo", ColumnType::Float),
+        ("hi", ColumnType::Float),
+    ]);
+    let mut v = ProbTable::new(name, schema);
+    for i in 0..readings {
+        let centre = 20.0 + ((i * 37) % 101) as f64 * 0.05;
+        for (lambda, p) in BELL.iter().enumerate() {
+            let lo = centre + (lambda as f64 - 3.0) * 0.5;
+            // A reading-dependent wobble so probabilities do not repeat.
+            let p = p * (0.9 + ((i * 13 + lambda) % 17) as f64 * 0.01);
+            v.insert(
+                vec![
+                    Value::Int(120 * i as i64),
+                    Value::Int(lambda as i64 - 3),
+                    Value::Float(lo),
+                    Value::Float(lo + 0.5),
+                ],
+                p,
+            )
+            .unwrap();
+        }
+    }
+    v
+}
+
+fn bench_scan_classes(c: &mut Criterion) {
+    const READINGS: usize = 40_000;
+    let dir = std::env::temp_dir().join(format!("tspdb-planner-bench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (storage, _) = Storage::open(&dir, StorageOptions::default()).expect("open storage");
+    let storage = Arc::new(storage);
+    storage
+        .checkpoint(&[Relation::Probabilistic(omega_view("vdisk", READINGS))])
+        .expect("checkpoint the twin");
+
+    let mut db = Database::new();
+    db.set_worlds_threads(2);
+    db.register_prob_table(omega_view("vscan", READINGS))
+        .unwrap();
+    db.register_prob_table(omega_view("vdisk", READINGS))
+        .unwrap();
+    db.attach_scan_source(Arc::clone(&storage) as Arc<dyn tspdb_probdb::ScanSource>);
+    db.evict_relation("vdisk").unwrap();
+
+    let classes = [
+        ("threshold_rows", "SELECT * FROM {v} THRESHOLD 0.30"),
+        (
+            "window_count_sum",
+            "SELECT COUNT(*), SUM(lambda) FROM {v} GROUP BY WINDOW(t, 2400)",
+        ),
+        (
+            "order_by_prob_limit",
+            "SELECT t, lambda FROM {v} ORDER BY prob DESC LIMIT 100",
+        ),
+        (
+            "worlds_window",
+            "SELECT COUNT(*) FROM {v} WHERE t >= 600000 GROUP BY WINDOW(t, 360000) \
+             WITH WORLDS 200 SEED 7",
+        ),
+    ];
+    let mut group = c.benchmark_group("scan_240k");
+    group.sample_size(10);
+    for (class, sql) in classes {
+        for (medium, view) in [("resident", "vscan"), ("evicted", "vdisk")] {
+            let sql = sql.replace("{v}", view);
+            // Planned once, as the server's plan cache leaves it.
+            db.query_cached(&sql).unwrap();
+            group.bench_function(format!("{class}/{medium}"), |b| {
+                b.iter(|| std::hint::black_box(db.query_cached(&sql).unwrap()))
+            });
+        }
+    }
+    group.finish();
+    drop(db);
+    drop(storage);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 criterion_group!(
     benches,
     bench_select_paths,
@@ -238,6 +331,7 @@ criterion_group!(
     bench_worlds_aggregates,
     bench_windowed_aggregates,
     bench_strategy_compare,
-    bench_synopsis_build
+    bench_synopsis_build,
+    bench_scan_classes
 );
 criterion_main!(benches);

@@ -953,7 +953,7 @@ fn maintain_view(
         )?;
         catalog.append_prob_rows(
             &spec.view_name,
-            suffix.rows().to_vec(),
+            suffix.iter().map(|(row, _)| row).collect(),
             suffix.probs().to_vec(),
         )?;
         MaintenancePath::Appended

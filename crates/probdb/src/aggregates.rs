@@ -9,7 +9,7 @@
 //! needed).
 
 use crate::error::DbError;
-use crate::query::{eval_conjunction, CmpOp, Conjunction};
+use crate::query::{matching_rows, CmpOp, Conjunction};
 use crate::table::ProbTable;
 
 /// Exact distribution of the number of matching tuples present in a
@@ -19,10 +19,8 @@ use crate::table::ProbTable;
 /// distribution of the partial count.
 pub fn count_distribution(table: &ProbTable, pred: &Conjunction) -> Result<Vec<f64>, DbError> {
     let mut dist = vec![1.0f64];
-    for (row, p) in table.iter() {
-        if eval_conjunction(table.schema(), row, Some(p), pred)? {
-            fold_tuple(&mut dist, p);
-        }
+    for i in matching_rows(table, pred)? {
+        fold_tuple(&mut dist, table.probs()[i]);
     }
     Ok(dist)
 }
@@ -259,11 +257,10 @@ pub fn prob_count_at_least(
 pub fn count_moments(table: &ProbTable, pred: &Conjunction) -> Result<(f64, f64), DbError> {
     let mut mean = 0.0;
     let mut var = 0.0;
-    for (row, p) in table.iter() {
-        if eval_conjunction(table.schema(), row, Some(p), pred)? {
-            mean += p;
-            var += p * (1.0 - p);
-        }
+    for i in matching_rows(table, pred)? {
+        let p = table.probs()[i];
+        mean += p;
+        var += p * (1.0 - p);
     }
     Ok((mean, var))
 }

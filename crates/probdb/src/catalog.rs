@@ -17,9 +17,11 @@
 //! pointing from the paper's contribution down into the substrate, never
 //! backwards.
 
+use crate::column::ColumnSlice;
 use crate::error::DbError;
 use crate::plan::{AggregateResult, ExplainReport, PhysicalPlan, PlannedQuery, Planner};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
+use crate::scan::{self, BatchStream};
 use crate::schema::Schema;
 use crate::shard::ShardMap;
 use crate::sql::{parse, SelectStmt, Statement};
@@ -126,13 +128,13 @@ impl RelationSynopses {
             // back to extracting the whole column from row 0.
             let base = base.get(name);
             let start = if base.is_some() { from_row } else { 0 };
-            let delta = ProbHistogram::prepare_pairs(
-                t.rows()[start..]
-                    .iter()
-                    .zip(&t.probs()[start..])
-                    .filter_map(|(row, &p)| row[c].as_f64().map(|v| (v, p)))
-                    .collect(),
-            );
+            let probs = t.probs()[start..].iter().copied();
+            let delta =
+                ProbHistogram::prepare_pairs(match t.column(c).values().slice(start..t.len()) {
+                    ColumnSlice::Int(v) => v.iter().map(|&v| v as f64).zip(probs).collect(),
+                    ColumnSlice::Float(v) => v.iter().copied().zip(probs).collect(),
+                    ColumnSlice::Text(_) => unreachable!("text columns are skipped above"),
+                });
             // A stable merge of two stably-sorted runs (base first on
             // ties) is exactly the stable sort of their concatenation, so
             // the merged run — and every bucket built from it — matches a
@@ -339,35 +341,17 @@ pub trait ScanSource: std::fmt::Debug + Send + Sync {
     /// Materialises the named relation, or `None` if the source doesn't
     /// hold it either.
     fn scan(&self, name: &str) -> Result<Option<Relation>, DbError>;
-    /// Opens a lazy tuple stream over the named relation, or `None` when
+    /// Opens a lazy batch stream over the named relation, or `None` when
     /// the source either doesn't hold it or can't stream (the default:
     /// sources without a paged layout fall back to [`ScanSource::scan`]).
-    /// The executor uses this to filter a disk-resident relation tuple by
-    /// tuple instead of materialising it whole.
-    fn scan_stream(&self, name: &str) -> Result<Option<Box<dyn TupleStream>>, DbError> {
+    /// The executor uses this to restrict a disk-resident relation one
+    /// decoded leaf at a time instead of materialising it whole.
+    fn scan_stream(&self, name: &str) -> Result<Option<Box<dyn BatchStream>>, DbError> {
         let _ = name;
         Ok(None)
     }
     /// Names of all relations the source can scan.
     fn names(&self) -> Vec<String>;
-}
-
-/// One streamed tuple: the row, plus its existence probability for
-/// probabilistic relations (`None` for deterministic ones).
-pub type StreamedTuple = (Vec<Value>, Option<f64>);
-
-/// A pull-based tuple stream over one relation, yielded by
-/// [`ScanSource::scan_stream`]. Tuples arrive in the relation's canonical
-/// (insertion) order — the same order a materialised scan would hold them
-/// — so anything computed from the stream is bit-identical to the
-/// materialised path.
-pub trait TupleStream {
-    /// Column layout of the streamed tuples.
-    fn schema(&self) -> &Schema;
-    /// Whether tuples carry an existence probability.
-    fn probabilistic(&self) -> bool;
-    /// The next tuple, or `None` at exhaustion.
-    fn next_tuple(&mut self) -> Result<Option<StreamedTuple>, DbError>;
 }
 
 /// An in-memory database of named relations.
@@ -723,15 +707,14 @@ impl Database {
             return Err(DbError::InvalidProbability(p));
         }
         let from_row = t.len();
-        let checked = rows
-            .into_iter()
-            .map(|row| t.schema().check_row(row))
-            .collect::<Result<Vec<_>, _>>()?;
-        let appended = checked.len();
+        for row in &rows {
+            t.schema().validate_row(row)?;
+        }
+        let appended = rows.len();
         let Relation::Probabilistic(t) = Arc::make_mut(rel) else {
             unreachable!("variant checked above");
         };
-        for (row, p) in checked.into_iter().zip(&probs) {
+        for (row, p) in rows.into_iter().zip(&probs) {
             t.insert(row, *p)?;
         }
         let synopses = match self.synopses.get(view) {
@@ -931,7 +914,7 @@ impl Database {
     /// long as its `Arc`s live).
     ///
     /// Resident relations win and cost three `Arc` clones; otherwise the
-    /// scan source's lazy stream is filtered leaf by leaf, and only when
+    /// scan source's batch stream is restricted leaf by leaf, and only when
     /// the plan or the source can't stream is the relation materialised
     /// whole. Either way the same strategy executes over the same tuple
     /// representation, so results are bit-identical across media for a
@@ -961,8 +944,8 @@ impl Database {
         Ok((snapshot, Cow::Borrowed(&planned.physical)))
     }
 
-    /// [`Database::scan_input`] over the scan source's lazy tuple stream,
-    /// filtering leaf by leaf instead of materialising the relation
+    /// [`Database::scan_input`] over the scan source's lazy batch stream,
+    /// restricting leaf by leaf instead of materialising the relation
     /// whole. Returns `Ok(None)` when the source can't stream or the plan
     /// needs every tuple anyway, so the caller materialises the relation:
     /// `WITH WORLDS` plans (MC passes over the tuples many times; `EXPLAIN`
@@ -971,18 +954,16 @@ impl Database {
     /// synopses (whose staleness guard compares tuple counts).
     ///
     /// Bit-identity with the materialised path is preserved by applying
-    /// the *same* restrictions in the *same* observable order: `WHERE`
-    /// (and `THRESHOLD`, when the strategy would apply it) run per tuple
-    /// during the stream and are stripped from the plan the strategy
-    /// executes; `TOP` stays with the strategy, which also keeps
-    /// ownership of the deterministic `THRESHOLD`/`TOP` rejection and the
-    /// τ range check.
+    /// the *same* restrictions in the *same* observable order:
+    /// [`scan::restrict_stream`] runs `WHERE` (and `THRESHOLD`) over every
+    /// batch, and both are stripped from the plan the strategy executes;
+    /// `TOP` stays with the strategy, which also keeps ownership of the
+    /// deterministic `THRESHOLD`/`TOP` rejection.
     fn stream_input<'p>(
         &self,
         planned: &'p PlannedQuery,
     ) -> Result<Option<(RelationSnapshot, Cow<'p, PhysicalPlan>)>, DbError> {
         use crate::plan::StrategyKind;
-        use crate::query::eval_conjunction;
 
         if matches!(planned.strategy, StrategyKind::Worlds(_))
             || planned.synopsis_answers_whole_relation()
@@ -1000,7 +981,6 @@ impl Database {
         let Some(mut stream) = source.scan_stream(name)? else {
             return Ok(None);
         };
-        let schema = stream.schema().clone();
         // No synopses (the restricted tuple set no longer matches the
         // cached ones — their staleness guard would reject them anyway)
         // and no shards (layouts describe the unrestricted relation).
@@ -1012,56 +992,19 @@ impl Database {
             };
             Ok(Some((snapshot, plan)))
         };
-
-        if !stream.probabilistic() {
-            if plan.threshold.is_some() || plan.top.is_some() {
-                // The strategy rejects THRESHOLD/TOP on deterministic
-                // relations *before* evaluating any predicate; handing it
-                // an empty relation and the unstripped plan reproduces
-                // that error (and its ordering) without reading a page.
-                let empty = Relation::Deterministic(Table::new(name, schema));
-                return input(empty, Cow::Borrowed(plan));
-            }
-            let mut t = Table::new(name, schema.clone());
-            while let Some((row, _)) = stream.next_tuple()? {
-                if eval_conjunction(&schema, &row, None, &plan.predicate)? {
-                    t.insert(row)?;
-                }
-            }
-            let mut stripped = plan.clone();
-            stripped.predicate = Vec::new();
-            return input(Relation::Deterministic(t), Cow::Owned(stripped));
+        if !stream.probabilistic() && (plan.threshold.is_some() || plan.top.is_some()) {
+            // The strategy rejects THRESHOLD/TOP on deterministic
+            // relations *before* evaluating any predicate; handing it an
+            // empty relation and the unstripped plan reproduces that error
+            // (and its ordering) without reading a page.
+            let empty = Relation::Deterministic(Table::new(name, stream.schema().clone()));
+            return input(empty, Cow::Borrowed(plan));
         }
-
-        // Probabilistic: WHERE and THRESHOLD filter per tuple during the
-        // stream. Predicate errors surface on the first offending tuple
-        // (as in the materialised path, which filters before validating
-        // τ); τ's range check follows at exhaustion, in the same order
-        // restrict_prob_indices checks it.
-        let mut t = ProbTable::new(name, schema.clone());
-        while let Some((row, prob)) = stream.next_tuple()? {
-            let prob = prob.ok_or_else(|| {
-                DbError::Storage(format!("{name}: probabilistic tuple without probability"))
-            })?;
-            if !eval_conjunction(&schema, &row, Some(prob), &plan.predicate)? {
-                continue;
-            }
-            if let Some(tau) = plan.threshold {
-                if !(prob >= tau) {
-                    continue;
-                }
-            }
-            t.insert(row, prob)?;
-        }
-        if let Some(tau) = plan.threshold {
-            if !(0.0..=1.0).contains(&tau) {
-                return Err(DbError::InvalidProbability(tau));
-            }
-        }
+        let relation = scan::restrict_stream(stream.as_mut(), name, plan)?;
         let mut stripped = plan.clone();
         stripped.predicate = Vec::new();
         stripped.threshold = None;
-        input(Relation::Probabilistic(t), Cow::Owned(stripped))
+        input(relation, Cow::Owned(stripped))
     }
 
     /// Plans a `SELECT` and returns its [`ExplainReport`] instead of
@@ -1245,8 +1188,8 @@ mod tests {
             .execute("SELECT room FROM pv ORDER BY prob DESC LIMIT 2")
             .unwrap();
         let rows = out.prob_rows().unwrap();
-        assert_eq!(rows.rows()[0][0], Value::Int(2));
-        assert_eq!(rows.rows()[1][0], Value::Int(3));
+        assert_eq!(rows.row(0)[0], Value::Int(2));
+        assert_eq!(rows.row(1)[0], Value::Int(3));
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! materialises probabilistic views into:
 //!
 //! * [`value`] / [`schema`] — typed cells and relation schemas.
-//! * [`table`] — deterministic [`table::Table`]s and tuple-independent
-//!   [`table::ProbTable`]s (the `prob_view` of the paper's Fig. 1/2).
+//! * [`table`] / [`column`] — deterministic [`table::Table`]s and
+//!   tuple-independent, column-major [`table::ProbTable`]s (the `prob_view`
+//!   of the paper's Fig. 1/2).
+//! * [`scan`] — the one scan operator: every source feeds it borrowed
+//!   column [`scan::Batch`]es, and typed kernels restrict, order, group and
+//!   gather on top of them.
 //! * [`query`] — probabilistic operators: selection, projection with
 //!   probabilistic deduplication, threshold, top-k, event probability,
 //!   expected aggregates.
@@ -59,10 +63,12 @@
 
 pub mod aggregates;
 pub mod catalog;
+pub mod column;
 pub mod error;
 pub mod plan;
 pub mod plan_cache;
 pub mod query;
+pub mod scan;
 pub mod schema;
 pub mod shard;
 pub mod sql;
@@ -72,9 +78,10 @@ pub mod worlds;
 
 pub use aggregates::{sum_distribution_of, SumDistribution};
 pub use catalog::{
-    Database, QueryOutput, Relation, RelationSnapshot, RelationSynopses, ScanSource, StreamedTuple,
-    TupleStream, AUTO_SHARD_MIN_ROWS, DEFAULT_SYNOPSIS_BUCKETS,
+    Database, QueryOutput, Relation, RelationSnapshot, RelationSynopses, ScanSource,
+    AUTO_SHARD_MIN_ROWS, DEFAULT_SYNOPSIS_BUCKETS,
 };
+pub use column::{Column, ColumnSlice};
 pub use error::DbError;
 pub use plan::{
     AggregateResult, EvalStrategy, ExactStrategy, ExplainReport, LogicalPlan, PhysicalPlan,
@@ -82,6 +89,7 @@ pub use plan::{
 };
 pub use plan_cache::PlanCacheStats;
 pub use query::{CmpOp, Comparison, Conjunction};
+pub use scan::{Batch, BatchStream};
 pub use schema::Schema;
 pub use shard::{ColumnBounds, Shard, ShardMap};
 pub use sql::{

@@ -36,7 +36,8 @@
 use crate::aggregates::{count_distribution_of, sum_distribution_of, sum_moments_of};
 use crate::catalog::{QueryOutput, Relation, RelationSynopses, DEFAULT_SYNOPSIS_BUCKETS};
 use crate::error::DbError;
-use crate::query::{eval_conjunction, CmpOp, Conjunction, PROB_PSEUDO_COLUMN};
+use crate::query::{CmpOp, Conjunction};
+use crate::scan::{self, Batch, Groups, Transposed};
 use crate::schema::Schema;
 use crate::shard::ShardMap;
 use crate::sql::{
@@ -44,9 +45,8 @@ use crate::sql::{
     WorldsClause,
 };
 use crate::table::{ProbTable, Table};
-use crate::value::{row_key, Value, ValueKey};
+use crate::value::Value;
 use crate::worlds::{mix_seed, SumEstimate, SumEventSpec, WorldsConfig, WorldsExecutor};
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -258,6 +258,28 @@ pub struct AggregatePlan {
     pub aggregates: Vec<AggExpr>,
     /// Optional `HAVING` event predicate.
     pub having: Option<HavingClause>,
+}
+
+impl PhysicalPlan {
+    /// Every column name the plan reads while restricting, ordering,
+    /// grouping and aggregating — what a row-major source has to transpose
+    /// before the batch kernels can run (projected output columns are
+    /// copied row by row and not listed).
+    pub(crate) fn referenced_columns(&self) -> Vec<&str> {
+        let mut columns: Vec<&str> = self.predicate.iter().map(|c| c.column.as_str()).collect();
+        match &self.action {
+            PhysicalAction::Rows { order_by, .. } => {
+                columns.extend(order_by.iter().map(|(column, _)| column.as_str()));
+            }
+            PhysicalAction::Aggregate(agg) => {
+                columns.extend(agg.window.iter().map(|w| w.column.as_str()));
+                columns.extend(agg.group_by.iter().map(String::as_str));
+                columns.extend(agg.aggregates.iter().filter_map(|a| a.column.as_deref()));
+                columns.extend(agg.having.iter().filter_map(|h| h.agg.column.as_deref()));
+            }
+        }
+        columns
+    }
 }
 
 impl fmt::Display for PhysicalPlan {
@@ -768,44 +790,59 @@ impl EvalStrategy for ExactStrategy {
                         plan.table
                     )));
                 }
+                // `Table` is row-major; the kernels read the columns the
+                // plan references through a transposed copy.
+                let columns = Transposed::of(t, plan.referenced_columns());
+                let batch = columns.batch(t.schema());
                 match &plan.action {
                     PhysicalAction::Rows {
                         columns,
                         order_by,
                         limit,
-                    } => Ok(QueryOutput::Rows(select_deterministic(
-                        t,
-                        &plan.predicate,
-                        columns,
-                        order_by.as_ref(),
-                        *limit,
-                    )?)),
+                    } => {
+                        let mut keep = Vec::new();
+                        scan::select_into(&batch, &plan.predicate, None, &mut keep)?;
+                        let order = scan::order_rows(&batch, keep, order_by.as_ref(), *limit)?;
+                        let (schema, idx) = project(t.schema(), columns)?;
+                        let mut out = Table::new(t.name().to_string(), schema);
+                        for i in order {
+                            out.insert(idx.iter().map(|&c| t.row(i)[c].clone()).collect())?;
+                        }
+                        Ok(QueryOutput::Rows(out))
+                    }
                     PhysicalAction::Aggregate(agg) => Ok(QueryOutput::Aggregate(
-                        aggregate_deterministic(t, &plan.predicate, agg)?,
+                        aggregate_deterministic(&batch, &plan.predicate, agg)?,
                     )),
                 }
             }
-            Relation::Probabilistic(t) => match &plan.action {
-                PhysicalAction::Rows {
-                    columns,
-                    order_by,
-                    limit,
-                } => {
-                    let keep = restrict_prob_indices(t, plan, &self.scan)?;
-                    Ok(QueryOutput::ProbRows(select_probabilistic(
-                        t,
-                        &keep,
+            Relation::Probabilistic(t) => {
+                let keep = scan::restrict(t, plan, &self.scan)?;
+                match &plan.action {
+                    PhysicalAction::Rows {
                         columns,
-                        order_by.as_ref(),
-                        *limit,
-                    )?))
+                        order_by,
+                        limit,
+                    } => {
+                        let order = scan::order_rows(&t.batch(), keep, order_by.as_ref(), *limit)?;
+                        let (schema, idx) = project(t.schema(), columns)?;
+                        Ok(QueryOutput::ProbRows(t.gather(&order, &idx, schema)))
+                    }
+                    PhysicalAction::Aggregate(agg) => {
+                        Ok(QueryOutput::Aggregate(aggregate_exact(t, &keep, agg)?))
+                    }
                 }
-                PhysicalAction::Aggregate(agg) => {
-                    let keep = restrict_prob_indices(t, plan, &self.scan)?;
-                    Ok(QueryOutput::Aggregate(aggregate_exact(t, &keep, agg)?))
-                }
-            },
+            }
         }
+    }
+}
+
+/// The output schema and source column indices of a projection (an empty
+/// list projects every column).
+fn project(schema: &Schema, columns: &[String]) -> Result<(Schema, Vec<usize>), DbError> {
+    if columns.is_empty() {
+        Ok((schema.clone(), (0..schema.arity()).collect()))
+    } else {
+        schema.project(columns)
     }
 }
 
@@ -876,8 +913,8 @@ impl EvalStrategy for WorldsStrategy {
                 for col in columns {
                     t.schema().index_of(col)?;
                 }
-                let keep = restrict_prob_indices(t, plan, &self.scan)?;
-                let probs: Vec<f64> = keep.iter().map(|&i| t.probs()[i]).collect();
+                let keep = scan::restrict(t, plan, &self.scan)?;
+                let probs = scan::gather_probs(t.probs(), &keep);
                 // A single projected *numeric* column additionally requests
                 // the SUM aggregate over that column (the pre-planner
                 // heuristic, kept for compatibility; `SELECT SUM(col) …` is
@@ -885,10 +922,7 @@ impl EvalStrategy for WorldsStrategy {
                 let sum = match columns.as_slice() {
                     [col] => match t.schema().type_of(col)? {
                         crate::value::ColumnType::Text => None,
-                        _ => Some((
-                            col.as_str(),
-                            numeric_column(t.schema(), t.rows(), &keep, col)?,
-                        )),
+                        _ => Some((col.as_str(), scan::gather_f64(&t.batch(), col, &keep)?)),
                     },
                     _ => None,
                 };
@@ -899,7 +933,7 @@ impl EvalStrategy for WorldsStrategy {
                 )))
             }
             PhysicalAction::Aggregate(agg) => {
-                let keep = restrict_prob_indices(t, plan, &self.scan)?;
+                let keep = scan::restrict(t, plan, &self.scan)?;
                 Ok(QueryOutput::Aggregate(
                     self.aggregate_worlds(t, &keep, agg, seed)?,
                 ))
@@ -922,23 +956,20 @@ impl WorldsStrategy {
         seed: u64,
     ) -> Result<AggregateResult, DbError> {
         validate_aggregate_plan(plan)?;
-        let groups = group_rows(
-            t.schema(),
-            t.rows(),
-            keep,
-            plan.window.as_ref(),
-            &plan.group_by,
-        )?;
+        let batch = t.batch();
+        let Groups { rows, groups } =
+            scan::group_rows(&batch, keep, plan.window.as_ref(), &plan.group_by)?;
         let single_group = plan.window.is_none() && plan.group_by.is_empty();
         let mut out = Vec::with_capacity(groups.len());
-        for (gi, (key, indices)) in groups.into_iter().enumerate() {
+        for (gi, (key, members)) in groups.into_iter().enumerate() {
+            let indices = &rows[members];
             let group_seed = if single_group {
                 seed
             } else {
                 mix_seed(seed, gi as u64)
             };
-            let probs: Vec<f64> = indices.iter().map(|&i| t.probs()[i]).collect();
-            let columns = aggregated_columns(plan, t.schema(), t.rows(), &indices)?;
+            let probs = scan::gather_probs(t.probs(), indices);
+            let columns = aggregated_columns(plan, &batch, indices)?;
             let specs: Vec<(&str, &[f64])> = columns
                 .iter()
                 .map(|(&col, values)| (col, values.as_slice()))
@@ -1509,271 +1540,12 @@ fn normal_count_tail(op: CmpOp, k: f64, mean: f64, variance: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Shared physical operators (row pipeline)
-// ---------------------------------------------------------------------------
-
-/// Indices of rows satisfying the conjunction.
-fn filter_rows(
-    schema: &Schema,
-    rows: &[Vec<Value>],
-    probs: Option<&[f64]>,
-    pred: &Conjunction,
-) -> Result<Vec<usize>, DbError> {
-    let mut out = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        let p = probs.map(|ps| ps[i]);
-        if eval_conjunction(schema, row, p, pred)? {
-            out.push(i);
-        }
-    }
-    Ok(out)
-}
-
-/// Shard-parallel [`filter_rows`]: prunable shards are skipped whole,
-/// the rest are filtered concurrently through the fork-join helpers, and
-/// the surviving indices are concatenated **in shard order** — shards are
-/// contiguous ascending index ranges, so the result is bit-identical to
-/// the sequential scan (the first error in row order wins there too:
-/// `try_map_segments` reports the first failing segment in order, and
-/// pruning only fires when the sequential evaluator provably could not
-/// have raised an error inside the pruned shard — see
-/// [`crate::shard::Shard`]).
-fn filter_rows_sharded(
-    t: &ProbTable,
-    plan: &PhysicalPlan,
-    shards: &ShardMap,
-    threads: usize,
-) -> Result<Vec<usize>, DbError> {
-    let schema = t.schema();
-    let segments = tspdb_stats::parallel::try_map_segments(
-        shards.shard_count(),
-        threads,
-        |range: std::ops::Range<usize>| {
-            let mut keep = Vec::new();
-            for shard in &shards.shards()[range] {
-                if shard.is_prunable(schema, plan) {
-                    continue;
-                }
-                for i in shard.rows() {
-                    let p = t.probs()[i];
-                    if eval_conjunction(schema, &t.rows()[i], Some(p), &plan.predicate)? {
-                        keep.push(i);
-                    }
-                }
-            }
-            Ok(keep)
-        },
-    )?;
-    Ok(segments.concat())
-}
-
-/// Indices of the tuples a probabilistic query works on: the `WHERE`
-/// filter, then `THRESHOLD` (minimum probability), then `TOP` (the k most
-/// probable, NaN-free total order, ties to the earlier row, returned in
-/// descending probability). Shared by every strategy so all evaluate the
-/// same sub-relation. When the scan context carries a [`ShardMap`] that
-/// still matches the relation, the filter step prunes and fans out across
-/// shards; `THRESHOLD`/`TOP` always run on the merged index list, so the
-/// result is identical either way.
-pub(crate) fn restrict_prob_indices(
-    t: &ProbTable,
-    plan: &PhysicalPlan,
-    scan: &ScanContext,
-) -> Result<Vec<usize>, DbError> {
-    let shards = scan
-        .shards
-        .as_deref()
-        .filter(|s| s.covers(t) && s.shard_count() > 1);
-    let mut keep = match shards {
-        Some(shards) => filter_rows_sharded(t, plan, shards, scan.threads)?,
-        None => filter_rows(t.schema(), t.rows(), Some(t.probs()), &plan.predicate)?,
-    };
-    if let Some(tau) = plan.threshold {
-        if !(0.0..=1.0).contains(&tau) {
-            return Err(DbError::InvalidProbability(tau));
-        }
-        keep.retain(|&i| t.probs()[i] >= tau);
-    }
-    if let Some(k) = plan.top {
-        crate::query::sort_indices_desc_by_prob(&mut keep, t.probs());
-        keep.truncate(k);
-    }
-    Ok(keep)
-}
-
-/// Ordering key extraction shared by both row paths; `prob` addresses the
-/// tuple probability when one is available.
-fn sort_indices(
-    schema: &Schema,
-    rows: &[Vec<Value>],
-    probs: Option<&[f64]>,
-    order: &(String, bool),
-) -> Result<Vec<usize>, DbError> {
-    let (col, asc) = order;
-    let mut idx: Vec<usize> = (0..rows.len()).collect();
-    if let (PROB_PSEUDO_COLUMN, Some(p)) = (col.as_str(), probs) {
-        idx.sort_by(|&a, &b| {
-            let ord = p[a].partial_cmp(&p[b]).unwrap_or(Ordering::Equal);
-            if *asc {
-                ord.then(a.cmp(&b))
-            } else {
-                ord.reverse().then(a.cmp(&b))
-            }
-        });
-    } else {
-        let c = schema.index_of(col)?;
-        idx.sort_by(|&a, &b| {
-            let ord = rows[a][c].compare(&rows[b][c]).unwrap_or(Ordering::Equal);
-            if *asc {
-                ord.then(a.cmp(&b))
-            } else {
-                ord.reverse().then(a.cmp(&b))
-            }
-        });
-    }
-    Ok(idx)
-}
-
-/// Row-returning execution over a deterministic table.
-fn select_deterministic(
-    t: &Table,
-    pred: &Conjunction,
-    columns: &[String],
-    order_by: Option<&(String, bool)>,
-    limit: Option<usize>,
-) -> Result<Table, DbError> {
-    let filtered = filter_rows(t.schema(), t.rows(), None, pred)?;
-    let rows: Vec<Vec<Value>> = filtered.iter().map(|&i| t.rows()[i].clone()).collect();
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    if let Some(ob) = order_by {
-        order = sort_indices(t.schema(), &rows, None, ob)?;
-    }
-    if let Some(l) = limit {
-        order.truncate(l);
-    }
-    let (schema, idx) = if columns.is_empty() {
-        (
-            t.schema().clone(),
-            (0..t.schema().arity()).collect::<Vec<_>>(),
-        )
-    } else {
-        t.schema().project(columns)?
-    };
-    let mut out = Table::new(t.name().to_string(), schema);
-    for &i in &order {
-        out.insert(idx.iter().map(|&c| rows[i][c].clone()).collect())?;
-    }
-    Ok(out)
-}
-
-/// Row-returning execution over an already-restricted probabilistic
-/// relation.
-fn select_probabilistic(
-    t: &ProbTable,
-    keep: &[usize],
-    columns: &[String],
-    order_by: Option<&(String, bool)>,
-    limit: Option<usize>,
-) -> Result<ProbTable, DbError> {
-    let rows: Vec<Vec<Value>> = keep.iter().map(|&i| t.rows()[i].clone()).collect();
-    let probs: Vec<f64> = keep.iter().map(|&i| t.probs()[i]).collect();
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    if let Some(ob) = order_by {
-        order = sort_indices(t.schema(), &rows, Some(&probs), ob)?;
-    }
-    if let Some(l) = limit {
-        order.truncate(l);
-    }
-    let (schema, idx) = if columns.is_empty() {
-        (
-            t.schema().clone(),
-            (0..t.schema().arity()).collect::<Vec<_>>(),
-        )
-    } else {
-        t.schema().project(columns)?
-    };
-    let mut out = ProbTable::new(t.name().to_string(), schema);
-    for &i in &order {
-        out.insert(idx.iter().map(|&c| rows[i][c].clone()).collect(), probs[i])?;
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
 // Shared physical operators (aggregation)
 // ---------------------------------------------------------------------------
 
-/// One aggregation group: its key values and its member row indices.
-type Group = (Vec<Value>, Vec<usize>);
-
-/// Splits the kept row indices into groups by the optional temporal
-/// window and the `GROUP BY` columns, returned in canonical group-key
-/// order ([`ValueKey`] order — the deterministic order both strategies
-/// and `GROUP BY` output share). A windowed plan keys each group by the
-/// bucket start ([`WindowSpec::bucket_start`], always a float) ahead of
-/// the `GROUP BY` values; no window and an empty `group_by` yield one
-/// global group with an empty key. Works over any relation kind —
-/// callers pass the schema and row storage.
-fn group_rows(
-    schema: &Schema,
-    rows: &[Vec<Value>],
-    keep: &[usize],
-    window: Option<&WindowSpec>,
-    group_by: &[String],
-) -> Result<Vec<Group>, DbError> {
-    if window.is_none() && group_by.is_empty() {
-        return Ok(vec![(Vec::new(), keep.to_vec())]);
-    }
-    let mut idx = Vec::with_capacity(group_by.len());
-    for col in group_by {
-        idx.push(schema.index_of(col)?);
-    }
-    // Per-kept-row bucket starts (windowed plans only), computed once so
-    // the canonical bucket index is derived exactly one way everywhere.
-    let starts: Vec<f64> = match window {
-        Some(w) => {
-            let c = schema.index_of(&w.column)?;
-            keep.iter()
-                .map(|&i| {
-                    let v = rows[i][c].as_f64().ok_or_else(|| DbError::TypeMismatch {
-                        column: w.column.clone(),
-                        expected: crate::value::ColumnType::Float,
-                        got: rows[i][c].column_type(),
-                    })?;
-                    Ok(w.bucket_start(v))
-                })
-                .collect::<Result<_, DbError>>()?
-        }
-        None => Vec::new(),
-    };
-    let mut groups: BTreeMap<Vec<ValueKey<'_>>, Vec<usize>> = BTreeMap::new();
-    for (ki, &i) in keep.iter().enumerate() {
-        let mut key = Vec::with_capacity(idx.len() + usize::from(window.is_some()));
-        if window.is_some() {
-            key.push(ValueKey::Float(starts[ki]));
-        }
-        key.extend(row_key(&rows[i], &idx));
-        groups.entry(key).or_default().push(i);
-    }
-    Ok(groups
-        .into_iter()
-        .map(|(group_key, indices)| {
-            let mut key: Vec<Value> = Vec::with_capacity(group_key.len());
-            if window.is_some() {
-                match group_key[0] {
-                    ValueKey::Float(start) => key.push(Value::Float(start)),
-                    _ => unreachable!("window keys are always floats"),
-                }
-            }
-            key.extend(idx.iter().map(|&c| rows[indices[0]][c].clone()));
-            (key, indices)
-        })
-        .collect())
-}
-
 /// The result's group-column names: the window label (its canonical
 /// `WINDOW(col, width[, origin])` rendering) ahead of the `GROUP BY`
-/// columns — matching the key layout [`group_rows`] produces.
+/// columns — matching the key layout [`scan::group_rows`] produces.
 fn group_columns_of(plan: &AggregatePlan) -> Vec<String> {
     let mut cols = Vec::with_capacity(plan.group_by.len() + usize::from(plan.window.is_some()));
     if let Some(w) = &plan.window {
@@ -1781,27 +1553,6 @@ fn group_columns_of(plan: &AggregatePlan) -> Vec<String> {
     }
     cols.extend(plan.group_by.iter().cloned());
     cols
-}
-
-/// Extracts a numeric column over the given row indices (errors on text
-/// columns, like the exact aggregates do).
-fn numeric_column(
-    schema: &Schema,
-    rows: &[Vec<Value>],
-    indices: &[usize],
-    column: &str,
-) -> Result<Vec<f64>, DbError> {
-    let c = schema.index_of(column)?;
-    indices
-        .iter()
-        .map(|&i| {
-            rows[i][c].as_f64().ok_or_else(|| DbError::TypeMismatch {
-                column: column.to_string(),
-                expected: crate::value::ColumnType::Float,
-                got: rows[i][c].column_type(),
-            })
-        })
-        .collect()
 }
 
 /// Checks the invariants [`Planner::plan`] guarantees for plans it built —
@@ -1878,8 +1629,7 @@ fn validate_having(h: &HavingClause) -> Result<(), DbError> {
 /// instead of three.
 fn aggregated_columns<'a>(
     plan: &'a AggregatePlan,
-    schema: &Schema,
-    rows: &[Vec<Value>],
+    batch: &Batch<'_>,
     indices: &[usize],
 ) -> Result<BTreeMap<&'a str, Vec<f64>>, DbError> {
     let mut columns: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
@@ -1895,7 +1645,7 @@ fn aggregated_columns<'a>(
         .chain(having_sum_column);
     for col in wanted {
         if !columns.contains_key(col) {
-            columns.insert(col, numeric_column(schema, rows, indices, col)?);
+            columns.insert(col, scan::gather_f64(batch, col, indices)?);
         }
     }
     Ok(columns)
@@ -1939,19 +1689,16 @@ fn aggregate_exact(
             .having
             .as_ref()
             .is_some_and(|h| h.agg.func != AggFunc::Sum);
-    let groups = group_rows(
-        t.schema(),
-        t.rows(),
-        keep,
-        plan.window.as_ref(),
-        &plan.group_by,
-    )?;
+    let batch = t.batch();
+    let Groups { rows, groups } =
+        scan::group_rows(&batch, keep, plan.window.as_ref(), &plan.group_by)?;
     let mut out = Vec::with_capacity(groups.len());
-    for (key, indices) in groups {
-        let probs: Vec<f64> = indices.iter().map(|&i| t.probs()[i]).collect();
+    for (key, members) in groups {
+        let indices = &rows[members];
+        let probs = scan::gather_probs(t.probs(), indices);
         let count_mean: f64 = probs.iter().sum();
         let dist = needs_distribution.then(|| count_distribution_of(&probs));
-        let columns = aggregated_columns(plan, t.schema(), t.rows(), &indices)?;
+        let columns = aggregated_columns(plan, &batch, indices)?;
         let values: Vec<AggValue> = plan
             .aggregates
             .iter()
@@ -2025,23 +1772,20 @@ fn aggregate_exact(
 /// groups (every world is the same world, so the event either holds or
 /// does not).
 fn aggregate_deterministic(
-    t: &Table,
+    batch: &Batch<'_>,
     pred: &Conjunction,
     plan: &AggregatePlan,
 ) -> Result<AggregateResult, DbError> {
     validate_aggregate_plan(plan)?;
-    let keep = filter_rows(t.schema(), t.rows(), None, pred)?;
-    let groups = group_rows(
-        t.schema(),
-        t.rows(),
-        &keep,
-        plan.window.as_ref(),
-        &plan.group_by,
-    )?;
+    let mut keep = Vec::new();
+    scan::select_into(batch, pred, None, &mut keep)?;
+    let Groups { rows, groups } =
+        scan::group_rows(batch, &keep, plan.window.as_ref(), &plan.group_by)?;
     let mut out = Vec::new();
-    for (key, indices) in groups {
+    for (key, members) in groups {
+        let indices = &rows[members];
         let count = indices.len() as f64;
-        let columns = aggregated_columns(plan, t.schema(), t.rows(), &indices)?;
+        let columns = aggregated_columns(plan, batch, indices)?;
         // HAVING filters deterministic groups (every world is the same
         // world): the comparand is the group's actual COUNT or SUM.
         if let Some(h) = &plan.having {
@@ -2764,25 +2508,6 @@ mod tests {
     }
 
     #[test]
-    fn group_rows_orders_groups_canonically() {
-        let schema = Schema::of(&[("g", ColumnType::Int)]);
-        let mut v = ProbTable::new("pv", schema);
-        for g in [5, 1, 3, 1, 5] {
-            v.insert(vec![Value::Int(g)], 0.5).unwrap();
-        }
-        let keep: Vec<usize> = (0..v.len()).collect();
-        let groups = group_rows(v.schema(), v.rows(), &keep, None, &["g".to_string()]).unwrap();
-        let keys: Vec<i64> = groups.iter().map(|(k, _)| k[0].as_i64().unwrap()).collect();
-        assert_eq!(keys, vec![1, 3, 5]);
-        assert_eq!(groups[0].1, vec![1, 3]);
-        // Unknown group column errors.
-        assert!(matches!(
-            group_rows(v.schema(), v.rows(), &keep, None, &["nope".to_string()]),
-            Err(DbError::UnknownColumn(_))
-        ));
-    }
-
-    #[test]
     fn predicate_in_plan_display_names_comparisons() {
         let planned = plan_sql("SELECT * FROM pv WHERE room = 2 AND prob >= 0.1");
         let rendered = planned.logical.to_string();
@@ -2810,57 +2535,6 @@ mod tests {
             QueryOutput::Aggregate(a) => a,
             other => panic!("wrong output: {other:?}"),
         }
-    }
-
-    #[test]
-    fn sharded_restriction_is_bit_identical_to_sequential() {
-        let v = synth(103);
-        let statements = [
-            "SELECT t FROM pv",
-            "SELECT t FROM pv WHERE t >= 90",
-            "SELECT t FROM pv WHERE r < 4.0 THRESHOLD 0.5",
-            "SELECT t FROM pv THRESHOLD 0.99",
-            "SELECT t FROM pv WHERE prob >= 0.6 TOP 7",
-            "SELECT t FROM pv WHERE t = 1000",
-            "SELECT t FROM pv WHERE t = 1000 AND bogus = 1",
-        ];
-        for sql in statements {
-            let plan = plan_sql(sql).physical;
-            let flat = restrict_prob_indices(&v, &plan, &ScanContext::default());
-            for shard_count in [2, 3, 8, 64] {
-                let shards = Arc::new(ShardMap::build(&v, "t", shard_count).unwrap());
-                for threads in [1, 4] {
-                    let scan = ScanContext {
-                        threads,
-                        shards: Some(Arc::clone(&shards)),
-                    };
-                    let sharded = restrict_prob_indices(&v, &plan, &scan);
-                    assert_eq!(
-                        format!("{flat:?}"),
-                        format!("{sharded:?}"),
-                        "{sql} @ {shard_count} shards, {threads} threads"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_restriction_reproduces_filter_errors() {
-        // Every row reaches the unresolvable second comparison (t >= 0
-        // always holds), so both paths must raise UnknownColumn — pruning
-        // must not short-circuit the error away.
-        let v = synth(64);
-        let plan = plan_sql("SELECT t FROM pv WHERE t >= 0 AND bogus = 1").physical;
-        let shards = Arc::new(ShardMap::build(&v, "t", 8).unwrap());
-        let scan = ScanContext {
-            threads: 4,
-            shards: Some(shards),
-        };
-        let flat = restrict_prob_indices(&v, &plan, &ScanContext::default()).unwrap_err();
-        let sharded = restrict_prob_indices(&v, &plan, &scan).unwrap_err();
-        assert_eq!(format!("{flat:?}"), format!("{sharded:?}"));
-        assert!(matches!(sharded, DbError::UnknownColumn(_)));
     }
 
     #[test]

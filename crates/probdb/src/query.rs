@@ -8,14 +8,15 @@
 //! aggregates — enough to express the paper's motivating query ("the
 //! probability that Alice could be found in each of the four rooms").
 
+use crate::column::ColumnSlice;
 use crate::error::DbError;
+use crate::scan;
 use crate::schema::Schema;
 use crate::table::ProbTable;
-use crate::value::{row_key, Value, ValueKey};
+use crate::value::{Value, ValueKey};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
-use tspdb_stats::OrdF64;
 
 /// Comparison operator of a simple predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,8 +94,11 @@ pub type Conjunction = Vec<Comparison>;
 /// over probabilistic relations.
 pub const PROB_PSEUDO_COLUMN: &str = "prob";
 
-/// Evaluates a conjunction against a row (with optional tuple probability
-/// for the `prob` pseudo-column).
+/// Evaluates a conjunction against one row (with optional tuple probability
+/// for the `prob` pseudo-column) — the one-row **reference** semantics.
+/// Execution goes through the batch kernel ([`crate::scan`]), which is
+/// property-tested to reproduce this function bit for bit, error order
+/// included.
 pub fn eval_conjunction(
     schema: &Schema,
     row: &[Value],
@@ -115,17 +119,19 @@ pub fn eval_conjunction(
     Ok(true)
 }
 
+/// Indices of the tuples of `table` satisfying the predicate — the batch
+/// kernel over the whole relation, shared by every operator below.
+pub(crate) fn matching_rows(table: &ProbTable, pred: &Conjunction) -> Result<Vec<usize>, DbError> {
+    let mut rows = Vec::new();
+    scan::select_into(&table.batch(), pred, None, &mut rows)?;
+    Ok(rows)
+}
+
 /// Selection over a probabilistic relation: rows keep their probabilities
 /// (conditioning on deterministic attributes does not change tuple
 /// marginals in the tuple-independent model).
 pub fn select_prob(table: &ProbTable, pred: &Conjunction) -> Result<ProbTable, DbError> {
-    let mut out = ProbTable::new(table.name().to_string(), table.schema().clone());
-    for (row, p) in table.iter() {
-        if eval_conjunction(table.schema(), row, Some(p), pred)? {
-            out.insert(row.to_vec(), p)?;
-        }
-    }
-    Ok(out)
+    Ok(table.take(&matching_rows(table, pred)?))
 }
 
 /// Projection with probabilistic duplicate elimination: identical projected
@@ -133,12 +139,14 @@ pub fn select_prob(table: &ProbTable, pred: &Conjunction) -> Result<ProbTable, D
 /// least one contributing tuple exists, by tuple independence).
 pub fn project_prob(table: &ProbTable, columns: &[String]) -> Result<ProbTable, DbError> {
     let (schema, idx) = table.schema().project(columns)?;
+    let projected: Vec<ColumnSlice<'_>> = idx.iter().map(|&c| table.column(c).values()).collect();
     // BTreeMap over the canonical value key keeps output order
     // deterministic without formatting every cell into a string; the
     // projected row is only materialised once per distinct key.
     let mut groups: BTreeMap<Vec<ValueKey<'_>>, (usize, f64)> = BTreeMap::new();
-    for (i, (row, p)) in table.iter().enumerate() {
-        let entry = groups.entry(row_key(row, &idx)).or_insert((i, 1.0));
+    for (i, &p) in table.probs().iter().enumerate() {
+        let key = projected.iter().map(|col| col.key(i)).collect();
+        let entry = groups.entry(key).or_insert((i, 1.0));
         entry.1 *= 1.0 - p; // accumulate absence probability
     }
     // Emit groups in first-appearance order (deterministic, and saner than
@@ -147,8 +155,8 @@ pub fn project_prob(table: &ProbTable, columns: &[String]) -> Result<ProbTable, 
     merged.sort_by_key(|&(i, _)| i);
     let mut out = ProbTable::new(table.name().to_string(), schema);
     for (i, absent) in merged {
-        let projected: Vec<Value> = idx.iter().map(|&c| table.rows()[i][c].clone()).collect();
-        out.insert(projected, (1.0 - absent).clamp(0.0, 1.0))?;
+        let row = projected.iter().map(|col| col.value(i)).collect();
+        out.insert(row, (1.0 - absent).clamp(0.0, 1.0))?;
     }
     Ok(out)
 }
@@ -158,53 +166,24 @@ pub fn threshold(table: &ProbTable, tau: f64) -> Result<ProbTable, DbError> {
     if !(0.0..=1.0).contains(&tau) {
         return Err(DbError::InvalidProbability(tau));
     }
-    let mut out = ProbTable::new(table.name().to_string(), table.schema().clone());
-    for (row, p) in table.iter() {
-        if p >= tau {
-            out.insert(row.to_vec(), p)?;
-        }
-    }
-    Ok(out)
+    let mut rows = Vec::new();
+    scan::select_into(&table.batch(), &Vec::new(), Some(tau), &mut rows)?;
+    Ok(table.take(&rows))
 }
 
-/// Sorts row indices by descending probability, ties broken toward the
-/// earlier row — the single ordering contract shared by [`top_k`] and the
-/// SQL `TOP` clause, so the two cannot drift apart.
-///
-/// The comparison goes through [`tspdb_stats::OrdF64`]'s total order
-/// rather than `partial_cmp().unwrap()`: probabilities are non-NaN by
-/// [`ProbTable`] construction, and the total order keeps that invariant an
-/// explicit (panicking) precondition instead of silently degrading the
-/// sort.
-pub(crate) fn sort_indices_desc_by_prob(indices: &mut [usize], probs: &[f64]) {
-    indices.sort_by(|&a, &b| {
-        OrdF64::new(probs[b])
-            .cmp(&OrdF64::new(probs[a]))
-            .then(a.cmp(&b))
-    });
-}
-
-/// Top-k query: the `k` most probable tuples, ties broken by row order.
+/// Top-k query: the `k` most probable tuples, ties broken by row order
+/// (the ordering contract of the SQL `TOP` clause, [`scan::most_probable`]).
 pub fn top_k(table: &ProbTable, k: usize) -> ProbTable {
-    let mut order: Vec<usize> = (0..table.len()).collect();
-    sort_indices_desc_by_prob(&mut order, table.probs());
-    let mut out = ProbTable::new(table.name().to_string(), table.schema().clone());
-    for &i in order.iter().take(k) {
-        let (row, p) = table.tuple(i);
-        out.insert(row.to_vec(), p)
-            .expect("row came from same schema");
-    }
-    out
+    let rows = scan::most_probable((0..table.len()).collect(), k, table.probs());
+    table.take(&rows)
 }
 
 /// Probability that at least one tuple satisfying the predicate exists:
 /// `1 − Π(1 − p_i)` over matching tuples (tuple independence).
 pub fn event_probability(table: &ProbTable, pred: &Conjunction) -> Result<f64, DbError> {
     let mut absent = 1.0;
-    for (row, p) in table.iter() {
-        if eval_conjunction(table.schema(), row, Some(p), pred)? {
-            absent *= 1.0 - p;
-        }
+    for i in matching_rows(table, pred)? {
+        absent *= 1.0 - table.probs()[i];
     }
     Ok((1.0 - absent).clamp(0.0, 1.0))
 }
@@ -212,17 +191,13 @@ pub fn event_probability(table: &ProbTable, pred: &Conjunction) -> Result<f64, D
 /// Expected sum of a numeric column over a tuple-independent relation:
 /// `Σ p_i · v_i` (linearity of expectation).
 pub fn expected_sum(table: &ProbTable, column: &str) -> Result<f64, DbError> {
-    let c = table.schema().index_of(column)?;
-    let mut acc = 0.0;
-    for (row, p) in table.iter() {
-        let v = row[c].as_f64().ok_or_else(|| DbError::TypeMismatch {
-            column: column.to_string(),
-            expected: crate::value::ColumnType::Float,
-            got: row[c].column_type(),
-        })?;
-        acc += p * v;
-    }
-    Ok(acc)
+    let all: Vec<usize> = (0..table.len()).collect();
+    let values = scan::gather_f64(&table.batch(), column, &all)?;
+    Ok(table
+        .probs()
+        .iter()
+        .zip(values)
+        .fold(0.0, |acc, (p, v)| acc + p * v))
 }
 
 /// For each distinct value of `group_column`, the most probable tuple —
@@ -231,23 +206,21 @@ pub fn most_probable_per_group(
     table: &ProbTable,
     group_column: &str,
 ) -> Result<ProbTable, DbError> {
-    let g = table.schema().index_of(group_column)?;
+    let group = table
+        .column(table.schema().index_of(group_column)?)
+        .values();
     let mut best: BTreeMap<ValueKey<'_>, (usize, f64)> = BTreeMap::new();
-    for (i, (row, p)) in table.iter().enumerate() {
-        match best.get(&row[g].key()) {
+    for (i, &p) in table.probs().iter().enumerate() {
+        match best.get(&group.key(i)) {
             Some(&(_, bp)) if bp >= p => {}
             _ => {
-                best.insert(row[g].key(), (i, p));
+                best.insert(group.key(i), (i, p));
             }
         }
     }
-    let mut out = ProbTable::new(table.name().to_string(), table.schema().clone());
-    let mut picks: Vec<(usize, f64)> = best.into_values().collect();
-    picks.sort_by_key(|&(i, _)| i);
-    for (i, p) in picks {
-        out.insert(table.rows()[i].clone(), p)?;
-    }
-    Ok(out)
+    let mut picks: Vec<usize> = best.into_values().map(|(i, _)| i).collect();
+    picks.sort_unstable();
+    Ok(table.take(&picks))
 }
 
 #[cfg(test)]

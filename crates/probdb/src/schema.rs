@@ -63,26 +63,36 @@ impl Schema {
         Ok(self.columns[self.index_of(name)?].1)
     }
 
-    /// Validates and coerces a row against the schema (ints widen into
-    /// float columns).
-    pub fn check_row(&self, row: Vec<Value>) -> Result<Vec<Value>, DbError> {
+    /// Checks a row against the schema without consuming it: the arity
+    /// matches and every value fits its column (ints fit float columns).
+    pub fn validate_row(&self, row: &[Value]) -> Result<(), DbError> {
         if row.len() != self.arity() {
             return Err(DbError::ArityMismatch {
                 expected: self.arity(),
                 got: row.len(),
             });
         }
-        row.into_iter()
-            .zip(&self.columns)
-            .map(|(v, (name, ty))| {
-                let vt = v.column_type();
-                v.coerce(*ty).ok_or_else(|| DbError::TypeMismatch {
+        for (v, (name, ty)) in row.iter().zip(&self.columns) {
+            if !v.fits(*ty) {
+                return Err(DbError::TypeMismatch {
                     column: name.clone(),
                     expected: *ty,
-                    got: vt,
-                })
-            })
-            .collect()
+                    got: v.column_type(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Validates and coerces a row against the schema (ints widen into
+    /// float columns).
+    pub fn check_row(&self, row: Vec<Value>) -> Result<Vec<Value>, DbError> {
+        self.validate_row(&row)?;
+        Ok(row
+            .into_iter()
+            .zip(&self.columns)
+            .map(|(v, (_, ty))| v.coerce(*ty).expect("validated above"))
+            .collect())
     }
 
     /// Projects this schema onto the named columns (preserving the given

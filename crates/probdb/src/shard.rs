@@ -16,6 +16,7 @@
 //! tuples are materialised in time order — contiguous index ranges *are*
 //! time ranges, which is what makes pruning on the time column effective.
 
+use crate::column::ColumnSlice;
 use crate::error::DbError;
 use crate::plan::PhysicalPlan;
 use crate::query::{CmpOp, Comparison, PROB_PSEUDO_COLUMN};
@@ -199,11 +200,11 @@ impl ShardMap {
             let columns = numeric
                 .iter()
                 .map(|(c, name)| {
-                    let bounds = ColumnBounds::of(
-                        t.rows()[rows.clone()]
-                            .iter()
-                            .filter_map(|row| row[*c].as_f64()),
-                    );
+                    let bounds = match t.column(*c).values().slice(rows.clone()) {
+                        ColumnSlice::Int(v) => ColumnBounds::of(v.iter().map(|&v| v as f64)),
+                        ColumnSlice::Float(v) => ColumnBounds::of(v.iter().copied()),
+                        ColumnSlice::Text(_) => unreachable!("numeric columns only"),
+                    };
                     (name.clone(), bounds)
                 })
                 .collect();

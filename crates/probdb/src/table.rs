@@ -6,7 +6,9 @@
 //! tuple-independent model of Dalvi & Suciu that the Ω-view builder
 //! materialises into, cf. the `prob_view` of Fig. 1/2).
 
+use crate::column::Column;
 use crate::error::DbError;
+use crate::scan::Batch;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
@@ -56,6 +58,17 @@ impl Table {
         Ok(())
     }
 
+    /// Appends the rows of `batch` at the given batch-local positions, in
+    /// that order, transposing them back into rows — how a deterministic
+    /// relation is rebuilt from the column batches of a scan source. The
+    /// batch must carry this table's schema with every column present.
+    pub fn extend_from_batch(&mut self, batch: &Batch<'_>, rows: impl Iterator<Item = usize>) {
+        assert_eq!(batch.schema(), &self.schema, "batch of another relation");
+        let arity = self.schema.arity();
+        self.rows
+            .extend(rows.map(|i| (0..arity).map(|c| batch.values(c).value(i)).collect()));
+    }
+
     /// Borrow of all rows.
     pub fn rows(&self) -> &[Vec<Value>] {
         &self.rows
@@ -99,13 +112,37 @@ impl Table {
     }
 }
 
-/// A tuple-independent probabilistic relation: rows plus per-row existence
-/// probabilities.
+/// A tuple-independent probabilistic relation: typed columns plus per-row
+/// existence probabilities.
+///
+/// Storage is **column-major**: one [`Column`] per schema column beside the
+/// contiguous `probs`, all of the same length. Scans borrow the columns as
+/// one zero-copy [`Batch`] ([`ProbTable::batch`]); a tuple only becomes a
+/// `Vec<Value>` where it leaves the relation one row at a time
+/// ([`ProbTable::row`], [`ProbTable::iter`], rendering).
+///
+/// # Examples
+///
+/// ```
+/// use tspdb_probdb::{ColumnSlice, ColumnType, ProbTable, Schema, Value};
+///
+/// let schema = Schema::of(&[("t", ColumnType::Int), ("room", ColumnType::Int)]);
+/// let mut pv = ProbTable::new("pv", schema);
+/// pv.insert(vec![Value::Int(1), Value::Int(4)], 0.5).unwrap();
+/// pv.insert(vec![Value::Int(2), Value::Int(3)], 0.25).unwrap();
+///
+/// // Column-major: a scan reads typed slices (and knows `t` is ordered)…
+/// assert_eq!(pv.column(1).values(), ColumnSlice::Int(&[4, 3]));
+/// assert!(pv.column(0).is_ascending());
+/// assert_eq!(pv.probs(), &[0.5, 0.25]);
+/// // …and a row is only materialised on request.
+/// assert_eq!(pv.row(1), vec![Value::Int(2), Value::Int(3)]);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbTable {
     name: String,
     schema: Schema,
-    rows: Vec<Vec<Value>>,
+    columns: Vec<Column>,
     probs: Vec<f64>,
 }
 
@@ -114,10 +151,52 @@ impl ProbTable {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         ProbTable {
             name: name.into(),
+            columns: Column::for_schema(&schema, 0),
             schema,
-            rows: Vec::new(),
             probs: Vec::new(),
         }
+    }
+
+    /// Assembles a relation from finished columns — how a decoder builds
+    /// one without going through a `Vec<Value>` per tuple. Upholds the
+    /// same invariants as [`ProbTable::insert`]: one column per schema
+    /// column, of that column's type, every column as long as `probs`, and
+    /// every probability in `[0, 1]`.
+    pub fn from_columns(
+        name: impl Into<String>,
+        schema: Schema,
+        columns: Vec<Column>,
+        probs: Vec<f64>,
+    ) -> Result<Self, DbError> {
+        if columns.len() != schema.arity() {
+            return Err(DbError::ArityMismatch {
+                expected: schema.arity(),
+                got: columns.len(),
+            });
+        }
+        for (c, column) in columns.iter().enumerate() {
+            let (name, ty) = schema.column(c);
+            if column.column_type() != ty {
+                return Err(DbError::TypeMismatch {
+                    column: name.to_string(),
+                    expected: ty,
+                    got: column.column_type(),
+                });
+            }
+            if column.len() != probs.len() {
+                return Err(DbError::ArityMismatch {
+                    expected: probs.len(),
+                    got: column.len(),
+                });
+            }
+        }
+        check_probs(&probs)?;
+        Ok(ProbTable {
+            name: name.into(),
+            schema,
+            columns,
+            probs,
+        })
     }
 
     /// Table name.
@@ -133,46 +212,110 @@ impl ProbTable {
 
     /// Row count.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.probs.len()
     }
 
     /// Whether the relation has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.probs.is_empty()
     }
 
-    /// Appends a row with its existence probability.
+    /// Appends a row with its existence probability (ints widen into float
+    /// columns). A rejected row leaves the relation untouched.
     pub fn insert(&mut self, row: Vec<Value>, prob: f64) -> Result<(), DbError> {
-        if !(0.0..=1.0).contains(&prob) || prob.is_nan() {
-            return Err(DbError::InvalidProbability(prob));
+        check_probs(&[prob])?;
+        self.schema.validate_row(&row)?;
+        for (column, v) in self.columns.iter_mut().zip(row) {
+            column.push(v).expect("row validated above");
         }
-        let row = self.schema.check_row(row)?;
-        self.rows.push(row);
         self.probs.push(prob);
         Ok(())
     }
 
-    /// Borrow of all rows.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
+    /// Appends the rows of `batch` at the given batch-local positions, in
+    /// that order, with their probabilities — the column-wise append the
+    /// scan operator and the storage engine build relations with. The
+    /// batch must carry this relation's schema and probabilities.
+    pub fn extend_from_batch(
+        &mut self,
+        batch: &Batch<'_>,
+        rows: impl Iterator<Item = usize> + Clone,
+    ) -> Result<(), DbError> {
+        assert_eq!(batch.schema(), &self.schema, "batch of another relation");
+        let probs = batch.probs().ok_or_else(|| {
+            DbError::Storage(format!(
+                "{}: probabilistic tuple without probability",
+                self.name
+            ))
+        })?;
+        let from = self.probs.len();
+        self.probs.extend(rows.clone().map(|i| probs[i]));
+        if let Err(e) = check_probs(&self.probs[from..]) {
+            self.probs.truncate(from);
+            return Err(e);
+        }
+        for (c, column) in self.columns.iter_mut().enumerate() {
+            column.extend_gather(batch.values(c), rows.clone());
+        }
+        Ok(())
     }
 
-    /// Borrow of all probabilities (parallel to [`ProbTable::rows`]).
+    /// The rows at `rows` (in that order) projected onto the columns at
+    /// `columns`, as a new relation under `schema` — the gather that builds
+    /// row-returning results.
+    pub(crate) fn gather(&self, rows: &[usize], columns: &[usize], schema: Schema) -> ProbTable {
+        let columns = columns
+            .iter()
+            .map(|&c| {
+                let src = self.columns[c].values();
+                let mut out = Column::with_capacity(src.column_type(), rows.len());
+                out.extend_gather(src, rows.iter().copied());
+                out
+            })
+            .collect();
+        ProbTable {
+            name: self.name.clone(),
+            schema,
+            columns,
+            probs: rows.iter().map(|&i| self.probs[i]).collect(),
+        }
+    }
+
+    /// The rows at `rows` (in that order), all columns.
+    pub(crate) fn take(&self, rows: &[usize]) -> ProbTable {
+        let all: Vec<usize> = (0..self.columns.len()).collect();
+        self.gather(rows, &all, self.schema.clone())
+    }
+
+    /// The whole relation as one borrowed batch (nothing is copied).
+    pub fn batch(&self) -> Batch<'_> {
+        Batch::new(&self.schema, &self.columns, Some(&self.probs), 0)
+    }
+
+    /// Column `c`.
+    pub fn column(&self, c: usize) -> &Column {
+        &self.columns[c]
+    }
+
+    /// Borrow of all probabilities (parallel to the columns).
     pub fn probs(&self) -> &[f64] {
         &self.probs
     }
 
-    /// Row `i` with its probability.
-    pub fn tuple(&self, i: usize) -> (&[Value], f64) {
-        (&self.rows[i], self.probs[i])
+    /// Row `i`, materialised.
+    pub fn row(&self, i: usize) -> Vec<Value> {
+        self.columns.iter().map(|c| c.values().value(i)).collect()
     }
 
-    /// Iterator over `(row, probability)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&[Value], f64)> {
-        self.rows
-            .iter()
-            .map(|r| r.as_slice())
-            .zip(self.probs.iter().copied())
+    /// Row `i`, materialised, with its probability.
+    pub fn tuple(&self, i: usize) -> (Vec<Value>, f64) {
+        (self.row(i), self.probs[i])
+    }
+
+    /// Iterator over materialised `(row, probability)` pairs. Each item
+    /// allocates its row; operators that scan use [`ProbTable::batch`].
+    pub fn iter(&self) -> impl Iterator<Item = (Vec<Value>, f64)> + '_ {
+        (0..self.len()).map(|i| self.tuple(i))
     }
 
     /// Expected number of tuples present in a possible world: `Σ_i p_i`
@@ -185,13 +328,18 @@ impl ProbTable {
     pub fn render(&self, max_rows: usize) -> String {
         render_rows(
             &self.schema,
-            self.rows
-                .iter()
-                .zip(&self.probs)
-                .map(|(r, p)| (r.as_slice(), Some(*p))),
+            self.iter().map(|(r, p)| (r, Some(p))),
             self.len(),
             max_rows,
         )
+    }
+}
+
+/// Rejects probabilities outside `[0, 1]` (NaN included).
+fn check_probs(probs: &[f64]) -> Result<(), DbError> {
+    match probs.iter().find(|p| !(0.0..=1.0).contains(*p)) {
+        Some(&p) => Err(DbError::InvalidProbability(p)),
+        None => Ok(()),
     }
 }
 
@@ -202,15 +350,16 @@ impl fmt::Display for ProbTable {
 }
 
 /// Shared text renderer for both table kinds.
-fn render_rows<'a, I>(schema: &Schema, rows: I, total: usize, max_rows: usize) -> String
+fn render_rows<R, I>(schema: &Schema, rows: I, total: usize, max_rows: usize) -> String
 where
-    I: Iterator<Item = (&'a [Value], Option<f64>)>,
+    R: AsRef<[Value]>,
+    I: Iterator<Item = (R, Option<f64>)>,
 {
     let mut header: Vec<String> = schema.names().map(str::to_string).collect();
     let mut has_prob = false;
     let mut body: Vec<Vec<String>> = Vec::new();
     for (row, prob) in rows.take(max_rows) {
-        let mut cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+        let mut cells: Vec<String> = row.as_ref().iter().map(|v| v.to_string()).collect();
         if let Some(p) = prob {
             has_prob = true;
             cells.push(format!("{p:.4}"));
@@ -302,6 +451,7 @@ mod tests {
         p.insert(vec![Value::Int(1), Value::Int(2)], 0.25).unwrap();
         let (row, prob) = p.tuple(0);
         assert_eq!(row[1], Value::Int(2));
+        assert_eq!(p.column(1).values(), crate::ColumnSlice::Int(&[2]));
         assert_eq!(prob, 0.25);
         assert_eq!(p.iter().count(), 1);
     }

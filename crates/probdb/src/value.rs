@@ -166,13 +166,6 @@ impl Value {
     }
 }
 
-/// The canonical grouping key of a whole row restricted to the given
-/// column indices — the shared key-extraction helper of the dedup and
-/// `GROUP BY` paths (allocates one small `Vec` per row, never a string).
-pub fn row_key<'a>(row: &'a [Value], idx: &[usize]) -> Vec<ValueKey<'a>> {
-    idx.iter().map(|&i| row[i].key()).collect()
-}
-
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -282,13 +275,6 @@ mod tests {
         assert!(Value::Float(9.0).key() < Value::from("0").key());
         // NaN keys are equal to themselves so NaN rows group together.
         assert_eq!(Value::Float(f64::NAN).key(), Value::Float(f64::NAN).key());
-    }
-
-    #[test]
-    fn row_key_projects_in_index_order() {
-        let row = vec![Value::Int(1), Value::from("x"), Value::Float(2.0)];
-        let key = row_key(&row, &[2, 0]);
-        assert_eq!(key, vec![ValueKey::Float(2.0), ValueKey::Int(1)]);
     }
 
     #[test]

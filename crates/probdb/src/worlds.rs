@@ -23,7 +23,8 @@
 //!   a target.
 
 use crate::error::DbError;
-use crate::query::{eval_conjunction, CmpOp, Conjunction};
+use crate::query::{matching_rows, CmpOp, Conjunction};
+use crate::scan;
 use crate::table::{ProbTable, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,7 +39,7 @@ pub fn sample_world<R: Rng + ?Sized>(table: &ProbTable, rng: &mut R) -> Table {
     for (row, p) in table.iter() {
         if rng.gen_bool(p.clamp(0.0, 1.0)) {
             world
-                .insert(row.to_vec())
+                .insert(row)
                 .expect("row satisfied the same schema in the source");
         }
     }
@@ -57,12 +58,7 @@ pub fn mc_event_probability<R: Rng + ?Sized>(
     assert!(worlds > 0, "mc_event_probability: need at least one world");
     // Pre-filter matching tuples once; sampling then only needs their
     // probabilities.
-    let mut match_probs = Vec::new();
-    for (row, p) in table.iter() {
-        if eval_conjunction(table.schema(), row, Some(p), pred)? {
-            match_probs.push(p);
-        }
-    }
+    let match_probs = scan::gather_probs(table.probs(), &matching_rows(table, pred)?);
     let mut hits = 0usize;
     for _ in 0..worlds {
         if match_probs.iter().any(|&p| rng.gen_bool(p.clamp(0.0, 1.0))) {
@@ -82,12 +78,7 @@ pub fn mc_count_distribution<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<f64>, DbError> {
     assert!(worlds > 0, "mc_count_distribution: need at least one world");
-    let mut match_probs = Vec::new();
-    for (row, p) in table.iter() {
-        if eval_conjunction(table.schema(), row, Some(p), pred)? {
-            match_probs.push(p);
-        }
-    }
+    let match_probs = scan::gather_probs(table.probs(), &matching_rows(table, pred)?);
     let mut counts = vec![0usize; match_probs.len() + 1];
     for _ in 0..worlds {
         let k = match_probs
@@ -456,26 +447,15 @@ impl WorldsExecutor {
     ) -> Result<WorldsResult, DbError> {
         // Pre-filter matching tuples once; sampling then touches only their
         // probabilities (and summed values).
-        let mut probs = Vec::new();
-        let mut values = Vec::new();
-        let sum_idx = match sum_column {
-            Some(col) => Some(table.schema().index_of(col)?),
-            None => None,
-        };
-        for (row, p) in table.iter() {
-            if !eval_conjunction(table.schema(), row, Some(p), pred)? {
-                continue;
-            }
-            if let Some(c) = sum_idx {
-                let v = row[c].as_f64().ok_or_else(|| DbError::TypeMismatch {
-                    column: sum_column.expect("sum_idx implies sum_column").to_string(),
-                    expected: crate::value::ColumnType::Float,
-                    got: row[c].column_type(),
-                })?;
-                values.push(v);
-            }
-            probs.push(p);
+        if let Some(col) = sum_column {
+            table.schema().index_of(col)?;
         }
+        let rows = matching_rows(table, pred)?;
+        let probs = scan::gather_probs(table.probs(), &rows);
+        let values = match sum_column {
+            Some(col) => scan::gather_f64(&table.batch(), col, &rows)?,
+            None => Vec::new(),
+        };
         Ok(self.run_domain(&probs, sum_column.map(|col| (col, values.as_slice()))))
     }
 

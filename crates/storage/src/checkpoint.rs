@@ -158,16 +158,18 @@ pub(crate) fn encode_leaves(relation: &Relation, from: usize) -> Result<Vec<Page
     };
     for i in from..n_rows {
         let mut tuple = Writer::new();
+        // Leaves stay row-major (format v2): a probabilistic tuple is its
+        // probability, then one tagged cell per column.
         match relation {
             Relation::Deterministic(t) => {
-                for v in &t.rows()[i] {
+                for v in t.row(i) {
                     tuple.put_value(v);
                 }
             }
             Relation::Probabilistic(t) => {
                 tuple.put_f64(t.probs()[i]);
-                for v in &t.rows()[i] {
-                    tuple.put_value(v);
+                for c in 0..t.schema().arity() {
+                    tuple.put_cell(t.column(c).values(), i);
                 }
             }
         }

@@ -4,13 +4,13 @@
 //! ordered list of leaf page ids — and the **leaf pages** those ids point
 //! at, each holding `count` encoded tuples. [`PageCursor`] walks the
 //! interior chain once up front and then hands out leaves in order;
-//! [`TupleCursor`] decodes tuples out of those leaves one at a time.
+//! [`BatchCursor`] decodes each of those leaves into one column batch.
 //! Both read through the pager, so a warm scan never touches the disk.
 //!
 //! Cursors are generic over *how* they hold the pager: a borrowed
 //! `&Pager` for short scans, or an owned `Arc<Pager>` when the cursor
 //! must outlive the stack frame (the lazy [`crate::RelationStream`] the
-//! query engine pulls tuples through).
+//! query engine pulls batches through).
 
 use crate::codec::Reader;
 use crate::error::StorageError;
@@ -19,7 +19,7 @@ use crate::pager::Pager;
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tspdb_probdb::{Schema, Value};
+use tspdb_probdb::{Batch, Column, Schema};
 
 /// Iterates the leaf pages of one relation, in tuple order.
 #[derive(Debug)]
@@ -72,90 +72,83 @@ impl<P: Borrow<Pager>> PageCursor<P> {
     }
 }
 
-/// One decoded tuple: the row plus its existence probability
-/// (`None` for deterministic relations).
-pub type DecodedTuple = (Vec<Value>, Option<f64>);
-
-/// Decoding position inside the current leaf.
+/// Streams the tuples of one relation a leaf at a time: every
+/// [`BatchCursor::next_batch`] decodes one 4 KiB leaf **straight into
+/// column vectors** (plus the probability vector for probabilistic
+/// relations) and lends them out as a [`Batch`]. The buffers are reused
+/// from leaf to leaf, so a scan allocates per relation, not per tuple.
 #[derive(Debug)]
-struct LeafPos {
-    id: u64,
-    page: Arc<Page>,
-    pos: usize,
-    remaining: u32,
-}
-
-/// Streams the tuples of one relation: `(row, existence probability)` for
-/// probabilistic relations, `(row, None)` for deterministic ones.
-#[derive(Debug)]
-pub struct TupleCursor<P: Borrow<Pager>> {
+pub struct BatchCursor<P: Borrow<Pager>> {
     pages: PageCursor<P>,
     schema: Schema,
     probabilistic: bool,
-    current: Option<LeafPos>,
+    columns: Vec<Column>,
+    probs: Vec<f64>,
+    /// Tuples handed out so far — the global index of the next batch.
+    seen: usize,
 }
 
-impl<P: Borrow<Pager>> TupleCursor<P> {
-    /// A tuple cursor over the relation rooted at `root`.
+impl<P: Borrow<Pager>> BatchCursor<P> {
+    /// A batch cursor over the relation rooted at `root`.
     pub fn new(
         pager: P,
         root: u64,
         schema: Schema,
         probabilistic: bool,
     ) -> Result<Self, StorageError> {
-        Ok(TupleCursor {
+        Ok(BatchCursor {
             pages: PageCursor::new(pager, root)?,
+            columns: Column::for_schema(&schema, 0),
             schema,
             probabilistic,
-            current: None,
+            probs: Vec::new(),
+            seen: 0,
         })
     }
 
-    /// The schema tuples are decoded against.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
+    /// Tuples handed out so far.
+    pub fn seen(&self) -> usize {
+        self.seen
     }
 
-    /// Whether tuples carry an existence probability.
-    pub fn probabilistic(&self) -> bool {
-        self.probabilistic
+    /// Number of leaves not yet decoded.
+    pub fn remaining_leaves(&self) -> usize {
+        self.pages.remaining_leaves()
     }
 
-    /// Decodes the next tuple, or `None` at end of relation.
-    pub fn next_tuple(&mut self) -> Result<Option<DecodedTuple>, StorageError> {
-        let arity = self.schema.arity();
-        let probabilistic = self.probabilistic;
-        loop {
-            if let Some(cur) = &mut self.current {
-                if cur.remaining > 0 {
-                    let page = Arc::clone(&cur.page);
-                    let mut r = Reader::new(&page.payload()[cur.pos..], cur.id);
-                    let prob = if probabilistic {
-                        Some(r.take_f64()?)
-                    } else {
-                        None
-                    };
-                    let mut row = Vec::with_capacity(arity);
-                    for _ in 0..arity {
-                        row.push(r.take_value()?);
-                    }
-                    cur.pos += r.position();
-                    cur.remaining -= 1;
-                    return Ok(Some((row, prob)));
-                }
-                self.current = None;
+    /// Decodes the next leaf, or `None` at end of relation.
+    pub fn next_batch(&mut self) -> Result<Option<Batch<'_>>, StorageError> {
+        let Some((id, page)) = self.pages.next_leaf()? else {
+            return Ok(None);
+        };
+        for column in &mut self.columns {
+            column.clear();
+        }
+        self.probs.clear();
+        let mut r = Reader::new(page.payload(), id);
+        for _ in 0..page.count() {
+            if self.probabilistic {
+                self.probs.push(r.take_f64()?);
             }
-            match self.pages.next_leaf()? {
-                Some((id, page)) => {
-                    self.current = Some(LeafPos {
-                        id,
-                        remaining: page.count(),
-                        page,
-                        pos: 0,
+            for column in &mut self.columns {
+                let tag = r.take_u8()?;
+                let pushed = match tag {
+                    0 => column.push_int(r.take_i64()?),
+                    1 => column.push_float(r.take_f64()?),
+                    2 => column.push_text(r.take_str()?),
+                    _ => false,
+                };
+                if !pushed {
+                    return Err(StorageError::CorruptPage {
+                        page: id,
+                        reason: format!("value tag {tag} in a {} column", column.column_type()),
                     });
                 }
-                None => return Ok(None),
             }
         }
+        let offset = self.seen;
+        self.seen += page.count() as usize;
+        let probs = self.probabilistic.then_some(self.probs.as_slice());
+        Ok(Some(Batch::new(&self.schema, &self.columns, probs, offset)))
     }
 }

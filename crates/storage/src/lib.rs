@@ -58,7 +58,7 @@ pub use wal::{CrashPoint, JournalOp};
 
 use checkpoint::SlotAllocator;
 use codec::Reader;
-use cursor::{DecodedTuple, TupleCursor};
+use cursor::BatchCursor;
 use page::{PageKind, PAGE_SIZE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
@@ -66,7 +66,7 @@ use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use tspdb_probdb::{DbError, ProbTable, Relation, ScanSource, Schema, Table, TupleStream, Value};
+use tspdb_probdb::{Batch, BatchStream, DbError, ProbTable, Relation, ScanSource, Schema, Table};
 
 /// Database file magic.
 pub(crate) const DB_MAGIC: &[u8; 8] = b"TSPDB-DB";
@@ -611,19 +611,15 @@ impl Storage {
         };
         let entry = stream.entry().clone();
         let relation = if entry.probabilistic {
-            let mut t = ProbTable::new(&entry.name, entry.schema.clone());
-            while let Some((row, prob)) = stream.next_tuple()? {
-                let prob = prob.ok_or_else(|| StorageError::CorruptPage {
-                    page: entry.root,
-                    reason: "probabilistic tuple without probability".into(),
-                })?;
-                t.insert(row, prob)?;
+            let mut t = ProbTable::new(&entry.name, entry.schema);
+            while let Some(batch) = stream.next_batch()? {
+                t.extend_from_batch(&batch, 0..batch.len())?;
             }
             Relation::Probabilistic(t)
         } else {
-            let mut t = Table::new(&entry.name, entry.schema.clone());
-            while let Some((row, _)) = stream.next_tuple()? {
-                t.insert(row)?;
+            let mut t = Table::new(&entry.name, entry.schema);
+            while let Some(batch) = stream.next_batch()? {
+                t.extend_from_batch(&batch, 0..batch.len());
             }
             Relation::Deterministic(t)
         };
@@ -685,28 +681,21 @@ impl Storage {
     }
 }
 
-/// A lazy tuple stream over one on-disk relation: decodes one leaf at a
-/// time through the shared page cache, verifying the catalog's recorded
-/// row count at exhaustion. Owns its pager handle, so it can outlive the
-/// [`Storage`] call that opened it.
+/// A lazy batch stream over one on-disk relation: decodes one leaf at a
+/// time through the shared page cache into a column [`Batch`], verifying
+/// the catalog's recorded row count at exhaustion. Owns its pager handle,
+/// so it can outlive the [`Storage`] call that opened it.
 #[derive(Debug)]
 pub struct RelationStream {
-    cursor: TupleCursor<Arc<Pager>>,
+    cursor: BatchCursor<Arc<Pager>>,
     entry: CatalogEntry,
-    seen: u64,
-    done: bool,
 }
 
 impl RelationStream {
     fn new(pager: Arc<Pager>, entry: CatalogEntry) -> Result<RelationStream, StorageError> {
         let cursor =
-            TupleCursor::new(pager, entry.root, entry.schema.clone(), entry.probabilistic)?;
-        Ok(RelationStream {
-            cursor,
-            entry,
-            seen: 0,
-            done: false,
-        })
+            BatchCursor::new(pager, entry.root, entry.schema.clone(), entry.probabilistic)?;
+        Ok(RelationStream { cursor, entry })
     }
 
     /// The streamed relation's catalog entry.
@@ -714,35 +703,25 @@ impl RelationStream {
         &self.entry
     }
 
-    /// Decodes the next tuple, or `None` at end of relation — at which
+    /// Decodes the next leaf, or `None` at end of relation — at which
     /// point the tuples seen must match the catalog's recorded row count.
-    pub fn next_tuple(&mut self) -> Result<Option<DecodedTuple>, StorageError> {
-        if self.done {
-            return Ok(None);
+    pub fn next_batch(&mut self) -> Result<Option<Batch<'_>>, StorageError> {
+        // Checked before the call whose borrow the returned batch holds.
+        if self.cursor.remaining_leaves() == 0 && self.cursor.seen() as u64 != self.entry.rows {
+            return Err(StorageError::CorruptPage {
+                page: self.entry.root,
+                reason: format!(
+                    "catalog records {} rows, leaves hold {}",
+                    self.entry.rows,
+                    self.cursor.seen()
+                ),
+            });
         }
-        match self.cursor.next_tuple()? {
-            Some(t) => {
-                self.seen += 1;
-                Ok(Some(t))
-            }
-            None => {
-                self.done = true;
-                if self.seen != self.entry.rows {
-                    return Err(StorageError::CorruptPage {
-                        page: self.entry.root,
-                        reason: format!(
-                            "catalog records {} rows, leaves hold {}",
-                            self.entry.rows, self.seen
-                        ),
-                    });
-                }
-                Ok(None)
-            }
-        }
+        self.cursor.next_batch()
     }
 }
 
-impl TupleStream for RelationStream {
+impl BatchStream for RelationStream {
     fn schema(&self) -> &Schema {
         &self.entry.schema
     }
@@ -751,8 +730,8 @@ impl TupleStream for RelationStream {
         self.entry.probabilistic
     }
 
-    fn next_tuple(&mut self) -> Result<Option<(Vec<Value>, Option<f64>)>, DbError> {
-        RelationStream::next_tuple(self).map_err(DbError::from)
+    fn next_batch(&mut self) -> Result<Option<Batch<'_>>, DbError> {
+        RelationStream::next_batch(self).map_err(DbError::from)
     }
 }
 
@@ -761,8 +740,8 @@ impl ScanSource for Storage {
         Storage::scan(self, name).map_err(DbError::from)
     }
 
-    fn scan_stream(&self, name: &str) -> Result<Option<Box<dyn TupleStream>>, DbError> {
-        Ok(Storage::scan_stream(self, name)?.map(|s| Box::new(s) as Box<dyn TupleStream>))
+    fn scan_stream(&self, name: &str) -> Result<Option<Box<dyn BatchStream>>, DbError> {
+        Ok(Storage::scan_stream(self, name)?.map(|s| Box::new(s) as Box<dyn BatchStream>))
     }
 
     fn names(&self) -> Vec<String> {
@@ -1304,14 +1283,68 @@ mod tests {
         let mut stream = storage.scan_stream("pv").unwrap().expect("pv on disk");
         assert!(stream.entry().probabilistic);
         let mut n = 0usize;
-        while let Some((row, prob)) = stream.next_tuple().unwrap() {
-            let (want_row, want_p) = table.tuple(n);
-            assert_eq!(prob.expect("probabilistic").to_bits(), want_p.to_bits());
-            assert_eq!(&row, want_row);
-            n += 1;
+        let mut leaves = 0usize;
+        while let Some(batch) = stream.next_batch().unwrap() {
+            assert_eq!(batch.offset(), n, "batches partition the relation in order");
+            let probs = batch.probs().expect("probabilistic");
+            for (i, p) in probs.iter().enumerate() {
+                let (want_row, want_p) = table.tuple(n);
+                assert_eq!(p.to_bits(), want_p.to_bits());
+                let row: Vec<Value> = (0..2).map(|c| batch.values(c).value(i)).collect();
+                assert_eq!(row, want_row);
+                n += 1;
+            }
+            leaves += 1;
         }
         assert_eq!(n, 500);
+        assert!(leaves > 1, "500 tuples span several leaves");
         assert!(storage.scan_stream("nope").unwrap().is_none());
+    }
+
+    #[test]
+    fn data_directory_written_with_the_bytewise_crc_opens_and_verifies() {
+        // `tests/fixtures/bytewise_v2` was written by the build before
+        // slicing-by-8 (byte-at-a-time `crc32`): a checkpoint of `pv` (300
+        // tuples) and `raw` (10 rows), then two WAL records. Every page and
+        // record checksum in it must verify under today's `crc32` — a
+        // mismatch would surface as a corrupt page or a truncated WAL tail.
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bytewise_v2");
+        let dir = TempDir::new();
+        for file in [DB_FILE, WAL_FILE] {
+            std::fs::copy(fixture.join(file), dir.path().join(file)).unwrap();
+        }
+        let image = std::fs::read(dir.path().join(DB_FILE)).unwrap();
+        for (id, page) in image.chunks_exact(PAGE_SIZE).enumerate() {
+            let mut zeroed = page.to_vec();
+            zeroed[4..8].fill(0);
+            let stored = u32::from_be_bytes(page[4..8].try_into().unwrap());
+            assert_eq!(stored, codec::crc32_bytewise(&zeroed), "page {id}");
+            assert_eq!(stored, codec::crc32(&zeroed), "page {id}");
+        }
+
+        let (storage, recovery) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
+        assert_eq!(recovery.checkpoint_relations, 2);
+        assert!(!recovery.truncated_tail, "a WAL record failed its checksum");
+        assert_eq!(
+            recovery.ops,
+            vec![
+                JournalOp::Sql("INSERT INTO raw VALUES (10, 's10')".into()),
+                JournalOp::AppendRows {
+                    table: "raw".into(),
+                    rows: vec![vec![Value::Int(11), Value::Text("s11".into())]],
+                    probs: None,
+                },
+            ]
+        );
+        let Some(Relation::Probabilistic(pv)) = storage.scan("pv").unwrap() else {
+            panic!("pv is a probabilistic relation")
+        };
+        assert_eq!(pv, sample_prob_table("pv", 300));
+        let Some(Relation::Deterministic(raw)) = storage.scan("raw").unwrap() else {
+            panic!("raw is a deterministic relation")
+        };
+        assert_eq!(raw.len(), 10);
+        assert_eq!(raw.row(9), [Value::Int(9), Value::Text("s9".into())]);
     }
 
     #[test]

@@ -22,8 +22,8 @@ use std::time::Duration;
 use tspdb_probdb::plan::{AggValue, AggregateGroup, AggregateResult, ExplainReport};
 use tspdb_probdb::sql::{AggExpr, AggFunc, HavingClause};
 use tspdb_probdb::{
-    CmpOp, ColumnType, DbError, ProbTable, QueryOutput, Schema, SumEstimate, Table, Value,
-    WorldsResult,
+    CmpOp, Column, ColumnSlice, ColumnType, DbError, ProbTable, QueryOutput, Schema, SumEstimate,
+    Table, Value, WorldsResult,
 };
 
 /// Errors surfaced by the wire layer: transport failures and protocol
@@ -524,13 +524,33 @@ impl Wire for Table {
 }
 
 impl Wire for ProbTable {
+    /// The frame is row-major (protocol 1): per tuple, one tagged cell per
+    /// column, then the probability. The relation is column-major, so the
+    /// encoder reads — and the decoder below fills — typed columns
+    /// directly; no `Vec<Value>` is built per tuple on either side.
     fn encode(&self, enc: &mut Encoder) {
         enc.put_str(self.name());
         self.schema().encode(enc);
         enc.put_u32(u32::try_from(self.len()).expect("relation taller than u32::MAX"));
-        for (row, p) in self.iter() {
-            for v in row {
-                v.encode(enc);
+        let columns: Vec<ColumnSlice<'_>> = (0..self.schema().arity())
+            .map(|c| self.column(c).values())
+            .collect();
+        for (i, &p) in self.probs().iter().enumerate() {
+            for column in &columns {
+                match column {
+                    ColumnSlice::Int(v) => {
+                        enc.put_u8(0);
+                        enc.put_i64(v[i]);
+                    }
+                    ColumnSlice::Float(v) => {
+                        enc.put_u8(1);
+                        enc.put_f64(v[i]);
+                    }
+                    ColumnSlice::Text(v) => {
+                        enc.put_u8(2);
+                        enc.put_str(&v[i]);
+                    }
+                }
             }
             enc.put_f64(p);
         }
@@ -540,19 +560,29 @@ impl Wire for ProbTable {
         let name = dec.take_str()?;
         let schema = Schema::decode(dec)?;
         let rows = dec.take_seq_len()?;
-        let arity = schema.arity();
-        let mut table = ProbTable::new(name, schema);
+        let mut columns = Column::for_schema(&schema, rows.min(SEQ_PREALLOC_CAP));
+        let mut probs = seq_buffer(rows);
         for _ in 0..rows {
-            let mut row = seq_buffer(arity);
-            for _ in 0..arity {
-                row.push(Value::decode(dec)?);
+            for (c, column) in columns.iter_mut().enumerate() {
+                let (pushed, got) = match dec.take_u8()? {
+                    0 => (column.push_int(dec.take_i64()?), ColumnType::Int),
+                    1 => (column.push_float(dec.take_f64()?), ColumnType::Float),
+                    2 => (column.push_text(dec.take_str()?), ColumnType::Text),
+                    other => return malformed(format!("unknown value tag {other}")),
+                };
+                if !pushed {
+                    let e = DbError::TypeMismatch {
+                        column: schema.column(c).0.to_string(),
+                        expected: column.column_type(),
+                        got,
+                    };
+                    return malformed(format!("tuple violates its schema: {e}"));
+                }
             }
-            let p = dec.take_f64()?;
-            table
-                .insert(row, p)
-                .or_else(|e| malformed(format!("tuple violates its schema: {e}")))?;
+            probs.push(dec.take_f64()?);
         }
-        Ok(table)
+        ProbTable::from_columns(name, schema, columns, probs)
+            .or_else(|e| malformed(format!("tuple violates its schema: {e}")))
     }
 }
 

@@ -51,7 +51,7 @@ fn sql_selects_answer_fig1_questions() {
         .execute("SELECT room FROM prob_view WHERE time = 1 ORDER BY prob DESC LIMIT 1")
         .unwrap();
     let rows = out.prob_rows().unwrap();
-    assert_eq!(rows.rows()[0][0], Value::Int(1));
+    assert_eq!(rows.row(0)[0], Value::Int(1));
     assert!((rows.probs()[0] - 0.5).abs() < 1e-12);
 
     // "Which placements are at least 30% likely?"
