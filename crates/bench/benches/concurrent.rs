@@ -1,11 +1,12 @@
 //! Read-path scaling benchmarks: the lock-free σ-cache and `SharedEngine`
 //! against Mutex-serialized baselines at 1/2/4/8 threads.
 //!
-//! The old `SharedSigmaCache` took a `Mutex` on every lookup because
+//! The σ-cache once sat behind a `Mutex` on every lookup because
 //! `probability_values` needed `&mut self` to bump the hit/miss counters;
-//! the refactor made lookups `&self` with atomic counters. These benches
-//! measure what that buys: per-lookup latency under contention should stay
-//! flat for the lock-free path and degrade for the Mutex baseline.
+//! lookups now take `&self` with atomic counters, so threads share a plain
+//! `Arc<SigmaCache>`. These benches measure what that buys: per-lookup
+//! latency under contention should stay flat for the lock-free path and
+//! degrade for the Mutex baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Mutex;

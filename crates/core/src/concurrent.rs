@@ -5,12 +5,12 @@
 //! answer probability value generation queries against one cache and run
 //! `SELECT`s against one engine. Both are **lock-free on the read path**:
 //!
-//! * [`SharedSigmaCache`] is a thin `Arc` around [`SigmaCache`], whose
-//!   ladder is immutable and whose hit/miss counters are relaxed atomics —
-//!   lookups take `&self` and no thread ever blocks another. (Earlier
-//!   revisions serialized every lookup behind a `Mutex` just to bump the
-//!   counters; the atomic counters removed the last reason for exclusive
-//!   access.)
+//! * a [`SigmaCache`](crate::sigma_cache::SigmaCache) is shared as a
+//!   plain `Arc<SigmaCache>`: its ladder is immutable and its hit/miss
+//!   counters are relaxed atomics, so lookups take `&self` and no thread
+//!   ever blocks another. (Earlier revisions serialized every lookup
+//!   behind a `Mutex` just to bump the counters; the atomic counters
+//!   removed the last reason for exclusive access.)
 //! * [`SharedEngine`] is the statement executor — SQL in, probabilistic
 //!   views out. It shares one catalog behind an [`RwLock`] and has exactly
 //!   one read path and one write path. Every `SELECT`, whichever entry
@@ -41,8 +41,7 @@
 use crate::builder::{sigma_range, BuiltView, OmegaViewBuilder, ViewBuilderConfig};
 use crate::error::CoreError;
 use crate::metrics::MetricKind;
-use crate::omega::{OmegaSpec, ProbabilityValue};
-use crate::sigma_cache::{CacheStats, SigmaCache, SigmaCacheConfig};
+use crate::omega::OmegaSpec;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
@@ -75,70 +74,6 @@ enum DirtyKind {
     Appended,
     /// The relation was (or may have been) changed beyond an append.
     Rewritten,
-}
-
-/// A cloneable handle to a shared σ-cache.
-///
-/// Clones share the ladder *and* the usage counters. Since
-/// [`SigmaCache::probability_values`] takes `&self`, this wrapper is nothing
-/// but an `Arc` — there is no lock to acquire on any path.
-#[derive(Debug, Clone)]
-pub struct SharedSigmaCache {
-    inner: Arc<SigmaCache>,
-}
-
-impl SharedSigmaCache {
-    /// Builds the underlying cache (same parameters as
-    /// [`SigmaCache::build`]) and wraps it for sharing.
-    pub fn build(
-        min_sigma: f64,
-        max_sigma: f64,
-        omega: OmegaSpec,
-        config: SigmaCacheConfig,
-    ) -> Result<Self, CoreError> {
-        Ok(SharedSigmaCache {
-            inner: Arc::new(SigmaCache::build(min_sigma, max_sigma, omega, config)?),
-        })
-    }
-
-    /// Wraps an already-built cache.
-    pub fn from_cache(cache: SigmaCache) -> Self {
-        SharedSigmaCache {
-            inner: Arc::new(cache),
-        }
-    }
-
-    /// The shared cache itself; [`SigmaCache`]'s whole API is available on
-    /// the reference.
-    pub fn cache(&self) -> &SigmaCache {
-        &self.inner
-    }
-
-    /// Answers the probability value generation query (see
-    /// [`SigmaCache::probability_values`]).
-    pub fn probability_values(&self, r_hat: f64, sigma: f64) -> Vec<ProbabilityValue> {
-        self.inner.probability_values(r_hat, sigma)
-    }
-
-    /// Aggregated usage counters across all threads, read as one snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
-    }
-
-    /// Number of cached distributions.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the ladder is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-    }
 }
 
 /// Build diagnostics of the most recent `CREATE VIEW … AS DENSITY`.
@@ -536,14 +471,15 @@ impl SharedEngine {
     /// The one read path: executes a planned `SELECT` against an immutable
     /// snapshot. The read lock is held only long enough to take the plan's
     /// [`Database::scan_input`] — for a resident relation, clones of the
-    /// `Arc`s of its rung, synopses and shard layout; for an evicted one,
-    /// the leaf-at-a-time filtered stream off disk — and the strategy then
-    /// runs entirely outside the lock while appends land new rungs next to
-    /// it. Any number of threads can be inside this call at once.
+    /// `Arc`s of its rung and synopses; for an evicted one, the
+    /// leaf-at-a-time filtered stream off disk — and the strategy then runs
+    /// entirely outside the lock while appends land new rungs next to it.
+    /// Any number of threads can be inside this call at once.
     ///
-    /// `worlds_threads` overrides the engine-wide `WITH WORLDS` fork-join
-    /// width for this one query (a server session's setting); it never
-    /// changes an answer, only its latency.
+    /// `worlds_threads` overrides the engine-wide fork-join width — of
+    /// `WITH WORLDS` sampling and of the restriction fan-out — for this one
+    /// query (a server session's setting); it never changes an answer,
+    /// only its latency.
     pub fn execute_planned(
         &self,
         planned: &PlannedQuery,
@@ -845,11 +781,11 @@ impl SharedEngine {
         lineage.get(view_name)?.last_maintenance
     }
 
-    /// Sets the fork-join width for `SELECT … WITH WORLDS` queries (`0` =
-    /// one thread per core). The knob is an atomic on the catalog's read
-    /// path, so tuning it takes only the *read* lock and never blocks
-    /// concurrent queries. The width never changes MC estimates, only
-    /// their latency.
+    /// Sets the fork-join width for `SELECT … WITH WORLDS` sampling and for
+    /// the segment fan-out of large restrictions (`0` = one thread per
+    /// core). The knob is an atomic on the catalog's read path, so tuning
+    /// it takes only the *read* lock and never blocks concurrent queries.
+    /// The width never changes an answer, only its latency.
     pub fn set_worlds_threads(&self, threads: usize) {
         self.read().set_worlds_threads(threads);
     }
@@ -1147,18 +1083,20 @@ pub fn time_bounds_from_predicate(
 mod tests {
     use super::*;
     use crate::metrics::MetricConfig;
-    use crate::sigma_cache::direct_probability_values;
+    use crate::sigma_cache::{direct_probability_values, SigmaCache, SigmaCacheConfig};
     use tspdb_probdb::Comparison;
     use tspdb_timeseries::generate::TemperatureGenerator;
 
-    fn shared() -> SharedSigmaCache {
-        SharedSigmaCache::build(
-            0.1,
-            10.0,
-            OmegaSpec::new(0.1, 20).unwrap(),
-            SigmaCacheConfig::default(),
+    fn shared() -> Arc<SigmaCache> {
+        Arc::new(
+            SigmaCache::build(
+                0.1,
+                10.0,
+                OmegaSpec::new(0.1, 20).unwrap(),
+                SigmaCacheConfig::default(),
+            )
+            .unwrap(),
         )
-        .unwrap()
     }
 
     #[test]
@@ -1167,7 +1105,7 @@ mod tests {
         let omega = OmegaSpec::new(0.1, 20).unwrap();
         let handles: Vec<_> = (0..8)
             .map(|worker| {
-                let cache = cache.clone();
+                let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     for i in 0..200 {
                         let sigma = 0.1 + (worker * 200 + i) as f64 * 0.006;
@@ -1194,7 +1132,7 @@ mod tests {
     #[test]
     fn clones_share_state() {
         let cache = shared();
-        let clone = cache.clone();
+        let clone = Arc::clone(&cache);
         clone.probability_values(0.0, 1.0);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.len(), clone.len());

@@ -60,7 +60,7 @@ pub mod svr;
 
 pub use builder::{BuiltView, OmegaViewBuilder, ViewBuilderConfig};
 pub use cgarch::{CGarch, CGarchConfig, CGarchReport};
-pub use concurrent::{Maintenance, MaintenancePath, SharedEngine, SharedSigmaCache};
+pub use concurrent::{Maintenance, MaintenancePath, SharedEngine};
 pub use error::CoreError;
 pub use metrics::{
     ArmaGarch, DynamicDensityMetric, Inference, KalmanGarch, MetricConfig, MetricKind,

@@ -23,7 +23,6 @@ use crate::plan::{AggregateResult, ExplainReport, PhysicalPlan, PlannedQuery, Pl
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::scan::{self, BatchStream};
 use crate::schema::Schema;
-use crate::shard::ShardMap;
 use crate::sql::{parse, SelectStmt, Statement};
 use crate::table::{ProbTable, Table};
 use crate::value::{ColumnType, Value};
@@ -33,15 +32,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use tspdb_stats::synopsis::{merge_sorted_pairs, ProbHistogram};
-
-/// Probabilistic views at or above this tuple count are sharded
-/// automatically on registration (below it, a scan is cheap enough that
-/// fan-out overhead dominates).
-pub const AUTO_SHARD_MIN_ROWS: usize = 32_768;
-
-/// Target tuples per shard when auto-sharding (the shard count is
-/// `len / AUTO_SHARD_TARGET_ROWS`, clamped to `2..=64`).
-pub const AUTO_SHARD_TARGET_ROWS: usize = 8_192;
 
 /// Default bucket count for relation synopses (`WITH SYNOPSIS` without a
 /// `BUCKETS` clause, and the catalog's precomputed histograms).
@@ -220,17 +210,15 @@ pub enum Relation {
 
 /// An immutable, internally-consistent snapshot of one relation and the
 /// derived structures a query strategy consumes — see
-/// [`Database::scan_input`]. All three `Arc`s were taken under the same
-/// catalog borrow, so the synopses and shard layout always describe
-/// exactly the tuples in `relation`.
+/// [`Database::scan_input`]. Both `Arc`s were taken under the same
+/// catalog borrow, so the synopses always describe exactly the tuples in
+/// `relation`.
 #[derive(Debug, Clone)]
 pub struct RelationSnapshot {
     /// The relation rung.
     pub relation: Arc<Relation>,
     /// Precomputed histogram synopses (probabilistic views only).
     pub synopses: Option<Arc<RelationSynopses>>,
-    /// Shard layout (sharded probabilistic views only).
-    pub shards: Option<Arc<ShardMap>>,
 }
 
 impl RelationSnapshot {
@@ -248,7 +236,7 @@ impl RelationSnapshot {
         threads: usize,
     ) -> Result<QueryOutput, DbError> {
         planned
-            .strategy_with_context(threads, self.synopses, self.shards)
+            .strategy_with_context(threads, self.synopses)
             .execute(&self.relation, plan)
     }
 }
@@ -374,18 +362,10 @@ pub struct Database {
     /// the write paths (`&mut self`: view registration and drops), so the
     /// shared read path clones an [`Arc`] snapshot without locking.
     synopses: BTreeMap<String, Arc<RelationSynopses>>,
-    /// Shard layouts of probabilistic views, keyed by relation name.
-    /// Rebuilt whole on every write (like `synopses`), so the shared read
-    /// path clones an [`Arc`] snapshot that always matches the tuples.
-    shards: BTreeMap<String, Arc<ShardMap>>,
-    /// Explicitly-requested shard layouts (`shard_relation`): column +
-    /// count, re-applied whenever the view is re-registered. Auto-sharded
-    /// views have no spec and are re-derived from their size.
-    shard_specs: BTreeMap<String, (String, usize)>,
     /// Catalog (DDL) generation: bumped by every statement that changes
-    /// the *shape* of the catalog — CREATE/DROP, view re-registration,
-    /// shard re-layout. Cached plans are keyed by the generation they were
-    /// planned under and lazily evicted when it moves on.
+    /// the *shape* of the catalog — CREATE/DROP, view re-registration.
+    /// Cached plans are keyed by the generation they were planned under
+    /// and lazily evicted when it moves on.
     generation: AtomicU64,
     /// Data generation: bumped by writes that only add tuples (INSERT and
     /// the batched append paths). Kept separate from the DDL generation so
@@ -397,7 +377,8 @@ pub struct Database {
     /// the concurrent read path (`&self`) can record hits and insert
     /// freshly-planned statements.
     plan_cache: PlanCache,
-    /// Fork-join width for `WITH WORLDS` queries (0 = one thread per core).
+    /// Fork-join width for `WITH WORLDS` sampling and for the segment
+    /// fan-out of large restrictions (0 = one thread per core).
     /// Only wall-clock is affected — MC estimates are bit-identical at
     /// every width. Stored atomically so the knob is tunable from the
     /// shared read path (`&self`) without an exclusive borrow — a server
@@ -411,11 +392,12 @@ impl Database {
         Database::default()
     }
 
-    /// Sets the fork-join width used by `WITH WORLDS` queries (`0` = one
-    /// thread per core). The executor's determinism contract means this
-    /// never changes query results, only their latency — which is why a
-    /// shared borrow suffices: concurrent readers may observe either the
-    /// old or the new width, but their estimates are identical under both.
+    /// Sets the fork-join width used by `WITH WORLDS` sampling and by the
+    /// segment fan-out of large restrictions (`0` = one thread per core).
+    /// The determinism contract of both means this never changes query
+    /// results, only their latency — which is why a shared borrow
+    /// suffices: concurrent readers may observe either the old or the new
+    /// width, but their answers are identical under both.
     pub fn set_worlds_threads(&self, threads: usize) {
         self.worlds_threads.store(threads, Ordering::Relaxed);
     }
@@ -629,8 +611,7 @@ impl Database {
             Arc::new(RelationSynopses::build(&table, DEFAULT_SYNOPSIS_BUCKETS)),
         );
         self.relations
-            .insert(name.clone(), Arc::new(Relation::Probabilistic(table)));
-        self.reshard(&name);
+            .insert(name, Arc::new(Relation::Probabilistic(table)));
         self.bump_generation();
         Ok(())
     }
@@ -675,8 +656,8 @@ impl Database {
     /// incremental Ω-view maintenance lands its suffix through. Validation
     /// is batch-atomic like [`Database::append_rows`]; the view's synopses
     /// absorb the suffix incrementally via
-    /// [`RelationSynopses::append_from`] (bit-identical to a rebuild), the
-    /// shard layout is re-derived, and only the data generation moves.
+    /// [`RelationSynopses::append_from`] (bit-identical to a rebuild) and
+    /// only the data generation moves.
     pub fn append_prob_rows(
         &mut self,
         view: &str,
@@ -722,97 +703,8 @@ impl Database {
             None => RelationSynopses::build(t, DEFAULT_SYNOPSIS_BUCKETS),
         };
         self.synopses.insert(view.to_string(), Arc::new(synopses));
-        self.reshard(view);
         self.bump_data_generation();
         Ok(appended)
-    }
-
-    /// Pins a shard layout for a probabilistic view: `count` contiguous
-    /// shards along `column`, rebuilt automatically whenever the view is
-    /// re-registered by a write. Sharding never changes results — only
-    /// how the scan is restricted (pruned + fanned out) — so the layout
-    /// is a pure performance knob.
-    pub fn shard_relation(
-        &mut self,
-        name: &str,
-        column: &str,
-        count: usize,
-    ) -> Result<(), DbError> {
-        self.ensure_resident(name)?;
-        let map = match self.relations.get(name).map(|r| r.as_ref()) {
-            Some(Relation::Probabilistic(t)) => ShardMap::build(t, column, count)?,
-            Some(Relation::Deterministic(_)) => {
-                return Err(DbError::Unsupported(format!(
-                    "sharding applies to probabilistic views; {name:?} is deterministic"
-                )))
-            }
-            None => return Err(DbError::UnknownTable(name.to_string())),
-        };
-        self.shard_specs
-            .insert(name.to_string(), (column.to_string(), count));
-        self.shards.insert(name.to_string(), Arc::new(map));
-        self.bump_generation();
-        Ok(())
-    }
-
-    /// The shard layout of a probabilistic view (`None` when the view is
-    /// unsharded or unknown). Cloning the [`Arc`] is the whole cost.
-    pub fn shard_map(&self, name: &str) -> Option<Arc<ShardMap>> {
-        self.shards.get(name).cloned()
-    }
-
-    /// Rebuilds (or clears) the shard layout of one relation after a
-    /// write: a pinned spec is re-applied; otherwise large views are
-    /// auto-sharded along their time column and small views stay flat.
-    fn reshard(&mut self, name: &str) {
-        let Some(Relation::Probabilistic(t)) = self.relations.get(name).map(|r| r.as_ref()) else {
-            self.shards.remove(name);
-            return;
-        };
-        if let Some((column, count)) = self.shard_specs.get(name).cloned() {
-            match ShardMap::build(t, &column, count) {
-                Ok(map) => {
-                    self.shards.insert(name.to_string(), Arc::new(map));
-                    return;
-                }
-                Err(_) => {
-                    // The pinned column vanished from the re-created view;
-                    // forget the spec and fall back to auto-sharding.
-                    self.shard_specs.remove(name);
-                }
-            }
-        }
-        match Self::auto_shard(t) {
-            Some(map) => {
-                self.shards.insert(name.to_string(), Arc::new(map));
-            }
-            None => {
-                self.shards.remove(name);
-            }
-        }
-    }
-
-    /// Default layout for large views: shard along `t`/`time` when one of
-    /// those columns is numeric, else the first numeric column; `None`
-    /// below the size floor or when no numeric column exists.
-    fn auto_shard(t: &ProbTable) -> Option<ShardMap> {
-        if t.len() < AUTO_SHARD_MIN_ROWS {
-            return None;
-        }
-        let schema = t.schema();
-        let column = ["t", "time"]
-            .iter()
-            .copied()
-            .find(|c| schema.type_of(c).is_ok_and(|ty| ty != ColumnType::Text))
-            .map(str::to_string)
-            .or_else(|| {
-                (0..schema.arity())
-                    .map(|i| schema.column(i))
-                    .find(|(_, ty)| *ty != ColumnType::Text)
-                    .map(|(n, _)| n.to_string())
-            })?;
-        let count = (t.len() / AUTO_SHARD_TARGET_ROWS).clamp(2, 64);
-        ShardMap::build(t, &column, count).ok()
     }
 
     /// The precomputed synopsis snapshot of a probabilistic view (`None`
@@ -848,8 +740,6 @@ impl Database {
     /// checkpoint rewrites the on-disk file (or the name is re-created).
     pub fn drop_relation(&mut self, name: &str) -> Result<(), DbError> {
         self.synopses.remove(name);
-        self.shards.remove(name);
-        self.shard_specs.remove(name);
         self.dropped.insert(name.to_string());
         self.bump_generation();
         self.relations
@@ -905,15 +795,15 @@ impl Database {
     }
 
     /// Everything `planned` needs in order to execute, as immutable
-    /// snapshots: the relation rung with the matching synopsis and
-    /// shard-layout `Arc`s, plus the physical plan to run over them. This
-    /// is the MVCC read path — take the input under a shared lock, release
-    /// the lock, then [`RelationSnapshot::execute`] it while writers land
-    /// new rungs (appends swap in a new rung rather than mutating the old
-    /// one in place, so the snapshot stays internally consistent for as
-    /// long as its `Arc`s live).
+    /// snapshots: the relation rung with the matching synopsis `Arc`, plus
+    /// the physical plan to run over them. This is the MVCC read path —
+    /// take the input under a shared lock, release the lock, then
+    /// [`RelationSnapshot::execute`] it while writers land new rungs
+    /// (appends swap in a new rung rather than mutating the old one in
+    /// place, so the snapshot stays internally consistent for as long as
+    /// its `Arc`s live).
     ///
-    /// Resident relations win and cost three `Arc` clones; otherwise the
+    /// Resident relations win and cost two `Arc` clones; otherwise the
     /// scan source's batch stream is restricted leaf by leaf, and only when
     /// the plan or the source can't stream is the relation materialised
     /// whole. Either way the same strategy executes over the same tuple
@@ -939,7 +829,6 @@ impl Database {
         let snapshot = RelationSnapshot {
             relation,
             synopses: self.synopses(name),
-            shards: self.shard_map(name),
         };
         Ok((snapshot, Cow::Borrowed(&planned.physical)))
     }
@@ -982,13 +871,11 @@ impl Database {
             return Ok(None);
         };
         // No synopses (the restricted tuple set no longer matches the
-        // cached ones — their staleness guard would reject them anyway)
-        // and no shards (layouts describe the unrestricted relation).
+        // cached ones — their staleness guard would reject them anyway).
         let input = |relation: Relation, plan| {
             let snapshot = RelationSnapshot {
                 relation: Arc::new(relation),
                 synopses: None,
-                shards: None,
             };
             Ok(Some((snapshot, plan)))
         };
@@ -1023,20 +910,11 @@ impl Database {
                     t.len()
                 )
             }
-            Some(Relation::Probabilistic(t)) => match self.shard_map(&planned.physical.table) {
-                Some(map) => format!(
-                    "{}: probabilistic ({} tuples, {} shards by {:?})",
-                    planned.physical.table,
-                    t.len(),
-                    map.shard_count(),
-                    map.column()
-                ),
-                None => format!(
-                    "{}: probabilistic ({} tuples)",
-                    planned.physical.table,
-                    t.len()
-                ),
-            },
+            Some(Relation::Probabilistic(t)) => format!(
+                "{}: probabilistic ({} tuples)",
+                planned.physical.table,
+                t.len()
+            ),
             None if !self.dropped.contains(&planned.physical.table)
                 && self
                     .scan_source
@@ -1068,7 +946,6 @@ impl Database {
                 .strategy_with_context(
                     self.worlds_threads(),
                     self.synopses(&planned.physical.table),
-                    None,
                 )
                 .describe(),
         }))

@@ -5,7 +5,7 @@
 //! materialises probabilistic views into:
 //!
 //! * [`value`] / [`schema`] — typed cells and relation schemas.
-//! * [`table`] / [`column`] — deterministic [`table::Table`]s and
+//! * [`table`] / [`mod@column`] — deterministic [`table::Table`]s and
 //!   tuple-independent, column-major [`table::ProbTable`]s (the `prob_view`
 //!   of the paper's Fig. 1/2).
 //! * [`scan`] — the one scan operator: every source feeds it borrowed
@@ -70,7 +70,6 @@ pub mod plan_cache;
 pub mod query;
 pub mod scan;
 pub mod schema;
-pub mod shard;
 pub mod sql;
 pub mod table;
 pub mod value;
@@ -79,19 +78,18 @@ pub mod worlds;
 pub use aggregates::{sum_distribution_of, SumDistribution};
 pub use catalog::{
     Database, QueryOutput, Relation, RelationSnapshot, RelationSynopses, ScanSource,
-    AUTO_SHARD_MIN_ROWS, DEFAULT_SYNOPSIS_BUCKETS,
+    DEFAULT_SYNOPSIS_BUCKETS,
 };
 pub use column::{Column, ColumnSlice};
 pub use error::DbError;
 pub use plan::{
     AggregateResult, EvalStrategy, ExactStrategy, ExplainReport, LogicalPlan, PhysicalPlan,
-    PlannedQuery, Planner, ScanContext, StrategyKind, SynopsisStrategy, WorldsStrategy,
+    PlannedQuery, Planner, StrategyKind, SynopsisStrategy, WorldsStrategy,
 };
 pub use plan_cache::PlanCacheStats;
 pub use query::{CmpOp, Comparison, Conjunction};
 pub use scan::{Batch, BatchStream};
 pub use schema::Schema;
-pub use shard::{ColumnBounds, Shard, ShardMap};
 pub use sql::{
     parse, AggExpr, AggFunc, DensityViewSpec, HavingClause, SelectItem, SelectStmt, Statement,
     SynopsisClause, WindowSpec, WorldsClause,

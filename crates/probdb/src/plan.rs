@@ -30,7 +30,7 @@
 //!
 //! All strategies evaluate the *same* plans, so every aggregate admits an
 //! exact-vs-MC-vs-synopsis differential test, and every future operator
-//! (joins, windows, sharded scans) becomes a plan node instead of another
+//! (joins, windows, parallel scans) becomes a plan node instead of another
 //! `match` arm in the catalog.
 
 use crate::aggregates::{count_distribution_of, sum_distribution_of, sum_moments_of};
@@ -39,7 +39,6 @@ use crate::error::DbError;
 use crate::query::{CmpOp, Conjunction};
 use crate::scan::{self, Batch, Groups, Transposed};
 use crate::schema::Schema;
-use crate::shard::ShardMap;
 use crate::sql::{
     AggExpr, AggFunc, HavingClause, SelectItem, SelectStmt, SynopsisClause, WindowSpec,
     WorldsClause,
@@ -361,34 +360,27 @@ pub struct PlannedQuery {
 
 impl PlannedQuery {
     /// Instantiates the chosen strategy. `threads` is the fork-join width
-    /// for sampling and shard fan-out (it never changes an answer);
-    /// `synopses` hands the synopsis backend the relation's precomputed
-    /// [`RelationSynopses`] snapshot so it answers in O(B) instead of
-    /// rebuilding histograms per query (`None` builds them on demand);
-    /// `shards` hands every strategy the scanned relation's [`ShardMap`]
-    /// (if the catalog sharded it) so tuple restriction can prune and fan
-    /// out across shards. Sharding is a pure performance knob: the
-    /// shard-ordered reduction keeps every answer bit-identical to
-    /// unsharded execution.
+    /// for sampling and for the segment fan-out of large restrictions (it
+    /// never changes an answer); `synopses` hands the synopsis backend the
+    /// relation's precomputed [`RelationSynopses`] snapshot so it answers
+    /// in O(B) instead of rebuilding histograms per query (`None` builds
+    /// them on demand).
     pub fn strategy_with_context(
         &self,
         threads: usize,
         synopses: Option<Arc<RelationSynopses>>,
-        shards: Option<Arc<ShardMap>>,
     ) -> Box<dyn EvalStrategy> {
-        let scan = ScanContext { threads, shards };
         match &self.strategy {
-            StrategyKind::Exact => Box::new(ExactStrategy { scan }),
+            StrategyKind::Exact => Box::new(ExactStrategy { threads }),
             StrategyKind::Worlds(clause) => Box::new(WorldsStrategy {
                 clause: clause.clone(),
                 threads,
-                scan,
             }),
             StrategyKind::Synopsis(clause) => Box::new(SynopsisStrategy::new(
                 clause.clone(),
                 &self.physical,
                 synopses,
-                scan,
+                threads,
             )),
         }
     }
@@ -403,19 +395,6 @@ impl PlannedQuery {
         matches!(&self.strategy, StrategyKind::Synopsis(_))
             && synopsis_support(&self.physical).is_ok()
     }
-}
-
-/// Catalog-resolved inputs every strategy's scan phase shares: the
-/// fork-join width and the scanned relation's shard layout (if any).
-/// `Default` means "flat sequential scan" — exactly the historical
-/// behaviour, which sharded execution reproduces bit-for-bit.
-#[derive(Debug, Clone, Default)]
-pub struct ScanContext {
-    /// Fork-join width for the shard fan-out (0 = one thread per core);
-    /// affects latency only.
-    pub threads: usize,
-    /// Shard layout of the scanned relation (`None` = unsharded).
-    pub shards: Option<Arc<ShardMap>>,
 }
 
 /// Builds [`PlannedQuery`]s from parsed statements. Stateless — planning
@@ -766,9 +745,9 @@ pub trait EvalStrategy {
 /// Closed-form evaluation over tuple independence.
 #[derive(Debug, Clone, Default)]
 pub struct ExactStrategy {
-    /// Scan-phase context (shard layout + fan-out width). The default is
-    /// a flat sequential scan.
-    pub scan: ScanContext,
+    /// Fork-join width of the restriction fan-out (0 = one thread per
+    /// core); latency only.
+    pub threads: usize,
 }
 
 impl EvalStrategy for ExactStrategy {
@@ -816,7 +795,7 @@ impl EvalStrategy for ExactStrategy {
                 }
             }
             Relation::Probabilistic(t) => {
-                let keep = scan::restrict(t, plan, &self.scan)?;
+                let keep = scan::restrict(t, plan, self.threads)?;
                 match &plan.action {
                     PhysicalAction::Rows {
                         columns,
@@ -856,12 +835,9 @@ fn project(schema: &Schema, columns: &[String]) -> Result<(Schema, Vec<usize>), 
 pub struct WorldsStrategy {
     /// The selecting `WITH WORLDS` clause.
     pub clause: WorldsClause,
-    /// Fork-join width (0 = one thread per core); latency only.
+    /// Fork-join width of sampling and of the restriction fan-out (0 =
+    /// one thread per core); latency only.
     pub threads: usize,
-    /// Scan-phase context (shard layout + fan-out width). Sampling always
-    /// runs once over the merged, shard-ordered domain, so estimates are
-    /// bit-identical with and without shards.
-    pub scan: ScanContext,
 }
 
 impl WorldsStrategy {
@@ -913,7 +889,7 @@ impl EvalStrategy for WorldsStrategy {
                 for col in columns {
                     t.schema().index_of(col)?;
                 }
-                let keep = scan::restrict(t, plan, &self.scan)?;
+                let keep = scan::restrict(t, plan, self.threads)?;
                 let probs = scan::gather_probs(t.probs(), &keep);
                 // A single projected *numeric* column additionally requests
                 // the SUM aggregate over that column (the pre-planner
@@ -933,7 +909,7 @@ impl EvalStrategy for WorldsStrategy {
                 )))
             }
             PhysicalAction::Aggregate(agg) => {
-                let keep = scan::restrict(t, plan, &self.scan)?;
+                let keep = scan::restrict(t, plan, self.threads)?;
                 Ok(QueryOutput::Aggregate(
                     self.aggregate_worlds(t, &keep, agg, seed)?,
                 ))
@@ -1106,34 +1082,33 @@ pub struct SynopsisStrategy {
     synopses: Option<Arc<RelationSynopses>>,
     /// Why this plan shape has no synopsis answer (delegates to exact).
     fallback: Option<DbError>,
-    /// Scan-phase context handed to the exact fallback.
-    scan: ScanContext,
+    /// Fork-join width handed to the exact fallback.
+    threads: usize,
 }
 
 impl SynopsisStrategy {
     /// Builds the strategy for a plan, deciding up front — from the plan
-    /// shape alone — whether it must fall back to exact evaluation. `scan`
-    /// is handed to that fallback, so sharded relations keep their fan-out
-    /// when the synopsis cannot answer.
+    /// shape alone — whether it must fall back to exact evaluation.
+    /// `threads` is handed to that fallback's restriction fan-out.
     pub fn new(
         clause: SynopsisClause,
         plan: &PhysicalPlan,
         synopses: Option<Arc<RelationSynopses>>,
-        scan: ScanContext,
+        threads: usize,
     ) -> Self {
         let fallback = synopsis_support(plan).err();
         SynopsisStrategy {
             clause,
             synopses,
             fallback,
-            scan,
+            threads,
         }
     }
 
-    /// The exact strategy this one falls back to, sharing the scan context.
+    /// The exact strategy this one falls back to, at the same width.
     fn exact(&self) -> ExactStrategy {
         ExactStrategy {
-            scan: self.scan.clone(),
+            threads: self.threads,
         }
     }
 
@@ -1975,7 +1950,7 @@ mod tests {
     fn run(sql: &str, rel: &Relation) -> QueryOutput {
         let planned = plan_sql(sql);
         planned
-            .strategy_with_context(1, None, None)
+            .strategy_with_context(1, None)
             .execute(rel, &planned.physical)
             .unwrap()
     }
@@ -2099,11 +2074,11 @@ mod tests {
                    HAVING COUNT(*) >= 1 WITH WORLDS 40000 SEED 21";
         let planned = plan_sql(sql);
         let one = planned
-            .strategy_with_context(1, None, None)
+            .strategy_with_context(1, None)
             .execute(&rel, &planned.physical)
             .unwrap();
         let eight = planned
-            .strategy_with_context(8, None, None)
+            .strategy_with_context(8, None)
             .execute(&rel, &planned.physical)
             .unwrap();
         let (one, eight) = match (&one, &eight) {
@@ -2170,7 +2145,7 @@ mod tests {
         let rel = Relation::Probabilistic(v);
         let planned = plan_sql("SELECT COUNT(*) FROM pv GROUP BY WINDOW(tag, 2)");
         let err = planned
-            .strategy_with_context(1, None, None)
+            .strategy_with_context(1, None)
             .execute(&rel, &planned.physical)
             .unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }));
@@ -2296,11 +2271,11 @@ mod tests {
                    HAVING COUNT(*) >= 1 WITH WORLDS 40000 SEED 11";
         let planned = plan_sql(sql);
         let one = planned
-            .strategy_with_context(1, None, None)
+            .strategy_with_context(1, None)
             .execute(&rel, &planned.physical)
             .unwrap();
         let eight = planned
-            .strategy_with_context(8, None, None)
+            .strategy_with_context(8, None)
             .execute(&rel, &planned.physical)
             .unwrap();
         let (one, eight) = match (&one, &eight) {
@@ -2372,7 +2347,7 @@ mod tests {
         let rel = Relation::Probabilistic(v);
         let planned = plan_sql("SELECT SUM(tag) FROM pv");
         let err = planned
-            .strategy_with_context(1, None, None)
+            .strategy_with_context(1, None)
             .execute(&rel, &planned.physical)
             .unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }));
@@ -2451,7 +2426,6 @@ mod tests {
                             confidence: None,
                         },
                         threads: 1,
-                        scan: ScanContext::default(),
                     }) as Box<dyn EvalStrategy>,
                     &rel,
                 ),
@@ -2463,7 +2437,7 @@ mod tests {
                         },
                         &physical,
                         None,
-                        ScanContext::default(),
+                        1,
                     )) as Box<dyn EvalStrategy>,
                     &rel,
                 ),
@@ -2497,7 +2471,7 @@ mod tests {
             relation: "pv: probabilistic (6 tuples)".into(),
             logical: planned.logical.to_string(),
             physical: planned.physical.to_string(),
-            strategy: planned.strategy_with_context(0, None, None).describe(),
+            strategy: planned.strategy_with_context(0, None).describe(),
         };
         let text = report.to_string();
         assert!(text.contains("Aggregate [COUNT(*)]"), "{text}");
@@ -2541,14 +2515,11 @@ mod tests {
     fn synopsis_planner_selects_the_strategy() {
         let planned = plan_sql("SELECT COUNT(*) FROM pv WITH SYNOPSIS BUCKETS 8 MAXERROR 0.5");
         assert!(matches!(planned.strategy, StrategyKind::Synopsis(_)));
-        let described = planned.strategy_with_context(0, None, None).describe();
+        let described = planned.strategy_with_context(0, None).describe();
         for part in ["synopsis", "buckets=8", "bands=20", "maxerror=0.5"] {
             assert!(described.contains(part), "{described} missing {part}");
         }
-        assert_eq!(
-            planned.strategy_with_context(0, None, None).name(),
-            "synopsis"
-        );
+        assert_eq!(planned.strategy_with_context(0, None).name(), "synopsis");
     }
 
     #[test]
@@ -2669,14 +2640,14 @@ mod tests {
             ),
         ] {
             let planned = plan_sql(sql);
-            let described = planned.strategy_with_context(0, None, None).describe();
+            let described = planned.strategy_with_context(0, None).describe();
             assert!(
                 described.contains("falls back to exact") && described.contains(reason),
                 "{sql}: {described}"
             );
             // The fallback executes — and reports itself as exact.
             match planned
-                .strategy_with_context(0, None, None)
+                .strategy_with_context(0, None)
                 .execute(&rel, &planned.physical)
                 .unwrap()
             {
@@ -2689,11 +2660,11 @@ mod tests {
         let planned = plan_sql("SELECT COUNT(*) FROM pv THRESHOLD 0.3 WITH SYNOPSIS");
         assert!(
             !planned
-                .strategy_with_context(0, None, None)
+                .strategy_with_context(0, None)
                 .describe()
                 .contains("falls back"),
             "{}",
-            planned.strategy_with_context(0, None, None).describe()
+            planned.strategy_with_context(0, None).describe()
         );
     }
 
@@ -2727,7 +2698,7 @@ mod tests {
         let planned = plan_sql(sql);
         let cached = Arc::new(RelationSynopses::build(&table, 64));
         let out = planned
-            .strategy_with_context(1, Some(cached), None)
+            .strategy_with_context(1, Some(cached))
             .execute(&rel, &planned.physical)
             .unwrap();
         let QueryOutput::Aggregate(c) = out else {

@@ -172,7 +172,7 @@ pub fn threshold(table: &ProbTable, tau: f64) -> Result<ProbTable, DbError> {
 }
 
 /// Top-k query: the `k` most probable tuples, ties broken by row order
-/// (the ordering contract of the SQL `TOP` clause, [`scan::most_probable`]).
+/// (the ordering contract of the SQL `TOP` clause, `scan::most_probable`).
 pub fn top_k(table: &ProbTable, k: usize) -> ProbTable {
     let rows = scan::most_probable((0..table.len()).collect(), k, table.probs());
     table.take(&rows)

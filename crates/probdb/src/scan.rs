@@ -6,18 +6,19 @@
 //! index of the batch's first row:
 //!
 //! * a resident [`ProbTable`] hands out zero-copy slices — the whole
-//!   relation, or one batch per surviving [`ShardMap`] shard fanned over
-//!   the fork-join helpers and concatenated in shard order ([`restrict`]);
+//!   relation, or, for a large restriction, one batch per contiguous
+//!   segment fanned over the fork-join helpers and concatenated in
+//!   segment order (`restrict`);
 //! * an evicted relation decodes one leaf page at a time straight into
-//!   column vectors ([`BatchStream`], consumed by [`restrict_stream`]);
+//!   column vectors ([`BatchStream`], consumed by `restrict_stream`);
 //! * a deterministic [`Table`] — still row-major — is transposed, for the
-//!   columns the plan references only ([`Transposed`]).
+//!   columns the plan references only (`Transposed`).
 //!
 //! On batches sit four kernels: the conjunction → selection kernel
-//! ([`select_into`]), `ORDER BY … LIMIT` / `TOP` selection over indices
-//! ([`order_rows`], [`smallest_k`]), window / `GROUP BY` grouping
-//! ([`group_rows`]) and the column-wise gathers ([`gather_f64`],
-//! [`gather_probs`], `ProbTable::gather`).
+//! (`select_into`), `ORDER BY … LIMIT` / `TOP` selection over indices
+//! (`order_rows`, `smallest_k`), window / `GROUP BY` grouping
+//! (`group_rows`) and the column-wise gathers (`gather_f64`,
+//! `gather_probs`, `ProbTable::gather`).
 //!
 //! The kernels reproduce the one-row reference
 //! [`crate::query::eval_conjunction`] — and with it [`Value::compare`] —
@@ -29,10 +30,9 @@
 use crate::catalog::Relation;
 use crate::column::{Column, ColumnSlice};
 use crate::error::DbError;
-use crate::plan::{PhysicalPlan, ScanContext};
-use crate::query::{CmpOp, Comparison, Conjunction, PROB_PSEUDO_COLUMN};
+use crate::plan::PhysicalPlan;
+use crate::query::{CmpOp, Comparison, PROB_PSEUDO_COLUMN};
 use crate::schema::Schema;
-use crate::shard::Shard;
 use crate::sql::WindowSpec;
 use crate::table::{ProbTable, Table};
 use crate::value::{ColumnType, Value};
@@ -41,10 +41,11 @@ use std::cmp::Ordering;
 use std::ops::Range;
 use tspdb_stats::parallel::try_map_segments;
 
-/// Shard fan-out only pays for itself above this many surviving rows: a
-/// comparison loop runs at about a row per nanosecond, a thread spawn
-/// costs tens of microseconds. Below the floor the surviving shards are
-/// scanned on the calling thread (same batches, same order, same result).
+/// Segment fan-out only pays for itself above this many rows left to
+/// compare: a comparison loop runs at about a row per nanosecond, a thread
+/// spawn costs tens of microseconds. Below the floor the rows are
+/// restricted as one batch on the calling thread (same kernel, same
+/// result).
 const FAN_OUT_MIN_ROWS: usize = 65_536;
 
 /// A borrowed run of consecutive rows of one relation, column-major.
@@ -177,6 +178,15 @@ impl<'a> Batch<'a> {
             _ => self.column(name),
         }
     }
+
+    /// Whether `cmp` is a binary search here: a range operator with a
+    /// numeric literal on a column known to be ascending (so, over a span,
+    /// [`compare`] keeps a span).
+    fn searches(&self, cmp: &Comparison) -> bool {
+        cmp.op != CmpOp::Ne
+            && cmp.value.as_f64().is_some()
+            && self.addressed(&cmp.column).is_ok_and(|c| c.ascending)
+    }
 }
 
 /// A pull-based stream of [`Batch`]es over one relation, yielded by
@@ -243,7 +253,7 @@ impl Selection {
 /// conjunct, as in the row-at-a-time reference.
 fn select(
     batch: &Batch<'_>,
-    pred: &Conjunction,
+    pred: &[Comparison],
     threshold: Option<f64>,
 ) -> Result<Selection, DbError> {
     let mut sel = Selection::Span(0..batch.len());
@@ -262,7 +272,7 @@ fn select(
 /// [`select`], appending the survivors' **global** row indices to `out`.
 pub(crate) fn select_into(
     batch: &Batch<'_>,
-    pred: &Conjunction,
+    pred: &[Comparison],
     threshold: Option<f64>,
     out: &mut Vec<usize>,
 ) -> Result<(), DbError> {
@@ -349,60 +359,68 @@ fn numeric<T: Copy>(
 /// descending probability). Shared by every strategy so all evaluate the
 /// same sub-relation.
 ///
-/// When the scan context carries a [`crate::ShardMap`] that still matches
-/// the relation, shards whose bounds cannot intersect the restriction are
-/// skipped whole and the rest are scanned as one batch each — concurrently
-/// above `FAN_OUT_MIN_ROWS` surviving rows — with the survivors
-/// concatenated **in shard order**. Shards are contiguous ascending index
-/// ranges, so the result is bit-identical to the unsharded scan, errors
-/// included: pruning only fires where the sequential evaluator provably
-/// could not have raised one (see [`Shard`]), and every batch raises the
-/// same error if it raises one at all.
+/// Leading range conjuncts on an ascending column are binary searches and
+/// run on the calling thread; when per-row work is left over at least
+/// `FAN_OUT_MIN_ROWS` of the rows they keep, those rows are split into
+/// `threads` contiguous segments restricted concurrently (see
+/// [`select_relation`]). Everything else — a selective time window, an
+/// unrestricted plan — runs as one batch.
 pub(crate) fn restrict(
     t: &ProbTable,
     plan: &PhysicalPlan,
-    scan: &ScanContext,
+    threads: usize,
 ) -> Result<Vec<usize>, DbError> {
-    let whole = t.batch();
-    let restricted = !plan.predicate.is_empty() || plan.threshold.is_some();
-    let shards = scan
-        .shards
-        .as_deref()
-        .filter(|s| restricted && s.covers(t) && s.shard_count() > 1);
-    let mut keep = Vec::new();
-    match shards {
-        None => select_into(&whole, &plan.predicate, plan.threshold, &mut keep)?,
-        Some(shards) => {
-            let live: Vec<&Shard> = shards
-                .shards()
-                .iter()
-                .filter(|s| !s.is_prunable(t.schema(), plan))
-                .collect();
-            let rows: usize = live.iter().map(|s| s.rows().len()).sum();
-            let threads = if rows < FAN_OUT_MIN_ROWS {
-                1
-            } else {
-                scan.threads
-            };
-            let mut segments = try_map_segments(live.len(), threads, |range: Range<usize>| {
-                let mut keep = Vec::new();
-                for shard in &live[range] {
-                    let batch = whole.slice(shard.rows());
-                    select_into(&batch, &plan.predicate, plan.threshold, &mut keep)?;
-                }
-                Ok(keep)
-            })?;
-            keep = match segments.len() {
-                1 => segments.pop().expect("one segment"),
-                _ => segments.concat(),
-            };
-        }
-    }
+    let mut keep = select_relation(t, plan, threads, FAN_OUT_MIN_ROWS)?;
     check_threshold(plan)?;
     if let Some(k) = plan.top {
         keep = most_probable(keep, k, t.probs());
     }
     Ok(keep)
+}
+
+/// `WHERE` and `THRESHOLD` over `t`. The leading conjuncts that are binary
+/// searches narrow the whole relation to one span; the rest run over that
+/// span split into `segments` contiguous ascending index ranges (0 = one
+/// per core) once it holds at least `min_rows` rows, and one batch
+/// otherwise, with the survivors concatenated **in segment order**. That
+/// is the sequence of conjuncts [`select`] runs over one whole batch, so
+/// the result is bit-identical at every width — errors included: the only
+/// error a batch raises is an unknown column, and a segment raises it
+/// exactly when one of its rows reaches that conjunct.
+fn select_relation(
+    t: &ProbTable,
+    plan: &PhysicalPlan,
+    segments: usize,
+    min_rows: usize,
+) -> Result<Vec<usize>, DbError> {
+    let whole = t.batch();
+    let mut span = 0..t.len();
+    let mut rest = plan.predicate.as_slice();
+    while let Some((cmp, tail)) = rest.split_first() {
+        if span.is_empty() || !whole.searches(cmp) {
+            break;
+        }
+        let Selection::Span(kept) = compare(&whole, Selection::Span(span), cmp)? else {
+            unreachable!("a binary search keeps a span");
+        };
+        (span, rest) = (kept, tail);
+    }
+    let narrowed = whole.slice(span);
+    let scans = !rest.is_empty() || plan.threshold.is_some();
+    let segments = if scans && narrowed.len() >= min_rows {
+        segments
+    } else {
+        1
+    };
+    let mut parts = try_map_segments(narrowed.len(), segments, |rows: Range<usize>| {
+        let (batch, mut keep) = (narrowed.slice(rows), Vec::new());
+        select_into(&batch, rest, plan.threshold, &mut keep)?;
+        Ok(keep)
+    })?;
+    Ok(match parts.len() {
+        1 => parts.pop().expect("one segment"),
+        _ => parts.concat(),
+    })
 }
 
 /// The `k` most probable of `rows`, in descending probability with ties to

@@ -1,17 +1,17 @@
 //! The batch kernels against their row-at-a-time references.
 //!
 //! One harness ([`everywhere`]) runs a restriction through every way the
-//! scan operator can be fed — resident and unsharded, resident under 2, 7
-//! and 64 shards at fork-join widths 1 and 4, and the evicted batch stream
-//! both directly and behind a [`Database`] — and holds each to the
-//! one-row reference [`eval_conjunction`]; the remaining tests pin the
-//! selection and grouping kernels to "sort everything, then look".
+//! scan operator can be fed — resident as one batch, resident narrowed by
+//! binary search and split into 1, 2, 7 and 64 concurrently restricted
+//! segments, and the evicted batch stream both directly and behind a
+//! [`Database`] — and holds each to the one-row reference
+//! [`eval_conjunction`]; the remaining tests pin the selection and grouping
+//! kernels to "sort everything, then look".
 
 use super::*;
 use crate::catalog::{Database, QueryOutput, ScanSource};
 use crate::plan::{LogicalPlan, PhysicalAction, PlannedQuery, StrategyKind};
-use crate::query::{eval_conjunction, Comparison};
-use crate::shard::ShardMap;
+use crate::query::{eval_conjunction, Comparison, Conjunction};
 use crate::value::ValueKey;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -211,29 +211,24 @@ fn shown<T: std::fmt::Debug>(x: &T) -> String {
 }
 
 /// Runs `plan`'s restriction over `t` through every scan source and
-/// layout and holds each to the row-at-a-time reference.
+/// segment width and holds each to the row-at-a-time reference.
 fn everywhere(t: &ProbTable, plan: &PhysicalPlan) {
     let want = reference(t, plan);
     let want_rows = want.as_ref().map(|keep| t.take(keep)).map_err(Clone::clone);
 
     assert_eq!(
-        shown(&restrict(t, plan, &ScanContext::default())),
+        shown(&restrict(t, plan, 4)),
         shown(&want),
-        "resident, unsharded: {plan}"
+        "resident, one batch: {plan}"
     );
-    for shard_count in [2, 7, 64] {
-        let shards = Arc::new(ShardMap::build(t, "t", shard_count).unwrap());
-        for threads in [1, 4] {
-            let scan = ScanContext {
-                threads,
-                shards: Some(Arc::clone(&shards)),
-            };
-            assert_eq!(
-                shown(&restrict(t, plan, &scan)),
-                shown(&want),
-                "{shard_count} shards, {threads} threads: {plan}"
-            );
-        }
+    // The fan-out with its size floor at zero: the survivors, and the
+    // first error, come back in index order at every width.
+    for segments in [1, 2, 7, 64] {
+        assert_eq!(
+            shown(&select_relation(t, plan, segments, 0)),
+            shown(&want),
+            "{segments} segments: {plan}"
+        );
     }
     for chunk in [1, 5, 1000] {
         let source = Chunked {
@@ -251,8 +246,8 @@ fn everywhere(t: &ProbTable, plan: &PhysicalPlan) {
         );
     }
 
-    // The same through the catalog: a sharded resident relation and an
-    // evicted one served by the stream.
+    // The same through the catalog: a resident relation and an evicted
+    // one served by the stream.
     let planned = PlannedQuery {
         logical: LogicalPlan::Scan { table: "v".into() },
         physical: plan.clone(),
@@ -261,9 +256,6 @@ fn everywhere(t: &ProbTable, plan: &PhysicalPlan) {
     let want_output = want_rows.map(QueryOutput::ProbRows);
     let mut resident = Database::new();
     resident.register_prob_table(t.clone()).unwrap();
-    if !t.is_empty() {
-        resident.shard_relation("v", "t", 7).unwrap();
-    }
     let mut evicted = Database::new();
     evicted.attach_scan_source(Arc::new(Chunked {
         relation: t.clone(),
@@ -327,7 +319,7 @@ fn special_values_compare_like_value_compare() {
             for lit in 0..literal_pool().len() {
                 let plan = plan_of(conjunction_of(&[(column, op, lit)]), None);
                 assert_eq!(
-                    shown(&restrict(&table, &plan, &ScanContext::default())),
+                    shown(&restrict(&table, &plan, 1)),
                     shown(&reference(&table, &plan)),
                     "{:?}",
                     plan.predicate
@@ -356,7 +348,7 @@ fn an_unknown_column_errors_only_when_a_row_reaches_it() {
     for (predicate, errors) in [(unreached, false), (reached, true)] {
         let plan = plan_of(predicate, Some(0.25));
         everywhere(&table, &plan);
-        let got = restrict(&table, &plan, &ScanContext::default());
+        let got = restrict(&table, &plan, 1);
         match got {
             Err(DbError::UnknownColumn(c)) => assert!(errors && c == "nope"),
             other => assert!(!errors, "{other:?}"),
@@ -432,7 +424,7 @@ proptest! {
         // keep" and "lower row index" come apart.
         let mut plan = plan_of(Vec::new(), None);
         plan.top = [None, Some(0), Some(4), Some(n + 1)][top];
-        let keep = restrict(&table, &plan, &ScanContext::default()).unwrap();
+        let keep = restrict(&table, &plan, 1).unwrap();
         let all: Vec<usize> = (0..n).collect();
         let mut by_prob = all.clone();
         by_prob.sort_by(|&a, &b| table.probs()[b].total_cmp(&table.probs()[a]));

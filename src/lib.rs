@@ -52,7 +52,7 @@ pub use tspdb_timeseries as timeseries;
 
 pub use tspdb_core::{
     CoreError, DynamicDensityMetric, Inference, MetricConfig, MetricKind, OmegaSpec, SharedEngine,
-    SharedSigmaCache, SigmaCache, SigmaCacheConfig, ViewBuilderConfig,
+    SigmaCache, SigmaCacheConfig, ViewBuilderConfig,
 };
 pub use tspdb_probdb::{Database, DbError, ProbTable, QueryOutput, Table, Value};
 pub use tspdb_timeseries::TimeSeries;

@@ -5,10 +5,11 @@
 //! identical.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use tspdb::core::builder::OmegaViewBuilder;
 use tspdb::core::OmegaSpec;
 use tspdb::timeseries::generate::TemperatureGenerator;
-use tspdb::{MetricConfig, SharedEngine, SharedSigmaCache, SigmaCacheConfig, ViewBuilderConfig};
+use tspdb::{MetricConfig, SharedEngine, SigmaCache, SigmaCacheConfig, ViewBuilderConfig};
 
 fn config() -> ViewBuilderConfig {
     ViewBuilderConfig {
@@ -94,16 +95,18 @@ fn eight_threads_of_selects_match_single_threaded_engine() {
 
 #[test]
 fn shared_sigma_cache_stats_are_exact_under_contention() {
-    let cache = SharedSigmaCache::build(
-        0.1,
-        10.0,
-        OmegaSpec::new(0.1, 20).unwrap(),
-        SigmaCacheConfig::default(),
-    )
-    .unwrap();
+    let cache = Arc::new(
+        SigmaCache::build(
+            0.1,
+            10.0,
+            OmegaSpec::new(0.1, 20).unwrap(),
+            SigmaCacheConfig::default(),
+        )
+        .unwrap(),
+    );
     std::thread::scope(|s| {
         for worker in 0..8 {
-            let cache = cache.clone();
+            let cache = Arc::clone(&cache);
             s.spawn(move || {
                 for i in 0..500 {
                     // Odd workers probe out of range half the time to

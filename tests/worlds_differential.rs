@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use tspdb::probdb::aggregates::{count_distribution, count_moments};
 use tspdb::probdb::query::{event_probability, expected_sum, CmpOp, Comparison};
 use tspdb::probdb::{
-    ColumnType, ProbTable, Schema, Value, WorldsConfig, WorldsExecutor, WorldsResult,
+    Column, ColumnType, ProbTable, Schema, Value, WorldsConfig, WorldsExecutor, WorldsResult,
 };
 
 const WORLDS: usize = 30_000;
@@ -748,125 +748,99 @@ fn synopsis_answers_contain_exact_and_are_bit_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// Time-sharded scans: sharding is invisible in every answer
+// Parallel scans: the restriction fan-out is invisible in every answer
 // ---------------------------------------------------------------------------
 
-/// Fresh database over `probs`, with the relation sharded on `layout`
-/// (`None` = unsharded baseline).
-fn sharded_db(probs: &[f64], layout: Option<(&str, usize)>) -> tspdb::Database {
-    let mut db = tspdb::Database::new();
-    db.register_prob_table(table_from(probs)).unwrap();
-    if let Some((column, count)) = layout {
-        db.shard_relation("v", column, count).unwrap();
-        let map = db.shard_map("v").expect("layout was just installed");
-        // `build` clamps to one-tuple shards when the relation is small.
-        assert_eq!(
-            map.shard_count(),
-            count.min(probs.len()).max(1),
-            "requested layout must stick"
-        );
+/// A 70 000-tuple `(t, room, reading)` relation — above the size at which
+/// a restricted scan fans out over contiguous segments — built column by
+/// column: `t` ascending, rooms cycling 0..4, readings and probabilities
+/// scrambled by the row index.
+fn fan_out_table() -> ProbTable {
+    const N: i64 = 70_000;
+    let schema = Schema::of(&[
+        ("t", ColumnType::Int),
+        ("room", ColumnType::Int),
+        ("reading", ColumnType::Float),
+    ]);
+    let mut columns = Column::for_schema(&schema, N as usize);
+    let mut probs = Vec::with_capacity(N as usize);
+    for i in 0..N {
+        assert!(columns[0].push_int(i));
+        assert!(columns[1].push_int(i % 4));
+        assert!(columns[2].push_float(((i * 37) % 997) as f64 * 0.01 - 2.0));
+        probs.push(((i * 7919) % 1000) as f64 / 1000.0);
     }
+    ProbTable::from_columns("v", schema, columns, probs).unwrap()
+}
+
+/// Fresh database over [`fan_out_table`].
+fn fan_out_db() -> tspdb::Database {
+    let mut db = tspdb::Database::new();
+    db.register_prob_table(fan_out_table()).unwrap();
     db
+}
+
+/// `sql`'s answer (or error) at fan-out widths 1, 2 and 8, asserted to be
+/// the same bytes at every width. Width 1 is the unsegmented scan: each
+/// segment is a contiguous, ascending index range — what a time-range
+/// shard used to be — so these are the sharded-vs-unsharded checks.
+fn answer_at_every_width(db: &tspdb::Database, sql: &str) -> Result<Vec<u8>, String> {
+    let answers: Vec<Result<Vec<u8>, String>> = [1usize, 2, 8]
+        .into_iter()
+        .map(|threads| {
+            db.set_worlds_threads(threads);
+            db.query(sql)
+                .map(|out| tspdb_wire::canonical_result_bytes(&out))
+                .map_err(|e| format!("{e:?}"))
+        })
+        .collect();
+    assert!(
+        answers.iter().all(|a| *a == answers[0]),
+        "{sql} diverged across fan-out widths"
+    );
+    answers.into_iter().next().unwrap()
 }
 
 #[test]
 fn sharded_scans_are_bit_identical_to_unsharded_for_every_strategy() {
-    // The shard-ordered reduction promises that sharding is a pure
-    // performance knob: for every strategy — exact closed forms, `WITH
-    // WORLDS` sampling, `WITH SYNOPSIS` histograms — and every fan-out
-    // width, a sharded scan answers bit-for-bit what the unsharded scan
-    // answers. `canonical_result_bytes` is the strictest equality we have
-    // (Monte-Carlo results compare by their bit-exact fingerprint).
-    let probs: Vec<f64> = (0..120).map(|i| ((i * 37) % 97) as f64 / 100.0).collect();
+    // Segments are contiguous ascending index ranges concatenated in
+    // order, so for every strategy — exact, `WITH WORLDS`, `WITH SYNOPSIS`
+    // — the fan-out width (`set_worlds_threads`) is a pure latency knob.
+    // Every query is restricted (or it would not fan out) and linear in
+    // the relation: the windowed counts keep ≤ 400 tuples per window for
+    // the quadratic count DP.
     const QUERIES: [&str; 6] = [
-        // Exact row scan: prunable predicate + THRESHOLD/TOP on the
-        // merged index list.
-        "SELECT * FROM v WHERE reading >= 1.0 THRESHOLD 0.2 TOP 16",
-        // Exact grouped aggregate with a restriction and a HAVING event.
-        "SELECT room, COUNT(*), SUM(reading) FROM v WHERE reading >= -1.0 \
-         GROUP BY room HAVING COUNT(*) >= 2",
-        // MC sampling runs once over the merged shard-ordered domain.
-        "SELECT room, COUNT(*), SUM(reading) FROM v GROUP BY room \
-         WITH WORLDS 6000 SEED 13",
-        "SELECT * FROM v WHERE room = 2 WITH WORLDS 4000 SEED 7",
-        // Synopsis answers come from the immutable catalog snapshot.
-        "SELECT COUNT(*), SUM(reading) FROM v WITH SYNOPSIS BUCKETS 16",
-        // Windowed MC: per-bucket restrictions also fan out over shards.
-        "SELECT COUNT(*) FROM v GROUP BY WINDOW(reading, 8.0) \
-         WITH WORLDS 2000 SEED 5",
+        // Exact row scan: WHERE + THRESHOLD + TOP over the merged survivors.
+        "SELECT * FROM v WHERE reading >= 1.0 AND room <> 3 THRESHOLD 0.2 TOP 16",
+        "SELECT t, reading FROM v WHERE room = 2 ORDER BY prob DESC LIMIT 25",
+        "SELECT COUNT(*), SUM(reading) FROM v WHERE room >= 1 GROUP BY WINDOW(t, 500)",
+        // A leading time range is a binary search; the rest still fans out.
+        "SELECT COUNT(*), SUM(reading) FROM v WHERE t >= 1000 AND reading > 0.0 \
+         WITH WORLDS 200 SEED 9",
+        "SELECT t, room FROM v WHERE t >= 500 THRESHOLD 0.9",
+        // A WHERE makes the synopsis fall back to the exact fan-out.
+        "SELECT COUNT(*) FROM v WHERE reading < 0.5 GROUP BY WINDOW(t, 400) WITH SYNOPSIS",
     ];
-    const LAYOUTS: [Option<(&str, usize)>; 4] = [
-        Some(("reading", 2)),
-        Some(("reading", 7)),
-        Some(("reading", 64)),
-        Some(("room", 3)),
-    ];
+    let db = fan_out_db();
     for sql in QUERIES {
-        // Unsharded baseline at each fan-out width (widths must agree
-        // with each other too, but that is the older invariant — here
-        // each width gets its own byte-exact baseline).
-        let mut baseline = Vec::new();
-        let base_db = sharded_db(&probs, None);
-        for threads in [1usize, 8] {
-            base_db.set_worlds_threads(threads);
-            baseline.push(tspdb_wire::canonical_result_bytes(
-                &base_db.query(sql).unwrap(),
-            ));
-        }
-        for layout in LAYOUTS {
-            let db = sharded_db(&probs, layout);
-            for (ti, threads) in [1usize, 8].into_iter().enumerate() {
-                db.set_worlds_threads(threads);
-                let sharded = tspdb_wire::canonical_result_bytes(&db.query(sql).unwrap());
-                assert_eq!(
-                    sharded, baseline[ti],
-                    "{sql} diverged under layout {layout:?} at {threads} threads"
-                );
-            }
-        }
+        let answer = answer_at_every_width(&db, sql);
+        assert!(answer.is_ok(), "{sql}: {answer:?}");
     }
 }
 
 #[test]
 fn sharded_scans_reproduce_unsharded_errors() {
-    // A shard whose bounds would let it be pruned must still surface the
-    // same error an unsharded scan raises — pruning never hides failures.
-    let probs: Vec<f64> = (0..64).map(|i| ((i * 29) % 83) as f64 / 100.0).collect();
-    let base = sharded_db(&probs, None)
-        .query("SELECT * FROM v WHERE missing = 1")
-        .unwrap_err();
-    let sharded = sharded_db(&probs, Some(("reading", 8)))
-        .query("SELECT * FROM v WHERE missing = 1")
-        .unwrap_err();
-    assert_eq!(format!("{base:?}"), format!("{sharded:?}"));
-}
-
-proptest! {
-    #[test]
-    fn sharded_aggregates_match_unsharded_for_generated_tables(
-        probs in proptest::collection::vec(0.0f64..=1.0, 2..60),
-        shard_count in 2u32..12,
-        seed in 0u64..100_000,
-    ) {
-        // Property form of the same invariant: any table, any shard
-        // count, both strategies, both widths — byte-identical answers.
-        let layout = Some(("reading", shard_count as usize));
-        let exact_sql = "SELECT room, COUNT(*), SUM(reading) FROM v GROUP BY room";
-        let mc_sql = format!("{exact_sql} WITH WORLDS 1500 SEED {seed}");
-        let base_db = sharded_db(&probs, None);
-        let db = sharded_db(&probs, layout);
-        for sql in [exact_sql, mc_sql.as_str()] {
-            for threads in [1usize, 8] {
-                base_db.set_worlds_threads(threads);
-                db.set_worlds_threads(threads);
-                prop_assert_eq!(
-                    tspdb_wire::canonical_result_bytes(&db.query(sql).unwrap()),
-                    tspdb_wire::canonical_result_bytes(&base_db.query(sql).unwrap()),
-                    "{} diverged at {} shards, {} threads", sql, shard_count, threads
-                );
-            }
-        }
-    }
+    // An unknown column errors once a row reaches its conjunct, and only
+    // then — identically at every fan-out width, so splitting the scan
+    // neither hides a failure nor invents one.
+    let db = fan_out_db();
+    let reached = answer_at_every_width(&db, "SELECT * FROM v WHERE reading > 0.0 AND missing = 1");
+    assert!(reached.is_err(), "{reached:?}");
+    let unreached = answer_at_every_width(
+        &db,
+        "SELECT * FROM v WHERE reading > 1000.0 AND missing = 1",
+    );
+    assert!(unreached.is_ok(), "{unreached:?}");
 }
 
 // ---------------------------------------------------------------------------
