@@ -13,10 +13,7 @@
 //! Every response is checked against the single-connection baseline —
 //! the executor's determinism contract (bit-identical MC estimates at
 //! every thread count *and* under concurrency) must hold across the
-//! wire, so any divergence fails the run. Results append to the file
-//! named by `CRITERION_JSON` in the same JSON-lines shape the criterion
-//! shim emits (`{"name":…,"ns_per_iter":…,"iters":…}`), joining the
-//! existing bench trajectory.
+//! wire, so any divergence fails the run.
 //!
 //! ```text
 //! loadgen [--rounds N] [--conns A,B,C]   # defaults: 20 rounds, 64,256,1024
@@ -418,25 +415,6 @@ fn start_server(max_conns: usize) -> ServerHandle {
     .expect("start server threads")
 }
 
-/// Appends one measurement in the criterion shim's JSON-lines shape.
-fn report_json(name: &str, ns_per_iter: f64, iters: usize) {
-    let Ok(path) = std::env::var("CRITERION_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let line = format!("{{\"name\":\"{name}\",\"ns_per_iter\":{ns_per_iter},\"iters\":{iters}}}\n");
-    if let Err(e) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()))
-    {
-        eprintln!("loadgen: cannot append to CRITERION_JSON={path}: {e}");
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--rounds N] [--conns A,B,C]\n       \
@@ -704,11 +682,6 @@ mod streaming {
                 reader_queries.load(Ordering::Relaxed),
                 frames_checked.load(Ordering::Relaxed),
             );
-            super::report_json(
-                "loadgen/streaming/append",
-                wall.as_nanos() as f64 / opts.appends.max(1) as f64,
-                opts.appends,
-            );
         });
         handle.shutdown();
         let final_count = row_count(&engine).expect("stream table exists");
@@ -892,26 +865,6 @@ fn main() {
             p50 as f64 / 1e6,
             p95 as f64 / 1e6,
             p99 as f64 / 1e6,
-        );
-        report_json(
-            &format!("loadgen/conns={conns}"),
-            result.wall.as_nanos() as f64 / result.queries.max(1) as f64,
-            result.queries,
-        );
-        report_json(
-            &format!("loadgen/conns={conns}/p50"),
-            p50 as f64,
-            result.queries,
-        );
-        report_json(
-            &format!("loadgen/conns={conns}/p95"),
-            p95 as f64,
-            result.queries,
-        );
-        report_json(
-            &format!("loadgen/conns={conns}/p99"),
-            p99 as f64,
-            result.queries,
         );
     }
 

@@ -9,10 +9,11 @@
 //! # tspdb-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (Section VII), plus shared helpers for the Criterion
-//! micro-benchmarks. The `experiments` binary drives the functions in
-//! [`experiments`]; each prints the same rows/series the paper reports
-//! (`cargo run --release -p tspdb-bench --bin experiments -- <fig>`).
+//! evaluation (Section VII). The `experiments` binary drives the functions
+//! in [`experiments`]; each prints the same rows/series the paper reports
+//! (`cargo run --release -p tspdb-bench --bin experiments -- <fig>`). The
+//! package's other binary, `loadgen`, is the wire divergence and
+//! crash-recovery smoke; performance is measured by `tspbench`.
 
 pub mod experiments;
 pub mod report;

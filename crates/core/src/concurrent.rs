@@ -1609,6 +1609,20 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(storage.wal_fsyncs(), before + 1, "group commit = one fsync");
+        // The statement path is not batched: each INSERT is its own commit.
+        const INSERTS: u64 = 8;
+        let before = storage.wal_fsyncs();
+        for k in 0..INSERTS {
+            engine
+                .execute(&format!("INSERT INTO kv VALUES ({}, 0.5)", 100 + k))
+                .unwrap();
+        }
+        assert_eq!(
+            storage.wal_fsyncs(),
+            before + INSERTS,
+            "the statement path must fsync once per INSERT"
+        );
+        let rows = 100 + INSERTS as usize;
         assert_eq!(
             engine
                 .query("SELECT * FROM kv")
@@ -1616,10 +1630,10 @@ mod tests {
                 .rows()
                 .unwrap()
                 .len(),
-            100
+            rows
         );
         drop(engine);
-        // The batch is redo-logged: a reopen replays it verbatim.
+        // Both paths are redo-logged: a reopen replays them verbatim.
         let reopened = SharedEngine::open_persistent(&dir.0, direct_config()).unwrap();
         assert_eq!(
             reopened
@@ -1628,7 +1642,7 @@ mod tests {
                 .rows()
                 .unwrap()
                 .len(),
-            100
+            rows
         );
     }
 

@@ -38,8 +38,8 @@ use tspdb_probdb::{parse, AggregateResult, Planner, QueryOutput, SelectStmt, Sta
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppenderConfig {
     /// Flush as soon as this many rows are buffered (across all
-    /// relations). The default of 64 matches the group-commit batch the
-    /// ingest bench pins its ≥10× fsync amortization claim at.
+    /// relations). The default of 64 is the group-commit batch that
+    /// `tspbench`'s ingest workloads and `loadgen --mode streaming` use.
     pub max_rows: usize,
     /// Flush when the oldest buffered row has waited this long — the
     /// latency bound. Age is checked by [`Appender::tick`] (the appender

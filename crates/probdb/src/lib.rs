@@ -11,9 +11,8 @@
 //! * [`scan`] — the one scan operator: every source feeds it borrowed
 //!   column [`scan::Batch`]es, and typed kernels restrict, order, group and
 //!   gather on top of them.
-//! * [`query`] — probabilistic operators: selection, projection with
-//!   probabilistic deduplication, threshold, top-k, event probability,
-//!   expected aggregates.
+//! * [`query`] — predicates and whole-relation probabilistic operators:
+//!   selection, threshold, event probability, expected aggregates.
 //! * [`sql`] — tokenizer/parser for the paper's SQL-like syntax including
 //!   the Fig. 7 `CREATE VIEW … AS DENSITY … OMEGA …` statement, the
 //!   aggregate grammar (`COUNT(*)` / `SUM` / `AVG` / `EXPECTED`,
@@ -28,8 +27,7 @@
 //!   statements; `SELECT`s are planned then executed, density views are
 //!   delegated to a handler supplied by the engine layer (`tspdb-core`).
 //! * [`worlds`] — possible-world sampling: the parallel, deterministic
-//!   [`worlds::WorldsExecutor`] behind `SELECT … WITH WORLDS`, plus the
-//!   sequential reference sampler.
+//!   [`worlds::WorldsExecutor`] behind `SELECT … WITH WORLDS`.
 //!
 //! ## Quick start
 //!
@@ -97,60 +95,3 @@ pub use sql::{
 pub use table::{ProbTable, Table};
 pub use value::{ColumnType, Value, ValueKey};
 pub use worlds::{SumEstimate, WorldsConfig, WorldsExecutor, WorldsResult};
-
-#[cfg(test)]
-mod proptests {
-    use crate::query::{project_prob, top_k};
-    use crate::schema::Schema;
-    use crate::table::ProbTable;
-    use crate::value::{ColumnType, Value};
-    use proptest::prelude::*;
-
-    fn arb_prob_table() -> impl Strategy<Value = ProbTable> {
-        proptest::collection::vec((0i64..5, 0i64..4, 0.0f64..=1.0), 0..40).prop_map(|rows| {
-            let schema = Schema::of(&[("t", ColumnType::Int), ("k", ColumnType::Int)]);
-            let mut p = ProbTable::new("pt", schema);
-            for (t, k, prob) in rows {
-                p.insert(vec![Value::Int(t), Value::Int(k)], prob).unwrap();
-            }
-            p
-        })
-    }
-
-    proptest! {
-        #[test]
-        fn projection_probabilities_stay_valid(table in arb_prob_table()) {
-            let proj = project_prob(&table, &["k".to_string()]).unwrap();
-            for &p in proj.probs() {
-                prop_assert!((0.0..=1.0).contains(&p));
-            }
-            // Deduplicated key count never exceeds source row count.
-            prop_assert!(proj.len() <= table.len().max(1));
-        }
-
-        #[test]
-        fn projection_dominates_each_contributor(table in arb_prob_table()) {
-            // P(∃ tuple with key k) ≥ max p_i over contributors: merging can
-            // only increase existence probability.
-            let proj = project_prob(&table, &["k".to_string()]).unwrap();
-            for (row, p) in proj.iter() {
-                let key = &row[0];
-                let max_contrib = table
-                    .iter()
-                    .filter(|(r, _)| &r[1] == key)
-                    .map(|(_, pi)| pi)
-                    .fold(0.0f64, f64::max);
-                prop_assert!(p >= max_contrib - 1e-12);
-            }
-        }
-
-        #[test]
-        fn top_k_is_sorted_and_bounded(table in arb_prob_table(), k in 0usize..50) {
-            let top = top_k(&table, k);
-            prop_assert!(top.len() <= k.min(table.len()));
-            for w in top.probs().windows(2) {
-                prop_assert!(w[0] >= w[1]);
-            }
-        }
-    }
-}

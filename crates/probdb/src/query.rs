@@ -2,13 +2,13 @@
 //!
 //! The point of creating a probabilistic database (paper, Introduction) is
 //! that downstream probabilistic queries can then run against it. This
-//! module implements the standard operator set for tuple-independent
-//! relations: selection, projection with probabilistic deduplication,
-//! threshold and top-k queries, event probability and expected-value
-//! aggregates — enough to express the paper's motivating query ("the
-//! probability that Alice could be found in each of the four rooms").
+//! module holds the predicate types the SQL layer and planner share, plus
+//! whole-relation operators over them: selection, threshold, event
+//! probability, expected sum and most-probable-per-group — enough to
+//! express the paper's motivating query ("the probability that Alice
+//! could be found in each of the four rooms"). The planned `SELECT` path,
+//! `TOP` ordering included, runs through [`crate::scan`].
 
-use crate::column::ColumnSlice;
 use crate::error::DbError;
 use crate::scan;
 use crate::schema::Schema;
@@ -134,33 +134,6 @@ pub fn select_prob(table: &ProbTable, pred: &Conjunction) -> Result<ProbTable, D
     Ok(table.take(&matching_rows(table, pred)?))
 }
 
-/// Projection with probabilistic duplicate elimination: identical projected
-/// rows merge with probability `1 − Π(1 − p_i)` (the probability that at
-/// least one contributing tuple exists, by tuple independence).
-pub fn project_prob(table: &ProbTable, columns: &[String]) -> Result<ProbTable, DbError> {
-    let (schema, idx) = table.schema().project(columns)?;
-    let projected: Vec<ColumnSlice<'_>> = idx.iter().map(|&c| table.column(c).values()).collect();
-    // BTreeMap over the canonical value key keeps output order
-    // deterministic without formatting every cell into a string; the
-    // projected row is only materialised once per distinct key.
-    let mut groups: BTreeMap<Vec<ValueKey<'_>>, (usize, f64)> = BTreeMap::new();
-    for (i, &p) in table.probs().iter().enumerate() {
-        let key = projected.iter().map(|col| col.key(i)).collect();
-        let entry = groups.entry(key).or_insert((i, 1.0));
-        entry.1 *= 1.0 - p; // accumulate absence probability
-    }
-    // Emit groups in first-appearance order (deterministic, and saner than
-    // the lexicographic-debug-string order the old text keys produced).
-    let mut merged: Vec<(usize, f64)> = groups.into_values().collect();
-    merged.sort_by_key(|&(i, _)| i);
-    let mut out = ProbTable::new(table.name().to_string(), schema);
-    for (i, absent) in merged {
-        let row = projected.iter().map(|col| col.value(i)).collect();
-        out.insert(row, (1.0 - absent).clamp(0.0, 1.0))?;
-    }
-    Ok(out)
-}
-
 /// Threshold query: tuples whose probability is at least `tau`.
 pub fn threshold(table: &ProbTable, tau: f64) -> Result<ProbTable, DbError> {
     if !(0.0..=1.0).contains(&tau) {
@@ -169,13 +142,6 @@ pub fn threshold(table: &ProbTable, tau: f64) -> Result<ProbTable, DbError> {
     let mut rows = Vec::new();
     scan::select_into(&table.batch(), &Vec::new(), Some(tau), &mut rows)?;
     Ok(table.take(&rows))
-}
-
-/// Top-k query: the `k` most probable tuples, ties broken by row order
-/// (the ordering contract of the SQL `TOP` clause, `scan::most_probable`).
-pub fn top_k(table: &ProbTable, k: usize) -> ProbTable {
-    let rows = scan::most_probable((0..table.len()).collect(), k, table.probs());
-    table.take(&rows)
 }
 
 /// Probability that at least one tuple satisfying the predicate exists:
@@ -267,29 +233,10 @@ mod tests {
     }
 
     #[test]
-    fn projection_merges_with_independence() {
-        let v = alice_view();
-        let proj = project_prob(&v, &["room".to_string()]).unwrap();
-        assert_eq!(proj.len(), 4);
-        // Room 1 appears with p = 1 − (1−0.5)(1−0.2) = 0.6.
-        let room1 = proj
-            .iter()
-            .find(|(row, _)| row[0] == Value::Int(1))
-            .unwrap()
-            .1;
-        assert!((room1 - 0.6).abs() < 1e-12, "room1 prob {room1}");
-    }
-
-    #[test]
-    fn threshold_and_topk() {
+    fn threshold_keeps_confident_tuples() {
         let v = alice_view();
         let th = threshold(&v, 0.4).unwrap();
         assert_eq!(th.len(), 2); // 0.5 and 0.4
-        let top = top_k(&v, 3);
-        assert_eq!(top.len(), 3);
-        assert!((top.probs()[0] - 0.5).abs() < 1e-12);
-        assert!((top.probs()[1] - 0.4).abs() < 1e-12);
-        assert!((top.probs()[2] - 0.3).abs() < 1e-12);
         assert!(threshold(&v, 1.2).is_err());
     }
 

@@ -424,8 +424,7 @@ fn select_relation(
 }
 
 /// The `k` most probable of `rows`, in descending probability with ties to
-/// the lower row index — the single ordering contract shared by
-/// [`crate::query::top_k`] and the SQL `TOP` clause.
+/// the lower row index — the ordering contract of the SQL `TOP` clause.
 pub(crate) fn most_probable(rows: Vec<usize>, k: usize, probs: &[f64]) -> Vec<usize> {
     smallest_k(rows, k, |&a, &b| {
         probs[b].total_cmp(&probs[a]).then(a.cmp(&b))

@@ -28,7 +28,7 @@
 //!   columns and with `HAVING`/`WITH WORLDS`; see [`WindowSpec`];
 //! * `THRESHOLD <tau>` — keep only tuples with probability ≥ τ
 //!   ([`crate::query::threshold`]);
-//! * `TOP <k>` — the k most probable tuples ([`crate::query::top_k`]);
+//! * `TOP <k>` — the k most probable tuples, ties to the earlier row;
 //! * `WITH WORLDS <n> [SEED <s>] [CONFIDENCE <eps>]` — evaluate the query
 //!   by Monte-Carlo possible-world sampling
 //!   ([`crate::worlds::WorldsExecutor`]) over at most `n` worlds, seeded

@@ -8,90 +8,25 @@
 //! no closed form, in the spirit of MCDB (Jampani et al.), which the paper
 //! cites as the ancestor of its parameter-storing design.
 //!
-//! The module has two layers:
-//!
-//! * the free functions [`sample_world`], [`mc_event_probability`] and
-//!   [`mc_count_distribution`] — the minimal sequential sampler, kept as
-//!   the reference implementation and benchmark baseline;
-//! * [`WorldsExecutor`] — the production path: world sampling fanned out
-//!   over [`tspdb_stats::parallel`] in fixed-size *batches*, each batch
-//!   seeded deterministically from `(seed, batch index)` so the estimate is
-//!   **bit-identical at every thread count**, with per-batch aggregation of
-//!   the event probability, the COUNT distribution (histogram, moments,
-//!   quantiles), an optional SUM aggregate, 95% confidence intervals, and
-//!   early termination once the event-probability CI half-width drops below
-//!   a target.
+//! [`WorldsExecutor`] fans world sampling out over
+//! [`tspdb_stats::parallel`] in fixed-size *batches*, each batch seeded
+//! deterministically from `(seed, batch index)` so the estimate is
+//! **bit-identical at every thread count**, with per-batch aggregation of
+//! the event probability, the COUNT distribution (histogram, moments,
+//! quantiles), an optional SUM aggregate, 95% confidence intervals, and
+//! early termination once the event-probability CI half-width drops below
+//! a target. `tests/worlds_differential.rs` checks its estimates against
+//! the exact closed forms.
 
 use crate::error::DbError;
 use crate::query::{matching_rows, CmpOp, Conjunction};
 use crate::scan;
-use crate::table::{ProbTable, Table};
+use crate::table::ProbTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::time::{Duration, Instant};
 use tspdb_stats::parallel::{effective_threads, map_segments};
-
-/// Draws one possible world: a deterministic table containing each tuple
-/// independently with its probability.
-pub fn sample_world<R: Rng + ?Sized>(table: &ProbTable, rng: &mut R) -> Table {
-    let mut world = Table::new(table.name().to_string(), table.schema().clone());
-    for (row, p) in table.iter() {
-        if rng.gen_bool(p.clamp(0.0, 1.0)) {
-            world
-                .insert(row)
-                .expect("row satisfied the same schema in the source");
-        }
-    }
-    world
-}
-
-/// Monte-Carlo estimate of `P(at least one tuple matching `pred` exists)`
-/// over `worlds` sampled worlds. Converges to
-/// [`crate::query::event_probability`] by the law of large numbers.
-pub fn mc_event_probability<R: Rng + ?Sized>(
-    table: &ProbTable,
-    pred: &Conjunction,
-    worlds: usize,
-    rng: &mut R,
-) -> Result<f64, DbError> {
-    assert!(worlds > 0, "mc_event_probability: need at least one world");
-    // Pre-filter matching tuples once; sampling then only needs their
-    // probabilities.
-    let match_probs = scan::gather_probs(table.probs(), &matching_rows(table, pred)?);
-    let mut hits = 0usize;
-    for _ in 0..worlds {
-        if match_probs.iter().any(|&p| rng.gen_bool(p.clamp(0.0, 1.0))) {
-            hits += 1;
-        }
-    }
-    Ok(hits as f64 / worlds as f64)
-}
-
-/// Monte-Carlo estimate of the full count distribution (histogram of the
-/// number of matching tuples across worlds). Converges to
-/// [`crate::aggregates::count_distribution`].
-pub fn mc_count_distribution<R: Rng + ?Sized>(
-    table: &ProbTable,
-    pred: &Conjunction,
-    worlds: usize,
-    rng: &mut R,
-) -> Result<Vec<f64>, DbError> {
-    assert!(worlds > 0, "mc_count_distribution: need at least one world");
-    let match_probs = scan::gather_probs(table.probs(), &matching_rows(table, pred)?);
-    let mut counts = vec![0usize; match_probs.len() + 1];
-    for _ in 0..worlds {
-        let k = match_probs
-            .iter()
-            .filter(|&&p| rng.gen_bool(p.clamp(0.0, 1.0)))
-            .count();
-        counts[k] += 1;
-    }
-    Ok(counts
-        .into_iter()
-        .map(|c| c as f64 / worlds as f64)
-        .collect())
-}
 
 /// Worlds per deterministic batch: the RNG granularity of the executor.
 ///
@@ -762,8 +697,6 @@ mod tests {
     use crate::query::{event_probability, CmpOp, Comparison};
     use crate::schema::Schema;
     use crate::value::{ColumnType, Value};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn view() -> ProbTable {
         let schema = Schema::of(&[("room", ColumnType::Int)]);
@@ -772,70 +705,6 @@ mod tests {
             v.insert(vec![Value::Int(room)], p).unwrap();
         }
         v
-    }
-
-    #[test]
-    fn sampled_world_respects_schema_and_bounds() {
-        let v = view();
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..50 {
-            let w = sample_world(&v, &mut rng);
-            assert!(w.len() <= v.len());
-            assert_eq!(w.schema(), v.schema());
-        }
-    }
-
-    #[test]
-    fn certain_tuples_always_appear_impossible_never() {
-        let schema = Schema::of(&[("x", ColumnType::Int)]);
-        let mut v = ProbTable::new("v", schema);
-        v.insert(vec![Value::Int(1)], 1.0).unwrap();
-        v.insert(vec![Value::Int(2)], 0.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..20 {
-            let w = sample_world(&v, &mut rng);
-            assert_eq!(w.len(), 1);
-            assert_eq!(w.row(0)[0], Value::Int(1));
-        }
-    }
-
-    #[test]
-    fn mc_event_probability_converges_to_exact() {
-        let v = view();
-        let pred = vec![Comparison::new("room", CmpOp::Eq, 1i64)];
-        let exact = event_probability(&v, &pred).unwrap(); // 1 − 0.5·0.6 = 0.7
-        assert!((exact - 0.7).abs() < 1e-12);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mc = mc_event_probability(&v, &pred, 40_000, &mut rng).unwrap();
-        assert!(
-            (mc - exact).abs() < 0.01,
-            "MC {mc} diverges from exact {exact}"
-        );
-    }
-
-    #[test]
-    fn mc_count_distribution_converges_to_dp() {
-        let v = view();
-        let exact = count_distribution(&v, &vec![]).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        let mc = mc_count_distribution(&v, &vec![], 60_000, &mut rng).unwrap();
-        assert_eq!(mc.len(), exact.len());
-        for (k, (a, b)) in exact.iter().zip(&mc).enumerate() {
-            assert!((a - b).abs() < 0.012, "count {k}: exact {a} vs MC {b}");
-        }
-    }
-
-    #[test]
-    fn empty_predicate_on_empty_table() {
-        let schema = Schema::of(&[("x", ColumnType::Int)]);
-        let v = ProbTable::new("v", schema);
-        let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(
-            mc_event_probability(&v, &vec![], 100, &mut rng).unwrap(),
-            0.0
-        );
-        let dist = mc_count_distribution(&v, &vec![], 100, &mut rng).unwrap();
-        assert_eq!(dist, vec![1.0]);
     }
 
     fn executor(worlds: usize, seed: u64, threads: usize) -> WorldsExecutor {

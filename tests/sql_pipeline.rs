@@ -2,8 +2,7 @@
 //! the probabilistic query operators.
 
 use tspdb::probdb::query::{
-    event_probability, expected_sum, most_probable_per_group, project_prob, threshold, CmpOp,
-    Comparison,
+    event_probability, expected_sum, most_probable_per_group, threshold, CmpOp, Comparison,
 };
 use tspdb::probdb::{ColumnType, Database, ProbTable, Schema, Value};
 
@@ -78,12 +77,6 @@ fn operators_compose_on_fig1_view() {
     let pred = vec![Comparison::new("room", CmpOp::Eq, 3i64)];
     let p = event_probability(&v, &pred).unwrap();
     assert!((p - 0.37).abs() < 1e-12);
-
-    // Projection onto room with probabilistic dedup.
-    let rooms = project_prob(&v, &["room".to_string()]).unwrap();
-    assert_eq!(rooms.len(), 4);
-    let room4 = rooms.iter().find(|(r, _)| r[0] == Value::Int(4)).unwrap().1;
-    assert!((room4 - (1.0 - 0.9 * 0.7)).abs() < 1e-12);
 
     // Expected room number at time 2: 1·0.2 + 2·0.4 + 3·0.1 + 4·0.3 = 2.5.
     let at2 =
