@@ -46,8 +46,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use tspdb_probdb::{
-    CmpOp, ColumnType, Conjunction, Database, DbError, DensityViewSpec, PlannedQuery, Planner,
-    QueryOutput, Relation, ScanSource, Schema, Statement, Table, Value,
+    Batch, CmpOp, Column, ColumnType, Conjunction, Database, DbError, DensityViewSpec,
+    PlannedQuery, Planner, QueryOutput, Relation, ScanSource, Schema, Statement, Table, Value,
 };
 use tspdb_stats::Density;
 use tspdb_storage::{CheckpointSource, JournalOp, Storage, StorageOptions};
@@ -128,8 +128,9 @@ struct ViewModel {
 }
 
 /// An Ω-view's lineage: the spec it was created from and, when in hand,
-/// its model. The model is not persisted — a reopened engine starts
-/// without one and the first append rebuilds it.
+/// its model. The spec is persisted in the view's catalog entry; the model
+/// is not — a reopened engine starts without one and the first append
+/// rebuilds it.
 #[derive(Debug)]
 struct ViewLineage {
     spec: DensityViewSpec,
@@ -159,8 +160,8 @@ pub struct SharedEngine {
     storage: Option<Arc<Storage>>,
     /// Ω-view lineage: view name → the spec it was created from (plus its
     /// model), so appends to a source table know which views to maintain.
-    /// The specs are persisted as text in the storage meta sidecar at
-    /// every checkpoint.
+    /// Every checkpoint writes each spec's text into its view's catalog
+    /// entry, so lineage commits with the tuples it derives.
     lineage: Arc<Mutex<BTreeMap<String, ViewLineage>>>,
     /// Relations written since the last checkpoint, and *how* (append vs
     /// arbitrary rewrite). An empty map (with an empty WAL) means the
@@ -218,7 +219,10 @@ impl SharedEngine {
         };
         {
             let mut catalog = engine.catalog.write().expect("catalog lock poisoned");
-            // 1. Checkpointed relations.
+            // 1. Checkpointed relations, and the Ω-view lineage their
+            // catalog entries carry, so replayed appends maintain the views
+            // the checkpointed catalog already derives.
+            let mut lineage = engine.lineage.lock().unwrap_or_else(|e| e.into_inner());
             for name in storage.relation_names() {
                 if let Some(relation) = storage.scan(&name).map_err(DbError::from)? {
                     match relation {
@@ -226,27 +230,24 @@ impl SharedEngine {
                         Relation::Probabilistic(t) => catalog.register_prob_table(t)?,
                     }
                 }
-            }
-            // 1b. Ω-view lineage from the meta sidecar, so replayed appends
-            // maintain the views the checkpointed catalog already derives.
-            if let Some(meta) = storage.get_meta().map_err(DbError::from)? {
-                let mut lineage = engine.lineage.lock().unwrap_or_else(|e| e.into_inner());
-                for line in meta.lines().map(str::trim).filter(|l| !l.is_empty()) {
-                    if let Ok(Statement::CreateDensityView(spec)) = tspdb_probdb::parse(line) {
-                        lineage.insert(
-                            spec.view_name.clone(),
-                            ViewLineage {
-                                spec,
-                                model: None,
-                                last_maintenance: None,
-                            },
-                        );
-                    }
+                let spec = storage.entry(&name).and_then(|e| e.lineage);
+                if let Some(Ok(Statement::CreateDensityView(spec))) =
+                    spec.map(|sql| tspdb_probdb::parse(&sql))
+                {
+                    lineage.insert(
+                        spec.view_name.clone(),
+                        ViewLineage {
+                            spec,
+                            model: None,
+                            last_maintenance: None,
+                        },
+                    );
                 }
             }
+            drop(lineage);
             // 2. WAL replay (no re-logging).
             for op in &recovery.ops {
-                let _ = engine.replay_op(&mut catalog, op);
+                let _ = engine.apply_op(&mut catalog, op);
             }
             // 3. Boot checkpoint: disk == post-replay state, WAL empty.
             engine.checkpoint_locked(&mut catalog, &storage)?;
@@ -262,37 +263,38 @@ impl SharedEngine {
         self.storage.as_ref()
     }
 
-    /// Applies one recovered journal operation without journaling it
-    /// again. Errors are returned for the caller to ignore — see
+    /// Applies one journaled operation — once it is durable on the live
+    /// path, again on WAL replay (without journaling it twice). Returns the
+    /// rows an append landed. Replay ignores the errors — see
     /// [`SharedEngine::open_persistent`] for why that is sound.
-    fn replay_op(&self, catalog: &mut Database, op: &JournalOp) -> Result<(), CoreError> {
+    fn apply_op(&self, catalog: &mut Database, op: &JournalOp) -> Result<usize, CoreError> {
         match op {
             JournalOp::Sql(sql) => {
                 let stmt = tspdb_probdb::parse(sql)?;
                 self.apply_locked(catalog, stmt, None)?;
+                Ok(0)
             }
-            JournalOp::LoadTable { name, schema, rows } => {
+            JournalOp::LoadTable {
+                name,
+                schema,
+                columns,
+            } => {
+                let batch = Batch::new(schema, columns, None, 0);
                 let mut table = Table::new(name.clone(), schema.clone());
-                for row in rows {
-                    table.insert(row.clone())?;
-                }
+                table.extend_from_batch(&batch, 0..batch.len());
                 self.mark_dirty(std::iter::once((name.clone(), DirtyKind::Rewritten)));
                 catalog.register_table(table)?;
+                Ok(0)
             }
-            JournalOp::AppendRows { table, rows, probs } => match probs {
-                // The streaming path journals only the deterministic source
-                // rows; dependent Ω-views are re-derived on replay, exactly
-                // as they were derived when the batch first landed.
-                None => {
-                    self.apply_append(catalog, table, rows.clone())?;
-                }
-                Some(probs) => {
-                    self.mark_dirty(std::iter::once((table.clone(), DirtyKind::Appended)));
-                    catalog.append_prob_rows(table, rows.clone(), probs.clone())?;
-                }
-            },
+            // Only the source rows are journaled: dependent Ω-views are
+            // re-derived on replay, exactly as when the batch first landed.
+            JournalOp::AppendRows { table, columns } => {
+                let appended = catalog.append_columns(table, columns, None)?;
+                self.mark_dirty(std::iter::once((table.clone(), DirtyKind::Appended)));
+                self.maintain_dependent_views(catalog, table, appended)?;
+                Ok(appended)
+            }
         }
-        Ok(())
     }
 
     /// Applies a mutating statement against an exclusively borrowed
@@ -406,21 +408,20 @@ impl SharedEngine {
                 DirtyKind::Rewritten => CheckpointSource::Rewrite(relation),
             }))
             .collect();
+        // Each view's spec rides in its catalog entry, committed by the
+        // same meta-slot write as its tuples, so a reopened engine keeps
+        // maintaining exactly the views the checkpoint holds.
+        let lineage: BTreeMap<String, String> = self
+            .lineage
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .map(|(name, entry)| (name.clone(), entry.spec.to_string()))
+            .collect();
         storage
-            .checkpoint_incremental(&sources)
+            .checkpoint_incremental(&sources, &lineage)
             .map_err(DbError::from)
             .map_err(CoreError::from)?;
-        // Persist Ω-view lineage alongside the checkpoint so a reopened
-        // engine keeps maintaining the same views under replayed appends.
-        let meta = {
-            let lineage = self.lineage.lock().unwrap_or_else(|e| e.into_inner());
-            lineage
-                .values()
-                .map(|entry| entry.spec.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        storage.put_meta(&meta).map_err(DbError::from)?;
         self.dirty.lock().unwrap_or_else(|e| e.into_inner()).clear();
         Ok(())
     }
@@ -613,19 +614,18 @@ impl SharedEngine {
     /// The streaming-ingestion write path: lands a whole flush of
     /// per-relation row batches in one **group commit**.
     ///
-    /// On a persistent engine, every batch is encoded as one
+    /// Each batch is checked once, up front, and becomes the table's
+    /// columns ([`Database::check_rows`]); a batch that fails is skipped —
+    /// never journaled — and the first error is returned after the rest
+    /// land. On a persistent engine every checked batch is one
     /// [`JournalOp::AppendRows`] record and the whole flush hits the WAL
     /// with a *single* fsync — durability cost is amortized over every row
-    /// in the flush instead of paid per statement. The batches are then
-    /// applied in order under one write lock; each one validates its rows
-    /// atomically, swaps a fresh relation rung in (snapshot readers keep
-    /// the old rung), bumps only the *data* generation (cached plans
-    /// survive) and maintains any Ω-views derived from the table.
-    ///
-    /// A batch that fails validation is skipped — later batches still
-    /// apply, mirroring WAL replay (which ignores per-op errors because
-    /// deterministic failures repeat identically) — and the first error is
-    /// returned. Returns the number of rows appended.
+    /// in the flush instead of paid per statement. The records are then
+    /// applied in order under one write lock through the same path WAL
+    /// replay takes: each swaps a fresh relation rung in (snapshot readers
+    /// keep the old rung), bumps only the *data* generation (cached plans
+    /// survive) and maintains any Ω-views derived from the table. Returns
+    /// the number of rows appended.
     pub fn append_batches(
         &self,
         batches: Vec<(String, Vec<Vec<Value>>)>,
@@ -634,21 +634,20 @@ impl SharedEngine {
             return Ok(0);
         }
         let mut catalog = self.catalog.write().expect("catalog lock poisoned");
+        let mut first_err: Option<CoreError> = None;
+        let mut ops = Vec::with_capacity(batches.len());
+        for (table, rows) in batches {
+            match catalog.check_rows(&table, rows) {
+                Ok(columns) => ops.push(JournalOp::AppendRows { table, columns }),
+                Err(e) => first_err = first_err.or(Some(e.into())),
+            }
+        }
         if let Some(storage) = &self.storage {
-            let ops: Vec<JournalOp> = batches
-                .iter()
-                .map(|(table, rows)| JournalOp::AppendRows {
-                    table: table.clone(),
-                    rows: rows.clone(),
-                    probs: None,
-                })
-                .collect();
             storage.log_batch(&ops).map_err(DbError::from)?;
         }
         let mut appended = 0usize;
-        let mut first_err: Option<CoreError> = None;
-        for (table, rows) in batches {
-            match self.apply_append(&mut catalog, &table, rows) {
+        for op in &ops {
+            match self.apply_op(&mut catalog, op) {
                 Ok(n) => appended += n,
                 Err(e) => first_err = first_err.or(Some(e)),
             }
@@ -662,20 +661,6 @@ impl SharedEngine {
             Some(e) => Err(e),
             None => Ok(appended),
         }
-    }
-
-    /// Applies one already-journaled append batch: source rows in, dirty
-    /// bookkeeping, then maintenance of every dependent Ω-view.
-    fn apply_append(
-        &self,
-        catalog: &mut Database,
-        table: &str,
-        rows: Vec<Vec<Value>>,
-    ) -> Result<usize, CoreError> {
-        let appended = catalog.append_rows(table, rows)?;
-        self.mark_dirty(std::iter::once((table.to_string(), DirtyKind::Appended)));
-        self.maintain_dependent_views(catalog, table, appended)?;
-        Ok(appended)
     }
 
     /// Brings every Ω-view derived from `source` up to date after
@@ -741,25 +726,28 @@ impl SharedEngine {
         value_column: &str,
         series: &TimeSeries,
     ) -> Result<(), CoreError> {
-        let table = series_to_table(table_name, value_column, series)?;
+        // No SQL text exists for a programmatic load, so the journal
+        // records the finished table itself (schema + columns, floats as
+        // bit patterns) — replay re-registers it verbatim.
+        let schema = Schema::new(vec![
+            ("t".to_string(), ColumnType::Int),
+            (value_column.to_string(), ColumnType::Float),
+        ]);
+        let mut columns = Column::for_schema(&schema, series.len());
+        for obs in series.iter() {
+            columns[0].push_int(obs.time);
+            columns[1].push_float(obs.value);
+        }
+        let op = JournalOp::LoadTable {
+            name: table_name.to_string(),
+            schema,
+            columns,
+        };
         let mut catalog = self.catalog.write().expect("catalog lock poisoned");
         if let Some(storage) = &self.storage {
-            // No SQL text exists for a programmatic load, so the journal
-            // records the finished table itself (schema + rows, floats as
-            // bit patterns) — replay re-registers it verbatim.
-            storage
-                .log(&JournalOp::LoadTable {
-                    name: table.name().to_string(),
-                    schema: table.schema().clone(),
-                    rows: table.rows().to_vec(),
-                })
-                .map_err(DbError::from)?;
-            self.mark_dirty(std::iter::once((
-                table.name().to_string(),
-                DirtyKind::Rewritten,
-            )));
+            storage.log(&op).map_err(DbError::from)?;
         }
-        catalog.register_table(table)?;
+        self.apply_op(&mut catalog, &op)?;
         Ok(())
     }
 
@@ -887,11 +875,7 @@ fn maintain_view(
             omega,
             &spec.view_name,
         )?;
-        catalog.append_prob_rows(
-            &spec.view_name,
-            suffix.iter().map(|(row, _)| row).collect(),
-            suffix.probs().to_vec(),
-        )?;
+        catalog.append_columns(&spec.view_name, suffix.columns(), Some(suffix.probs()))?;
         MaintenancePath::Appended
     } else {
         let view = builder.generate(&model.densities, cache.as_ref(), omega, &spec.view_name)?;
@@ -969,24 +953,6 @@ fn build_density_view(
         source_rows: source.len(),
     };
     Ok(BuiltDensityView { built, model })
-}
-
-/// Builds the `(t INT, <value_col> FLOAT)` table representation of a time
-/// series.
-fn series_to_table(
-    table_name: &str,
-    value_column: &str,
-    series: &TimeSeries,
-) -> Result<Table, CoreError> {
-    let schema = Schema::new(vec![
-        ("t".to_string(), ColumnType::Int),
-        (value_column.to_string(), ColumnType::Float),
-    ]);
-    let mut table = Table::new(table_name.to_string(), schema);
-    for obs in series.iter() {
-        table.insert(vec![Value::Int(obs.time), Value::Float(obs.value)])?;
-    }
-    Ok(table)
 }
 
 /// Reads `rows` of a view's source table as `(time, value)` points sorted

@@ -17,14 +17,14 @@
 //! pointing from the paper's contribution down into the substrate, never
 //! backwards.
 
-use crate::column::ColumnSlice;
+use crate::column::{Column, ColumnSlice};
 use crate::error::DbError;
 use crate::plan::{AggregateResult, ExplainReport, PhysicalPlan, PlannedQuery, Planner};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
-use crate::scan::{self, BatchStream};
+use crate::scan::{self, Batch, BatchStream};
 use crate::schema::Schema;
 use crate::sql::{parse, SelectStmt, Statement};
-use crate::table::{ProbTable, Table};
+use crate::table::{check_columns, ProbTable, Table};
 use crate::value::{ColumnType, Value};
 use crate::worlds::WorldsResult;
 use std::borrow::Cow;
@@ -616,95 +616,82 @@ impl Database {
         Ok(())
     }
 
-    /// Appends a batch of rows to a deterministic table — the write half
-    /// of the streaming ingest path (a plain `INSERT` routes here too).
-    ///
-    /// The whole batch is validated against the schema **before** the
-    /// relation is touched, so a bad row rejects the batch atomically
-    /// instead of leaving a prefix behind. The append swaps in a new
-    /// relation rung and bumps only the *data* generation: cached plans
-    /// survive, in-flight snapshot readers keep their old rung.
-    pub fn append_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize, DbError> {
-        // An evicted relation comes back into memory before the write so
-        // appends hit disk-backed tables transparently.
+    /// Checks `rows` for an append to the deterministic table `table`,
+    /// transposing them into its columns: [`Column::from_rows`] is the one
+    /// type check (ints widen into float columns), so a bad row rejects the
+    /// whole batch before anything is written. An evicted table comes back
+    /// into memory first, so appends hit disk-backed tables transparently.
+    pub fn check_rows(
+        &mut self,
+        table: &str,
+        rows: Vec<Vec<Value>>,
+    ) -> Result<Vec<Column>, DbError> {
         self.ensure_resident(table)?;
-        let rel = self
-            .relations
-            .get_mut(table)
-            .ok_or_else(|| DbError::UnknownTable(table.to_string()))?;
-        let Relation::Deterministic(t) = rel.as_ref() else {
-            return Err(DbError::Unsupported(
+        match self.relations.get(table).map(|r| r.as_ref()) {
+            Some(Relation::Deterministic(t)) => Column::from_rows(t.schema(), rows),
+            Some(Relation::Probabilistic(_)) => Err(DbError::Unsupported(
                 "INSERT into probabilistic views is not allowed; views are derived".into(),
-            ));
-        };
-        let checked = rows
-            .into_iter()
-            .map(|row| t.schema().check_row(row))
-            .collect::<Result<Vec<_>, _>>()?;
-        let appended = checked.len();
-        let Relation::Deterministic(t) = Arc::make_mut(rel) else {
-            unreachable!("variant checked above");
-        };
-        for row in checked {
-            t.insert(row)?;
+            )),
+            None => Err(DbError::UnknownTable(table.to_string())),
         }
-        self.bump_data_generation();
-        Ok(appended)
     }
 
-    /// Appends pre-derived tuples to a probabilistic view — the path
-    /// incremental Ω-view maintenance lands its suffix through. Validation
-    /// is batch-atomic like [`Database::append_rows`]; the view's synopses
-    /// absorb the suffix incrementally via
-    /// [`RelationSynopses::append_from`] (bit-identical to a rebuild) and
-    /// only the data generation moves.
-    pub fn append_prob_rows(
+    /// Appends a batch of rows to a deterministic table (a plain `INSERT`):
+    /// [`Database::check_rows`], then [`Database::append_columns`].
+    pub fn append_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize, DbError> {
+        let columns = self.check_rows(table, rows)?;
+        self.append_columns(table, &columns, None)
+    }
+
+    /// Appends checked columns to a relation — the one path appended rows
+    /// land on: `INSERT`, streamed batches, their WAL replay, and the tuples
+    /// incremental Ω-view maintenance derives. `columns` are the relation's
+    /// columns in schema order and `probs` their probabilities, present
+    /// exactly when the relation is probabilistic; anything else is an
+    /// error, raised before the relation is touched.
+    ///
+    /// The rows land through `extend_from_batch`: a new relation rung is
+    /// swapped in (in-flight snapshot readers keep the old one), a view's
+    /// synopses absorb the suffix via [`RelationSynopses::append_from`]
+    /// (bit-identical to a rebuild), and only the *data* generation moves,
+    /// so cached plans survive.
+    pub fn append_columns(
         &mut self,
-        view: &str,
-        rows: Vec<Vec<Value>>,
-        probs: Vec<f64>,
+        name: &str,
+        columns: &[Column],
+        probs: Option<&[f64]>,
     ) -> Result<usize, DbError> {
-        if rows.len() != probs.len() {
-            return Err(DbError::Unsupported(format!(
-                "append_prob_rows: {} rows but {} probabilities",
-                rows.len(),
-                probs.len()
-            )));
-        }
-        self.ensure_resident(view)?;
+        self.ensure_resident(name)?;
         let rel = self
             .relations
-            .get_mut(view)
-            .ok_or_else(|| DbError::UnknownTable(view.to_string()))?;
-        let Relation::Probabilistic(t) = rel.as_ref() else {
-            return Err(DbError::Unsupported(format!(
-                "append_prob_rows targets probabilistic views; {view:?} is deterministic"
-            )));
+            .get_mut(name)
+            .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
+        let schema = match (rel.as_ref(), probs) {
+            (Relation::Deterministic(t), None) => t.schema().clone(),
+            (Relation::Probabilistic(t), Some(_)) => t.schema().clone(),
+            _ => {
+                return Err(DbError::Unsupported(format!(
+                    "{name:?}: rows carry probabilities exactly when the relation is probabilistic"
+                )))
+            }
         };
-        if let Some(&p) = probs
-            .iter()
-            .find(|p| !(0.0..=1.0).contains(*p) || p.is_nan())
-        {
-            return Err(DbError::InvalidProbability(p));
+        let rows = probs.map_or_else(|| columns.first().map_or(0, Column::len), <[f64]>::len);
+        check_columns(&schema, columns, rows)?;
+        let batch = Batch::new(&schema, columns, probs, 0);
+        match Arc::make_mut(rel) {
+            Relation::Deterministic(t) => t.extend_from_batch(&batch, 0..rows),
+            Relation::Probabilistic(t) => {
+                let from = t.len();
+                t.extend_from_batch(&batch, 0..rows)?;
+                let synopses = match self.synopses.get(name) {
+                    Some(base) => base.append_from(t, from),
+                    None => RelationSynopses::build(t, DEFAULT_SYNOPSIS_BUCKETS),
+                };
+                self.synopses.insert(name.to_string(), Arc::new(synopses));
+            }
         }
-        let from_row = t.len();
-        for row in &rows {
-            t.schema().validate_row(row)?;
-        }
-        let appended = rows.len();
-        let Relation::Probabilistic(t) = Arc::make_mut(rel) else {
-            unreachable!("variant checked above");
-        };
-        for (row, p) in rows.into_iter().zip(&probs) {
-            t.insert(row, *p)?;
-        }
-        let synopses = match self.synopses.get(view) {
-            Some(base) => base.append_from(t, from_row),
-            None => RelationSynopses::build(t, DEFAULT_SYNOPSIS_BUCKETS),
-        };
-        self.synopses.insert(view.to_string(), Arc::new(synopses));
         self.bump_data_generation();
-        Ok(appended)
+        Ok(rows)
     }
 
     /// The precomputed synopsis snapshot of a probabilistic view (`None`

@@ -6,6 +6,7 @@
 //! a pointer per row. A [`crate::Value`] is only built where a single cell
 //! has to leave the column (group keys, rendering, the row iterator).
 
+use crate::error::DbError;
 use crate::schema::Schema;
 use crate::value::{ColumnType, Value, ValueKey};
 use std::ops::Range;
@@ -58,6 +59,31 @@ impl Column {
         (0..schema.arity())
             .map(|c| Column::with_capacity(schema.column(c).1, capacity))
             .collect()
+    }
+
+    /// Transposes `rows` into one column per column of `schema` — the one
+    /// type check rows get on their way into a relation: a row of the wrong
+    /// arity is an [`DbError::ArityMismatch`], a cell [`Column::push`]
+    /// hands back a [`DbError::TypeMismatch`] (ints widen into float
+    /// columns), exactly as [`Schema::check_row`] reports them.
+    pub fn from_rows(schema: &Schema, rows: Vec<Vec<Value>>) -> Result<Vec<Column>, DbError> {
+        let mut columns = Column::for_schema(schema, rows.len());
+        for row in rows {
+            if row.len() != schema.arity() {
+                return Err(DbError::ArityMismatch {
+                    expected: schema.arity(),
+                    got: row.len(),
+                });
+            }
+            for (c, (column, v)) in columns.iter_mut().zip(row).enumerate() {
+                column.push(v).map_err(|v| DbError::TypeMismatch {
+                    column: schema.column(c).0.to_string(),
+                    expected: column.column_type(),
+                    got: v.column_type(),
+                })?;
+            }
+        }
+        Ok(columns)
     }
 
     /// The column's type.

@@ -8,6 +8,9 @@
 //! * [`table`] / [`mod@column`] — deterministic [`table::Table`]s and
 //!   tuple-independent, column-major [`table::ProbTable`]s (the `prob_view`
 //!   of the paper's Fig. 1/2).
+//! * [`codec`] — the one byte codec: the encoder/decoder pair wire frames,
+//!   leaf pages and WAL records are written with, and the column-major
+//!   batch encoding every stored tuple travels in.
 //! * [`scan`] — the one scan operator: every source feeds it borrowed
 //!   column [`scan::Batch`]es, and typed kernels restrict, order, group and
 //!   gather on top of them.
@@ -61,6 +64,7 @@
 
 pub mod aggregates;
 pub mod catalog;
+pub mod codec;
 pub mod column;
 pub mod error;
 pub mod plan;

@@ -488,15 +488,7 @@ impl Transposed {
             let Ok(c) = t.schema().index_of(name) else {
                 continue;
             };
-            columns[c].get_or_insert_with(|| {
-                let mut column = Column::with_capacity(t.schema().column(c).1, t.len());
-                for row in t.rows() {
-                    column
-                        .push(row[c].clone())
-                        .expect("table rows are schema-checked");
-                }
-                column
-            });
+            columns[c].get_or_insert_with(|| t.transpose(c, 0..t.len()));
         }
         Transposed {
             columns,

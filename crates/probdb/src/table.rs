@@ -12,6 +12,7 @@ use crate::scan::Batch;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::fmt;
+use std::ops::Range;
 
 /// A deterministic relation.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,6 +70,19 @@ impl Table {
             .extend(rows.map(|i| (0..arity).map(|c| batch.values(c).value(i)).collect()));
     }
 
+    /// Column `c` over the rows `rows`, transposed into a typed column —
+    /// how the row-major table reaches column-major consumers (the scan
+    /// kernels, leaf pages) for just the rows they read.
+    pub fn transpose(&self, c: usize, rows: Range<usize>) -> Column {
+        let mut column = Column::with_capacity(self.schema.column(c).1, rows.len());
+        for row in &self.rows[rows] {
+            column
+                .push(row[c].clone())
+                .expect("table rows are schema-checked");
+        }
+        column
+    }
+
     /// Borrow of all rows.
     pub fn rows(&self) -> &[Vec<Value>] {
         &self.rows
@@ -77,27 +91,6 @@ impl Table {
     /// Row `i`.
     pub fn row(&self, i: usize) -> &[Value] {
         &self.rows[i]
-    }
-
-    /// Single cell by row index and column name.
-    pub fn cell(&self, row: usize, column: &str) -> Result<&Value, DbError> {
-        let c = self.schema.index_of(column)?;
-        Ok(&self.rows[row][c])
-    }
-
-    /// Extracts a whole column as `f64` (errors on text columns).
-    pub fn float_column(&self, column: &str) -> Result<Vec<f64>, DbError> {
-        let c = self.schema.index_of(column)?;
-        self.rows
-            .iter()
-            .map(|r| {
-                r[c].as_f64().ok_or_else(|| DbError::TypeMismatch {
-                    column: column.to_string(),
-                    expected: crate::value::ColumnType::Float,
-                    got: r[c].column_type(),
-                })
-            })
-            .collect()
     }
 
     /// Renders the table in a compact aligned text form (used by the
@@ -168,28 +161,7 @@ impl ProbTable {
         columns: Vec<Column>,
         probs: Vec<f64>,
     ) -> Result<Self, DbError> {
-        if columns.len() != schema.arity() {
-            return Err(DbError::ArityMismatch {
-                expected: schema.arity(),
-                got: columns.len(),
-            });
-        }
-        for (c, column) in columns.iter().enumerate() {
-            let (name, ty) = schema.column(c);
-            if column.column_type() != ty {
-                return Err(DbError::TypeMismatch {
-                    column: name.to_string(),
-                    expected: ty,
-                    got: column.column_type(),
-                });
-            }
-            if column.len() != probs.len() {
-                return Err(DbError::ArityMismatch {
-                    expected: probs.len(),
-                    got: column.len(),
-                });
-            }
-        }
+        check_columns(&schema, &columns, probs.len())?;
         check_probs(&probs)?;
         Ok(ProbTable {
             name: name.into(),
@@ -297,6 +269,11 @@ impl ProbTable {
         &self.columns[c]
     }
 
+    /// All columns, in schema order.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
     /// Borrow of all probabilities (parallel to the columns).
     pub fn probs(&self) -> &[f64] {
         &self.probs
@@ -333,6 +310,38 @@ impl ProbTable {
             max_rows,
         )
     }
+}
+
+/// Rejects columns that cannot stand for `rows` rows of `schema`: one
+/// column per schema column, of that column's type, each `rows` long.
+pub(crate) fn check_columns(
+    schema: &Schema,
+    columns: &[Column],
+    rows: usize,
+) -> Result<(), DbError> {
+    if columns.len() != schema.arity() {
+        return Err(DbError::ArityMismatch {
+            expected: schema.arity(),
+            got: columns.len(),
+        });
+    }
+    for (c, column) in columns.iter().enumerate() {
+        let (name, ty) = schema.column(c);
+        if column.column_type() != ty {
+            return Err(DbError::TypeMismatch {
+                column: name.to_string(),
+                expected: ty,
+                got: column.column_type(),
+            });
+        }
+        if column.len() != rows {
+            return Err(DbError::ArityMismatch {
+                expected: rows,
+                got: column.len(),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Rejects probabilities outside `[0, 1]` (NaN included).
@@ -415,8 +424,7 @@ mod tests {
         t.insert(vec![Value::Int(1), Value::Int(4)]).unwrap();
         t.insert(vec![Value::Int(2), Value::Int(3)]).unwrap();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.cell(1, "room").unwrap(), &Value::Int(3));
-        assert_eq!(t.float_column("time").unwrap(), vec![1.0, 2.0]);
+        assert_eq!(t.row(1), [Value::Int(2), Value::Int(3)]);
     }
 
     #[test]

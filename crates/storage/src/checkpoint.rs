@@ -27,12 +27,15 @@
 //! reclaimed one checkpoint late, never sooner than a reader holding the
 //! old snapshot could still need it.
 
-use crate::codec::Writer;
 use crate::error::StorageError;
 use crate::page::{Page, PageKind, PAYLOAD_LEN};
 use crate::CatalogEntry;
 use std::collections::BTreeSet;
-use tspdb_probdb::Relation;
+use tspdb_probdb::codec::{
+    decode_schema, encode_batch, encode_schema, encoded_row_len, DecodeError, Decoder, Encoder,
+    BATCH_HEADER_LEN,
+};
+use tspdb_probdb::{Column, ColumnSlice, Relation};
 
 /// Fault-injection points inside [`crate::Storage::checkpoint_incremental`]
 /// (tests only). Each simulates the process dying at one window of the
@@ -140,54 +143,55 @@ impl SlotAllocator {
 }
 
 /// Encodes `relation`'s rows from index `from` onwards into sealed leaf
-/// pages (greedy packing; page ids are assigned by the caller).
+/// pages, each payload one [`encode_batch`] batch holding as many rows as
+/// fit (page ids are assigned by the caller). The row-major deterministic
+/// table is transposed for those rows only.
 pub(crate) fn encode_leaves(relation: &Relation, from: usize) -> Result<Vec<Page>, StorageError> {
-    let n_rows = match relation {
-        Relation::Deterministic(t) => t.len(),
-        Relation::Probabilistic(t) => t.len(),
+    let transposed: Vec<Column>;
+    let (columns, probs, rows): (Vec<ColumnSlice<'_>>, Option<&[f64]>, usize) = match relation {
+        Relation::Deterministic(t) => {
+            transposed = (0..t.schema().arity())
+                .map(|c| t.transpose(c, from..t.len()))
+                .collect();
+            let columns = transposed.iter().map(Column::values).collect();
+            (columns, None, t.len() - from)
+        }
+        Relation::Probabilistic(t) => (
+            t.columns()
+                .iter()
+                .map(|c| c.values().slice(from..t.len()))
+                .collect(),
+            Some(&t.probs()[from..]),
+            t.len() - from,
+        ),
     };
+    let header = BATCH_HEADER_LEN + columns.len();
     let mut leaves: Vec<Page> = Vec::new();
-    let mut payload = Writer::new();
-    let mut count = 0u32;
-    let seal = |payload: &mut Writer, count: &mut u32, leaves: &mut Vec<Page>| {
+    let mut start = 0;
+    while start < rows {
+        let (mut end, mut used) = (start, header);
+        while end < rows {
+            let row = encoded_row_len(&columns, end, probs.is_some());
+            if used + row > PAYLOAD_LEN {
+                if end == start {
+                    return Err(StorageError::TupleTooLarge {
+                        size: header + row,
+                        max: PAYLOAD_LEN,
+                    });
+                }
+                break;
+            }
+            used += row;
+            end += 1;
+        }
+        let slices: Vec<ColumnSlice<'_>> = columns.iter().map(|c| c.slice(start..end)).collect();
+        let mut enc = Encoder::new();
+        encode_batch(&mut enc, &slices, probs.map(|p| &p[start..end]));
         let mut leaf = Page::new(PageKind::Leaf);
-        leaf.set_payload(&std::mem::take(payload).into_bytes());
-        leaf.set_count(*count);
-        *count = 0;
+        leaf.set_payload(&enc.into_bytes());
+        leaf.set_count((end - start) as u32);
         leaves.push(leaf);
-    };
-    for i in from..n_rows {
-        let mut tuple = Writer::new();
-        // Leaves stay row-major (format v2): a probabilistic tuple is its
-        // probability, then one tagged cell per column.
-        match relation {
-            Relation::Deterministic(t) => {
-                for v in t.row(i) {
-                    tuple.put_value(v);
-                }
-            }
-            Relation::Probabilistic(t) => {
-                tuple.put_f64(t.probs()[i]);
-                for c in 0..t.schema().arity() {
-                    tuple.put_cell(t.column(c).values(), i);
-                }
-            }
-        }
-        let tuple = tuple.into_bytes();
-        if tuple.len() > PAYLOAD_LEN {
-            return Err(StorageError::TupleTooLarge {
-                size: tuple.len(),
-                max: PAYLOAD_LEN,
-            });
-        }
-        if payload.len() + tuple.len() > PAYLOAD_LEN {
-            seal(&mut payload, &mut count, &mut leaves);
-        }
-        payload.put_raw(&tuple);
-        count += 1;
-    }
-    if count > 0 {
-        seal(&mut payload, &mut count, &mut leaves);
+        start = end;
     }
     Ok(leaves)
 }
@@ -200,11 +204,11 @@ pub(crate) fn build_interior_pages(leaf_ids: &[u64]) -> Vec<Page> {
         .chunks(ids_per_page)
         .map(|chunk| {
             let mut interior = Page::new(PageKind::Interior);
-            let mut w = Writer::new();
+            let mut enc = Encoder::new();
             for id in chunk {
-                w.put_u64(*id);
+                enc.put_u64(*id);
             }
-            interior.set_payload(&w.into_bytes());
+            interior.set_payload(&enc.into_bytes());
             interior.set_count(chunk.len() as u32);
             interior
         })
@@ -218,15 +222,17 @@ pub(crate) fn build_catalog_pages<'a>(
     entries: impl Iterator<Item = &'a CatalogEntry>,
 ) -> Result<Vec<Page>, StorageError> {
     let mut pages: Vec<Page> = Vec::new();
-    let mut payload = Writer::new();
+    let mut payload = Encoder::new();
     let mut count = 0u32;
     for entry in entries {
-        let mut enc = Writer::new();
+        let mut enc = Encoder::new();
         enc.put_str(&entry.name);
         enc.put_u8(u8::from(entry.probabilistic));
-        enc.put_schema(&entry.schema);
+        encode_schema(&mut enc, &entry.schema);
         enc.put_u64(entry.root);
         enc.put_u64(entry.rows);
+        // No lineage is the empty statement.
+        enc.put_str(entry.lineage.as_deref().unwrap_or_default());
         let enc = enc.into_bytes();
         if enc.len() > PAYLOAD_LEN {
             return Err(StorageError::BadDatabase(format!(
@@ -253,9 +259,21 @@ pub(crate) fn build_catalog_pages<'a>(
     Ok(pages)
 }
 
-/// Builds one sealed-ready meta page (format v2).
+/// Reads one catalog entry written by [`build_catalog_pages`].
+pub(crate) fn decode_catalog_entry(dec: &mut Decoder<'_>) -> Result<CatalogEntry, DecodeError> {
+    Ok(CatalogEntry {
+        name: dec.take_str()?,
+        probabilistic: dec.take_u8()? != 0,
+        schema: decode_schema(dec)?,
+        root: dec.take_u64()?,
+        rows: dec.take_u64()?,
+        lineage: Some(dec.take_str()?).filter(|spec| !spec.is_empty()),
+    })
+}
+
+/// Builds one sealed-ready meta page.
 pub(crate) fn build_meta_page(epoch: u64, n_pages: u64, catalog_root: u64, wal_floor: u64) -> Page {
-    let mut meta = Writer::new();
+    let mut meta = Encoder::new();
     meta.put_raw(crate::DB_MAGIC);
     meta.put_u32(crate::DB_VERSION);
     meta.put_u32(crate::page::PAGE_SIZE as u32);

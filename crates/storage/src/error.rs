@@ -1,6 +1,7 @@
 //! Storage-layer errors.
 
 use std::fmt;
+use tspdb_probdb::codec::DecodeError;
 use tspdb_probdb::DbError;
 
 /// Everything that can go wrong under the pager and the write-ahead log.
@@ -72,6 +73,14 @@ impl fmt::Display for StorageError {
 }
 
 impl std::error::Error for StorageError {}
+
+impl StorageError {
+    /// Bytes of page `page` that fail to decode: the page is corrupt.
+    /// (WAL records, which live outside the page file, report page 0.)
+    pub(crate) fn corrupt(page: u64) -> impl Fn(DecodeError) -> StorageError + Copy {
+        move |e| StorageError::CorruptPage { page, reason: e.0 }
+    }
+}
 
 impl From<std::io::Error> for StorageError {
     fn from(e: std::io::Error) -> Self {

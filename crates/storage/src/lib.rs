@@ -9,9 +9,11 @@
 //!
 //! * `tspdb.db` — fixed-size pages ([`page::PAGE_SIZE`] bytes): **two
 //!   meta slots** (pages 0 and 1, the valid one with the higher epoch
-//!   wins), a catalog chain (one entry per relation), and per relation an
-//!   interior chain listing its leaf pages and the leaves holding encoded
-//!   tuples. Checkpoints are **incremental and shadow-paged**
+//!   wins), a catalog chain (one entry per relation, an Ω-view's lineage
+//!   spec included), and per relation an interior chain listing its leaf
+//!   pages and the leaves, each one column-major batch of tuples
+//!   (`tspdb_probdb::codec::encode_batch`). Checkpoints are **incremental
+//!   and shadow-paged**
 //!   ([`Storage::checkpoint_incremental`]): new pages go only to slots
 //!   unreachable from the live meta, and one meta-slot write is the
 //!   atomic commit point — which is what lets the page cache hold
@@ -45,7 +47,6 @@
 
 pub mod checkpoint;
 pub mod codec;
-pub mod cursor;
 pub mod error;
 pub mod page;
 pub mod pager;
@@ -57,24 +58,25 @@ pub use pager::{Pager, PagerStats, DEFAULT_CACHE_PAGES};
 pub use wal::{CrashPoint, JournalOp};
 
 use checkpoint::SlotAllocator;
-use codec::Reader;
-use cursor::BatchCursor;
 use page::{PageKind, PAGE_SIZE};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use tspdb_probdb::{Batch, BatchStream, DbError, ProbTable, Relation, ScanSource, Schema, Table};
+use tspdb_probdb::codec::{decode_batch, Decoder};
+use tspdb_probdb::{
+    Batch, BatchStream, Column, DbError, ProbTable, Relation, ScanSource, Schema, Table,
+};
 
 /// Database file magic.
 pub(crate) const DB_MAGIC: &[u8; 8] = b"TSPDB-DB";
 
-/// Database file format version (v2: dual meta slots + shadow-paged
-/// incremental checkpoints; v1 files were rewritten wholesale and are not
-/// read by this build).
-pub(crate) const DB_VERSION: u32 = 2;
+/// Database file format version (v3: every leaf is one column-major batch
+/// and catalog entries carry Ω-view lineage; v2 leaves were row-major, v1
+/// files were rewritten wholesale). Older files are refused, not read.
+pub(crate) const DB_VERSION: u32 = 3;
 
 /// Number of meta slots at the head of the database file.
 const META_SLOTS: u64 = 2;
@@ -90,11 +92,6 @@ pub const DB_FILE: &str = "tspdb.db";
 
 /// Name of the write-ahead log inside a data directory.
 pub const WAL_FILE: &str = "tspdb.wal";
-
-/// Name of the engine metadata sidecar inside a data directory (free-form
-/// text the upper layer owns — e.g. density-view lineage specs persisted
-/// across checkpoints). Written atomically (tmp + rename + dir fsync).
-pub const META_FILE: &str = "tspdb.meta";
 
 /// Tuning knobs of a [`Storage`].
 #[derive(Debug, Clone, Copy)]
@@ -128,6 +125,10 @@ pub struct CatalogEntry {
     pub root: u64,
     /// Tuple count, recorded for integrity checking on scan.
     pub rows: u64,
+    /// The statement a derived relation is maintained by (an Ω-view's
+    /// `CREATE VIEW … AS DENSITY` text), opaque to the storage engine.
+    /// It commits with the same meta-slot write as the tuples it derives.
+    pub lineage: Option<String>,
 }
 
 /// What [`Storage::open`] found on disk.
@@ -166,7 +167,6 @@ struct MetaInfo {
 /// by excluding checkpoints while queries run (its catalog RwLock).
 #[derive(Debug)]
 pub struct Storage {
-    dir: PathBuf,
     options: StorageOptions,
     pager: Arc<Pager>,
     /// Read-write handle to the database file, used only by checkpoints
@@ -223,7 +223,6 @@ impl Storage {
         };
         Ok((
             Storage {
-                dir: dir.to_path_buf(),
                 options,
                 pager: Arc::new(loaded.pager),
                 db_write: Mutex::new(db_write),
@@ -239,11 +238,6 @@ impl Storage {
             },
             recovery,
         ))
-    }
-
-    /// The database directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Journals one operation: appends it to the WAL and fsyncs. Returns
@@ -331,12 +325,13 @@ impl Storage {
 
     /// Writes a **full** checkpoint: every relation in `relations` is
     /// rewritten from scratch, everything else is dropped from the
-    /// catalog. Kept for callers that don't track dirtiness;
-    /// [`Storage::checkpoint_incremental`] is the page-granular path.
+    /// catalog, and no relation carries lineage. Kept for callers that
+    /// don't track dirtiness; [`Storage::checkpoint_incremental`] is the
+    /// page-granular path.
     pub fn checkpoint(&self, relations: &[Relation]) -> Result<CheckpointStats, StorageError> {
         let sources: Vec<CheckpointSource<'_>> =
             relations.iter().map(CheckpointSource::Rewrite).collect();
-        self.checkpoint_incremental(&sources)
+        self.checkpoint_incremental(&sources, &BTreeMap::new())
     }
 
     /// Writes an incremental, shadow-paged checkpoint.
@@ -346,7 +341,10 @@ impl Storage {
     /// writes nothing; [`CheckpointSource::Append`] writes only the
     /// appended suffix (new leaves + a fresh interior chain);
     /// [`CheckpointSource::Rewrite`] writes the relation whole. The
-    /// catalog chain and one meta slot are always rewritten.
+    /// catalog chain and one meta slot are always rewritten, and every
+    /// entry in it carries the relation's [`CatalogEntry::lineage`] from
+    /// `lineage` (relation name → statement text), so a derived relation
+    /// and its lineage commit together.
     ///
     /// Protocol (see [`checkpoint`] module docs): data pages go to slots
     /// unreachable from the live meta and are fsynced; only then is the
@@ -359,6 +357,7 @@ impl Storage {
     pub fn checkpoint_incremental(
         &self,
         sources: &[CheckpointSource<'_>],
+        lineage: &BTreeMap<String, String>,
     ) -> Result<CheckpointStats, StorageError> {
         let _serial = self.ckpt_serial.lock().unwrap_or_else(|e| e.into_inner());
         if self.is_poisoned() {
@@ -491,6 +490,7 @@ impl Storage {
                             schema: schema.clone(),
                             root,
                             rows: len as u64,
+                            lineage: None,
                         },
                     );
                     new_layouts.insert(
@@ -502,6 +502,9 @@ impl Storage {
                     );
                 }
             }
+        }
+        for (name, entry) in &mut new_dir {
+            entry.lineage = lineage.get(name).cloned();
         }
         let mut cat_pages = checkpoint::build_catalog_pages(new_dir.values())?;
         let cat_ids: Vec<u64> = cat_pages.iter().map(|_| alloc.alloc()).collect();
@@ -649,53 +652,37 @@ impl Storage {
     pub fn cache_stats(&self) -> PagerStats {
         self.pager.stats()
     }
-
-    /// Atomically replaces the metadata sidecar with `contents` (tmp +
-    /// rename + directory fsync). The storage engine treats the contents
-    /// as opaque; the upper layer uses it for state that must survive a
-    /// checkpoint + WAL reset but has no tuple representation
-    /// (density-view lineage).
-    pub fn put_meta(&self, contents: &str) -> Result<(), StorageError> {
-        let meta_path = self.dir.join(META_FILE);
-        let tmp_path = self.dir.join(format!("{META_FILE}.tmp"));
-        {
-            let mut f = File::create(&tmp_path)?;
-            f.write_all(contents.as_bytes())?;
-            if self.options.fsync {
-                f.sync_data()?;
-            }
-        }
-        std::fs::rename(&tmp_path, &meta_path)?;
-        sync_dir(&self.dir)?;
-        Ok(())
-    }
-
-    /// The metadata sidecar's contents (`None` when none was ever
-    /// written).
-    pub fn get_meta(&self) -> Result<Option<String>, StorageError> {
-        match std::fs::read_to_string(self.dir.join(META_FILE)) {
-            Ok(s) => Ok(Some(s)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
 }
 
-/// A lazy batch stream over one on-disk relation: decodes one leaf at a
-/// time through the shared page cache into a column [`Batch`], verifying
-/// the catalog's recorded row count at exhaustion. Owns its pager handle,
-/// so it can outlive the [`Storage`] call that opened it.
+/// A lazy batch stream over one on-disk relation. Each
+/// [`RelationStream::next_batch`] faults in one leaf through the shared
+/// page cache (a warm scan never touches the disk) and decodes its batch
+/// **straight into reused column vectors**, plus the probabilities of a
+/// probabilistic relation — a scan allocates per relation, not per tuple.
+/// Owns its pager handle, so it can outlive the [`Storage`] call that
+/// opened it.
 #[derive(Debug)]
 pub struct RelationStream {
-    cursor: BatchCursor<Arc<Pager>>,
+    pager: Arc<Pager>,
+    /// Leaf page ids not yet decoded, in tuple order.
+    leaves: VecDeque<u64>,
     entry: CatalogEntry,
+    columns: Vec<Column>,
+    probs: Vec<f64>,
+    /// Tuples handed out so far — the global index of the next batch.
+    seen: usize,
 }
 
 impl RelationStream {
     fn new(pager: Arc<Pager>, entry: CatalogEntry) -> Result<RelationStream, StorageError> {
-        let cursor =
-            BatchCursor::new(pager, entry.root, entry.schema.clone(), entry.probabilistic)?;
-        Ok(RelationStream { cursor, entry })
+        Ok(RelationStream {
+            leaves: read_layout(&pager, entry.root)?.leaves.into(),
+            columns: Column::for_schema(&entry.schema, 0),
+            pager,
+            entry,
+            probs: Vec::new(),
+            seen: 0,
+        })
     }
 
     /// The streamed relation's catalog entry.
@@ -706,18 +693,43 @@ impl RelationStream {
     /// Decodes the next leaf, or `None` at end of relation — at which
     /// point the tuples seen must match the catalog's recorded row count.
     pub fn next_batch(&mut self) -> Result<Option<Batch<'_>>, StorageError> {
-        // Checked before the call whose borrow the returned batch holds.
-        if self.cursor.remaining_leaves() == 0 && self.cursor.seen() as u64 != self.entry.rows {
+        let Some(id) = self.leaves.pop_front() else {
+            if self.seen as u64 != self.entry.rows {
+                return Err(StorageError::CorruptPage {
+                    page: self.entry.root,
+                    reason: format!(
+                        "catalog records {} rows, leaves hold {}",
+                        self.entry.rows, self.seen
+                    ),
+                });
+            }
+            return Ok(None);
+        };
+        let page = self.pager.get(id)?;
+        if page.kind() != PageKind::Leaf {
             return Err(StorageError::CorruptPage {
-                page: self.entry.root,
-                reason: format!(
-                    "catalog records {} rows, leaves hold {}",
-                    self.entry.rows,
-                    self.cursor.seen()
-                ),
+                page: id,
+                reason: format!("expected a leaf page, found {:?}", page.kind()),
             });
         }
-        self.cursor.next_batch()
+        for column in &mut self.columns {
+            column.clear();
+        }
+        self.probs.clear();
+        let mut dec = Decoder::new(page.payload());
+        let probs = self.entry.probabilistic.then_some(&mut self.probs);
+        let rows = decode_batch(&mut dec, &mut self.columns, probs)
+            .and_then(|rows| dec.finish().map(|()| rows))
+            .map_err(StorageError::corrupt(id))?;
+        let offset = self.seen;
+        self.seen += rows;
+        let probs = self.entry.probabilistic.then_some(self.probs.as_slice());
+        Ok(Some(Batch::new(
+            &self.entry.schema,
+            &self.columns,
+            probs,
+            offset,
+        )))
     }
 }
 
@@ -796,27 +808,29 @@ fn read_meta_slot(pager: &Pager, slot: u64) -> Result<MetaInfo, StorageError> {
             "page {slot} is not a meta page"
         )));
     }
-    let mut r = Reader::new(page.payload(), slot);
-    if r.take_raw(DB_MAGIC.len())? != DB_MAGIC {
+    let mut dec = Decoder::new(page.payload());
+    let corrupt = StorageError::corrupt(slot);
+    if dec.take_raw(DB_MAGIC.len()).map_err(corrupt)? != DB_MAGIC {
         return Err(StorageError::BadDatabase("magic mismatch".into()));
     }
-    let version = r.take_u32()?;
+    let version = dec.take_u32().map_err(corrupt)?;
     if version != DB_VERSION {
         return Err(StorageError::BadDatabase(format!(
             "database format v{version}, this build reads v{DB_VERSION}"
         )));
     }
-    let page_size = r.take_u32()? as usize;
+    let page_size = dec.take_u32().map_err(corrupt)? as usize;
     if page_size != PAGE_SIZE {
         return Err(StorageError::BadDatabase(format!(
             "database uses {page_size}-byte pages, this build uses {PAGE_SIZE}"
         )));
     }
+    let mut field = || dec.take_u64().map_err(corrupt);
     Ok(MetaInfo {
-        epoch: r.take_u64()?,
-        n_pages: r.take_u64()?,
-        catalog_root: r.take_u64()?,
-        wal_floor: r.take_u64()?,
+        epoch: field()?,
+        n_pages: field()?,
+        catalog_root: field()?,
+        wal_floor: field()?,
     })
 }
 
@@ -834,9 +848,11 @@ fn read_layout(pager: &Pager, root: u64) -> Result<RelationLayout, StorageError>
             });
         }
         layout.interior.push(id);
-        let mut r = Reader::new(page.payload(), id);
+        let mut dec = Decoder::new(page.payload());
         for _ in 0..page.count() {
-            layout.leaves.push(r.take_u64()?);
+            layout
+                .leaves
+                .push(dec.take_u64().map_err(StorageError::corrupt(id))?);
         }
         id = page.next();
     }
@@ -869,6 +885,9 @@ fn load_db_file(path: &Path, cache_pages: usize) -> Result<LoadedDb, StorageErro
         match read_meta_slot(&pager, slot) {
             Ok(m) if meta.is_none() || m.epoch > meta.expect("checked").epoch => meta = Some(m),
             Ok(_) => {}
+            // A checksummed meta page that is not this format (an older
+            // version, another magic) is no torn slot: refuse the file.
+            Err(e @ StorageError::BadDatabase(_)) => return Err(e),
             Err(e) => slot_errors.push(format!("slot {slot}: {e}")),
         }
     }
@@ -900,23 +919,11 @@ fn load_db_file(path: &Path, cache_pages: usize) -> Result<LoadedDb, StorageErro
             });
         }
         catalog_pages.push(id);
-        let mut r = Reader::new(page.payload(), id);
+        let mut dec = Decoder::new(page.payload());
         for _ in 0..page.count() {
-            let name = r.take_str()?;
-            let probabilistic = r.take_u8()? != 0;
-            let schema = r.take_schema()?;
-            let root = r.take_u64()?;
-            let rows = r.take_u64()?;
-            directory.insert(
-                name.clone(),
-                CatalogEntry {
-                    name,
-                    probabilistic,
-                    schema,
-                    root,
-                    rows,
-                },
-            );
+            let entry =
+                checkpoint::decode_catalog_entry(&mut dec).map_err(StorageError::corrupt(id))?;
+            directory.insert(entry.name.clone(), entry);
         }
         id = page.next();
     }
@@ -936,6 +943,8 @@ fn load_db_file(path: &Path, cache_pages: usize) -> Result<LoadedDb, StorageErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+    use tspdb_probdb::codec::{encode_column_type, Encoder};
     use tspdb_probdb::{ColumnType, Value};
 
     /// Minimal self-cleaning temp dir (no external crates in the offline
@@ -985,44 +994,6 @@ mod tests {
         assert_eq!(recovery.checkpoint_relations, 0);
         assert!(storage.relation_names().is_empty());
         assert!(storage.scan("nope").unwrap().is_none());
-    }
-
-    #[test]
-    fn checkpoint_then_scan_round_trips_bit_exactly() {
-        let dir = TempDir::new();
-        let (storage, _) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
-        let table = sample_prob_table("pv", 500); // several leaves' worth
-        storage
-            .checkpoint(&[Relation::Probabilistic(table.clone())])
-            .unwrap();
-
-        let got = storage.scan("pv").unwrap().expect("pv on disk");
-        let Relation::Probabilistic(got) = got else {
-            panic!("expected a probabilistic relation")
-        };
-        assert_eq!(got.len(), table.len());
-        for i in 0..table.len() {
-            let (row_a, p_a) = table.tuple(i);
-            let (row_b, p_b) = got.tuple(i);
-            assert_eq!(p_a.to_bits(), p_b.to_bits(), "row {i} probability");
-            for (a, b) in row_a.iter().zip(row_b.iter()) {
-                match (a, b) {
-                    (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                    _ => assert_eq!(a, b),
-                }
-            }
-        }
-
-        // Re-open from disk: same contents, no WAL replay needed.
-        drop(storage);
-        let (storage, recovery) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
-        assert!(recovery.ops.is_empty());
-        assert_eq!(recovery.checkpoint_relations, 1);
-        let got = storage.scan("pv").unwrap().expect("pv survives re-open");
-        let Relation::Probabilistic(got) = got else {
-            panic!("expected a probabilistic relation")
-        };
-        assert_eq!(got.len(), 500);
     }
 
     #[test]
@@ -1103,7 +1074,7 @@ mod tests {
             assert!(matches!(
                 storage.checkpoint_incremental(&[CheckpointSource::Append(
                     &Relation::Probabilistic(v2)
-                )]),
+                )], &BTreeMap::new()),
                 Err(StorageError::InjectedCrash(t)) if t == tag
             ));
             drop(storage);
@@ -1141,9 +1112,12 @@ mod tests {
                 .unwrap();
         }
         let incr_stats = storage
-            .checkpoint_incremental(&[CheckpointSource::Append(&Relation::Probabilistic(
-                grown.clone(),
-            ))])
+            .checkpoint_incremental(
+                &[CheckpointSource::Append(&Relation::Probabilistic(
+                    grown.clone(),
+                ))],
+                &BTreeMap::new(),
+            )
             .unwrap();
         assert_eq!(incr_stats.relations_appended, 1);
         assert!(
@@ -1191,7 +1165,10 @@ mod tests {
         // slot stays reachable until the *next* checkpoint frees it);
         // after that the two catalog slots alternate — steady state.
         let stats = storage
-            .checkpoint_incremental(&[CheckpointSource::Keep("a"), CheckpointSource::Keep("b")])
+            .checkpoint_incremental(
+                &[CheckpointSource::Keep("a"), CheckpointSource::Keep("b")],
+                &BTreeMap::new(),
+            )
             .unwrap();
         assert_eq!(stats.relations_kept, 2);
         assert!(
@@ -1201,20 +1178,26 @@ mod tests {
         );
         let steady = storage.pager.n_pages();
         storage
-            .checkpoint_incremental(&[CheckpointSource::Keep("a"), CheckpointSource::Keep("b")])
+            .checkpoint_incremental(
+                &[CheckpointSource::Keep("a"), CheckpointSource::Keep("b")],
+                &BTreeMap::new(),
+            )
             .unwrap();
         assert_eq!(storage.pager.n_pages(), steady, "no growth on repeat keep");
 
         // Drop `b` (absent from the sources): its slots free up, so
         // rewriting `a` into them must not grow the file.
         storage
-            .checkpoint_incremental(&[CheckpointSource::Keep("a")])
+            .checkpoint_incremental(&[CheckpointSource::Keep("a")], &BTreeMap::new())
             .unwrap();
         let before_rewrite = storage.pager.n_pages();
         storage
-            .checkpoint_incremental(&[CheckpointSource::Rewrite(&Relation::Probabilistic(
-                a.clone(),
-            ))])
+            .checkpoint_incremental(
+                &[CheckpointSource::Rewrite(&Relation::Probabilistic(
+                    a.clone(),
+                ))],
+                &BTreeMap::new(),
+            )
             .unwrap();
         assert_eq!(
             storage.pager.n_pages(),
@@ -1234,7 +1217,7 @@ mod tests {
         let dir = TempDir::new();
         let (storage, _) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
         assert!(matches!(
-            storage.checkpoint_incremental(&[CheckpointSource::Keep("ghost")]),
+            storage.checkpoint_incremental(&[CheckpointSource::Keep("ghost")], &BTreeMap::new()),
             Err(StorageError::UnknownRelation(n)) if n == "ghost"
         ));
     }
@@ -1251,9 +1234,12 @@ mod tests {
         // corrupt.
         let shrunk = sample_prob_table("pv", 40);
         let stats = storage
-            .checkpoint_incremental(&[CheckpointSource::Append(&Relation::Probabilistic(
-                shrunk.clone(),
-            ))])
+            .checkpoint_incremental(
+                &[CheckpointSource::Append(&Relation::Probabilistic(
+                    shrunk.clone(),
+                ))],
+                &BTreeMap::new(),
+            )
             .unwrap();
         assert_eq!(stats.relations_rewritten, 1);
         assert_eq!(stats.relations_appended, 0);
@@ -1265,7 +1251,10 @@ mod tests {
 
         // Unchanged append degrades to a keep: no relation pages written.
         let stats = storage
-            .checkpoint_incremental(&[CheckpointSource::Append(&Relation::Probabilistic(shrunk))])
+            .checkpoint_incremental(
+                &[CheckpointSource::Append(&Relation::Probabilistic(shrunk))],
+                &BTreeMap::new(),
+            )
             .unwrap();
         assert_eq!(stats.relations_kept, 1);
         assert!(stats.pages_written <= 2);
@@ -1302,12 +1291,11 @@ mod tests {
     }
 
     #[test]
-    fn data_directory_written_with_the_bytewise_crc_opens_and_verifies() {
+    fn bytewise_crc_v2_pages_verify_and_the_directory_is_refused_by_version() {
         // `tests/fixtures/bytewise_v2` was written by the build before
         // slicing-by-8 (byte-at-a-time `crc32`): a checkpoint of `pv` (300
-        // tuples) and `raw` (10 rows), then two WAL records. Every page and
-        // record checksum in it must verify under today's `crc32` — a
-        // mismatch would surface as a corrupt page or a truncated WAL tail.
+        // tuples) and `raw` (10 rows), then two WAL records. Every page
+        // checksum in it must verify under today's `crc32`.
         let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/bytewise_v2");
         let dir = TempDir::new();
         for file in [DB_FILE, WAL_FILE] {
@@ -1322,49 +1310,42 @@ mod tests {
             assert_eq!(stored, codec::crc32(&zeroed), "page {id}");
         }
 
-        let (storage, recovery) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
-        assert_eq!(recovery.checkpoint_relations, 2);
-        assert!(!recovery.truncated_tail, "a WAL record failed its checksum");
-        assert_eq!(
-            recovery.ops,
-            vec![
-                JournalOp::Sql("INSERT INTO raw VALUES (10, 's10')".into()),
-                JournalOp::AppendRows {
-                    table: "raw".into(),
-                    rows: vec![vec![Value::Int(11), Value::Text("s11".into())]],
-                    probs: None,
-                },
-            ]
+        // This build reads format v3 only: the v2 directory is refused by
+        // version, with a typed error rather than a misread.
+        let err = Storage::open(dir.path(), StorageOptions::default()).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::BadDatabase(msg) if msg.contains("format v2")),
+            "{err}"
         );
-        let Some(Relation::Probabilistic(pv)) = storage.scan("pv").unwrap() else {
-            panic!("pv is a probabilistic relation")
-        };
-        assert_eq!(pv, sample_prob_table("pv", 300));
-        let Some(Relation::Deterministic(raw)) = storage.scan("raw").unwrap() else {
-            panic!("raw is a deterministic relation")
-        };
-        assert_eq!(raw.len(), 10);
-        assert_eq!(raw.row(9), [Value::Int(9), Value::Text("s9".into())]);
     }
 
     #[test]
-    fn deterministic_relations_round_trip() {
+    fn a_repeated_column_in_a_checksummed_record_is_an_error_not_a_panic() {
         let dir = TempDir::new();
-        let (storage, _) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
-        let schema = Schema::of(&[("t", ColumnType::Int), ("tag", ColumnType::Text)]);
-        let mut t = Table::new("raw", schema);
-        for i in 0..10 {
-            t.insert(vec![Value::Int(i), Value::Text(format!("s{i}"))])
-                .unwrap();
+        drop(Storage::open(dir.path(), StorageOptions::default()).unwrap());
+        // A `LoadTable` record whose schema names `a` twice, under a valid
+        // CRC: only the decoder's schema check stands between it and
+        // `Schema::new`'s assertion.
+        let mut payload = Encoder::new();
+        payload.put_u64(1);
+        payload.put_u8(2);
+        payload.put_str("dup");
+        payload.put_u32(2);
+        for _ in 0..2 {
+            payload.put_str("a");
+            encode_column_type(&mut payload, ColumnType::Int);
         }
-        storage
-            .checkpoint(&[Relation::Deterministic(t.clone())])
-            .unwrap();
-        let got = storage.scan("raw").unwrap().expect("raw on disk");
-        let Relation::Deterministic(got) = got else {
-            panic!("expected a deterministic relation")
-        };
-        assert_eq!(got.rows(), t.rows());
+        let payload = payload.into_bytes();
+        let mut wal = std::fs::read(dir.path().join(WAL_FILE)).unwrap();
+        wal.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        wal.extend_from_slice(&codec::crc32(&payload).to_be_bytes());
+        wal.extend_from_slice(&payload);
+        std::fs::write(dir.path().join(WAL_FILE), wal).unwrap();
+        let err = Storage::open(dir.path(), StorageOptions::default()).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::CorruptPage { reason, .. } if reason.contains("repeats column a")),
+            "{err}"
+        );
     }
 
     #[test]

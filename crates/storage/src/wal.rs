@@ -28,19 +28,23 @@
 //! records are still in the log, but their sequence numbers identify them
 //! as already applied.
 
-use crate::codec::{crc32, Reader, Writer};
+use crate::codec::crc32;
 use crate::error::StorageError;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write as _};
 use std::path::Path;
-use tspdb_probdb::{Schema, Value};
+use tspdb_probdb::codec::{
+    decode_batch, decode_schema, encode_batch, encode_schema, DecodeError, Decoder, Encoder,
+};
+use tspdb_probdb::{Column, Schema};
 
 /// WAL file magic (9 bytes of name + 3 of padding → 12-byte header with
 /// the version).
 const WAL_MAGIC: &[u8; 8] = b"TSPDBWAL";
 
-/// WAL format version.
-const WAL_VERSION: u32 = 1;
+/// WAL format version (v2: table loads and appends carry their rows as one
+/// column-major batch; v1 logs are refused, not read).
+const WAL_VERSION: u32 = 2;
 
 /// Header length: magic + version.
 const WAL_HEADER_LEN: u64 = 12;
@@ -54,120 +58,90 @@ pub enum JournalOp {
     /// statement itself is the redo record.
     Sql(String),
     /// A programmatic table load (`SharedEngine::load_series`): the
-    /// finished table, schema and rows, since no SQL text exists for it.
+    /// finished table, since no SQL text exists for it.
     LoadTable {
         /// Table name.
         name: String,
         /// Column layout.
         schema: Schema,
-        /// Row values (already schema-checked by the original load).
-        rows: Vec<Vec<Value>>,
+        /// The rows, one column per schema column.
+        columns: Vec<Column>,
     },
     /// A batched append from the streaming ingest path: rows landing on an
-    /// existing relation (whose schema is already on disk/in the catalog,
-    /// so only the values travel). `probs` is present when the target is a
-    /// probabilistic view — one existence probability per row.
+    /// existing deterministic table, whose schema is already on disk or in
+    /// the catalog, so only the values travel. Derived Ω-views are not
+    /// journaled: replay re-derives them from these rows.
     AppendRows {
-        /// Target relation.
+        /// Target table.
         table: String,
-        /// Appended rows, in arrival order.
-        rows: Vec<Vec<Value>>,
-        /// Per-row existence probabilities (probabilistic views only).
-        probs: Option<Vec<f64>>,
+        /// The appended rows, already checked against the table's schema,
+        /// one column per schema column.
+        columns: Vec<Column>,
     },
 }
 
 impl JournalOp {
-    /// Encodes the operation payload (without the sequence number).
-    fn encode(&self, w: &mut Writer) {
-        match self {
+    /// Encodes the operation payload (without the sequence number). Rows
+    /// travel as one [`encode_batch`] batch.
+    fn encode(&self, enc: &mut Encoder) {
+        let columns = match self {
             JournalOp::Sql(sql) => {
-                w.put_u8(1);
-                w.put_str(sql);
+                enc.put_u8(1);
+                enc.put_str(sql);
+                return;
             }
-            JournalOp::LoadTable { name, schema, rows } => {
-                w.put_u8(2);
-                w.put_str(name);
-                w.put_schema(schema);
-                w.put_u64(rows.len() as u64);
-                for row in rows {
-                    for v in row {
-                        w.put_value(v);
-                    }
-                }
+            JournalOp::LoadTable {
+                name,
+                schema,
+                columns,
+            } => {
+                enc.put_u8(2);
+                enc.put_str(name);
+                encode_schema(enc, schema);
+                columns
             }
-            JournalOp::AppendRows { table, rows, probs } => {
-                w.put_u8(3);
-                w.put_str(table);
-                w.put_u64(rows.len() as u64);
-                // Values are self-describing; only the per-row arity is
-                // needed to re-slice the stream into rows.
-                for row in rows {
-                    w.put_u32(row.len() as u32);
-                    for v in row {
-                        w.put_value(v);
-                    }
-                }
-                match probs {
-                    Some(ps) => {
-                        w.put_u8(1);
-                        for &p in ps {
-                            w.put_f64(p);
-                        }
-                    }
-                    None => w.put_u8(0),
-                }
+            JournalOp::AppendRows { table, columns } => {
+                enc.put_u8(3);
+                enc.put_str(table);
+                columns
             }
-        }
+        };
+        let slices: Vec<_> = columns.iter().map(Column::values).collect();
+        encode_batch(enc, &slices, None);
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<JournalOp, StorageError> {
-        match r.take_u8()? {
-            1 => Ok(JournalOp::Sql(r.take_str()?)),
+    fn decode(dec: &mut Decoder<'_>) -> Result<JournalOp, DecodeError> {
+        match dec.take_u8()? {
+            1 => Ok(JournalOp::Sql(dec.take_str()?)),
             2 => {
-                let name = r.take_str()?;
-                let schema = r.take_schema()?;
-                let n = r.take_u64()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let mut row = Vec::with_capacity(schema.arity());
-                    for _ in 0..schema.arity() {
-                        row.push(r.take_value()?);
-                    }
-                    rows.push(row);
-                }
-                Ok(JournalOp::LoadTable { name, schema, rows })
+                let name = dec.take_str()?;
+                let schema = decode_schema(dec)?;
+                let mut columns = Column::for_schema(&schema, 0);
+                decode_batch(dec, &mut columns, None)?;
+                Ok(JournalOp::LoadTable {
+                    name,
+                    schema,
+                    columns,
+                })
             }
             3 => {
-                let table = r.take_str()?;
-                let n = r.take_u64()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let arity = r.take_u32()? as usize;
-                    let mut row = Vec::with_capacity(arity.min(1 << 10));
-                    for _ in 0..arity {
-                        row.push(r.take_value()?);
-                    }
-                    rows.push(row);
-                }
-                let probs = match r.take_u8()? {
-                    0 => None,
-                    _ => {
-                        let mut ps = Vec::with_capacity(n.min(1 << 20));
-                        for _ in 0..n {
-                            ps.push(r.take_f64()?);
-                        }
-                        Some(ps)
-                    }
-                };
-                Ok(JournalOp::AppendRows { table, rows, probs })
+                let table = dec.take_str()?;
+                let mut columns = Vec::new();
+                decode_batch(dec, &mut columns, None)?;
+                Ok(JournalOp::AppendRows { table, columns })
             }
-            tag => Err(StorageError::CorruptPage {
-                page: 0,
-                reason: format!("unknown journal op tag {tag}"),
-            }),
+            tag => Err(DecodeError(format!("unknown journal op tag {tag}"))),
         }
     }
+}
+
+/// Decodes one checksummed record payload: its sequence number, then the
+/// operation, with nothing left over.
+fn decode_record(payload: &[u8]) -> Result<(u64, JournalOp), DecodeError> {
+    let mut dec = Decoder::new(payload);
+    let record = (dec.take_u64()?, JournalOp::decode(&mut dec)?);
+    dec.finish()?;
+    Ok(record)
 }
 
 /// Where the fault-injection harness kills the write path. Each point
@@ -272,9 +246,7 @@ impl Wal {
                 truncated_tail = true;
                 break;
             }
-            let mut r = Reader::new(payload, 0);
-            let seq = r.take_u64()?;
-            let op = JournalOp::decode(&mut r)?;
+            let (seq, op) = decode_record(payload).map_err(StorageError::corrupt(0))?;
             last_seq = last_seq.max(seq);
             if seq > floor {
                 ops.push((seq, op));
@@ -317,7 +289,7 @@ impl Wal {
 
     /// Encodes one sequence-stamped record (length + checksum + payload).
     fn encode_record(seq: u64, op: &JournalOp) -> Vec<u8> {
-        let mut payload = Writer::new();
+        let mut payload = Encoder::new();
         payload.put_u64(seq);
         op.encode(&mut payload);
         let payload = payload.into_bytes();
@@ -532,48 +504,16 @@ mod tests {
     }
 
     #[test]
-    fn load_table_op_round_trips() {
-        use tspdb_probdb::ColumnType;
+    fn a_v1_log_is_refused_by_version() {
         let path = temp_wal_path();
-        let op = JournalOp::LoadTable {
-            name: "raw".into(),
-            schema: Schema::of(&[("t", ColumnType::Int), ("r", ColumnType::Float)]),
-            rows: vec![
-                vec![Value::Int(1), Value::Float(0.1 + 0.2)],
-                vec![Value::Int(2), Value::Float(-0.0)],
-            ],
-        };
-        {
-            let (mut wal, _) = Wal::open(&path, 0, true).unwrap();
-            wal.append(1, &op).unwrap();
-        }
-        let (_, replay) = Wal::open(&path, 0, true).unwrap();
-        assert_eq!(replay.ops[0].1, op);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn append_rows_op_round_trips() {
-        let path = temp_wal_path();
-        let det = JournalOp::AppendRows {
-            table: "raw".into(),
-            rows: vec![
-                vec![Value::Int(1), Value::Float(0.25)],
-                vec![Value::Int(2), Value::Float(-0.0)],
-            ],
-            probs: None,
-        };
-        let prob = JournalOp::AppendRows {
-            table: "pv".into(),
-            rows: vec![vec![Value::Int(3)], vec![Value::Int(4)]],
-            probs: Some(vec![0.5, 0.125]),
-        };
-        {
-            let (mut wal, _) = Wal::open(&path, 0, true).unwrap();
-            wal.append_batch(1, &[det.clone(), prob.clone()]).unwrap();
-        }
-        let (_, replay) = Wal::open(&path, 0, true).unwrap();
-        assert_eq!(replay.ops, vec![(1, det), (2, prob)]);
+        let mut header = WAL_MAGIC.to_vec();
+        header.extend_from_slice(&1u32.to_be_bytes());
+        std::fs::write(&path, header).unwrap();
+        let err = Wal::open(&path, 0, true).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::BadDatabase(msg) if msg.contains("WAL format v1")),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

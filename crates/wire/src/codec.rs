@@ -1,24 +1,26 @@
 //! The binary codec: a flat, deterministic byte encoding for every type
 //! that crosses the wire.
 //!
-//! Design rules, chosen for a database protocol rather than a general
-//! serialization framework:
+//! The scalar, [`Value`] and [`Schema`] encodings are the workspace's one
+//! byte codec, [`tspdb_probdb::codec`] (re-exported here as [`Encoder`] /
+//! [`Decoder`]): fixed-width big-endian scalars, floats as IEEE-754 bit
+//! patterns (NaN payloads included, which bit-identical MC estimates
+//! across the wire require), `u32`-length-prefixed strings and sequences
+//! bounded by the frame, and schemas that reject repeated columns. Its
+//! [`DecodeError`] surfaces here as [`WireError::Malformed`].
 //!
-//! * **fixed-width scalars, big-endian** — no varints, so offsets are
-//!   predictable and the encoder never branches on magnitude;
-//! * **floats as IEEE-754 bit patterns** — `f64::to_bits`/`from_bits`
-//!   round-trips every value including NaN payloads, which the
-//!   determinism contract (bit-identical MC estimates across the wire)
-//!   requires;
-//! * **length-prefixed strings and sequences** (`u32` element count) with
-//!   the frame length as the outer bound, so a malformed prefix can never
-//!   allocate more than one frame's worth of memory;
-//! * **decode validates** — schemas reject duplicate columns, rows are
-//!   re-checked against their schema, probabilities against `[0, 1]`; a
-//!   decoded relation upholds the same invariants as a locally built one.
+//! On top of it this module defines the frames' message encodings, which
+//! validate on decode: rows are re-checked against their schema,
+//! probabilities against `[0, 1]`, so a decoded relation upholds the same
+//! invariants as a locally built one.
 
 use std::fmt;
 use std::time::Duration;
+use tspdb_probdb::codec::{
+    decode_column_type, decode_schema, decode_value, encode_column_type, encode_schema,
+    encode_value, seq_buffer, DecodeError, SEQ_PREALLOC_CAP,
+};
+pub use tspdb_probdb::codec::{Decoder, Encoder};
 use tspdb_probdb::plan::{AggValue, AggregateGroup, AggregateResult, ExplainReport};
 use tspdb_probdb::sql::{AggExpr, AggFunc, HavingClause};
 use tspdb_probdb::{
@@ -64,212 +66,15 @@ impl From<std::io::Error> for WireError {
     }
 }
 
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        WireError::Malformed(e.0)
+    }
+}
+
 /// Shorthand for a malformed-frame error.
 fn malformed<T>(msg: impl Into<String>) -> Result<T, WireError> {
     Err(WireError::Malformed(msg.into()))
-}
-
-/// An append-only byte buffer messages encode into.
-#[derive(Debug, Default)]
-pub struct Encoder {
-    buf: Vec<u8>,
-}
-
-impl Encoder {
-    /// Creates an empty encoder.
-    pub fn new() -> Self {
-        Encoder::default()
-    }
-
-    /// The encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Appends raw bytes verbatim (used for the handshake magic).
-    pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a big-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern (bit-exact, NaN
-    /// payloads included).
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a bool as one byte.
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    /// Appends a `usize` as a `u64` (lossless on every supported target).
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_u32(u32::try_from(s.len()).expect("string longer than u32::MAX"));
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// A cursor over one received frame body.
-#[derive(Debug)]
-pub struct Decoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    /// Wraps a frame body.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Errors unless the frame was consumed exactly — trailing garbage is
-    /// a protocol violation, not padding.
-    pub fn finish(&self) -> Result<(), WireError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            malformed(format!("{} trailing bytes after message", self.remaining()))
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return malformed(format!(
-                "need {n} bytes, {} remaining in frame",
-                self.remaining()
-            ));
-        }
-        let bytes = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(bytes)
-    }
-
-    /// Reads raw bytes verbatim (used for the handshake magic).
-    pub fn take_raw(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        self.take(n)
-    }
-
-    /// Reads one byte.
-    pub fn take_u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a big-endian `u32`.
-    pub fn take_u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads a big-endian `u64`.
-    pub fn take_u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads a big-endian `i64`.
-    pub fn take_i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_be_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    pub fn take_f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.take_u64()?))
-    }
-
-    /// Reads a bool byte (`0` or `1`; anything else is malformed).
-    pub fn take_bool(&mut self) -> Result<bool, WireError> {
-        match self.take_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => malformed(format!("bool byte must be 0 or 1, got {other}")),
-        }
-    }
-
-    /// Reads a `usize` encoded as `u64`.
-    pub fn take_usize(&mut self) -> Result<usize, WireError> {
-        usize::try_from(self.take_u64()?)
-            .or_else(|_| malformed("length does not fit in usize on this target"))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn take_str(&mut self) -> Result<String, WireError> {
-        let len = self.take_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).or_else(|_| malformed("string is not valid UTF-8"))
-    }
-
-    /// Reads a `u32` sequence-length prefix, bounded by the bytes actually
-    /// remaining in the frame (each element occupies at least one byte, so
-    /// a longer announcement is necessarily malformed).
-    fn take_seq_len(&mut self) -> Result<usize, WireError> {
-        let len = self.take_u32()? as usize;
-        if len > self.remaining() {
-            return malformed(format!(
-                "sequence announces {len} elements but only {} bytes remain",
-                self.remaining()
-            ));
-        }
-        Ok(len)
-    }
-}
-
-/// Pre-allocation cap for decoded sequences. [`Decoder::take_seq_len`]
-/// bounds the *count* by the frame, but `count × size_of::<T>()` is what
-/// `Vec::with_capacity` actually reserves — a hostile prefix claiming
-/// millions of multi-hundred-byte elements would allocate gigabytes
-/// before the first element decode could fail. Capping the initial
-/// reservation keeps the one-frame memory bound; honest large sequences
-/// just grow amortized past it.
-const SEQ_PREALLOC_CAP: usize = 4096;
-
-/// A `Vec` sized for `len` decoded elements without trusting `len` with
-/// more than [`SEQ_PREALLOC_CAP`] up-front slots.
-fn seq_buffer<T>(len: usize) -> Vec<T> {
-    Vec::with_capacity(len.min(SEQ_PREALLOC_CAP))
 }
 
 /// A type with a wire encoding. `decode(encode(x)) == x` for every value
@@ -320,7 +125,7 @@ impl Wire for String {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        dec.take_str()
+        Ok(dec.take_str()?)
     }
 }
 
@@ -330,7 +135,7 @@ impl Wire for u64 {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        dec.take_u64()
+        Ok(dec.take_u64()?)
     }
 }
 
@@ -340,7 +145,7 @@ impl Wire for usize {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        dec.take_usize()
+        Ok(dec.take_usize()?)
     }
 }
 
@@ -350,7 +155,7 @@ impl Wire for f64 {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        dec.take_f64()
+        Ok(dec.take_f64()?)
     }
 }
 
@@ -360,7 +165,7 @@ impl Wire for bool {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        dec.take_bool()
+        Ok(dec.take_bool()?)
     }
 }
 
@@ -420,75 +225,31 @@ impl<T: Wire> Wire for Vec<T> {
 
 impl Wire for ColumnType {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(match self {
-            ColumnType::Int => 0,
-            ColumnType::Float => 1,
-            ColumnType::Text => 2,
-        });
+        encode_column_type(enc, *self);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        match dec.take_u8()? {
-            0 => Ok(ColumnType::Int),
-            1 => Ok(ColumnType::Float),
-            2 => Ok(ColumnType::Text),
-            other => malformed(format!("unknown column type tag {other}")),
-        }
+        Ok(decode_column_type(dec)?)
     }
 }
 
 impl Wire for Value {
     fn encode(&self, enc: &mut Encoder) {
-        match self {
-            Value::Int(i) => {
-                enc.put_u8(0);
-                enc.put_i64(*i);
-            }
-            Value::Float(f) => {
-                enc.put_u8(1);
-                enc.put_f64(*f);
-            }
-            Value::Text(s) => {
-                enc.put_u8(2);
-                enc.put_str(s);
-            }
-        }
+        encode_value(enc, self);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        match dec.take_u8()? {
-            0 => Ok(Value::Int(dec.take_i64()?)),
-            1 => Ok(Value::Float(dec.take_f64()?)),
-            2 => Ok(Value::Text(dec.take_str()?)),
-            other => malformed(format!("unknown value tag {other}")),
-        }
+        Ok(decode_value(dec)?)
     }
 }
 
 impl Wire for Schema {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(u32::try_from(self.arity()).expect("schema wider than u32::MAX"));
-        for i in 0..self.arity() {
-            let (name, ty) = self.column(i);
-            enc.put_str(name);
-            ty.encode(enc);
-        }
+        encode_schema(enc, self);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let len = dec.take_seq_len()?;
-        let mut columns = seq_buffer(len);
-        for _ in 0..len {
-            let name = dec.take_str()?;
-            let ty = ColumnType::decode(dec)?;
-            // `Schema::new` panics on duplicates (a programming error
-            // locally); over the wire it is peer-controlled input.
-            if columns.iter().any(|(n, _)| *n == name) {
-                return malformed(format!("schema repeats column {name}"));
-            }
-            columns.push((name, ty));
-        }
-        Ok(Schema::new(columns))
+        Ok(decode_schema(dec)?)
     }
 }
 
@@ -537,19 +298,11 @@ impl Wire for ProbTable {
             .collect();
         for (i, &p) in self.probs().iter().enumerate() {
             for column in &columns {
+                encode_column_type(enc, column.column_type());
                 match column {
-                    ColumnSlice::Int(v) => {
-                        enc.put_u8(0);
-                        enc.put_i64(v[i]);
-                    }
-                    ColumnSlice::Float(v) => {
-                        enc.put_u8(1);
-                        enc.put_f64(v[i]);
-                    }
-                    ColumnSlice::Text(v) => {
-                        enc.put_u8(2);
-                        enc.put_str(&v[i]);
-                    }
+                    ColumnSlice::Int(v) => enc.put_i64(v[i]),
+                    ColumnSlice::Float(v) => enc.put_f64(v[i]),
+                    ColumnSlice::Text(v) => enc.put_str(&v[i]),
                 }
             }
             enc.put_f64(p);
@@ -564,11 +317,11 @@ impl Wire for ProbTable {
         let mut probs = seq_buffer(rows);
         for _ in 0..rows {
             for (c, column) in columns.iter_mut().enumerate() {
-                let (pushed, got) = match dec.take_u8()? {
-                    0 => (column.push_int(dec.take_i64()?), ColumnType::Int),
-                    1 => (column.push_float(dec.take_f64()?), ColumnType::Float),
-                    2 => (column.push_text(dec.take_str()?), ColumnType::Text),
-                    other => return malformed(format!("unknown value tag {other}")),
+                let got = decode_column_type(dec)?;
+                let pushed = match got {
+                    ColumnType::Int => column.push_int(dec.take_i64()?),
+                    ColumnType::Float => column.push_float(dec.take_f64()?),
+                    ColumnType::Text => column.push_text(dec.take_str()?),
                 };
                 if !pushed {
                     let e = DbError::TypeMismatch {

@@ -370,6 +370,71 @@ fn reopened_sigma_cache_views_keep_tracking_the_in_memory_twin() {
     }
 }
 
+/// Ω-view lineage commits with the checkpoint that holds the view. Each
+/// case checkpoints right after a `CREATE VIEW` or a `DROP VIEW` — which
+/// resets the WAL that held the statement — then puts back whatever
+/// `tspdb.meta` sidecar the data directory held before that checkpoint, as
+/// a crash before a lineage write landing after the commit would. The
+/// reopened engine must still maintain exactly the views the checkpoint
+/// holds: every probe, after a further append, equals a never-crashed
+/// twin's.
+#[test]
+fn view_lineage_commits_with_the_checkpoint() {
+    const PV: &str = "CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values";
+    const PV2: &str = "CREATE VIEW pv2 AS DENSITY r OVER t OMEGA delta=1.0, n=4 FROM raw_values";
+    let probes = [
+        "SELECT * FROM pv",
+        "SELECT COUNT(*), SUM(lambda) FROM pv GROUP BY WINDOW(t, 25)",
+        "SELECT * FROM pv2",
+        "SELECT COUNT(*) FROM raw_values",
+    ];
+    let probe = |e: &SharedEngine, q: &str| match e.query(q) {
+        Ok(out) => fingerprint(&out),
+        Err(err) => format!("error: {err}"),
+    };
+    // (statements before the checkpoint the crash follows, the statement
+    // that checkpoint commits)
+    let cases: [(&[&str], &str); 2] = [(&[], PV), (&[PV, PV2], "DROP VIEW pv")];
+    for (setup, ddl) in cases {
+        let dir = TempDir::new();
+        let sidecar = dir.path().join("tspdb.meta");
+        let twin = SharedEngine::new(config());
+        {
+            let engine = reopen(&dir);
+            for e in [&engine, &twin] {
+                e.execute("CREATE TABLE raw_values (t INT, r FLOAT)")
+                    .unwrap();
+                e.append_rows("raw_values", synthetic_rows(0..100)).unwrap();
+                for sql in setup {
+                    e.execute(sql).unwrap();
+                }
+            }
+            engine.checkpoint().unwrap();
+            let before = std::fs::read(&sidecar).ok();
+            for e in [&engine, &twin] {
+                e.execute(ddl).unwrap();
+            }
+            engine.checkpoint().unwrap();
+            let _ = std::fs::remove_file(&sidecar);
+            if let Some(bytes) = before {
+                std::fs::write(&sidecar, bytes).unwrap();
+            }
+        }
+        let engine = reopen(&dir);
+        for e in [&engine, &twin] {
+            e.append_rows("raw_values", synthetic_rows(100..130))
+                .unwrap();
+        }
+        for q in probes {
+            assert_eq!(
+                probe(&engine, q),
+                probe(&twin, q),
+                "after {ddl:?}: the reopened engine diverged from the twin for {q}"
+            );
+        }
+    }
+}
+
 /// The complexity of append maintenance as a count, not a timing: a
 /// 64-row suffix on a 4 000-reading view hands the metric exactly 64
 /// windows. Recovery costs one full build (the model is not persisted);
