@@ -10,44 +10,52 @@
 
 use crate::error::DbError;
 use crate::query::{matching_rows, CmpOp, Conjunction};
+use crate::scan;
 use crate::table::ProbTable;
 
 /// Exact distribution of the number of matching tuples present in a
 /// possible world: entry `k` is `P(count = k)`.
 ///
-/// Standard Poisson-binomial DP: fold tuples one at a time, maintaining the
-/// distribution of the partial count.
+/// Gathers the matching probabilities and runs [`count_distribution_of`].
 pub fn count_distribution(table: &ProbTable, pred: &Conjunction) -> Result<Vec<f64>, DbError> {
-    let mut dist = vec![1.0f64];
-    for i in matching_rows(table, pred)? {
-        fold_tuple(&mut dist, table.probs()[i]);
-    }
-    Ok(dist)
+    let probs = scan::gather_probs(table.probs(), &matching_rows(table, pred)?);
+    Ok(count_distribution_of(&probs))
 }
 
 /// Poisson-binomial distribution over an explicit probability slice — the
 /// predicate-free core of [`count_distribution`], used by the planner's
 /// per-group aggregate evaluation.
+///
+/// A double-buffered sweep: folding tuple `p` into the partial-count
+/// distribution `cur` writes `next[0] = cur[0]·(1−p)` and
+/// `next[k] = cur[k]·(1−p) + cur[k−1]·p`, with `cur` padded by one zero so
+/// the new top entry takes the same form. The two buffers never alias, so
+/// the sweep has no branch and no store→load chain and vectorises. Every
+/// entry is the result of the same IEEE operations, in the same order, as
+/// the textbook in-place backward fold.
 pub fn count_distribution_of(probs: &[f64]) -> Vec<f64> {
-    let mut dist = Vec::with_capacity(probs.len() + 1);
-    dist.push(1.0f64);
-    for &p in probs {
-        fold_tuple(&mut dist, p);
+    let mut cur = vec![0.0f64; probs.len() + 1];
+    let mut next = cur.clone();
+    cur[0] = 1.0;
+    for (m, &p) in probs.iter().enumerate() {
+        // `cur[..=m]` is the distribution over the first `m` tuples. No
+        // sweep so far wrote past index `m`, so `cur[m + 1]` is still the
+        // zero pad from allocation.
+        let q = 1.0 - p;
+        next[0] = cur[0] * q;
+        blend(&mut next[1..=m + 1], &cur[1..=m + 1], &cur[..=m], p, q);
+        std::mem::swap(&mut cur, &mut next);
     }
-    dist
+    cur
 }
 
-/// Folds one tuple with existence probability `p` into the partial-count
-/// distribution **in place**: one `push` to grow the buffer, then a
-/// backward sweep so every update reads only not-yet-overwritten entries.
-/// The DP stays O(n²) in time but drops the per-tuple `next` vector — the
-/// whole fold allocates O(1) times (the single buffer, grown amortised).
-fn fold_tuple(dist: &mut Vec<f64>, p: f64) {
-    dist.push(0.0);
-    for k in (1..dist.len()).rev() {
-        dist[k] = dist[k] * (1.0 - p) + dist[k - 1] * p;
+/// `out[i] = stay[i]·q + moved[i]·p`: one Bernoulli fold of the count DP
+/// over non-aliasing slices of equal length, written as a zip so the
+/// compiler drops the bounds checks and vectorises it.
+fn blend(out: &mut [f64], stay: &[f64], moved: &[f64], p: f64, q: f64) {
+    for ((o, &s), &m) in out.iter_mut().zip(stay).zip(moved) {
+        *o = s * q + m * p;
     }
-    dist[0] *= 1.0 - p;
 }
 
 /// Expectation and variance of the sum of `values` over tuples present in
@@ -87,16 +95,17 @@ const MAX_DP_CELLS: u128 = 1 << 27;
 /// Exact distribution of `SUM(column)` over possible worlds of a
 /// tuple-independent group, on a uniform value grid.
 ///
-/// Built by [`sum_distribution_of`]: tuple values are mapped to integer
-/// multiples of a grid `step` (exactly, when a dyadic grid of step
+/// Built by [`sum_distribution_of`]: finite tuple values are mapped to
+/// integer multiples of a grid `step` (exactly, when a dyadic grid of step
 /// `2^-k`, `k ≤ 20`, represents every value; otherwise snapped to a
 /// `Σ|v| / 2^16` grid), and the world sum's probability mass function is
 /// folded tuple by tuple — the value-weighted generalisation of the
 /// Poisson-binomial count DP. Negative values are handled by an index
-/// offset.
+/// offset. Tuples holding ±∞ or NaN stay off the grid; [`Self::tail`]
+/// accounts for them in closed form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SumDistribution {
-    /// `dist[i] = P(sum = offset + i·step)`.
+    /// `dist[i] = P(finite sum = offset + i·step)`.
     dist: Vec<f64>,
     /// Grid step between adjacent support points.
     step: f64,
@@ -104,12 +113,21 @@ pub struct SumDistribution {
     offset: f64,
     /// Whether the grid represents every input value exactly.
     exact: bool,
+    /// `(p, v)` of the tuples whose value is ±∞ or NaN, in tuple order.
+    non_finite: Vec<(f64, f64)>,
 }
 
 impl SumDistribution {
     /// `P(sum ⟨op⟩ threshold)`. Support points within `1e-9` of the
     /// threshold compare as equal, so grid-aligned thresholds behave
     /// exactly under `>=` / `<=` / `=`.
+    ///
+    /// With `A`, `B` and `C` the probabilities that no `+∞`, no `−∞` and
+    /// no NaN tuple is present, the world sum is finite with probability
+    /// `A·B·C`, `+∞` with `(1−A)·B·C` and `−∞` with `A·(1−B)·C`. Every
+    /// other world sums to NaN (a NaN is present, or both infinities are),
+    /// and a NaN sum satisfies no comparison — the `WITH WORLDS` rule.
+    /// Without non-finite tuples this is the finite tail, bit for bit.
     pub fn tail(&self, op: CmpOp, threshold: f64) -> f64 {
         let mut mass = 0.0;
         for (i, &p) in self.dist.iter().enumerate() {
@@ -125,25 +143,52 @@ impl SumDistribution {
                 mass += p;
             }
         }
-        mass.clamp(0.0, 1.0)
+        let finite = mass.clamp(0.0, 1.0);
+        let absent = |kind: fn(f64) -> bool| -> f64 {
+            self.non_finite
+                .iter()
+                .filter(|&&(_, v)| kind(v))
+                .map(|&(p, _)| 1.0 - p)
+                .product()
+        };
+        let a = absent(|v| v == f64::INFINITY);
+        let b = absent(|v| v == f64::NEG_INFINITY);
+        let c = absent(f64::is_nan);
+        let holds = |s: f64| -> f64 {
+            if op.eval(s.partial_cmp(&threshold)) {
+                1.0
+            } else {
+                0.0
+            }
+        };
+        (a * b * c * finite
+            + (1.0 - a) * b * c * holds(f64::INFINITY)
+            + a * (1.0 - b) * c * holds(f64::NEG_INFINITY))
+        .clamp(0.0, 1.0)
     }
 
-    /// Mean of the distribution (equals `Σ p·v` up to grid resolution).
+    /// Mean of the distribution (equals `Σ p·v` up to grid resolution;
+    /// non-finite when a ±∞ or NaN value can be present).
     pub fn mean(&self) -> f64 {
-        self.dist
+        let finite: f64 = self
+            .dist
             .iter()
             .enumerate()
             .map(|(i, &p)| p * (self.offset + i as f64 * self.step))
-            .sum()
+            .sum();
+        self.non_finite
+            .iter()
+            .fold(finite, |mean, &(p, v)| mean + p * v)
     }
 
-    /// Whether every input value was represented exactly on the grid
-    /// (false means values were quantised to `Σ|v| / 2^16` resolution).
+    /// Whether every finite input value was represented exactly on the
+    /// grid (false means values were quantised to `Σ|v| / 2^16`
+    /// resolution).
     pub fn is_exact(&self) -> bool {
         self.exact
     }
 
-    /// Number of support points.
+    /// Number of support points of the finite sum.
     pub fn support_len(&self) -> usize {
         self.dist.len()
     }
@@ -162,13 +207,15 @@ pub fn sum_distribution_of(probs: &[f64], values: &[f64]) -> Result<SumDistribut
         "sum_distribution_of: values must be parallel to probs"
     );
     // Tuples that cannot move the sum (impossible, or value 0) only
-    // waste support; drop them up front.
-    let live: Vec<(f64, f64)> = probs
+    // waste support; drop them up front. Non-finite values have no grid
+    // point and would make the quantisation step non-finite, so they are
+    // set aside before the grid is chosen.
+    let (live, non_finite): (Vec<_>, Vec<_>) = probs
         .iter()
         .zip(values)
         .filter(|&(&p, &v)| p > 0.0 && v != 0.0)
         .map(|(&p, &v)| (p, v))
-        .collect();
+        .partition(|&(_, v)| v.is_finite());
 
     let (step, exact) = match dyadic_step(live.iter().map(|&(_, v)| v)) {
         Some(step) => (step, true),
@@ -193,37 +240,61 @@ pub fn sum_distribution_of(probs: &[f64], values: &[f64]) -> Result<SumDistribut
         )));
     }
 
-    // Index layout: sums live on offset + i·step for i in 0..=span, where
-    // offset is the all-negative-tuples world. Fold keeps the live index
-    // range tight so cost tracks the actual support, not the allocation.
     let neg: i64 = units.iter().map(|&(_, u)| u.min(0)).sum();
-    let mut dist = vec![0.0f64; span as usize + 1];
-    let base = (-neg) as usize;
-    dist[base] = 1.0;
-    let (mut lo, mut hi) = (base, base);
-    for &(p, u) in &units {
-        if u > 0 {
-            let u = u as usize;
-            hi += u;
-            for i in (lo..=hi).rev() {
-                let carried = if i >= lo + u { dist[i - u] } else { 0.0 };
-                dist[i] = dist[i] * (1.0 - p) + carried * p;
-            }
-        } else {
-            let u = (-u) as usize;
-            lo -= u;
-            for i in lo..=hi {
-                let carried = if i + u <= hi { dist[i + u] } else { 0.0 };
-                dist[i] = dist[i] * (1.0 - p) + carried * p;
-            }
-        }
-    }
     Ok(SumDistribution {
-        dist,
+        dist: fold_units(&units, span as usize, neg),
         step,
         offset: neg as f64 * step,
         exact,
+        non_finite,
     })
+}
+
+/// The sum DP over grid units: `units[j] = (p_j, u_j)` moves the sum by
+/// `u_j` grid steps with probability `p_j`. `span = Σ|u_j|` and
+/// `neg = Σ min(u_j, 0)`; entry `i` of the result is
+/// `P(sum = neg + i)` in units.
+///
+/// Sums live on `neg + i` for `i` in `0..=span`. The fold keeps the live
+/// index range tight so cost tracks the actual support, not the
+/// allocation. Each fold runs in place in two branch-free sweeps: the
+/// cells that receive carried mass from `i ∓ u`, then the cells that only
+/// decay. The carried sweep runs away from its source (downward for
+/// `u > 0`, upward otherwise), so every cell is read before it is
+/// overwritten and never loaded after a store. Cells outside the old
+/// range still hold allocation zeros, which the carried form reads as the
+/// mass they had.
+fn fold_units(units: &[(f64, i64)], span: usize, neg: i64) -> Vec<f64> {
+    let mut dist = vec![0.0f64; span + 1];
+    let base = (-neg) as usize;
+    dist[base] = 1.0;
+    let (mut lo, mut hi) = (base, base);
+    for &(p, u) in units {
+        // `0.0·p` is what an uncarried cell adds: the same product the
+        // textbook loop forms from its zero.
+        let (q, uncarried) = (1.0 - p, 0.0 * p);
+        let decay = |cells: &mut [f64]| {
+            for x in cells {
+                *x = *x * q + uncarried;
+            }
+        };
+        if u > 0 {
+            let u = u as usize;
+            hi += u;
+            for i in (lo + u..=hi).rev() {
+                dist[i] = dist[i] * q + dist[i - u] * p;
+            }
+            decay(&mut dist[lo..lo + u]);
+        } else {
+            let u = (-u) as usize;
+            lo -= u;
+            for i in lo..=hi - u {
+                dist[i] = dist[i] * q + dist[i + u] * p;
+            }
+            decay(&mut dist[hi - u + 1..=hi]);
+        }
+    }
+    dist
 }
 
 /// The smallest dyadic grid step `2^-k` (`k ≤ `[`MAX_DYADIC_SHIFT`]) that
@@ -276,6 +347,25 @@ pub fn most_likely_count(table: &ProbTable, pred: &Conjunction) -> Result<usize,
         }
     }
     Ok(best)
+}
+
+/// Probabilities on which a kernel rewrite is most likely to differ from
+/// the textbook loop: 0, 1, the smallest subnormal, 2^-53, 1 − 2^-53, and
+/// one ulp either side of `k·2^-53` — the resolution of the sampler's
+/// uniform draws.
+#[cfg(test)]
+pub(crate) fn edge_probabilities() -> Vec<f64> {
+    let ulp = 1.0 / (1u64 << 53) as f64;
+    let mut edges = vec![0.0, 1.0, f64::from_bits(1), ulp, 1.0 - ulp, 0.5];
+    for k in [1u64, 3, 1 << 20, (1 << 52) + 1, (1 << 53) - 2] {
+        let on = k as f64 * ulp;
+        edges.extend([
+            f64::from_bits(on.to_bits() - 1),
+            on,
+            f64::from_bits(on.to_bits() + 1),
+        ]);
+    }
+    edges
 }
 
 #[cfg(test)]
@@ -478,6 +568,176 @@ mod tests {
         match err {
             DbError::Plan(msg) => assert!(msg.contains("DP cells"), "{msg}"),
             other => panic!("expected Plan error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_values_follow_the_worlds_semantics() {
+        // x = 1, +∞, 2 with p = 0.5 each: the sum is finite (and then
+        // uniform over {0, 1, 2, 3}) with probability 1/2, +∞ otherwise.
+        let probs = [0.5, 0.5, 0.5];
+        let d = sum_distribution_of(&probs, &[1.0, f64::INFINITY, 2.0]).unwrap();
+        assert!(d.is_exact());
+        assert_eq!(d.tail(CmpOp::Ge, 2.0), 0.75);
+        assert_eq!(d.tail(CmpOp::Le, 100.0), 0.5);
+        assert!(d.mean().is_infinite());
+        // −∞ mirrors it.
+        let d = sum_distribution_of(&probs, &[1.0, f64::NEG_INFINITY, 2.0]).unwrap();
+        assert_eq!(d.tail(CmpOp::Le, 100.0), 1.0);
+        assert_eq!(d.tail(CmpOp::Ge, 2.0), 0.25);
+        // A present NaN satisfies nothing, not even `<>`.
+        let d = sum_distribution_of(&probs, &[1.0, f64::NAN, 2.0]).unwrap();
+        assert_eq!(d.tail(CmpOp::Ne, 1e9), 0.5);
+        assert_eq!(d.tail(CmpOp::Ge, 2.0), 0.25);
+        // +∞ and −∞ together sum to NaN: only the finite worlds with the
+        // 2 present (1/4 · 1/2) and the +∞-only worlds (1/4) exceed 0.
+        let d = sum_distribution_of(&probs, &[f64::INFINITY, f64::NEG_INFINITY, 2.0]).unwrap();
+        assert_eq!(d.tail(CmpOp::Gt, 0.0), 0.125 + 0.25);
+        // Impossible non-finite tuples do not count at all.
+        let d = sum_distribution_of(&[0.0, 0.5], &[f64::NAN, 2.0]).unwrap();
+        assert_eq!(d.tail(CmpOp::Ge, 2.0), 0.5);
+    }
+
+    /// The in-place backward fold [`count_distribution_of`] replaced: the
+    /// reference its double-buffered sweep matches bit for bit.
+    fn fold_tuple(dist: &mut Vec<f64>, p: f64) {
+        dist.push(0.0);
+        for k in (1..dist.len()).rev() {
+            dist[k] = dist[k] * (1.0 - p) + dist[k - 1] * p;
+        }
+        dist[0] *= 1.0 - p;
+    }
+
+    fn count_reference(probs: &[f64]) -> Vec<f64> {
+        let mut dist = vec![1.0f64];
+        for &p in probs {
+            fold_tuple(&mut dist, p);
+        }
+        dist
+    }
+
+    /// The single-loop sum fold [`fold_units`] replaced, with its
+    /// per-cell `if`.
+    fn fold_units_reference(units: &[(f64, i64)], span: usize, neg: i64) -> Vec<f64> {
+        let mut dist = vec![0.0f64; span + 1];
+        let base = (-neg) as usize;
+        dist[base] = 1.0;
+        let (mut lo, mut hi) = (base, base);
+        for &(p, u) in units {
+            if u > 0 {
+                let u = u as usize;
+                hi += u;
+                for i in (lo..=hi).rev() {
+                    let carried = if i >= lo + u { dist[i - u] } else { 0.0 };
+                    dist[i] = dist[i] * (1.0 - p) + carried * p;
+                }
+            } else {
+                let u = (-u) as usize;
+                lo -= u;
+                for i in lo..=hi {
+                    let carried = if i + u <= hi { dist[i + u] } else { 0.0 };
+                    dist[i] = dist[i] * (1.0 - p) + carried * p;
+                }
+            }
+        }
+        dist
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `pick < edges.len()` takes that edge value, anything else `random`.
+    fn with_edges(picks: &[(usize, f64)]) -> Vec<f64> {
+        let edges = edge_probabilities();
+        picks
+            .iter()
+            .map(|&(i, random)| edges.get(i).copied().unwrap_or(random))
+            .collect()
+    }
+
+    fn assert_count_matches(probs: &[f64]) {
+        assert_eq!(
+            bits(&count_distribution_of(probs)),
+            bits(&count_reference(probs)),
+            "count DP over {probs:?}"
+        );
+    }
+
+    fn assert_sum_matches(units: &[(f64, i64)]) {
+        let span = units.iter().map(|&(_, u)| u.unsigned_abs() as usize).sum();
+        let neg = units.iter().map(|&(_, u)| u.min(0)).sum();
+        assert_eq!(
+            bits(&fold_units(units, span, neg)),
+            bits(&fold_units_reference(units, span, neg)),
+            "sum DP over {units:?}"
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn count_dp_matches_the_in_place_fold_bit_for_bit(
+            picks in proptest::collection::vec((0usize..40, 0.0f64..=1.0), 0..300),
+        ) {
+            assert_count_matches(&with_edges(&picks));
+        }
+
+        #[test]
+        fn sum_dp_matches_the_single_loop_fold_bit_for_bit(
+            picks in proptest::collection::vec((0usize..40, 0.0f64..=1.0, -9i64..=9), 0..80),
+        ) {
+            let probs = with_edges(&picks.iter().map(|&(i, p, _)| (i, p)).collect::<Vec<_>>());
+            let units: Vec<(f64, i64)> =
+                probs.into_iter().zip(picks.iter().map(|&(.., u)| u)).collect();
+            assert_sum_matches(&units);
+        }
+    }
+
+    #[test]
+    fn sum_dp_matches_the_reference_on_wide_shifts_and_zero_units() {
+        // A unit wider than the live range, zero units (non-zero values
+        // that quantise to 0) and sign changes.
+        assert_sum_matches(&[
+            (0.5, 0),
+            (0.3, 7),
+            (0.25, -1),
+            (0.9, 0),
+            (0.1, -12),
+            (1.0, 3),
+        ]);
+        assert_sum_matches(&[(0.5, -5), (2f64.powi(-53), 40), (1.0 - 2f64.powi(-53), -40)]);
+    }
+
+    /// About 10^5 random vectors, most short and a few up to n = 2 000,
+    /// through both DPs and their references. Too slow for a debug
+    /// build: `cargo test --release -p tspdb-probdb --lib -- --ignored
+    /// kernel_equivalence_sweep`.
+    #[test]
+    #[ignore = "release-only sweep; run with --ignored kernel_equivalence_sweep"]
+    fn kernel_equivalence_sweep() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let edges = edge_probabilities();
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..100_000u32 {
+            // Lengths spread over octaves so long vectors stay rare.
+            let octave = rng.gen_range(0u32..12);
+            let n = rng.gen_range(0usize..=1 << octave).min(2_000);
+            let probs: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0usize..4) {
+                    0 => edges[rng.gen_range(0..edges.len())],
+                    _ => rng.gen_range(0.0f64..=1.0),
+                })
+                .collect();
+            assert_count_matches(&probs);
+            if case % 4 == 0 {
+                let units: Vec<(f64, i64)> = probs
+                    .iter()
+                    .take(200)
+                    .map(|&p| (p, rng.gen_range(-16i64..=16)))
+                    .collect();
+                assert_sum_matches(&units);
+            }
         }
     }
 }

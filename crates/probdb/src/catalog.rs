@@ -824,26 +824,25 @@ impl Database {
     /// restricting leaf by leaf instead of materialising the relation
     /// whole. Returns `Ok(None)` when the source can't stream or the plan
     /// needs every tuple anyway, so the caller materialises the relation:
-    /// `WITH WORLDS` plans (MC passes over the tuples many times; `EXPLAIN`
-    /// notes it) and synopsis plans with no fallback, which answer from
-    /// bucketed moments over the **whole** relation and its cached
-    /// synopses (whose staleness guard compares tuple counts).
+    /// synopsis plans with no fallback, which answer from bucketed moments
+    /// over the **whole** relation and its cached synopses (whose
+    /// staleness guard compares tuple counts).
     ///
     /// Bit-identity with the materialised path is preserved by applying
     /// the *same* restrictions in the *same* observable order:
     /// [`scan::restrict_stream`] runs `WHERE` (and `THRESHOLD`) over every
     /// batch, and both are stripped from the plan the strategy executes;
     /// `TOP` stays with the strategy, which also keeps ownership of the
-    /// deterministic `THRESHOLD`/`TOP` rejection.
+    /// deterministic `THRESHOLD`/`TOP`/`WITH WORLDS` rejection. `WITH
+    /// WORLDS` samples the kept tuples in scan order and seeds its groups
+    /// by group index, so it sees the same domain either way.
     fn stream_input<'p>(
         &self,
         planned: &'p PlannedQuery,
     ) -> Result<Option<(RelationSnapshot, Cow<'p, PhysicalPlan>)>, DbError> {
-        use crate::plan::StrategyKind;
+        use crate::plan::{PhysicalAction, StrategyKind};
 
-        if matches!(planned.strategy, StrategyKind::Worlds(_))
-            || planned.synopsis_answers_whole_relation()
-        {
+        if planned.synopsis_answers_whole_relation() {
             return Ok(None);
         }
         let plan = &planned.physical;
@@ -866,13 +865,23 @@ impl Database {
             };
             Ok(Some((snapshot, plan)))
         };
-        if !stream.probabilistic() && (plan.threshold.is_some() || plan.top.is_some()) {
-            // The strategy rejects THRESHOLD/TOP on deterministic
-            // relations *before* evaluating any predicate; handing it an
-            // empty relation and the unstripped plan reproduces that error
-            // (and its ordering) without reading a page.
+        let worlds = matches!(planned.strategy, StrategyKind::Worlds(_));
+        if !stream.probabilistic() && (plan.threshold.is_some() || plan.top.is_some() || worlds) {
+            // The strategies reject THRESHOLD/TOP/WITH WORLDS on
+            // deterministic relations *before* evaluating any predicate;
+            // handing them an empty relation and the unstripped plan
+            // reproduces that error (and its ordering) without reading a
+            // page.
             let empty = Relation::Deterministic(Table::new(name, stream.schema().clone()));
             return input(empty, Cow::Borrowed(plan));
+        }
+        if let (true, PhysicalAction::Rows { columns, .. }) = (worlds, &plan.action) {
+            // The MC row shape checks its projection before the
+            // predicate; do the same before the scan can raise a
+            // predicate error first.
+            for col in columns {
+                stream.schema().index_of(col)?;
+            }
         }
         let relation = scan::restrict_stream(stream.as_mut(), name, plan)?;
         let mut stripped = plan.clone();
@@ -908,15 +917,8 @@ impl Database {
                     .as_ref()
                     .is_some_and(|s| s.names().contains(&planned.physical.table)) =>
             {
-                use crate::plan::StrategyKind;
-                let scan_note = match &planned.strategy {
-                    StrategyKind::Worlds(_) => {
-                        " — materialises whole (MC sampling re-reads tuples)"
-                    }
-                    _ => " — lazy leaf-at-a-time scan",
-                };
                 format!(
-                    "{}: on disk (via scan source){scan_note}",
+                    "{}: on disk (via scan source) — lazy leaf-at-a-time scan",
                     planned.physical.table
                 )
             }

@@ -2225,6 +2225,60 @@ mod tests {
     }
 
     #[test]
+    fn having_sum_over_non_finite_values_follows_the_worlds_semantics() {
+        let inf = f64::INFINITY;
+        let groups: [&[(f64, f64)]; 4] = [
+            &[(1.0, 0.5), (inf, 0.5), (2.0, 0.5)],
+            &[(1.0, 0.5), (f64::NAN, 0.3), (2.0, 0.6), (-3.0, 0.4)],
+            &[(inf, 0.3), (-inf, 0.6), (2.0, 0.5), (1.5, 0.8)],
+            &[
+                (f64::NAN, 0.2),
+                (inf, 0.4),
+                (-inf, 0.7),
+                (0.25, 0.5),
+                (4.0, 0.9),
+            ],
+        ];
+        let schema = Schema::of(&[("g", ColumnType::Int), ("x", ColumnType::Float)]);
+        let mut t = ProbTable::new("bp", schema);
+        for (g, tuples) in groups.iter().enumerate() {
+            for &(x, p) in *tuples {
+                t.insert(vec![Value::Int(g as i64), Value::Float(x)], p)
+                    .unwrap();
+            }
+        }
+        let rel = Relation::Probabilistic(t);
+        let events = |sql: &str| -> Vec<f64> {
+            match run(sql, &rel) {
+                QueryOutput::Aggregate(a) => a
+                    .groups
+                    .iter()
+                    .map(|g| g.event_probability.unwrap())
+                    .collect(),
+                other => panic!("wrong output: {other:?}"),
+            }
+        };
+        // x = 1, +∞, 2 at p = 1/2: finite (uniform on {0..3}) or +∞.
+        let ge2 = events("SELECT g, COUNT(*) FROM bp GROUP BY g HAVING SUM(x) >= 2");
+        assert_eq!(ge2[0], 0.75);
+        let le100 = events("SELECT g, COUNT(*) FROM bp GROUP BY g HAVING SUM(x) <= 100");
+        assert_eq!(le100[0], 0.5);
+        // Every mix agrees with sampling within 5 standard errors.
+        for having in ["SUM(x) >= 2", "SUM(x) <= 100", "SUM(x) > 0", "SUM(x) <> 1"] {
+            let sql = format!("SELECT g, COUNT(*) FROM bp GROUP BY g HAVING {having}");
+            let exact = events(&sql);
+            let mc = events(&format!("{sql} WITH WORLDS 20000 SEED 1"));
+            for (g, (&e, &m)) in exact.iter().zip(&mc).enumerate() {
+                let se = (e * (1.0 - e) / 20_000.0).sqrt().max(1e-4);
+                assert!(
+                    (e - m).abs() <= 5.0 * se,
+                    "group {g}, {having}: exact {e} vs worlds {m}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn having_sum_filters_deterministic_groups() {
         let schema = Schema::of(&[("g", ColumnType::Int), ("x", ColumnType::Int)]);
         let mut t = Table::new("t", schema);

@@ -23,8 +23,9 @@ use crate::query::{matching_rows, CmpOp, Conjunction};
 use crate::scan;
 use crate::table::ProbTable;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use std::fmt;
+use std::hint::select_unpredictable;
 use std::time::{Duration, Instant};
 use tspdb_stats::parallel::{effective_threads, map_segments};
 
@@ -281,9 +282,7 @@ impl BatchTally {
     /// Books one sampled world's matching-tuple count.
     fn record_world(&mut self, count: usize) {
         self.worlds += 1;
-        if count > 0 {
-            self.event_hits += 1;
-        }
+        self.event_hits += (count > 0) as u64;
         self.hist[count] += 1;
     }
 
@@ -327,6 +326,41 @@ pub(crate) fn mix_seed(seed: u64, salt: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// `2^53`: the resolution of the uniform draws presence is tested with.
+const DRAW_SCALE: f64 = (1u64 << 53) as f64;
+
+/// The integer presence threshold of a tuple with probability `p`.
+///
+/// A world draws one 64-bit word `x` per tuple. The tuple is present when
+/// the uniform `u = (x >> 11)·2^-53` satisfies `u < p` for `p` clamped to
+/// `[0, 1]` — the `rand` shim's Bernoulli test. Since `p·2^53` is exact
+/// and `x >> 11` is an integer, `u < p` holds exactly when
+/// `x >> 11 < ⌈p·2^53⌉`, so the test needs no float at all. NaN is never
+/// present: its threshold is 0.
+fn presence_threshold(p: f64) -> u64 {
+    if p.is_nan() {
+        0
+    } else {
+        (p.clamp(0.0, 1.0) * DRAW_SCALE).ceil() as u64
+    }
+}
+
+/// Whether the next draw of `rng` makes a tuple with presence threshold
+/// `t` ([`presence_threshold`]) present in the world being sampled.
+#[inline]
+fn present(rng: &mut StdRng, t: u64) -> bool {
+    (rng.next_u64() >> 11) < t
+}
+
+/// `if hit { v } else { 0.0 }` — what an absent tuple adds to a world sum
+/// — selected on the bit pattern. An integer select lowers to a
+/// conditional move, where an `f64` select on baseline x86-64 lowers to a
+/// branch on the draw. Never `v · (hit as f64)`: `∞·0` is NaN.
+#[inline]
+fn kept(hit: bool, v: f64) -> f64 {
+    f64::from_bits(select_unpredictable(hit, v.to_bits(), 0))
 }
 
 /// The parallel possible-worlds executor.
@@ -485,6 +519,7 @@ impl WorldsExecutor {
             );
         }
         let values: Vec<&[f64]> = columns.iter().map(|&(_, vals)| vals).collect();
+        let thresholds: Vec<u64> = probs.iter().map(|&p| presence_threshold(p)).collect();
         let cfg = &self.config;
         let buckets = probs.len() + 1;
         let total_batches = cfg.max_worlds.div_ceil(cfg.batch_size);
@@ -503,7 +538,7 @@ impl WorldsExecutor {
                         let b = next_batch + i;
                         let worlds_in_batch =
                             cfg.batch_size.min(cfg.max_worlds - b * cfg.batch_size);
-                        self.sample_batch(b as u64, worlds_in_batch, probs, &values, event)
+                        self.sample_batch(b as u64, worlds_in_batch, &thresholds, &values, event)
                     })
                     .collect::<Vec<_>>()
             });
@@ -540,28 +575,32 @@ impl WorldsExecutor {
     /// The presence loop is specialized by column count — the 0- and
     /// 1-column shapes dominate (plain `WITH WORLDS` queries and
     /// single-aggregate plans) and a generic accumulator loop costs ~4×
-    /// on them. All shapes consume the RNG identically (one `gen_bool`
-    /// per tuple) and add per-column values in tuple order, so the
-    /// estimates are bit-identical regardless of which shape ran.
+    /// on them. All shapes consume the RNG identically (one word per tuple
+    /// per world, tested against the tuple's [`presence_threshold`]) and
+    /// add per-column values in tuple order, so the estimates are
+    /// bit-identical regardless of which shape ran.
+    ///
+    /// The loops are branch-free: a hit is counted as `hit as usize` and
+    /// summed through the select [`kept`]. A world sum starts at `+0.0`
+    /// and so is never `−0.0`, which makes adding `+0.0` for an absent
+    /// tuple an exact no-op.
     fn sample_batch(
         &self,
         batch: u64,
         worlds: usize,
-        probs: &[f64],
+        thresholds: &[u64],
         values: &[&[f64]],
         event: Option<SumEventSpec>,
     ) -> BatchTally {
         let mut rng = StdRng::seed_from_u64(mix_seed(self.config.seed, batch));
-        let mut tally = BatchTally::zero(probs.len() + 1, values.len());
+        let mut tally = BatchTally::zero(thresholds.len() + 1, values.len());
         match values {
             [] => {
                 debug_assert!(event.is_none(), "sum event needs a tallied column");
                 for _ in 0..worlds {
                     let mut count = 0usize;
-                    for &p in probs {
-                        if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                            count += 1;
-                        }
+                    for &t in thresholds {
+                        count += present(&mut rng, t) as usize;
                     }
                     tally.record_world(count);
                 }
@@ -570,19 +609,16 @@ impl WorldsExecutor {
                 for _ in 0..worlds {
                     let mut count = 0usize;
                     let mut world_sum = 0.0f64;
-                    for (i, &p) in probs.iter().enumerate() {
-                        if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                            count += 1;
-                            world_sum += vals[i];
-                        }
+                    for (&t, &v) in thresholds.iter().zip(*vals) {
+                        let hit = present(&mut rng, t);
+                        count += hit as usize;
+                        world_sum += kept(hit, v);
                     }
                     tally.record_world(count);
                     tally.sums[0] += world_sum;
                     tally.sums_sq[0] += world_sum * world_sum;
                     if let Some(ev) = event {
-                        if ev.holds(world_sum) {
-                            tally.sum_event_hits += 1;
-                        }
+                        tally.sum_event_hits += ev.holds(world_sum) as u64;
                     }
                 }
             }
@@ -593,12 +629,11 @@ impl WorldsExecutor {
                 for _ in 0..worlds {
                     let mut count = 0usize;
                     world_sums.fill(0.0);
-                    for (i, &p) in probs.iter().enumerate() {
-                        if rng.gen_bool(p.clamp(0.0, 1.0)) {
-                            count += 1;
-                            for (acc, vals) in world_sums.iter_mut().zip(values) {
-                                *acc += vals[i];
-                            }
+                    for (i, &t) in thresholds.iter().enumerate() {
+                        let hit = present(&mut rng, t);
+                        count += hit as usize;
+                        for (acc, vals) in world_sums.iter_mut().zip(values) {
+                            *acc += kept(hit, vals[i]);
                         }
                     }
                     tally.record_world(count);
@@ -607,9 +642,7 @@ impl WorldsExecutor {
                         tally.sums_sq[j] += ws * ws;
                     }
                     if let Some(ev) = event {
-                        if ev.holds(world_sums[ev.column]) {
-                            tally.sum_event_hits += 1;
-                        }
+                        tally.sum_event_hits += ev.holds(world_sums[ev.column]) as u64;
                     }
                 }
             }
@@ -923,5 +956,179 @@ mod tests {
         assert!(text.contains("worlds: 2000 sampled"));
         assert!(text.contains("event probability"));
         assert!(text.contains("sum(room)"));
+    }
+
+    /// The `gen_bool` sampler [`WorldsExecutor::sample_batch`] replaced,
+    /// kept as the reference its threshold form matches tally for tally.
+    fn sample_batch_reference(
+        exec: &WorldsExecutor,
+        batch: u64,
+        worlds: usize,
+        probs: &[f64],
+        values: &[&[f64]],
+        event: Option<SumEventSpec>,
+    ) -> BatchTally {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(mix_seed(exec.config.seed, batch));
+        let mut tally = BatchTally::zero(probs.len() + 1, values.len());
+        let mut world_sums = vec![0.0f64; values.len()];
+        for _ in 0..worlds {
+            let mut count = 0usize;
+            world_sums.fill(0.0);
+            for (i, &p) in probs.iter().enumerate() {
+                if rng.gen_bool(p.clamp(0.0, 1.0)) {
+                    count += 1;
+                    for (acc, vals) in world_sums.iter_mut().zip(values) {
+                        *acc += vals[i];
+                    }
+                }
+            }
+            tally.worlds += 1;
+            if count > 0 {
+                tally.event_hits += 1;
+            }
+            tally.hist[count] += 1;
+            for (j, &ws) in world_sums.iter().enumerate() {
+                tally.sums[j] += ws;
+                tally.sums_sq[j] += ws * ws;
+            }
+            if let Some(ev) = event {
+                if ev.holds(world_sums[ev.column]) {
+                    tally.sum_event_hits += 1;
+                }
+            }
+        }
+        tally
+    }
+
+    /// Every field of a tally as integers, so NaN sums compare by bits.
+    fn tally_bits(t: &BatchTally) -> Vec<u64> {
+        let mut out = vec![t.worlds, t.event_hits, t.sum_event_hits];
+        out.extend(&t.hist);
+        out.extend(t.sums.iter().chain(&t.sums_sq).map(|x| x.to_bits()));
+        out
+    }
+
+    /// Edge, out-of-range and NaN probabilities next to uniform ones.
+    fn sampler_probs(picks: &[(usize, f64)]) -> Vec<f64> {
+        let mut edges = crate::aggregates::edge_probabilities();
+        edges.extend([-0.25, 1.5, f64::NAN, -0.0]);
+        picks
+            .iter()
+            .map(|&(i, random)| edges.get(i).copied().unwrap_or(random))
+            .collect()
+    }
+
+    /// Runs every sampler shape (0, 1 and 3 columns; with and without a
+    /// sum event) over `probs` and asserts the reference's tallies.
+    fn assert_shapes_match(probs: &[f64], seed: u64, worlds: usize) {
+        let n = probs.len();
+        let dyadic: Vec<f64> = (0..n).map(|i| [0.5, -0.0, -1.25, 3.0][i % 4]).collect();
+        let odd: Vec<f64> = (0..n).map(|i| 0.1 * i as f64 - 1.0 / 3.0).collect();
+        let wild: Vec<f64> = (0..n)
+            .map(|i| [1.0, f64::INFINITY, -2.0, f64::NEG_INFINITY, 0.0][i % 5])
+            .collect();
+        let nan: Vec<f64> = (0..n).map(|i| [2.0, f64::NAN, -0.5][i % 3]).collect();
+        let event = |column| SumEventSpec {
+            column,
+            op: CmpOp::Ge,
+            threshold: 1.0,
+        };
+        let shapes: [(Vec<&[f64]>, Option<SumEventSpec>); 6] = [
+            (vec![], None),
+            (vec![&dyadic], None),
+            (vec![&wild], Some(event(0))),
+            (vec![&nan], Some(event(0))),
+            (vec![&dyadic, &odd, &wild], None),
+            (vec![&odd, &nan, &dyadic], Some(event(2))),
+        ];
+        let exec = executor(worlds, seed, 1);
+        let thresholds: Vec<u64> = probs.iter().map(|&p| presence_threshold(p)).collect();
+        for (values, ev) in &shapes {
+            for batch in [0u64, 1, 9] {
+                let got = exec.sample_batch(batch, worlds, &thresholds, values, *ev);
+                let want = sample_batch_reference(&exec, batch, worlds, probs, values, *ev);
+                assert_eq!(
+                    tally_bits(&got),
+                    tally_bits(&want),
+                    "{} columns, event {ev:?}, batch {batch}, probs {probs:?}",
+                    values.len()
+                );
+            }
+        }
+    }
+
+    /// A generator whose every draw is one fixed word.
+    struct Word(u64);
+
+    impl RngCore for Word {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Whether `gen_bool` — the test the sampler used to run — keeps a
+    /// tuple with probability `p` when the draw's top 53 bits are `k`.
+    fn gen_bool_hit(k: u64, p: f64) -> bool {
+        use rand::Rng;
+        Word(k << 11).gen_bool(p.clamp(0.0, 1.0))
+    }
+
+    fn assert_threshold_identity(p: f64) {
+        let t = presence_threshold(p);
+        for k in [t.wrapping_sub(1), t, t + 1] {
+            if k < 1 << 53 {
+                assert_eq!(k < t, gen_bool_hit(k, p), "p = {p:e}, k = {k}, t = {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn presence_threshold_decides_exactly_like_gen_bool() {
+        let mut edges = crate::aggregates::edge_probabilities();
+        edges.extend([-0.25, 1.5, f64::NAN, -0.0, f64::INFINITY, f64::NEG_INFINITY]);
+        for &p in &edges {
+            assert_threshold_identity(p);
+        }
+        assert_eq!(presence_threshold(f64::NAN), 0);
+        assert_eq!(presence_threshold(1.0), 1 << 53);
+        assert_eq!(presence_threshold(f64::from_bits(1)), 1);
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..100_000 {
+            // Random bit patterns cover every exponent in [0, 1]; random
+            // grid points and their neighbours hit the boundary itself.
+            let wide = f64::from_bits(rng.next_u64() % 0x3FF0_0000_0000_0001);
+            let grid = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+            for p in [wide, grid, grid.next_up(), grid.next_down()] {
+                assert_threshold_identity(p);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn every_sampler_shape_matches_the_gen_bool_reference(
+            picks in proptest::collection::vec((0usize..48, 0.0f64..=1.0), 0..40),
+            seed in 0u64..1_000,
+        ) {
+            assert_shapes_match(&sampler_probs(&picks), seed, 37);
+        }
+    }
+
+    /// The sampler half of the release-only equivalence sweep (see
+    /// `aggregates::tests::kernel_equivalence_sweep`).
+    #[test]
+    #[ignore = "release-only sweep; run with --ignored kernel_equivalence_sweep"]
+    fn kernel_equivalence_sweep_of_the_sampler() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x5a3b1e);
+        for case in 0..3_000u64 {
+            let octave = rng.gen_range(0u32..10);
+            let n = rng.gen_range(0usize..=1 << octave);
+            let picks: Vec<(usize, f64)> = (0..n)
+                .map(|_| (rng.gen_range(0usize..64), rng.gen_range(0.0f64..=1.0)))
+                .collect();
+            assert_shapes_match(&sampler_probs(&picks), case, 16);
+        }
     }
 }

@@ -192,3 +192,56 @@ fn a_repeated_statement_plans_once_per_server_session() {
     client.close().unwrap();
     handle.shutdown();
 }
+
+/// `WITH WORLDS` over the evicted twin samples only the tuples its
+/// leaf-at-a-time restriction kept: the same domain, in the same order,
+/// as over the resident view, so grouped and row-shaped estimates are the
+/// same bytes at every fork-join width, and the twin stays on disk.
+#[test]
+fn worlds_over_the_evicted_twin_answer_like_the_resident_view() {
+    let dir = TempDir::new("worlds-evicted");
+    let engine = engine(&dir);
+    let statements = [
+        "SELECT t, COUNT(*), SUM(lambda) FROM {rel} WHERE t >= 3000 GROUP BY t \
+         HAVING SUM(lambda) >= 1 WITH WORLDS 500 SEED 5",
+        "SELECT COUNT(*) FROM {rel} WHERE lambda >= 0 GROUP BY WINDOW(t, 1800) \
+         WITH WORLDS 300 SEED 8",
+        "SELECT lambda FROM {rel} WHERE t >= 6000 THRESHOLD 0.02 WITH WORLDS 800 SEED 2",
+        "SELECT * FROM {rel} WHERE prob >= 0.05 TOP 30 WITH WORLDS 600 SEED 11",
+    ];
+    for threads in [1, 8] {
+        engine.set_worlds_threads(threads);
+        for sql in statements {
+            let resident = local(engine.query(&sql.replace("{rel}", RESIDENT)));
+            let evicted = local(engine.query(&sql.replace("{rel}", EVICTED)));
+            assert!(resident.is_ok(), "{sql}: {resident:?}");
+            assert_eq!(evicted, resident, "worlds_threads {threads}: {sql}");
+            assert!(engine.read().relation(EVICTED).is_none());
+        }
+    }
+
+    // The MC row shape reports an unknown projected column ahead of an
+    // unknown predicate column, resident or evicted.
+    let sql = "SELECT nope FROM {rel} WHERE other >= 1 WITH WORLDS 10";
+    let resident = local(engine.query(&sql.replace("{rel}", RESIDENT)));
+    assert!(
+        matches!(&resident, Err(DbError::UnknownColumn(c)) if c == "nope"),
+        "{resident:?}"
+    );
+    assert_eq!(
+        local(engine.query(&sql.replace("{rel}", EVICTED))),
+        resident
+    );
+
+    // A deterministic relation still fails with `InvalidWorlds` before
+    // any predicate is evaluated, resident or evicted.
+    let sql = "SELECT * FROM raw_values WHERE nope >= 1 WITH WORLDS 10";
+    let resident = local(engine.query(sql));
+    assert!(
+        matches!(resident, Err(DbError::InvalidWorlds(_))),
+        "{resident:?}"
+    );
+    engine.evict_to_disk("raw_values").unwrap();
+    assert_eq!(local(engine.query(sql)), resident);
+    assert!(engine.read().relation("raw_values").is_none());
+}
