@@ -603,7 +603,8 @@ pub struct AggregateGroup {
     /// One estimate per aggregate expression, in projection order.
     pub values: Vec<AggValue>,
     /// The tuple-count distribution (exact Poisson-binomial or MC
-    /// histogram) when `COUNT(*)` or `HAVING` asked for counts.
+    /// histogram) iff a `HAVING COUNT(*)` tail was evaluated from it
+    /// (`HAVING COUNT(*) >= 0` always holds); `COUNT(*)` alone is Σp.
     pub count_distribution: Option<Vec<f64>>,
     /// `P(HAVING predicate)` on probabilistic inputs (on deterministic
     /// tables `HAVING` filters groups instead and this stays `None`).
@@ -1015,23 +1016,27 @@ impl WorldsStrategy {
                     }
                 })
                 .collect();
-            let event_probability = match &plan.having {
+            // Only a `HAVING COUNT` tail reads, and ships, the MC histogram.
+            let (event_probability, count_distribution) = match &plan.having {
                 Some(h) if h.agg.func == AggFunc::Sum => {
-                    sum_event.map(|(frequency, _half_width)| frequency)
+                    (sum_event.map(|(frequency, _half_width)| frequency), None)
                 }
-                Some(h) => Some(tail_probability(
-                    &base.count_distribution,
-                    h.op,
-                    h.value
-                        .as_f64()
-                        .expect("validate_aggregate_plan checked the literal"),
-                )),
-                None => None,
+                Some(h) => (
+                    Some(tail_probability(
+                        &base.count_distribution,
+                        h.op,
+                        h.value
+                            .as_f64()
+                            .expect("validate_aggregate_plan checked the literal"),
+                    )),
+                    Some(base.count_distribution),
+                ),
+                None => (None, None),
             };
             out.push(AggregateGroup {
                 key,
                 values,
-                count_distribution: Some(base.count_distribution.clone()),
+                count_distribution,
                 event_probability,
                 worlds: Some(base.worlds),
             });
@@ -1648,22 +1653,20 @@ fn tail_probability(dist: &[f64], op: crate::query::CmpOp, k: f64) -> f64 {
     p.clamp(0.0, 1.0)
 }
 
+/// `Σ xs` from `+0.0` (`Iterator::sum` starts at `−0.0`: an empty sum is `-0`).
+fn sum_from_zero(xs: &[f64]) -> f64 {
+    xs.iter().fold(0.0, |acc, &x| acc + x)
+}
+
 /// Exact aggregate evaluation over a restricted probabilistic relation:
-/// Poisson-binomial counts, linearity-of-expectation sums, and the
-/// sum-distribution DP for `HAVING SUM` events, per group.
+/// O(n) linearity-of-expectation counts and sums, and the count or sum
+/// distribution DP only for a `HAVING COUNT` or `HAVING SUM` tail.
 fn aggregate_exact(
     t: &ProbTable,
     keep: &[usize],
     plan: &AggregatePlan,
 ) -> Result<AggregateResult, DbError> {
     validate_aggregate_plan(plan)?;
-    // `HAVING SUM` needs the sum distribution, not the count distribution,
-    // so it does not force the O(n²) count DP on its own.
-    let needs_distribution = plan.aggregates.iter().any(|a| a.func == AggFunc::Count)
-        || plan
-            .having
-            .as_ref()
-            .is_some_and(|h| h.agg.func != AggFunc::Sum);
     let batch = t.batch();
     let Groups { rows, groups } =
         scan::group_rows(&batch, keep, plan.window.as_ref(), &plan.group_by)?;
@@ -1671,8 +1674,7 @@ fn aggregate_exact(
     for (key, members) in groups {
         let indices = &rows[members];
         let probs = scan::gather_probs(t.probs(), indices);
-        let count_mean: f64 = probs.iter().sum();
-        let dist = needs_distribution.then(|| count_distribution_of(&probs));
+        let count_mean = sum_from_zero(&probs);
         let columns = aggregated_columns(plan, &batch, indices)?;
         let values: Vec<AggValue> = plan
             .aggregates
@@ -1702,8 +1704,8 @@ fn aggregate_exact(
                 }
             })
             .collect();
-        let event_probability = match &plan.having {
-            None => None,
+        let (event_probability, count_distribution) = match &plan.having {
+            None => (None, None),
             Some(h) => {
                 let k = h
                     .value
@@ -1716,20 +1718,17 @@ fn aggregate_exact(
                         .as_ref()
                         .expect("validate_having checked the column");
                     let sum_dist = sum_distribution_of(&probs, &columns[col.as_str()])?;
-                    Some(sum_dist.tail(h.op, k))
+                    (Some(sum_dist.tail(h.op, k)), None)
                 } else {
-                    Some(tail_probability(
-                        dist.as_ref().expect("distribution computed for HAVING"),
-                        h.op,
-                        k,
-                    ))
+                    let dist = count_distribution_of(&probs);
+                    (Some(tail_probability(&dist, h.op, k)), Some(dist))
                 }
             }
         };
         out.push(AggregateGroup {
             key,
             values,
-            count_distribution: dist,
+            count_distribution,
             event_probability,
             worlds: None,
         });
@@ -1774,7 +1773,7 @@ fn aggregate_deterministic(
                     .column
                     .as_ref()
                     .expect("validate_having checked the column");
-                columns[col.as_str()].iter().sum()
+                sum_from_zero(&columns[col.as_str()])
             } else {
                 count
             };
@@ -1793,14 +1792,14 @@ fn aggregate_deterministic(
                             .column
                             .as_ref()
                             .expect("validate_aggregate_plan checked the column");
-                        columns[col.as_str()].iter().sum()
+                        sum_from_zero(&columns[col.as_str()])
                     }
                     AggFunc::Avg => {
                         let col = agg
                             .column
                             .as_ref()
                             .expect("validate_aggregate_plan checked the column");
-                        let sum: f64 = columns[col.as_str()].iter().sum();
+                        let sum = sum_from_zero(&columns[col.as_str()]);
                         ratio_of_expectations(sum, count)
                     }
                 };
@@ -1967,6 +1966,13 @@ mod tests {
         assert_eq!(agg.strategy, "exact");
         assert_eq!(agg.groups.len(), 1);
         assert!((agg.groups[0].values[0].value - 1.6).abs() < 1e-12);
+        // The always-true tail `HAVING COUNT(*) >= 0` attaches the exact
+        // Poisson-binomial distribution.
+        let out = run("SELECT COUNT(*) FROM pv HAVING COUNT(*) >= 0", &rel);
+        let agg = match &out {
+            QueryOutput::Aggregate(a) => a,
+            other => panic!("wrong output: {other:?}"),
+        };
         let dist = agg.groups[0].count_distribution.as_ref().unwrap();
         assert_eq!(dist.len(), 7);
         assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -1982,6 +1988,84 @@ mod tests {
         assert!((agg.groups[0].values[0].value - 2.0).abs() < 1e-12);
         assert_eq!(agg.groups[1].key, vec![Value::Int(2)]);
         assert!((agg.groups[1].values[0].value - 1.0).abs() < 1e-12);
+    }
+
+    /// Every strategy attaches a group's count distribution iff the plan
+    /// carries a `HAVING COUNT` tail; `COUNT(*)` alone is Σp.
+    #[test]
+    fn only_a_having_count_tail_attaches_the_count_distribution() {
+        let rel = Relation::Probabilistic(fig1());
+        // The synopsis falls back to exact evaluation under `WHERE`.
+        for (filter, clause, strategy) in [
+            ("", "", "exact"),
+            ("", "WITH WORLDS 500 SEED 3", "worlds"),
+            ("WHERE time >= 1", "WITH SYNOPSIS", "exact"),
+        ] {
+            let render = |shape: &str| format!("{} {clause}", shape.replace("{where}", filter));
+            for shape in [
+                "SELECT COUNT(*) FROM pv {where}",
+                "SELECT time, COUNT(*) FROM pv {where} GROUP BY time",
+                "SELECT COUNT(*), SUM(room) FROM pv {where} HAVING SUM(room) >= 2",
+            ] {
+                let sql = render(shape);
+                for g in &run_agg(&sql, &rel).groups {
+                    assert!(g.count_distribution.is_none(), "{sql}: {g:?}");
+                }
+            }
+            for (shape, sizes) in [
+                (
+                    "SELECT COUNT(*) FROM pv {where} HAVING COUNT(*) >= 2",
+                    &[7][..],
+                ),
+                (
+                    "SELECT time, SUM(room) FROM pv {where} GROUP BY time HAVING COUNT(*) >= 1",
+                    &[5, 3][..],
+                ),
+            ] {
+                let sql = render(shape);
+                let agg = run_agg(&sql, &rel);
+                assert_eq!(agg.strategy, strategy, "{sql}");
+                let got: Vec<usize> = agg
+                    .groups
+                    .iter()
+                    .map(|g| {
+                        let dist = g.count_distribution.as_ref().expect(&sql);
+                        assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-12, "{sql}");
+                        dist.len()
+                    })
+                    .collect();
+                assert_eq!(got, sizes, "{sql}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_selection_aggregates_to_positive_zero() {
+        let rel = Relation::Probabilistic(fig1());
+        let sql = "SELECT COUNT(*), SUM(room), AVG(room) FROM pv WHERE time < 0";
+        for clause in ["", "WITH WORLDS 100 SEED 1", "WITH SYNOPSIS"] {
+            let agg = run_agg(&format!("{sql} {clause}"), &rel);
+            assert_eq!(agg.groups.len(), 1, "{clause}");
+            for v in &agg.groups[0].values {
+                assert_eq!(v.value.to_bits(), 0.0f64.to_bits(), "{clause}: {v:?}");
+            }
+        }
+        assert_eq!(
+            ProbTable::new("e", Schema::of(&[]))
+                .expected_count()
+                .to_bits(),
+            0
+        );
+
+        let mut table = Table::new("d", Schema::of(&[("x", ColumnType::Float)]));
+        table.insert(vec![Value::Float(0.5)]).unwrap();
+        let agg = run_agg(
+            "SELECT SUM(x), AVG(x) FROM d WHERE x > 1",
+            &Relation::Deterministic(table),
+        );
+        for v in &agg.groups[0].values {
+            assert_eq!(v.value.to_bits(), 0.0f64.to_bits(), "{v:?}");
+        }
     }
 
     #[test]

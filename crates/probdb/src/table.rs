@@ -296,9 +296,9 @@ impl ProbTable {
     }
 
     /// Expected number of tuples present in a possible world: `Σ_i p_i`
-    /// (linearity of expectation; independence not even required).
+    /// from `+0.0` (linearity of expectation; independence not required).
     pub fn expected_count(&self) -> f64 {
-        self.probs.iter().sum()
+        self.probs.iter().fold(0.0, |acc, &p| acc + p)
     }
 
     /// Renders the relation with a trailing probability column.

@@ -245,3 +245,86 @@ fn worlds_over_the_evicted_twin_answer_like_the_resident_view() {
     assert_eq!(local(engine.query(sql)), resident);
     assert!(engine.read().relation("raw_values").is_none());
 }
+
+/// A group carries its count distribution iff the statement has a `HAVING
+/// COUNT` tail that was evaluated from it (exactly, or by MC): over the
+/// wire, on the resident view and on its evicted twin, at fork-join widths
+/// 1 and 8. A synopsis answers its tail from bucketed moments and ships
+/// none; its exact fallback follows the exact rule.
+#[test]
+fn only_a_having_count_tail_ships_the_count_distribution() {
+    let dir = TempDir::new("count-distribution");
+    let engine = engine(&dir);
+    let handle = serve(&engine);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let statements = [
+        ("SELECT COUNT(*) FROM {rel}", false),
+        (
+            "SELECT COUNT(*), AVG(lambda) FROM {rel} GROUP BY WINDOW(t, 1800)",
+            false,
+        ),
+        (
+            "SELECT t, COUNT(*), SUM(lambda) FROM {rel} GROUP BY t HAVING SUM(lambda) >= 1",
+            false,
+        ),
+        (
+            "SELECT COUNT(*) FROM {rel} GROUP BY WINDOW(t, 1800) WITH WORLDS 300 SEED 8",
+            false,
+        ),
+        (
+            "SELECT COUNT(*) FROM {rel} HAVING SUM(lambda) >= 1 WITH WORLDS 300 SEED 8",
+            false,
+        ),
+        (
+            "SELECT COUNT(*) FROM {rel} WHERE lambda >= 1 WITH SYNOPSIS",
+            false,
+        ),
+        (
+            "SELECT COUNT(*) FROM {rel} HAVING COUNT(*) >= 5 WITH SYNOPSIS",
+            false,
+        ),
+        ("SELECT COUNT(*) FROM {rel} HAVING COUNT(*) >= 0", true),
+        (
+            "SELECT t, SUM(lambda) FROM {rel} GROUP BY t HAVING COUNT(*) >= 2",
+            true,
+        ),
+        (
+            "SELECT COUNT(*) FROM {rel} GROUP BY WINDOW(t, 1800) HAVING COUNT(*) >= 3 \
+             WITH WORLDS 300 SEED 8",
+            true,
+        ),
+        (
+            "SELECT COUNT(*) FROM {rel} WHERE lambda >= 1 HAVING COUNT(*) >= 1 WITH SYNOPSIS",
+            true,
+        ),
+    ];
+    for threads in [1, 8] {
+        client.set_worlds_threads(threads).unwrap();
+        engine.set_worlds_threads(threads);
+        for rel in [RESIDENT, EVICTED] {
+            for (sql, attached) in statements {
+                let sql = sql.replace("{rel}", rel);
+                let out = client.query(&sql).expect(&sql);
+                assert_eq!(local(engine.query(&sql)), Ok(canonical_result_bytes(&out)));
+                let QueryOutput::Aggregate(agg) = out else {
+                    panic!("{sql}: not an aggregate: {out:?}");
+                };
+                assert!(!agg.groups.is_empty(), "{sql}");
+                for g in &agg.groups {
+                    match &g.count_distribution {
+                        Some(dist) => {
+                            assert!(attached, "{sql}: unasked-for distribution");
+                            assert!(dist.len() >= 2, "{sql}: {dist:?}");
+                            let mass: f64 = dist.iter().sum();
+                            assert!((mass - 1.0).abs() < 1e-9, "{sql}: mass {mass}");
+                        }
+                        None => assert!(!attached, "{sql}: distribution missing"),
+                    }
+                }
+                assert!(engine.read().relation(EVICTED).is_none(), "{sql}");
+            }
+        }
+    }
+    client.close().unwrap();
+    handle.shutdown();
+}

@@ -807,8 +807,7 @@ fn sharded_scans_are_bit_identical_to_unsharded_for_every_strategy() {
     // order, so for every strategy — exact, `WITH WORLDS`, `WITH SYNOPSIS`
     // — the fan-out width (`set_worlds_threads`) is a pure latency knob.
     // Every query is restricted (or it would not fan out) and linear in
-    // the relation: the windowed counts keep ≤ 400 tuples per window for
-    // the quadratic count DP.
+    // the relation.
     const QUERIES: [&str; 6] = [
         // Exact row scan: WHERE + THRESHOLD + TOP over the merged survivors.
         "SELECT * FROM v WHERE reading >= 1.0 AND room <> 3 THRESHOLD 0.2 TOP 16",
