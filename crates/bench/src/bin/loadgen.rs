@@ -48,8 +48,9 @@ use tspdb_wire::{
     PROTOCOL_VERSION,
 };
 
-/// The per-round query mix: the row pipeline, Monte-Carlo sampling and the
-/// O(B) synopsis backend (both as prepared statements — plan once, execute
+/// The per-round query mix: the row pipeline, Monte-Carlo sampling and a
+/// `WITH SYNOPSIS` whole-relation aggregate, answered exactly from the
+/// view's running totals (both as prepared statements — plan once, execute
 /// many), exact grouped aggregates, EXPLAIN, and a top-k probability sort.
 /// Every statement is read-only, so each repetition past the first rides
 /// the server's shared plan cache.

@@ -195,8 +195,7 @@ impl SharedEngine {
     /// runs crash recovery:
     ///
     /// 1. load every relation of the checkpointed database file into the
-    ///    catalog (probabilistic views go through registration, which
-    ///    rebuilds their synopses deterministically from the tuples);
+    ///    catalog (probabilistic views go through registration);
     /// 2. replay the write-ahead log's committed suffix through the normal
     ///    write path — per-statement errors are ignored, because a
     ///    statement that failed deterministically before the crash fails
@@ -437,8 +436,8 @@ impl SharedEngine {
         self.checkpoint_locked(&mut catalog, storage)
     }
 
-    /// Checkpoints, then drops the named relation's tuples from memory
-    /// while keeping its synopses; subsequent scans are served from disk
+    /// Checkpoints, then drops the named relation's tuples from memory;
+    /// subsequent scans are served from disk
     /// through the page cache — with bit-identical query results, which is
     /// what the persistence differential tests pin down.
     ///
@@ -471,8 +470,8 @@ impl SharedEngine {
 
     /// The one read path: executes a planned `SELECT` against an immutable
     /// snapshot. The read lock is held only long enough to take the plan's
-    /// [`Database::scan_input`] — for a resident relation, clones of the
-    /// `Arc`s of its rung and synopses; for an evicted one, the
+    /// [`Database::scan_input`] — for a resident relation, a clone of the
+    /// `Arc` of its rung; for an evicted one, the
     /// leaf-at-a-time filtered stream off disk — and the strategy then runs
     /// entirely outside the lock while appends land new rungs next to it.
     /// Any number of threads can be inside this call at once.
@@ -798,7 +797,7 @@ fn statement_dirty_targets(stmt: &Statement) -> Vec<(String, DirtyKind)> {
 }
 
 /// Brings one Ω-view up to date after `appended` rows landed at the end of
-/// its source table. The contract on every path: the view, its synopses
+/// its source table. The contract on every path: the view, its totals
 /// and every query answer are bit-identical to a `CREATE VIEW` from scratch
 /// over the same rows. Three outcomes:
 ///
@@ -1332,13 +1331,9 @@ mod tests {
         let twin = engine_with_rows(direct_config(), 130);
         let sql = "SELECT * FROM pv";
         assert_eq!(engine.query(sql).unwrap(), twin.query(sql).unwrap());
-        // Synopses absorbed the suffix through the stable merge: equal to
-        // the rebuild's from-scratch sort, retained runs included.
-        let (a, b) = (
-            engine.read().synopses("pv").unwrap(),
-            twin.read().synopses("pv").unwrap(),
-        );
-        assert_eq!(*a, *b);
+        // The view's totals absorbed the suffix: equal to the rebuild's
+        // from-scratch fold, bit for bit.
+        assert_eq!(pv_totals(&engine), pv_totals(&twin));
         // And derived answers agree across every strategy surface.
         let agg = "SELECT COUNT(*) FROM pv GROUP BY WINDOW(t, 16)";
         assert_eq!(engine.query(agg).unwrap(), twin.query(agg).unwrap());
@@ -1378,10 +1373,18 @@ mod tests {
     fn assert_pv_equals(engine: &SharedEngine, twin: &SharedEngine) {
         let sql = "SELECT * FROM pv";
         assert_eq!(engine.query(sql).unwrap(), twin.query(sql).unwrap());
-        assert_eq!(
-            *engine.read().synopses("pv").unwrap(),
-            *twin.read().synopses("pv").unwrap()
-        );
+        assert_eq!(pv_totals(engine), pv_totals(twin));
+    }
+
+    /// Bits of `pv`'s running totals: Σp, then Σp·v per numeric column.
+    fn pv_totals(engine: &SharedEngine) -> Vec<u64> {
+        let catalog = engine.read();
+        let pv = catalog.prob_table("pv").unwrap();
+        let sums = pv.schema().names().filter_map(|c| pv.expected_sum(c).ok());
+        std::iter::once(pv.expected_count())
+            .chain(sums)
+            .map(f64::to_bits)
+            .collect()
     }
 
     fn stored_sigma_range(engine: &SharedEngine) -> (f64, f64) {

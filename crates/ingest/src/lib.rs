@@ -21,7 +21,7 @@
 //!   bucket: that is literally how they are produced.
 //!
 //! Everything downstream of the append — incremental Ω-view maintenance,
-//! delta-merged synopses, MVCC snapshots for readers — lives in
+//! the views' running totals, MVCC snapshots for readers — lives in
 //! `tspdb-core`; this crate is the batching and subscription layer the
 //! wire server mounts on top.
 

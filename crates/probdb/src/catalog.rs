@@ -4,11 +4,10 @@
 //! executes parsed [`Statement`]s. `SELECT`s are **planned, not
 //! dispatched**: the statement is handed to [`Planner::plan`], which builds
 //! a logical/physical plan and picks an evaluation strategy
-//! ([`crate::plan::ExactStrategy`], [`crate::plan::WorldsStrategy`] under
-//! `WITH WORLDS`, or [`crate::plan::SynopsisStrategy`] under
-//! `WITH SYNOPSIS`, fed the relation's precomputed [`RelationSynopses`]);
-//! the catalog's job shrinks to resolving the scanned relation and running
-//! the chosen strategy. `EXPLAIN` returns the plan instead of running it.
+//! ([`crate::plan::ExactStrategy`], or [`crate::plan::WorldsStrategy`]
+//! under `WITH WORLDS`); the catalog's job shrinks to resolving the
+//! scanned relation and running the chosen strategy. `EXPLAIN` returns
+//! the plan instead of running it.
 //!
 //! The one statement the catalog cannot execute by itself is `CREATE VIEW
 //! … AS DENSITY …` — inferring densities is the job of the `tspdb-core`
@@ -17,7 +16,7 @@
 //! pointing from the paper's contribution down into the substrate, never
 //! backwards.
 
-use crate::column::{Column, ColumnSlice};
+use crate::column::Column;
 use crate::error::DbError;
 use crate::plan::{AggregateResult, ExplainReport, PhysicalPlan, PlannedQuery, Planner};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
@@ -25,179 +24,12 @@ use crate::scan::{self, Batch, BatchStream};
 use crate::schema::Schema;
 use crate::sql::{parse, SelectStmt, Statement};
 use crate::table::{check_columns, ProbTable, Table};
-use crate::value::{ColumnType, Value};
+use crate::value::Value;
 use crate::worlds::WorldsResult;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use tspdb_stats::synopsis::{merge_sorted_pairs, ProbHistogram};
-
-/// Default bucket count for relation synopses (`WITH SYNOPSIS` without a
-/// `BUCKETS` clause, and the catalog's precomputed histograms).
-pub const DEFAULT_SYNOPSIS_BUCKETS: usize = 64;
-
-/// The probabilistic-histogram synopses of one relation: a B-bucket
-/// [`ProbHistogram`] per numeric column, all over the same tuple snapshot.
-///
-/// The catalog keeps one per probabilistic view behind an [`Arc`] and
-/// replaces the whole value on every write, so readers clone the `Arc`
-/// lock-free and never observe a half-rebuilt synopsis. A write pays only
-/// for the sorted runs; a column's buckets are laid out by the first query
-/// that reads them (outside the catalog lock) and kept for the rest.
-#[derive(Debug, Clone)]
-pub struct RelationSynopses {
-    buckets: usize,
-    tuples: usize,
-    columns: BTreeMap<String, ColumnSynopsis>,
-}
-
-#[derive(Debug, Clone)]
-struct ColumnSynopsis {
-    /// The canonical sorted `(value, probability)` run of the column,
-    /// retained so an append can stable-merge the new tuples' run into it
-    /// — the merged run, and so every bucket laid out from it, is
-    /// bit-identical to a from-scratch build over the whole view, without
-    /// re-sorting the old tuples (the Cormode & Garofalakis incremental
-    /// recipe). Empty on [`RelationSynopses::merge_to`]-derived copies,
-    /// which are per-query throwaways never appended to.
-    run: Vec<(f64, f64)>,
-    /// `ProbHistogram::from_sorted(run, buckets)`, on first use.
-    histogram: OnceLock<ProbHistogram>,
-}
-
-impl PartialEq for RelationSynopses {
-    /// Equal summaries of equal tuples: compares the laid-out histograms
-    /// (laying out any not read yet) as well as the runs behind them.
-    fn eq(&self, other: &Self) -> bool {
-        self.buckets == other.buckets
-            && self.tuples == other.tuples
-            && self.columns.len() == other.columns.len()
-            && self
-                .columns
-                .iter()
-                .zip(&other.columns)
-                .all(|((a, x), (b, y))| {
-                    a == b && x.run == y.run && self.column(a) == other.column(b)
-                })
-    }
-}
-
-impl RelationSynopses {
-    /// Summarises every numeric column of the view in `buckets`-bucket
-    /// histograms (text columns have no value order to bucket and are
-    /// skipped).
-    pub fn build(t: &ProbTable, buckets: usize) -> Self {
-        Self::build_from(t, 0, buckets, &BTreeMap::new())
-    }
-
-    /// The incremental form of [`RelationSynopses::build`]: `self` must
-    /// summarise exactly the first `from_row` rows of `t`; the result
-    /// summarises all of `t` and is **bit-identical** to
-    /// `RelationSynopses::build(t, self.buckets)`. Only the appended
-    /// suffix is extracted and sorted; the retained runs absorb it by
-    /// stable merge.
-    pub fn append_from(&self, t: &ProbTable, from_row: usize) -> Self {
-        Self::build_from(t, from_row, self.buckets, &self.columns)
-    }
-
-    fn build_from(
-        t: &ProbTable,
-        from_row: usize,
-        buckets: usize,
-        base: &BTreeMap<String, ColumnSynopsis>,
-    ) -> Self {
-        let mut columns = BTreeMap::new();
-        for c in 0..t.schema().arity() {
-            let (name, ty) = t.schema().column(c);
-            if ty == ColumnType::Text {
-                continue;
-            }
-            // A column without a retained run (never the case for
-            // catalog-built synopses; schemas are fixed per view) falls
-            // back to extracting the whole column from row 0.
-            let base = base.get(name);
-            let start = if base.is_some() { from_row } else { 0 };
-            let probs = t.probs()[start..].iter().copied();
-            let delta =
-                ProbHistogram::prepare_pairs(match t.column(c).values().slice(start..t.len()) {
-                    ColumnSlice::Int(v) => v.iter().map(|&v| v as f64).zip(probs).collect(),
-                    ColumnSlice::Float(v) => v.iter().copied().zip(probs).collect(),
-                    ColumnSlice::Text(_) => unreachable!("text columns are skipped above"),
-                });
-            // A stable merge of two stably-sorted runs (base first on
-            // ties) is exactly the stable sort of their concatenation, so
-            // the merged run — and every bucket built from it — matches a
-            // from-scratch build bit for bit.
-            let run = match base {
-                Some(b) => merge_sorted_pairs(&b.run, &delta),
-                None => delta,
-            };
-            let histogram = OnceLock::new();
-            columns.insert(name.to_string(), ColumnSynopsis { run, histogram });
-        }
-        RelationSynopses {
-            buckets,
-            tuples: t.len(),
-            columns,
-        }
-    }
-
-    /// The bucket count the histograms were built with.
-    pub fn buckets(&self) -> usize {
-        self.buckets
-    }
-
-    /// Tuples summarised (the view's length at build time).
-    pub fn tuples(&self) -> usize {
-        self.tuples
-    }
-
-    /// The histogram of one column (`None` for text/unknown columns).
-    pub fn column(&self, name: &str) -> Option<&ProbHistogram> {
-        let column = self.columns.get(name)?;
-        Some(
-            column
-                .histogram
-                .get_or_init(|| ProbHistogram::from_sorted(&column.run, self.buckets)),
-        )
-    }
-
-    /// Names of the summarised columns, sorted.
-    pub fn column_names(&self) -> impl Iterator<Item = &str> {
-        self.columns.keys().map(String::as_str)
-    }
-
-    /// The lexicographically-first summarised column, if any — the
-    /// deterministic anchor for pure-`COUNT` queries.
-    pub fn first_column(&self) -> Option<&str> {
-        self.columns.keys().next().map(String::as_str)
-    }
-
-    /// A coarser view with every histogram merged down to `buckets`
-    /// buckets (bucket payloads are additive, so derived answers keep
-    /// sound bounds).
-    pub fn merge_to(&self, buckets: usize) -> Self {
-        RelationSynopses {
-            buckets,
-            tuples: self.tuples,
-            columns: self
-                .columns
-                .keys()
-                .map(|name| {
-                    let merged = self.column(name).expect("own column").merge_to(buckets);
-                    let column = ColumnSynopsis {
-                        // Coarsened copies are per-query throwaways; cloning
-                        // the runs into them would only burn memory.
-                        run: Vec::new(),
-                        histogram: OnceLock::from(merged),
-                    };
-                    (name.clone(), column)
-                })
-                .collect(),
-        }
-    }
-}
+use std::sync::Arc;
 
 /// A stored relation: deterministic or probabilistic.
 #[derive(Debug, Clone)]
@@ -208,17 +40,12 @@ pub enum Relation {
     Probabilistic(ProbTable),
 }
 
-/// An immutable, internally-consistent snapshot of one relation and the
-/// derived structures a query strategy consumes — see
-/// [`Database::scan_input`]. Both `Arc`s were taken under the same
-/// catalog borrow, so the synopses always describe exactly the tuples in
-/// `relation`.
+/// An immutable snapshot of one relation, the input a query strategy
+/// consumes — see [`Database::scan_input`].
 #[derive(Debug, Clone)]
 pub struct RelationSnapshot {
     /// The relation rung.
     pub relation: Arc<Relation>,
-    /// Precomputed histogram synopses (probabilistic views only).
-    pub synopses: Option<Arc<RelationSynopses>>,
 }
 
 impl RelationSnapshot {
@@ -236,7 +63,7 @@ impl RelationSnapshot {
         threads: usize,
     ) -> Result<QueryOutput, DbError> {
         planned
-            .strategy_with_context(threads, self.synopses)
+            .strategy_with_context(threads)
             .execute(&self.relation, plan)
     }
 }
@@ -358,10 +185,6 @@ pub struct Database {
     /// still holds their pages until the next checkpoint rewrites the
     /// file; these tombstones stop the fallback from resurrecting them.
     dropped: std::collections::BTreeSet<String>,
-    /// Precomputed synopses, keyed by relation name. Maintained eagerly on
-    /// the write paths (`&mut self`: view registration and drops), so the
-    /// shared read path clones an [`Arc`] snapshot without locking.
-    synopses: BTreeMap<String, Arc<RelationSynopses>>,
     /// Catalog (DDL) generation: bumped by every statement that changes
     /// the *shape* of the catalog — CREATE/DROP, view re-registration.
     /// Cached plans are keyed by the generation they were planned under
@@ -532,11 +355,9 @@ impl Database {
         }
     }
 
-    /// Drops a relation's tuples from memory while **keeping its
-    /// synopses**, so later reads fall through to the scan source. Keeping
-    /// the synopses means planner strategy selection — and therefore every
-    /// query result — is identical for the disk-backed relation and the
-    /// resident one. Refuses to evict anything the attached source cannot
+    /// Drops a relation's tuples from memory, so later reads fall through
+    /// to the scan source — with the same answers as the resident
+    /// relation. Refuses to evict anything the attached source cannot
     /// serve back (that would be data loss, not eviction).
     pub fn evict_relation(&mut self, name: &str) -> Result<(), DbError> {
         if !self.relations.contains_key(name) {
@@ -570,8 +391,6 @@ impl Database {
                 Ok(true)
             }
             Some(Relation::Probabilistic(t)) => {
-                // Goes through registration so the synopses are (re)built
-                // deterministically from the recovered tuples.
                 self.register_prob_table(t)?;
                 Ok(true)
             }
@@ -594,9 +413,7 @@ impl Database {
 
     /// Registers a probabilistic view, replacing any same-named view (views
     /// are derived data, so re-creation is allowed; tables are not
-    /// replaceable). The view's synopses are (re)built here — every write
-    /// goes through registration, so a cached synopsis never outlives the
-    /// tuples it summarises.
+    /// replaceable).
     pub fn register_prob_table(&mut self, table: ProbTable) -> Result<(), DbError> {
         let name = table.name().to_string();
         if matches!(
@@ -606,10 +423,6 @@ impl Database {
             return Err(DbError::DuplicateTable(name));
         }
         self.dropped.remove(&name);
-        self.synopses.insert(
-            name.clone(),
-            Arc::new(RelationSynopses::build(&table, DEFAULT_SYNOPSIS_BUCKETS)),
-        );
         self.relations
             .insert(name, Arc::new(Relation::Probabilistic(table)));
         self.bump_generation();
@@ -652,9 +465,8 @@ impl Database {
     ///
     /// The rows land through `extend_from_batch`: a new relation rung is
     /// swapped in (in-flight snapshot readers keep the old one), a view's
-    /// synopses absorb the suffix via [`RelationSynopses::append_from`]
-    /// (bit-identical to a rebuild), and only the *data* generation moves,
-    /// so cached plans survive.
+    /// totals absorb the suffix (bit-identical to a rebuild), and only the
+    /// *data* generation moves, so cached plans survive.
     pub fn append_columns(
         &mut self,
         name: &str,
@@ -680,25 +492,10 @@ impl Database {
         let batch = Batch::new(&schema, columns, probs, 0);
         match Arc::make_mut(rel) {
             Relation::Deterministic(t) => t.extend_from_batch(&batch, 0..rows),
-            Relation::Probabilistic(t) => {
-                let from = t.len();
-                t.extend_from_batch(&batch, 0..rows)?;
-                let synopses = match self.synopses.get(name) {
-                    Some(base) => base.append_from(t, from),
-                    None => RelationSynopses::build(t, DEFAULT_SYNOPSIS_BUCKETS),
-                };
-                self.synopses.insert(name.to_string(), Arc::new(synopses));
-            }
+            Relation::Probabilistic(t) => t.extend_from_batch(&batch, 0..rows)?,
         }
         self.bump_data_generation();
         Ok(rows)
-    }
-
-    /// The precomputed synopsis snapshot of a probabilistic view (`None`
-    /// for deterministic tables and unknown names). Cloning the [`Arc`] is
-    /// the whole cost — the snapshot is immutable.
-    pub fn synopses(&self, name: &str) -> Option<Arc<RelationSynopses>> {
-        self.synopses.get(name).cloned()
     }
 
     /// Borrow of one resident relation (no scan-source fallback).
@@ -722,11 +519,10 @@ impl Database {
         }
     }
 
-    /// Drops a relation by name (and its synopses, if any). A tombstone
+    /// Drops a relation by name. A tombstone
     /// stops the scan source from resurrecting the name until a
     /// checkpoint rewrites the on-disk file (or the name is re-created).
     pub fn drop_relation(&mut self, name: &str) -> Result<(), DbError> {
-        self.synopses.remove(name);
         self.dropped.insert(name.to_string());
         self.bump_generation();
         self.relations
@@ -781,19 +577,18 @@ impl Database {
         snapshot.execute(planned, &plan, self.worlds_threads())
     }
 
-    /// Everything `planned` needs in order to execute, as immutable
-    /// snapshots: the relation rung with the matching synopsis `Arc`, plus
-    /// the physical plan to run over them. This is the MVCC read path —
-    /// take the input under a shared lock, release the lock, then
+    /// Everything `planned` needs in order to execute, as an immutable
+    /// snapshot: the relation rung, plus the physical plan to run over it.
+    /// This is the MVCC read path — take the input under a shared lock,
+    /// release the lock, then
     /// [`RelationSnapshot::execute`] it while writers land new rungs
     /// (appends swap in a new rung rather than mutating the old one in
     /// place, so the snapshot stays internally consistent for as long as
-    /// its `Arc`s live).
+    /// its `Arc` lives).
     ///
-    /// Resident relations win and cost two `Arc` clones; otherwise the
+    /// Resident relations win and cost one `Arc` clone; otherwise the
     /// scan source's batch stream is restricted leaf by leaf, and only when
-    /// the plan or the source can't stream is the relation materialised
-    /// whole. Either way the same strategy executes over the same tuple
+    /// the source can't stream is the relation materialised whole. Either way the same strategy executes over the same tuple
     /// representation, so results are bit-identical across media for a
     /// fixed query + seed.
     pub fn scan_input<'p>(
@@ -813,20 +608,16 @@ impl Database {
                 }
             }
         };
-        let snapshot = RelationSnapshot {
-            relation,
-            synopses: self.synopses(name),
-        };
-        Ok((snapshot, Cow::Borrowed(&planned.physical)))
+        Ok((
+            RelationSnapshot { relation },
+            Cow::Borrowed(&planned.physical),
+        ))
     }
 
     /// [`Database::scan_input`] over the scan source's lazy batch stream,
     /// restricting leaf by leaf instead of materialising the relation
-    /// whole. Returns `Ok(None)` when the source can't stream or the plan
-    /// needs every tuple anyway, so the caller materialises the relation:
-    /// synopsis plans with no fallback, which answer from bucketed moments
-    /// over the **whole** relation and its cached synopses (whose
-    /// staleness guard compares tuple counts).
+    /// whole. Returns `Ok(None)` when the source can't stream, so the
+    /// caller materialises the relation.
     ///
     /// Bit-identity with the materialised path is preserved by applying
     /// the *same* restrictions in the *same* observable order:
@@ -842,9 +633,6 @@ impl Database {
     ) -> Result<Option<(RelationSnapshot, Cow<'p, PhysicalPlan>)>, DbError> {
         use crate::plan::{PhysicalAction, StrategyKind};
 
-        if planned.synopsis_answers_whole_relation() {
-            return Ok(None);
-        }
         let plan = &planned.physical;
         let name = &plan.table;
         if self.dropped.contains(name) {
@@ -856,12 +644,9 @@ impl Database {
         let Some(mut stream) = source.scan_stream(name)? else {
             return Ok(None);
         };
-        // No synopses (the restricted tuple set no longer matches the
-        // cached ones — their staleness guard would reject them anyway).
         let input = |relation: Relation, plan| {
             let snapshot = RelationSnapshot {
                 relation: Arc::new(relation),
-                synopses: None,
             };
             Ok(Some((snapshot, plan)))
         };
@@ -932,10 +717,7 @@ impl Database {
             logical: planned.logical.to_string(),
             physical: planned.physical.to_string(),
             strategy: planned
-                .strategy_with_context(
-                    self.worlds_threads(),
-                    self.synopses(&planned.physical.table),
-                )
+                .strategy_with_context(self.worlds_threads())
                 .describe(),
         }))
     }
@@ -1059,30 +841,46 @@ mod tests {
     }
 
     #[test]
-    fn synopsis_rebuild_is_scoped_to_the_written_relation() {
+    fn appends_keep_totals_equal_to_a_build_from_scratch() {
         let mut db = Database::new();
-        let schema = Schema::of(&[("x", crate::value::ColumnType::Int)]);
-        for name in ["a", "b"] {
-            let mut v = ProbTable::new(name, schema.clone());
-            v.insert(vec![Value::Int(1)], 0.5).unwrap();
-            db.register_prob_table(v).unwrap();
+        let schema = Schema::of(&[
+            ("x", crate::value::ColumnType::Int),
+            ("y", crate::value::ColumnType::Float),
+        ]);
+        let rows = [
+            (1, 0.5, 0.5),
+            (2, 1e-3, 0.25),
+            (3, -0.0, 0.125),
+            (4, 7.5, 1.0),
+        ];
+        let mut whole = ProbTable::new("pv", schema.clone());
+        for &(x, y, p) in &rows {
+            whole
+                .insert(vec![Value::Int(x), Value::Float(y)], p)
+                .unwrap();
         }
-        let a_before = db.synopses("a").unwrap();
-
-        // A write to `b` must rebuild `b`'s synopses and nobody else's:
-        // `a`'s snapshot is still the very same allocation.
-        let b_before = db.synopses("b").unwrap();
-        let mut v = ProbTable::new("b", schema);
-        v.insert(vec![Value::Int(2)], 0.25).unwrap();
-        db.register_prob_table(v).unwrap();
-        assert!(
-            Arc::ptr_eq(&a_before, &db.synopses("a").unwrap()),
-            "writing b must not touch a's synopses"
+        db.register_prob_table(ProbTable::new("pv", schema))
+            .unwrap();
+        for chunk in [0..1, 1..3, 3..4] {
+            let part = whole.take(&chunk.collect::<Vec<_>>());
+            db.append_columns("pv", part.columns(), Some(part.probs()))
+                .unwrap();
+            // Read, so the next append folds into kept totals.
+            db.prob_table("pv").unwrap().expected_count();
+        }
+        let appended = db.prob_table("pv").unwrap();
+        assert_eq!(appended.len(), whole.len());
+        assert_eq!(
+            appended.expected_count().to_bits(),
+            whole.expected_count().to_bits()
         );
-        assert!(
-            !Arc::ptr_eq(&b_before, &db.synopses("b").unwrap()),
-            "writing b must rebuild b's synopses"
-        );
+        for col in ["x", "y"] {
+            assert_eq!(
+                appended.expected_sum(col).unwrap().to_bits(),
+                whole.expected_sum(col).unwrap().to_bits(),
+                "{col}"
+            );
+        }
     }
 
     #[test]

@@ -22,10 +22,8 @@
 //!   `GROUP BY`, `HAVING` event predicates) and `EXPLAIN`.
 //! * [`plan`] — the query planner: [`plan::LogicalPlan`] trees lowered to
 //!   [`plan::PhysicalPlan`]s and executed by a pluggable
-//!   [`plan::EvalStrategy`] ([`plan::ExactStrategy`] closed forms, the
-//!   [`plan::WorldsStrategy`] Monte-Carlo backend under `WITH WORLDS`, or
-//!   the [`plan::SynopsisStrategy`] O(B) histogram backend under
-//!   `WITH SYNOPSIS`).
+//!   [`plan::EvalStrategy`] ([`plan::ExactStrategy`] closed forms, or the
+//!   [`plan::WorldsStrategy`] Monte-Carlo backend under `WITH WORLDS`).
 //! * [`catalog`] — the in-memory [`catalog::Database`] executing
 //!   statements; `SELECT`s are planned then executed, density views are
 //!   delegated to a handler supplied by the engine layer (`tspdb-core`).
@@ -78,15 +76,12 @@ pub mod value;
 pub mod worlds;
 
 pub use aggregates::{sum_distribution_of, SumDistribution};
-pub use catalog::{
-    Database, QueryOutput, Relation, RelationSnapshot, RelationSynopses, ScanSource,
-    DEFAULT_SYNOPSIS_BUCKETS,
-};
+pub use catalog::{Database, QueryOutput, Relation, RelationSnapshot, ScanSource};
 pub use column::{Column, ColumnSlice};
 pub use error::DbError;
 pub use plan::{
     AggregateResult, EvalStrategy, ExactStrategy, ExplainReport, LogicalPlan, PhysicalPlan,
-    PlannedQuery, Planner, StrategyKind, SynopsisStrategy, WorldsStrategy,
+    PlannedQuery, Planner, StrategyKind, WorldsStrategy,
 };
 pub use plan_cache::PlanCacheStats;
 pub use query::{CmpOp, Comparison, Conjunction};

@@ -22,34 +22,28 @@
 //!   sum-distribution DP for `HAVING SUM`); [`WorldsStrategy`] answers by
 //!   Monte-Carlo possible-world sampling (selected by `WITH WORLDS`),
 //!   inheriting the executor's bit-identical determinism at every thread
-//!   count; [`SynopsisStrategy`] (selected by `WITH SYNOPSIS`) answers in
-//!   O(B) from the relation's precomputed B-bucket probabilistic
-//!   histogram synopsis with a guaranteed error bound per value, falling
-//!   back to [`ExactStrategy`] — with the reason surfaced in `EXPLAIN` —
-//!   when a plan shape has no synopsis answer.
+//!   count. `WITH SYNOPSIS [BUCKETS b] [MAXERROR e]` is accepted and
+//!   planned onto [`ExactStrategy`]: an exact answer meets any error bound.
 //!
-//! All strategies evaluate the *same* plans, so every aggregate admits an
-//! exact-vs-MC-vs-synopsis differential test, and every future operator
+//! Both strategies evaluate the *same* plans, so every aggregate admits an
+//! exact-vs-MC differential test, and every future operator
 //! (joins, windows, parallel scans) becomes a plan node instead of another
 //! `match` arm in the catalog.
 
 use crate::aggregates::{count_distribution_of, sum_distribution_of, sum_moments_of};
-use crate::catalog::{QueryOutput, Relation, RelationSynopses, DEFAULT_SYNOPSIS_BUCKETS};
+use crate::catalog::{QueryOutput, Relation};
 use crate::error::DbError;
-use crate::query::{CmpOp, Conjunction};
+use crate::query::Conjunction;
 use crate::scan::{self, Batch, Groups, Transposed};
 use crate::schema::Schema;
 use crate::sql::{
-    AggExpr, AggFunc, HavingClause, SelectItem, SelectStmt, SynopsisClause, WindowSpec,
-    WorldsClause,
+    AggExpr, AggFunc, HavingClause, SelectItem, SelectStmt, WindowSpec, WorldsClause,
 };
 use crate::table::{ProbTable, Table};
 use crate::value::Value;
 use crate::worlds::{mix_seed, SumEstimate, SumEventSpec, WorldsConfig, WorldsExecutor};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
-use tspdb_stats::synopsis::{Estimate, PROB_BANDS};
 
 // ---------------------------------------------------------------------------
 // Logical plans
@@ -341,9 +335,6 @@ pub enum StrategyKind {
     /// Monte-Carlo possible-world sampling ([`WorldsStrategy`]), carrying
     /// the `WITH WORLDS` clause that selected it.
     Worlds(WorldsClause),
-    /// Precomputed probabilistic-histogram synopses ([`SynopsisStrategy`]),
-    /// carrying the `WITH SYNOPSIS` clause that selected it.
-    Synopsis(SynopsisClause),
 }
 
 /// A fully planned query: logical tree, lowered physical plan, and the
@@ -361,39 +352,15 @@ pub struct PlannedQuery {
 impl PlannedQuery {
     /// Instantiates the chosen strategy. `threads` is the fork-join width
     /// for sampling and for the segment fan-out of large restrictions (it
-    /// never changes an answer); `synopses` hands the synopsis backend the
-    /// relation's precomputed [`RelationSynopses`] snapshot so it answers
-    /// in O(B) instead of rebuilding histograms per query (`None` builds
-    /// them on demand).
-    pub fn strategy_with_context(
-        &self,
-        threads: usize,
-        synopses: Option<Arc<RelationSynopses>>,
-    ) -> Box<dyn EvalStrategy> {
+    /// never changes an answer).
+    pub fn strategy_with_context(&self, threads: usize) -> Box<dyn EvalStrategy> {
         match &self.strategy {
             StrategyKind::Exact => Box::new(ExactStrategy { threads }),
             StrategyKind::Worlds(clause) => Box::new(WorldsStrategy {
                 clause: clause.clone(),
                 threads,
             }),
-            StrategyKind::Synopsis(clause) => Box::new(SynopsisStrategy::new(
-                clause.clone(),
-                &self.physical,
-                synopses,
-                threads,
-            )),
         }
-    }
-
-    /// Whether this plan runs `WITH SYNOPSIS` *without* a plan-shape
-    /// fallback — i.e. it will answer from bucketed moments over the
-    /// **whole** relation. The lazy scan path must not pre-filter the
-    /// stream for such a plan: the synopsis needs the unrestricted
-    /// relation (and its cached synopses) to stay bit-identical to the
-    /// materialised path.
-    pub(crate) fn synopsis_answers_whole_relation(&self) -> bool {
-        matches!(&self.strategy, StrategyKind::Synopsis(_))
-            && synopsis_support(&self.physical).is_ok()
     }
 }
 
@@ -423,7 +390,10 @@ impl Planner {
     ///   `SUM` tails from the sum-distribution DP; `AVG`/`EXPECTED` event
     ///   predicates have no closed form and are rejected);
     /// * `WITH WORLDS` rejects `ORDER BY` / `LIMIT`
-    ///   ([`DbError::InvalidWorlds`], as before the planner existed).
+    ///   ([`DbError::InvalidWorlds`], as before the planner existed);
+    /// * `WITH SYNOPSIS` is planned onto the exact strategy (an exact
+    ///   answer meets any `MAXERROR`) and cannot combine with `WITH
+    ///   WORLDS`.
     pub fn plan(sel: &SelectStmt) -> Result<PlannedQuery, DbError> {
         let aggregates: Vec<AggExpr> = sel
             .projection
@@ -571,8 +541,7 @@ impl Planner {
                     ));
                 }
                 (Some(clause), None) => StrategyKind::Worlds(clause.clone()),
-                (None, Some(clause)) => StrategyKind::Synopsis(clause.clone()),
-                (None, None) => StrategyKind::Exact,
+                (None, _) => StrategyKind::Exact,
             },
         })
     }
@@ -585,12 +554,10 @@ impl Planner {
 /// One aggregate estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggValue {
-    /// The point value: the exact closed form, the MC mean, or the
-    /// synopsis midpoint estimate.
+    /// The point value: the exact closed form or the MC mean.
     pub value: f64,
-    /// Uncertainty half-width: the 95% CI of an MC estimate, or the
-    /// guaranteed error bound of a synopsis answer (`None` under exact
-    /// evaluation, and for MC `AVG`, which is reported as a ratio of
+    /// Uncertainty half-width: the 95% CI of an MC estimate (`None` under
+    /// exact evaluation, and for MC `AVG`, which is reported as a ratio of
     /// expectations without its own interval).
     pub ci_half_width: Option<f64>,
 }
@@ -733,7 +700,7 @@ impl fmt::Display for ExplainReport {
 
 /// A pluggable evaluation backend executing physical plans.
 pub trait EvalStrategy {
-    /// Short name (`"exact"` / `"worlds"` / `"synopsis"`).
+    /// Short name (`"exact"` / `"worlds"`).
     fn name(&self) -> &'static str;
 
     /// Parameter description for `EXPLAIN`.
@@ -796,6 +763,9 @@ impl EvalStrategy for ExactStrategy {
                 }
             }
             Relation::Probabilistic(t) => {
+                if let Some(result) = aggregate_from_totals(t, plan) {
+                    return Ok(QueryOutput::Aggregate(result));
+                }
                 let keep = scan::restrict(t, plan, self.threads)?;
                 match &plan.action {
                     PhysicalAction::Rows {
@@ -1051,474 +1021,6 @@ impl WorldsStrategy {
     }
 }
 
-/// Windowed synopsis answers enumerate candidate buckets over the value
-/// range; past this many the enumeration would dominate the O(B) win, so
-/// the query falls back to exact evaluation instead.
-const MAX_SYNOPSIS_WINDOW_GROUPS: usize = 4096;
-
-/// Berry–Esseen constant bounding the normal-approximation error of a
-/// Poisson-binomial CDF: `|F(x) − Φ(x)| ≤ 0.56·ρ/σ³` (Shevtsova's bound
-/// for non-identically distributed summands).
-const BERRY_ESSEEN_C: f64 = 0.56;
-
-/// Sublinear aggregate evaluation from precomputed probabilistic-histogram
-/// synopses (`WITH SYNOPSIS`).
-///
-/// Answers `COUNT(*)`/`SUM`/`AVG`/`EXPECTED` aggregates — globally or per
-/// `GROUP BY WINDOW` bucket — in O(B) per group from the relation's
-/// B-bucket [`ProbHistogram`](tspdb_stats::synopsis::ProbHistogram)s
-/// instead of scanning tuples, reporting a
-/// guaranteed error bound in each value's `ci_half_width`. `THRESHOLD τ`
-/// resolves through the per-bucket probability bands (exact for τ on a
-/// band edge, bounded otherwise) and `HAVING COUNT` through a
-/// Berry–Esseen-backed normal tail of the bucketed count moments.
-///
-/// Plan shapes a synopsis cannot answer (row queries, `WHERE`, `TOP`,
-/// plain `GROUP BY` columns, `HAVING SUM`, windowed aggregates over a
-/// column other than the window column) fall back to [`ExactStrategy`]
-/// automatically; `EXPLAIN` surfaces the reason. A `MAXERROR e` clause
-/// additionally falls back whenever any reported bound would exceed `e`.
-#[derive(Debug, Clone)]
-pub struct SynopsisStrategy {
-    /// The selecting `WITH SYNOPSIS` clause.
-    pub clause: SynopsisClause,
-    /// The catalog's precomputed synopsis snapshot for the scanned
-    /// relation (`None` = build on demand from the tuples).
-    synopses: Option<Arc<RelationSynopses>>,
-    /// Why this plan shape has no synopsis answer (delegates to exact).
-    fallback: Option<DbError>,
-    /// Fork-join width handed to the exact fallback.
-    threads: usize,
-}
-
-impl SynopsisStrategy {
-    /// Builds the strategy for a plan, deciding up front — from the plan
-    /// shape alone — whether it must fall back to exact evaluation.
-    /// `threads` is handed to that fallback's restriction fan-out.
-    pub fn new(
-        clause: SynopsisClause,
-        plan: &PhysicalPlan,
-        synopses: Option<Arc<RelationSynopses>>,
-        threads: usize,
-    ) -> Self {
-        let fallback = synopsis_support(plan).err();
-        SynopsisStrategy {
-            clause,
-            synopses,
-            fallback,
-            threads,
-        }
-    }
-
-    /// The exact strategy this one falls back to, at the same width.
-    fn exact(&self) -> ExactStrategy {
-        ExactStrategy {
-            threads: self.threads,
-        }
-    }
-
-    /// The reason this plan falls back to exact evaluation, if any.
-    pub fn fallback_reason(&self) -> Option<&DbError> {
-        self.fallback.as_ref()
-    }
-
-    /// The synopsis snapshot answering this query at the requested bucket
-    /// count: the catalog's cached one when it matches, a merged view when
-    /// the request is coarser, a fresh build otherwise (finer than cached,
-    /// stale tuple count, or nothing cached).
-    fn resolve_synopses(&self, t: &ProbTable, requested: usize) -> Arc<RelationSynopses> {
-        match &self.synopses {
-            Some(s) if s.tuples() == t.len() => {
-                if requested == s.buckets() {
-                    Arc::clone(s)
-                } else if requested < s.buckets() {
-                    Arc::new(s.merge_to(requested))
-                } else {
-                    Arc::new(RelationSynopses::build(t, requested))
-                }
-            }
-            _ => Arc::new(RelationSynopses::build(t, requested)),
-        }
-    }
-
-    /// The O(B) synopsis answer, or `None` when runtime conditions force
-    /// the exact path (a needed column has no histogram, the window
-    /// enumeration is too wide, or a bound exceeds `MAXERROR`).
-    fn try_synopsis(
-        &self,
-        t: &ProbTable,
-        plan: &PhysicalPlan,
-        agg: &AggregatePlan,
-    ) -> Result<Option<AggregateResult>, DbError> {
-        validate_aggregate_plan(agg)?;
-        let min_prob = match plan.threshold {
-            Some(tau) => {
-                if !(0.0..=1.0).contains(&tau) {
-                    return Err(DbError::InvalidProbability(tau));
-                }
-                tau
-            }
-            None => 0.0,
-        };
-        let requested = self.clause.buckets.unwrap_or_else(|| {
-            self.synopses
-                .as_ref()
-                .map_or(DEFAULT_SYNOPSIS_BUCKETS, |s| s.buckets())
-        });
-        let syn = self.resolve_synopses(t, requested);
-
-        // Every aggregated column needs a histogram; a miss (Text column,
-        // unknown name) routes through exact, which reports the right
-        // error — or the right answer, if the synopsis simply skipped it.
-        for agg_expr in &agg.aggregates {
-            if let Some(col) = &agg_expr.column {
-                if syn.column(col).is_none() {
-                    return Ok(None);
-                }
-            }
-        }
-        // The anchor histogram answers COUNT and HAVING COUNT; any column
-        // works for full-domain counts (every histogram summarises all
-        // tuples), but windowed groups must anchor on the window column.
-        let anchor = match &agg.window {
-            Some(w) => w.column.as_str(),
-            None => match agg
-                .aggregates
-                .iter()
-                .find_map(|a| a.column.as_deref())
-                .or_else(|| syn.first_column())
-            {
-                Some(col) => col,
-                None => return Ok(None),
-            },
-        };
-        let anchor_hist = match syn.column(anchor) {
-            Some(h) => h,
-            None => return Ok(None),
-        };
-
-        // Candidate groups: the single global group, or one window bucket
-        // per candidate bucket start across the anchor's value range. Each
-        // entry pairs the group key with its optional value range.
-        type GroupCandidate = (Vec<Value>, Option<(f64, f64)>);
-        let groups: Vec<GroupCandidate> = match &agg.window {
-            None => vec![(Vec::new(), None)],
-            Some(w) => match anchor_hist.value_range() {
-                None => Vec::new(),
-                Some((vmin, vmax)) => {
-                    let origin = w.origin();
-                    let k_lo = ((vmin - origin) / w.width).floor();
-                    let k_hi = ((vmax - origin) / w.width).floor();
-                    let span = k_hi - k_lo;
-                    if !span.is_finite() || span >= MAX_SYNOPSIS_WINDOW_GROUPS as f64 {
-                        return Ok(None);
-                    }
-                    let mut gs = Vec::new();
-                    let mut k = k_lo;
-                    while k <= k_hi {
-                        // Bit-identical to `WindowSpec::bucket_start` for
-                        // every tuple in the bucket: same `origin + k·width`
-                        // expression over the same integral `k`.
-                        let start = origin + k * w.width;
-                        gs.push((vec![Value::Float(start)], Some((start, start + w.width))));
-                        k += 1.0;
-                    }
-                    gs
-                }
-            },
-        };
-
-        let mut worst: f64 = 0.0;
-        let mut out = Vec::with_capacity(groups.len());
-        for (key, range) in groups {
-            let count = match range {
-                None => anchor_hist.count(min_prob),
-                Some((lo, hi)) => anchor_hist.count_in(lo, hi, min_prob),
-            };
-            // A window bucket whose count upper bound is 0 certainly holds
-            // no qualifying tuples — it is not a group.
-            if range.is_some() && count.value + count.half_width <= 0.0 {
-                continue;
-            }
-            let sum_of = |col: &str| {
-                let hist = syn.column(col).expect("checked above");
-                match range {
-                    None => hist.sum(min_prob),
-                    Some((lo, hi)) => hist.sum_in(lo, hi, min_prob),
-                }
-            };
-            let values: Vec<AggValue> = agg
-                .aggregates
-                .iter()
-                .map(|agg_expr| {
-                    let (value, half_width) = match agg_expr.func {
-                        AggFunc::Count => (count.value, count.half_width),
-                        AggFunc::Sum | AggFunc::Expected => {
-                            let col = agg_expr
-                                .column
-                                .as_ref()
-                                .expect("validate_aggregate_plan checked the column");
-                            let est = sum_of(col);
-                            (est.value, est.half_width)
-                        }
-                        AggFunc::Avg => {
-                            let col = agg_expr
-                                .column
-                                .as_ref()
-                                .expect("validate_aggregate_plan checked the column");
-                            ratio_estimate(sum_of(col), count)
-                        }
-                    };
-                    worst = worst.max(half_width);
-                    AggValue {
-                        value,
-                        ci_half_width: Some(half_width),
-                    }
-                })
-                .collect();
-            let event_probability = match &agg.having {
-                None => None,
-                Some(h) => {
-                    let k = h
-                        .value
-                        .as_f64()
-                        .expect("validate_aggregate_plan checked the literal");
-                    let moments = anchor_hist.count_moments(range, min_prob);
-                    let (p, bound) = having_count_probability(h.op, k, &moments);
-                    worst = worst.max(bound);
-                    Some(p)
-                }
-            };
-            out.push(AggregateGroup {
-                key,
-                values,
-                count_distribution: None,
-                event_probability,
-                worlds: None,
-            });
-        }
-        if let Some(e) = self.clause.max_error {
-            // NaN or infinite bounds fail the gate too: `!(worst <= e)`.
-            if !(worst <= e) {
-                return Ok(None);
-            }
-        }
-        Ok(Some(AggregateResult {
-            group_columns: group_columns_of(agg),
-            aggregates: agg.aggregates.clone(),
-            having: agg.having.clone(),
-            strategy: "synopsis",
-            groups: out,
-        }))
-    }
-}
-
-impl EvalStrategy for SynopsisStrategy {
-    fn name(&self) -> &'static str {
-        "synopsis"
-    }
-
-    fn describe(&self) -> String {
-        let mut s = format!(
-            "synopsis (probabilistic histogram, buckets={}, bands={PROB_BANDS}",
-            self.clause.buckets.unwrap_or(DEFAULT_SYNOPSIS_BUCKETS)
-        );
-        if let Some(e) = self.clause.max_error {
-            s.push_str(&format!(", maxerror={e}"));
-        }
-        s.push(')');
-        if let Some(DbError::Plan(reason)) = &self.fallback {
-            s.push_str(&format!(" → falls back to exact: {reason}"));
-        }
-        s
-    }
-
-    fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
-        if self.fallback.is_some() {
-            return self.exact().execute(relation, plan);
-        }
-        let t = match relation {
-            Relation::Probabilistic(t) => t,
-            // Deterministic tables have no tuple probabilities to
-            // summarise; exact answers them directly (and owns the
-            // THRESHOLD/TOP rejection).
-            Relation::Deterministic(_) => return self.exact().execute(relation, plan),
-        };
-        let agg = match &plan.action {
-            PhysicalAction::Aggregate(agg) => agg,
-            // Unreachable through the planner (synopsis_support rejects row
-            // queries), kept total for hand-built plans.
-            PhysicalAction::Rows { .. } => return self.exact().execute(relation, plan),
-        };
-        match self.try_synopsis(t, plan, agg)? {
-            Some(result) => Ok(QueryOutput::Aggregate(result)),
-            None => self.exact().execute(relation, plan),
-        }
-    }
-}
-
-/// Decides whether a plan shape has a synopsis answer; the error names the
-/// reason it does not (surfaced by `EXPLAIN` and the exact fallback).
-fn synopsis_support(plan: &PhysicalPlan) -> Result<(), DbError> {
-    let agg = match &plan.action {
-        PhysicalAction::Rows { .. } => {
-            return Err(DbError::Plan(
-                "row-returning queries need the tuples themselves; a synopsis \
-                 only carries bucketed moments"
-                    .into(),
-            ));
-        }
-        PhysicalAction::Aggregate(agg) => agg,
-    };
-    if !plan.predicate.is_empty() {
-        return Err(DbError::Plan(
-            "WHERE predicates filter individual tuples, which a synopsis \
-             cannot re-derive from bucketed moments"
-                .into(),
-        ));
-    }
-    if plan.top.is_some() {
-        return Err(DbError::Plan(
-            "TOP ranks individual tuple probabilities, which a synopsis \
-             does not retain"
-                .into(),
-        ));
-    }
-    if !agg.group_by.is_empty() {
-        return Err(DbError::Plan(
-            "plain GROUP BY keys groups by exact column values; the synopsis \
-             has no per-value index (GROUP BY WINDOW is supported)"
-                .into(),
-        ));
-    }
-    if let Some(h) = &agg.having {
-        if h.agg.func == AggFunc::Sum {
-            return Err(DbError::Plan(
-                "HAVING SUM needs the sum distribution; a synopsis carries \
-                 only per-bucket count and sum moments"
-                    .into(),
-            ));
-        }
-    }
-    if let Some(w) = &agg.window {
-        for agg_expr in &agg.aggregates {
-            if let Some(col) = &agg_expr.column {
-                if *col != w.column {
-                    return Err(DbError::Plan(format!(
-                        "windowed {}({col}) needs a joint synopsis over \
-                         ({col}, {}); only per-column histograms are kept",
-                        agg_expr.func, w.column
-                    )));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `AVG` interval from the `SUM` and `COUNT` estimates: the point is the
-/// ratio of expectations (matching exact/MC), the half-width spans the
-/// ratio over the corner extremes of both intervals. Unbounded (infinite)
-/// when the count interval reaches 0, since the ratio then has no finite
-/// range.
-fn ratio_estimate(sum: Estimate, count: Estimate) -> (f64, f64) {
-    let value = ratio_of_expectations(sum.value, count.value);
-    let c_lo = count.value - count.half_width;
-    if c_lo <= 0.0 {
-        return (value, f64::INFINITY);
-    }
-    let c_hi = count.value + count.half_width;
-    let s_lo = sum.value - sum.half_width;
-    let s_hi = sum.value + sum.half_width;
-    let corners = [s_lo / c_lo, s_lo / c_hi, s_hi / c_lo, s_hi / c_hi];
-    let lo = corners.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = corners.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    (value, (value - lo).max(hi - value).max(0.0))
-}
-
-/// `P(COUNT op k)` from bucketed count moments via a continuity-corrected
-/// normal tail, with an error bound combining the moment-interval corner
-/// spread and the Berry–Esseen normal-approximation term.
-fn having_count_probability(
-    op: CmpOp,
-    k: f64,
-    m: &tspdb_stats::synopsis::CountMoments,
-) -> (f64, f64) {
-    let point = normal_count_tail(op, k, m.mean.value, m.variance.value);
-    let mut lo = point;
-    let mut hi = point;
-    for mean in [
-        m.mean.value - m.mean.half_width,
-        m.mean.value + m.mean.half_width,
-    ] {
-        for var in [
-            (m.variance.value - m.variance.half_width).max(0.0),
-            m.variance.value + m.variance.half_width,
-        ] {
-            let p = normal_count_tail(op, k, mean, var);
-            lo = lo.min(p);
-            hi = hi.max(p);
-        }
-    }
-    let sigma_lo = (m.variance.value - m.variance.half_width).max(0.0).sqrt();
-    let rho_hi = (m.rho.value + m.rho.half_width).max(0.0);
-    let be = if sigma_lo > 0.0 {
-        BERRY_ESSEEN_C * rho_hi / (sigma_lo * sigma_lo * sigma_lo)
-    } else if rho_hi > 0.0 {
-        1.0
-    } else {
-        // A certainly-degenerate count (ρ = 0): the point-mass tail is
-        // exact up to the mean interval, no normal error to add.
-        0.0
-    };
-    // Eq/Ne difference two CDF evaluations, doubling the approximation
-    // error.
-    let factor = match op {
-        CmpOp::Eq | CmpOp::Ne => 2.0,
-        _ => 1.0,
-    };
-    let bound = ((point - lo).max(hi - point) + factor * be).min(1.0);
-    (point, bound)
-}
-
-/// Continuity-corrected normal tail of an integer count with the given
-/// mean and variance: `P(count ≤ x) ≈ Φ((x + ½ − μ)/σ)` for integral `x`.
-/// A (near-)zero variance degenerates to a point mass at `round(μ)`.
-fn normal_count_tail(op: CmpOp, k: f64, mean: f64, variance: f64) -> f64 {
-    let sigma = variance.max(0.0).sqrt();
-    if sigma < 1e-9 {
-        let c = mean.round();
-        let holds = match op {
-            CmpOp::Eq => (c - k).abs() < 1e-9,
-            CmpOp::Ne => (c - k).abs() >= 1e-9,
-            _ => op.eval(c.partial_cmp(&k)),
-        };
-        return if holds { 1.0 } else { 0.0 };
-    }
-    let cdf = |x: f64| tspdb_stats::special::std_normal_cdf((x + 0.5 - mean) / sigma);
-    let p = match op {
-        CmpOp::Ge => 1.0 - cdf(k.ceil() - 1.0),
-        CmpOp::Gt => 1.0 - cdf(k.floor()),
-        CmpOp::Le => cdf(k.floor()),
-        CmpOp::Lt => cdf(k.ceil() - 1.0),
-        CmpOp::Eq => {
-            if (k - k.round()).abs() < 1e-9 {
-                cdf(k.round()) - cdf(k.round() - 1.0)
-            } else {
-                0.0
-            }
-        }
-        CmpOp::Ne => {
-            if (k - k.round()).abs() < 1e-9 {
-                1.0 - (cdf(k.round()) - cdf(k.round() - 1.0))
-            } else {
-                1.0
-            }
-        }
-    };
-    p.clamp(0.0, 1.0)
-}
-
 // ---------------------------------------------------------------------------
 // Shared physical operators (aggregation)
 // ---------------------------------------------------------------------------
@@ -1656,6 +1158,64 @@ fn tail_probability(dist: &[f64], op: crate::query::CmpOp, k: f64) -> f64 {
 /// `Σ xs` from `+0.0` (`Iterator::sum` starts at `−0.0`: an empty sum is `-0`).
 fn sum_from_zero(xs: &[f64]) -> f64 {
     xs.iter().fold(0.0, |acc, &x| acc + x)
+}
+
+/// The exact answer to an aggregate plan read off `t`'s running totals in
+/// O(1), or `None` when the plan needs the scan: it restricts, windows,
+/// groups or tests a `HAVING` event, or aggregates a column that keeps no
+/// total (text or unknown; the scan path owns those errors). The totals
+/// are folded in row order from `+0.0`, exactly as [`aggregate_exact`]
+/// sums the one group of an unrestricted plan, so both give the same bits.
+fn aggregate_from_totals(t: &ProbTable, plan: &PhysicalPlan) -> Option<AggregateResult> {
+    let PhysicalAction::Aggregate(agg) = &plan.action else {
+        return None;
+    };
+    let whole_relation = plan.predicate.is_empty()
+        && plan.threshold.is_none()
+        && plan.top.is_none()
+        && agg.window.is_none()
+        && agg.group_by.is_empty()
+        && agg.having.is_none();
+    if !whole_relation {
+        return None;
+    }
+    let count = t.expected_count();
+    let values = agg
+        .aggregates
+        .iter()
+        .map(|a| {
+            let sum = a
+                .column
+                .as_deref()
+                .map(|col| t.expected_sum(col))
+                .transpose()
+                .ok()?;
+            let value = match (a.func, sum) {
+                (AggFunc::Count, _) => count,
+                (AggFunc::Sum | AggFunc::Expected, Some(sum)) => sum,
+                (AggFunc::Avg, Some(sum)) => ratio_of_expectations(sum, count),
+                // A column-less SUM/AVG/EXPECTED is the scan path's plan error.
+                (_, None) => return None,
+            };
+            Some(AggValue {
+                value,
+                ci_half_width: None,
+            })
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(AggregateResult {
+        group_columns: Vec::new(),
+        aggregates: agg.aggregates.clone(),
+        having: None,
+        strategy: "exact",
+        groups: vec![AggregateGroup {
+            key: Vec::new(),
+            values,
+            count_distribution: None,
+            event_probability: None,
+            worlds: None,
+        }],
+    })
 }
 
 /// Exact aggregate evaluation over a restricted probabilistic relation:
@@ -1832,6 +1392,7 @@ mod tests {
     use crate::query::CmpOp;
     use crate::sql::parse;
     use crate::value::ColumnType;
+    use proptest::prelude::*;
 
     fn plan_sql(sql: &str) -> PlannedQuery {
         match parse(sql).unwrap() {
@@ -1949,7 +1510,7 @@ mod tests {
     fn run(sql: &str, rel: &Relation) -> QueryOutput {
         let planned = plan_sql(sql);
         planned
-            .strategy_with_context(1, None)
+            .strategy_with_context(1)
             .execute(rel, &planned.physical)
             .unwrap()
     }
@@ -1995,7 +1556,7 @@ mod tests {
     #[test]
     fn only_a_having_count_tail_attaches_the_count_distribution() {
         let rel = Relation::Probabilistic(fig1());
-        // The synopsis falls back to exact evaluation under `WHERE`.
+        // `WITH SYNOPSIS` is answered exactly.
         for (filter, clause, strategy) in [
             ("", "", "exact"),
             ("", "WITH WORLDS 500 SEED 3", "worlds"),
@@ -2158,11 +1719,11 @@ mod tests {
                    HAVING COUNT(*) >= 1 WITH WORLDS 40000 SEED 21";
         let planned = plan_sql(sql);
         let one = planned
-            .strategy_with_context(1, None)
+            .strategy_with_context(1)
             .execute(&rel, &planned.physical)
             .unwrap();
         let eight = planned
-            .strategy_with_context(8, None)
+            .strategy_with_context(8)
             .execute(&rel, &planned.physical)
             .unwrap();
         let (one, eight) = match (&one, &eight) {
@@ -2229,7 +1790,7 @@ mod tests {
         let rel = Relation::Probabilistic(v);
         let planned = plan_sql("SELECT COUNT(*) FROM pv GROUP BY WINDOW(tag, 2)");
         let err = planned
-            .strategy_with_context(1, None)
+            .strategy_with_context(1)
             .execute(&rel, &planned.physical)
             .unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }));
@@ -2409,11 +1970,11 @@ mod tests {
                    HAVING COUNT(*) >= 1 WITH WORLDS 40000 SEED 11";
         let planned = plan_sql(sql);
         let one = planned
-            .strategy_with_context(1, None)
+            .strategy_with_context(1)
             .execute(&rel, &planned.physical)
             .unwrap();
         let eight = planned
-            .strategy_with_context(8, None)
+            .strategy_with_context(8)
             .execute(&rel, &planned.physical)
             .unwrap();
         let (one, eight) = match (&one, &eight) {
@@ -2485,7 +2046,7 @@ mod tests {
         let rel = Relation::Probabilistic(v);
         let planned = plan_sql("SELECT SUM(tag) FROM pv");
         let err = planned
-            .strategy_with_context(1, None)
+            .strategy_with_context(1)
             .execute(&rel, &planned.physical)
             .unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }));
@@ -2567,18 +2128,6 @@ mod tests {
                     }) as Box<dyn EvalStrategy>,
                     &rel,
                 ),
-                (
-                    Box::new(SynopsisStrategy::new(
-                        SynopsisClause {
-                            buckets: None,
-                            max_error: None,
-                        },
-                        &physical,
-                        None,
-                        1,
-                    )) as Box<dyn EvalStrategy>,
-                    &rel,
-                ),
             ] {
                 assert!(
                     matches!(strategy.execute(relation, &physical), Err(DbError::Plan(_))),
@@ -2609,7 +2158,7 @@ mod tests {
             relation: "pv: probabilistic (6 tuples)".into(),
             logical: planned.logical.to_string(),
             physical: planned.physical.to_string(),
-            strategy: planned.strategy_with_context(0, None).describe(),
+            strategy: planned.strategy_with_context(0).describe(),
         };
         let text = report.to_string();
         assert!(text.contains("Aggregate [COUNT(*)]"), "{text}");
@@ -2650,223 +2199,230 @@ mod tests {
     }
 
     #[test]
-    fn synopsis_planner_selects_the_strategy() {
-        let planned = plan_sql("SELECT COUNT(*) FROM pv WITH SYNOPSIS BUCKETS 8 MAXERROR 0.5");
-        assert!(matches!(planned.strategy, StrategyKind::Synopsis(_)));
-        let described = planned.strategy_with_context(0, None).describe();
-        for part in ["synopsis", "buckets=8", "bands=20", "maxerror=0.5"] {
-            assert!(described.contains(part), "{described} missing {part}");
-        }
-        assert_eq!(planned.strategy_with_context(0, None).name(), "synopsis");
-    }
-
-    #[test]
-    fn synopsis_answers_stay_within_their_reported_bounds() {
-        let rel = Relation::Probabilistic(synth(200));
-        let sql = "SELECT COUNT(*), SUM(r), AVG(r), EXPECTED(r) FROM pv";
-        let exact = run_agg(sql, &rel);
-        let syn = run_agg(&format!("{sql} WITH SYNOPSIS BUCKETS 8"), &rel);
-        assert_eq!(syn.strategy, "synopsis");
-        assert_eq!(syn.groups.len(), 1);
-        assert!(syn.groups[0].count_distribution.is_none());
-        assert!(syn.groups[0].worlds.is_none());
-        for (i, (s, e)) in syn.groups[0]
-            .values
-            .iter()
-            .zip(&exact.groups[0].values)
-            .enumerate()
-        {
-            let hw = s.ci_half_width.expect("synopsis reports a bound");
-            assert!(
-                (s.value - e.value).abs() <= hw + 1e-9,
-                "aggregate {i}: {} ± {hw} vs exact {}",
-                s.value,
-                e.value
-            );
+    fn with_synopsis_plans_onto_the_exact_strategy() {
+        for sql in [
+            "SELECT COUNT(*) FROM pv WITH SYNOPSIS",
+            "SELECT COUNT(*) FROM pv WITH SYNOPSIS BUCKETS 8 MAXERROR 0.5",
+        ] {
+            let planned = plan_sql(sql);
+            assert_eq!(planned.strategy, StrategyKind::Exact, "{sql}");
+            let strategy = planned.strategy_with_context(0);
+            assert_eq!(strategy.name(), "exact", "{sql}");
+            assert_eq!(strategy.describe(), ExactStrategy::default().describe());
         }
     }
 
+    /// Every statement carrying `WITH SYNOPSIS` answers what the statement
+    /// without the clause answers, bit for bit, whatever its bucket count
+    /// or error bound, on the O(1) totals path and the scan path alike.
     #[test]
-    fn synopsis_band_aligned_threshold_is_exact() {
-        let rel = Relation::Probabilistic(synth(150));
-        // τ = 0.25 lies on a probability-band edge (bands are 0.05 wide):
-        // the band cut is exact, so the COUNT bound collapses to zero.
-        let sql = "SELECT COUNT(*) FROM pv THRESHOLD 0.25";
-        let exact = run_agg(sql, &rel);
-        let syn = run_agg(&format!("{sql} WITH SYNOPSIS BUCKETS 4"), &rel);
-        let s = &syn.groups[0].values[0];
-        assert_eq!(s.ci_half_width, Some(0.0));
-        assert!((s.value - exact.groups[0].values[0].value).abs() < 1e-9);
-        // An off-band τ keeps a nonzero straddle bound that still contains
-        // the exact answer.
-        let sql = "SELECT COUNT(*) FROM pv THRESHOLD 0.33";
-        let exact = run_agg(sql, &rel);
-        let syn = run_agg(&format!("{sql} WITH SYNOPSIS BUCKETS 4"), &rel);
-        let s = &syn.groups[0].values[0];
-        let hw = s.ci_half_width.unwrap();
-        assert!(hw > 0.0);
-        assert!((s.value - exact.groups[0].values[0].value).abs() <= hw + 1e-9);
-    }
-
-    #[test]
-    fn synopsis_windowed_groups_match_exact_keys_within_bounds() {
+    fn with_synopsis_answers_equal_the_clause_free_statement() {
         let rel = Relation::Probabilistic(synth(200));
-        let sql = "SELECT COUNT(*), SUM(t) FROM pv GROUP BY WINDOW(t, 16)";
-        let exact = run_agg(sql, &rel);
-        let syn = run_agg(&format!("{sql} WITH SYNOPSIS BUCKETS 32"), &rel);
-        assert_eq!(syn.strategy, "synopsis");
-        assert_eq!(
-            exact.groups.iter().map(|g| &g.key).collect::<Vec<_>>(),
-            syn.groups.iter().map(|g| &g.key).collect::<Vec<_>>(),
-            "window bucket keys must be bit-identical to the exact grouping"
-        );
-        for (sg, eg) in syn.groups.iter().zip(&exact.groups) {
-            for (s, e) in sg.values.iter().zip(&eg.values) {
-                let hw = s.ci_half_width.unwrap();
-                assert!(
-                    (s.value - e.value).abs() <= hw + 1e-9,
-                    "group {:?}: {} ± {hw} vs exact {}",
-                    sg.key,
-                    s.value,
-                    e.value
+        for sql in [
+            "SELECT COUNT(*), SUM(r), AVG(r), EXPECTED(r) FROM pv",
+            "SELECT COUNT(*) FROM pv THRESHOLD 0.25",
+            "SELECT COUNT(*), SUM(r) FROM pv THRESHOLD 0.33",
+            "SELECT COUNT(*), SUM(t) FROM pv GROUP BY WINDOW(t, 16)",
+            "SELECT COUNT(*) FROM pv WHERE t < 40 HAVING COUNT(*) >= 10",
+            "SELECT COUNT(*) FROM pv TOP 3",
+            "SELECT t, COUNT(*) FROM pv WHERE t < 5 GROUP BY t",
+            "SELECT COUNT(*) FROM pv HAVING SUM(r) >= 2",
+            "SELECT r FROM pv WHERE t < 4",
+        ] {
+            let bits = |out: QueryOutput| match out {
+                QueryOutput::Aggregate(a) => a.fingerprint(),
+                other => format!("{other:?}"),
+            };
+            let want = bits(run(sql, &rel));
+            for clause in [
+                "WITH SYNOPSIS",
+                "WITH SYNOPSIS BUCKETS 65",
+                "WITH SYNOPSIS BUCKETS 4 MAXERROR 0.000001",
+            ] {
+                assert_eq!(
+                    bits(run(&format!("{sql} {clause}"), &rel)),
+                    want,
+                    "{sql} {clause}"
                 );
             }
         }
     }
 
-    #[test]
-    fn synopsis_having_count_tracks_the_exact_tail() {
-        let schema = Schema::of(&[("t", ColumnType::Int)]);
-        let mut v = ProbTable::new("pv", schema);
-        for i in 0..100 {
-            v.insert(vec![Value::Int(i)], 0.5).unwrap();
+    /// The integers and floats that break naive sums: NaN, ±∞, −0.0 and
+    /// the neighbours of ±2^53, which do not survive the widening to f64.
+    const TWO53: i64 = 1 << 53;
+    const INTS: [i64; 7] = [0, 3, -1, TWO53 + 1, TWO53 - 1, -TWO53 - 1, i64::MIN];
+    const FLOATS: [f64; 8] = [
+        f64::NAN,
+        -0.0,
+        0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.1,
+        2.5,
+        (TWO53 + 1) as f64,
+    ];
+    /// Probabilities: the edges, then a value from the case.
+    const PROBS: [f64; 3] = [0.0, 1.0, 0.5];
+
+    fn totals_table(rows: &[(usize, usize, usize, f64)]) -> ProbTable {
+        let schema = Schema::of(&[
+            ("i", ColumnType::Int),
+            ("f", ColumnType::Float),
+            ("s", ColumnType::Text),
+        ]);
+        let mut t = ProbTable::new("pv", schema);
+        for &(i, f, p, q) in rows {
+            let row = vec![
+                Value::Int(INTS[i % INTS.len()]),
+                Value::Float(FLOATS[f % FLOATS.len()]),
+                Value::from(["a", "b"][i % 2]),
+            ];
+            t.insert(row, PROBS.get(p).copied().unwrap_or(q)).unwrap();
         }
-        let rel = Relation::Probabilistic(v);
-        let sql = "SELECT COUNT(*) FROM pv HAVING COUNT(*) >= 50";
-        let exact = run_agg(sql, &rel);
-        let syn = run_agg(&format!("{sql} WITH SYNOPSIS BUCKETS 16"), &rel);
-        let (pe, ps) = (
-            exact.groups[0].event_probability.unwrap(),
-            syn.groups[0].event_probability.unwrap(),
-        );
-        // Full-range moments are exact here, so the only error is the
-        // normal approximation of the Binomial(100, ½) tail.
-        assert!((pe - ps).abs() < 0.05, "exact {pe} vs synopsis {ps}");
+        t
     }
 
-    #[test]
-    fn synopsis_falls_back_to_exact_with_a_reason() {
-        let rel = Relation::Probabilistic(fig1());
-        for (sql, reason) in [
-            ("SELECT room FROM pv WITH SYNOPSIS", "row-returning"),
-            (
-                "SELECT COUNT(*) FROM pv WHERE time = 1 WITH SYNOPSIS",
-                "WHERE",
-            ),
-            ("SELECT COUNT(*) FROM pv TOP 3 WITH SYNOPSIS", "TOP"),
-            (
-                "SELECT room, COUNT(*) FROM pv GROUP BY room WITH SYNOPSIS",
-                "GROUP BY",
-            ),
-            (
-                "SELECT COUNT(*) FROM pv HAVING SUM(room) >= 2 WITH SYNOPSIS",
-                "HAVING SUM",
-            ),
-            (
-                "SELECT SUM(room) FROM pv GROUP BY WINDOW(time, 1) WITH SYNOPSIS",
-                "joint synopsis",
-            ),
-        ] {
-            let planned = plan_sql(sql);
-            let described = planned.strategy_with_context(0, None).describe();
-            assert!(
-                described.contains("falls back to exact") && described.contains(reason),
-                "{sql}: {described}"
-            );
-            // The fallback executes — and reports itself as exact.
-            match planned
-                .strategy_with_context(0, None)
-                .execute(&rel, &planned.physical)
-                .unwrap()
-            {
-                QueryOutput::Aggregate(a) => assert_eq!(a.strategy, "exact"),
-                QueryOutput::ProbRows(_) => {}
-                other => panic!("{sql}: wrong output {other:?}"),
+    fn whole_relation_plan(aggregates: Vec<AggExpr>) -> PhysicalPlan {
+        PhysicalPlan {
+            table: "pv".into(),
+            predicate: Vec::new(),
+            threshold: None,
+            top: None,
+            action: PhysicalAction::Aggregate(AggregatePlan {
+                window: None,
+                group_by: Vec::new(),
+                aggregates,
+                having: None,
+            }),
+        }
+    }
+
+    /// `x`'s bits, every NaN as one pattern: Rust leaves the sign and
+    /// payload of a NaN that arithmetic produces unspecified, and two
+    /// compiled loops over the same sum (a release build's whole-relation
+    /// fold and its row-at-a-time fold) can differ in exactly that.
+    fn bits(x: f64) -> String {
+        let x = if x.is_nan() { f64::NAN } else { x };
+        format!("{:016x}", x.to_bits())
+    }
+
+    /// The bits of a table's totals: Σp, then Σp·v per column or the error.
+    fn totals_bits(t: &ProbTable) -> String {
+        let mut s = bits(t.expected_count());
+        for col in ["i", "f", "s", "nope"] {
+            match t.expected_sum(col) {
+                Ok(v) => s.push_str(&format!(" {}", bits(v))),
+                Err(e) => s.push_str(&format!(" {e:?}")),
             }
         }
-        // Supported shapes do not advertise a fallback.
-        let planned = plan_sql("SELECT COUNT(*) FROM pv THRESHOLD 0.3 WITH SYNOPSIS");
-        assert!(
-            !planned
-                .strategy_with_context(0, None)
-                .describe()
-                .contains("falls back"),
-            "{}",
-            planned.strategy_with_context(0, None).describe()
-        );
+        s
     }
 
-    #[test]
-    fn synopsis_maxerror_gate_falls_back_when_bounds_are_too_wide() {
-        let rel = Relation::Probabilistic(synth(150));
-        // An off-band τ forces a nonzero bound; a tight MAXERROR rejects it.
-        let tight = run_agg(
-            "SELECT COUNT(*) FROM pv THRESHOLD 0.33 WITH SYNOPSIS BUCKETS 4 MAXERROR 0.000001",
-            &rel,
-        );
-        assert_eq!(tight.strategy, "exact");
-        let loose = run_agg(
-            "SELECT COUNT(*) FROM pv THRESHOLD 0.33 WITH SYNOPSIS BUCKETS 4 MAXERROR 100",
-            &rel,
-        );
-        assert_eq!(loose.strategy, "synopsis");
-    }
-
-    #[test]
-    fn synopsis_results_are_deterministic_across_runs_and_bucket_sources() {
-        let table = synth(120);
-        let rel = Relation::Probabilistic(table.clone());
-        let sql = "SELECT COUNT(*), SUM(r) FROM pv THRESHOLD 0.33 WITH SYNOPSIS BUCKETS 8";
-        let a = run_agg(sql, &rel);
-        let b = run_agg(sql, &rel);
-        assert_eq!(a.fingerprint(), b.fingerprint(), "repeat runs must agree");
-        // Injected catalog synopses (built at the default bucket count and
-        // merged down) answer identically to the on-demand build path when
-        // the merge boundaries line up — and always within bounds of exact.
-        let planned = plan_sql(sql);
-        let cached = Arc::new(RelationSynopses::build(&table, 64));
-        let out = planned
-            .strategy_with_context(1, Some(cached))
-            .execute(&rel, &planned.physical)
-            .unwrap();
-        let QueryOutput::Aggregate(c) = out else {
-            panic!("wrong output");
+    fn result_bits(r: Result<AggregateResult, DbError>) -> String {
+        let Ok(mut a) = r else {
+            return format!("{:?}", r.unwrap_err());
         };
-        assert_eq!(c.strategy, "synopsis");
-        let exact = run_agg("SELECT COUNT(*), SUM(r) FROM pv THRESHOLD 0.33", &rel);
-        for (s, e) in c.groups[0].values.iter().zip(&exact.groups[0].values) {
-            assert!((s.value - e.value).abs() <= s.ci_half_width.unwrap() + 1e-9);
-        }
+        let values: Vec<String> = a
+            .groups
+            .iter_mut()
+            .flat_map(|g| std::mem::take(&mut g.values))
+            .map(|v| format!("{}{:?}", bits(v.value), v.ci_half_width))
+            .collect();
+        format!("{values:?} {a:?}")
     }
 
-    #[test]
-    fn normal_count_tail_covers_all_operators() {
-        // A healthy σ: complementary operators partition the mass.
-        for (a, b) in [
-            (CmpOp::Ge, CmpOp::Lt),
-            (CmpOp::Gt, CmpOp::Le),
-            (CmpOp::Eq, CmpOp::Ne),
-        ] {
-            let p = normal_count_tail(a, 10.0, 10.0, 4.0);
-            let q = normal_count_tail(b, 10.0, 10.0, 4.0);
-            assert!((p + q - 1.0).abs() < 1e-12, "{a:?}/{b:?}: {p} + {q}");
+    proptest! {
+        /// The running totals equal the scan path's sums over the whole
+        /// relation bit for bit (any NaN as a NaN), however the relation
+        /// was built, and the totals path answers exactly what the scan
+        /// path answers.
+        #[test]
+        fn totals_and_their_fast_path_equal_the_scan_path(
+            rows in proptest::collection::vec((0usize..7, 0usize..8, 0usize..6, 0.0f64..=1.0), 0..40),
+            chunks in proptest::collection::vec(1usize..9, 1..12),
+            picks in proptest::collection::vec(0usize..64, 0..20),
+        ) {
+            let built = totals_table(&rows);
+            let all: Vec<usize> = (0..built.len()).collect();
+
+            // The definition: `Σp` and `Σp·v` folded from +0.0 in row order.
+            let batch = built.batch();
+            let mut want = bits(sum_from_zero(built.probs()));
+            for col in ["i", "f"] {
+                let values = scan::gather_f64(&batch, col, &all).unwrap();
+                let mean = sum_moments_of(built.probs(), &values).0;
+                want.push_str(&format!(" {}", bits(mean)));
+            }
+            let got = totals_bits(&built);
+            prop_assert!(got.starts_with(&want), "{got} vs {want}");
+            if built.is_empty() {
+                prop_assert!(got.starts_with("0000000000000000 0000000000000000 0000000000000000"));
+            }
+
+            // Inserts and chunked appends that keep totals read along the
+            // way, a decoder's columns and a gather all land on the totals
+            // `built` folds on its first read.
+            let mut inserted = ProbTable::new("pv", built.schema().clone());
+            for (row, p) in built.iter() {
+                inserted.expected_count();
+                inserted.insert(row, p).unwrap();
+            }
+            prop_assert_eq!(totals_bits(&inserted), got.clone());
+            let mut chunked = ProbTable::new("pv", built.schema().clone());
+            let mut at = 0;
+            for &n in chunks.iter().cycle() {
+                if at >= built.len() {
+                    break;
+                }
+                let end = (at + n).min(built.len());
+                chunked.extend_from_batch(&batch, at..end).unwrap();
+                chunked.expected_count();
+                at = end;
+            }
+            prop_assert_eq!(totals_bits(&chunked), got.clone());
+            let decoded = ProbTable::from_columns(
+                "pv",
+                built.schema().clone(),
+                built.columns().to_vec(),
+                built.probs().to_vec(),
+            )
+            .unwrap();
+            prop_assert_eq!(totals_bits(&decoded), got);
+            let picked: Vec<usize> = picks.iter().filter_map(|&i| all.get(i).copied()).collect();
+            let subset: Vec<_> = picked.iter().map(|&i| rows[i]).collect();
+            prop_assert_eq!(totals_bits(&built.take(&picked)), totals_bits(&totals_table(&subset)));
+
+            let agg = |func, column: Option<&str>| AggExpr {
+                func,
+                column: column.map(str::to_string),
+            };
+            for (aggregates, numeric) in [
+                (vec![AggExpr::count()], true),
+                (vec![AggExpr::count(), agg(AggFunc::Sum, Some("i")), agg(AggFunc::Avg, Some("f"))], true),
+                (vec![agg(AggFunc::Expected, Some("f")), agg(AggFunc::Avg, Some("i"))], true),
+                (vec![AggExpr::count(), agg(AggFunc::Sum, Some("s"))], false),
+                (vec![agg(AggFunc::Avg, Some("f")), agg(AggFunc::Sum, Some("nope"))], false),
+                (vec![agg(AggFunc::Sum, None)], false),
+            ] {
+                let plan = whole_relation_plan(aggregates);
+                let PhysicalAction::Aggregate(agg_plan) = &plan.action else {
+                    unreachable!()
+                };
+                let scanned = result_bits(aggregate_exact(&built, &all, agg_plan));
+                let fast = aggregate_from_totals(&built, &plan);
+                prop_assert_eq!(fast.is_some(), numeric, "{:?}", plan);
+                if let Some(fast) = fast {
+                    prop_assert_eq!(result_bits(Ok(fast)), scanned.clone());
+                }
+                let executed = ExactStrategy::default()
+                    .execute(&Relation::Probabilistic(built.clone()), &plan)
+                    .map(|out| match out {
+                        QueryOutput::Aggregate(a) => a,
+                        other => panic!("wrong output: {other:?}"),
+                    });
+                prop_assert_eq!(result_bits(executed), scanned);
+            }
         }
-        // Fractional thresholds collapse Eq to 0 (counts are integers).
-        assert_eq!(normal_count_tail(CmpOp::Eq, 1.5, 10.0, 4.0), 0.0);
-        assert_eq!(normal_count_tail(CmpOp::Ne, 1.5, 10.0, 4.0), 1.0);
-        // Degenerate variance: a point mass at the rounded mean.
-        assert_eq!(normal_count_tail(CmpOp::Ge, 3.0, 3.0, 0.0), 1.0);
-        assert_eq!(normal_count_tail(CmpOp::Gt, 3.0, 3.0, 0.0), 0.0);
-        assert_eq!(normal_count_tail(CmpOp::Eq, 3.0, 3.0, 0.0), 1.0);
     }
 }

@@ -4,7 +4,8 @@
 //! that downstream probabilistic queries can then run against it. This
 //! module holds the predicate types the SQL layer and planner share, plus
 //! whole-relation operators over them: selection, threshold, event
-//! probability, expected sum and most-probable-per-group — enough to
+//! probability and most-probable-per-group (the expected count and sum
+//! are [`ProbTable`]'s own totals) — enough to
 //! express the paper's motivating query ("the probability that Alice
 //! could be found in each of the four rooms"). The planned `SELECT` path,
 //! `TOP` ordering included, runs through [`crate::scan`].
@@ -154,18 +155,6 @@ pub fn event_probability(table: &ProbTable, pred: &Conjunction) -> Result<f64, D
     Ok((1.0 - absent).clamp(0.0, 1.0))
 }
 
-/// Expected sum of a numeric column over a tuple-independent relation:
-/// `Σ p_i · v_i` (linearity of expectation).
-pub fn expected_sum(table: &ProbTable, column: &str) -> Result<f64, DbError> {
-    let all: Vec<usize> = (0..table.len()).collect();
-    let values = scan::gather_f64(&table.batch(), column, &all)?;
-    Ok(table
-        .probs()
-        .iter()
-        .zip(values)
-        .fold(0.0, |acc, (p, v)| acc + p * v))
-}
-
 /// For each distinct value of `group_column`, the most probable tuple —
 /// e.g. "the most likely room per timestamp" in the paper's Fig. 1 example.
 pub fn most_probable_per_group(
@@ -258,7 +247,7 @@ mod tests {
         let pred = vec![Comparison::new("time", CmpOp::Eq, 1i64)];
         let at1 = select_prob(&v, &pred).unwrap();
         // E[room number] at time 1: 1·0.5 + 2·0.1 + 3·0.3 + 4·0.1 = 2.0.
-        let e = expected_sum(&at1, "room").unwrap();
+        let e = at1.expected_sum("room").unwrap();
         assert!((e - 2.0).abs() < 1e-12);
     }
 

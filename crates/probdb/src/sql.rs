@@ -34,12 +34,9 @@
 //!   ([`crate::worlds::WorldsExecutor`]) over at most `n` worlds, seeded
 //!   with `s` (default 0), optionally stopping early once the 95% CI
 //!   half-width of the event-probability estimate is ≤ `eps`;
-//! * `WITH SYNOPSIS [BUCKETS <b>] [MAXERROR <e>]` — answer aggregate
-//!   queries in O(B) from the relation's precomputed probabilistic
-//!   histogram synopsis ([`crate::plan::SynopsisStrategy`]) instead of
-//!   scanning tuples, reporting a guaranteed error bound per value and
-//!   falling back to exact evaluation when the bound would exceed `e`.
-//!   At most one `WITH` clause per statement.
+//! * `WITH SYNOPSIS [BUCKETS <b>] [MAXERROR <e>]` — accepted and answered
+//!   by exact evaluation, which meets any error bound `e`; `b` is checked
+//!   and otherwise ignored. At most one `WITH` clause per statement.
 //!
 //! `EXPLAIN <select>` wraps any `SELECT` and, instead of executing it,
 //! reports the logical plan, the lowered physical plan and the chosen
@@ -279,8 +276,7 @@ pub struct SelectStmt {
     /// Optional `WITH WORLDS …`: answer by Monte-Carlo possible-world
     /// sampling instead of exact evaluation.
     pub worlds: Option<WorldsClause>,
-    /// Optional `WITH SYNOPSIS …`: answer from the relation's precomputed
-    /// probabilistic histogram synopsis instead of scanning tuples.
+    /// Optional `WITH SYNOPSIS …`: accepted and answered exactly.
     pub synopsis: Option<SynopsisClause>,
 }
 
@@ -304,14 +300,15 @@ pub struct WorldsClause {
     pub confidence: Option<f64>,
 }
 
-/// The `WITH SYNOPSIS [BUCKETS <b>] [MAXERROR <e>]` clause.
+/// The `WITH SYNOPSIS [BUCKETS <b>] [MAXERROR <e>]` clause. The planner
+/// answers it exactly, so both parts are kept only to round-trip the
+/// statement text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynopsisClause {
-    /// Histogram bucket budget B (`BUCKETS <b>`); the catalog default is
-    /// used when omitted.
+    /// Bucket budget (`BUCKETS <b>`, positive).
     pub buckets: Option<usize>,
-    /// Largest acceptable absolute error bound (`MAXERROR <e>`); answers
-    /// whose guaranteed bound exceeds it fall back to exact evaluation.
+    /// Largest acceptable absolute error (`MAXERROR <e>`, positive); an
+    /// exact answer always meets it.
     pub max_error: Option<f64>,
 }
 

@@ -6,13 +6,14 @@
 //! tuple-independent model of Dalvi & Suciu that the Ω-view builder
 //! materialises into, cf. the `prob_view` of Fig. 1/2).
 
-use crate::column::Column;
+use crate::column::{Column, ColumnSlice};
 use crate::error::DbError;
 use crate::scan::Batch;
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::value::{ColumnType, Value};
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// A deterministic relation.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,6 +115,11 @@ impl Table {
 /// `Vec<Value>` where it leaves the relation one row at a time
 /// ([`ProbTable::row`], [`ProbTable::iter`], rendering).
 ///
+/// The relation also keeps its whole-relation expectations, Σp and Σp·v
+/// per numeric column ([`ProbTable::expected_count`],
+/// [`ProbTable::expected_sum`]): folded over every row by the first read,
+/// then kept current by every mutation, so repeated reads cost O(1).
+///
 /// # Examples
 ///
 /// ```
@@ -131,12 +137,69 @@ impl Table {
 /// // …and a row is only materialised on request.
 /// assert_eq!(pv.row(1), vec![Value::Int(2), Value::Int(3)]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ProbTable {
     name: String,
     schema: Schema,
     columns: Vec<Column>,
     probs: Vec<f64>,
+    totals: OnceLock<Totals>,
+}
+
+impl PartialEq for ProbTable {
+    /// Compares contents only: the totals are a function of them, and one
+    /// side may not have folded them yet.
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.schema == other.schema
+            && self.columns == other.columns
+            && self.probs == other.probs
+    }
+}
+
+/// Σp, and Σp·v per column (`None` for text), over every row of a relation:
+/// folded from `+0.0` in row order, the order the scan path sums a whole
+/// relation in, so the totals equal its answers bit for bit (a NaN's sign
+/// and payload excepted: Rust leaves those unspecified).
+#[derive(Debug, Clone)]
+struct Totals {
+    prob: f64,
+    weighted: Vec<Option<f64>>,
+}
+
+impl Totals {
+    fn new(schema: &Schema) -> Self {
+        Totals {
+            prob: 0.0,
+            weighted: (0..schema.arity())
+                .map(|c| (schema.column(c).1 != ColumnType::Text).then_some(0.0))
+                .collect(),
+        }
+    }
+
+    /// Folds rows `from..` of `columns` and `probs` into the totals.
+    fn fold(&mut self, columns: &[Column], probs: &[f64], from: usize) {
+        let probs = &probs[from..];
+        for &p in probs {
+            self.prob += p;
+        }
+        for (total, column) in self.weighted.iter_mut().zip(columns) {
+            let Some(total) = total else { continue };
+            match column.values().slice(from..column.len()) {
+                ColumnSlice::Int(v) => {
+                    for (&p, &v) in probs.iter().zip(v) {
+                        *total += p * v as f64;
+                    }
+                }
+                ColumnSlice::Float(v) => {
+                    for (&p, &v) in probs.iter().zip(v) {
+                        *total += p * v;
+                    }
+                }
+                ColumnSlice::Text(_) => unreachable!("text columns keep no total"),
+            }
+        }
+    }
 }
 
 impl ProbTable {
@@ -147,6 +210,7 @@ impl ProbTable {
             columns: Column::for_schema(&schema, 0),
             schema,
             probs: Vec::new(),
+            totals: OnceLock::new(),
         }
     }
 
@@ -168,6 +232,7 @@ impl ProbTable {
             schema,
             columns,
             probs,
+            totals: OnceLock::new(),
         })
     }
 
@@ -201,6 +266,7 @@ impl ProbTable {
             column.push(v).expect("row validated above");
         }
         self.probs.push(prob);
+        self.fold_totals(self.probs.len() - 1);
         Ok(())
     }
 
@@ -229,6 +295,7 @@ impl ProbTable {
         for (c, column) in self.columns.iter_mut().enumerate() {
             column.extend_gather(batch.values(c), rows.clone());
         }
+        self.fold_totals(from);
         Ok(())
     }
 
@@ -250,6 +317,7 @@ impl ProbTable {
             schema,
             columns,
             probs: rows.iter().map(|&i| self.probs[i]).collect(),
+            totals: OnceLock::new(),
         }
     }
 
@@ -296,9 +364,40 @@ impl ProbTable {
     }
 
     /// Expected number of tuples present in a possible world: `Σ_i p_i`
-    /// from `+0.0` (linearity of expectation; independence not required).
+    /// from `+0.0` in row order (linearity of expectation; independence
+    /// not required). A running total: O(1) after the first read.
     pub fn expected_count(&self) -> f64 {
-        self.probs.iter().fold(0.0, |acc, &p| acc + p)
+        self.totals().prob
+    }
+
+    /// Expected sum of a numeric column over a possible world: `Σ_i p_i ·
+    /// v_i` from `+0.0` in row order (ints widen to floats). A running
+    /// total: O(1) after the first read. A text column is a
+    /// [`DbError::TypeMismatch`].
+    pub fn expected_sum(&self, column: &str) -> Result<f64, DbError> {
+        let c = self.schema.index_of(column)?;
+        self.totals().weighted[c].ok_or_else(|| DbError::TypeMismatch {
+            column: column.to_string(),
+            expected: ColumnType::Float,
+            got: ColumnType::Text,
+        })
+    }
+
+    /// The totals, folded over every row on first use.
+    fn totals(&self) -> &Totals {
+        self.totals.get_or_init(|| {
+            let mut totals = Totals::new(&self.schema);
+            totals.fold(&self.columns, &self.probs, 0);
+            totals
+        })
+    }
+
+    /// Folds rows `from..` into the totals, once they have been read; until
+    /// then the first read folds every row.
+    fn fold_totals(&mut self, from: usize) {
+        if let Some(totals) = self.totals.get_mut() {
+            totals.fold(&self.columns, &self.probs, from);
+        }
     }
 
     /// Renders the relation with a trailing probability column.

@@ -81,7 +81,7 @@ pub struct SumEstimate {
     /// Summed column.
     pub column: String,
     /// Monte-Carlo mean of the per-world sum (converges to
-    /// [`crate::query::expected_sum`]).
+    /// [`ProbTable::expected_sum`]).
     pub mean: f64,
     /// Sample variance of the per-world sum.
     pub variance: f64,
@@ -789,7 +789,7 @@ mod tests {
     #[test]
     fn executor_sum_matches_expected_sum() {
         let v = view();
-        let exact = crate::query::expected_sum(&v, "room").unwrap();
+        let exact = v.expected_sum("room").unwrap();
         let got = executor(40_000, 3, 0)
             .run(&v, &vec![], Some("room"))
             .unwrap();

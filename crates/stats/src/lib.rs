@@ -16,8 +16,6 @@
 //! * [`divergence`] — Hellinger distance (paper eq. 10) and the Theorem 1/2
 //!   ratio-threshold bounds for the σ-cache.
 //! * [`ordf64`] — totally ordered `f64` for B-tree keyed caches.
-//! * [`synopsis`] — B-bucket probabilistic histogram synopses with sound
-//!   error bounds (Cormode & Garofalakis optimal bucketing).
 //! * [`parallel`] — deterministic fork-join helpers over index ranges
 //!   (shared by the Ω-view builder and the possible-worlds executor).
 //!
@@ -57,13 +55,11 @@ pub mod parallel;
 pub mod regression;
 pub mod special;
 pub mod student_t;
-pub mod synopsis;
 
 pub use distributions::{Density, Normal, Uniform};
 pub use error::StatsError;
 pub use ordf64::OrdF64;
 pub use student_t::StudentT;
-pub use synopsis::{merge_sorted_pairs, CountMoments, Estimate, ProbHistogram, PROB_BANDS};
 
 #[cfg(test)]
 mod proptests {

@@ -30,8 +30,8 @@ use tspdb_server::demo_insert_statement;
 use tspdb_wire::canonical_result_bytes;
 
 /// The query battery: every result shape, including Monte-Carlo with a
-/// pinned seed and the synopsis strategy — any nondeterminism across the
-/// crash shows up as a fingerprint diff.
+/// pinned seed — any nondeterminism across the crash shows up as a
+/// fingerprint diff.
 const PROBES: &[(&str, &str)] = &[
     ("rows", "SELECT t, r FROM rec_raw ORDER BY r DESC LIMIT 25"),
     (

@@ -159,8 +159,8 @@ fn disk_backed_scans_are_bit_identical_to_resident_ones() {
         .unwrap();
 
     // Every statement shape, including Monte-Carlo with a pinned seed and
-    // the synopsis strategy — the strategies that would expose any drift
-    // in tuple bits or ordering.
+    // the O(1) whole-relation totals — the paths that would expose any
+    // drift in tuple bits or ordering.
     let queries = [
         "SELECT * FROM raw_values ORDER BY r DESC LIMIT 20",
         "SELECT * FROM pv WHERE prob >= 0.1 ORDER BY prob DESC",
@@ -264,7 +264,8 @@ fn synthetic_rows(range: std::ops::Range<i64>) -> Vec<Vec<Value>> {
 /// disk, all data pages durable but the meta slot not yet committed, or
 /// the meta committed but the WAL not yet reset — recovery must equal an
 /// engine that never crashed, bit-for-bit, across all three evaluation
-/// strategies (exact, Monte-Carlo worlds with a pinned seed, synopsis).
+/// paths (exact, Monte-Carlo worlds with a pinned seed, the running totals
+/// behind `WITH SYNOPSIS`).
 #[test]
 fn checkpoint_crash_points_recover_bit_identical_state() {
     let queries = [

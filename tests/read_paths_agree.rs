@@ -249,8 +249,8 @@ fn worlds_over_the_evicted_twin_answer_like_the_resident_view() {
 /// A group carries its count distribution iff the statement has a `HAVING
 /// COUNT` tail that was evaluated from it (exactly, or by MC): over the
 /// wire, on the resident view and on its evicted twin, at fork-join widths
-/// 1 and 8. A synopsis answers its tail from bucketed moments and ships
-/// none; its exact fallback follows the exact rule.
+/// 1 and 8. `WITH SYNOPSIS` is answered exactly and follows the exact
+/// rule.
 #[test]
 fn only_a_having_count_tail_ships_the_count_distribution() {
     let dir = TempDir::new("count-distribution");
@@ -281,7 +281,7 @@ fn only_a_having_count_tail_ships_the_count_distribution() {
         ),
         (
             "SELECT COUNT(*) FROM {rel} HAVING COUNT(*) >= 5 WITH SYNOPSIS",
-            false,
+            true,
         ),
         ("SELECT COUNT(*) FROM {rel} HAVING COUNT(*) >= 0", true),
         (
@@ -324,6 +324,55 @@ fn only_a_having_count_tail_ships_the_count_distribution() {
                 assert!(engine.read().relation(EVICTED).is_none(), "{sql}");
             }
         }
+    }
+    client.close().unwrap();
+    handle.shutdown();
+}
+
+/// `WITH SYNOPSIS` is answered exactly: every statement carrying the
+/// clause returns the bytes of its clause-free twin, over the wire and in
+/// process, on the resident view and on its evicted twin, at fork-join
+/// widths 1 and 8. The unrestricted aggregate, answered from the view's
+/// running totals, is the same bytes resident and evicted.
+#[test]
+fn with_synopsis_answers_the_bytes_of_its_clause_free_twin() {
+    let dir = TempDir::new("synopsis");
+    let engine = engine(&dir);
+    let handle = serve(&engine);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let statements = [
+        "SELECT COUNT(*), SUM(lambda) FROM {rel}",
+        "SELECT COUNT(*), AVG(lambda), EXPECTED(t) FROM {rel}",
+        "SELECT COUNT(*) FROM {rel} WHERE lambda >= 1",
+        "SELECT COUNT(*), SUM(lambda) FROM {rel} THRESHOLD 0.05",
+        "SELECT COUNT(*), SUM(lambda) FROM {rel} GROUP BY WINDOW(t, 1800)",
+        "SELECT COUNT(*) FROM {rel} HAVING COUNT(*) >= 5",
+        "SELECT t, lambda FROM {rel} WHERE t >= 9000",
+        "SELECT SUM(nope) FROM {rel}",
+    ];
+    for threads in [1, 8] {
+        client.set_worlds_threads(threads).unwrap();
+        engine.set_worlds_threads(threads);
+        let mut totals = Vec::new();
+        for rel in [RESIDENT, EVICTED] {
+            for sql in statements {
+                let twin = sql.replace("{rel}", rel);
+                let want = local(engine.read().query(&twin));
+                for clause in [
+                    "WITH SYNOPSIS",
+                    "WITH SYNOPSIS BUCKETS 8",
+                    "WITH SYNOPSIS BUCKETS 65 MAXERROR 0.5",
+                ] {
+                    let sql = format!("{twin} {clause}");
+                    assert_eq!(remote(client.query(&sql)), want, "{sql} over the wire");
+                    assert_eq!(local(engine.query(&sql)), want, "{sql}");
+                }
+                assert!(engine.read().relation(EVICTED).is_none(), "{twin}");
+            }
+            totals.push(local(engine.query(&statements[0].replace("{rel}", rel))));
+        }
+        assert!(totals[0].is_ok(), "{totals:?}");
+        assert_eq!(totals[0], totals[1], "resident vs evicted totals");
     }
     client.close().unwrap();
     handle.shutdown();

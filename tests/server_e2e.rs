@@ -48,8 +48,8 @@ fn pipeline_statements() -> Vec<String> {
         "SELECT COUNT(*) FROM pv GROUP BY WINDOW(t, 10, 45) HAVING COUNT(*) >= 2 \
          WITH WORLDS 800 SEED 41"
             .to_string(),
-        // Synopsis backend: O(B) histogram answers (and their error bounds)
-        // must also be byte-identical across the wire.
+        // `WITH SYNOPSIS` is answered exactly: from the view's running
+        // totals, or by the windowed scan.
         "SELECT COUNT(*), SUM(lambda) FROM pv WITH SYNOPSIS BUCKETS 16".to_string(),
         "SELECT COUNT(*), SUM(lambda) FROM pv GROUP BY WINDOW(t, 10) WITH SYNOPSIS BUCKETS 32"
             .to_string(),

@@ -2,7 +2,7 @@
 //! the probabilistic query operators.
 
 use tspdb::probdb::query::{
-    event_probability, expected_sum, most_probable_per_group, threshold, CmpOp, Comparison,
+    event_probability, most_probable_per_group, threshold, CmpOp, Comparison,
 };
 use tspdb::probdb::{ColumnType, Database, ProbTable, Schema, Value};
 
@@ -82,7 +82,7 @@ fn operators_compose_on_fig1_view() {
     let at2 =
         tspdb::probdb::query::select_prob(&v, &vec![Comparison::new("time", CmpOp::Eq, 2i64)])
             .unwrap();
-    assert!((expected_sum(&at2, "room").unwrap() - 2.5).abs() < 1e-12);
+    assert!((at2.expected_sum("room").unwrap() - 2.5).abs() < 1e-12);
 
     // Threshold at 0.4 keeps exactly the two most confident placements.
     let confident = threshold(&v, 0.4).unwrap();

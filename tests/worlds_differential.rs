@@ -1,11 +1,10 @@
-//! Exact-vs-Monte-Carlo-vs-synopsis differential harness.
+//! Exact-vs-Monte-Carlo differential harness.
 //!
-//! The possible-worlds executor, the exact operators and the histogram
-//! synopses answer the same questions through entirely different code
-//! paths: closed forms over tuple independence (`event_probability`,
-//! `count_distribution`, `count_moments`, `expected_sum`), sampled worlds,
-//! and O(B) bucketed moments. This suite pins down three invariants,
-//! permanently:
+//! The possible-worlds executor and the exact operators answer the same
+//! questions through entirely different code paths: closed forms over
+//! tuple independence (`event_probability`, `count_distribution`,
+//! `count_moments`, `ProbTable::expected_sum`) and sampled worlds. This
+//! suite pins down three invariants, permanently:
 //!
 //! 1. **Convergence** — for generated probabilistic tables the MC
 //!    estimates land within statistical tolerance of the exact answers
@@ -14,14 +13,14 @@
 //! 2. **Thread invariance** — the executor returns *bit-identical*
 //!    results at 1 and 8 threads for the same seed, which is what makes
 //!    `WITH WORLDS` reproducible on any machine;
-//! 3. **Bound soundness** — every `WITH SYNOPSIS` answer carries an error
-//!    bound that contains the exact answer, is bit-identical across runs,
-//!    and the precomputed catalog synopses equal a from-scratch build
-//!    after every write.
+//! 3. **`WITH SYNOPSIS` is exact** — every statement carrying the clause
+//!    answers the bytes of the statement without it, non-finite values
+//!    included, and the whole-relation totals that answer it in O(1)
+//!    equal a from-scratch build after every write.
 
 use proptest::prelude::*;
 use tspdb::probdb::aggregates::{count_distribution, count_moments};
-use tspdb::probdb::query::{event_probability, expected_sum, CmpOp, Comparison};
+use tspdb::probdb::query::{event_probability, CmpOp, Comparison};
 use tspdb::probdb::{
     Column, ColumnType, ProbTable, Schema, Value, WorldsConfig, WorldsExecutor, WorldsResult,
 };
@@ -137,7 +136,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let v = table_from(&probs);
-        let exact = expected_sum(&v, "reading").unwrap();
+        let exact = v.expected_sum("reading").unwrap();
         let mc = run_both_widths(&v, &[], seed, Some("reading"));
         let sum = mc.sum.as_ref().unwrap();
         let se = (sum.variance / WORLDS as f64).sqrt();
@@ -258,7 +257,7 @@ fn planned_sum_aggregate_agrees_between_strategies() {
         let sub =
             tspdb::probdb::query::select_prob(&v, &vec![Comparison::new("room", CmpOp::Eq, room)])
                 .unwrap();
-        let direct = expected_sum(&sub, "reading").unwrap();
+        let direct = sub.expected_sum("reading").unwrap();
         assert!((e.values[0].value - direct).abs() < 1e-12);
     }
 }
@@ -303,7 +302,7 @@ fn windowed_aggregates_agree_between_strategies() {
             ],
         )
         .unwrap();
-        let direct = expected_sum(&sub, "reading").unwrap();
+        let direct = sub.expected_sum("reading").unwrap();
         assert!((g.values[1].value - direct).abs() < 1e-12);
         let (mean, _) = count_moments(&sub, &Vec::new()).unwrap();
         assert!((g.values[0].value - mean).abs() < 1e-12);
@@ -682,15 +681,21 @@ fn having_sum_event_agrees_between_exact_and_mc() {
 }
 
 // ---------------------------------------------------------------------------
-// Synopsis strategy: bounds contain exact, answers are deterministic
+// `WITH SYNOPSIS` is answered exactly
 // ---------------------------------------------------------------------------
 
+/// `sql`'s canonical answer bytes, or its error.
+fn answer_bytes(db: &tspdb::Database, sql: &str) -> Result<Vec<u8>, String> {
+    db.query(sql)
+        .map(|out| tspdb_wire::canonical_result_bytes(&out))
+        .map_err(|e| format!("{e:?}"))
+}
+
 #[test]
-fn synopsis_answers_contain_exact_and_are_bit_identical() {
+fn with_synopsis_answers_are_the_clause_free_answers() {
     let probs: Vec<f64> = (0..180).map(|i| ((i * 37) % 97) as f64 / 100.0).collect();
-    let v = table_from(&probs);
     let mut db = tspdb::Database::new();
-    db.register_prob_table(v).unwrap();
+    db.register_prob_table(table_from(&probs)).unwrap();
 
     for sql in [
         "SELECT COUNT(*), SUM(reading), AVG(reading), EXPECTED(reading) FROM v",
@@ -698,53 +703,55 @@ fn synopsis_answers_contain_exact_and_are_bit_identical() {
         "SELECT COUNT(*), SUM(reading) FROM v THRESHOLD 0.37",
         "SELECT COUNT(*), SUM(reading) FROM v GROUP BY WINDOW(reading, 16.0)",
         "SELECT COUNT(*) FROM v HAVING COUNT(*) >= 80",
+        "SELECT SUM(room) FROM v WHERE reading >= 1.0",
+        "SELECT SUM(nope) FROM v",
     ] {
-        let exact = db.query(sql).unwrap().aggregate().unwrap().clone();
-        let syn_sql = format!("{sql} WITH SYNOPSIS BUCKETS 16");
-        let syn = db.query(&syn_sql).unwrap().aggregate().unwrap().clone();
-        assert_eq!(syn.strategy, "synopsis", "{sql}");
-        // Determinism: repeat runs are bit-identical (the synopsis is a
-        // precomputed immutable snapshot; no sampling anywhere).
-        let again = db.query(&syn_sql).unwrap().aggregate().unwrap().clone();
-        assert_eq!(syn.fingerprint(), again.fingerprint(), "{sql}");
-
-        assert_eq!(
-            exact.groups.iter().map(|g| &g.key).collect::<Vec<_>>(),
-            syn.groups.iter().map(|g| &g.key).collect::<Vec<_>>(),
-            "{sql}: group keys diverged"
-        );
-        for (e, s) in exact.groups.iter().zip(&syn.groups) {
-            for (i, (ev, sv)) in e.values.iter().zip(&s.values).enumerate() {
-                let hw = sv.ci_half_width.expect("synopsis values carry bounds");
-                assert!(
-                    (sv.value - ev.value).abs() <= hw + 1e-9,
-                    "{sql} group {:?} aggregate {i}: synopsis {} ± {hw} vs exact {}",
-                    e.key,
-                    sv.value,
-                    ev.value
-                );
-            }
+        let want = answer_bytes(&db, sql);
+        for clause in [
+            "WITH SYNOPSIS",
+            "WITH SYNOPSIS BUCKETS 16",
+            "WITH SYNOPSIS BUCKETS 65 MAXERROR 0.001",
+        ] {
+            assert_eq!(
+                answer_bytes(&db, &format!("{sql} {clause}")),
+                want,
+                "{sql} {clause}"
+            );
         }
     }
+}
 
-    // The windowed COUNT query is where the paper's sublinearity shows up:
-    // the HAVING COUNT tail must also track the exact Poisson-binomial.
-    let sql = "SELECT COUNT(*) FROM v HAVING COUNT(*) >= 80";
-    let exact_p = db.query(sql).unwrap().aggregate().unwrap().groups[0]
-        .event_probability
-        .unwrap();
-    let syn_p = db
-        .query(&format!("{sql} WITH SYNOPSIS BUCKETS 16"))
-        .unwrap()
-        .aggregate()
-        .unwrap()
-        .groups[0]
-        .event_probability
-        .unwrap();
-    assert!(
-        (exact_p - syn_p).abs() < 0.05,
-        "P(count >= 80): exact {exact_p} vs synopsis {syn_p}"
-    );
+/// The histogram synopsis dropped ±∞ and NaN and reported what was left
+/// with a zero-width bound: `2 ± 0`, `5 ± 0` and `2.5 ± 0` here, where
+/// exact evaluation and sampled worlds give 3, NaN and NaN. Answered
+/// exactly, the clause changes nothing, whatever the projection or bound.
+#[test]
+fn with_synopsis_keeps_non_finite_values() {
+    let schema = Schema::of(&[("x", ColumnType::Float)]);
+    let mut pv = ProbTable::new("pv", schema);
+    for x in [1.0, f64::INFINITY, 2.0, f64::NAN, 3.0, 4.0] {
+        pv.insert(vec![Value::Float(x)], 0.5).unwrap();
+    }
+    let mut db = tspdb::Database::new();
+    db.register_prob_table(pv).unwrap();
+
+    for (sql, count) in [
+        ("SELECT COUNT(*), SUM(x), AVG(x) FROM pv", 3),
+        ("SELECT COUNT(*) FROM pv", 1),
+    ] {
+        let exact = db.query(sql).unwrap().aggregate().unwrap().clone();
+        assert_eq!(exact.groups[0].values[0].value, 3.0, "{sql}");
+        for v in &exact.groups[0].values[1..count] {
+            assert!(v.value.is_nan(), "{sql}: {v:?}");
+        }
+        for clause in ["WITH SYNOPSIS", "WITH SYNOPSIS MAXERROR 0.5"] {
+            assert_eq!(
+                answer_bytes(&db, &format!("{sql} {clause}")),
+                answer_bytes(&db, sql),
+                "{sql} {clause}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -804,8 +811,8 @@ fn answer_at_every_width(db: &tspdb::Database, sql: &str) -> Result<Vec<u8>, Str
 #[test]
 fn sharded_scans_are_bit_identical_to_unsharded_for_every_strategy() {
     // Segments are contiguous ascending index ranges concatenated in
-    // order, so for every strategy — exact, `WITH WORLDS`, `WITH SYNOPSIS`
-    // — the fan-out width (`set_worlds_threads`) is a pure latency knob.
+    // order, so for both strategies — exact and `WITH WORLDS` — the
+    // fan-out width (`set_worlds_threads`) is a pure latency knob.
     // Every query is restricted (or it would not fan out) and linear in
     // the relation.
     const QUERIES: [&str; 6] = [
@@ -817,7 +824,7 @@ fn sharded_scans_are_bit_identical_to_unsharded_for_every_strategy() {
         "SELECT COUNT(*), SUM(reading) FROM v WHERE t >= 1000 AND reading > 0.0 \
          WITH WORLDS 200 SEED 9",
         "SELECT t, room FROM v WHERE t >= 500 THRESHOLD 0.9",
-        // A WHERE makes the synopsis fall back to the exact fan-out.
+        // `WITH SYNOPSIS` is answered by the exact fan-out.
         "SELECT COUNT(*) FROM v WHERE reading < 0.5 GROUP BY WINDOW(t, 400) WITH SYNOPSIS",
     ];
     let db = fan_out_db();
@@ -889,12 +896,12 @@ proptest! {
         ),
     ) {
         // The streaming contract: appending batches to a live engine —
-        // incrementally maintaining its Ω-view and catalog synopses —
+        // incrementally maintaining its Ω-view and the view's totals —
         // must leave state *bit-identical* to a fresh engine handed the
         // full prefix at once, after every prefix of the append sequence.
         // Checked through every query strategy (exact, Monte-Carlo
-        // worlds, histogram synopsis) plus a full view scan, compared as
-        // canonical result bytes.
+        // worlds), the O(1) totals behind `WITH SYNOPSIS`, and a full view
+        // scan, compared as canonical result bytes.
         use tspdb::SharedEngine;
         const TABLE: &str = "CREATE TABLE stream (t INT, r FLOAT)";
         const VIEW: &str =
@@ -945,35 +952,43 @@ proptest! {
 
 proptest! {
     #[test]
-    fn synopsis_rebuild_after_write_equals_build_from_scratch(
-        probs in proptest::collection::vec(0.0f64..=1.0, 1..40),
+    fn totals_after_write_equal_build_from_scratch(
+        probs in proptest::collection::vec(0.0f64..=1.0, 0..40),
         extra in proptest::collection::vec(0.0f64..=1.0, 1..10),
+        split in 0usize..10,
     ) {
-        use tspdb::probdb::{RelationSynopses, DEFAULT_SYNOPSIS_BUCKETS};
-
-        // Register, then re-register with more tuples (the only write path
-        // for probabilistic views): the cached synopses must equal a
-        // from-scratch build of the final contents every time.
-        let mut db = tspdb::Database::new();
-        db.register_prob_table(table_from(&probs)).unwrap();
-        let cached = db.synopses("v").expect("registration builds synopses");
-        prop_assert_eq!(
-            &*cached,
-            &RelationSynopses::build(&table_from(&probs), DEFAULT_SYNOPSIS_BUCKETS)
-        );
-
+        // The totals behind the O(1) whole-relation answers absorb every
+        // write: after appends and after re-registration they equal those
+        // of a from-scratch build, and `WITH SYNOPSIS` still answers the
+        // clause-free bytes.
+        let totals = |t: &ProbTable| {
+            (
+                t.expected_count().to_bits(),
+                t.expected_sum("room").unwrap().to_bits(),
+                t.expected_sum("reading").unwrap().to_bits(),
+            )
+        };
+        const SQL: &str = "SELECT COUNT(*), SUM(reading), AVG(room) FROM v";
         let mut grown = probs.clone();
         grown.extend_from_slice(&extra);
-        db.register_prob_table(table_from(&grown)).unwrap();
-        let rebuilt = db.synopses("v").expect("re-registration rebuilds");
-        prop_assert_eq!(
-            &*rebuilt,
-            &RelationSynopses::build(&table_from(&grown), DEFAULT_SYNOPSIS_BUCKETS)
-        );
-        prop_assert_eq!(rebuilt.tuples(), grown.len());
+        let scratch = table_from(&grown);
 
-        // Dropping the relation drops its synopses.
-        db.execute("DROP TABLE v").unwrap();
-        prop_assert!(db.synopses("v").is_none());
+        let mut db = tspdb::Database::new();
+        db.register_prob_table(table_from(&probs)).unwrap();
+        let split = probs.len() + split.min(extra.len());
+        for range in [probs.len()..split, split..grown.len()] {
+            let mut part = ProbTable::new("v", scratch.schema().clone());
+            part.extend_from_batch(&scratch.batch(), range).unwrap();
+            db.append_columns("v", part.columns(), Some(part.probs())).unwrap();
+            // Read, so the next append folds into kept totals.
+            prop_assert!(answer_bytes(&db, SQL).is_ok());
+        }
+        prop_assert_eq!(totals(db.prob_table("v").unwrap()), totals(&scratch));
+        let appended = answer_bytes(&db, SQL);
+        prop_assert_eq!(answer_bytes(&db, &format!("{SQL} WITH SYNOPSIS")), appended.clone());
+
+        db.register_prob_table(table_from(&grown)).unwrap();
+        prop_assert_eq!(totals(db.prob_table("v").unwrap()), totals(&scratch));
+        prop_assert_eq!(answer_bytes(&db, SQL), appended);
     }
 }
