@@ -874,7 +874,7 @@ fn exp_fig15(opts: Options) -> String {
         let mut phis = Vec::new();
         for m in 1..=8usize {
             let crit = chi_square_quantile(1.0 - alpha, m as f64);
-            let (phi, windows) = mean_statistic_over_windows(&resid, h, step, m, alpha).unwrap();
+            let (phi, windows) = mean_statistic_over_windows(&resid, h, step, m).unwrap();
             phis.push(phi);
             t.row([
                 m.to_string(),

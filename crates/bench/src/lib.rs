@@ -16,6 +16,4 @@
 //! crash-recovery smoke; performance is measured by `tspbench`.
 
 pub mod experiments;
-pub mod report;
-
-pub use experiments::{run_experiment, ExperimentId, ALL_EXPERIMENTS};
+pub(crate) mod report;

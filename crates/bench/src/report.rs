@@ -7,14 +7,14 @@ use std::fmt::Write as _;
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl TextTable {
     /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
+    pub(crate) fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
         TextTable {
             header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -22,7 +22,7 @@ impl TextTable {
     }
 
     /// Appends a row (stringified cells).
-    pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
+    pub(crate) fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
         let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(
             cells.len(),
@@ -32,18 +32,8 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with right-aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let cols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
@@ -73,7 +63,7 @@ impl TextTable {
 }
 
 /// Formats a `Duration` in the unit that keeps 3-4 significant digits.
-pub fn fmt_duration(d: std::time::Duration) -> String {
+pub(crate) fn fmt_duration(d: std::time::Duration) -> String {
     let ns = d.as_nanos();
     if ns < 10_000 {
         format!("{ns} ns")
@@ -87,7 +77,7 @@ pub fn fmt_duration(d: std::time::Duration) -> String {
 }
 
 /// Formats a byte count as KB with one decimal (the paper's Fig. 14b unit).
-pub fn fmt_kb(bytes: usize) -> String {
+pub(crate) fn fmt_kb(bytes: usize) -> String {
     format!("{:.1}", bytes as f64 / 1024.0)
 }
 

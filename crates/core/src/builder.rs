@@ -97,7 +97,7 @@ pub struct BuiltView {
 /// The outcome of the inference pass: the model table as densities, in
 /// time order, plus the pass's diagnostics.
 #[derive(Debug, Clone)]
-pub struct InferredModel {
+pub(crate) struct InferredModel {
     /// One `(timestamp, density)` per window the metric could fit.
     pub densities: Vec<(i64, Density)>,
     /// Windows where the metric failed and no density was produced.
@@ -109,7 +109,7 @@ pub struct InferredModel {
 }
 
 /// Schema of generated views: `(t, lambda, lo, hi)` + tuple probability.
-pub fn view_schema() -> Schema {
+pub(crate) fn view_schema() -> Schema {
     Schema::of(&[
         ("t", ColumnType::Int),
         ("lambda", ColumnType::Int),
@@ -137,7 +137,7 @@ impl OmegaViewBuilder {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &ViewBuilderConfig {
+    pub(crate) fn config(&self) -> &ViewBuilderConfig {
         &self.config
     }
 
@@ -146,7 +146,7 @@ impl OmegaViewBuilder {
     /// means the whole series). Window history may extend before the bound
     /// — the interval restricts which timestamps are *emitted*, matching
     /// the `WHERE` semantics of the paper's Fig. 7 query.
-    pub fn infer(
+    pub(crate) fn infer(
         &self,
         series: &TimeSeries,
         time_bounds: Option<(i64, i64)>,
@@ -206,7 +206,7 @@ impl OmegaViewBuilder {
     /// [`sigma_range`] (the paper computes min/max σ̂ over the tuples
     /// matching the `WHERE` clause) — `None` when no cache is configured or
     /// the view holds no Gaussian density.
-    pub fn ladder(
+    pub(crate) fn ladder(
         &self,
         (lo, hi): (f64, f64),
         omega: OmegaSpec,
@@ -223,7 +223,7 @@ impl OmegaViewBuilder {
     /// for every density, through `cache` when there is one. The densities
     /// may be any time-ordered slice of the model the cache was laid out
     /// for: a tuple depends only on its own density and the ladder.
-    pub fn generate(
+    pub(crate) fn generate(
         &self,
         densities: &[(i64, Density)],
         cache: Option<&SigmaCache>,
@@ -269,7 +269,7 @@ impl OmegaViewBuilder {
     }
 
     /// Builds the probabilistic view for `series` over the Ω lattice:
-    /// [`OmegaViewBuilder::infer`], then [`OmegaViewBuilder::generate`]
+    /// `OmegaViewBuilder::infer`, then `OmegaViewBuilder::generate`
     /// through the ladder over the inferred σ̂ range.
     pub fn build(
         &self,
@@ -283,7 +283,7 @@ impl OmegaViewBuilder {
 
     /// [`OmegaViewBuilder::build`] from an inference pass already run —
     /// for callers that keep the densities as well.
-    pub fn build_from(
+    pub(crate) fn build_from(
         &self,
         inferred: &InferredModel,
         omega: OmegaSpec,
@@ -319,7 +319,7 @@ impl OmegaViewBuilder {
 /// `(min σ̂, max σ̂)` over the Gaussian densities — the spread a view's
 /// σ-cache ladder is laid out over. `(∞, 0)` when there is none, so the
 /// ranges of two model segments merge by plain `min`/`max`.
-pub fn sigma_range(densities: &[(i64, Density)]) -> (f64, f64) {
+pub(crate) fn sigma_range(densities: &[(i64, Density)]) -> (f64, f64) {
     densities
         .iter()
         .filter(|(_, d)| matches!(d, Density::Gaussian(_)))

@@ -52,7 +52,7 @@ impl Default for CGarchConfig {
 
 /// Result of feeding one raw value into the online cleaner.
 #[derive(Debug, Clone, Copy)]
-pub struct CGarchStep {
+pub(crate) struct CGarchStep {
     /// Positional index of the value within the stream.
     pub index: usize,
     /// The inference made *before* seeing the value (`None` during
@@ -62,9 +62,6 @@ pub struct CGarchStep {
     pub flagged: bool,
     /// Whether this step triggered a trend-change re-adjustment.
     pub trend_change: bool,
-    /// The value actually admitted into the window (the raw value, the
-    /// inferred replacement, or the SVR-cleaned raw value).
-    pub accepted: f64,
 }
 
 /// Batch report of an entire series run.
@@ -92,8 +89,6 @@ pub struct CGarch {
     consecutive: usize,
     seen: usize,
     sv_max: Option<f64>,
-    detections: Vec<usize>,
-    trend_changes: Vec<usize>,
 }
 
 impl CGarch {
@@ -127,8 +122,6 @@ impl CGarch {
             recent_raw: VecDeque::new(),
             consecutive: 0,
             seen: 0,
-            detections: Vec::new(),
-            trend_changes: Vec::new(),
         })
     }
 
@@ -147,7 +140,7 @@ impl CGarch {
     /// the sliding-window variances (robust against the handful of windows
     /// a spike touches), inflated to cover legitimate dispersion peaks.
     /// Used by the stateless trait path when no clean sample is available.
-    pub fn robust_sv_max(values: &[f64], ocmax: usize) -> f64 {
+    pub(crate) fn robust_sv_max(values: &[f64], ocmax: usize) -> f64 {
         let w = ocmax.max(2);
         let stds = tspdb_stats::descriptive::rolling_std(values, w);
         if stds.is_empty() {
@@ -159,31 +152,15 @@ impl CGarch {
         median * 6.0
     }
 
-    /// The resolved `SVmax` (after warm-up if it was learned lazily).
-    pub fn sv_max(&self) -> Option<f64> {
-        self.sv_max
-    }
-
-    /// Indices flagged as erroneous so far.
-    pub fn detections(&self) -> &[usize] {
-        &self.detections
-    }
-
-    /// Indices where a trend change was declared.
-    pub fn trend_changes(&self) -> &[usize] {
-        &self.trend_changes
-    }
-
     /// Feeds one raw value; returns what happened.
     ///
     /// Non-finite readings (NaN/±∞ — sensor dropouts) are treated as
     /// erroneous outright: flagged, replaced by the inferred value, and
     /// excluded from the trend-change counter (a dropout is not a trend).
-    pub fn push(&mut self, r: f64) -> Result<CGarchStep, CoreError> {
+    pub(crate) fn push(&mut self, r: f64) -> Result<CGarchStep, CoreError> {
         let index = self.seen;
         self.seen += 1;
         if !r.is_finite() {
-            self.detections.push(index);
             let replacement = if self.buf.len() >= self.cfg.window {
                 let inference = self.inner.infer(&self.buf)?;
                 let accepted = inference.expected;
@@ -194,7 +171,6 @@ impl CGarch {
                     inference: Some(inference),
                     flagged: true,
                     trend_change: false,
-                    accepted,
                 });
             } else {
                 // Warm-up: repeat the last accepted value (or zero at the
@@ -207,7 +183,6 @@ impl CGarch {
                 inference: None,
                 flagged: true,
                 trend_change: false,
-                accepted: replacement,
             });
         }
         self.recent_raw.push_back(r);
@@ -227,7 +202,6 @@ impl CGarch {
                 inference: None,
                 flagged: false,
                 trend_change: false,
-                accepted: r,
             });
         }
 
@@ -240,13 +214,11 @@ impl CGarch {
             self.consecutive = 0;
             (r, false, false)
         } else {
-            self.detections.push(index);
             self.consecutive += 1;
             if self.consecutive > self.cfg.ocmax {
                 // Trend change: scrub the recent raw values of genuine
                 // errors, then re-adopt them so the model re-anchors on the
                 // new regime.
-                self.trend_changes.push(index);
                 self.consecutive = 0;
                 let raw: Vec<f64> = self.recent_raw.iter().copied().collect();
                 let cleaned = svr_filter(&raw, sv_max);
@@ -268,7 +240,6 @@ impl CGarch {
             inference: Some(inference),
             flagged,
             trend_change,
-            accepted,
         })
     }
 
@@ -526,10 +497,10 @@ mod tests {
     #[test]
     fn sv_max_is_learned_lazily() {
         let mut c = default_cgarch();
-        assert!(c.sv_max().is_none());
+        assert!(c.sv_max.is_none());
         for v in temp(61) {
             c.push(v).unwrap();
         }
-        assert!(c.sv_max().is_some());
+        assert!(c.sv_max.is_some());
     }
 }

@@ -335,6 +335,20 @@ impl SharedEngine {
                     );
                 Ok(QueryOutput::None)
             }
+            Statement::Insert { table, rows } => {
+                // An INSERT appends to its table exactly as a streamed
+                // batch does, so its dependent Ω-views are maintained the
+                // same way — here, and again when WAL replay re-applies it.
+                let inserted = rows.len();
+                let out = catalog
+                    .execute_parsed(Statement::Insert {
+                        table: table.clone(),
+                        rows,
+                    })
+                    .map_err(CoreError::from)?;
+                self.maintain_dependent_views(catalog, &table, inserted)?;
+                Ok(out)
+            }
             other => {
                 let dropped = match &other {
                     Statement::Drop { name } => Some(name.clone()),
@@ -1001,7 +1015,7 @@ fn points_to_series(spec: &DensityViewSpec, points: &[(i64, f64)]) -> TimeSeries
 /// Reduces a conjunction over the time column into inclusive `(lo, hi)`
 /// bounds. Only comparisons on the time column are allowed in a density
 /// view's `WHERE` clause (the paper's queries restrict time intervals).
-pub fn time_bounds_from_predicate(
+pub(crate) fn time_bounds_from_predicate(
     pred: &Conjunction,
     time_column: &str,
 ) -> Result<Option<(i64, i64)>, CoreError> {
@@ -1513,17 +1527,19 @@ mod tests {
         assert_eq!(path(&engine), Some(MaintenancePath::Appended));
         assert_pv_equals(&engine, &rebuilt_twin(cached_config(), rows.clone()));
 
-        // Rows that reach the source around the append path (a SQL INSERT
-        // maintains nothing) leave the model short: the next append rebuilds.
+        // A SQL INSERT is an append like any other: it maintains the view
+        // itself, so the model stays whole and the next append extends it.
         engine
             .execute("INSERT INTO raw_values VALUES (130, 20.5)")
             .unwrap();
         rows.push(vec![Value::Int(130), Value::Float(20.5)]);
+        assert_eq!(path(&engine), Some(MaintenancePath::Appended));
+        assert_pv_equals(&engine, &rebuilt_twin(cached_config(), rows.clone()));
         rows.extend(jittery_rows(131..140, 1.0));
         engine
             .append_rows("raw_values", rows[151..].to_vec())
             .unwrap();
-        assert_eq!(path(&engine), Some(MaintenancePath::Rebuilt));
+        assert_eq!(path(&engine), Some(MaintenancePath::Appended));
         assert_pv_equals(&engine, &rebuilt_twin(cached_config(), rows));
 
         // Dropping the source keeps the view but not its model.
@@ -1613,6 +1629,53 @@ mod tests {
                 .len(),
             rows
         );
+    }
+
+    #[test]
+    fn sql_inserts_maintain_dependent_views_live_and_on_replay() {
+        // A SQL INSERT appends to the view's source just as a streamed
+        // batch does, so the view must equal a twin built once over every
+        // row: in memory, and again after a reopen replays the INSERTs from
+        // the WAL and more land.
+        let insert = |engine: &SharedEngine, range: std::ops::Range<i64>| {
+            for row in synthetic_rows(range) {
+                engine
+                    .execute(&format!(
+                        "INSERT INTO raw_values VALUES ({}, {})",
+                        row[0], row[1]
+                    ))
+                    .unwrap();
+            }
+        };
+        let pv_bytes = |engine: &SharedEngine| {
+            tspdb_wire::canonical_result_bytes(&engine.query("SELECT * FROM pv").unwrap())
+        };
+        let assert_matches_twin = |engine: &SharedEngine, upto: i64| {
+            let twin = engine_with_rows(direct_config(), upto);
+            assert!(
+                pv_bytes(engine) == pv_bytes(&twin),
+                "view over 0..{upto} differs from its twin"
+            );
+            assert_eq!(pv_totals(engine), pv_totals(&twin), "totals over 0..{upto}");
+        };
+
+        let dir = TempDir::new();
+        let engine = SharedEngine::open_persistent(&dir.0, direct_config()).unwrap();
+        engine
+            .execute("CREATE TABLE raw_values (t INT, r FLOAT)")
+            .unwrap();
+        engine
+            .append_rows("raw_values", synthetic_rows(0..100))
+            .unwrap();
+        engine.execute(PV_SQL).unwrap();
+        insert(&engine, 100..110);
+        assert_matches_twin(&engine, 110);
+        drop(engine);
+
+        let reopened = SharedEngine::open_persistent(&dir.0, direct_config()).unwrap();
+        assert_matches_twin(&reopened, 110);
+        insert(&reopened, 110..120);
+        assert_matches_twin(&reopened, 120);
     }
 
     #[test]

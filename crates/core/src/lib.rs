@@ -7,15 +7,15 @@
 //! * [`metrics`] — the dynamic density metrics (Definition 1): uniform /
 //!   variable thresholding, ARMA-GARCH (Algorithm 1) and Kalman-GARCH.
 //! * [`cgarch`] — C-GARCH, the cleaning-enhanced metric (Section V), with
-//!   the successive variance reduction filter in [`svr`] (Algorithm 2).
+//!   the successive variance reduction filter in `svr` (Algorithm 2).
 //! * [`quality`] — the density distance quality measure (Section II-B,
 //!   eq. 1).
-//! * [`omega`] — the Ω lattice and the probability value generation query
+//! * `omega` — the Ω lattice and the probability value generation query
 //!   (Definition 2, eq. 9).
 //! * [`sigma_cache`] — the σ-cache with Theorem 1/2 guarantees
 //!   (Section VI-A/B).
 //! * [`builder`] — the Ω-view builder materialising tuple-independent
-//!   probabilistic views; [`concurrent::SharedEngine`] exposes it behind
+//!   probabilistic views; [`SharedEngine`] exposes it behind
 //!   the paper's SQL-like syntax (Fig. 7) and, as rows stream in, keeps
 //!   each view's model table and infers only the appended windows (the
 //!   paper's online mode).
@@ -49,26 +49,20 @@
 
 pub mod builder;
 pub mod cgarch;
-pub mod concurrent;
-pub mod error;
-pub mod horizon;
+pub(crate) mod concurrent;
+pub(crate) mod error;
 pub mod metrics;
-pub mod omega;
+pub(crate) mod omega;
 pub mod quality;
 pub mod sigma_cache;
-pub mod svr;
+pub(crate) mod svr;
 
-pub use builder::{BuiltView, OmegaViewBuilder, ViewBuilderConfig};
-pub use cgarch::{CGarch, CGarchConfig, CGarchReport};
-pub use concurrent::{Maintenance, MaintenancePath, SharedEngine};
+pub use builder::ViewBuilderConfig;
+pub use concurrent::{MaintenancePath, SharedEngine};
 pub use error::CoreError;
-pub use metrics::{
-    ArmaGarch, DynamicDensityMetric, Inference, KalmanGarch, MetricConfig, MetricKind,
-    UniformThresholding, VariableThresholding,
-};
-pub use omega::{OmegaSpec, ProbabilityValue};
-pub use quality::{density_distance, evaluate_metric, MetricEvaluation};
-pub use sigma_cache::{CacheStats, SigmaCache, SigmaCacheConfig, SigmaLadder};
+pub use metrics::{DynamicDensityMetric, Inference, MetricConfig, MetricKind};
+pub use omega::OmegaSpec;
+pub use sigma_cache::{SigmaCache, SigmaCacheConfig};
 /// The persistent storage engine backing [`SharedEngine::open_persistent`]
 /// (re-exported so engine users reach the fault-injection and cache
 /// diagnostics without a direct `tspdb-storage` dependency).

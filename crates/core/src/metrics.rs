@@ -6,10 +6,10 @@
 //!
 //! | metric | `r̂_t` (mean) | dispersion | density |
 //! |---|---|---|---|
-//! | [`UniformThresholding`] | ARMA | user threshold `u` | uniform |
-//! | [`VariableThresholding`] | ARMA | window sample variance | Gaussian |
+//! | `UniformThresholding` | ARMA | user threshold `u` | uniform |
+//! | `VariableThresholding` | ARMA | window sample variance | Gaussian |
 //! | [`ArmaGarch`] | ARMA | GARCH(1,1) forecast | Gaussian |
-//! | [`KalmanGarch`] | Kalman filter (EM) | GARCH(1,1) forecast | Gaussian |
+//! | `KalmanGarch` | Kalman filter (EM) | GARCH(1,1) forecast | Gaussian |
 //!
 //! C-GARCH (Section V) wraps ARMA-GARCH with online cleaning and lives in
 //! [`crate::cgarch`].
@@ -95,7 +95,7 @@ impl Default for MetricConfig {
 
 impl MetricConfig {
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), CoreError> {
+    pub(crate) fn validate(&self) -> Result<(), CoreError> {
         if self.kappa < 0.0 || !self.kappa.is_finite() {
             return Err(CoreError::InvalidConfig(format!(
                 "kappa must be a non-negative finite number, got {}",
@@ -121,13 +121,13 @@ const VAR_FLOOR: f64 = 1e-12;
 /// user-supplied uncertainty half-width, following Cheng et al.'s
 /// fixed-range model.
 #[derive(Debug, Clone)]
-pub struct UniformThresholding {
+pub(crate) struct UniformThresholding {
     config: MetricConfig,
 }
 
 impl UniformThresholding {
     /// Creates the metric.
-    pub fn new(config: MetricConfig) -> Result<Self, CoreError> {
+    pub(crate) fn new(config: MetricConfig) -> Result<Self, CoreError> {
         config.validate()?;
         Ok(UniformThresholding { config })
     }
@@ -163,13 +163,13 @@ impl DynamicDensityMetric for UniformThresholding {
 /// Variable thresholding metric (Section III): ARMA expected value with the
 /// window's sample variance as the Gaussian dispersion (eq. 3).
 #[derive(Debug, Clone)]
-pub struct VariableThresholding {
+pub(crate) struct VariableThresholding {
     config: MetricConfig,
 }
 
 impl VariableThresholding {
     /// Creates the metric.
-    pub fn new(config: MetricConfig) -> Result<Self, CoreError> {
+    pub(crate) fn new(config: MetricConfig) -> Result<Self, CoreError> {
         config.validate()?;
         Ok(VariableThresholding { config })
     }
@@ -204,11 +204,6 @@ impl ArmaGarch {
         config.validate()?;
         Ok(ArmaGarch { config })
     }
-
-    /// Access to the configuration (used by C-GARCH).
-    pub fn config(&self) -> &MetricConfig {
-        &self.config
-    }
 }
 
 impl DynamicDensityMetric for ArmaGarch {
@@ -240,13 +235,13 @@ impl DynamicDensityMetric for ArmaGarch {
 /// The Kalman-GARCH metric (Section IV): the Kalman filter (EM-estimated)
 /// infers `r̂_t`, GARCH(1,1) on the filter innovations infers `σ̂²_t`.
 #[derive(Debug, Clone)]
-pub struct KalmanGarch {
+pub(crate) struct KalmanGarch {
     config: MetricConfig,
 }
 
 impl KalmanGarch {
     /// Creates the metric.
-    pub fn new(config: MetricConfig) -> Result<Self, CoreError> {
+    pub(crate) fn new(config: MetricConfig) -> Result<Self, CoreError> {
         config.validate()?;
         Ok(KalmanGarch { config })
     }
@@ -310,7 +305,7 @@ pub enum MetricKind {
 impl MetricKind {
     /// Parses a metric name (case-insensitive; hyphens and underscores are
     /// interchangeable).
-    pub fn parse(name: &str) -> Result<Self, CoreError> {
+    pub(crate) fn parse(name: &str) -> Result<Self, CoreError> {
         match name.to_ascii_lowercase().replace('-', "_").as_str() {
             "ut" | "uniform" | "uniform_thresholding" => Ok(MetricKind::UniformThresholding),
             "vt" | "variable" | "variable_thresholding" => Ok(MetricKind::VariableThresholding),

@@ -37,7 +37,7 @@ impl OmegaSpec {
     }
 
     /// The λ values `−n/2 … n/2 − 1`, one per range.
-    pub fn lambdas(&self) -> impl Iterator<Item = i64> {
+    pub(crate) fn lambdas(&self) -> impl Iterator<Item = i64> {
         let half = self.n as i64 / 2;
         -half..half
     }
@@ -45,13 +45,13 @@ impl OmegaSpec {
     /// The lattice offsets `λΔ` for `λ = −n/2 … n/2` (n + 1 points) —
     /// exactly the evaluation points the σ-cache stores per distribution
     /// (Fig. 9).
-    pub fn offsets(&self) -> Vec<f64> {
+    pub(crate) fn offsets(&self) -> Vec<f64> {
         let half = self.n as i64 / 2;
         (-half..=half).map(|l| l as f64 * self.delta).collect()
     }
 
     /// The concrete range `[lo, hi]` of cell `λ` around `r̂`.
-    pub fn range(&self, r_hat: f64, lambda: i64) -> (f64, f64) {
+    pub(crate) fn range(&self, r_hat: f64, lambda: i64) -> (f64, f64) {
         (
             r_hat + lambda as f64 * self.delta,
             r_hat + (lambda + 1) as f64 * self.delta,
@@ -59,7 +59,8 @@ impl OmegaSpec {
     }
 
     /// Total lattice span `nΔ`.
-    pub fn span(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn span(&self) -> f64 {
         self.n as f64 * self.delta
     }
 }
@@ -81,7 +82,7 @@ pub struct ProbabilityValue {
 /// Evaluates the probability value generation query for one density: the
 /// set `Λ_t = {ρ_ω}` of Definition 2, computed directly from the density's
 /// CDF.
-pub fn probability_values(density: &Density, spec: &OmegaSpec) -> Vec<ProbabilityValue> {
+pub(crate) fn probability_values(density: &Density, spec: &OmegaSpec) -> Vec<ProbabilityValue> {
     let r_hat = density.mean();
     // Evaluate the CDF once per lattice point and difference, exactly as
     // eq. 9 prescribes — n + 1 CDF evaluations for n probabilities.
@@ -101,10 +102,11 @@ pub fn probability_values(density: &Density, spec: &OmegaSpec) -> Vec<Probabilit
         .collect()
 }
 
-/// Total mass captured by the lattice: `P(r̂ + nΔ/2) − P(r̂ − nΔ/2)`. Views
-/// whose lattice is too narrow lose tail mass; callers can check this
-/// against a coverage requirement.
-pub fn lattice_coverage(density: &Density, spec: &OmegaSpec) -> f64 {
+/// Total mass captured by the lattice: `P(r̂ + nΔ/2) − P(r̂ − nΔ/2)`, the
+/// reference the tests hold the summed probability values to (a lattice
+/// that is too narrow loses tail mass).
+#[cfg(test)]
+pub(crate) fn lattice_coverage(density: &Density, spec: &OmegaSpec) -> f64 {
     let r_hat = density.mean();
     let half = spec.span() / 2.0;
     density.prob_in(r_hat - half, r_hat + half)

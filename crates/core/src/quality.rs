@@ -18,7 +18,7 @@ use tspdb_timeseries::TimeSeries;
 /// Number of histogram cells used to approximate `Q_Z`; the paper specifies
 /// "a histogram approximation method" without the count, and the distances
 /// it reports (UT/VT up to ≈ 3) are consistent with ~100 cells.
-pub const DEFAULT_PIT_BINS: usize = 100;
+pub(crate) const DEFAULT_PIT_BINS: usize = 100;
 
 /// Computes the density distance (eq. 1) of a PIT sample with the given
 /// number of histogram cells.
@@ -26,7 +26,7 @@ pub const DEFAULT_PIT_BINS: usize = 100;
 /// Returns `NaN` on an empty sample. The maximum possible value for `bins`
 /// cells is `sqrt(Σ_b U(x_b)²) ≈ sqrt(bins / 3)` (all transforms piled at
 /// zero), ≈ 5.77 for 100 cells.
-pub fn density_distance_with_bins(pits: &[f64], bins: usize) -> f64 {
+pub(crate) fn density_distance_with_bins(pits: &[f64], bins: usize) -> f64 {
     if pits.is_empty() {
         return f64::NAN;
     }
@@ -44,7 +44,7 @@ pub fn density_distance_with_bins(pits: &[f64], bins: usize) -> f64 {
 }
 
 /// [`density_distance_with_bins`] at the default cell count.
-pub fn density_distance(pits: &[f64]) -> f64 {
+pub(crate) fn density_distance(pits: &[f64]) -> f64 {
     density_distance_with_bins(pits, DEFAULT_PIT_BINS)
 }
 

@@ -21,7 +21,7 @@
 //! ## Concurrency model
 //!
 //! The ladder is computed once at build time and never mutated, so it lives
-//! in an immutable [`SigmaLadder`] behind an `Arc`; lookups take `&self`.
+//! in an immutable `SigmaLadder` behind an `Arc`; lookups take `&self`.
 //! The only mutable state is the pair of hit/miss counters, which are
 //! relaxed [`AtomicU64`]s — a [`SigmaCache`] is therefore `Sync` and can
 //! answer probability value generation queries from many threads with no
@@ -32,9 +32,7 @@ use crate::omega::{OmegaSpec, ProbabilityValue};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tspdb_stats::divergence::{
-    hellinger_equal_mean, ratio_threshold_for_distance, ratio_threshold_for_memory,
-};
+use tspdb_stats::divergence::{ratio_threshold_for_distance, ratio_threshold_for_memory};
 use tspdb_stats::special::std_normal_cdf;
 use tspdb_stats::OrdF64;
 
@@ -62,7 +60,6 @@ impl Default for SigmaCacheConfig {
 /// offsets (Fig. 9).
 #[derive(Debug, Clone)]
 struct CachedDistribution {
-    sigma: f64,
     /// `Φ(λΔ / σ)` for `λ = −n/2 … n/2` (n + 1 values).
     cdf: Vec<f64>,
 }
@@ -90,7 +87,7 @@ impl CacheStats {
 /// wrapped in an `Arc` can be shared freely across threads (it is both
 /// `Send` and `Sync`).
 #[derive(Debug, Clone)]
-pub struct SigmaLadder {
+pub(crate) struct SigmaLadder {
     omega: OmegaSpec,
     ds: f64,
     min_sigma: f64,
@@ -109,7 +106,7 @@ impl SigmaLadder {
     /// * both → the memory bound is used if it also satisfies the distance
     ///   bound, otherwise [`CoreError::CacheConstraintsConflict`];
     /// * neither → the default `H′ = 0.01`.
-    pub fn build(
+    pub(crate) fn build(
         min_sigma: f64,
         max_sigma: f64,
         omega: OmegaSpec,
@@ -167,7 +164,7 @@ impl SigmaLadder {
         for q in 0..=q_max {
             let sigma = min_sigma * ds.powi(q as i32);
             let cdf = offsets.iter().map(|&o| std_normal_cdf(o / sigma)).collect();
-            ladder.insert(OrdF64::new(sigma), CachedDistribution { sigma, cdf });
+            ladder.insert(OrdF64::new(sigma), CachedDistribution { cdf });
         }
         Ok(SigmaLadder {
             omega,
@@ -179,28 +176,23 @@ impl SigmaLadder {
     }
 
     /// The resolved ratio threshold `d_s`.
-    pub fn ratio_threshold(&self) -> f64 {
+    pub(crate) fn ratio_threshold(&self) -> f64 {
         self.ds
     }
 
-    /// The Ω lattice the ladder was built for.
-    pub fn omega(&self) -> OmegaSpec {
-        self.omega
-    }
-
     /// Number of cached distributions (`⌈Q⌉ + 1` including the base rung).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ladder.len()
     }
 
     /// Whether the ladder is empty (never true after a successful build).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ladder.is_empty()
     }
 
     /// Approximate memory footprint in bytes: per rung, `n + 1` CDF values
     /// plus the key and σ — the quantity plotted in Fig. 14(b).
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         let per_rung =
             (self.omega.n + 1) * std::mem::size_of::<f64>() + 2 * std::mem::size_of::<f64>();
         self.ladder.len() * per_rung
@@ -208,32 +200,34 @@ impl SigmaLadder {
 
     /// The worst-case Hellinger distance incurred by ladder substitution:
     /// `H(σ, σ·d_s)` — by Theorem 1 this is ≤ the configured `H′`.
-    pub fn worst_case_distance(&self) -> f64 {
-        hellinger_equal_mean(1.0, self.ds)
+    #[cfg(test)]
+    pub(crate) fn worst_case_distance(&self) -> f64 {
+        tspdb_stats::divergence::hellinger_equal_mean(1.0, self.ds)
     }
 
     /// The largest rung ≤ `sigma`, when `sigma` is inside the covered
     /// range.
-    fn lookup(&self, sigma: f64) -> Option<&CachedDistribution> {
+    fn lookup(&self, sigma: f64) -> Option<(&OrdF64, &CachedDistribution)> {
         if sigma < self.min_sigma || sigma > self.max_sigma {
             return None;
         }
-        self.ladder
-            .range(..=OrdF64::new(sigma))
-            .next_back()
-            .map(|(_, d)| d)
+        self.ladder.range(..=OrdF64::new(sigma)).next_back()
     }
 
-    /// The σ of the rung that would answer a query for `sigma` (for tests
-    /// and diagnostics).
-    pub fn rung_for(&self, sigma: f64) -> Option<f64> {
-        self.lookup(sigma).map(|d| d.sigma)
+    /// The σ of the rung that would answer a query for `sigma`.
+    #[cfg(test)]
+    pub(crate) fn rung_for(&self, sigma: f64) -> Option<f64> {
+        self.lookup(sigma).map(|(&rung, _)| f64::from(rung))
     }
 
     /// Answers the probability value generation query from the ladder, or
     /// `None` when σ̂ falls outside the covered range.
-    pub fn probability_values(&self, r_hat: f64, sigma: f64) -> Option<Vec<ProbabilityValue>> {
-        let dist = self.lookup(sigma)?;
+    pub(crate) fn probability_values(
+        &self,
+        r_hat: f64,
+        sigma: f64,
+    ) -> Option<Vec<ProbabilityValue>> {
+        let (_, dist) = self.lookup(sigma)?;
         let omega = self.omega;
         Some(
             omega
@@ -253,7 +247,7 @@ impl SigmaLadder {
     }
 }
 
-/// The σ-cache: an [`Arc`]-shared [`SigmaLadder`] plus lock-free usage
+/// The σ-cache: an [`Arc`]-shared `SigmaLadder` plus lock-free usage
 /// counters.
 ///
 /// All lookups take `&self`; the type is `Send + Sync` and can be queried
@@ -281,7 +275,7 @@ impl Clone for SigmaCache {
 
 impl SigmaCache {
     /// Builds the cache for standard deviations in `[min_sigma, max_sigma]`
-    /// under the given constraints (see [`SigmaLadder::build`]).
+    /// under the given constraints (see `SigmaLadder::build`).
     pub fn build(
         min_sigma: f64,
         max_sigma: f64,
@@ -294,7 +288,7 @@ impl SigmaCache {
     }
 
     /// Wraps an already-built ladder with fresh counters.
-    pub fn from_ladder(ladder: Arc<SigmaLadder>) -> Self {
+    pub(crate) fn from_ladder(ladder: Arc<SigmaLadder>) -> Self {
         SigmaCache {
             ladder,
             hits: AtomicU64::new(0),
@@ -303,7 +297,8 @@ impl SigmaCache {
     }
 
     /// The shared immutable ladder.
-    pub fn ladder(&self) -> &Arc<SigmaLadder> {
+    #[cfg(test)]
+    pub(crate) fn ladder(&self) -> &Arc<SigmaLadder> {
         &self.ladder
     }
 
@@ -323,7 +318,7 @@ impl SigmaCache {
     }
 
     /// Approximate memory footprint in bytes (see
-    /// [`SigmaLadder::memory_bytes`]).
+    /// `SigmaLadder::memory_bytes`).
     pub fn memory_bytes(&self) -> usize {
         self.ladder.memory_bytes()
     }
@@ -355,7 +350,8 @@ impl SigmaCache {
 
     /// The worst-case Hellinger distance incurred by ladder substitution:
     /// `H(σ, σ·d_s)` — by Theorem 1 this is ≤ the configured `H′`.
-    pub fn worst_case_distance(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn worst_case_distance(&self) -> f64 {
         self.ladder.worst_case_distance()
     }
 
@@ -383,9 +379,9 @@ impl SigmaCache {
         }
     }
 
-    /// The σ of the rung that would answer a query for `sigma` (for tests
-    /// and diagnostics).
-    pub fn rung_for(&self, sigma: f64) -> Option<f64> {
+    /// The σ of the rung that would answer a query for `sigma`.
+    #[cfg(test)]
+    pub(crate) fn rung_for(&self, sigma: f64) -> Option<f64> {
         self.ladder.rung_for(sigma)
     }
 }

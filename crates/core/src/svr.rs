@@ -16,7 +16,7 @@ use tspdb_stats::descriptive::lerp;
 
 /// Outcome of one filter run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SvrOutcome {
+pub(crate) struct SvrOutcome {
     /// The cleaned values (same length as the input).
     pub values: Vec<f64>,
     /// Indices that were deleted and reconstructed, in deletion order.
@@ -42,7 +42,7 @@ fn variance_from_sums(sum: f64, sum_sq: f64, k: usize) -> f64 {
 /// `values.len() / 2` points have been replaced (a runaway guard: if half
 /// the window is "erroneous" the window is a trend change, not noise), or
 /// fewer than four points would remain informative.
-pub fn svr_filter(values: &[f64], sv_max: f64) -> SvrOutcome {
+pub(crate) fn svr_filter(values: &[f64], sv_max: f64) -> SvrOutcome {
     assert!(sv_max >= 0.0, "svr_filter: SVmax must be non-negative");
     let mut v = values.to_vec();
     let mut replaced = Vec::new();

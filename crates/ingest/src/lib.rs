@@ -119,7 +119,7 @@ impl Appender {
     }
 
     /// Whether the age bound has expired on buffered rows.
-    pub fn flush_due(&self) -> bool {
+    fn flush_due(&self) -> bool {
         self.oldest
             .is_some_and(|t| t.elapsed() >= self.config.max_delay)
     }
@@ -242,7 +242,7 @@ impl TailRegistry {
     /// Subscribing replays history: every already-closed bucket emits on
     /// the first poll, so a late subscriber sees the same frame sequence
     /// an early one did.
-    pub fn subscribe(&self, sel: SelectStmt) -> Result<TailToken, CoreError> {
+    pub(crate) fn subscribe(&self, sel: SelectStmt) -> Result<TailToken, CoreError> {
         if sel.window.is_none() {
             return Err(CoreError::InvalidConfig(
                 "TAIL requires GROUP BY WINDOW(column, width)".into(),
@@ -269,16 +269,6 @@ impl TailRegistry {
             .unwrap_or_else(|e| e.into_inner())
             .remove(&token.0)
             .is_some()
-    }
-
-    /// Number of live subscriptions.
-    pub fn len(&self) -> usize {
-        self.subs.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether no subscriptions are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Drives every subscription against the engine's current state and
@@ -589,6 +579,6 @@ mod tests {
             panic!("expected a lapse, got {events:?}");
         };
         assert_eq!(*t, token);
-        assert!(registry.is_empty());
+        assert!(registry.subs.lock().unwrap().is_empty());
     }
 }

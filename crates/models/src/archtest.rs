@@ -22,42 +22,15 @@
 
 use tspdb_stats::error::StatsError;
 use tspdb_stats::regression::{design_with_intercept, ols};
-use tspdb_stats::special::{chi_square_quantile, chi_square_sf};
 
-/// Result of one ARCH-effect test.
-#[derive(Debug, Clone)]
-pub struct ArchTest {
-    /// The statistic `Φ(m)` of eq. 16.
-    pub statistic: f64,
-    /// Number of lags `m` (degrees of freedom of the reference χ²).
-    pub m: usize,
-    /// Significance level α used for the critical value.
-    pub alpha: f64,
-    /// Critical value `χ²_m(α)` (upper-α quantile).
-    pub critical: f64,
-    /// Asymptotic p-value `P(χ²_m > Φ(m))`.
-    pub p_value: f64,
-}
-
-impl ArchTest {
-    /// Whether the null hypothesis of i.i.d. errors is rejected — i.e.
-    /// whether the series exhibits time-varying volatility.
-    pub fn rejects_iid(&self) -> bool {
-        self.statistic > self.critical
-    }
-}
-
-/// Runs the ARCH-effect test on a residual series with `m` lags at
-/// significance level `alpha`.
+/// The ARCH-effect statistic `Φ(m)` of eq. 16 over a residual series with
+/// `m` lags, clamped at zero. The null hypothesis of i.i.d. errors is
+/// rejected when it exceeds the critical value `χ²_m(α)`.
 ///
 /// Requires enough residuals for the denominator degrees of freedom
 /// `K − 2m − 1` to be positive.
-pub fn arch_effect_test(residuals: &[f64], m: usize, alpha: f64) -> Result<ArchTest, StatsError> {
-    assert!(m >= 1, "arch_effect_test: need at least one lag");
-    assert!(
-        (0.0..1.0).contains(&alpha) && alpha > 0.0,
-        "arch_effect_test: alpha must be in (0,1)"
-    );
+fn arch_statistic(residuals: &[f64], m: usize) -> Result<f64, StatsError> {
+    assert!(m >= 1, "arch_statistic: need at least one lag");
     let k_total = residuals.len();
     // Need K − 2m − 1 > 0 with K the count of squared residuals, and at
     // least m + 2 regression rows.
@@ -89,15 +62,7 @@ pub fn arch_effect_test(residuals: &[f64], m: usize, alpha: f64) -> Result<ArchT
     }
     let k = sq.len() as f64;
     let statistic = ((gamma0 - gamma1) / m as f64) / (gamma1 / (k - 2.0 * m as f64 - 1.0));
-    let critical = chi_square_quantile(1.0 - alpha, m as f64);
-    let p_value = chi_square_sf(statistic.max(0.0), m as f64);
-    Ok(ArchTest {
-        statistic: statistic.max(0.0),
-        m,
-        alpha,
-        critical,
-        p_value,
-    })
+    Ok(statistic.max(0.0))
 }
 
 /// Averages the `Φ(m)` statistic over every sliding window of length `h`
@@ -113,7 +78,6 @@ pub fn mean_statistic_over_windows(
     h: usize,
     step: usize,
     m: usize,
-    alpha: f64,
 ) -> Result<(f64, usize), StatsError> {
     if residuals.len() < h {
         return Err(StatsError::InsufficientData {
@@ -126,8 +90,8 @@ pub fn mean_statistic_over_windows(
     let mut count = 0usize;
     let mut start = 0;
     while start + h <= residuals.len() {
-        if let Ok(t) = arch_effect_test(&residuals[start..start + h], m, alpha) {
-            acc += t.statistic;
+        if let Ok(phi) = arch_statistic(&residuals[start..start + h], m) {
+            acc += phi;
             count += 1;
         }
         start += step;
@@ -143,6 +107,7 @@ pub fn mean_statistic_over_windows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tspdb_stats::special::chi_square_quantile;
     use tspdb_timeseries::generate::{ar1_series, ArmaGarchGenerator};
 
     fn garch_innovations(n: usize, seed: u64) -> Vec<f64> {
@@ -164,14 +129,9 @@ mod tests {
     fn rejects_on_garch_innovations() {
         let a = garch_innovations(4000, 21);
         for m in 1..=4 {
-            let t = arch_effect_test(&a, m, 0.05).unwrap();
-            assert!(
-                t.rejects_iid(),
-                "m = {m}: Φ = {} ≤ critical {}",
-                t.statistic,
-                t.critical
-            );
-            assert!(t.p_value < 0.05);
+            let phi = arch_statistic(&a, m).unwrap();
+            let critical = chi_square_quantile(0.95, m as f64);
+            assert!(phi > critical, "m = {m}: Φ = {phi} ≤ critical {critical}");
         }
     }
 
@@ -190,22 +150,9 @@ mod tests {
         .generate(4000)
         .values()
         .to_vec();
-        let t = arch_effect_test(&a, 3, 0.05).unwrap();
-        assert!(
-            !t.rejects_iid(),
-            "false rejection: Φ = {} > {}",
-            t.statistic,
-            t.critical
-        );
-    }
-
-    #[test]
-    fn critical_values_match_chi_square_tables() {
-        let a = garch_innovations(500, 2);
-        let t1 = arch_effect_test(&a, 1, 0.05).unwrap();
-        assert!((t1.critical - 3.841).abs() < 0.01);
-        let t8 = arch_effect_test(&a, 8, 0.05).unwrap();
-        assert!((t8.critical - 15.507).abs() < 0.01);
+        let phi = arch_statistic(&a, 3).unwrap();
+        let critical = chi_square_quantile(0.95, 3.0);
+        assert!(phi <= critical, "false rejection: Φ = {phi} > {critical}");
     }
 
     #[test]
@@ -213,16 +160,17 @@ mod tests {
         // Raw AR(1) *residuals* (after removing the AR structure) are iid.
         let s = ar1_series(77, 0.8, 1.0, 5000);
         let resid: Vec<f64> = s.values().windows(2).map(|w| w[1] - 0.8 * w[0]).collect();
-        let t = arch_effect_test(&resid, 2, 0.05).unwrap();
-        assert!(!t.rejects_iid(), "Φ = {} vs {}", t.statistic, t.critical);
+        let phi = arch_statistic(&resid, 2).unwrap();
+        let critical = chi_square_quantile(0.95, 2.0);
+        assert!(phi <= critical, "Φ = {phi} vs {critical}");
     }
 
     #[test]
     fn windowed_mean_statistic_separates_regimes() {
         let garch = garch_innovations(6000, 9);
-        let (phi_garch, n1) = mean_statistic_over_windows(&garch, 180, 10, 2, 0.05).unwrap();
+        let (phi_garch, n1) = mean_statistic_over_windows(&garch, 180, 10, 2).unwrap();
         let iid = ar1_series(13, 0.0, 1.0, 6000).values().to_vec();
-        let (phi_iid, n2) = mean_statistic_over_windows(&iid, 180, 10, 2, 0.05).unwrap();
+        let (phi_iid, n2) = mean_statistic_over_windows(&iid, 180, 10, 2).unwrap();
         assert!(n1 > 500 && n2 > 500);
         assert!(
             phi_garch > phi_iid * 1.5,
@@ -233,7 +181,7 @@ mod tests {
     #[test]
     fn insufficient_data_is_rejected() {
         assert!(matches!(
-            arch_effect_test(&[1.0; 6], 2, 0.05),
+            arch_statistic(&[1.0; 6], 2),
             Err(StatsError::InsufficientData { .. })
         ));
     }
@@ -241,7 +189,6 @@ mod tests {
     #[test]
     fn statistic_is_never_negative() {
         let a = ar1_series(3, 0.0, 1.0, 200).values().to_vec();
-        let t = arch_effect_test(&a, 4, 0.05).unwrap();
-        assert!(t.statistic >= 0.0);
+        assert!(arch_statistic(&a, 4).unwrap() >= 0.0);
     }
 }

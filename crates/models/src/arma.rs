@@ -42,7 +42,7 @@ pub struct ArmaFit {
 
 impl ArmaFit {
     /// Number of leading window positions without a defined innovation.
-    pub fn warmup(&self) -> usize {
+    pub(crate) fn warmup(&self) -> usize {
         self.p.max(self.q)
     }
 

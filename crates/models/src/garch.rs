@@ -39,18 +39,18 @@ pub struct Garch11Fit {
 
 impl Garch11Fit {
     /// Volatility persistence `α_1 + β_1`.
-    pub fn persistence(&self) -> f64 {
+    pub(crate) fn persistence(&self) -> f64 {
         self.alpha1 + self.beta1
     }
 
     /// Unconditional variance `α_0 / (1 − α_1 − β_1)`.
-    pub fn unconditional_variance(&self) -> f64 {
+    pub(crate) fn unconditional_variance(&self) -> f64 {
         self.alpha0 / (1.0 - self.persistence())
     }
 
     /// One-step-ahead variance forecast `σ̂²_t` (paper eq. 6) given the most
     /// recent residual and the most recent conditional variance.
-    pub fn forecast_next(&self, last_a: f64, last_sigma2: f64) -> f64 {
+    pub(crate) fn forecast_next(&self, last_a: f64, last_sigma2: f64) -> f64 {
         self.alpha0 + self.alpha1 * last_a * last_a + self.beta1 * last_sigma2
     }
 
@@ -148,7 +148,8 @@ pub fn fit_garch11(residuals: &[f64]) -> Result<Garch11Fit, StatsError> {
 /// coefficient vectors and the trailing residuals / conditional variances
 /// (most recent last), computes
 /// `σ̂²_t = α_0 + Σ α_j a²_{t−j} + Σ β_j σ²_{t−j}`.
-pub fn garch_forecast(
+#[cfg(test)]
+pub(crate) fn garch_forecast(
     alpha0: f64,
     alpha: &[f64],
     beta: &[f64],

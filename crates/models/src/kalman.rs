@@ -54,7 +54,7 @@ pub struct FilterResult {
 }
 
 /// Runs the Kalman filter over `y`.
-pub fn kalman_filter(y: &[f64], p: &KalmanParams) -> FilterResult {
+pub(crate) fn kalman_filter(y: &[f64], p: &KalmanParams) -> FilterResult {
     let n = y.len();
     let mut filtered_mean = Vec::with_capacity(n);
     let mut filtered_var = Vec::with_capacity(n);
@@ -98,7 +98,7 @@ pub fn kalman_filter(y: &[f64], p: &KalmanParams) -> FilterResult {
 
 /// Output of the Rauch–Tung–Striebel smoother.
 #[derive(Debug, Clone)]
-pub struct SmootherResult {
+pub(crate) struct SmootherResult {
     /// Smoothed state means `x_{i|n}`.
     pub mean: Vec<f64>,
     /// Smoothed state variances `P_{i|n}`.
@@ -108,7 +108,7 @@ pub struct SmootherResult {
 }
 
 /// Runs the RTS smoother over a filter pass.
-pub fn rts_smoother(filter: &FilterResult, p: &KalmanParams) -> SmootherResult {
+pub(crate) fn rts_smoother(filter: &FilterResult, p: &KalmanParams) -> SmootherResult {
     let n = filter.filtered_mean.len();
     let mut mean = filter.filtered_mean.clone();
     let mut var = filter.filtered_var.clone();

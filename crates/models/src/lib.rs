@@ -48,15 +48,11 @@
 
 pub mod archtest;
 pub mod arma;
-pub mod forecast;
 pub mod garch;
 pub mod kalman;
 pub mod order;
 
-pub use archtest::{arch_effect_test, ArchTest};
-pub use arma::{fit_arma, ArmaFit};
-pub use garch::{fit_garch11, Garch11Fit};
-pub use kalman::{fit_em, EmConfig, KalmanFit, KalmanParams};
+pub use arma::fit_arma;
 
 #[cfg(test)]
 mod proptests {

@@ -32,7 +32,7 @@ pub struct OrderScore {
 }
 
 /// Computes the chosen criterion for a fitted model over `n` observations.
-pub fn criterion_value(fit: &ArmaFit, n: usize, criterion: Criterion) -> f64 {
+pub(crate) fn criterion_value(fit: &ArmaFit, n: usize, criterion: Criterion) -> f64 {
     let k = (fit.p + fit.q + 1) as f64; // +1 for the constant
     let n_f = n as f64;
     let var_term = n_f * fit.sigma2_a.max(1e-300).ln();

@@ -62,7 +62,7 @@ fn blend(out: &mut [f64], stay: &[f64], moved: &[f64], p: f64, q: f64) {
 /// a possible world: `Σ p_i v_i` and `Σ p_i (1 − p_i) v_i²` (linearity of
 /// expectation; variance by tuple independence). `values` must be parallel
 /// to `probs`.
-pub fn sum_moments_of(probs: &[f64], values: &[f64]) -> (f64, f64) {
+pub(crate) fn sum_moments_of(probs: &[f64], values: &[f64]) -> (f64, f64) {
     assert_eq!(
         probs.len(),
         values.len(),
@@ -101,7 +101,7 @@ const MAX_DP_CELLS: u128 = 1 << 27;
 /// `Σ|v| / 2^16` grid), and the world sum's probability mass function is
 /// folded tuple by tuple — the value-weighted generalisation of the
 /// Poisson-binomial count DP. Negative values are handled by an index
-/// offset. Tuples holding ±∞ or NaN stay off the grid; [`Self::tail`]
+/// offset. Tuples holding ±∞ or NaN stay off the grid; `Self::tail`
 /// accounts for them in closed form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SumDistribution {
@@ -128,7 +128,7 @@ impl SumDistribution {
     /// other world sums to NaN (a NaN is present, or both infinities are),
     /// and a NaN sum satisfies no comparison — the `WITH WORLDS` rule.
     /// Without non-finite tuples this is the finite tail, bit for bit.
-    pub fn tail(&self, op: CmpOp, threshold: f64) -> f64 {
+    pub(crate) fn tail(&self, op: CmpOp, threshold: f64) -> f64 {
         let mut mass = 0.0;
         for (i, &p) in self.dist.iter().enumerate() {
             let s = self.offset + i as f64 * self.step;
@@ -169,7 +169,8 @@ impl SumDistribution {
 
     /// Mean of the distribution (equals `Σ p·v` up to grid resolution;
     /// non-finite when a ±∞ or NaN value can be present).
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
         let finite: f64 = self
             .dist
             .iter()
@@ -336,19 +337,6 @@ pub fn count_moments(table: &ProbTable, pred: &Conjunction) -> Result<(f64, f64)
     Ok((mean, var))
 }
 
-/// The most likely count (mode of the Poisson-binomial; smallest index on
-/// ties).
-pub fn most_likely_count(table: &ProbTable, pred: &Conjunction) -> Result<usize, DbError> {
-    let dist = count_distribution(table, pred)?;
-    let mut best = 0usize;
-    for (k, &p) in dist.iter().enumerate() {
-        if p > dist[best] {
-            best = k;
-        }
-    }
-    Ok(best)
-}
-
 /// Probabilities on which a kernel rewrite is most likely to differ from
 /// the textbook loop: 0, 1, the smallest subnormal, 2^-53, 1 − 2^-53, and
 /// one ulp either side of `k·2^-53` — the resolution of the sampler's
@@ -407,7 +395,6 @@ mod tests {
         let v = view(&[1.0, 1.0, 0.0]);
         let dist = count_distribution(&v, &vec![]).unwrap();
         assert!((dist[2] - 1.0).abs() < 1e-12);
-        assert_eq!(most_likely_count(&v, &vec![]).unwrap(), 2);
     }
 
     #[test]
@@ -475,7 +462,6 @@ mod tests {
         let v = view(&[]);
         let dist = count_distribution(&v, &vec![]).unwrap();
         assert_eq!(dist, vec![1.0]);
-        assert_eq!(most_likely_count(&v, &vec![]).unwrap(), 0);
     }
 
     /// Brute-force `P(sum ⟨op⟩ t)` by enumerating all 2^n worlds.

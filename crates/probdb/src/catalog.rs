@@ -259,7 +259,7 @@ impl Database {
     /// The plan cached under this exact statement text at the current
     /// generation, if any — the parse-free fast path. Stale entries
     /// (older generation) are evicted, never returned.
-    pub fn cached_plan(&self, sql: &str) -> Option<Arc<PlannedQuery>> {
+    pub(crate) fn cached_plan(&self, sql: &str) -> Option<Arc<PlannedQuery>> {
         self.plan_cache.lookup(sql, self.generation())
     }
 
@@ -301,16 +301,12 @@ impl Database {
     /// [`Database::query`] through the shared plan cache: hot statements
     /// skip parse+plan entirely (raw-text hit) or at least planning
     /// (normalized hit). Semantics are identical to [`Database::query`].
-    pub fn query_cached(&self, sql: &str) -> Result<QueryOutput, DbError> {
+    #[cfg(test)]
+    pub(crate) fn query_cached(&self, sql: &str) -> Result<QueryOutput, DbError> {
         match self.plan_cached(sql)? {
             Ok(planned) => self.execute_planned(&planned),
             Err(stmt) => self.query_parsed(stmt),
         }
-    }
-
-    /// Names of all stored relations, sorted.
-    pub fn relation_names(&self) -> Vec<&str> {
-        self.relations.keys().map(String::as_str).collect()
     }
 
     /// Names of all reachable relations — resident ones plus any the
@@ -336,11 +332,6 @@ impl Database {
         self.scan_source = Some(source);
         // The reachable-relation set just changed shape.
         self.bump_generation();
-    }
-
-    /// Whether a scan source is attached.
-    pub fn has_scan_source(&self) -> bool {
-        self.scan_source.is_some()
     }
 
     /// Materialises a relation from the attached scan source (`None` when
@@ -451,7 +442,11 @@ impl Database {
 
     /// Appends a batch of rows to a deterministic table (a plain `INSERT`):
     /// [`Database::check_rows`], then [`Database::append_columns`].
-    pub fn append_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize, DbError> {
+    pub(crate) fn append_rows(
+        &mut self,
+        table: &str,
+        rows: Vec<Vec<Value>>,
+    ) -> Result<usize, DbError> {
         let columns = self.check_rows(table, rows)?;
         self.append_columns(table, &columns, None)
     }
@@ -522,7 +517,7 @@ impl Database {
     /// Drops a relation by name. A tombstone
     /// stops the scan source from resurrecting the name until a
     /// checkpoint rewrites the on-disk file (or the name is re-created).
-    pub fn drop_relation(&mut self, name: &str) -> Result<(), DbError> {
+    pub(crate) fn drop_relation(&mut self, name: &str) -> Result<(), DbError> {
         self.dropped.insert(name.to_string());
         self.bump_generation();
         self.relations
@@ -581,7 +576,7 @@ impl Database {
     /// snapshot: the relation rung, plus the physical plan to run over it.
     /// This is the MVCC read path — take the input under a shared lock,
     /// release the lock, then
-    /// [`RelationSnapshot::execute`] it while writers land new rungs
+    /// `RelationSnapshot::execute` it while writers land new rungs
     /// (appends swap in a new rung rather than mutating the old one in
     /// place, so the snapshot stays internally consistent for as long as
     /// its `Arc` lives).
@@ -908,12 +903,6 @@ mod tests {
         assert!(db
             .register_prob_table(ProbTable::new("raw_values", schema))
             .is_err());
-    }
-
-    #[test]
-    fn relation_names_sorted() {
-        let db = setup();
-        assert_eq!(db.relation_names(), vec!["raw_values"]);
     }
 
     fn fig1_database() -> Database {

@@ -22,7 +22,7 @@ enum ColumnData {
 /// One column of a relation: its values plus whether they are known to be
 /// in ascending order.
 ///
-/// The `ascending` flag is maintained in O(1) per [`Column::push`] and is
+/// The `ascending` flag is maintained in O(1) per `Column::push` and is
 /// what lets a range predicate on a time-ordered Ω-view column binary
 /// search instead of comparing every row. It is tracked for numeric
 /// columns only (a float column containing NaN is never ascending — NaN
@@ -36,12 +36,12 @@ pub struct Column {
 
 impl Column {
     /// An empty column of the given type.
-    pub fn new(ty: ColumnType) -> Column {
+    pub(crate) fn new(ty: ColumnType) -> Column {
         Column::with_capacity(ty, 0)
     }
 
     /// An empty column of the given type with room for `n` values.
-    pub fn with_capacity(ty: ColumnType, n: usize) -> Column {
+    pub(crate) fn with_capacity(ty: ColumnType, n: usize) -> Column {
         let data = match ty {
             ColumnType::Int => ColumnData::Int(Vec::with_capacity(n)),
             ColumnType::Float => ColumnData::Float(Vec::with_capacity(n)),
@@ -63,9 +63,9 @@ impl Column {
 
     /// Transposes `rows` into one column per column of `schema` — the one
     /// type check rows get on their way into a relation: a row of the wrong
-    /// arity is an [`DbError::ArityMismatch`], a cell [`Column::push`]
+    /// arity is an [`DbError::ArityMismatch`], a cell `Column::push`
     /// hands back a [`DbError::TypeMismatch`] (ints widen into float
-    /// columns), exactly as [`Schema::check_row`] reports them.
+    /// columns), exactly as `Schema::check_row` reports them.
     pub fn from_rows(schema: &Schema, rows: Vec<Vec<Value>>) -> Result<Vec<Column>, DbError> {
         let mut columns = Column::for_schema(schema, rows.len());
         for row in rows {
@@ -92,24 +92,19 @@ impl Column {
     }
 
     /// Number of values.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values().len()
-    }
-
-    /// Whether the column holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Whether the values are known to be non-decreasing (see the type
     /// docs; always `false` for text).
-    pub fn is_ascending(&self) -> bool {
+    pub(crate) fn is_ascending(&self) -> bool {
         self.ascending
     }
 
     /// Appends a value, widening an int into a float column exactly like
     /// [`Value::coerce`]; a value of any other type is handed back.
-    pub fn push(&mut self, value: Value) -> Result<(), Value> {
+    pub(crate) fn push(&mut self, value: Value) -> Result<(), Value> {
         if !value.fits(self.column_type()) {
             return Err(value);
         }
@@ -234,17 +229,12 @@ impl<'a> ColumnSlice<'a> {
     }
 
     /// Number of values in view.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             ColumnSlice::Int(v) => v.len(),
             ColumnSlice::Float(v) => v.len(),
             ColumnSlice::Text(v) => v.len(),
         }
-    }
-
-    /// Whether the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The sub-view over `range`.
@@ -266,7 +256,7 @@ impl<'a> ColumnSlice<'a> {
     }
 
     /// The canonical grouping key of cell `i` (see [`ValueKey`]).
-    pub fn key(&self, i: usize) -> ValueKey<'a> {
+    pub(crate) fn key(&self, i: usize) -> ValueKey<'a> {
         match self {
             ColumnSlice::Int(v) => ValueKey::Int(v[i]),
             ColumnSlice::Float(v) => ValueKey::Float(v[i]),
@@ -288,7 +278,7 @@ mod tests {
         assert_eq!(c.push(Value::from("x")), Err(Value::from("x")));
         let mut c = Column::new(ColumnType::Int);
         assert_eq!(c.push(Value::Float(1.0)), Err(Value::Float(1.0)));
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
     }
 
     #[test]
@@ -301,7 +291,7 @@ mod tests {
         c.push(Value::Int(2)).unwrap();
         assert!(!c.is_ascending());
         c.clear();
-        assert!(c.is_ascending() && c.is_empty());
+        assert!(c.is_ascending() && c.len() == 0);
 
         // NaN anywhere — first, middle or alone — clears the flag; ±0.0
         // compare equal and keep it.

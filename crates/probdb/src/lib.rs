@@ -4,15 +4,14 @@
 //! workspace — the storage and query layer that the paper's Ω-view builder
 //! materialises probabilistic views into:
 //!
-//! * [`value`] / [`schema`] — typed cells and relation schemas.
-//! * [`table`] / [`mod@column`] — deterministic [`table::Table`]s and
-//!   tuple-independent, column-major [`table::ProbTable`]s (the `prob_view`
-//!   of the paper's Fig. 1/2).
+//! * `value` / `schema` — typed cells ([`Value`]) and relation schemas.
+//! * `table` / `column` — deterministic [`Table`]s and tuple-independent,
+//!   column-major [`ProbTable`]s (the `prob_view` of the paper's Fig. 1/2).
 //! * [`codec`] — the one byte codec: the encoder/decoder pair wire frames,
 //!   leaf pages and WAL records are written with, and the column-major
 //!   batch encoding every stored tuple travels in.
-//! * [`scan`] — the one scan operator: every source feeds it borrowed
-//!   column [`scan::Batch`]es, and typed kernels restrict, order, group and
+//! * `scan` — the one scan operator: every source feeds it borrowed
+//!   column [`Batch`]es, and typed kernels restrict, order, group and
 //!   gather on top of them.
 //! * [`query`] — predicates and whole-relation probabilistic operators:
 //!   selection, threshold, event probability, expected aggregates.
@@ -22,13 +21,13 @@
 //!   `GROUP BY`, `HAVING` event predicates) and `EXPLAIN`.
 //! * [`plan`] — the query planner: [`plan::LogicalPlan`] trees lowered to
 //!   [`plan::PhysicalPlan`]s and executed by a pluggable
-//!   [`plan::EvalStrategy`] ([`plan::ExactStrategy`] closed forms, or the
-//!   [`plan::WorldsStrategy`] Monte-Carlo backend under `WITH WORLDS`).
-//! * [`catalog`] — the in-memory [`catalog::Database`] executing
+//!   evaluation strategy (exact closed forms, or the Monte-Carlo worlds
+//!   backend under `WITH WORLDS`).
+//! * `catalog` — the in-memory [`Database`] executing
 //!   statements; `SELECT`s are planned then executed, density views are
 //!   delegated to a handler supplied by the engine layer (`tspdb-core`).
-//! * [`worlds`] — possible-world sampling: the parallel, deterministic
-//!   [`worlds::WorldsExecutor`] behind `SELECT … WITH WORLDS`.
+//! * `worlds` — possible-world sampling: the parallel, deterministic
+//!   [`WorldsExecutor`] behind `SELECT … WITH WORLDS`.
 //!
 //! ## Quick start
 //!
@@ -61,36 +60,30 @@
 )]
 
 pub mod aggregates;
-pub mod catalog;
+pub(crate) mod catalog;
 pub mod codec;
-pub mod column;
-pub mod error;
+pub(crate) mod column;
+pub(crate) mod error;
 pub mod plan;
-pub mod plan_cache;
+pub(crate) mod plan_cache;
 pub mod query;
-pub mod scan;
-pub mod schema;
+pub(crate) mod scan;
+pub(crate) mod schema;
 pub mod sql;
-pub mod table;
-pub mod value;
-pub mod worlds;
+pub(crate) mod table;
+pub(crate) mod value;
+pub(crate) mod worlds;
 
 pub use aggregates::{sum_distribution_of, SumDistribution};
-pub use catalog::{Database, QueryOutput, Relation, RelationSnapshot, ScanSource};
+pub use catalog::{Database, QueryOutput, Relation, ScanSource};
 pub use column::{Column, ColumnSlice};
 pub use error::DbError;
-pub use plan::{
-    AggregateResult, EvalStrategy, ExactStrategy, ExplainReport, LogicalPlan, PhysicalPlan,
-    PlannedQuery, Planner, StrategyKind, WorldsStrategy,
-};
+pub use plan::{AggregateResult, PlannedQuery, Planner};
 pub use plan_cache::PlanCacheStats;
 pub use query::{CmpOp, Comparison, Conjunction};
 pub use scan::{Batch, BatchStream};
 pub use schema::Schema;
-pub use sql::{
-    parse, AggExpr, AggFunc, DensityViewSpec, HavingClause, SelectItem, SelectStmt, Statement,
-    SynopsisClause, WindowSpec, WorldsClause,
-};
+pub use sql::{parse, DensityViewSpec, SelectStmt, Statement};
 pub use table::{ProbTable, Table};
-pub use value::{ColumnType, Value, ValueKey};
+pub use value::{ColumnType, Value};
 pub use worlds::{SumEstimate, WorldsConfig, WorldsExecutor, WorldsResult};

@@ -16,14 +16,14 @@
 //!   named scan, the tuple-domain restriction (`WHERE` / `THRESHOLD` /
 //!   `TOP`), and one terminal [`PhysicalAction`] (return rows, or compute
 //!   aggregates).
-//! * [`EvalStrategy`] is the pluggable evaluation backend.
-//!   [`ExactStrategy`] answers with closed forms over tuple independence
+//! * `EvalStrategy` is the pluggable evaluation backend.
+//!   `ExactStrategy` answers with closed forms over tuple independence
 //!   (Poisson-binomial `COUNT`, linearity-of-expectation `SUM`, the
-//!   sum-distribution DP for `HAVING SUM`); [`WorldsStrategy`] answers by
+//!   sum-distribution DP for `HAVING SUM`); `WorldsStrategy` answers by
 //!   Monte-Carlo possible-world sampling (selected by `WITH WORLDS`),
 //!   inheriting the executor's bit-identical determinism at every thread
 //!   count. `WITH SYNOPSIS [BUCKETS b] [MAXERROR e]` is accepted and
-//!   planned onto [`ExactStrategy`]: an exact answer meets any error bound.
+//!   planned onto `ExactStrategy`: an exact answer meets any error bound.
 //!
 //! Both strategies evaluate the *same* plans, so every aggregate admits an
 //! exact-vs-MC differential test, and every future operator
@@ -205,7 +205,7 @@ impl fmt::Display for LogicalPlan {
 // Physical plans
 // ---------------------------------------------------------------------------
 
-/// The lowered plan every [`EvalStrategy`] consumes: scan + restriction +
+/// The lowered plan every `EvalStrategy` consumes: scan + restriction +
 /// one terminal action.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalPlan {
@@ -330,9 +330,9 @@ impl fmt::Display for PhysicalPlan {
 /// Which evaluation backend a plan runs on.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StrategyKind {
-    /// Closed forms ([`ExactStrategy`]).
+    /// Closed forms (`ExactStrategy`).
     Exact,
-    /// Monte-Carlo possible-world sampling ([`WorldsStrategy`]), carrying
+    /// Monte-Carlo possible-world sampling (`WorldsStrategy`), carrying
     /// the `WITH WORLDS` clause that selected it.
     Worlds(WorldsClause),
 }
@@ -353,7 +353,7 @@ impl PlannedQuery {
     /// Instantiates the chosen strategy. `threads` is the fork-join width
     /// for sampling and for the segment fan-out of large restrictions (it
     /// never changes an answer).
-    pub fn strategy_with_context(&self, threads: usize) -> Box<dyn EvalStrategy> {
+    pub(crate) fn strategy_with_context(&self, threads: usize) -> Box<dyn EvalStrategy> {
         match &self.strategy {
             StrategyKind::Exact => Box::new(ExactStrategy { threads }),
             StrategyKind::Worlds(clause) => Box::new(WorldsStrategy {
@@ -699,10 +699,7 @@ impl fmt::Display for ExplainReport {
 // ---------------------------------------------------------------------------
 
 /// A pluggable evaluation backend executing physical plans.
-pub trait EvalStrategy {
-    /// Short name (`"exact"` / `"worlds"`).
-    fn name(&self) -> &'static str;
-
+pub(crate) trait EvalStrategy {
     /// Parameter description for `EXPLAIN`.
     fn describe(&self) -> String;
 
@@ -712,17 +709,13 @@ pub trait EvalStrategy {
 
 /// Closed-form evaluation over tuple independence.
 #[derive(Debug, Clone, Default)]
-pub struct ExactStrategy {
+pub(crate) struct ExactStrategy {
     /// Fork-join width of the restriction fan-out (0 = one thread per
     /// core); latency only.
     pub threads: usize,
 }
 
 impl EvalStrategy for ExactStrategy {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
     fn describe(&self) -> String {
         "exact (closed forms: Poisson-binomial COUNT, linearity-of-expectation SUM)".into()
     }
@@ -803,7 +796,7 @@ fn project(schema: &Schema, columns: &[String]) -> Result<(Schema, Vec<usize>), 
 /// itself), and each group runs the batched executor — so results stay
 /// bit-identical at every thread count, groups included.
 #[derive(Debug, Clone)]
-pub struct WorldsStrategy {
+pub(crate) struct WorldsStrategy {
     /// The selecting `WITH WORLDS` clause.
     pub clause: WorldsClause,
     /// Fork-join width of sampling and of the restriction fan-out (0 =
@@ -824,10 +817,6 @@ impl WorldsStrategy {
 }
 
 impl EvalStrategy for WorldsStrategy {
-    fn name(&self) -> &'static str {
-        "worlds"
-    }
-
     fn describe(&self) -> String {
         let mut s = format!(
             "worlds (Monte-Carlo, max_worlds={}, seed={}",
@@ -2131,8 +2120,8 @@ mod tests {
             ] {
                 assert!(
                     matches!(strategy.execute(relation, &physical), Err(DbError::Plan(_))),
-                    "{} strategy accepted an invalid plan",
-                    strategy.name()
+                    "{} accepted an invalid plan",
+                    strategy.describe()
                 );
             }
         }
@@ -2207,7 +2196,6 @@ mod tests {
             let planned = plan_sql(sql);
             assert_eq!(planned.strategy, StrategyKind::Exact, "{sql}");
             let strategy = planned.strategy_with_context(0);
-            assert_eq!(strategy.name(), "exact", "{sql}");
             assert_eq!(strategy.describe(), ExactStrategy::default().describe());
         }
     }

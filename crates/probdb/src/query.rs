@@ -8,11 +8,10 @@
 //! are [`ProbTable`]'s own totals) — enough to
 //! express the paper's motivating query ("the probability that Alice
 //! could be found in each of the four rooms"). The planned `SELECT` path,
-//! `TOP` ordering included, runs through [`crate::scan`].
+//! `TOP` ordering included, runs through `crate::scan`.
 
 use crate::error::DbError;
 use crate::scan;
-use crate::schema::Schema;
 use crate::table::ProbTable;
 use crate::value::{Value, ValueKey};
 use std::cmp::Ordering;
@@ -93,15 +92,16 @@ pub type Conjunction = Vec<Comparison>;
 
 /// Name of the pseudo-column addressing tuple probabilities in predicates
 /// over probabilistic relations.
-pub const PROB_PSEUDO_COLUMN: &str = "prob";
+pub(crate) const PROB_PSEUDO_COLUMN: &str = "prob";
 
 /// Evaluates a conjunction against one row (with optional tuple probability
 /// for the `prob` pseudo-column) — the one-row **reference** semantics.
 /// Execution goes through the batch kernel ([`crate::scan`]), which is
 /// property-tested to reproduce this function bit for bit, error order
 /// included.
-pub fn eval_conjunction(
-    schema: &Schema,
+#[cfg(test)]
+pub(crate) fn eval_conjunction(
+    schema: &crate::schema::Schema,
     row: &[Value],
     prob: Option<f64>,
     pred: &Conjunction,
@@ -181,6 +181,7 @@ pub fn most_probable_per_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Schema;
     use crate::value::ColumnType;
 
     /// The paper's Fig. 1 `prob_view`: per-room probabilities at two times.

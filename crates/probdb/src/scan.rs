@@ -108,7 +108,7 @@ impl<'a> Batch<'a> {
     }
 
     /// The rows `range` (batch-local) as a batch of their own.
-    pub fn slice(&self, range: Range<usize>) -> Batch<'a> {
+    pub(crate) fn slice(&self, range: Range<usize>) -> Batch<'a> {
         Batch {
             schema: self.schema,
             columns: self
@@ -128,7 +128,7 @@ impl<'a> Batch<'a> {
     }
 
     /// Column layout of the relation the batch belongs to.
-    pub fn schema(&self) -> &'a Schema {
+    pub(crate) fn schema(&self) -> &'a Schema {
         self.schema
     }
 
@@ -292,8 +292,12 @@ fn compare(batch: &Batch<'_>, sel: Selection, cmp: &Comparison) -> Result<Select
         }
         // Text never compares with a number, under any operator.
         (ColumnSlice::Text(_), _) | (_, Value::Text(_)) => Selection::Span(0..0),
+        // INT against INT compares exactly, as `i64`; any other numeric
+        // pair compares through `as f64`, as `Value::compare` does.
+        (ColumnSlice::Int(col), Value::Int(lit)) => {
+            numeric(sel, col, |v| v, column.ascending, cmp.op, *lit)
+        }
         (ColumnSlice::Int(col), lit) => {
-            // Ints compare through `as f64`, as `Value::compare` does.
             let lit = lit.as_f64().expect("numeric literal");
             numeric(sel, col, |v| v as f64, column.ascending, cmp.op, lit)
         }
@@ -304,27 +308,29 @@ fn compare(batch: &Batch<'_>, sel: Selection, cmp: &Comparison) -> Result<Select
     })
 }
 
-/// A numeric comparison: a binary search when a range operator meets a
-/// still-contiguous selection of an ascending column, one comparison loop
-/// per operator otherwise. NaN on either side satisfies nothing (`!=`
-/// included), exactly like `partial_cmp` returning `None`.
-fn numeric<T: Copy>(
+/// A numeric comparison of `key(v)` against `lit`: a binary search when a
+/// range operator meets a still-contiguous selection of an ascending
+/// column, one comparison loop per operator otherwise. NaN on either side
+/// satisfies nothing (`!=` included), exactly like `partial_cmp` returning
+/// `None`.
+fn numeric<T: Copy, K: PartialOrd + Copy>(
     sel: Selection,
     col: &[T],
-    as_f64: impl Fn(T) -> f64 + Copy,
+    key: impl Fn(T) -> K + Copy,
     ascending: bool,
     op: CmpOp,
-    lit: f64,
+    lit: K,
 ) -> Selection {
     if let (true, Selection::Span(span), false) = (ascending, &sel, op == CmpOp::Ne) {
-        if lit.is_nan() {
+        // Only a NaN literal is unordered against itself.
+        if lit.partial_cmp(&lit).is_none() {
             return Selection::Span(0..0);
         }
-        // `as f64` is monotone, so both predicates are monotone over an
+        // `key` is monotone, so both predicates are monotone over an
         // ascending (NaN-free) run.
         let run = &col[span.clone()];
-        let below = span.start + run.partition_point(|&v| as_f64(v) < lit);
-        let through = span.start + run.partition_point(|&v| as_f64(v) <= lit);
+        let below = span.start + run.partition_point(|&v| key(v) < lit);
+        let through = span.start + run.partition_point(|&v| key(v) <= lit);
         return Selection::Span(match op {
             CmpOp::Lt => span.start..below,
             CmpOp::Le => span.start..through,
@@ -335,17 +341,13 @@ fn numeric<T: Copy>(
         });
     }
     match op {
-        CmpOp::Eq => sel.retain(|i| as_f64(col[i]) == lit),
+        CmpOp::Eq => sel.retain(|i| key(col[i]) == lit),
         // Not `v != lit`: that holds for NaN, which satisfies nothing.
-        CmpOp::Ne => sel.retain(|i| {
-            as_f64(col[i])
-                .partial_cmp(&lit)
-                .is_some_and(Ordering::is_ne)
-        }),
-        CmpOp::Lt => sel.retain(|i| as_f64(col[i]) < lit),
-        CmpOp::Le => sel.retain(|i| as_f64(col[i]) <= lit),
-        CmpOp::Gt => sel.retain(|i| as_f64(col[i]) > lit),
-        CmpOp::Ge => sel.retain(|i| as_f64(col[i]) >= lit),
+        CmpOp::Ne => sel.retain(|i| key(col[i]).partial_cmp(&lit).is_some_and(Ordering::is_ne)),
+        CmpOp::Lt => sel.retain(|i| key(col[i]) < lit),
+        CmpOp::Le => sel.retain(|i| key(col[i]) <= lit),
+        CmpOp::Gt => sel.retain(|i| key(col[i]) > lit),
+        CmpOp::Ge => sel.retain(|i| key(col[i]) >= lit),
     }
 }
 
@@ -541,10 +543,9 @@ pub(crate) fn smallest_k<T>(
 }
 
 /// The row indices a row-returning query emits: `keep` re-ordered by the
-/// `ORDER BY` column (or `prob`) and cut to `limit`. Numbers order by
-/// `f64::total_cmp` (ints through `as f64`, like every other comparison),
-/// text lexicographically; ties go to the row earlier in `keep`. `batch`
-/// must span the whole relation `keep` indexes.
+/// `ORDER BY` column (or `prob`) and cut to `limit`. Ints order as `i64`,
+/// floats by `f64::total_cmp`, text lexicographically; ties go to the row
+/// earlier in `keep`. `batch` must span the whole relation `keep` indexes.
 pub(crate) fn order_rows(
     batch: &Batch<'_>,
     mut keep: Vec<usize>,
@@ -561,7 +562,7 @@ pub(crate) fn order_rows(
     let positions: Vec<usize> = (0..keep.len()).collect();
     let order = match key {
         ColumnSlice::Int(v) => smallest_k(positions, k, |&a, &b| {
-            directed((v[keep[a]] as f64).total_cmp(&(v[keep[b]] as f64))).then(a.cmp(&b))
+            directed(v[keep[a]].cmp(&v[keep[b]])).then(a.cmp(&b))
         }),
         ColumnSlice::Float(v) => smallest_k(positions, k, |&a, &b| {
             directed(v[keep[a]].total_cmp(&v[keep[b]])).then(a.cmp(&b))

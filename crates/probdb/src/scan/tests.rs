@@ -18,6 +18,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const TWO53: i64 = 1 << 53;
+/// A nanosecond timestamp of today's order: the f64 ulp there is 256.
+const NANOS: i64 = 1_700_000_000_000_000_000;
+/// `int_pool().len()`.
+const INTS: usize = 14;
 
 fn int_pool() -> Vec<i64> {
     vec![
@@ -30,6 +34,11 @@ fn int_pool() -> Vec<i64> {
         -TWO53 - 1,
         i64::MAX,
         i64::MIN,
+        -TWO53 + 1,
+        NANOS,
+        NANOS + 1,
+        -NANOS,
+        -NANOS - 1,
     ]
 }
 
@@ -288,7 +297,7 @@ proptest! {
     #[test]
     fn range_predicates_on_the_ascending_column_equal_the_row_reference(
         rows in proptest::collection::vec(
-            (0usize..9, 0usize..10, 0usize..4, 0i64..3, 0.0f64..=1.0),
+            (0usize..INTS, 0usize..10, 0usize..4, 0i64..3, 0.0f64..=1.0),
             0..60,
         ),
         lo in -5i64..40,
@@ -308,10 +317,11 @@ proptest! {
 #[test]
 fn special_values_compare_like_value_compare() {
     // Every pooled cell against every pooled literal under every operator,
-    // one conjunct at a time: ±2^53±1 through `as f64`, NaN on either side,
-    // −0.0 = 0.0, ±∞, text against numbers.
-    let rows: Vec<_> = (0..10)
-        .map(|k| (k % 9, k, k % 4, 1, 0.1 * k as f64))
+    // one conjunct at a time: ±2^53±1 and nanosecond-scale ints exactly
+    // against ints and through `as f64` against floats, NaN on either
+    // side, −0.0 = 0.0, ±∞, text against numbers.
+    let rows: Vec<_> = (0..INTS)
+        .map(|k| (k, k % 10, k % 4, 1, 0.1 * (k % 10) as f64))
         .collect();
     let table = table_of(&rows);
     for column in 0..COLUMN_POOL.len() - 1 {
@@ -326,6 +336,41 @@ fn special_values_compare_like_value_compare() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn int_comparisons_and_order_are_exact_beyond_2_pow_53() {
+    // Three consecutive ints from a base where neighbours share one f64:
+    // `t` ascending (the binary search), `i` descending (the loop).
+    for base in [TWO53, NANOS, -NANOS - 2] {
+        let mut table = ProbTable::new("v", schema());
+        for k in 0..3 {
+            let row = vec![
+                Value::Int(base + 2 - k),
+                Value::Float(0.0),
+                Value::from("a"),
+                Value::Int(base + k),
+            ];
+            table.insert(row, 0.5).unwrap();
+        }
+        for column in ["t", "i"] {
+            let hits = |op, lit: i64| {
+                let plan = plan_of(vec![Comparison::new(column, op, lit)], None);
+                restrict(&table, &plan, 1).unwrap().len()
+            };
+            let at = format!("{column} around {base}");
+            assert_eq!(hits(CmpOp::Eq, base + 1), 1, "{at}");
+            assert_eq!(hits(CmpOp::Ne, base + 1), 2, "{at}");
+            assert_eq!(hits(CmpOp::Lt, base + 1), 1, "{at}");
+            assert_eq!(hits(CmpOp::Le, base + 1), 2, "{at}");
+            assert_eq!(hits(CmpOp::Gt, base), 2, "{at}");
+            assert_eq!(hits(CmpOp::Ge, base + 2), 1, "{at}");
+        }
+        // `ORDER BY i` reverses insertion order; no two rows tie.
+        let order = ("i".to_string(), true);
+        let got = order_rows(&table.batch(), vec![0, 1, 2], Some(&order), None).unwrap();
+        assert_eq!(got, vec![2, 1, 0], "ORDER BY i around {base}");
     }
 }
 
@@ -377,11 +422,7 @@ fn sort_then_truncate(
         "prob" => ValueKey::Float(t.probs()[row]),
         _ => {
             let c = t.schema().index_of(column).unwrap();
-            match t.column(c).values() {
-                // Ints order through `as f64`, like every comparison.
-                ColumnSlice::Int(v) => ValueKey::Float(v[row] as f64),
-                other => other.key(row),
-            }
+            t.column(c).values().key(row)
         }
     };
     let mut order = keep.to_vec();
@@ -411,9 +452,10 @@ proptest! {
         limit in 0usize..5,
         top in 0usize..4,
     ) {
+        // `i` takes 0, 2^53 and 2^53 + 1: the last two share one f64.
         let rows: Vec<_> = rows
             .into_iter()
-            .map(|(i, f, s, step, p)| (i, f, s, step, [0.25, 0.5, 0.5][p]))
+            .map(|(i, f, s, step, p)| ([0, 3, 4][i], f, s, step, [0.25, 0.5, 0.5][p]))
             .collect();
         let table = table_of(&rows);
         let n = table.len();

@@ -59,13 +59,13 @@ impl Schema {
     }
 
     /// Type of a column by name.
-    pub fn type_of(&self, name: &str) -> Result<ColumnType, DbError> {
+    pub(crate) fn type_of(&self, name: &str) -> Result<ColumnType, DbError> {
         Ok(self.columns[self.index_of(name)?].1)
     }
 
     /// Checks a row against the schema without consuming it: the arity
     /// matches and every value fits its column (ints fit float columns).
-    pub fn validate_row(&self, row: &[Value]) -> Result<(), DbError> {
+    pub(crate) fn validate_row(&self, row: &[Value]) -> Result<(), DbError> {
         if row.len() != self.arity() {
             return Err(DbError::ArityMismatch {
                 expected: self.arity(),
@@ -86,7 +86,7 @@ impl Schema {
 
     /// Validates and coerces a row against the schema (ints widen into
     /// float columns).
-    pub fn check_row(&self, row: Vec<Value>) -> Result<Vec<Value>, DbError> {
+    pub(crate) fn check_row(&self, row: Vec<Value>) -> Result<Vec<Value>, DbError> {
         self.validate_row(&row)?;
         Ok(row
             .into_iter()
@@ -97,7 +97,7 @@ impl Schema {
 
     /// Projects this schema onto the named columns (preserving the given
     /// order); returns the new schema and the source indices.
-    pub fn project(&self, names: &[String]) -> Result<(Schema, Vec<usize>), DbError> {
+    pub(crate) fn project(&self, names: &[String]) -> Result<(Schema, Vec<usize>), DbError> {
         let mut cols = Vec::with_capacity(names.len());
         let mut idx = Vec::with_capacity(names.len());
         for n in names {

@@ -88,17 +88,6 @@ pub enum Statement {
     Tail(SelectStmt),
 }
 
-impl Statement {
-    /// Whether executing the statement leaves the database unchanged.
-    ///
-    /// Read-only statements are served by [`crate::Database::query`] with a
-    /// shared `&self` borrow; everything else needs the exclusive write
-    /// path.
-    pub fn is_read_only(&self) -> bool {
-        matches!(self, Statement::Select(_) | Statement::Explain(_))
-    }
-}
-
 /// An aggregate function name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
@@ -221,7 +210,7 @@ pub struct WindowSpec {
 
 impl WindowSpec {
     /// The effective alignment origin (0 when omitted).
-    pub fn origin(&self) -> f64 {
+    pub(crate) fn origin(&self) -> f64 {
         self.origin.unwrap_or(0.0)
     }
 
@@ -229,7 +218,7 @@ impl WindowSpec {
     /// the canonical index `k = ⌊(value − origin) / width⌋`. Every strategy
     /// derives bucket keys through this one function, so exact and
     /// Monte-Carlo evaluation agree on bucket boundaries bit for bit.
-    pub fn bucket_start(&self, value: f64) -> f64 {
+    pub(crate) fn bucket_start(&self, value: f64) -> f64 {
         let origin = self.origin();
         origin + ((value - origin) / self.width).floor() * self.width
     }
@@ -278,15 +267,6 @@ pub struct SelectStmt {
     pub worlds: Option<WorldsClause>,
     /// Optional `WITH SYNOPSIS …`: accepted and answered exactly.
     pub synopsis: Option<SynopsisClause>,
-}
-
-impl SelectStmt {
-    /// Whether the projection contains at least one aggregate expression.
-    pub fn has_aggregates(&self) -> bool {
-        self.projection
-            .iter()
-            .any(|item| matches!(item, SelectItem::Aggregate(_)))
-    }
 }
 
 /// The `WITH WORLDS <n> [SEED <s>] [CONFIDENCE <eps>]` clause.
@@ -1291,7 +1271,6 @@ mod tests {
                 assert_eq!(having.agg, AggExpr::count());
                 assert_eq!(having.op, CmpOp::Ge);
                 assert_eq!(having.value, Value::Int(2));
-                assert!(s.has_aggregates());
             }
             other => panic!("wrong statement: {other:?}"),
         }
@@ -1339,8 +1318,6 @@ mod tests {
         }
         // TAIL without a window has no bucket to close on: rejected.
         assert!(parse("TAIL SELECT COUNT(*) FROM pv").is_err());
-        // And TAIL is not read-only — the shared query path must refuse it.
-        assert!(!parse(sql).unwrap().is_read_only());
     }
 
     #[test]
@@ -1400,7 +1377,6 @@ mod tests {
         // '('; otherwise they are ordinary identifiers.
         match parse("SELECT count, sum FROM t WHERE avg = 1").unwrap() {
             Statement::Select(s) => {
-                assert!(!s.has_aggregates());
                 assert_eq!(
                     s.projection,
                     vec![
@@ -1422,7 +1398,6 @@ mod tests {
             }
             other => panic!("wrong statement: {other:?}"),
         }
-        assert!(parse("EXPLAIN SELECT * FROM pv").unwrap().is_read_only());
         // Only SELECTs can be explained.
         assert!(matches!(
             parse("EXPLAIN DROP TABLE t"),

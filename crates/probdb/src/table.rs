@@ -90,7 +90,7 @@ impl Table {
     }
 
     /// Row `i`.
-    pub fn row(&self, i: usize) -> &[Value] {
+    pub(crate) fn row(&self, i: usize) -> &[Value] {
         &self.rows[i]
     }
 
@@ -130,9 +130,8 @@ impl Table {
 /// pv.insert(vec![Value::Int(1), Value::Int(4)], 0.5).unwrap();
 /// pv.insert(vec![Value::Int(2), Value::Int(3)], 0.25).unwrap();
 ///
-/// // Column-major: a scan reads typed slices (and knows `t` is ordered)…
+/// // Column-major: a scan reads typed slices…
 /// assert_eq!(pv.column(1).values(), ColumnSlice::Int(&[4, 3]));
-/// assert!(pv.column(0).is_ascending());
 /// assert_eq!(pv.probs(), &[0.5, 0.25]);
 /// // …and a row is only materialised on request.
 /// assert_eq!(pv.row(1), vec![Value::Int(2), Value::Int(3)]);

@@ -52,19 +52,14 @@ impl Value {
         }
     }
 
-    /// Text view; `None` for numerics.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// SQL-style comparison: numerics compare numerically across Int/Float;
-    /// text compares lexicographically; mixed text/numeric comparisons are
-    /// undefined (`None`).
-    pub fn compare(&self, other: &Value) -> Option<Ordering> {
+    /// SQL-style comparison: two ints compare exactly, as `i64`; any other
+    /// numeric pair compares through `as f64`; text compares
+    /// lexicographically; mixed text/numeric comparisons are undefined
+    /// (`None`).
+    #[cfg(test)]
+    pub(crate) fn compare(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Text(_), _) | (_, Value::Text(_)) => None,
             _ => {
@@ -77,7 +72,7 @@ impl Value {
 
     /// Whether a value can be stored in a column of type `ty` (ints coerce
     /// into float columns).
-    pub fn fits(&self, ty: ColumnType) -> bool {
+    pub(crate) fn fits(&self, ty: ColumnType) -> bool {
         matches!(
             (self, ty),
             (Value::Int(_), ColumnType::Int)
@@ -88,7 +83,7 @@ impl Value {
     }
 
     /// Coerces into the given column type when [`Value::fits`] allows it.
-    pub fn coerce(self, ty: ColumnType) -> Option<Value> {
+    pub(crate) fn coerce(self, ty: ColumnType) -> Option<Value> {
         match (self, ty) {
             (Value::Int(i), ColumnType::Float) => Some(Value::Float(i as f64)),
             (v, ty) if v.column_type() == ty => Some(v),
@@ -110,7 +105,7 @@ impl Value {
 /// different variants are always distinct (`Int(3)` ≠ `Float(3.0)`), and
 /// equal-bit floats (including NaN of the same sign) coincide.
 #[derive(Debug, Clone, Copy)]
-pub enum ValueKey<'a> {
+pub(crate) enum ValueKey<'a> {
     /// Key of an [`Value::Int`].
     Int(i64),
     /// Key of a [`Value::Float`]; ordered by `f64::total_cmp`.
@@ -154,17 +149,6 @@ impl PartialEq for ValueKey<'_> {
 }
 
 impl Eq for ValueKey<'_> {}
-
-impl Value {
-    /// The canonical grouping key of this value (see [`ValueKey`]).
-    pub fn key(&self) -> ValueKey<'_> {
-        match self {
-            Value::Int(i) => ValueKey::Int(*i),
-            Value::Float(f) => ValueKey::Float(*f),
-            Value::Text(s) => ValueKey::Text(s),
-        }
-    }
-}
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -266,15 +250,15 @@ mod tests {
     #[test]
     fn value_keys_order_and_group_like_the_values() {
         // Same variant: numeric / lexicographic order.
-        assert!(Value::Int(1).key() < Value::Int(2).key());
-        assert!(Value::Float(1.5).key() < Value::Float(2.0).key());
-        assert!(Value::from("a").key() < Value::from("b").key());
+        assert!(ValueKey::Int(1) < ValueKey::Int(2));
+        assert!(ValueKey::Float(1.5) < ValueKey::Float(2.0));
+        assert!(ValueKey::Text("a") < ValueKey::Text("b"));
         // Cross-variant: distinct, ranked Int < Float < Text.
-        assert_ne!(Value::Int(3).key(), Value::Float(3.0).key());
-        assert!(Value::Int(3).key() < Value::Float(3.0).key());
-        assert!(Value::Float(9.0).key() < Value::from("0").key());
+        assert_ne!(ValueKey::Int(3), ValueKey::Float(3.0));
+        assert!(ValueKey::Int(3) < ValueKey::Float(3.0));
+        assert!(ValueKey::Float(9.0) < ValueKey::Text("0"));
         // NaN keys are equal to themselves so NaN rows group together.
-        assert_eq!(Value::Float(f64::NAN).key(), Value::Float(f64::NAN).key());
+        assert_eq!(ValueKey::Float(f64::NAN), ValueKey::Float(f64::NAN));
     }
 
     #[test]

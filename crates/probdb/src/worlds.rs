@@ -34,7 +34,7 @@ use tspdb_stats::parallel::{effective_threads, map_segments};
 /// Each batch consumes its own seeded generator, so the batch size is part
 /// of the reproducibility contract — changing it changes the stream (but
 /// never the thread count's influence, which is zero).
-pub const DEFAULT_BATCH_SIZE: usize = 1024;
+pub(crate) const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// Batches evaluated between two convergence checks. A round is the unit of
 /// parallel fan-out *and* of early termination, so it is a constant rather
@@ -58,7 +58,7 @@ pub struct WorldsConfig {
     pub target_ci: Option<f64>,
     /// Fork-join width (`0` = one per core); never affects the estimate.
     pub threads: usize,
-    /// Worlds per deterministic batch; see [`DEFAULT_BATCH_SIZE`].
+    /// Worlds per deterministic batch; see `DEFAULT_BATCH_SIZE`.
     pub batch_size: usize,
 }
 
@@ -137,7 +137,7 @@ pub struct WorldsResult {
 impl WorldsResult {
     /// Quantile of the sampled count distribution: the smallest count `k`
     /// with `P(count ≤ k) ≥ q` (`q` clamped to `[0, 1]`).
-    pub fn count_quantile(&self, q: f64) -> usize {
+    pub(crate) fn count_quantile(&self, q: f64) -> usize {
         let q = q.clamp(0.0, 1.0);
         let mut cdf = 0.0;
         for (k, &mass) in self.count_distribution.iter().enumerate() {
@@ -398,11 +398,6 @@ impl WorldsExecutor {
             }
         }
         Ok(WorldsExecutor { config })
-    }
-
-    /// The executor's configuration.
-    pub fn config(&self) -> &WorldsConfig {
-        &self.config
     }
 
     /// Samples worlds of `table` restricted to tuples matching `pred` and

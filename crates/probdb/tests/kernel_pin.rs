@@ -140,9 +140,9 @@ fn bits(xs: &[f64]) -> String {
     s
 }
 
-/// The `dist`, `step`, `offset` and `exact` of a [`SumDistribution`],
-/// recovered from its `Debug` rendering (Rust prints floats as the
-/// shortest string that parses back to the same bits).
+/// The `dist`, `step` and `offset` of a [`SumDistribution`], recovered
+/// from its `Debug` rendering (Rust prints floats as the shortest string
+/// that parses back to the same bits), and its `is_exact`.
 fn sum_parts(d: &SumDistribution) -> (Vec<f64>, f64, f64, bool) {
     let s = format!("{d:?}");
     let field = |name: &str| -> &str {
@@ -159,8 +159,7 @@ fn sum_parts(d: &SumDistribution) -> (Vec<f64>, f64, f64, bool) {
         .collect();
     let step = field("step").parse().expect("step");
     let offset = field("offset").parse().expect("offset");
-    let exact = field("exact").parse().expect("exact");
-    (dist, step, offset, exact)
+    (dist, step, offset, d.is_exact())
 }
 
 fn sum_estimate(s: &SumEstimate) -> String {

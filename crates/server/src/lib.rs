@@ -20,7 +20,7 @@
 //!   When a full frame has been buffered the loop hands the decoded
 //!   request (plus the session it belongs to) to a worker; the worker
 //!   runs it against the engine, *encodes the response frame itself*, and
-//!   posts the bytes back through a completion queue + [`poller::Waker`].
+//!   posts the bytes back through a completion queue + `poller::Waker`.
 //!   The loop only ever shuttles buffers.
 //! * **Backpressure** is write-interest registration: a response that
 //!   does not fit the socket buffer parks in the connection's write
@@ -100,7 +100,7 @@ use tspdb_wire::{
 };
 
 /// How the server identifies itself in the handshake.
-pub const SERVER_NAME: &str = concat!("tspdb-server/", env!("CARGO_PKG_VERSION"));
+pub(crate) const SERVER_NAME: &str = concat!("tspdb-server/", env!("CARGO_PKG_VERSION"));
 
 /// The event loop's housekeeping tick: the longest it will sleep in
 /// `epoll_wait` before sweeping timeouts and checking the shutdown flag.

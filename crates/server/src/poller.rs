@@ -12,13 +12,13 @@
 //!   level-triggered: as long as a socket stays readable/writable the
 //!   event re-fires, which keeps the event-loop state machine simple
 //!   (nothing is lost if a handler leaves bytes unconsumed).
-//! * [`Waker`] — an `eventfd` that lets other threads (CPU workers
+//! * `Waker` — an `eventfd` that lets other threads (CPU workers
 //!   finishing a query, a shutdown call) interrupt a blocked
 //!   [`Poller::wait`] from outside.
 //!
 //! The module is deliberately tiny and server-shaped rather than a
 //! general reactor: one loop thread owns the `Poller`, and everything
-//! else talks to it through the [`Waker`].
+//! else talks to it through the `Waker`.
 
 use std::io;
 use std::os::fd::RawFd;
@@ -31,14 +31,14 @@ mod sys {
     use std::io;
     use std::os::fd::RawFd;
 
-    pub const EPOLL_CTL_ADD: i32 = 1;
-    pub const EPOLL_CTL_DEL: i32 = 2;
-    pub const EPOLL_CTL_MOD: i32 = 3;
-    pub const EPOLLIN: u32 = 0x1;
-    pub const EPOLLOUT: u32 = 0x4;
-    pub const EPOLLERR: u32 = 0x8;
-    pub const EPOLLHUP: u32 = 0x10;
-    pub const EPOLLRDHUP: u32 = 0x2000;
+    pub(crate) const EPOLL_CTL_ADD: i32 = 1;
+    pub(crate) const EPOLL_CTL_DEL: i32 = 2;
+    pub(crate) const EPOLL_CTL_MOD: i32 = 3;
+    pub(crate) const EPOLLIN: u32 = 0x1;
+    pub(crate) const EPOLLOUT: u32 = 0x4;
+    pub(crate) const EPOLLERR: u32 = 0x8;
+    pub(crate) const EPOLLHUP: u32 = 0x10;
+    pub(crate) const EPOLLRDHUP: u32 = 0x2000;
     const EPOLL_CLOEXEC: i32 = 0x80000;
     const EFD_CLOEXEC: i32 = 0x80000;
     const EFD_NONBLOCK: i32 = 0x800;
@@ -49,7 +49,7 @@ mod sys {
     #[repr(C)]
     #[cfg_attr(target_arch = "x86_64", repr(packed))]
     #[derive(Clone, Copy)]
-    pub struct EpollEvent {
+    pub(crate) struct EpollEvent {
         pub events: u32,
         pub data: u64,
     }
@@ -64,7 +64,7 @@ mod sys {
         fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
 
-    pub fn epoll_create() -> io::Result<RawFd> {
+    pub(crate) fn epoll_create() -> io::Result<RawFd> {
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if fd < 0 {
             Err(io::Error::last_os_error())
@@ -73,7 +73,7 @@ mod sys {
         }
     }
 
-    pub fn epoll_control(
+    pub(crate) fn epoll_control(
         epfd: RawFd,
         op: i32,
         fd: RawFd,
@@ -89,7 +89,7 @@ mod sys {
         }
     }
 
-    pub fn epoll_wait_events(
+    pub(crate) fn epoll_wait_events(
         epfd: RawFd,
         events: &mut [EpollEvent],
         timeout_ms: i32,
@@ -102,7 +102,7 @@ mod sys {
         }
     }
 
-    pub fn eventfd_create() -> io::Result<RawFd> {
+    pub(crate) fn eventfd_create() -> io::Result<RawFd> {
         let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
         if fd < 0 {
             Err(io::Error::last_os_error())
@@ -111,13 +111,13 @@ mod sys {
         }
     }
 
-    pub fn close_fd(fd: RawFd) {
+    pub(crate) fn close_fd(fd: RawFd) {
         unsafe {
             close(fd);
         }
     }
 
-    pub fn write_u64(fd: RawFd, value: u64) -> io::Result<()> {
+    pub(crate) fn write_u64(fd: RawFd, value: u64) -> io::Result<()> {
         let buf = value.to_ne_bytes();
         let rc = unsafe { write(fd, buf.as_ptr(), buf.len()) };
         if rc < 0 {
@@ -127,7 +127,7 @@ mod sys {
         }
     }
 
-    pub fn read_u64(fd: RawFd) -> io::Result<u64> {
+    pub(crate) fn read_u64(fd: RawFd) -> io::Result<u64> {
         let mut buf = [0u8; 8];
         let rc = unsafe { read(fd, buf.as_mut_ptr(), buf.len()) };
         if rc < 0 {
@@ -260,26 +260,26 @@ impl Drop for Poller {
 /// An `eventfd`-backed wake handle: cheap, clonable-by-`Arc`, safe to use
 /// from any thread to interrupt the loop's [`Poller::wait`].
 #[derive(Debug)]
-pub struct Waker {
+pub(crate) struct Waker {
     fd: RawFd,
 }
 
 impl Waker {
     /// Creates the eventfd (nonblocking, close-on-exec).
-    pub fn new() -> io::Result<Waker> {
+    pub(crate) fn new() -> io::Result<Waker> {
         Ok(Waker {
             fd: sys::eventfd_create()?,
         })
     }
 
     /// The descriptor to register (read interest) with the loop's poller.
-    pub fn as_raw_fd(&self) -> RawFd {
+    pub(crate) fn as_raw_fd(&self) -> RawFd {
         self.fd
     }
 
     /// Wakes the poller. Saturation (`EAGAIN` on a full counter) is fine —
     /// the loop is already guaranteed to wake.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         match sys::write_u64(self.fd, 1) {
             Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
@@ -289,7 +289,7 @@ impl Waker {
 
     /// Drains pending wakes so the level-triggered registration goes
     /// quiet until the next [`Waker::wake`].
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         while sys::read_u64(self.fd).is_ok() {}
     }
 }

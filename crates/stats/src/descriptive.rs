@@ -1,5 +1,5 @@
-//! Descriptive statistics: moments, streaming accumulators, autocovariance,
-//! rolling statistics, histograms and empirical CDFs.
+//! Descriptive statistics: moments, autocovariance, rolling statistics and
+//! histograms.
 //!
 //! These are the building blocks for the paper's variable-thresholding
 //! metric (sample variance over a window), the SVmax learning procedure of
@@ -25,123 +25,16 @@ pub fn sample_variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
 }
 
-/// Population variance (denominator `n`). Returns `NaN` on an empty slice.
-pub fn population_variance(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
 /// Sample standard deviation (square root of [`sample_variance`]).
 pub fn sample_std(xs: &[f64]) -> f64 {
     sample_variance(xs).sqrt()
-}
-
-/// Numerically stable streaming accumulator (Welford's algorithm) for count,
-/// mean, variance and extrema.
-///
-/// Suitable for online-mode processing where values stream in one at a time.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Folds one observation into the accumulator.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Number of observations folded in so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Current mean (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (`NaN` with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`+∞` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`−∞` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel-friendly).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Sample autocovariance at the given lag, normalised by `n` (the standard
 /// biased estimator used by Yule-Walker).
 ///
 /// Returns `NaN` if `lag >= xs.len()`.
-pub fn autocovariance(xs: &[f64], lag: usize) -> f64 {
+pub(crate) fn autocovariance(xs: &[f64], lag: usize) -> f64 {
     let n = xs.len();
     if lag >= n || n == 0 {
         return f64::NAN;
@@ -242,16 +135,6 @@ impl Histogram {
         }
     }
 
-    /// Number of cells.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total observation count.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Adds one observation (values outside `[lo, hi)` clamp to edge cells).
     pub fn push(&mut self, x: f64) {
         let b = self.bin_index(x);
@@ -260,7 +143,7 @@ impl Histogram {
     }
 
     /// Index of the cell that would receive `x`.
-    pub fn bin_index(&self, x: f64) -> usize {
+    pub(crate) fn bin_index(&self, x: f64) -> usize {
         let bins = self.counts.len();
         if x <= self.lo {
             return 0;
@@ -270,11 +153,6 @@ impl Histogram {
         }
         let frac = (x - self.lo) / (self.hi - self.lo);
         ((frac * bins as f64) as usize).min(bins - 1)
-    }
-
-    /// Raw counts per cell.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 
     /// Right edge of cell `b`.
@@ -302,15 +180,6 @@ impl Histogram {
     }
 }
 
-/// Empirical CDF of a sample evaluated at an arbitrary point (exact, not
-/// histogram-approximated): fraction of observations `≤ x`.
-pub fn ecdf(sample: &[f64], x: f64) -> f64 {
-    if sample.is_empty() {
-        return f64::NAN;
-    }
-    sample.iter().filter(|&&v| v <= x).count() as f64 / sample.len() as f64
-}
-
 /// Linear interpolation `lerp(a, b, t)` used by the successive variance
 /// reduction filter when reconstructing deleted points.
 pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
@@ -325,7 +194,6 @@ mod tests {
     fn mean_and_variance_basic() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((population_variance(&xs) - 4.0).abs() < 1e-12);
         assert!((sample_variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
     }
 
@@ -333,42 +201,6 @@ mod tests {
     fn empty_slices_yield_nan() {
         assert!(mean(&[]).is_nan());
         assert!(sample_variance(&[1.0]).is_nan());
-        assert!(population_variance(&[]).is_nan());
-    }
-
-    #[test]
-    fn welford_matches_batch() {
-        let xs = [1.5, -2.0, 3.25, 0.0, 10.0, -7.5, 2.0];
-        let mut rs = RunningStats::new();
-        for &x in &xs {
-            rs.push(x);
-        }
-        assert!((rs.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((rs.variance() - sample_variance(&xs)).abs() < 1e-12);
-        assert_eq!(rs.min(), -7.5);
-        assert_eq!(rs.max(), 10.0);
-        assert_eq!(rs.count(), 7);
-    }
-
-    #[test]
-    fn welford_merge_matches_single_pass() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 5.0).collect();
-        let mut all = RunningStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = RunningStats::new();
-        let mut right = RunningStats::new();
-        for &x in &xs[..40] {
-            left.push(x);
-        }
-        for &x in &xs[40..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - all.mean()).abs() < 1e-12);
-        assert!((left.variance() - all.variance()).abs() < 1e-12);
-        assert_eq!(left.count(), all.count());
     }
 
     #[test]
@@ -460,16 +292,7 @@ mod tests {
         h.push(-5.0);
         h.push(7.0);
         h.push(1.0); // right edge clamps into last cell
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[3], 2);
-        assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn ecdf_basic() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((ecdf(&xs, 2.5) - 0.5).abs() < 1e-12);
-        assert_eq!(ecdf(&xs, 0.0), 0.0);
-        assert_eq!(ecdf(&xs, 4.0), 1.0);
+                     // One value in the first cell, two in the last, none between.
+        assert_eq!(h.cdf(), vec![1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 1.0]);
     }
 }

@@ -6,7 +6,7 @@
 //! [`Density`] enum so downstream components (Ω-view builder, σ-cache,
 //! density distance) can handle either uniformly.
 
-use crate::special::{std_normal_cdf, std_normal_pdf, std_normal_quantile};
+use crate::special::{std_normal_cdf, std_normal_quantile};
 use rand::Rng;
 
 /// Gaussian distribution `N(mean, var)`.
@@ -52,27 +52,22 @@ impl Normal {
     }
 
     /// Variance.
-    pub fn var(&self) -> f64 {
+    pub(crate) fn var(&self) -> f64 {
         self.std * self.std
     }
 
-    /// Probability density at `x` (paper eq. 3 with the metric's parameters).
-    pub fn pdf(&self, x: f64) -> f64 {
-        std_normal_pdf((x - self.mean) / self.std) / self.std
-    }
-
     /// Cumulative probability `P(X ≤ x)`.
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         std_normal_cdf((x - self.mean) / self.std)
     }
 
     /// Quantile function; inverse of [`Normal::cdf`].
-    pub fn quantile(&self, p: f64) -> f64 {
+    pub(crate) fn quantile(&self, p: f64) -> f64 {
         self.mean + self.std * std_normal_quantile(p)
     }
 
     /// Probability mass on the interval `[lo, hi]`.
-    pub fn prob_in(&self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn prob_in(&self, lo: f64, hi: f64) -> f64 {
         if hi <= lo {
             return 0.0;
         }
@@ -108,38 +103,19 @@ impl Uniform {
         Uniform { lo, hi }
     }
 
-    /// Lower bound.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper bound.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
     /// Mean `(lo + hi) / 2`.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         0.5 * (self.lo + self.hi)
     }
 
     /// Variance `(hi − lo)² / 12`.
-    pub fn var(&self) -> f64 {
+    pub(crate) fn var(&self) -> f64 {
         let w = self.hi - self.lo;
         w * w / 12.0
     }
 
-    /// Probability density at `x` (zero outside the support).
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < self.lo || x > self.hi {
-            0.0
-        } else {
-            1.0 / (self.hi - self.lo)
-        }
-    }
-
     /// Cumulative probability `P(X ≤ x)`.
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         if x <= self.lo {
             0.0
         } else if x >= self.hi {
@@ -149,23 +125,12 @@ impl Uniform {
         }
     }
 
-    /// Quantile function; inverse of [`Uniform::cdf`] on `(0, 1)`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "Uniform::quantile: p in [0,1]");
-        self.lo + p * (self.hi - self.lo)
-    }
-
     /// Probability mass on the interval `[lo, hi]`.
-    pub fn prob_in(&self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn prob_in(&self, lo: f64, hi: f64) -> f64 {
         if hi <= lo {
             return 0.0;
         }
         (self.cdf(hi) - self.cdf(lo)).max(0.0)
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        rng.gen_range(self.lo..self.hi)
     }
 }
 
@@ -205,14 +170,6 @@ impl Density {
         self.var().sqrt()
     }
 
-    /// Density function value at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        match self {
-            Density::Uniform(u) => u.pdf(x),
-            Density::Gaussian(n) => n.pdf(x),
-        }
-    }
-
     /// Cumulative probability `P_t(R_t ≤ x)`.
     pub fn cdf(&self, x: f64) -> f64 {
         match self {
@@ -243,13 +200,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn normal_pdf_peak_and_symmetry() {
-        let n = Normal::from_mean_var(2.0, 4.0);
-        assert!((n.pdf(2.0) - 1.0 / (2.0 * (2.0 * std::f64::consts::PI).sqrt())).abs() < 1e-12);
-        assert!((n.pdf(1.0) - n.pdf(3.0)).abs() < 1e-12);
-    }
 
     #[test]
     fn normal_cdf_quantile_round_trip() {

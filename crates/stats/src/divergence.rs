@@ -7,9 +7,8 @@
 //! H²[P_t, P_t'] = 1 − sqrt(2 σ_t σ_t' / (σ_t² + σ_t'²))
 //! ```
 //!
-//! This module provides that quantity, the general unequal-mean form, and
-//! the Kullback–Leibler divergence the paper mentions as the alternative it
-//! rejected (unbounded, hence harder to use as a user-facing constraint).
+//! This module provides that quantity and the ratio bounds built on it; the
+//! general unequal-mean form is kept as the tests' reference.
 
 /// Squared Hellinger distance between two zero-mean (or mean-shifted, per
 /// the paper's argument) Gaussians with standard deviations `s1`, `s2`
@@ -36,20 +35,12 @@ pub fn hellinger_equal_mean(s1: f64, s2: f64) -> f64 {
 /// Reduces to [`hellinger_sq_equal_mean`] when `m1 == m2`, which is what the
 /// paper's mean-shift argument (Fig. 8) exploits: `ρ_λ` is invariant under a
 /// joint shift of the distribution and the Ω lattice.
-pub fn hellinger_sq_normal(m1: f64, s1: f64, m2: f64, s2: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn hellinger_sq_normal(m1: f64, s1: f64, m2: f64, s2: f64) -> f64 {
     assert!(s1 > 0.0 && s2 > 0.0, "hellinger: stds must be positive");
     let v = s1 * s1 + s2 * s2;
     let bc = (2.0 * s1 * s2 / v).sqrt() * (-(m1 - m2) * (m1 - m2) / (4.0 * v)).exp();
     (1.0 - bc).max(0.0)
-}
-
-/// Kullback–Leibler divergence `KL(N(m1,s1²) ‖ N(m2,s2²))` in nats.
-///
-/// Provided for comparison with the Hellinger distance; unbounded above,
-/// which is why the paper prefers Hellinger for user-facing constraints.
-pub fn kl_normal(m1: f64, s1: f64, m2: f64, s2: f64) -> f64 {
-    assert!(s1 > 0.0 && s2 > 0.0, "kl: stds must be positive");
-    (s2 / s1).ln() + (s1 * s1 + (m1 - m2) * (m1 - m2)) / (2.0 * s2 * s2) - 0.5
 }
 
 /// The ratio-threshold bound of the paper's Theorem 1: given a distance
@@ -128,16 +119,6 @@ mod tests {
         let sep = hellinger_sq_normal(0.0, 1.0, 5.0, 1.0);
         assert_eq!(base, 0.0);
         assert!(sep > 0.9, "5σ separation should be nearly maximal: {sep}");
-    }
-
-    #[test]
-    fn kl_zero_iff_identical() {
-        assert!(kl_normal(1.0, 2.0, 1.0, 2.0).abs() < 1e-15);
-        assert!(kl_normal(0.0, 1.0, 3.0, 1.0) > 0.0);
-        // KL is asymmetric — verify we didn't accidentally symmetrise.
-        let a = kl_normal(0.0, 1.0, 0.0, 2.0);
-        let b = kl_normal(0.0, 2.0, 0.0, 1.0);
-        assert!((a - b).abs() > 1e-3);
     }
 
     #[test]

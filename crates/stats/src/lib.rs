@@ -5,17 +5,16 @@
 //!
 //! * [`special`] — error function, gamma family, normal and chi-square
 //!   quantiles (machine-precision class accuracy, no external numerics).
-//! * [`distributions`] — [`distributions::Normal`], [`distributions::Uniform`]
-//!   and the [`distributions::Density`] enum that dynamic density metrics
-//!   emit.
-//! * [`descriptive`] — moments, Welford accumulators, autocovariance,
-//!   rolling statistics, histograms / empirical CDFs.
-//! * [`linalg`] — small dense matrices, Cholesky, Levinson–Durbin.
+//! * `distributions` — [`Normal`], [`Uniform`] and the [`Density`] enum
+//!   that dynamic density metrics emit.
+//! * [`descriptive`] — moments, autocovariance, rolling statistics and
+//!   histograms.
+//! * `linalg` — small dense matrices and Cholesky.
 //! * [`regression`] — ordinary least squares with ridge fallback.
-//! * [`optimize`] — Nelder–Mead simplex and golden-section search.
+//! * [`optimize`] — Nelder–Mead simplex.
 //! * [`divergence`] — Hellinger distance (paper eq. 10) and the Theorem 1/2
 //!   ratio-threshold bounds for the σ-cache.
-//! * [`ordf64`] — totally ordered `f64` for B-tree keyed caches.
+//! * [`OrdF64`] — totally ordered `f64` for B-tree keyed caches.
 //! * [`parallel`] — deterministic fork-join helpers over index ranges
 //!   (shared by the Ω-view builder and the possible-worlds executor).
 //!
@@ -25,12 +24,12 @@
 //! ## Quick start
 //!
 //! ```
-//! use tspdb_stats::distributions::Normal;
+//! use tspdb_stats::{Density, Normal};
 //!
-//! let n = Normal::from_mean_var(0.0, 4.0);
-//! assert!((n.cdf(0.0) - 0.5).abs() < 1e-12);
-//! // quantile inverts cdf to machine-class precision.
-//! assert!((n.quantile(n.cdf(1.3)) - 1.3).abs() < 1e-9);
+//! let d = Density::Gaussian(Normal::from_mean_var(0.0, 4.0));
+//! assert!((d.cdf(0.0) - 0.5).abs() < 1e-12);
+//! // κ = 3 standard deviations hold ≈ 99.73 % of the mass.
+//! assert!((d.prob_in(-6.0, 6.0) - 0.9973).abs() < 1e-4);
 //! ```
 
 #![warn(missing_docs)]
@@ -45,21 +44,19 @@
 )]
 
 pub mod descriptive;
-pub mod distributions;
+pub(crate) mod distributions;
 pub mod divergence;
 pub mod error;
-pub mod linalg;
+pub(crate) mod linalg;
 pub mod optimize;
-pub mod ordf64;
+pub(crate) mod ordf64;
 pub mod parallel;
 pub mod regression;
 pub mod special;
-pub mod student_t;
 
 pub use distributions::{Density, Normal, Uniform};
 pub use error::StatsError;
 pub use ordf64::OrdF64;
-pub use student_t::StudentT;
 
 #[cfg(test)]
 mod proptests {
@@ -116,21 +113,6 @@ mod proptests {
                 let ds = ratio_threshold_for_distance(h);
                 let achieved = hellinger_equal_mean(s, s * ds);
                 prop_assert!(achieved <= h + 1e-9);
-            }
-        }
-    }
-
-    mod welford_props {
-        use crate::descriptive::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn welford_agrees_with_batch(xs in proptest::collection::vec(-1e3f64..1e3, 2..200)) {
-                let mut rs = RunningStats::new();
-                for &x in &xs { rs.push(x); }
-                prop_assert!((rs.mean() - mean(&xs)).abs() < 1e-6);
-                prop_assert!((rs.variance() - sample_variance(&xs)).abs() < 1e-4);
             }
         }
     }

@@ -18,7 +18,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Creates a zero matrix of the given shape.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
@@ -30,7 +30,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(
             data.len(),
             rows * cols,
@@ -40,32 +40,19 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
-    /// Borrow of the underlying row-major storage.
-    pub fn data(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -79,7 +66,8 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul: {}x{} * {}x{}",
@@ -101,7 +89,7 @@ impl Matrix {
     }
 
     /// Matrix-vector product `self * v`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
+    pub(crate) fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec: dimension mismatch");
         let mut out = vec![0.0; self.rows];
         for i in 0..self.rows {
@@ -112,7 +100,7 @@ impl Matrix {
     }
 
     /// Gram matrix `selfᵀ * self` computed without forming the transpose.
-    pub fn gram(&self) -> Matrix {
+    pub(crate) fn gram(&self) -> Matrix {
         let k = self.cols;
         let mut g = Matrix::zeros(k, k);
         for r in 0..self.rows {
@@ -137,7 +125,7 @@ impl Matrix {
     }
 
     /// `selfᵀ * y` for a response vector `y`.
-    pub fn tr_matvec(&self, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn tr_matvec(&self, y: &[f64]) -> Vec<f64> {
         assert_eq!(self.rows, y.len(), "tr_matvec: dimension mismatch");
         let mut out = vec![0.0; self.cols];
         for r in 0..self.rows {
@@ -169,7 +157,7 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 ///
 /// Fails with [`StatsError::NotPositiveDefinite`] when a non-positive pivot
 /// is encountered.
-pub fn cholesky(a: &Matrix) -> Result<Matrix, StatsError> {
+pub(crate) fn cholesky(a: &Matrix) -> Result<Matrix, StatsError> {
     let n = a.rows();
     assert_eq!(n, a.cols(), "cholesky: matrix must be square");
     let mut l = Matrix::zeros(n, n);
@@ -194,7 +182,7 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix, StatsError> {
 
 /// Solves `A x = b` for symmetric positive-definite `A` via Cholesky
 /// (forward then backward substitution).
-pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, StatsError> {
+pub(crate) fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, StatsError> {
     let l = cholesky(a)?;
     let n = l.rows();
     assert_eq!(b.len(), n, "solve_spd: rhs dimension mismatch");
@@ -219,66 +207,9 @@ pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, StatsError> {
     Ok(x)
 }
 
-/// Solves the symmetric Toeplitz system arising from the Yule-Walker
-/// equations via Levinson–Durbin recursion.
-///
-/// `autocov` holds autocovariances `γ_0 .. γ_p`; returns the AR coefficients
-/// `φ_1 .. φ_p` together with the innovation variance.
-pub fn levinson_durbin(autocov: &[f64]) -> Result<(Vec<f64>, f64), StatsError> {
-    if autocov.len() < 2 {
-        return Err(StatsError::InsufficientData {
-            needed: 2,
-            got: autocov.len(),
-        });
-    }
-    let p = autocov.len() - 1;
-    let g0 = autocov[0];
-    if !(g0 > 0.0) {
-        return Err(StatsError::DegenerateInput(
-            "Yule-Walker: zero lag-0 autocovariance (constant series)".into(),
-        ));
-    }
-    let mut phi = vec![0.0; p];
-    let mut prev = vec![0.0; p];
-    let mut v = g0;
-    for k in 0..p {
-        let mut acc = autocov[k + 1];
-        for j in 0..k {
-            acc -= prev[j] * autocov[k - j];
-        }
-        let reflection = acc / v;
-        phi[k] = reflection;
-        for j in 0..k {
-            phi[j] = prev[j] - reflection * prev[k - 1 - j];
-        }
-        v *= 1.0 - reflection * reflection;
-        if !(v > 0.0) {
-            return Err(StatsError::DegenerateInput(
-                "Levinson-Durbin: non-positive prediction variance".into(),
-            ));
-        }
-        prev[..=k].copy_from_slice(&phi[..=k]);
-    }
-    Ok((phi, v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matmul_identity_is_noop() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let i = Matrix::identity(2);
-        assert_eq!(i.matmul(&a), a);
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose()[(2, 1)], 6.0);
-    }
 
     #[test]
     fn gram_matches_explicit_product() {
@@ -318,27 +249,5 @@ mod tests {
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn levinson_durbin_solves_ar2_yule_walker() {
-        // AR(2) with φ = (0.5, 0.3): theoretical autocorrelations satisfy
-        // ρ1 = φ1/(1-φ2), ρ2 = φ1·ρ1 + φ2.
-        let phi1 = 0.5;
-        let phi2 = 0.3;
-        let rho1: f64 = phi1 / (1.0 - phi2);
-        let rho2: f64 = phi1 * rho1 + phi2;
-        let rho3: f64 = phi1 * rho2 + phi2 * rho1;
-        let (phi, v) = levinson_durbin(&[1.0, rho1, rho2, rho3]).unwrap();
-        assert!((phi[0] - phi1).abs() < 1e-10, "phi1 {}", phi[0]);
-        assert!((phi[1] - phi2).abs() < 1e-10, "phi2 {}", phi[1]);
-        // Third coefficient of a true AR(2) must be ≈ 0.
-        assert!(phi[2].abs() < 1e-10, "phi3 {}", phi[2]);
-        assert!(v > 0.0 && v < 1.0);
-    }
-
-    #[test]
-    fn levinson_durbin_rejects_constant_series() {
-        assert!(levinson_durbin(&[0.0, 0.0, 0.0]).is_err());
     }
 }

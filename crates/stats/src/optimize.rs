@@ -174,41 +174,6 @@ impl NelderMead {
     }
 }
 
-/// Golden-section search for a univariate minimum on `[lo, hi]`.
-///
-/// Used by tests and by model-order sweeps where a scalar hyper-parameter is
-/// tuned against a validation criterion.
-pub fn golden_section<F>(mut f: F, lo: f64, hi: f64, tol: f64) -> (f64, f64)
-where
-    F: FnMut(f64) -> f64,
-{
-    assert!(lo < hi, "golden_section: need lo < hi");
-    let inv_phi = (5.0f64.sqrt() - 1.0) / 2.0;
-    let mut a = lo;
-    let mut b = hi;
-    let mut c = b - inv_phi * (b - a);
-    let mut d = a + inv_phi * (b - a);
-    let mut fc = f(c);
-    let mut fd = f(d);
-    while (b - a).abs() > tol {
-        if fc < fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - inv_phi * (b - a);
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + inv_phi * (b - a);
-            fd = f(d);
-        }
-    }
-    let x = 0.5 * (a + b);
-    (x, f(x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,12 +237,5 @@ mod tests {
         let res = nm.minimize(|x| (x[0] + 5.0).powi(2) + 1.0, &[10.0]);
         assert!((res.x[0] + 5.0).abs() < 1e-4);
         assert!((res.fx - 1.0).abs() < 1e-7);
-    }
-
-    #[test]
-    fn golden_section_finds_scalar_minimum() {
-        let (x, fx) = golden_section(|x| (x - 1.7).powi(2) + 0.25, -10.0, 10.0, 1e-8);
-        assert!((x - 1.7).abs() < 1e-6);
-        assert!((fx - 0.25).abs() < 1e-10);
     }
 }

@@ -24,11 +24,6 @@ impl OrdF64 {
         assert!(!v.is_nan(), "OrdF64 cannot hold NaN");
         OrdF64(v)
     }
-
-    /// Returns the wrapped value.
-    pub fn get(self) -> f64 {
-        self.0
-    }
 }
 
 impl Eq for OrdF64 {}
@@ -74,7 +69,7 @@ mod tests {
         for v in [3.0, 1.0, 2.5, -4.0, 0.0] {
             m.insert(OrdF64::new(v), v);
         }
-        let keys: Vec<f64> = m.keys().map(|k| k.get()).collect();
+        let keys: Vec<f64> = m.keys().map(|&k| f64::from(k)).collect();
         assert_eq!(keys, vec![-4.0, 0.0, 1.0, 2.5, 3.0]);
     }
 
@@ -85,7 +80,8 @@ mod tests {
             m.insert(OrdF64::new(v), ());
         }
         // Largest key ≤ 3.0 must be 2.0 (the σ-cache lookup pattern).
-        let below = m.range(..=OrdF64::new(3.0)).next_back().unwrap().0.get();
+        let below = m.range(..=OrdF64::new(3.0)).next_back().unwrap().0;
+        let below = f64::from(*below);
         assert_eq!(below, 2.0);
     }
 

@@ -24,27 +24,6 @@ pub struct OlsFit {
     pub tss: f64,
 }
 
-impl OlsFit {
-    /// Coefficient of determination `R² = 1 − RSS/TSS` (0 when TSS is 0).
-    pub fn r_squared(&self) -> f64 {
-        if self.tss <= 0.0 {
-            0.0
-        } else {
-            (1.0 - self.rss / self.tss).max(0.0)
-        }
-    }
-
-    /// Unbiased residual variance `RSS / (n − k)`; `NaN` when `n ≤ k`.
-    pub fn residual_variance(&self, n_params: usize) -> f64 {
-        let dof = self.residuals.len() as i64 - n_params as i64;
-        if dof <= 0 {
-            f64::NAN
-        } else {
-            self.rss / dof as f64
-        }
-    }
-}
-
 /// Fits `y ≈ X β` by least squares. `x` is the `n×k` design matrix.
 ///
 /// When the Gram matrix is numerically singular, a ridge jitter
@@ -106,7 +85,7 @@ pub fn ols(x: &Matrix, y: &[f64]) -> Result<OlsFit, StatsError> {
 ///
 /// # Panics
 /// Panics if the columns have unequal lengths or no columns are supplied.
-pub fn design_from_columns(cols: &[&[f64]]) -> Matrix {
+pub(crate) fn design_from_columns(cols: &[&[f64]]) -> Matrix {
     assert!(
         !cols.is_empty(),
         "design_from_columns: need at least one column"
@@ -151,7 +130,6 @@ mod tests {
         assert!((fit.beta[0] - 3.0).abs() < 1e-10);
         assert!((fit.beta[1] - 2.0).abs() < 1e-10);
         assert!(fit.rss < 1e-18);
-        assert!((fit.r_squared() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -175,7 +153,6 @@ mod tests {
         assert!((fit.beta[0] - 1.5).abs() < 0.01);
         assert!((fit.beta[1] + 0.7).abs() < 0.01);
         assert!((fit.beta[2] - 0.4).abs() < 0.01);
-        assert!(fit.r_squared() > 0.99);
     }
 
     #[test]

@@ -20,7 +20,7 @@ const FPMIN: f64 = f64::MIN_POSITIVE / EPS;
 ///
 /// # Panics
 /// Panics if `x` is zero or a negative integer (poles of Γ).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_9,
@@ -58,7 +58,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// standard practice.
 ///
 /// Returns values clamped to `[0, 1]`.
-pub fn gammp(a: f64, x: f64) -> f64 {
+pub(crate) fn gammp(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gammp: shape parameter must be positive, got {a}");
     assert!(x >= 0.0, "gammp: argument must be non-negative, got {x}");
     if x == 0.0 {
@@ -75,7 +75,7 @@ pub fn gammp(a: f64, x: f64) -> f64 {
 ///
 /// Evaluated directly by the continued fraction for large `x` to avoid the
 /// catastrophic cancellation `1 − P` would suffer when `P` is close to one.
-pub fn gammq(a: f64, x: f64) -> f64 {
+pub(crate) fn gammq(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gammq: shape parameter must be positive, got {a}");
     assert!(x >= 0.0, "gammq: argument must be non-negative, got {x}");
     if x == 0.0 {
@@ -141,7 +141,7 @@ fn gamma_cont_frac(a: f64, x: f64) -> f64 {
 /// Wilson–Hilferty (or small-`a` heuristic) initial guess refined by
 /// safeguarded Halley iteration (Numerical Recipes style). Accurate to about
 /// `1e-12` relative over the usual range.
-pub fn inv_gammp(p: f64, a: f64) -> f64 {
+pub(crate) fn inv_gammp(p: f64, a: f64) -> f64 {
     assert!(a > 0.0, "inv_gammp: shape parameter must be positive");
     assert!((0.0..=1.0).contains(&p), "inv_gammp: p must be in [0,1]");
     if p >= 1.0 {
@@ -199,7 +199,8 @@ pub fn inv_gammp(p: f64, a: f64) -> f64 {
 
 /// Error function `erf(x) = 2/√π ∫₀ˣ e^{−t²} dt`, accurate to near machine
 /// precision (via the incomplete gamma function: `erf(x) = P(1/2, x²)`).
-pub fn erf(x: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn erf(x: f64) -> f64 {
     if x == 0.0 {
         return 0.0;
     }
@@ -216,7 +217,7 @@ pub fn erf(x: f64) -> f64 {
 /// For positive arguments the upper incomplete gamma function is used
 /// directly so the result stays accurate deep into the tail (`erfc(10) ≈
 /// 2.1e-45` without underflow of intermediate terms).
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x == 0.0 {
         return 1.0;
     }
@@ -232,11 +233,6 @@ pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
 }
 
-/// Standard normal probability density function `φ(x)`.
-pub fn std_normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Inverse of the standard normal CDF (the probit function).
 ///
 /// Acklam's rational approximation (relative error < 1.15e-9) refined with a
@@ -245,7 +241,7 @@ pub fn std_normal_pdf(x: f64) -> f64 {
 ///
 /// # Panics
 /// Panics if `p` is outside `(0, 1)` (the function diverges at 0 and 1).
-pub fn std_normal_quantile(p: f64) -> f64 {
+pub(crate) fn std_normal_quantile(p: f64) -> f64 {
     assert!(
         p > 0.0 && p < 1.0,
         "std_normal_quantile: p must be in (0,1), got {p}"
@@ -302,7 +298,8 @@ pub fn std_normal_quantile(p: f64) -> f64 {
 }
 
 /// CDF of the chi-square distribution with `k` degrees of freedom.
-pub fn chi_square_cdf(x: f64, k: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn chi_square_cdf(x: f64, k: f64) -> f64 {
     assert!(
         k > 0.0,
         "chi_square_cdf: degrees of freedom must be positive"
@@ -324,19 +321,6 @@ pub fn chi_square_quantile(p: f64, k: f64) -> f64 {
         "chi_square_quantile: degrees of freedom must be positive"
     );
     2.0 * inv_gammp(p, k / 2.0)
-}
-
-/// Survival probability of a chi-square test statistic (the p-value of an
-/// observed statistic `x` under `χ²_k`).
-pub fn chi_square_sf(x: f64, k: f64) -> f64 {
-    assert!(
-        k > 0.0,
-        "chi_square_sf: degrees of freedom must be positive"
-    );
-    if x <= 0.0 {
-        return 1.0;
-    }
-    gammq(k / 2.0, x / 2.0)
 }
 
 #[cfg(test)]
@@ -476,15 +460,6 @@ mod tests {
             for &p in &[0.01, 0.25, 0.5, 0.75, 0.99] {
                 let x = chi_square_quantile(p, k);
                 close(chi_square_cdf(x, k), p, 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn chi_square_sf_complements_cdf() {
-        for &x in &[0.5, 2.0, 7.3] {
-            for &k in &[1.0, 3.0, 8.0] {
-                close(chi_square_sf(x, k) + chi_square_cdf(x, k), 1.0, 1e-12);
             }
         }
     }

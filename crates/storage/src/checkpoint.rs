@@ -91,7 +91,7 @@ pub struct CheckpointStats {
 /// The page ids one relation occupies on disk — everything reachable from
 /// its catalog entry's root.
 #[derive(Debug, Clone, Default)]
-pub struct RelationLayout {
+pub(crate) struct RelationLayout {
     /// Leaf page ids, in tuple order.
     pub leaves: Vec<u64>,
     /// Interior-chain page ids, in chain order (empty for an empty
@@ -101,7 +101,7 @@ pub struct RelationLayout {
 
 impl RelationLayout {
     /// All page ids of the layout.
-    pub fn pages(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn pages(&self) -> impl Iterator<Item = u64> + '_ {
         self.leaves.iter().chain(self.interior.iter()).copied()
     }
 }

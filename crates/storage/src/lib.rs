@@ -28,7 +28,7 @@
 //! Tuples are encoded with floats as IEEE-754 bit patterns and replayed
 //! writes go through the same engine write path as live ones, so a tuple
 //! is bit-identical whether it came from the page cache, a cold disk
-//! read, a lazy [`RelationStream`], or a post-crash WAL replay — and
+//! read, a lazy `RelationStream`, or a post-crash WAL replay — and
 //! therefore so is every query fingerprint, at any thread count, for a
 //! fixed query + seed.
 //!
@@ -37,7 +37,7 @@
 //! The commit point of a write is the WAL fsync. The commit point of a
 //! checkpoint is the meta-slot write — issued only after every shadowed
 //! data page is durably fsynced, and carrying the WAL floor so replay
-//! skips records the checkpoint already contains (see [`checkpoint`] for
+//! skips records the checkpoint already contains (see `checkpoint` for
 //! the full protocol). Fault-injection crash points ([`CrashPoint`] on
 //! the WAL path, [`CheckpointCrashPoint`] inside the checkpoint) cut the
 //! write path at each of these windows in tests.
@@ -45,16 +45,17 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod checkpoint;
+pub(crate) mod checkpoint;
 pub mod codec;
-pub mod error;
+pub(crate) mod error;
 pub mod page;
-pub mod pager;
-pub mod wal;
+pub(crate) mod pager;
+pub(crate) mod wal;
 
-pub use checkpoint::{CheckpointCrashPoint, CheckpointSource, CheckpointStats, RelationLayout};
-pub use error::StorageError;
-pub use pager::{Pager, PagerStats, DEFAULT_CACHE_PAGES};
+pub use checkpoint::{CheckpointCrashPoint, CheckpointSource};
+pub(crate) use checkpoint::{CheckpointStats, RelationLayout};
+pub(crate) use error::StorageError;
+pub(crate) use pager::{Pager, PagerStats, DEFAULT_CACHE_PAGES};
 pub use wal::{CrashPoint, JournalOp};
 
 use checkpoint::SlotAllocator;
@@ -85,7 +86,7 @@ const META_SLOTS: u64 = 2;
 /// [`Storage::checkpoint_incremental`], between the data-page fsync and
 /// the meta-slot commit. CI's recovery smoke test uses it to land a
 /// `kill -9` inside an in-flight checkpoint.
-pub const CHECKPOINT_HOLD_ENV: &str = "TSPDB_CHECKPOINT_HOLD_MS";
+pub(crate) const CHECKPOINT_HOLD_ENV: &str = "TSPDB_CHECKPOINT_HOLD_MS";
 
 /// Name of the paged database file inside a data directory.
 pub const DB_FILE: &str = "tspdb.db";
@@ -162,7 +163,7 @@ struct MetaInfo {
 /// serialise on their own mutex and shadow-write only pages unreachable
 /// from the live meta, so concurrent reads of the *current* state stay
 /// valid throughout. One caveat is inherited by anything that streams
-/// lazily ([`Storage::scan_stream`]): a stream outliving **two**
+/// lazily (`Storage::scan_stream`): a stream outliving **two**
 /// checkpoints may observe reused slots; the engine layer prevents this
 /// by excluding checkpoints while queries run (its catalog RwLock).
 #[derive(Debug)]
@@ -268,13 +269,6 @@ impl Storage {
         Ok(last)
     }
 
-    /// Sequence number of the last journaled record — the cheap dirty
-    /// check: a relation whose last-touched sequence is at or below the
-    /// checkpoint floor has nothing new to checkpoint.
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq.load(Ordering::Relaxed)
-    }
-
     /// Commit fsyncs issued by the WAL so far (observable for the group
     /// commit tests: N batched ops move this by 1).
     pub fn wal_fsyncs(&self) -> u64 {
@@ -300,7 +294,7 @@ impl Storage {
     }
 
     /// Whether an injected crash has poisoned this handle.
-    pub fn is_poisoned(&self) -> bool {
+    pub(crate) fn is_poisoned(&self) -> bool {
         self.wal
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -325,10 +319,13 @@ impl Storage {
 
     /// Writes a **full** checkpoint: every relation in `relations` is
     /// rewritten from scratch, everything else is dropped from the
-    /// catalog, and no relation carries lineage. Kept for callers that
-    /// don't track dirtiness; [`Storage::checkpoint_incremental`] is the
-    /// page-granular path.
-    pub fn checkpoint(&self, relations: &[Relation]) -> Result<CheckpointStats, StorageError> {
+    /// catalog, and no relation carries lineage. The tests' shorthand for
+    /// [`Storage::checkpoint_incremental`] with every source a rewrite.
+    #[cfg(test)]
+    pub(crate) fn checkpoint(
+        &self,
+        relations: &[Relation],
+    ) -> Result<CheckpointStats, StorageError> {
         let sources: Vec<CheckpointSource<'_>> =
             relations.iter().map(CheckpointSource::Rewrite).collect();
         self.checkpoint_incremental(&sources, &BTreeMap::new())
@@ -346,7 +343,7 @@ impl Storage {
     /// `lineage` (relation name → statement text), so a derived relation
     /// and its lineage commit together.
     ///
-    /// Protocol (see [`checkpoint`] module docs): data pages go to slots
+    /// Protocol (see `checkpoint` module docs): data pages go to slots
     /// unreachable from the live meta and are fsynced; only then is the
     /// new meta — carrying the WAL floor — committed to the inactive slot
     /// and fsynced; only then is the WAL reset. A crash at any point
@@ -595,7 +592,7 @@ impl Storage {
     /// `None` if the catalog has no such relation. Pages fault in one
     /// leaf at a time through the shared cache — the relation is never
     /// materialised whole.
-    pub fn scan_stream(&self, name: &str) -> Result<Option<RelationStream>, StorageError> {
+    pub(crate) fn scan_stream(&self, name: &str) -> Result<Option<RelationStream>, StorageError> {
         let entry = {
             let dir = self.directory.read().unwrap_or_else(|e| e.into_inner());
             match dir.get(name) {
@@ -662,7 +659,7 @@ impl Storage {
 /// Owns its pager handle, so it can outlive the [`Storage`] call that
 /// opened it.
 #[derive(Debug)]
-pub struct RelationStream {
+pub(crate) struct RelationStream {
     pager: Arc<Pager>,
     /// Leaf page ids not yet decoded, in tuple order.
     leaves: VecDeque<u64>,
@@ -686,13 +683,13 @@ impl RelationStream {
     }
 
     /// The streamed relation's catalog entry.
-    pub fn entry(&self) -> &CatalogEntry {
+    pub(crate) fn entry(&self) -> &CatalogEntry {
         &self.entry
     }
 
     /// Decodes the next leaf, or `None` at end of relation — at which
     /// point the tuples seen must match the catalog's recorded row count.
-    pub fn next_batch(&mut self) -> Result<Option<Batch<'_>>, StorageError> {
+    pub(crate) fn next_batch(&mut self) -> Result<Option<Batch<'_>>, StorageError> {
         let Some(id) = self.leaves.pop_front() else {
             if self.seen as u64 != self.entry.rows {
                 return Err(StorageError::CorruptPage {

@@ -25,14 +25,14 @@ use crate::error::StorageError;
 pub const PAGE_SIZE: usize = 4096;
 
 /// Bytes of header before the payload.
-pub const HEADER_LEN: usize = 24;
+pub(crate) const HEADER_LEN: usize = 24;
 
 /// Payload capacity of one page.
-pub const PAYLOAD_LEN: usize = PAGE_SIZE - HEADER_LEN;
+pub(crate) const PAYLOAD_LEN: usize = PAGE_SIZE - HEADER_LEN;
 
 /// Typed page kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageKind {
+pub(crate) enum PageKind {
     /// Page 0: database magic, version, page count, catalog root.
     Meta,
     /// Catalog directory: one entry per stored relation.
@@ -66,13 +66,13 @@ impl PageKind {
 
 /// One fixed-size page image.
 #[derive(Debug, Clone)]
-pub struct Page {
+pub(crate) struct Page {
     buf: Box<[u8; PAGE_SIZE]>,
 }
 
 impl Page {
     /// A zeroed page of the given kind.
-    pub fn new(kind: PageKind) -> Self {
+    pub(crate) fn new(kind: PageKind) -> Self {
         let mut page = Page {
             buf: vec![0u8; PAGE_SIZE]
                 .into_boxed_slice()
@@ -85,7 +85,7 @@ impl Page {
 
     /// Reconstructs a page from its on-disk image, verifying the checksum
     /// and the kind tag. `id` labels corruption errors.
-    pub fn from_image(id: u64, image: &[u8]) -> Result<Page, StorageError> {
+    pub(crate) fn from_image(id: u64, image: &[u8]) -> Result<Page, StorageError> {
         if image.len() != PAGE_SIZE {
             return Err(StorageError::CorruptPage {
                 page: id,
@@ -118,43 +118,43 @@ impl Page {
     }
 
     /// The page kind.
-    pub fn kind(&self) -> PageKind {
+    pub(crate) fn kind(&self) -> PageKind {
         PageKind::from_tag(self.buf[0]).expect("kind validated at construction")
     }
 
     /// Id of the next page in this chain (`0` = end).
-    pub fn next(&self) -> u64 {
+    pub(crate) fn next(&self) -> u64 {
         u64::from_be_bytes(self.buf[8..16].try_into().expect("8 bytes"))
     }
 
     /// Sets the chain successor.
-    pub fn set_next(&mut self, next: u64) {
+    pub(crate) fn set_next(&mut self, next: u64) {
         self.buf[8..16].copy_from_slice(&next.to_be_bytes());
     }
 
     /// Number of entries in the payload.
-    pub fn count(&self) -> u32 {
+    pub(crate) fn count(&self) -> u32 {
         u32::from_be_bytes(self.buf[16..20].try_into().expect("4 bytes"))
     }
 
     /// Sets the entry count.
-    pub fn set_count(&mut self, count: u32) {
+    pub(crate) fn set_count(&mut self, count: u32) {
         self.buf[16..20].copy_from_slice(&count.to_be_bytes());
     }
 
     /// Payload bytes in use.
-    pub fn used(&self) -> usize {
+    pub(crate) fn used(&self) -> usize {
         u32::from_be_bytes(self.buf[20..24].try_into().expect("4 bytes")) as usize
     }
 
     /// The in-use payload slice.
-    pub fn payload(&self) -> &[u8] {
+    pub(crate) fn payload(&self) -> &[u8] {
         &self.buf[HEADER_LEN..HEADER_LEN + self.used().min(PAYLOAD_LEN)]
     }
 
     /// Replaces the payload (must fit [`PAYLOAD_LEN`]) and records its
     /// length.
-    pub fn set_payload(&mut self, payload: &[u8]) {
+    pub(crate) fn set_payload(&mut self, payload: &[u8]) {
         assert!(
             payload.len() <= PAYLOAD_LEN,
             "payload exceeds page capacity"
@@ -166,7 +166,7 @@ impl Page {
 
     /// Seals the page for writing: computes and stores the checksum, then
     /// returns the full image.
-    pub fn sealed_image(&mut self) -> &[u8; PAGE_SIZE] {
+    pub(crate) fn sealed_image(&mut self) -> &[u8; PAGE_SIZE] {
         self.buf[4..8].fill(0);
         let crc = crc32(&self.buf[..]);
         self.buf[4..8].copy_from_slice(&crc.to_be_bytes());

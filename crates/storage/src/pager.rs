@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Default number of pages the cache may hold (1024 × 4 KiB = 4 MiB).
-pub const DEFAULT_CACHE_PAGES: usize = 1024;
+pub(crate) const DEFAULT_CACHE_PAGES: usize = 1024;
 
 /// Hit/miss counters of one pager (relaxed atomics — diagnostics, not a
 /// consistent snapshot).
@@ -39,7 +39,7 @@ pub struct PagerStats {
 
 /// A page-granular reader over one database file.
 #[derive(Debug)]
-pub struct Pager {
+pub(crate) struct Pager {
     file: Mutex<File>,
     cache: RwLock<HashMap<u64, Arc<Page>>>,
     /// FIFO of resident page ids, used for eviction once `capacity` is
@@ -56,7 +56,7 @@ pub struct Pager {
 
 impl Pager {
     /// Wraps an open database file holding `n_pages` pages.
-    pub fn new(file: File, n_pages: u64, capacity: usize) -> Self {
+    pub(crate) fn new(file: File, n_pages: u64, capacity: usize) -> Self {
         Pager {
             file: Mutex::new(file),
             cache: RwLock::new(HashMap::new()),
@@ -69,20 +69,20 @@ impl Pager {
     }
 
     /// Number of pages in the file.
-    pub fn n_pages(&self) -> u64 {
+    pub(crate) fn n_pages(&self) -> u64 {
         self.n_pages.load(Ordering::Acquire)
     }
 
     /// Grows the addressable page count to `n_pages` (no-op when the file
     /// already reaches it). Called after a checkpoint extends the file.
-    pub fn extend_to(&self, n_pages: u64) {
+    pub(crate) fn extend_to(&self, n_pages: u64) {
         self.n_pages.fetch_max(n_pages, Ordering::AcqRel);
     }
 
     /// Drops the given page ids from the cache. Called after a checkpoint
     /// rewrites free slots in place, so the next read of any rewritten id
     /// refetches the new image; ids never cached are ignored.
-    pub fn invalidate(&self, ids: &[u64]) {
+    pub(crate) fn invalidate(&self, ids: &[u64]) {
         let mut cache = self.cache.write().expect("page cache lock");
         for id in ids {
             cache.remove(id);
@@ -92,7 +92,7 @@ impl Pager {
     }
 
     /// Cache counters.
-    pub fn stats(&self) -> PagerStats {
+    pub(crate) fn stats(&self) -> PagerStats {
         PagerStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -101,7 +101,7 @@ impl Pager {
 
     /// Reads page `id`, serving from the cache when possible. The returned
     /// snapshot is immutable and safe to hold across any later checkpoint.
-    pub fn get(&self, id: u64) -> Result<Arc<Page>, StorageError> {
+    pub(crate) fn get(&self, id: u64) -> Result<Arc<Page>, StorageError> {
         let n_pages = self.n_pages();
         if id >= n_pages {
             return Err(StorageError::CorruptPage {

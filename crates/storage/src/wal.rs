@@ -145,8 +145,8 @@ fn decode_record(payload: &[u8]) -> Result<(u64, JournalOp), DecodeError> {
 }
 
 /// Where the fault-injection harness kills the write path. Each point
-/// models one real crash window; after firing, the [`Wal`] is poisoned and
-/// every later write fails with [`StorageError::Poisoned`] — the process
+/// models one real crash window; after firing, the `Wal` is poisoned and
+/// every later write fails with `StorageError::Poisoned` — the process
 /// is "dead" as far as the storage layer is concerned, and the test
 /// re-opens the directory to recover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,7 +164,7 @@ pub enum CrashPoint {
 
 /// Result of replaying a WAL at open.
 #[derive(Debug)]
-pub struct WalReplay {
+pub(crate) struct WalReplay {
     /// Committed operations with sequence numbers above the checkpoint
     /// floor, in commit order.
     pub ops: Vec<(u64, JournalOp)>,
@@ -178,7 +178,7 @@ pub struct WalReplay {
 
 /// The write-ahead log of one database directory.
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     file: File,
     /// Whether commits fsync (`true` everywhere except throwaway tests).
     fsync: bool,
@@ -195,7 +195,11 @@ impl Wal {
     /// records with sequence numbers above `floor` come back as redo
     /// operations; a torn tail is truncated so later appends start from a
     /// clean end of file.
-    pub fn open(path: &Path, floor: u64, fsync: bool) -> Result<(Wal, WalReplay), StorageError> {
+    pub(crate) fn open(
+        path: &Path,
+        floor: u64,
+        fsync: bool,
+    ) -> Result<(Wal, WalReplay), StorageError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -283,7 +287,7 @@ impl Wal {
     }
 
     /// Arms a fault-injection crash point for the **next** append.
-    pub fn set_crash_point(&mut self, point: Option<CrashPoint>) {
+    pub(crate) fn set_crash_point(&mut self, point: Option<CrashPoint>) {
         self.crash_point = point;
     }
 
@@ -302,7 +306,7 @@ impl Wal {
 
     /// Appends and commits one operation. On success the record is
     /// durable: written in full, checksummed, fsynced.
-    pub fn append(&mut self, seq: u64, op: &JournalOp) -> Result<(), StorageError> {
+    pub(crate) fn append(&mut self, seq: u64, op: &JournalOp) -> Result<(), StorageError> {
         self.commit(Self::encode_record(seq, op))
     }
 
@@ -313,7 +317,11 @@ impl Wal {
     /// suffix is truncated), exactly as if the lost operations had never
     /// been submitted — which is the contract every caller of a streaming
     /// append already lives with.
-    pub fn append_batch(&mut self, start_seq: u64, ops: &[JournalOp]) -> Result<(), StorageError> {
+    pub(crate) fn append_batch(
+        &mut self,
+        start_seq: u64,
+        ops: &[JournalOp],
+    ) -> Result<(), StorageError> {
         if ops.is_empty() {
             return Ok(());
         }
@@ -361,13 +369,13 @@ impl Wal {
     }
 
     /// Commit fsyncs issued so far by the append paths.
-    pub fn fsyncs(&self) -> u64 {
+    pub(crate) fn fsyncs(&self) -> u64 {
         self.fsyncs
     }
 
     /// Truncates the log back to its header (after a checkpoint has made
     /// its contents redundant).
-    pub fn reset(&mut self) -> Result<(), StorageError> {
+    pub(crate) fn reset(&mut self) -> Result<(), StorageError> {
         if self.poisoned {
             return Err(StorageError::Poisoned);
         }
@@ -380,12 +388,12 @@ impl Wal {
     }
 
     /// Bytes of record data currently in the log (header excluded).
-    pub fn len_bytes(&self) -> Result<u64, StorageError> {
+    pub(crate) fn len_bytes(&self) -> Result<u64, StorageError> {
         Ok(self.file.metadata()?.len().saturating_sub(WAL_HEADER_LEN))
     }
 
     /// Whether an injected crash has poisoned this handle.
-    pub fn is_poisoned(&self) -> bool {
+    pub(crate) fn is_poisoned(&self) -> bool {
         self.poisoned
     }
 

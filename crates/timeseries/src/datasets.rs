@@ -11,9 +11,9 @@ use crate::generate::{GpsGenerator, TemperatureGenerator};
 use crate::series::TimeSeries;
 
 /// Number of observations in campus-data (paper Table II: 18031).
-pub const CAMPUS_LEN: usize = 18_031;
+pub(crate) const CAMPUS_LEN: usize = 18_031;
 /// Number of observations in car-data (paper Table II: 10473).
-pub const CAR_LEN: usize = 10_473;
+pub(crate) const CAR_LEN: usize = 10_473;
 
 /// The campus-data stand-in: ambient temperature, 2-minute sampling,
 /// 18,031 observations (≈ 25 days).

@@ -28,11 +28,6 @@ impl Injection {
         self.positions.len()
     }
 
-    /// Whether position `i` holds an injected error.
-    pub fn is_injected(&self, i: usize) -> bool {
-        self.positions.binary_search(&i).is_ok()
-    }
-
     /// Fraction of injected positions present in `detected` — the paper's
     /// "percentage of total erroneous values detected" (Fig. 13a). The
     /// `detected` indices need not be sorted.
@@ -172,7 +167,7 @@ mod tests {
             },
         );
         for i in 0..s.len() {
-            if !inj.is_injected(i) {
+            if inj.positions.binary_search(&i).is_err() {
                 assert_eq!(s.values()[i], inj.series.values()[i]);
             }
         }

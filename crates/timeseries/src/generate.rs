@@ -262,11 +262,6 @@ impl ArmaGarchGenerator {
         }
         TimeSeries::regular("arma_garch", 0, 1, out)
     }
-
-    /// The innovations' unconditional variance `α0 / (1 − α1 − β1)`.
-    pub fn unconditional_variance(&self) -> f64 {
-        self.alpha0 / (1.0 - self.alpha1 - self.beta1)
-    }
 }
 
 /// Simulates a pure Gaussian AR(1) process (homoskedastic — no ARCH
@@ -378,7 +373,8 @@ mod tests {
         assert!((m - theo_mean).abs() < 0.1, "mean {m} vs {theo_mean}");
         // Variance of ARMA(1,1) driven by innovations of variance σ²_a:
         // σ²_a (1 + 2φθ + θ²) / (1 − φ²).
-        let va = g.unconditional_variance();
+        // The innovations' unconditional variance α0 / (1 − α1 − β1).
+        let va = g.alpha0 / (1.0 - g.alpha1 - g.beta1);
         let theo_var =
             va * (1.0 + 2.0 * g.phi * g.theta + g.theta * g.theta) / (1.0 - g.phi * g.phi);
         let sd = sample_std(s.values());

@@ -2,14 +2,12 @@
 //!
 //! Time-series substrate for the `tspdb` workspace:
 //!
-//! * [`series`] — the [`series::TimeSeries`] container (the paper's
-//!   `S = ⟨r_1, …, r_t⟩`) with timestamped access and range extraction.
-//! * [`window`] — iteration over every sliding window `S^H_{t-1}`.
+//! * [`TimeSeries`] — the container for the paper's `S = ⟨r_1, …, r_t⟩`,
+//!   with timestamped access.
 //! * [`generate`] — seeded synthetic generators standing in for the
 //!   paper's proprietary datasets (see DESIGN.md "Substitutions").
 //! * [`errors`] — spike injection replicating the paper's erroneous-value
 //!   insertion procedure (Section VII-B).
-//! * [`io`] — dependency-free CSV import/export.
 //! * [`datasets`] — canned campus-data / car-data constructors and the
 //!   Table II summary.
 //!
@@ -21,7 +19,7 @@
 //! let s = TimeSeries::regular("temp", 0, 1, vec![20.0, 21.5, 19.8]);
 //! assert_eq!(s.len(), 3);
 //! assert_eq!(s.values()[1], 21.5);
-//! assert_eq!(s.window_before(2, 2), Some(&[20.0, 21.5][..]));
+//! assert_eq!(s.timestamps(), &[0, 1, 2]);
 //! ```
 
 #![warn(missing_docs)]
@@ -38,60 +36,6 @@
 pub mod datasets;
 pub mod errors;
 pub mod generate;
-pub mod io;
-pub mod resample;
-pub mod series;
-pub mod window;
+pub(crate) mod series;
 
 pub use series::{Observation, TimeSeries};
-pub use window::{SlidingWindows, WindowStep};
-
-#[cfg(test)]
-mod proptests {
-    use crate::series::TimeSeries;
-    use crate::window::SlidingWindows;
-    use proptest::prelude::*;
-
-    proptest! {
-        #[test]
-        fn window_count_formula(len in 0usize..200, h in 1usize..50) {
-            let s = TimeSeries::regular("x", 0, 1, (0..len).map(|i| i as f64).collect());
-            let count = SlidingWindows::new(&s, h).count();
-            let expected = len.saturating_sub(h);
-            prop_assert_eq!(count, expected);
-        }
-
-        #[test]
-        fn windows_slide_by_one(len in 10usize..100, h in 2usize..8) {
-            let s = TimeSeries::regular("x", 0, 1, (0..len).map(|i| i as f64).collect());
-            let steps: Vec<_> = SlidingWindows::new(&s, h).collect();
-            for pair in steps.windows(2) {
-                // Consecutive windows overlap in all but one element.
-                prop_assert_eq!(&pair[0].window[1..], &pair[1].window[..h - 1]);
-                prop_assert_eq!(pair[0].target_index + 1, pair[1].target_index);
-            }
-        }
-
-        #[test]
-        fn time_range_never_exceeds_bounds(
-            len in 1usize..100,
-            lo in -50i64..150,
-            hi in -50i64..150,
-        ) {
-            let s = TimeSeries::regular("x", 0, 1, (0..len).map(|i| i as f64).collect());
-            let r = s.time_range(lo, hi);
-            for t in r.timestamps() {
-                prop_assert!(*t >= lo && *t <= hi);
-            }
-        }
-
-        #[test]
-        fn csv_round_trip(vals in proptest::collection::vec(-1e6f64..1e6, 1..50)) {
-            let s = TimeSeries::regular("v", 0, 3, vals);
-            let mut buf = Vec::new();
-            crate::io::write_csv(&s, &mut buf).unwrap();
-            let back = crate::io::read_csv(&buf[..]).unwrap();
-            prop_assert_eq!(back, s);
-        }
-    }
-}

@@ -25,15 +25,6 @@ pub struct Observation {
 }
 
 impl TimeSeries {
-    /// Creates an empty series with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeSeries {
-            name: name.into(),
-            timestamps: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
     /// Creates a series from parallel timestamp/value vectors.
     ///
     /// # Panics
@@ -73,11 +64,6 @@ impl TimeSeries {
         }
     }
 
-    /// Series name (used as the default column name in the SQL layer).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of observations.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -88,25 +74,13 @@ impl TimeSeries {
         self.values.is_empty()
     }
 
-    /// Appends an observation.
-    ///
-    /// # Panics
-    /// Panics if `time` does not exceed the last timestamp.
-    pub fn push(&mut self, time: i64, value: f64) {
-        if let Some(&last) = self.timestamps.last() {
-            assert!(time > last, "TimeSeries::push: out-of-order timestamp");
-        }
-        self.timestamps.push(time);
-        self.values.push(value);
-    }
-
     /// The raw values `r_1 .. r_t`.
     pub fn values(&self) -> &[f64] {
         &self.values
     }
 
     /// Mutable access to the values (used by error injection).
-    pub fn values_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
     }
 
@@ -115,37 +89,9 @@ impl TimeSeries {
         &self.timestamps
     }
 
-    /// Observation at positional index `i`.
-    pub fn get(&self, i: usize) -> Option<Observation> {
-        if i < self.len() {
-            Some(Observation {
-                time: self.timestamps[i],
-                value: self.values[i],
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Index of the first observation with timestamp ≥ `t`.
-    pub fn index_at_or_after(&self, t: i64) -> usize {
-        self.timestamps.partition_point(|&ts| ts < t)
-    }
-
     /// Positional sub-range `[start, end)` as a borrowed slice of values.
     pub fn value_slice(&self, start: usize, end: usize) -> &[f64] {
         &self.values[start..end]
-    }
-
-    /// The paper's sliding window `S^H_{t-1} = ⟨r_{t−H}, …, r_{t−1}⟩` for
-    /// the observation at positional index `t`: the `h` values immediately
-    /// *before* index `t`. Returns `None` when fewer than `h` values
-    /// precede `t`.
-    pub fn window_before(&self, t: usize, h: usize) -> Option<&[f64]> {
-        if t > self.len() || t < h || h == 0 {
-            return None;
-        }
-        Some(&self.values[t - h..t])
     }
 
     /// Iterator over observations.
@@ -154,19 +100,6 @@ impl TimeSeries {
             .iter()
             .zip(&self.values)
             .map(|(&time, &value)| Observation { time, value })
-    }
-
-    /// Returns a new series holding the observations with timestamps in
-    /// `[t_lo, t_hi]` (inclusive, matching the paper's `WHERE t >= a AND
-    /// t <= b` semantics).
-    pub fn time_range(&self, t_lo: i64, t_hi: i64) -> TimeSeries {
-        let start = self.index_at_or_after(t_lo);
-        let end = self.timestamps.partition_point(|&ts| ts <= t_hi).max(start);
-        TimeSeries {
-            name: self.name.clone(),
-            timestamps: self.timestamps[start..end].to_vec(),
-            values: self.values[start..end].to_vec(),
-        }
     }
 
     /// Returns a positionally truncated copy with at most `n` leading
@@ -210,52 +143,6 @@ mod tests {
         assert_eq!(s.timestamps(), &[0, 2, 4, 6, 8]);
         assert_eq!(s.len(), 5);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn window_before_matches_paper_definition() {
-        let s = sample();
-        // S^3_{t-1} for t = 4 (0-based): values at indices 1, 2, 3.
-        assert_eq!(s.window_before(4, 3).unwrap(), &[2.0, 3.0, 4.0]);
-        // Not enough history.
-        assert!(s.window_before(2, 3).is_none());
-        // Degenerate window length.
-        assert!(s.window_before(3, 0).is_none());
-        // Full-length window ending before the one-past-the-end index.
-        assert_eq!(s.window_before(5, 5).unwrap(), s.values());
-    }
-
-    #[test]
-    fn push_enforces_order() {
-        let mut s = sample();
-        s.push(10, 6.0);
-        assert_eq!(s.len(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-order")]
-    fn push_rejects_stale_timestamp() {
-        let mut s = sample();
-        s.push(8, 9.9);
-    }
-
-    #[test]
-    fn time_range_is_inclusive() {
-        let s = sample();
-        let r = s.time_range(2, 6);
-        assert_eq!(r.values(), &[2.0, 3.0, 4.0]);
-        assert_eq!(r.timestamps(), &[2, 4, 6]);
-        // Empty range.
-        assert!(s.time_range(100, 200).is_empty());
-    }
-
-    #[test]
-    fn index_at_or_after_bisects() {
-        let s = sample();
-        assert_eq!(s.index_at_or_after(0), 0);
-        assert_eq!(s.index_at_or_after(3), 2);
-        assert_eq!(s.index_at_or_after(4), 2);
-        assert_eq!(s.index_at_or_after(9), 5);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use tspdb_probdb::codec::{
     decode_column_type, decode_schema, decode_value, encode_column_type, encode_schema,
     encode_value, seq_buffer, DecodeError, SEQ_PREALLOC_CAP,
 };
-pub use tspdb_probdb::codec::{Decoder, Encoder};
+pub(crate) use tspdb_probdb::codec::{Decoder, Encoder};
 use tspdb_probdb::plan::{AggValue, AggregateGroup, AggregateResult, ExplainReport};
 use tspdb_probdb::sql::{AggExpr, AggFunc, HavingClause};
 use tspdb_probdb::{

@@ -1,9 +1,9 @@
 //! # tspdb-wire
 //!
 //! The versioned, length-prefixed binary wire protocol shared by
-//! `tspdb-server` and `tspdb-client`: a [`codec`] turning every
+//! `tspdb-server` and `tspdb-client`: a `codec` turning every
 //! query-result type the database produces into deterministic bytes, and
-//! [`frame`]s carrying requests (handshake, `Query`, `Prepare` /
+//! `frame`s carrying requests (handshake, `Query`, `Prepare` /
 //! `Execute` / `CloseStatement`, the session `SetWorldsThreads` knob,
 //! `Tail` / `TailStop` continuous-query subscriptions, `Close`) and
 //! responses (typed results for every [`tspdb_probdb::QueryOutput`]
@@ -32,12 +32,10 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod codec;
-pub mod frame;
+pub(crate) mod codec;
+pub(crate) mod frame;
 
-pub use codec::{
-    canonical_result_bytes, decode_message, encode_message, Decoder, Encoder, Wire, WireError,
-};
+pub use codec::{canonical_result_bytes, decode_message, encode_message, Wire, WireError};
 pub use frame::{
     read_frame, write_frame, Request, Response, StatementId, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };

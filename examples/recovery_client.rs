@@ -10,8 +10,9 @@
 //!   a density view over them. Idempotent-unsafe by design: loading twice
 //!   fails on the duplicate table, which is exactly what the smoke job
 //!   wants (a recovered server must already hold the data).
-//! * `dirty` — append fresh deterministic rows to the raw table, so the
-//!   next boot's checkpoint has append pages to shadow-write (the CI job
+//! * `dirty` — append fresh deterministic rows to the raw table (and so to
+//!   the view over it), so the next boot's checkpoint has append pages to
+//!   shadow-write (the CI job
 //!   kills the server *inside* that checkpoint via
 //!   `TSPDB_CHECKPOINT_HOLD_MS`).
 //! * `probe` — run the query battery and print one
@@ -85,10 +86,18 @@ fn main() {
             println!("loaded rec_raw + rec_pv into {addr}");
         }
         "dirty" => {
-            // Timestamps far past the loaded data: the rows are a pure
-            // append and never perturb the view's original window range.
+            // Timestamps past everything stored (and far past the loaded
+            // data): every call is a pure append, which the INSERT also
+            // maintains into rec_pv, whose source needs distinct times.
+            let latest = client
+                .query("SELECT t FROM rec_raw ORDER BY t DESC LIMIT 1")
+                .unwrap_or_else(|e| panic!("dirty: reading the latest t failed: {e}"));
+            let start = latest
+                .rows()
+                .and_then(|t| t.rows().first()?.first()?.as_i64())
+                .map_or(100_000, |t| (t + 1).max(100_000));
             let values: Vec<String> = (0..64)
-                .map(|i| format!("({}, {:.6})", 100_000 + i, 15.0 + i as f64 * 0.125))
+                .map(|i| format!("({}, {:.6})", start + i, 15.0 + i as f64 * 0.125))
                 .collect();
             let sql = format!("INSERT INTO rec_raw VALUES {}", values.join(", "));
             client

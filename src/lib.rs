@@ -12,7 +12,7 @@
 //! This facade crate re-exports the workspace members under stable paths:
 //!
 //! * [`stats`] — special functions, distributions, regression, optimisation.
-//! * [`timeseries`] — series containers, generators, datasets, CSV I/O.
+//! * [`timeseries`] — series containers, generators, datasets.
 //! * [`models`] — ARMA / GARCH / Kalman estimation, ARCH-effect test.
 //! * [`probdb`] — tuple-independent tables, probabilistic operators, SQL.
 //! * [`core`] — the paper's contribution: metrics, Ω-views, σ-cache.

@@ -170,8 +170,8 @@ fn fig15_shape_volatility_test_rejects_iid() {
     // critical value).
     for m in [1usize, 2, 3] {
         let crit = chi_square_quantile(1.0 - alpha, m as f64);
-        let (phi_campus, _) = mean_statistic_over_windows(&campus, h, 20, m, alpha).unwrap();
-        let (phi_car, _) = mean_statistic_over_windows(&car, h, 20, m, alpha).unwrap();
+        let (phi_campus, _) = mean_statistic_over_windows(&campus, h, 20, m).unwrap();
+        let (phi_car, _) = mean_statistic_over_windows(&car, h, 20, m).unwrap();
         assert!(
             phi_campus > crit,
             "m {m}: campus Φ {phi_campus} ≤ χ² {crit}"
