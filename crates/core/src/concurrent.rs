@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use tspdb_probdb::{
-    Batch, CmpOp, Column, ColumnType, Conjunction, Database, DbError, DensityViewSpec,
+    Batch, CmpOp, Column, ColumnSlice, ColumnType, Conjunction, Database, DbError, DensityViewSpec,
     PlannedQuery, Planner, QueryOutput, Relation, ScanSource, Schema, Statement, Table, Value,
 };
 use tspdb_stats::Density;
@@ -336,18 +336,12 @@ impl SharedEngine {
                 Ok(QueryOutput::None)
             }
             Statement::Insert { table, rows } => {
-                // An INSERT appends to its table exactly as a streamed
-                // batch does, so its dependent Ω-views are maintained the
-                // same way — here, and again when WAL replay re-applies it.
-                let inserted = rows.len();
-                let out = catalog
-                    .execute_parsed(Statement::Insert {
-                        table: table.clone(),
-                        rows,
-                    })
-                    .map_err(CoreError::from)?;
-                self.maintain_dependent_views(catalog, &table, inserted)?;
-                Ok(out)
+                // A replayed INSERT appends to its table exactly as a
+                // streamed batch does, so its dependent Ω-views are
+                // maintained the same way (the live path lands it so too).
+                let columns = catalog.check_rows(&table, rows)?;
+                self.apply_op(catalog, &JournalOp::AppendRows { table, columns })?;
+                Ok(QueryOutput::None)
             }
             other => {
                 let dropped = match &other {
@@ -604,12 +598,28 @@ impl SharedEngine {
             _ => None,
         };
         let mut catalog = self.catalog.write().expect("catalog lock poisoned");
-        if let Some(storage) = &self.storage {
-            storage
+        let journal = || match &self.storage {
+            Some(storage) => storage
                 .log(&JournalOp::Sql(sql.to_string()))
-                .map_err(DbError::from)?;
-        }
-        let out = self.apply_locked(&mut catalog, stmt, prebuilt)?;
+                .map(drop)
+                .map_err(|e| CoreError::from(DbError::from(e))),
+            None => Ok(()),
+        };
+        let out = match stmt {
+            // An INSERT is checked whole before it is journaled: its cells
+            // against the schema, its times against the dependent views.
+            Statement::Insert { table, rows } => {
+                let columns = catalog.check_rows(&table, rows)?;
+                self.admit_append(&catalog, &table, &columns, &[])?;
+                journal()?;
+                self.apply_op(&mut catalog, &JournalOp::AppendRows { table, columns })?;
+                QueryOutput::None
+            }
+            stmt => {
+                journal()?;
+                self.apply_locked(&mut catalog, stmt, prebuilt)?
+            }
+        };
         if let Some(storage) = &self.storage {
             if storage.wal_bytes().map_err(DbError::from)? >= WAL_AUTOCHECKPOINT_BYTES {
                 self.checkpoint_locked(&mut catalog, storage)?;
@@ -650,9 +660,23 @@ impl SharedEngine {
         let mut first_err: Option<CoreError> = None;
         let mut ops = Vec::with_capacity(batches.len());
         for (table, rows) in batches {
-            match catalog.check_rows(&table, rows) {
+            let checked = catalog.check_rows(&table, rows).map_err(CoreError::from);
+            let admitted = checked.and_then(|columns| {
+                let pending: Vec<&[Column]> = ops
+                    .iter()
+                    .filter_map(|op| match op {
+                        JournalOp::AppendRows { table: t, columns } if *t == table => {
+                            Some(columns.as_slice())
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                self.admit_append(&catalog, &table, &columns, &pending)?;
+                Ok(columns)
+            });
+            match admitted {
                 Ok(columns) => ops.push(JournalOp::AppendRows { table, columns }),
-                Err(e) => first_err = first_err.or(Some(e.into())),
+                Err(e) => first_err = first_err.or(Some(e)),
             }
         }
         if let Some(storage) = &self.storage {
@@ -674,6 +698,80 @@ impl SharedEngine {
             Some(e) => Err(e),
             None => Ok(appended),
         }
+    }
+
+    /// Refuses an append that an Ω-view derived from `source` could not
+    /// absorb: one whose rows repeat a time, among themselves or against
+    /// the rows `source` holds and the `pending` batches of the same write
+    /// land ahead of them. Maintaining such a view means rebuilding it,
+    /// and the rebuild fails on the repeated time. Checked before the
+    /// journal, a refused append lands nothing and the view keeps its
+    /// model. O(batch) on the maintenance fast path — the view's model
+    /// accounts for every source row and the batch is a strict suffix in
+    /// time — and O(source rows) otherwise, like the rebuild it stands in
+    /// for.
+    fn admit_append(
+        &self,
+        catalog: &Database,
+        source: &str,
+        columns: &[Column],
+        pending: &[&[Column]],
+    ) -> Result<(), CoreError> {
+        let lineage = self.lineage.lock().unwrap_or_else(|e| e.into_inner());
+        for entry in lineage.values() {
+            if entry.spec.source_table != source {
+                continue;
+            }
+            let table = catalog.table(source)?;
+            let time_column = &entry.spec.time_column;
+            let Ok(c) = table.schema().index_of(time_column) else {
+                continue;
+            };
+            let times = |columns: &[Column]| match columns[c].values() {
+                ColumnSlice::Int(times) => times.to_vec(),
+                _ => Vec::new(),
+            };
+            let fresh = times(columns);
+            let earlier: Vec<i64> = pending.iter().flat_map(|p| times(p)).collect();
+            let held = || table.rows().iter().filter_map(move |row| row[c].as_i64());
+            let held_max = match &entry.model {
+                Some(model) if model.source_rows == table.len() => {
+                    model.tail.last().map(|&(t, _)| t)
+                }
+                _ => held().max(),
+            };
+            let ahead_max = held_max.max(earlier.iter().copied().max());
+            let suffix = fresh.windows(2).all(|w| w[0] < w[1])
+                && fresh
+                    .first()
+                    .is_none_or(|&first| ahead_max.is_none_or(|max| first > max));
+            if suffix {
+                continue;
+            }
+            let mut ahead: Vec<i64> = held().chain(earlier).collect();
+            ahead.sort_unstable();
+            let mut sorted = fresh.clone();
+            sorted.sort_unstable();
+            let repeated = sorted
+                .windows(2)
+                .find(|w| w[0] == w[1])
+                .map(|w| w[0])
+                .or_else(|| {
+                    fresh
+                        .iter()
+                        .copied()
+                        .find(|t| ahead.binary_search(t).is_ok())
+                });
+            if let Some(t) = repeated {
+                return Err(DbError::ViewBuild(format!(
+                    "append to {source} refused: {time_column} = {t} repeats, and view {} \
+                     needs distinct times",
+                    entry.spec.view_name
+                ))
+                .into());
+            }
+        }
+        Ok(())
     }
 
     /// Brings every Ω-view derived from `source` up to date after
@@ -1576,6 +1674,93 @@ mod tests {
             .unwrap();
         let sql = "SELECT * FROM pv";
         assert_eq!(engine2.query(sql).unwrap(), twin.query(sql).unwrap());
+    }
+
+    /// An append that repeats a time cannot be absorbed by the view over
+    /// its source, so it is refused before the journal: no row lands, the
+    /// WAL is untouched, the view keeps its tuples and its model (the next
+    /// good append takes the append path), and a reopen agrees.
+    #[test]
+    fn appends_a_dependent_view_cannot_absorb_are_refused_before_the_journal() {
+        let dir = TempDir::new();
+        let engine = SharedEngine::open_persistent(&dir.0, direct_config()).unwrap();
+        engine
+            .execute("CREATE TABLE raw_values (t INT, r FLOAT)")
+            .unwrap();
+        engine
+            .append_rows("raw_values", synthetic_rows(0..100))
+            .unwrap();
+        engine.execute(PV_SQL).unwrap();
+        let storage = Arc::clone(engine.storage().unwrap());
+        let pv_bytes = |engine: &SharedEngine| {
+            tspdb_wire::canonical_result_bytes(&engine.query("SELECT * FROM pv").unwrap())
+        };
+        let source_len = |engine: &SharedEngine| engine.read().table("raw_values").unwrap().len();
+        let (view, wal) = (pv_bytes(&engine), storage.wal_bytes().unwrap());
+
+        let refused = |what: &str, out: Result<usize, CoreError>| {
+            let err = out.unwrap_err();
+            assert!(
+                matches!(&err, CoreError::Db(DbError::ViewBuild(msg)) if msg.contains("repeats")),
+                "{what}: {err:?}"
+            );
+        };
+        refused(
+            "a batch repeating the newest time",
+            engine.append_rows("raw_values", synthetic_rows(99..101)),
+        );
+        let mut repeats_itself = synthetic_rows(100..104);
+        repeats_itself.extend(synthetic_rows(102..103));
+        refused(
+            "a batch repeating a time within itself",
+            engine.append_rows("raw_values", repeats_itself),
+        );
+        refused(
+            "an INSERT backfilling a held time",
+            engine
+                .execute("INSERT INTO raw_values VALUES (5, 20.0)")
+                .map(|_| 0),
+        );
+        assert_eq!(source_len(&engine), 100, "a refused append landed rows");
+        assert!(
+            pv_bytes(&engine) == view,
+            "a refused append changed the view"
+        );
+        assert_eq!(
+            storage.wal_bytes().unwrap(),
+            wal,
+            "a refused append reached the WAL"
+        );
+
+        // Within one flush a batch is checked against the batches ahead of
+        // it: the second repeats the first's newest time and is refused,
+        // while the first lands on the append path.
+        refused(
+            "a batch repeating a time of the batch ahead of it",
+            engine.append_batches(vec![
+                ("raw_values".into(), synthetic_rows(100..103)),
+                ("raw_values".into(), synthetic_rows(102..104)),
+            ]),
+        );
+        assert_eq!(source_len(&engine), 103);
+        assert_eq!(
+            engine.last_maintenance("pv").map(|m| m.path),
+            Some(MaintenancePath::Appended),
+            "the view lost its model"
+        );
+        engine
+            .append_rows("raw_values", synthetic_rows(103..110))
+            .unwrap();
+        assert_eq!(
+            engine.last_maintenance("pv").map(|m| m.path),
+            Some(MaintenancePath::Appended)
+        );
+        let twin = engine_with_rows(direct_config(), 110);
+        assert!(pv_bytes(&engine) == pv_bytes(&twin));
+        drop(engine);
+        let reopened = SharedEngine::open_persistent(&dir.0, direct_config()).unwrap();
+        assert_eq!(source_len(&reopened), 110);
+        assert!(pv_bytes(&reopened) == pv_bytes(&twin));
     }
 
     #[test]
