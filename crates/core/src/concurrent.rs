@@ -2229,20 +2229,27 @@ mod tests {
         let agg = out.aggregate().unwrap();
         assert_eq!(agg.strategy, "exact");
         assert_eq!(agg.groups.len(), 90);
-        // The MC strategy answers the same plan within tolerance.
+        // `WITH WORLDS` answers an expectation exactly, and samples the
+        // `HAVING` event of the same plan to within tolerance.
         let mc = e
             .query("SELECT COUNT(*) FROM pv WITH WORLDS 4000 SEED 5")
             .unwrap();
-        let mc = mc.aggregate().unwrap();
         let exact = e.query("SELECT COUNT(*) FROM pv").unwrap();
+        assert_eq!(mc, exact);
+        let having = "SELECT COUNT(*) FROM pv HAVING COUNT(*) >= 88";
+        let mc = e
+            .query(&format!("{having} WITH WORLDS 4000 SEED 5"))
+            .unwrap();
+        let (mc, exact) = (mc.aggregate().unwrap(), e.query(having).unwrap());
         let exact = exact.aggregate().unwrap();
-        let tol = 4.0 * mc.groups[0].values[0].ci_half_width.unwrap() + 1e-3;
-        assert!(
-            (mc.groups[0].values[0].value - exact.groups[0].values[0].value).abs() <= tol,
-            "MC {} vs exact {}",
-            mc.groups[0].values[0].value,
-            exact.groups[0].values[0].value
+        assert_eq!(mc.strategy, "worlds");
+        assert_eq!(mc.groups[0].values, exact.groups[0].values);
+        let (mp, ep) = (
+            mc.groups[0].event_probability.unwrap(),
+            exact.groups[0].event_probability.unwrap(),
         );
+        let tol = 4.0 * (ep * (1.0 - ep) / 4000.0).sqrt() + 1e-3;
+        assert!((mp - ep).abs() <= tol, "MC {mp} vs exact {ep}");
         // EXPLAIN reports the plan without executing it.
         let report = e
             .execute("EXPLAIN SELECT t, COUNT(*) FROM pv GROUP BY t")

@@ -5,7 +5,7 @@
 //! dispatched**: the statement is handed to [`Planner::plan`], which builds
 //! a logical/physical plan and picks an evaluation strategy
 //! ([`crate::plan::ExactStrategy`], or [`crate::plan::WorldsStrategy`]
-//! under `WITH WORLDS`); the catalog's job shrinks to resolving the
+//! for what `WITH WORLDS` samples); the catalog's job shrinks to resolving the
 //! scanned relation and running the chosen strategy. `EXPLAIN` returns
 //! the plan instead of running it.
 //!
@@ -626,7 +626,7 @@ impl Database {
         &self,
         planned: &'p PlannedQuery,
     ) -> Result<Option<(RelationSnapshot, Cow<'p, PhysicalPlan>)>, DbError> {
-        use crate::plan::{PhysicalAction, StrategyKind};
+        use crate::plan::PhysicalAction;
 
         let plan = &planned.physical;
         let name = &plan.table;
@@ -645,7 +645,7 @@ impl Database {
             };
             Ok(Some((snapshot, plan)))
         };
-        let worlds = matches!(planned.strategy, StrategyKind::Worlds(_));
+        let worlds = planned.strategy.probabilistic_only();
         if !stream.probabilistic() && (plan.threshold.is_some() || plan.top.is_some() || worlds) {
             // The strategies reject THRESHOLD/TOP/WITH WORLDS on
             // deterministic relations *before* evaluating any predicate;

@@ -22,7 +22,7 @@
 //! * [`plan`] — the query planner: [`plan::LogicalPlan`] trees lowered to
 //!   [`plan::PhysicalPlan`]s and executed by a pluggable
 //!   evaluation strategy (exact closed forms, or the Monte-Carlo worlds
-//!   backend under `WITH WORLDS`).
+//!   backend for a row domain or a `HAVING` event under `WITH WORLDS`).
 //! * `catalog` — the in-memory [`Database`] executing
 //!   statements; `SELECT`s are planned then executed, density views are
 //!   delegated to a handler supplied by the engine layer (`tspdb-core`).

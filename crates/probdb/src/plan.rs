@@ -18,15 +18,21 @@
 //!   aggregates).
 //! * `EvalStrategy` is the pluggable evaluation backend.
 //!   `ExactStrategy` answers with closed forms over tuple independence
-//!   (Poisson-binomial `COUNT`, linearity-of-expectation `SUM`, the
-//!   sum-distribution DP for `HAVING SUM`); `WorldsStrategy` answers by
-//!   Monte-Carlo possible-world sampling (selected by `WITH WORLDS`),
-//!   inheriting the executor's bit-identical determinism at every thread
-//!   count. `WITH SYNOPSIS [BUCKETS b] [MAXERROR e]` is accepted and
-//!   planned onto `ExactStrategy`: an exact answer meets any error bound.
+//!   (linearity of expectation for `COUNT` / `SUM` / `AVG` / `EXPECTED`,
+//!   the Poisson-binomial DP for `HAVING COUNT`, the sum-distribution DP
+//!   for `HAVING SUM`); `WorldsStrategy` answers by Monte-Carlo
+//!   possible-world sampling, inheriting the executor's bit-identical
+//!   determinism at every thread count. `WITH WORLDS` selects it only for
+//!   what has no cheap closed form: the row-level domain estimate and a
+//!   `HAVING` event. An aggregate without `HAVING` is planned onto
+//!   `ExactStrategy`, and under `WorldsStrategy` the aggregate values of a
+//!   `HAVING` statement are the same closed forms; only the event is
+//!   sampled. `WITH SYNOPSIS [BUCKETS b] [MAXERROR e]` is accepted and
+//!   planned onto `ExactStrategy` too: an exact answer meets any error
+//!   bound.
 //!
-//! Both strategies evaluate the *same* plans, so every aggregate admits an
-//! exact-vs-MC differential test, and every future operator
+//! Both strategies evaluate the *same* plans, so every sampled event
+//! admits an exact-vs-MC differential test, and every future operator
 //! (joins, windows, parallel scans) becomes a plan node instead of another
 //! `match` arm in the catalog.
 
@@ -41,7 +47,7 @@ use crate::sql::{
 };
 use crate::table::{ProbTable, Table};
 use crate::value::Value;
-use crate::worlds::{mix_seed, SumEstimate, SumEventSpec, WorldsConfig, WorldsExecutor};
+use crate::worlds::{mix_seed, SumEventSpec, WorldsConfig, WorldsExecutor};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -331,10 +337,31 @@ impl fmt::Display for PhysicalPlan {
 #[derive(Debug, Clone, PartialEq)]
 pub enum StrategyKind {
     /// Closed forms (`ExactStrategy`).
-    Exact,
+    Exact {
+        /// Set when a `WITH WORLDS` clause was planned onto closed forms
+        /// (an aggregate without `HAVING`): the clause still requires a
+        /// probabilistic relation.
+        probabilistic_only: bool,
+    },
     /// Monte-Carlo possible-world sampling (`WorldsStrategy`), carrying
     /// the `WITH WORLDS` clause that selected it.
     Worlds(WorldsClause),
+}
+
+impl StrategyKind {
+    /// Closed forms over any relation: what a statement without `WITH
+    /// WORLDS` runs on.
+    pub const EXACT: StrategyKind = StrategyKind::Exact {
+        probabilistic_only: false,
+    };
+
+    /// Whether the strategy refuses a deterministic relation.
+    pub(crate) fn probabilistic_only(&self) -> bool {
+        match self {
+            StrategyKind::Exact { probabilistic_only } => *probabilistic_only,
+            StrategyKind::Worlds(_) => true,
+        }
+    }
 }
 
 /// A fully planned query: logical tree, lowered physical plan, and the
@@ -355,7 +382,10 @@ impl PlannedQuery {
     /// never changes an answer).
     pub(crate) fn strategy_with_context(&self, threads: usize) -> Box<dyn EvalStrategy> {
         match &self.strategy {
-            StrategyKind::Exact => Box::new(ExactStrategy { threads }),
+            StrategyKind::Exact { probabilistic_only } => Box::new(ExactStrategy {
+                threads,
+                probabilistic_only: *probabilistic_only,
+            }),
             StrategyKind::Worlds(clause) => Box::new(WorldsStrategy {
                 clause: clause.clone(),
                 threads,
@@ -390,7 +420,14 @@ impl Planner {
     ///   `SUM` tails from the sum-distribution DP; `AVG`/`EXPECTED` event
     ///   predicates have no closed form and are rejected);
     /// * `WITH WORLDS` rejects `ORDER BY` / `LIMIT`
-    ///   ([`DbError::InvalidWorlds`], as before the planner existed);
+    ///   ([`DbError::InvalidWorlds`], as before the planner existed), and a
+    ///   clause with no world or a non-positive `CONFIDENCE`
+    ///   ([`DbError::InvalidWorlds`]);
+    /// * `WITH WORLDS` samples only what has no cheap closed form — the
+    ///   row-level domain estimate and a `HAVING` event. An aggregate
+    ///   without `HAVING` is planned onto the exact strategy, which answers
+    ///   the clause-free statement's bytes (an exact answer meets any
+    ///   `CONFIDENCE`) but still refuses a deterministic relation;
     /// * `WITH SYNOPSIS` is planned onto the exact strategy (an exact
     ///   answer meets any `MAXERROR`) and cannot combine with `WITH
     ///   WORLDS`.
@@ -523,6 +560,30 @@ impl Planner {
             PhysicalAction::Aggregate(agg_plan)
         };
 
+        let strategy = match (&sel.worlds, &sel.synopsis) {
+            (Some(_), Some(_)) => {
+                return Err(DbError::Plan(
+                    "a statement selects at most one evaluation clause: \
+                     WITH WORLDS or WITH SYNOPSIS"
+                        .into(),
+                ));
+            }
+            (Some(clause), None) => {
+                worlds_executor(clause, 0, 0)?;
+                let samples = match &action {
+                    PhysicalAction::Rows { .. } => true,
+                    PhysicalAction::Aggregate(agg) => agg.having.is_some(),
+                };
+                if samples {
+                    StrategyKind::Worlds(clause.clone())
+                } else {
+                    StrategyKind::Exact {
+                        probabilistic_only: true,
+                    }
+                }
+            }
+            (None, _) => StrategyKind::EXACT,
+        };
         Ok(PlannedQuery {
             logical,
             physical: PhysicalPlan {
@@ -532,17 +593,7 @@ impl Planner {
                 top: sel.top,
                 action,
             },
-            strategy: match (&sel.worlds, &sel.synopsis) {
-                (Some(_), Some(_)) => {
-                    return Err(DbError::Plan(
-                        "a statement selects at most one evaluation clause: \
-                         WITH WORLDS or WITH SYNOPSIS"
-                            .into(),
-                    ));
-                }
-                (Some(clause), None) => StrategyKind::Worlds(clause.clone()),
-                (None, _) => StrategyKind::Exact,
-            },
+            strategy,
         })
     }
 }
@@ -551,14 +602,14 @@ impl Planner {
 // Aggregate results
 // ---------------------------------------------------------------------------
 
-/// One aggregate estimate.
+/// One aggregate value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggValue {
-    /// The point value: the exact closed form or the MC mean.
+    /// The exact closed form, under every strategy.
     pub value: f64,
-    /// Uncertainty half-width: the 95% CI of an MC estimate (`None` under
-    /// exact evaluation, and for MC `AVG`, which is reported as a ratio of
-    /// expectations without its own interval).
+    /// Uncertainty half-width. Every aggregate value is exact, so the
+    /// engine always reports `None`; the field keeps the result's wire
+    /// shape.
     pub ci_half_width: Option<f64>,
 }
 
@@ -713,6 +764,9 @@ pub(crate) struct ExactStrategy {
     /// Fork-join width of the restriction fan-out (0 = one thread per
     /// core); latency only.
     pub threads: usize,
+    /// Refuse a deterministic relation, as the `WITH WORLDS` clause
+    /// planned onto this strategy requires.
+    pub probabilistic_only: bool,
 }
 
 impl EvalStrategy for ExactStrategy {
@@ -722,6 +776,9 @@ impl EvalStrategy for ExactStrategy {
 
     fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
         match relation {
+            Relation::Deterministic(_) if self.probabilistic_only => {
+                Err(deterministic_worlds(&plan.table))
+            }
             Relation::Deterministic(t) => {
                 if plan.threshold.is_some() || plan.top.is_some() {
                     return Err(DbError::InvalidWorlds(format!(
@@ -770,9 +827,9 @@ impl EvalStrategy for ExactStrategy {
                         let (schema, idx) = project(t.schema(), columns)?;
                         Ok(QueryOutput::ProbRows(t.gather(&order, &idx, schema)))
                     }
-                    PhysicalAction::Aggregate(agg) => {
-                        Ok(QueryOutput::Aggregate(aggregate_exact(t, &keep, agg)?))
-                    }
+                    PhysicalAction::Aggregate(agg) => Ok(QueryOutput::Aggregate(
+                        aggregate_probabilistic(t, &keep, agg, "exact", exact_tail)?,
+                    )),
                 }
             }
         }
@@ -789,7 +846,33 @@ fn project(schema: &Schema, columns: &[String]) -> Result<(Schema, Vec<usize>), 
     }
 }
 
-/// Monte-Carlo possible-world evaluation (`WITH WORLDS`).
+/// The error a `WITH WORLDS` statement over a deterministic relation
+/// raises, whichever strategy it was planned onto.
+fn deterministic_worlds(table: &str) -> DbError {
+    DbError::InvalidWorlds(format!(
+        "THRESHOLD/TOP/WITH WORLDS require a probabilistic relation; \
+         {table} is deterministic"
+    ))
+}
+
+/// The executor of one run of `clause`, seeded with `seed`. Refuses a
+/// clause with no world or a non-positive `CONFIDENCE`.
+fn worlds_executor(
+    clause: &WorldsClause,
+    seed: u64,
+    threads: usize,
+) -> Result<WorldsExecutor, DbError> {
+    WorldsExecutor::new(WorldsConfig {
+        max_worlds: clause.worlds,
+        seed,
+        target_ci: clause.confidence,
+        threads,
+        ..WorldsConfig::default()
+    })
+}
+
+/// Monte-Carlo possible-world evaluation (`WITH WORLDS`): the row-level
+/// domain estimate, and the `HAVING` event of an aggregate.
 ///
 /// Group seeds derive deterministically from the clause seed and the
 /// group's canonical-order index (the global group keeps the clause seed
@@ -802,18 +885,6 @@ pub(crate) struct WorldsStrategy {
     /// Fork-join width of sampling and of the restriction fan-out (0 =
     /// one thread per core); latency only.
     pub threads: usize,
-}
-
-impl WorldsStrategy {
-    fn executor(&self, seed: u64) -> Result<WorldsExecutor, DbError> {
-        WorldsExecutor::new(WorldsConfig {
-            max_worlds: self.clause.worlds,
-            seed,
-            target_ci: self.clause.confidence,
-            threads: self.threads,
-            ..WorldsConfig::default()
-        })
-    }
 }
 
 impl EvalStrategy for WorldsStrategy {
@@ -833,13 +904,7 @@ impl EvalStrategy for WorldsStrategy {
     fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
         let t = match relation {
             Relation::Probabilistic(t) => t,
-            Relation::Deterministic(_) => {
-                return Err(DbError::InvalidWorlds(format!(
-                    "THRESHOLD/TOP/WITH WORLDS require a probabilistic relation; \
-                     {} is deterministic",
-                    plan.table
-                )));
-            }
+            Relation::Deterministic(_) => return Err(deterministic_worlds(&plan.table)),
         };
         let seed = self.clause.seed.unwrap_or(0);
         match &plan.action {
@@ -862,7 +927,7 @@ impl EvalStrategy for WorldsStrategy {
                     },
                     _ => None,
                 };
-                let executor = self.executor(seed)?;
+                let executor = worlds_executor(&self.clause, seed, self.threads)?;
                 Ok(QueryOutput::Worlds(executor.run_domain(
                     &probs,
                     sum.as_ref().map(|(c, v)| (*c, v.as_slice())),
@@ -870,142 +935,59 @@ impl EvalStrategy for WorldsStrategy {
             }
             PhysicalAction::Aggregate(agg) => {
                 let keep = scan::restrict(t, plan, self.threads)?;
-                Ok(QueryOutput::Aggregate(
-                    self.aggregate_worlds(t, &keep, agg, seed)?,
-                ))
+                let single_group = agg.window.is_none() && agg.group_by.is_empty();
+                let result =
+                    aggregate_probabilistic(t, &keep, agg, "worlds", |group, h, probs, sum| {
+                        let group_seed = if single_group {
+                            seed
+                        } else {
+                            mix_seed(seed, group as u64)
+                        };
+                        self.sample_tail(group_seed, h, probs, sum)
+                    })?;
+                Ok(QueryOutput::Aggregate(result))
             }
         }
     }
 }
 
 impl WorldsStrategy {
-    /// MC aggregate evaluation: per group, **one** sampling pass tallies
-    /// every distinct aggregated column at once
-    /// ([`WorldsExecutor::run_domain_multi`]); presence sampling never
-    /// consumes RNG for values, so the estimates are bit-identical to the
-    /// historical one-run-per-column evaluation with the same seed.
-    fn aggregate_worlds(
+    /// One group's sampled `HAVING` outcome: a `HAVING SUM` event through
+    /// its one tallied column, a `HAVING COUNT` event through the count
+    /// histogram it ships.
+    fn sample_tail(
         &self,
-        t: &ProbTable,
-        keep: &[usize],
-        plan: &AggregatePlan,
         seed: u64,
-    ) -> Result<AggregateResult, DbError> {
-        validate_aggregate_plan(plan)?;
-        let batch = t.batch();
-        let Groups { rows, groups } =
-            scan::group_rows(&batch, keep, plan.window.as_ref(), &plan.group_by)?;
-        let single_group = plan.window.is_none() && plan.group_by.is_empty();
-        let mut out = Vec::with_capacity(groups.len());
-        for (gi, (key, members)) in groups.into_iter().enumerate() {
-            let indices = &rows[members];
-            let group_seed = if single_group {
-                seed
-            } else {
-                mix_seed(seed, gi as u64)
-            };
-            let probs = scan::gather_probs(t.probs(), indices);
-            let columns = aggregated_columns(plan, &batch, indices)?;
-            let specs: Vec<(&str, &[f64])> = columns
-                .iter()
-                .map(|(&col, values)| (col, values.as_slice()))
-                .collect();
-            // `HAVING SUM(col)` piggybacks on the tallied per-world sums as
-            // an event indicator; it consumes no RNG, so every other
-            // estimate stays bit-identical with or without it.
-            let event = match &plan.having {
-                Some(h) if h.agg.func == AggFunc::Sum => {
-                    let col = h
-                        .agg
-                        .column
-                        .as_ref()
-                        .expect("validate_having checked the column");
-                    let column = specs
-                        .iter()
-                        .position(|&(c, _)| c == col)
-                        .expect("aggregated_columns includes the HAVING SUM column");
-                    Some(SumEventSpec {
-                        column,
-                        op: h.op,
-                        threshold: h
-                            .value
-                            .as_f64()
-                            .expect("validate_having checked the literal"),
-                    })
+        h: &HavingClause,
+        probs: &[f64],
+        sum: Option<(&str, &[f64])>,
+    ) -> Result<Tail, DbError> {
+        let executor = worlds_executor(&self.clause, seed, self.threads)?;
+        let k = h
+            .value
+            .as_f64()
+            .expect("validate_aggregate_plan checked the literal");
+        Ok(match sum {
+            Some(column) => {
+                let event = SumEventSpec {
+                    op: h.op,
+                    threshold: k,
+                };
+                let (run, frequency) = executor.run_domain_event(probs, Some(column), Some(event));
+                Tail {
+                    event_probability: frequency.expect("an event was requested"),
+                    count_distribution: None,
+                    worlds: Some(run.worlds),
                 }
-                _ => None,
-            };
-            let executor = self.executor(group_seed)?;
-            let (base, sum_estimates, sum_event) =
-                executor.run_domain_multi_event(&probs, &specs, event);
-            let sums: BTreeMap<&str, &SumEstimate> = specs
-                .iter()
-                .map(|&(col, _)| col)
-                .zip(sum_estimates.iter())
-                .collect();
-            let values: Vec<AggValue> = plan
-                .aggregates
-                .iter()
-                .map(|agg| match agg.func {
-                    AggFunc::Count => AggValue {
-                        value: base.count_mean,
-                        ci_half_width: Some(base.count_ci_half_width),
-                    },
-                    AggFunc::Sum | AggFunc::Expected => {
-                        let col = agg
-                            .column
-                            .as_ref()
-                            .expect("validate_aggregate_plan checked the column");
-                        let sum = sums[col.as_str()];
-                        AggValue {
-                            value: sum.mean,
-                            ci_half_width: Some(sum.ci_half_width),
-                        }
-                    }
-                    AggFunc::Avg => {
-                        let col = agg
-                            .column
-                            .as_ref()
-                            .expect("validate_aggregate_plan checked the column");
-                        let sum = sums[col.as_str()];
-                        AggValue {
-                            value: ratio_of_expectations(sum.mean, base.count_mean),
-                            ci_half_width: None,
-                        }
-                    }
-                })
-                .collect();
-            // Only a `HAVING COUNT` tail reads, and ships, the MC histogram.
-            let (event_probability, count_distribution) = match &plan.having {
-                Some(h) if h.agg.func == AggFunc::Sum => {
-                    (sum_event.map(|(frequency, _half_width)| frequency), None)
+            }
+            None => {
+                let run = executor.run_domain(probs, None);
+                Tail {
+                    event_probability: tail_probability(&run.count_distribution, h.op, k),
+                    count_distribution: Some(run.count_distribution),
+                    worlds: Some(run.worlds),
                 }
-                Some(h) => (
-                    Some(tail_probability(
-                        &base.count_distribution,
-                        h.op,
-                        h.value
-                            .as_f64()
-                            .expect("validate_aggregate_plan checked the literal"),
-                    )),
-                    Some(base.count_distribution),
-                ),
-                None => (None, None),
-            };
-            out.push(AggregateGroup {
-                key,
-                values,
-                count_distribution,
-                event_probability,
-                worlds: Some(base.worlds),
-            });
-        }
-        Ok(AggregateResult {
-            group_columns: group_columns_of(plan),
-            aggregates: plan.aggregates.clone(),
-            having: plan.having.clone(),
-            strategy: "worlds",
-            groups: out,
+            }
         })
     }
 }
@@ -1153,7 +1135,7 @@ fn sum_from_zero(xs: &[f64]) -> f64 {
 /// O(1), or `None` when the plan needs the scan: it restricts, windows,
 /// groups or tests a `HAVING` event, or aggregates a column that keeps no
 /// total (text or unknown; the scan path owns those errors). The totals
-/// are folded in row order from `+0.0`, exactly as [`aggregate_exact`]
+/// are folded in row order from `+0.0`, exactly as [`aggregate_probabilistic`]
 /// sums the one group of an unrestricted plan, so both give the same bits.
 fn aggregate_from_totals(t: &ProbTable, plan: &PhysicalPlan) -> Option<AggregateResult> {
     let PhysicalAction::Aggregate(agg) = &plan.action else {
@@ -1207,20 +1189,64 @@ fn aggregate_from_totals(t: &ProbTable, plan: &PhysicalPlan) -> Option<Aggregate
     })
 }
 
-/// Exact aggregate evaluation over a restricted probabilistic relation:
-/// O(n) linearity-of-expectation counts and sums, and the count or sum
-/// distribution DP only for a `HAVING COUNT` or `HAVING SUM` tail.
-fn aggregate_exact(
+/// One group's `HAVING` outcome on a probabilistic relation.
+struct Tail {
+    /// `P(HAVING predicate)`.
+    event_probability: f64,
+    /// The count distribution the event was read off (a `HAVING COUNT`
+    /// tail only).
+    count_distribution: Option<Vec<f64>>,
+    /// Worlds sampled (`None` under exact evaluation).
+    worlds: Option<usize>,
+}
+
+/// The exact `HAVING` outcome of one group: the sum-distribution DP over
+/// the `HAVING SUM` column, or the Poisson-binomial count DP.
+fn exact_tail(
+    _group: usize,
+    h: &HavingClause,
+    probs: &[f64],
+    sum: Option<(&str, &[f64])>,
+) -> Result<Tail, DbError> {
+    let k = h
+        .value
+        .as_f64()
+        .expect("validate_aggregate_plan checked the literal");
+    Ok(match sum {
+        Some((_, values)) => Tail {
+            event_probability: sum_distribution_of(probs, values)?.tail(h.op, k),
+            count_distribution: None,
+            worlds: None,
+        },
+        None => {
+            let dist = count_distribution_of(probs);
+            Tail {
+                event_probability: tail_probability(&dist, h.op, k),
+                count_distribution: Some(dist),
+                worlds: None,
+            }
+        }
+    })
+}
+
+/// Aggregate evaluation over a restricted probabilistic relation, under
+/// every strategy: O(n) linearity-of-expectation counts, sums and their
+/// ratio, and `tail` for a `HAVING` event. `tail` gets the group's index in
+/// canonical order, its probabilities and, for a `HAVING SUM`, the summed
+/// column's name and values.
+fn aggregate_probabilistic(
     t: &ProbTable,
     keep: &[usize],
     plan: &AggregatePlan,
+    strategy: &'static str,
+    tail: impl Fn(usize, &HavingClause, &[f64], Option<(&str, &[f64])>) -> Result<Tail, DbError>,
 ) -> Result<AggregateResult, DbError> {
     validate_aggregate_plan(plan)?;
     let batch = t.batch();
     let Groups { rows, groups } =
         scan::group_rows(&batch, keep, plan.window.as_ref(), &plan.group_by)?;
     let mut out = Vec::with_capacity(groups.len());
-    for (key, members) in groups {
+    for (group, (key, members)) in groups.into_iter().enumerate() {
         let indices = &rows[members];
         let probs = scan::gather_probs(t.probs(), indices);
         let count_mean = sum_from_zero(&probs);
@@ -1253,40 +1279,40 @@ fn aggregate_exact(
                 }
             })
             .collect();
-        let (event_probability, count_distribution) = match &plan.having {
-            None => (None, None),
+        let tail = match &plan.having {
+            None => None,
             Some(h) => {
-                let k = h
-                    .value
-                    .as_f64()
-                    .expect("validate_aggregate_plan checked the literal");
-                if h.agg.func == AggFunc::Sum {
-                    let col = h
-                        .agg
-                        .column
-                        .as_ref()
-                        .expect("validate_having checked the column");
-                    let sum_dist = sum_distribution_of(&probs, &columns[col.as_str()])?;
-                    (Some(sum_dist.tail(h.op, k)), None)
-                } else {
-                    let dist = count_distribution_of(&probs);
-                    (Some(tail_probability(&dist, h.op, k)), Some(dist))
-                }
+                let sum = match (h.agg.func, &h.agg.column) {
+                    (AggFunc::Sum, Some(col)) => {
+                        Some((col.as_str(), columns[col.as_str()].as_slice()))
+                    }
+                    _ => None,
+                };
+                Some(tail(group, h, &probs, sum)?)
             }
         };
-        out.push(AggregateGroup {
-            key,
-            values,
-            count_distribution,
-            event_probability,
-            worlds: None,
+        out.push(match tail {
+            None => AggregateGroup {
+                key,
+                values,
+                count_distribution: None,
+                event_probability: None,
+                worlds: None,
+            },
+            Some(tail) => AggregateGroup {
+                key,
+                values,
+                count_distribution: tail.count_distribution,
+                event_probability: Some(tail.event_probability),
+                worlds: tail.worlds,
+            },
         });
     }
     Ok(AggregateResult {
         group_columns: group_columns_of(plan),
         aggregates: plan.aggregates.clone(),
         having: plan.having.clone(),
-        strategy: "exact",
+        strategy,
         groups: out,
     })
 }
@@ -1409,7 +1435,7 @@ mod tests {
             assert!(rendered.contains(node), "{rendered} missing {node}");
         }
         assert!(rendered.trim_end().ends_with("Scan pv"), "{rendered}");
-        assert_eq!(planned.strategy, StrategyKind::Exact);
+        assert_eq!(planned.strategy, StrategyKind::EXACT);
         match &planned.physical.action {
             PhysicalAction::Rows { columns, .. } => assert_eq!(columns, &["room".to_string()]),
             other => panic!("wrong action: {other:?}"),
@@ -1703,49 +1729,10 @@ mod tests {
 
     #[test]
     fn windowed_worlds_aggregates_are_thread_invariant_and_converge() {
-        let rel = Relation::Probabilistic(fig1());
-        let sql = "SELECT COUNT(*), SUM(room) FROM pv GROUP BY WINDOW(time, 2) \
-                   HAVING COUNT(*) >= 1 WITH WORLDS 40000 SEED 21";
-        let planned = plan_sql(sql);
-        let one = planned
-            .strategy_with_context(1)
-            .execute(&rel, &planned.physical)
-            .unwrap();
-        let eight = planned
-            .strategy_with_context(8)
-            .execute(&rel, &planned.physical)
-            .unwrap();
-        let (one, eight) = match (&one, &eight) {
-            (QueryOutput::Aggregate(a), QueryOutput::Aggregate(b)) => (a, b),
-            other => panic!("wrong outputs: {other:?}"),
-        };
-        assert_eq!(
-            one.fingerprint(),
-            eight.fingerprint(),
-            "thread count changed windowed MC aggregates"
-        );
-        let exact = match run(
+        assert_worlds_tail_converges(
             "SELECT COUNT(*), SUM(room) FROM pv GROUP BY WINDOW(time, 2) HAVING COUNT(*) >= 1",
-            &rel,
-        ) {
-            QueryOutput::Aggregate(a) => a,
-            other => panic!("wrong output: {other:?}"),
-        };
-        assert_eq!(one.groups.len(), exact.groups.len());
-        for (mc, ex) in one.groups.iter().zip(&exact.groups) {
-            assert_eq!(mc.key, ex.key, "bucket keys must align");
-            for (m, e) in mc.values.iter().zip(&ex.values) {
-                let tol = 3.0 * m.ci_half_width.unwrap_or(0.05) + 1e-3;
-                assert!(
-                    (m.value - e.value).abs() <= tol,
-                    "MC {} vs exact {} (tol {tol})",
-                    m.value,
-                    e.value
-                );
-            }
-            let (mp, ep) = (mc.event_probability.unwrap(), ex.event_probability.unwrap());
-            assert!((mp - ep).abs() < 0.02, "event MC {mp} vs exact {ep}");
-        }
+            "WITH WORLDS 40000 SEED 21",
+        );
     }
 
     #[test]
@@ -1952,53 +1939,59 @@ mod tests {
         assert!((avg - expected / count).abs() < 1e-12);
     }
 
-    #[test]
-    fn worlds_aggregates_converge_and_are_thread_invariant() {
+    /// Runs `sql` with the `WITH WORLDS` `clause` at widths 1 and 8 and
+    /// checks what sampling still decides: the answer is the same bits at
+    /// both widths, the aggregate values are the exact strategy's bits,
+    /// and the sampled event (and count histogram, for a `HAVING COUNT`)
+    /// converges to the exact one.
+    fn assert_worlds_tail_converges(sql: &str, clause: &str) {
         let rel = Relation::Probabilistic(fig1());
-        let sql = "SELECT time, COUNT(*), SUM(room) FROM pv GROUP BY time \
-                   HAVING COUNT(*) >= 1 WITH WORLDS 40000 SEED 11";
-        let planned = plan_sql(sql);
-        let one = planned
-            .strategy_with_context(1)
+        let planned = plan_sql(&format!("{sql} {clause}"));
+        let run_at = |threads| match planned
+            .strategy_with_context(threads)
             .execute(&rel, &planned.physical)
-            .unwrap();
-        let eight = planned
-            .strategy_with_context(8)
-            .execute(&rel, &planned.physical)
-            .unwrap();
-        let (one, eight) = match (&one, &eight) {
-            (QueryOutput::Aggregate(a), QueryOutput::Aggregate(b)) => (a, b),
-            other => panic!("wrong outputs: {other:?}"),
-        };
-        assert_eq!(
-            one.fingerprint(),
-            eight.fingerprint(),
-            "thread count changed MC aggregates"
-        );
-        assert_eq!(one.strategy, "worlds");
-        assert_eq!(one.groups.len(), 2);
-
-        // Compare against the exact strategy group by group.
-        let exact = match run(
-            "SELECT time, COUNT(*), SUM(room) FROM pv GROUP BY time HAVING COUNT(*) >= 1",
-            &rel,
-        ) {
+            .unwrap()
+        {
             QueryOutput::Aggregate(a) => a,
             other => panic!("wrong output: {other:?}"),
         };
+        let (one, eight) = (run_at(1), run_at(8));
+        assert_eq!(
+            one.fingerprint(),
+            eight.fingerprint(),
+            "thread count changed {sql}"
+        );
+        assert_eq!(one.strategy, "worlds", "{sql}");
+        let exact = run_agg(sql, &rel);
+        assert_eq!(one.groups.len(), exact.groups.len(), "{sql}");
         for (mc, ex) in one.groups.iter().zip(&exact.groups) {
-            assert_eq!(mc.key, ex.key);
-            for (m, e) in mc.values.iter().zip(&ex.values) {
-                let tol = 3.0 * m.ci_half_width.unwrap_or(0.05) + 1e-3;
-                assert!(
-                    (m.value - e.value).abs() <= tol,
-                    "MC {} vs exact {} (tol {tol})",
-                    m.value,
-                    e.value
-                );
-            }
+            assert_eq!(mc.key, ex.key, "group keys must align");
+            assert_eq!(mc.values, ex.values, "{sql}: values are closed forms");
+            assert!(mc.worlds.is_some(), "{sql}");
             let (mp, ep) = (mc.event_probability.unwrap(), ex.event_probability.unwrap());
-            assert!((mp - ep).abs() < 0.02, "event MC {mp} vs exact {ep}");
+            assert!((mp - ep).abs() < 0.02, "{sql}: event MC {mp} vs exact {ep}");
+            match (&mc.count_distribution, &ex.count_distribution) {
+                (Some(m), Some(e)) => {
+                    assert_eq!(m.len(), e.len(), "{sql}");
+                    for (a, b) in m.iter().zip(e) {
+                        assert!((a - b).abs() < 0.02, "{sql}: histogram {m:?} vs {e:?}");
+                    }
+                }
+                (None, None) => {}
+                other => panic!("{sql}: count distributions differ in shape: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn worlds_aggregates_converge_and_are_thread_invariant() {
+        for sql in [
+            "SELECT time, COUNT(*), SUM(room) FROM pv GROUP BY time HAVING COUNT(*) >= 1",
+            "SELECT COUNT(*), AVG(room) FROM pv WHERE room <= 3 HAVING COUNT(*) >= 2",
+            "SELECT time, COUNT(*), SUM(room) FROM pv GROUP BY time HAVING SUM(room) >= 2",
+            "SELECT EXPECTED(room) FROM pv HAVING SUM(room) < 4",
+        ] {
+            assert_worlds_tail_converges(sql, "WITH WORLDS 40000 SEED 11");
         }
     }
 
@@ -2142,7 +2135,8 @@ mod tests {
 
     #[test]
     fn explain_report_renders_all_sections() {
-        let planned = plan_sql("SELECT COUNT(*) FROM pv WITH WORLDS 500 SEED 2");
+        let planned =
+            plan_sql("SELECT COUNT(*) FROM pv HAVING COUNT(*) >= 1 WITH WORLDS 500 SEED 2");
         let report = ExplainReport {
             relation: "pv: probabilistic (6 tuples)".into(),
             logical: planned.logical.to_string(),
@@ -2194,7 +2188,7 @@ mod tests {
             "SELECT COUNT(*) FROM pv WITH SYNOPSIS BUCKETS 8 MAXERROR 0.5",
         ] {
             let planned = plan_sql(sql);
-            assert_eq!(planned.strategy, StrategyKind::Exact, "{sql}");
+            assert_eq!(planned.strategy, StrategyKind::EXACT, "{sql}");
             let strategy = planned.strategy_with_context(0);
             assert_eq!(strategy.describe(), ExactStrategy::default().describe());
         }
@@ -2232,6 +2226,109 @@ mod tests {
                     want,
                     "{sql} {clause}"
                 );
+            }
+        }
+    }
+
+    /// `WITH WORLDS` over an aggregate without `HAVING` is planned onto
+    /// the exact strategy, and still validated as a `WITH WORLDS` clause.
+    #[test]
+    fn with_worlds_expectations_plan_onto_the_exact_strategy() {
+        let lowered = StrategyKind::Exact {
+            probabilistic_only: true,
+        };
+        for sql in [
+            "SELECT COUNT(*) FROM pv WITH WORLDS 100",
+            "SELECT g, SUM(r), AVG(r) FROM pv GROUP BY g WITH WORLDS 10 SEED 3 CONFIDENCE 0.5",
+        ] {
+            let planned = plan_sql(sql);
+            assert_eq!(planned.strategy, lowered, "{sql}");
+            let strategy = planned.strategy_with_context(0);
+            assert_eq!(strategy.describe(), ExactStrategy::default().describe());
+        }
+        for sql in [
+            "SELECT * FROM pv WITH WORLDS 100",
+            "SELECT r FROM pv WHERE t < 3 WITH WORLDS 100",
+            "SELECT COUNT(*) FROM pv HAVING COUNT(*) >= 1 WITH WORLDS 100",
+            "SELECT SUM(r) FROM pv GROUP BY g HAVING SUM(r) >= 1 WITH WORLDS 100",
+        ] {
+            assert!(
+                matches!(plan_sql(sql).strategy, StrategyKind::Worlds(_)),
+                "{sql} must still sample"
+            );
+        }
+        // A hand-built clause the parser would refuse keeps its typed error.
+        for (worlds, confidence) in [(0, None), (10, Some(0.0)), (10, Some(-1.0))] {
+            let mut sel = match parse("SELECT COUNT(*) FROM pv WITH WORLDS 10").unwrap() {
+                crate::sql::Statement::Select(sel) => sel,
+                other => panic!("not a SELECT: {other:?}"),
+            };
+            sel.worlds = Some(WorldsClause {
+                worlds,
+                seed: None,
+                confidence,
+            });
+            assert!(
+                matches!(Planner::plan(&sel), Err(DbError::InvalidWorlds(_))),
+                "{worlds} worlds, confidence {confidence:?}"
+            );
+        }
+        // A deterministic relation is refused as before.
+        let mut table = Table::new("d", Schema::of(&[("x", ColumnType::Float)]));
+        table.insert(vec![Value::Float(0.5)]).unwrap();
+        let planned = plan_sql("SELECT COUNT(*), SUM(x) FROM d WITH WORLDS 100");
+        let err = planned
+            .strategy_with_context(1)
+            .execute(&Relation::Deterministic(table), &planned.physical)
+            .unwrap_err();
+        assert!(
+            matches!(&err, DbError::InvalidWorlds(m) if m.contains("WITH WORLDS")),
+            "{err:?}"
+        );
+    }
+
+    /// Every aggregate without `HAVING` carrying `WITH WORLDS` answers what
+    /// the statement without the clause answers, bit for bit, whatever its
+    /// world count, seed or confidence, at fork-join widths 1 and 8.
+    #[test]
+    fn with_worlds_expectations_answer_equal_the_clause_free_statement() {
+        let rel = Relation::Probabilistic(synth(200));
+        for sql in [
+            "SELECT COUNT(*), SUM(r), AVG(r), EXPECTED(r) FROM pv",
+            "SELECT t, COUNT(*), SUM(r) FROM pv WHERE t < 5 GROUP BY t",
+            "SELECT COUNT(*), AVG(t) FROM pv GROUP BY WINDOW(t, 16)",
+            "SELECT COUNT(*), SUM(r) FROM pv WHERE t >= 50 AND r < 30",
+            "SELECT COUNT(*), SUM(r) FROM pv THRESHOLD 0.33",
+            "SELECT EXPECTED(t), COUNT(*) FROM pv TOP 7",
+            "SELECT COUNT(*) FROM pv WHERE t < 0",
+            "SELECT SUM(nope) FROM pv",
+        ] {
+            for threads in [1, 8] {
+                let answer = |sql: &str| {
+                    let planned = plan_sql(sql);
+                    match planned
+                        .strategy_with_context(threads)
+                        .execute(&rel, &planned.physical)
+                    {
+                        Ok(QueryOutput::Aggregate(a)) => {
+                            assert!(a.groups.iter().all(|g| g.worlds.is_none()), "{sql}");
+                            format!("{a:?} {}", a.fingerprint())
+                        }
+                        other => format!("{other:?}"),
+                    }
+                };
+                let want = answer(sql);
+                for clause in [
+                    "WITH WORLDS 200",
+                    "WITH WORLDS 1 SEED 9",
+                    "WITH WORLDS 100000 SEED 4 CONFIDENCE 0.001",
+                ] {
+                    assert_eq!(
+                        answer(&format!("{sql} {clause}")),
+                        want,
+                        "{sql} {clause} at width {threads}"
+                    );
+                }
             }
         }
     }
@@ -2397,7 +2494,7 @@ mod tests {
                 let PhysicalAction::Aggregate(agg_plan) = &plan.action else {
                     unreachable!()
                 };
-                let scanned = result_bits(aggregate_exact(&built, &all, agg_plan));
+                let scanned = result_bits(aggregate_probabilistic(&built, &all, agg_plan, "exact", exact_tail));
                 let fast = aggregate_from_totals(&built, &plan);
                 prop_assert_eq!(fast.is_some(), numeric, "{:?}", plan);
                 if let Some(fast) = fast {

@@ -260,7 +260,7 @@ fn everywhere(t: &ProbTable, plan: &PhysicalPlan) {
     let planned = PlannedQuery {
         logical: LogicalPlan::Scan { table: "v".into() },
         physical: plan.clone(),
-        strategy: StrategyKind::Exact,
+        strategy: StrategyKind::EXACT,
     };
     let want_output = want_rows.map(QueryOutput::ProbRows);
     let mut resident = Database::new();

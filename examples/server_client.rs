@@ -43,6 +43,8 @@ const QUERIES: &[(&str, &str)] = &[
         "Aggregate",
         "SELECT t, COUNT(*), SUM(lambda) FROM wire_pv GROUP BY t HAVING COUNT(*) >= 2",
     ),
+    // An aggregate without HAVING has nothing to sample: its WITH WORLDS
+    // clause is planned onto exact evaluation, and EXPLAIN says so.
     (
         "Explain",
         "EXPLAIN SELECT t, COUNT(*) FROM wire_pv GROUP BY t WITH WORLDS 500 SEED 7",

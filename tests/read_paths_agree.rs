@@ -377,3 +377,43 @@ fn with_synopsis_answers_the_bytes_of_its_clause_free_twin() {
     client.close().unwrap();
     handle.shutdown();
 }
+
+/// `WITH WORLDS` over an aggregate without `HAVING` is answered exactly:
+/// every such statement returns the bytes of its clause-free twin, on the
+/// resident view and on its evicted twin, at fork-join widths 1 and 8,
+/// and a deterministic relation still refuses the clause.
+#[test]
+fn with_worlds_expectations_answer_the_bytes_of_their_clause_free_twin() {
+    let dir = TempDir::new("worlds-expectations");
+    let engine = engine(&dir);
+    let statements = [
+        "SELECT COUNT(*), SUM(lambda), AVG(lambda), EXPECTED(t) FROM {rel}",
+        "SELECT COUNT(*) FROM {rel} WHERE t >= 3000 GROUP BY WINDOW(t, 360000)",
+        "SELECT t, COUNT(*), SUM(lambda) FROM {rel} WHERE lambda >= 1 GROUP BY t",
+        "SELECT COUNT(*), SUM(lambda) FROM {rel} THRESHOLD 0.05",
+        "SELECT COUNT(*) FROM {rel} TOP 40",
+    ];
+    for threads in [1, 8] {
+        engine.set_worlds_threads(threads);
+        for rel in [RESIDENT, EVICTED] {
+            for sql in statements {
+                let twin = sql.replace("{rel}", rel);
+                let want = local(engine.query(&twin));
+                assert!(want.is_ok(), "{twin}: {want:?}");
+                for clause in ["WITH WORLDS 300 SEED 8", "WITH WORLDS 5 CONFIDENCE 0.5"] {
+                    let sql = format!("{twin} {clause}");
+                    assert_eq!(local(engine.query(&sql)), want, "{sql} at width {threads}");
+                }
+                assert!(engine.read().relation(EVICTED).is_none(), "{twin}");
+            }
+        }
+    }
+    let sql = "SELECT COUNT(*), SUM(r) FROM raw_values WITH WORLDS 10";
+    let resident = local(engine.query(sql));
+    assert!(
+        matches!(resident, Err(DbError::InvalidWorlds(_))),
+        "{resident:?}"
+    );
+    engine.evict_to_disk("raw_values").unwrap();
+    assert_eq!(local(engine.query(sql)), resident);
+}

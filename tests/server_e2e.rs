@@ -142,8 +142,8 @@ fn eight_concurrent_connections_get_identical_answers() {
         seeder.query(sql).expect("seed statement");
     }
     const MC_SQL: &str = "SELECT * FROM pv WITH WORLDS 2000 SEED 99";
-    const AGG_SQL: &str =
-        "SELECT t, COUNT(*), SUM(lambda) FROM pv GROUP BY t WITH WORLDS 800 SEED 3";
+    const AGG_SQL: &str = "SELECT t, COUNT(*), SUM(lambda) FROM pv GROUP BY t \
+                           HAVING COUNT(*) >= 3 WITH WORLDS 800 SEED 3";
     let mc_base = canonical_result_bytes(&seeder.query(MC_SQL).unwrap());
     let agg_base = canonical_result_bytes(&seeder.query(AGG_SQL).unwrap());
     seeder.close().unwrap();
@@ -179,6 +179,43 @@ fn eight_concurrent_connections_get_identical_answers() {
             });
         }
     });
+    handle.shutdown();
+}
+
+/// `WITH WORLDS` over an aggregate without `HAVING` crosses the wire as
+/// the exact answer of the statement without the clause, and `EXPLAIN`
+/// names the exact strategy; a `HAVING` tail is still sampled.
+#[test]
+fn with_worlds_expectations_cross_the_wire_as_exact_answers() {
+    let handle = start_server();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for sql in pipeline_statements().iter().take(3) {
+        client.query(sql).expect("seed statement");
+    }
+    for threads in [1, 8] {
+        client.set_worlds_threads(threads).unwrap();
+        for twin in [
+            "SELECT COUNT(*), SUM(lambda) FROM pv",
+            "SELECT t, COUNT(*), AVG(lambda) FROM pv WHERE t >= 50 GROUP BY t",
+            "SELECT COUNT(*) FROM pv GROUP BY WINDOW(t, 10)",
+        ] {
+            let want = canonical_result_bytes(&client.query(twin).unwrap());
+            let sql = format!("{twin} WITH WORLDS 500 SEED 4");
+            let got = client.query(&sql).unwrap();
+            assert_eq!(canonical_result_bytes(&got), want, "{sql}");
+            assert_eq!(got.aggregate().unwrap().strategy, "exact", "{sql}");
+            let explain = client.query(&format!("EXPLAIN {sql}")).unwrap();
+            let strategy = &explain.explain().unwrap().strategy;
+            assert!(strategy.starts_with("exact"), "{sql}: {strategy}");
+        }
+        let sampled = client
+            .query("SELECT COUNT(*) FROM pv HAVING COUNT(*) >= 10 WITH WORLDS 500 SEED 4")
+            .unwrap();
+        let sampled = sampled.aggregate().unwrap();
+        assert_eq!(sampled.strategy, "worlds");
+        assert_eq!(sampled.groups[0].worlds, Some(500));
+    }
+    client.close().unwrap();
     handle.shutdown();
 }
 

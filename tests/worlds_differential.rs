@@ -3,17 +3,24 @@
 //! The possible-worlds executor and the exact operators answer the same
 //! questions through entirely different code paths: closed forms over
 //! tuple independence (`event_probability`, `count_distribution`,
-//! `count_moments`, `ProbTable::expected_sum`) and sampled worlds. This
-//! suite pins down three invariants, permanently:
+//! `count_moments`, `ProbTable::expected_sum`, the count and sum DPs) and
+//! sampled worlds. `WITH WORLDS` samples only what has no cheap closed
+//! form: the row-level domain estimate (with its single-column SUM) and a
+//! `HAVING COUNT` / `HAVING SUM` event. This suite pins down four
+//! invariants, permanently:
 //!
-//! 1. **Convergence** — for generated probabilistic tables the MC
+//! 1. **Convergence** — for generated probabilistic tables the sampled
 //!    estimates land within statistical tolerance of the exact answers
 //!    (tolerances are multiples of the estimator's standard error, so they
 //!    hold deterministically for the fixed seeds used here);
 //! 2. **Thread invariance** — the executor returns *bit-identical*
 //!    results at 1 and 8 threads for the same seed, which is what makes
 //!    `WITH WORLDS` reproducible on any machine;
-//! 3. **`WITH SYNOPSIS` is exact** — every statement carrying the clause
+//! 3. **Expectations are exact** — the aggregate values of a `WITH
+//!    WORLDS` statement are the exact strategy's bits, and a statement
+//!    without `HAVING` answers the bytes of the statement without the
+//!    clause;
+//! 4. **`WITH SYNOPSIS` is exact** — every statement carrying the clause
 //!    answers the bytes of the statement without it, non-finite values
 //!    included, and the whole-relation totals that answer it in O(1)
 //!    equal a from-scratch build after every write.
@@ -196,6 +203,21 @@ fn early_termination_is_thread_invariant_and_honours_the_target() {
     assert!(one.event_ci_half_width <= 0.005);
 }
 
+/// Runs a row-level `WITH WORLDS` query at 1 and 8 worlds-threads,
+/// asserts the bit-identical fingerprint, and returns the estimate.
+fn run_rows_both_widths(db: &mut tspdb::Database, sql: &str) -> WorldsResult {
+    db.set_worlds_threads(1);
+    let one = db.query(sql).unwrap().worlds().unwrap().clone();
+    db.set_worlds_threads(8);
+    let eight = db.query(sql).unwrap().worlds().unwrap().clone();
+    assert_eq!(
+        one.fingerprint(),
+        eight.fingerprint(),
+        "1-thread and 8-thread row estimates diverged for {sql}"
+    );
+    one
+}
+
 /// Runs an aggregate SQL query at 1 and 8 worlds-threads, asserts the
 /// bit-identical fingerprint, and returns the result.
 fn run_aggregate_both_widths(
@@ -216,44 +238,42 @@ fn run_aggregate_both_widths(
 
 #[test]
 fn planned_sum_aggregate_agrees_between_strategies() {
-    // `SELECT SUM(col)` through the planner: the exact strategy answers
-    // with Σ p·v, the worlds strategy with the MC mean of per-world sums —
-    // they must agree within standard-error multiples, per group.
+    // `SELECT SUM(col)` through the planner is Σ p·v under either clause;
+    // the sampled counterpart — the row-level estimate of one projected
+    // column — converges to it, per group.
     let probs: Vec<f64> = (0..24).map(|i| ((i * 41) % 89) as f64 / 100.0).collect();
     let v = table_from(&probs);
     let mut db = tspdb::Database::new();
     db.register_prob_table(v.clone()).unwrap();
 
-    let exact = db
-        .query("SELECT room, SUM(reading) FROM v GROUP BY room")
-        .unwrap()
-        .aggregate()
-        .unwrap()
-        .clone();
+    let sql = "SELECT room, SUM(reading) FROM v GROUP BY room";
+    let exact = db.query(sql).unwrap().aggregate().unwrap().clone();
     assert_eq!(exact.strategy, "exact");
-    let mc = run_aggregate_both_widths(
-        &mut db,
-        "SELECT room, SUM(reading) FROM v GROUP BY room WITH WORLDS 30000 SEED 6",
+    assert_eq!(
+        answer_bytes(&db, &format!("{sql} WITH WORLDS 30000 SEED 6")),
+        answer_bytes(&db, sql),
+        "a HAVING-free WITH WORLDS aggregate is the exact answer"
     );
-    assert_eq!(mc.strategy, "worlds");
-    assert_eq!(mc.groups.len(), exact.groups.len());
-    for (m, e) in mc.groups.iter().zip(&exact.groups) {
-        assert_eq!(m.key, e.key, "group keys must align");
-        let (ms, es) = (&m.values[0], &e.values[0]);
-        assert!(es.ci_half_width.is_none(), "exact values carry no CI");
-        let tol = 5.0 * ms.ci_half_width.unwrap() + 1e-6;
-        assert!(
-            (ms.value - es.value).abs() <= tol,
-            "group {:?}: MC sum {} vs exact {} (tol {tol})",
-            m.key,
-            ms.value,
-            es.value
-        );
-    }
-
-    // Per-group exact cross-check against the standalone closed form.
     for e in &exact.groups {
         let room = e.key[0].as_i64().unwrap();
+        assert!(
+            e.values[0].ci_half_width.is_none(),
+            "exact values carry no CI"
+        );
+        let mc = run_rows_both_widths(
+            &mut db,
+            &format!("SELECT reading FROM v WHERE room = {room} WITH WORLDS 30000 SEED 6"),
+        );
+        let sum = mc.sum.as_ref().unwrap();
+        let tol = 5.0 * sum.ci_half_width + 1e-6;
+        assert!(
+            (sum.mean - e.values[0].value).abs() <= tol,
+            "room {room}: MC sum {} vs exact {} (tol {tol})",
+            sum.mean,
+            e.values[0].value
+        );
+
+        // Per-group exact cross-check against the standalone closed form.
         let sub =
             tspdb::probdb::query::select_prob(&v, &vec![Comparison::new("room", CmpOp::Eq, room)])
                 .unwrap();
@@ -265,10 +285,11 @@ fn planned_sum_aggregate_agrees_between_strategies() {
 #[test]
 fn windowed_aggregates_agree_between_strategies() {
     // `GROUP BY WINDOW` through the planner: per-bucket Poisson-binomial /
-    // linearity closed forms versus per-bucket MC sampling with
-    // bucket-derived seeds. Both strategies must produce the same buckets
-    // (same canonical starts), statistically identical answers, and the MC
-    // side must stay bit-identical across worlds-thread counts.
+    // linearity closed forms versus per-bucket MC sampling of the HAVING
+    // event with bucket-derived seeds. Both strategies must produce the
+    // same buckets (same canonical starts), the same aggregate values,
+    // statistically identical events and count histograms, and the MC side
+    // must stay bit-identical across worlds-thread counts.
     let probs: Vec<f64> = (0..28).map(|i| ((i * 43) % 95) as f64 / 100.0).collect();
     let v = table_from(&probs); // readings span [−2.0, 11.5]
     let mut db = tspdb::Database::new();
@@ -316,14 +337,22 @@ fn windowed_aggregates_agree_between_strategies() {
     assert_eq!(mc.groups.len(), exact.groups.len());
     for (m, e) in mc.groups.iter().zip(&exact.groups) {
         assert_eq!(m.key, e.key, "bucket keys must align across strategies");
-        for (mv, ev) in m.values.iter().zip(&e.values) {
-            let tol = 5.0 * mv.ci_half_width.unwrap() + 1e-6;
+        assert_eq!(
+            m.values, e.values,
+            "bucket {:?}: values are closed forms",
+            m.key
+        );
+        let (mh, eh) = (
+            m.count_distribution.as_ref().unwrap(),
+            e.count_distribution.as_ref().unwrap(),
+        );
+        assert_eq!(mh.len(), eh.len());
+        for (k, (a, b)) in mh.iter().zip(eh).enumerate() {
+            let se = (b * (1.0 - b) / WORLDS as f64).sqrt();
             assert!(
-                (mv.value - ev.value).abs() <= tol,
-                "bucket {:?}: MC {} vs exact {} (tol {tol})",
-                m.key,
-                mv.value,
-                ev.value
+                (a - b).abs() <= 5.0 * se + 5.0 / WORLDS as f64,
+                "bucket {:?}, count {k}: MC {a} vs exact {b}",
+                m.key
             );
         }
         let (mp, ep) = (m.event_probability.unwrap(), e.event_probability.unwrap());
@@ -402,10 +431,18 @@ fn planned_count_event_agrees_between_strategies() {
             "k={k}: MC P(count>={k}) {mc_p} vs exact {exact_p} (SE {se})"
         );
 
-        // The MC count mean must also track the exact expected count.
+        // COUNT(*) is the exact expected count, and the mean of the
+        // shipped MC count histogram tracks it.
         let (exact_mean, exact_var) = count_moments(&v, &Vec::new()).unwrap();
+        assert_eq!(mc.groups[0].values, exact.groups[0].values);
+        let histogram = mc.groups[0].count_distribution.as_ref().unwrap();
+        let mc_mean: f64 = histogram
+            .iter()
+            .enumerate()
+            .map(|(c, p)| c as f64 * p)
+            .sum();
         let se_mean = (exact_var / WORLDS as f64).sqrt();
-        assert!((mc.groups[0].values[0].value - exact_mean).abs() <= 5.0 * se_mean + 1e-9);
+        assert!((mc_mean - exact_mean).abs() <= 5.0 * se_mean + 1e-9);
     }
 }
 
@@ -423,8 +460,18 @@ fn explain_names_plan_and_strategy_for_both_backends() {
     assert!(exact.logical.contains("Aggregate [COUNT(*)]"), "{exact:?}");
     assert!(exact.logical.contains("Scan v"), "{exact:?}");
     assert!(exact.strategy.starts_with("exact"), "{exact:?}");
-    let mc = db
+    let lowered = db
         .query("EXPLAIN SELECT SUM(reading) FROM v GROUP BY room WITH WORLDS 1000 SEED 9")
+        .unwrap()
+        .explain()
+        .unwrap()
+        .clone();
+    assert_eq!(lowered.strategy, exact.strategy, "{lowered:?}");
+    let mc = db
+        .query(
+            "EXPLAIN SELECT SUM(reading) FROM v GROUP BY room HAVING SUM(reading) >= 1 \
+             WITH WORLDS 1000 SEED 9",
+        )
         .unwrap()
         .explain()
         .unwrap()
@@ -471,20 +518,18 @@ fn sql_with_worlds_matches_direct_executor_calls() {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-column tally (single sampling pass for grouped MC aggregates)
+// Sampled shapes: a tallied column consumes no randomness
 // ---------------------------------------------------------------------------
 
 #[test]
-fn multi_column_tally_is_bit_identical_to_per_column_runs() {
-    // `run_domain_multi` tallies every SUM column during one pass over the
-    // sampled worlds. Presence sampling never consumes RNG for values, so
-    // with the same seed each column's estimate must equal a dedicated
-    // single-column run **bit for bit** — this is the invariant that let
-    // the planner collapse its one-run-per-column MC aggregation into a
-    // single pass without moving any fingerprint.
+fn a_tallied_column_leaves_the_count_estimates_bit_identical() {
+    // Presence sampling never consumes RNG for values: the count and event
+    // estimates of a run that tallies a SUM column (a projected column, or
+    // a `HAVING SUM` tail) equal those of a run without one, bit for bit.
+    // This is what keeps every group's count histogram the same whichever
+    // sampler shape produced it.
     let probs: Vec<f64> = (0..23).map(|i| ((i * 37) % 97) as f64 / 100.0).collect();
     let reading: Vec<f64> = (0..23).map(|i| i as f64 * 0.5 - 2.0).collect();
-    let weight: Vec<f64> = (0..23).map(|i| ((i * 13) % 7) as f64 + 0.25).collect();
 
     for threads in [1usize, 8] {
         let executor = WorldsExecutor::new(WorldsConfig {
@@ -494,43 +539,23 @@ fn multi_column_tally_is_bit_identical_to_per_column_runs() {
             ..WorldsConfig::default()
         })
         .unwrap();
-
-        let (multi_base, sums) =
-            executor.run_domain_multi(&probs, &[("reading", &reading), ("weight", &weight)]);
-        let solo_reading = executor.run_domain(&probs, Some(("reading", &reading)));
-        let solo_weight = executor.run_domain(&probs, Some(("weight", &weight)));
+        let mut tallied = executor.run_domain(&probs, Some(("reading", &reading)));
         let bare = executor.run_domain(&probs, None);
-
-        // Count/event estimates are shared and identical across all runs.
-        assert_eq!(multi_base.fingerprint(), bare.fingerprint());
-        for solo in [&solo_reading, &solo_weight] {
-            assert_eq!(solo.count_distribution, multi_base.count_distribution);
-            assert_eq!(
-                solo.event_probability.to_bits(),
-                multi_base.event_probability.to_bits()
-            );
-        }
-        // Each column's SUM estimate matches its dedicated run bit for bit.
-        assert_eq!(sums.len(), 2);
-        for (from_multi, from_solo) in [(&sums[0], &solo_reading), (&sums[1], &solo_weight)] {
-            let solo_sum = from_solo.sum.as_ref().unwrap();
-            assert_eq!(from_multi.column, solo_sum.column);
-            assert_eq!(from_multi.mean.to_bits(), solo_sum.mean.to_bits());
-            assert_eq!(from_multi.variance.to_bits(), solo_sum.variance.to_bits());
-            assert_eq!(
-                from_multi.ci_half_width.to_bits(),
-                solo_sum.ci_half_width.to_bits()
-            );
-        }
+        assert!(tallied.sum.take().is_some());
+        assert_eq!(
+            tallied.fingerprint(),
+            bare.fingerprint(),
+            "threads = {threads}"
+        );
     }
 }
 
 #[test]
-fn grouped_multi_column_mc_aggregates_are_one_pass_and_stable() {
-    // SQL-level witness of the same invariant: a query aggregating two
-    // distinct columns per group must report, for each column, exactly the
-    // estimate a single-column query with the same seed reports — and stay
-    // bit-identical across worlds-thread counts.
+fn grouped_multi_column_worlds_aggregates_sample_only_the_event() {
+    // A query aggregating two columns per group under `WITH WORLDS` and a
+    // `HAVING` tail reports every aggregate value as the exact strategy's
+    // closed form, whatever the seed, samples only the per-group event,
+    // and stays bit-identical across worlds-thread counts.
     let schema = Schema::of(&[
         ("room", ColumnType::Int),
         ("reading", ColumnType::Float),
@@ -551,66 +576,31 @@ fn grouped_multi_column_mc_aggregates_are_one_pass_and_stable() {
     let mut db = tspdb::Database::new();
     db.register_prob_table(v).unwrap();
 
-    let combined = run_aggregate_both_widths(
-        &mut db,
-        "SELECT room, COUNT(*), SUM(reading), SUM(weight), AVG(reading) FROM v2 \
-         GROUP BY room WITH WORLDS 20000 SEED 12",
-    );
-    let reading_only = run_aggregate_both_widths(
-        &mut db,
-        "SELECT room, SUM(reading) FROM v2 GROUP BY room WITH WORLDS 20000 SEED 12",
-    );
-    let weight_only = run_aggregate_both_widths(
-        &mut db,
-        "SELECT room, SUM(weight) FROM v2 GROUP BY room WITH WORLDS 20000 SEED 12",
-    );
-    assert_eq!(combined.groups.len(), 3);
-    for (gi, g) in combined.groups.iter().enumerate() {
-        // Projection order: COUNT(*), SUM(reading), SUM(weight), AVG(reading).
-        let sum_reading = &g.values[1];
-        let sum_weight = &g.values[2];
-        let solo_r = &reading_only.groups[gi].values[0];
-        let solo_w = &weight_only.groups[gi].values[0];
-        assert_eq!(sum_reading.value.to_bits(), solo_r.value.to_bits());
-        assert_eq!(sum_weight.value.to_bits(), solo_w.value.to_bits());
-        assert_eq!(
-            sum_reading.ci_half_width.unwrap().to_bits(),
-            solo_r.ci_half_width.unwrap().to_bits()
-        );
-        assert_eq!(
-            sum_weight.ci_half_width.unwrap().to_bits(),
-            solo_w.ci_half_width.unwrap().to_bits()
-        );
-        // AVG is the ratio of the two shared-pass expectations.
-        let avg = g.values[3].value;
-        assert_eq!(
-            avg.to_bits(),
-            (sum_reading.value / g.values[0].value).to_bits()
-        );
-    }
-
-    // And the MC answers still converge to the exact strategy's closed
-    // forms, per column, per group.
-    let exact = db
-        .query(
+    for having in ["COUNT(*) >= 4", "SUM(weight) >= 9"] {
+        let exact_sql = format!(
             "SELECT room, COUNT(*), SUM(reading), SUM(weight), AVG(reading) FROM v2 \
-             GROUP BY room",
-        )
-        .unwrap()
-        .aggregate()
-        .unwrap()
-        .clone();
-    assert_eq!(exact.strategy, "exact");
-    for (m, e) in combined.groups.iter().zip(&exact.groups) {
-        assert_eq!(m.key, e.key);
-        for col in 0..3 {
-            let tol = 5.0 * m.values[col].ci_half_width.unwrap() + 1e-6;
+             GROUP BY room HAVING {having}"
+        );
+        let exact = db.query(&exact_sql).unwrap().aggregate().unwrap().clone();
+        assert_eq!(exact.strategy, "exact");
+        let mut seeds = [12, 13].into_iter().map(|seed| {
+            run_aggregate_both_widths(
+                &mut db,
+                &format!("{exact_sql} WITH WORLDS {WORLDS} SEED {seed}"),
+            )
+        });
+        let (mc, other_seed) = (seeds.next().unwrap(), seeds.next().unwrap());
+        assert_eq!(mc.groups.len(), 3);
+        for ((m, o), e) in mc.groups.iter().zip(&other_seed.groups).zip(&exact.groups) {
+            assert_eq!(m.key, e.key);
+            assert_eq!(m.values, e.values, "{having}: values are closed forms");
+            assert_eq!(o.values, e.values, "{having}: the seed moves no value");
+            let (mp, ep) = (m.event_probability.unwrap(), e.event_probability.unwrap());
+            let se = (ep * (1.0 - ep) / WORLDS as f64).sqrt();
             assert!(
-                (m.values[col].value - e.values[col].value).abs() <= tol,
-                "group {:?} aggregate {col}: MC {} vs exact {} (tol {tol})",
-                m.key,
-                m.values[col].value,
-                e.values[col].value
+                (mp - ep).abs() <= 5.0 * se + 1e-3,
+                "{having}, group {:?}: MC {mp} vs exact {ep}",
+                m.key
             );
         }
     }
@@ -624,8 +614,8 @@ fn grouped_multi_column_mc_aggregates_are_one_pass_and_stable() {
 fn having_sum_event_agrees_between_exact_and_mc() {
     // `HAVING SUM(col) >= s` executes exactly through the sum-distribution
     // DP; the MC lowering tallies the same event over sampled worlds. They
-    // must agree within standard-error multiples — and the MC estimates of
-    // everything else must be unaffected by tallying the event.
+    // must agree within standard-error multiples — and everything else is
+    // the same closed form under both.
     let probs: Vec<f64> = (0..22).map(|i| ((i * 37) % 97) as f64 / 100.0).collect();
     let v = table_from(&probs); // readings i·0.5 − 2.0: dyadic, so the DP is exact
     let mut db = tspdb::Database::new();
@@ -649,15 +639,14 @@ fn having_sum_event_agrees_between_exact_and_mc() {
             "s={s}: MC P(SUM >= {s}) {mc_p} vs exact {exact_p} (SE {se})"
         );
 
-        // The event tally consumes no RNG: the COUNT/SUM estimates match a
-        // no-HAVING run of the same seed bit for bit.
+        // Only the event is sampled: the COUNT/SUM values are the closed
+        // forms of the statement without HAVING, bit for bit.
         let plain = run_aggregate_both_widths(
             &mut db,
             &format!("SELECT COUNT(*), SUM(reading) FROM v WITH WORLDS {WORLDS} SEED 23"),
         );
-        for (with_event, without) in mc.groups[0].values.iter().zip(&plain.groups[0].values) {
-            assert_eq!(with_event.value.to_bits(), without.value.to_bits());
-        }
+        assert_eq!(mc.groups[0].values, plain.groups[0].values);
+        assert_eq!(mc.groups[0].values, exact.groups[0].values);
     }
 
     // Grouped HAVING SUM: per-group events against per-group DP tails.
@@ -822,7 +811,7 @@ fn sharded_scans_are_bit_identical_to_unsharded_for_every_strategy() {
         "SELECT COUNT(*), SUM(reading) FROM v WHERE room >= 1 GROUP BY WINDOW(t, 500)",
         // A leading time range is a binary search; the rest still fans out.
         "SELECT COUNT(*), SUM(reading) FROM v WHERE t >= 1000 AND reading > 0.0 \
-         WITH WORLDS 200 SEED 9",
+         HAVING SUM(reading) >= 40000 WITH WORLDS 200 SEED 9",
         "SELECT t, room FROM v WHERE t >= 500 THRESHOLD 0.9",
         // `WITH SYNOPSIS` is answered by the exact fan-out.
         "SELECT COUNT(*) FROM v WHERE reading < 0.5 GROUP BY WINDOW(t, 400) WITH SYNOPSIS",
@@ -909,7 +898,7 @@ proptest! {
         const CHECKS: [&str; 5] = [
             "SELECT * FROM sv THRESHOLD 0.0",
             "SELECT COUNT(*), SUM(lambda) FROM sv GROUP BY WINDOW(t, 8)",
-            "SELECT COUNT(*) FROM sv WITH WORLDS 400 SEED 11",
+            "SELECT COUNT(*) FROM sv HAVING COUNT(*) >= 20 WITH WORLDS 400 SEED 11",
             "SELECT COUNT(*), SUM(lambda) FROM sv WITH SYNOPSIS BUCKETS 8",
             "SELECT COUNT(*), SUM(r) FROM stream GROUP BY WINDOW(t, 8)",
         ];
