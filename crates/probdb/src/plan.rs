@@ -349,12 +349,6 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
-    /// Closed forms over any relation: what a statement without `WITH
-    /// WORLDS` runs on.
-    pub const EXACT: StrategyKind = StrategyKind::Exact {
-        probabilistic_only: false,
-    };
-
     /// Whether the strategy refuses a deterministic relation.
     pub(crate) fn probabilistic_only(&self) -> bool {
         match self {
@@ -582,7 +576,9 @@ impl Planner {
                     }
                 }
             }
-            (None, _) => StrategyKind::EXACT,
+            (None, _) => StrategyKind::Exact {
+                probabilistic_only: false,
+            },
         };
         Ok(PlannedQuery {
             logical,
@@ -1435,7 +1431,12 @@ mod tests {
             assert!(rendered.contains(node), "{rendered} missing {node}");
         }
         assert!(rendered.trim_end().ends_with("Scan pv"), "{rendered}");
-        assert_eq!(planned.strategy, StrategyKind::EXACT);
+        assert_eq!(
+            planned.strategy,
+            StrategyKind::Exact {
+                probabilistic_only: false
+            }
+        );
         match &planned.physical.action {
             PhysicalAction::Rows { columns, .. } => assert_eq!(columns, &["room".to_string()]),
             other => panic!("wrong action: {other:?}"),
@@ -2188,7 +2189,13 @@ mod tests {
             "SELECT COUNT(*) FROM pv WITH SYNOPSIS BUCKETS 8 MAXERROR 0.5",
         ] {
             let planned = plan_sql(sql);
-            assert_eq!(planned.strategy, StrategyKind::EXACT, "{sql}");
+            assert_eq!(
+                planned.strategy,
+                StrategyKind::Exact {
+                    probabilistic_only: false
+                },
+                "{sql}"
+            );
             let strategy = planned.strategy_with_context(0);
             assert_eq!(strategy.describe(), ExactStrategy::default().describe());
         }

@@ -260,7 +260,9 @@ fn everywhere(t: &ProbTable, plan: &PhysicalPlan) {
     let planned = PlannedQuery {
         logical: LogicalPlan::Scan { table: "v".into() },
         physical: plan.clone(),
-        strategy: StrategyKind::EXACT,
+        strategy: StrategyKind::Exact {
+            probabilistic_only: false,
+        },
     };
     let want_output = want_rows.map(QueryOutput::ProbRows);
     let mut resident = Database::new();
