@@ -396,12 +396,8 @@ pub fn decode_batch(
             return invalid(format!("{ty} values in a {} column", column.column_type()));
         }
         match ty {
-            ColumnType::Int => fixed_width(dec, rows)?.for_each(|x| {
-                column.push_int(x as i64);
-            }),
-            ColumnType::Float => fixed_width(dec, rows)?.for_each(|x| {
-                column.push_float(f64::from_bits(x));
-            }),
+            ColumnType::Int => column.extend_ints(fixed_width(dec, rows)?.map(|x| x as i64)),
+            ColumnType::Float => column.extend_floats(fixed_width(dec, rows)?.map(f64::from_bits)),
             ColumnType::Text => {
                 for _ in 0..rows {
                     column.push_text(dec.take_str()?);
@@ -423,10 +419,8 @@ fn fixed_width<'a>(
     let Some(len) = rows.checked_mul(8) else {
         return invalid(format!("batch announces {rows} rows"));
     };
-    Ok(dec
-        .take_raw(len)?
-        .chunks_exact(8)
-        .map(|w| u64::from_be_bytes(w.try_into().expect("8 bytes"))))
+    let (words, _) = dec.take_raw(len)?.as_chunks::<8>();
+    Ok(words.iter().map(|&w| u64::from_be_bytes(w)))
 }
 
 #[cfg(test)]
@@ -494,6 +488,51 @@ mod tests {
             let mut columns = Vec::new();
             assert!(decode_batch(&mut Decoder::new(&bytes), &mut columns, None).is_err());
             assert!(columns.len() <= 1);
+        }
+    }
+
+    #[test]
+    fn decoded_leaves_carry_the_flag_per_value_pushes_give() {
+        // Each leaf decodes into columns cleared for it, as a stored
+        // relation's stream does, and is appended to the relation as a span:
+        // the relation's column must match one push per value, a descent
+        // exactly at the leaf boundary included.
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let cases: [(&[f64], &[f64]); 5] = [
+            (&[1.0, 2.0, 3.0], &[2.5, 4.0]),
+            (&[1.0, 2.0, 3.0], &[3.0, 4.0]),
+            (&[nan, 1.0], &[2.0]),
+            (&[-inf, -0.0], &[0.0, inf]),
+            (&[1.0], &[nan, 2.0]),
+        ];
+        for (first, second) in cases {
+            let mut reference = Column::new(ColumnType::Float);
+            let mut relation = Column::new(ColumnType::Float);
+            let mut leaf = vec![Column::new(ColumnType::Float)];
+            for part in [first, second] {
+                for &x in part {
+                    reference.push_float(x);
+                }
+                let mut enc = Encoder::new();
+                encode_batch(&mut enc, &[ColumnSlice::Float(part)], None);
+                let bytes = enc.into_bytes();
+                leaf[0].clear();
+                decode_batch(&mut Decoder::new(&bytes), &mut leaf, None).unwrap();
+                let mut single = Column::new(ColumnType::Float);
+                part.iter().for_each(|&x| assert!(single.push_float(x)));
+                assert_eq!(leaf[0].is_ascending(), single.is_ascending(), "{part:?}");
+                relation.extend_span(leaf[0].values(), leaf[0].is_ascending());
+            }
+            let bits = |c: &Column| match c.values() {
+                ColumnSlice::Float(v) => v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                _ => unreachable!(),
+            };
+            assert_eq!(bits(&relation), bits(&reference), "{first:?} + {second:?}");
+            assert_eq!(
+                relation.is_ascending(),
+                reference.is_ascending(),
+                "{first:?} + {second:?}"
+            );
         }
     }
 }

@@ -767,7 +767,9 @@ pub(crate) struct ExactStrategy {
 
 impl EvalStrategy for ExactStrategy {
     fn describe(&self) -> String {
-        "exact (closed forms: Poisson-binomial COUNT, linearity-of-expectation SUM)".into()
+        "exact (closed forms: COUNT(*) = Σp, SUM = Σp·v; count DP only for HAVING COUNT, \
+         sum DP only for HAVING SUM)"
+            .into()
     }
 
     fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {

@@ -161,6 +161,22 @@ impl<'a> Batch<'a> {
         self.columns[c].expect("column not in batch").values
     }
 
+    /// Appends column `c`'s values at `sel` to `into`: a span as one slice
+    /// copy, explicit positions as a gather.
+    ///
+    /// # Panics
+    /// Panics when the source left the column out of the batch or the
+    /// column types differ.
+    pub(crate) fn extend_column(&self, c: usize, sel: &Selection, into: &mut Column) {
+        let column = self.columns[c].expect("column not in batch");
+        match sel {
+            Selection::Span(span) => {
+                into.extend_span(column.values.slice(span.clone()), column.ascending);
+            }
+            Selection::Rows(rows) => into.extend_gather(column.values, rows),
+        }
+    }
+
     /// The named column, or [`DbError::UnknownColumn`].
     fn column(&self, name: &str) -> Result<BatchColumn<'a>, DbError> {
         Ok(self.columns[self.schema.index_of(name)?].expect("plan column not in batch"))
@@ -198,6 +214,10 @@ pub trait BatchStream {
     fn schema(&self) -> &Schema;
     /// Whether tuples carry an existence probability.
     fn probabilistic(&self) -> bool;
+    /// How many tuples the stream yields in all, as far as its source
+    /// knows ahead of reading them — what a consumer pre-sizes with. It
+    /// never changes a result.
+    fn size_hint(&self) -> usize;
     /// The next batch (borrowed from the stream's decode buffers, valid
     /// until the next call), or `None` at exhaustion.
     fn next_batch(&mut self) -> Result<Option<Batch<'_>>, DbError>;
@@ -207,9 +227,11 @@ pub trait BatchStream {
 // Kernel 1: conjunction → selection vector
 // ---------------------------------------------------------------------------
 
-/// The batch-local positions a restriction has kept so far, ascending.
+/// Batch-local row positions, ascending: the rows a restriction has kept
+/// so far, and the rows [`ProbTable::extend_from_batch`] appends — a span
+/// as one slice copy per column, explicit positions as a gather.
 #[derive(Debug, Clone)]
-enum Selection {
+pub enum Selection {
     /// A contiguous run — what a batch starts as and what range predicates
     /// on ascending columns keep it as.
     Span(Range<usize>),
@@ -217,7 +239,21 @@ enum Selection {
     Rows(Vec<usize>),
 }
 
+impl From<Range<usize>> for Selection {
+    fn from(span: Range<usize>) -> Selection {
+        Selection::Span(span)
+    }
+}
+
 impl Selection {
+    /// Appends `src`'s values at the selected positions to `out`.
+    pub(crate) fn extend<T: Clone>(&self, src: &[T], out: &mut Vec<T>) {
+        match self {
+            Selection::Span(span) => out.extend_from_slice(&src[span.clone()]),
+            Selection::Rows(rows) => out.extend(rows.iter().map(|&i| src[i].clone())),
+        }
+    }
+
     fn is_empty(&self) -> bool {
         match self {
             Selection::Span(span) => span.is_empty(),
@@ -236,7 +272,7 @@ impl Selection {
     }
 
     /// The kept positions, in order.
-    fn rows(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+    pub(crate) fn rows(&self) -> impl Iterator<Item = usize> + Clone + '_ {
         let (span, rows) = match self {
             Selection::Span(span) => (span.clone(), [].iter()),
             Selection::Rows(rows) => (0..0, rows.iter()),
@@ -444,18 +480,21 @@ pub(crate) fn restrict_stream(
     plan: &PhysicalPlan,
 ) -> Result<Relation, DbError> {
     let schema = stream.schema().clone();
+    let rows = stream.size_hint();
     let relation = if stream.probabilistic() {
         let mut t = ProbTable::new(name, schema);
+        t.reserve(rows);
         while let Some(batch) = stream.next_batch()? {
             let sel = select(&batch, &plan.predicate, plan.threshold)?;
-            t.extend_from_batch(&batch, sel.rows())?;
+            t.extend_from_batch(&batch, sel)?;
         }
         Relation::Probabilistic(t)
     } else {
         let mut t = Table::new(name, schema);
+        t.reserve(rows);
         while let Some(batch) = stream.next_batch()? {
             let sel = select(&batch, &plan.predicate, None)?;
-            t.extend_from_batch(&batch, sel.rows());
+            t.extend_from_batch(&batch, sel);
         }
         Relation::Deterministic(t)
     };

@@ -178,6 +178,10 @@ impl BatchStream for ChunkedStream {
         true
     }
 
+    fn size_hint(&self) -> usize {
+        self.relation.len()
+    }
+
     fn next_batch(&mut self) -> Result<Option<Batch<'_>>, DbError> {
         if self.next >= self.relation.len() {
             return Ok(None);

@@ -8,7 +8,7 @@
 
 use crate::column::{Column, ColumnSlice};
 use crate::error::DbError;
-use crate::scan::Batch;
+use crate::scan::{Batch, Selection};
 use crate::schema::Schema;
 use crate::value::{ColumnType, Value};
 use std::fmt;
@@ -60,15 +60,23 @@ impl Table {
         Ok(())
     }
 
-    /// Appends the rows of `batch` at the given batch-local positions, in
-    /// that order, transposing them back into rows — how a deterministic
-    /// relation is rebuilt from the column batches of a scan source. The
-    /// batch must carry this table's schema with every column present.
-    pub fn extend_from_batch(&mut self, batch: &Batch<'_>, rows: impl Iterator<Item = usize>) {
+    /// Appends the rows of `batch` at the batch-local positions `rows` (a
+    /// span such as `0..batch.len()`, or a [`Selection`]), in order,
+    /// transposing them back into rows — how a deterministic relation is
+    /// rebuilt from the column batches of a scan source. The batch must
+    /// carry this table's schema with every column present.
+    pub fn extend_from_batch(&mut self, batch: &Batch<'_>, rows: impl Into<Selection>) {
         assert_eq!(batch.schema(), &self.schema, "batch of another relation");
-        let arity = self.schema.arity();
-        self.rows
-            .extend(rows.map(|i| (0..arity).map(|c| batch.values(c).value(i)).collect()));
+        let (arity, sel) = (self.schema.arity(), rows.into());
+        self.rows.extend(
+            sel.rows()
+                .map(|i| (0..arity).map(|c| batch.values(c).value(i)).collect()),
+        );
+    }
+
+    /// Room for `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
     }
 
     /// Column `c` over the rows `rows`, transposed into a typed column —
@@ -269,14 +277,17 @@ impl ProbTable {
         Ok(())
     }
 
-    /// Appends the rows of `batch` at the given batch-local positions, in
-    /// that order, with their probabilities — the column-wise append the
-    /// scan operator and the storage engine build relations with. The
+    /// Appends the rows of `batch` at the batch-local positions `rows`, in
+    /// order, with their probabilities — the column-wise append the scan
+    /// operator, the storage engine and `Database::append_columns` build
+    /// relations with. A span (such as `0..batch.len()`) lands as one slice
+    /// copy per column, a [`Selection::Rows`] as a gather; either way each
+    /// column's ascending flag ends as per-value pushes would leave it. The
     /// batch must carry this relation's schema and probabilities.
     pub fn extend_from_batch(
         &mut self,
         batch: &Batch<'_>,
-        rows: impl Iterator<Item = usize> + Clone,
+        rows: impl Into<Selection>,
     ) -> Result<(), DbError> {
         assert_eq!(batch.schema(), &self.schema, "batch of another relation");
         let probs = batch.probs().ok_or_else(|| {
@@ -285,17 +296,26 @@ impl ProbTable {
                 self.name
             ))
         })?;
+        let sel = rows.into();
         let from = self.probs.len();
-        self.probs.extend(rows.clone().map(|i| probs[i]));
+        sel.extend(probs, &mut self.probs);
         if let Err(e) = check_probs(&self.probs[from..]) {
             self.probs.truncate(from);
             return Err(e);
         }
         for (c, column) in self.columns.iter_mut().enumerate() {
-            column.extend_gather(batch.values(c), rows.clone());
+            batch.extend_column(c, &sel, column);
         }
         self.fold_totals(from);
         Ok(())
+    }
+
+    /// Room for `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.probs.reserve(additional);
+        for column in &mut self.columns {
+            column.reserve(additional);
+        }
     }
 
     /// The rows at `rows` (in that order) projected onto the columns at
@@ -307,7 +327,7 @@ impl ProbTable {
             .map(|&c| {
                 let src = self.columns[c].values();
                 let mut out = Column::with_capacity(src.column_type(), rows.len());
-                out.extend_gather(src, rows.iter().copied());
+                out.extend_gather(src, rows);
                 out
             })
             .collect();

@@ -44,6 +44,9 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// The one `unsafe` block (the CRC kernel dispatch in `codec`) must say why
+// it is sound.
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub(crate) mod checkpoint;
 pub mod codec;
@@ -59,7 +62,7 @@ pub(crate) use pager::{Pager, PagerStats, DEFAULT_CACHE_PAGES};
 pub use wal::{CrashPoint, JournalOp};
 
 use checkpoint::SlotAllocator;
-use page::{PageKind, PAGE_SIZE};
+use page::{PageKind, PAGE_SIZE, PAYLOAD_LEN};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
@@ -610,14 +613,17 @@ impl Storage {
             return Ok(None);
         };
         let entry = stream.entry().clone();
+        let rows = BatchStream::size_hint(&stream);
         let relation = if entry.probabilistic {
             let mut t = ProbTable::new(&entry.name, entry.schema);
+            t.reserve(rows);
             while let Some(batch) = stream.next_batch()? {
                 t.extend_from_batch(&batch, 0..batch.len())?;
             }
             Relation::Probabilistic(t)
         } else {
             let mut t = Table::new(&entry.name, entry.schema);
+            t.reserve(rows);
             while let Some(batch) = stream.next_batch()? {
                 t.extend_from_batch(&batch, 0..batch.len());
             }
@@ -737,6 +743,14 @@ impl BatchStream for RelationStream {
 
     fn probabilistic(&self) -> bool {
         self.entry.probabilistic
+    }
+
+    /// The catalog's row count, capped at one row per payload byte of the
+    /// leaves still to read, so a damaged count cannot reserve more than
+    /// the file could hold (the count itself is checked at exhaustion).
+    fn size_hint(&self) -> usize {
+        let most = (self.leaves.len() as u64).saturating_mul(PAYLOAD_LEN as u64);
+        usize::try_from(self.entry.rows.min(most)).unwrap_or(usize::MAX)
     }
 
     fn next_batch(&mut self) -> Result<Option<Batch<'_>>, DbError> {
@@ -1375,6 +1389,100 @@ mod tests {
         ));
         // Scans still work: reads never depend on the write path.
         assert!(storage.scan("nope").unwrap().is_none());
+    }
+
+    #[test]
+    fn a_flipped_byte_in_a_stored_leaf_fails_the_scan_naming_that_leaf() {
+        let dir = TempDir::new();
+        let table = sample_prob_table("pv", 2000);
+        let leaves = {
+            let (storage, _) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
+            storage
+                .checkpoint(&[Relation::Probabilistic(table.clone())])
+                .unwrap();
+            let root = storage.entry("pv").expect("cataloged").root;
+            read_layout(&storage.pager, root).unwrap().leaves
+        };
+        assert!(leaves.len() >= 3, "2000 tuples span several leaves");
+        let pristine = std::fs::read(dir.path().join(DB_FILE)).unwrap();
+        // The first, a middle and the last leaf; a header byte and payload
+        // bytes at the front, middle and end of the page.
+        let targets = [
+            leaves[0],
+            leaves[leaves.len() / 2],
+            leaves[leaves.len() - 1],
+        ];
+        for (leaf, offset) in targets
+            .iter()
+            .flat_map(|&l| [(l, 9), (l, 30), (l, 2048), (l, 4095)])
+        {
+            let mut image = pristine.clone();
+            image[leaf as usize * PAGE_SIZE + offset] ^= 0x10;
+            std::fs::write(dir.path().join(DB_FILE), &image).unwrap();
+            // Opening reads only meta, catalog and interior pages.
+            let (storage, _) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
+            match storage.scan("pv") {
+                Err(StorageError::CorruptPage { page, .. }) => {
+                    assert_eq!(page, leaf, "byte {offset} of leaf {leaf}");
+                }
+                other => {
+                    panic!("byte {offset} of leaf {leaf}: expected CorruptPage, got {other:?}")
+                }
+            }
+        }
+
+        // The untouched file scans back whole, flags included.
+        std::fs::write(dir.path().join(DB_FILE), &pristine).unwrap();
+        let (storage, _) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
+        let Some(Relation::Probabilistic(got)) = storage.scan("pv").unwrap() else {
+            panic!("expected the probabilistic relation back");
+        };
+        assert_eq!(got, table);
+    }
+
+    #[test]
+    fn a_descent_at_a_leaf_boundary_clears_the_scanned_flag() {
+        // `t` ascends within every leaf and descends exactly where the
+        // second leaf starts: a scan appends each leaf as a span, and must
+        // still leave the flag per-row inserts gave (ProbTable equality
+        // compares the flags).
+        let dir = TempDir::new();
+        let (storage, _) = Storage::open(dir.path(), StorageOptions::default()).unwrap();
+        let probe = sample_prob_table("pv", 2000);
+        storage
+            .checkpoint(&[Relation::Probabilistic(probe.clone())])
+            .unwrap();
+        let first_leaf_rows = |storage: &Storage| {
+            let mut stream = storage.scan_stream("pv").unwrap().expect("cataloged");
+            stream.next_batch().unwrap().expect("a first leaf").len()
+        };
+        let boundary = first_leaf_rows(&storage);
+        assert!(0 < boundary && boundary < 2000);
+
+        let schema = probe.schema().clone();
+        let mut table = ProbTable::new("pv", schema);
+        for i in 0..2000 {
+            let t = if i < boundary {
+                i as i64
+            } else {
+                i as i64 - 10
+            };
+            table
+                .insert(vec![Value::Int(t), Value::Float(0.5)], 0.5)
+                .unwrap();
+        }
+        storage
+            .checkpoint(&[Relation::Probabilistic(table.clone())])
+            .unwrap();
+        assert_eq!(
+            first_leaf_rows(&storage),
+            boundary,
+            "same fixed-width rows per leaf"
+        );
+        let Some(Relation::Probabilistic(got)) = storage.scan("pv").unwrap() else {
+            panic!("expected the probabilistic relation back");
+        };
+        assert_eq!(got, table);
     }
 
     #[test]

@@ -73,30 +73,15 @@ pub(crate) struct Page {
 impl Page {
     /// A zeroed page of the given kind.
     pub(crate) fn new(kind: PageKind) -> Self {
-        let mut page = Page {
-            buf: vec![0u8; PAGE_SIZE]
-                .into_boxed_slice()
-                .try_into()
-                .expect("PAGE_SIZE"),
-        };
+        let mut page = Page { buf: blank_image() };
         page.buf[0] = kind.tag();
         page
     }
 
-    /// Reconstructs a page from its on-disk image, verifying the checksum
-    /// and the kind tag. `id` labels corruption errors.
-    pub(crate) fn from_image(id: u64, image: &[u8]) -> Result<Page, StorageError> {
-        if image.len() != PAGE_SIZE {
-            return Err(StorageError::CorruptPage {
-                page: id,
-                reason: format!("short image: {} bytes", image.len()),
-            });
-        }
-        let mut buf: Box<[u8; PAGE_SIZE]> = image
-            .to_vec()
-            .into_boxed_slice()
-            .try_into()
-            .expect("PAGE_SIZE");
+    /// Adopts an image read from disk as a page, verifying its checksum and
+    /// kind tag where it lies — the bytes are never copied. `id` labels
+    /// corruption errors.
+    pub(crate) fn verified(id: u64, mut buf: Box<[u8; PAGE_SIZE]>) -> Result<Page, StorageError> {
         let stored = u32::from_be_bytes(buf[4..8].try_into().expect("4 bytes"));
         buf[4..8].fill(0);
         let computed = crc32(&buf[..]);
@@ -174,6 +159,15 @@ impl Page {
     }
 }
 
+/// A zeroed page-sized buffer, allocated on the heap directly (never
+/// built on the stack and copied).
+pub(crate) fn blank_image() -> Box<[u8; PAGE_SIZE]> {
+    vec![0u8; PAGE_SIZE]
+        .into_boxed_slice()
+        .try_into()
+        .expect("PAGE_SIZE")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,8 +178,7 @@ mod tests {
         page.set_next(17);
         page.set_count(3);
         page.set_payload(b"abc def ghi");
-        let image = page.sealed_image().to_vec();
-        let got = Page::from_image(5, &image).unwrap();
+        let got = Page::verified(5, Box::new(*page.sealed_image())).unwrap();
         assert_eq!(got.kind(), PageKind::Leaf);
         assert_eq!(got.next(), 17);
         assert_eq!(got.count(), 3);
@@ -194,23 +187,47 @@ mod tests {
 
     #[test]
     fn bit_flip_is_detected() {
-        let mut page = Page::new(PageKind::Catalog);
-        page.set_payload(b"entry");
-        let mut image = page.sealed_image().to_vec();
-        image[HEADER_LEN + 2] ^= 0x40;
-        assert!(matches!(
-            Page::from_image(9, &image),
-            Err(StorageError::CorruptPage { page: 9, .. })
-        ));
+        let mut page = Page::new(PageKind::Leaf);
+        page.set_next(3);
+        page.set_count(2);
+        page.set_payload(&(0..PAYLOAD_LEN).map(|i| (i * 7) as u8).collect::<Vec<_>>());
+        let sealed = *page.sealed_image();
+        // Header (kind, checksum, next, count, used), payload, the last
+        // byte, and a stride over everything between, each bit in turn.
+        let offsets = [
+            0,
+            4,
+            7,
+            8,
+            16,
+            20,
+            HEADER_LEN,
+            HEADER_LEN + 2,
+            PAGE_SIZE - 1,
+        ];
+        for offset in offsets.into_iter().chain((0..PAGE_SIZE).step_by(61)) {
+            for bit in 0..8 {
+                let mut image = Box::new(sealed);
+                image[offset] ^= 1 << bit;
+                assert!(
+                    matches!(
+                        Page::verified(9, image),
+                        Err(StorageError::CorruptPage { page: 9, .. })
+                    ),
+                    "flip of bit {bit} at byte {offset} went unnoticed"
+                );
+            }
+        }
+        assert!(Page::verified(9, Box::new(sealed)).is_ok());
     }
 
     #[test]
     fn unknown_kind_is_rejected() {
         let mut page = Page::new(PageKind::Leaf);
         page.buf[0] = 99; // corrupt the kind, then re-seal so the CRC passes
-        let image = page.sealed_image().to_vec();
+        let image = Box::new(*page.sealed_image());
         assert!(matches!(
-            Page::from_image(1, &image),
+            Page::verified(1, image),
             Err(StorageError::CorruptPage { .. })
         ));
     }

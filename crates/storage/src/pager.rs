@@ -7,6 +7,11 @@
 //! itself; a cache miss reads the page from the file, verifies its
 //! checksum, and publishes the `Arc` for everyone after it.
 //!
+//! A miss costs one positional read (`pread`, no file lock: concurrent
+//! misses read in parallel) straight into the page's own buffer, and one
+//! checksum over it in place (carry-less-multiply CRC-32 where the CPU has
+//! it, see [`crate::codec`]); the image is never copied.
+//!
 //! The pager itself never writes. Checkpoints shadow-write through a
 //! separate handle — only to pages that are *free* under the current meta
 //! (see [`crate::Storage::checkpoint_incremental`]) — then call
@@ -16,11 +21,11 @@
 //! checkpoint stay byte-valid.
 
 use crate::error::StorageError;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{blank_image, Page, PAGE_SIZE};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -40,7 +45,7 @@ pub struct PagerStats {
 /// A page-granular reader over one database file.
 #[derive(Debug)]
 pub(crate) struct Pager {
-    file: Mutex<File>,
+    file: File,
     cache: RwLock<HashMap<u64, Arc<Page>>>,
     /// FIFO of resident page ids, used for eviction once `capacity` is
     /// exceeded. Approximate by design: eviction only bounds memory, it
@@ -58,7 +63,7 @@ impl Pager {
     /// Wraps an open database file holding `n_pages` pages.
     pub(crate) fn new(file: File, n_pages: u64, capacity: usize) -> Self {
         Pager {
-            file: Mutex::new(file),
+            file,
             cache: RwLock::new(HashMap::new()),
             resident: Mutex::new(VecDeque::new()),
             capacity: capacity.max(8),
@@ -114,13 +119,10 @@ impl Pager {
             return Ok(Arc::clone(page));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut image = vec![0u8; PAGE_SIZE];
-        {
-            let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-            file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
-            file.read_exact(&mut image)?;
-        }
-        let page = Arc::new(Page::from_image(id, &image)?);
+        let mut image = blank_image();
+        self.file
+            .read_exact_at(&mut image[..], id * PAGE_SIZE as u64)?;
+        let page = Arc::new(Page::verified(id, image)?);
         let mut cache = self.cache.write().expect("page cache lock");
         // Two threads may race the same cold page; first write wins and
         // both end up with an identical immutable snapshot.
