@@ -247,12 +247,20 @@ mod tests {
     fn crc32_kernels_equal_the_bytewise_loop_at_every_length_and_offset() {
         // Exhaustive over every split the kernels make — below the folding
         // minimum, whole and partial 64-byte quads, 16-byte blocks, the
-        // table tail — and around a page image, at sixteen start offsets.
-        let buf = noise(7, 4112 + 16);
+        // table tail — for every length 0..=4200 (a page image is 4096) at
+        // sixteen start offsets.
+        // The byte-at-a-time reference runs once per offset: its state
+        // after `len` bytes is the checksum of the `len`-byte prefix.
+        let buf = noise(7, 4200 + 16);
         for start in 0..16 {
-            for len in (0..=512).chain(4080..=4112) {
+            let mut state = !0u32;
+            for len in 0..=4200 {
                 let data = &buf[start..start + len];
-                let want = crc32_bytewise(data);
+                if len > 0 {
+                    state = CRC_TABLES[0][((state ^ data[len - 1] as u32) & 0xFF) as usize]
+                        ^ (state >> 8);
+                }
+                let want = !state;
                 assert_eq!(crc32(data), want, "dispatch: start {start} len {len}");
                 assert_eq!(
                     crc32_portable(data),
@@ -260,6 +268,7 @@ mod tests {
                     "portable: start {start} len {len}"
                 );
             }
+            assert_eq!(!state, crc32_bytewise(&buf[start..start + 4200]));
         }
     }
 
