@@ -48,9 +48,9 @@ use tspdb_wire::{
     PROTOCOL_VERSION,
 };
 
-/// The per-round query mix: the row pipeline, Monte-Carlo sampling of a
-/// row-level domain and a `WITH SYNOPSIS` whole-relation aggregate,
-/// answered exactly from the view's running totals (both as prepared
+/// The per-round query mix: the row pipeline, the closed-form answer of a
+/// row-level `WITH WORLDS` domain and a `WITH SYNOPSIS` whole-relation
+/// aggregate, answered exactly from the view's running totals (both as prepared
 /// statements — plan once, execute many), exact grouped aggregates,
 /// EXPLAIN of a `WITH WORLDS` aggregate (planned onto exact evaluation: it
 /// has no `HAVING` event to sample), and a top-k probability sort.

@@ -2201,10 +2201,10 @@ mod tests {
             .query("SELECT * FROM pv THRESHOLD 0.2 WITH WORLDS 4000 SEED 17")
             .unwrap();
         let w = out.worlds().unwrap();
-        assert_eq!(w.worlds, 4000);
+        assert_eq!(w.worlds, 0, "row plans are answered in closed form");
         assert_eq!(w.seed, 17);
         assert!(w.matching_tuples > 0);
-        // Exact cross-check on the same sub-relation.
+        // The exact operator over the same sub-relation, bit for bit.
         let sub = e
             .query("SELECT * FROM pv THRESHOLD 0.2")
             .unwrap()
@@ -2212,11 +2212,7 @@ mod tests {
             .unwrap()
             .clone();
         let exact = tspdb_probdb::query::event_probability(&sub, &Vec::new()).unwrap();
-        assert!(
-            (w.event_probability - exact).abs() < 3.0 * w.event_ci_half_width + 1e-3,
-            "MC {} vs exact {exact}",
-            w.event_probability
-        );
+        assert_eq!(w.event_probability.to_bits(), exact.to_bits());
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! queries need the full *distribution* of the tuple count — "what is the
 //! probability that Alice visited room 4 at least three times?". For `n`
 //! independent tuples with probabilities `p_1..p_n` the count follows a
-//! Poisson-binomial distribution, computed exactly here with the standard
-//! O(n²) dynamic program (O(n·k) when only the first `k` probabilities are
-//! needed).
+//! Poisson-binomial distribution, computed here with the standard O(n²)
+//! dynamic program, or in O(n·w) when a trim budget lets the sweep drop
+//! the far tails (`w` is the width of the range it keeps).
+//!
+//! The `*_of` kernels over explicit probability slices are the one place
+//! each closed form lives: the planner's aggregates, the row-level
+//! `WITH WORLDS` answer and the whole-relation operators all call them.
 
 use crate::error::DbError;
 use crate::query::{matching_rows, CmpOp, Conjunction};
@@ -16,37 +20,71 @@ use crate::table::ProbTable;
 /// Exact distribution of the number of matching tuples present in a
 /// possible world: entry `k` is `P(count = k)`.
 ///
-/// Gathers the matching probabilities and runs [`count_distribution_of`].
+/// Gathers the matching probabilities and runs [`count_distribution_of`]
+/// with budget 0.
 pub fn count_distribution(table: &ProbTable, pred: &Conjunction) -> Result<Vec<f64>, DbError> {
     let probs = scan::gather_probs(table.probs(), &matching_rows(table, pred)?);
-    Ok(count_distribution_of(&probs))
+    Ok(count_distribution_of(&probs, 0.0).0)
 }
 
-/// Poisson-binomial distribution over an explicit probability slice — the
-/// predicate-free core of [`count_distribution`], used by the planner's
-/// per-group aggregate evaluation.
+/// Poisson-binomial distribution over an explicit probability slice, and
+/// the probability mass the sweep trimmed to stay within `budget`.
 ///
 /// A double-buffered sweep: folding tuple `p` into the partial-count
-/// distribution `cur` writes `next[0] = cur[0]·(1−p)` and
-/// `next[k] = cur[k]·(1−p) + cur[k−1]·p`, with `cur` padded by one zero so
-/// the new top entry takes the same form. The two buffers never alias, so
-/// the sweep has no branch and no store→load chain and vectorises. Every
-/// entry is the result of the same IEEE operations, in the same order, as
-/// the textbook in-place backward fold.
-pub fn count_distribution_of(probs: &[f64]) -> Vec<f64> {
+/// distribution `cur` writes `next[lo] = cur[lo]·(1−p)` and
+/// `next[k] = cur[k]·(1−p) + cur[k−1]·p` over the live range `lo..=hi+1`.
+/// The two buffers never alias, so the sweep has no branch and no
+/// store→load chain and vectorises.
+///
+/// After each sweep the live range is trimmed from both ends, the smaller
+/// end entry first, while the mass trimmed so far stays `≤ budget`; a
+/// trimmed entry is zero in the result. The DP is linear and preserves
+/// mass, so the result is within L1 distance `trimmed` (plus rounding) of
+/// the untrimmed distribution.
+///
+/// Budget 0 trims only exact zeros. Every other entry is then the result
+/// of the same IEEE operations, in the same order, as the textbook
+/// in-place backward fold: a zero neighbour adds `+0.0`, which changes no
+/// non-negative value. That is the form `HAVING COUNT` runs.
+pub fn count_distribution_of(probs: &[f64], budget: f64) -> (Vec<f64>, f64) {
     let mut cur = vec![0.0f64; probs.len() + 1];
     let mut next = cur.clone();
     cur[0] = 1.0;
-    for (m, &p) in probs.iter().enumerate() {
-        // `cur[..=m]` is the distribution over the first `m` tuples. No
-        // sweep so far wrote past index `m`, so `cur[m + 1]` is still the
-        // zero pad from allocation.
+    // `cur[lo..=hi]` is the live range. Both buffers are zero above `hi`,
+    // so `cur[hi + 1]` is the zero pad the top entry of a sweep reads.
+    // Below `lo` they may hold stale mass, which no sweep reads.
+    let (mut lo, mut hi) = (0usize, 0usize);
+    let mut trimmed = 0.0;
+    for &p in probs {
         let q = 1.0 - p;
-        next[0] = cur[0] * q;
-        blend(&mut next[1..=m + 1], &cur[1..=m + 1], &cur[..=m], p, q);
+        next[lo] = cur[lo] * q;
+        blend(
+            &mut next[lo + 1..=hi + 1],
+            &cur[lo + 1..=hi + 1],
+            &cur[lo..=hi],
+            p,
+            q,
+        );
         std::mem::swap(&mut cur, &mut next);
+        hi += 1;
+        while lo < hi {
+            let top = cur[hi] <= cur[lo];
+            let end = if top { cur[hi] } else { cur[lo] };
+            if trimmed + end > budget {
+                break;
+            }
+            trimmed += end;
+            if top {
+                (cur[hi], next[hi]) = (0.0, 0.0);
+                hi -= 1;
+            } else {
+                cur[lo] = 0.0;
+                lo += 1;
+            }
+        }
     }
-    cur
+    cur[..lo].fill(0.0);
+    (cur, trimmed)
 }
 
 /// `out[i] = stay[i]·q + moved[i]·p`: one Bernoulli fold of the count DP
@@ -56,6 +94,30 @@ fn blend(out: &mut [f64], stay: &[f64], moved: &[f64], p: f64, q: f64) {
     for ((o, &s), &m) in out.iter_mut().zip(stay).zip(moved) {
         *o = s * q + m * p;
     }
+}
+
+/// `Σ xs`, folded in order from `+0.0` (`Iterator::sum` starts at `−0.0`,
+/// so an empty sum would be `−0`): the fold `COUNT(*) = Σp` and every
+/// deterministic `SUM` run.
+pub(crate) fn sum_from_zero(xs: &[f64]) -> f64 {
+    xs.iter().fold(0.0, |acc, &x| acc + x)
+}
+
+/// Expected count and its variance, `Σp` ([`sum_from_zero`]) and
+/// `Σp(1 − p)`, over an explicit probability slice.
+pub(crate) fn count_moments_of(probs: &[f64]) -> (f64, f64) {
+    let var = probs.iter().fold(0.0, |acc, &p| acc + p * (1.0 - p));
+    (sum_from_zero(probs), var)
+}
+
+/// `P(at least one tuple is present)`: `1 − Π(1 − p)`, computed as
+/// `−expm1(Σ ln_1p(−p))` with the sum folded in order from `+0.0`. A
+/// single tuple at `p = 1e-300` gives `1e-300` (the product form rounds
+/// it to 0), any `p = 1` gives 1, and an empty slice gives `+0.0`.
+pub(crate) fn event_probability_of(probs: &[f64]) -> f64 {
+    let log_absent = probs.iter().fold(0.0, |acc, &p| acc + (-p).ln_1p());
+    // `0.0 −` rather than negation: an empty domain is `+0.0`, not `−0.0`.
+    0.0 - log_absent.exp_m1()
 }
 
 /// Expectation and variance of the sum of `values` over tuples present in
@@ -327,14 +389,8 @@ pub fn prob_count_at_least(
 /// Expected count and variance of the count (`Σp_i`, `Σp_i(1−p_i)`) for
 /// tuples matching the predicate — the closed forms, no DP needed.
 pub fn count_moments(table: &ProbTable, pred: &Conjunction) -> Result<(f64, f64), DbError> {
-    let mut mean = 0.0;
-    let mut var = 0.0;
-    for i in matching_rows(table, pred)? {
-        let p = table.probs()[i];
-        mean += p;
-        var += p * (1.0 - p);
-    }
-    Ok((mean, var))
+    let probs = scan::gather_probs(table.probs(), &matching_rows(table, pred)?);
+    Ok(count_moments_of(&probs))
 }
 
 /// Probabilities on which a kernel rewrite is most likely to differ from
@@ -442,10 +498,11 @@ mod tests {
         let probs = [0.1, 0.4, 0.65, 0.9, 0.25, 0.33];
         let v = view(&probs);
         assert_eq!(
-            count_distribution_of(&probs),
+            count_distribution_of(&probs, 0.0).0,
             count_distribution(&v, &vec![]).unwrap()
         );
-        assert_eq!(count_distribution_of(&[]), vec![1.0]);
+        assert_eq!(count_distribution_of(&[], 0.0), (vec![1.0], 0.0));
+        assert_eq!(count_distribution_of(&[], 1.0), (vec![1.0], 0.0));
     }
 
     #[test]
@@ -642,12 +699,70 @@ mod tests {
             .collect()
     }
 
+    /// Budget 0 is the reference fold bit for bit; the row-level budget
+    /// stays within its tracked trimmed mass of it, and is the same bits
+    /// when it trimmed nothing.
     fn assert_count_matches(probs: &[f64]) {
+        let (exact, none) = count_distribution_of(probs, 0.0);
+        assert_eq!(none, 0.0, "budget 0 trims only zeros");
         assert_eq!(
-            bits(&count_distribution_of(probs)),
+            bits(&exact),
             bits(&count_reference(probs)),
             "count DP over {probs:?}"
         );
+        assert_trim_within_budget(probs, 2f64.powi(-60), &exact);
+    }
+
+    /// The trimmed sweep at `budget` against the untrimmed `exact`: the
+    /// same length, trimmed mass within the budget, and L1 distance
+    /// within the trimmed mass plus the rounding of two `n`-step sweeps.
+    fn assert_trim_within_budget(probs: &[f64], budget: f64, exact: &[f64]) {
+        let (dist, trimmed) = count_distribution_of(probs, budget);
+        assert_eq!(dist.len(), exact.len());
+        assert!((0.0..=budget).contains(&trimmed), "trimmed {trimmed:e}");
+        if trimmed == 0.0 {
+            assert_eq!(bits(&dist), bits(exact), "nothing trimmed over {probs:?}");
+        }
+        let l1: f64 = dist.iter().zip(exact).map(|(a, b)| (a - b).abs()).sum();
+        let rounding = 4.0 * probs.len() as f64 * f64::EPSILON;
+        assert!(
+            l1 <= trimmed + rounding,
+            "L1 {l1:e} > trimmed {trimmed:e} + {rounding:e} over n = {}",
+            probs.len()
+        );
+    }
+
+    #[test]
+    fn trimming_keeps_the_bulk_and_drops_the_tails() {
+        // 2 000 tuples at p = 0.3: μ = 600, σ ≈ 20.5. The trimmed range
+        // spans a few hundred counts around μ, not all 2 001.
+        let probs = vec![0.3; 2_000];
+        let (exact, _) = count_distribution_of(&probs, 0.0);
+        let (dist, trimmed) = count_distribution_of(&probs, 2f64.powi(-60));
+        assert!(trimmed > 0.0 && trimmed <= 2f64.powi(-60));
+        let live = dist.iter().filter(|&&d| d != 0.0).count();
+        assert!(live < 600, "{live} live entries");
+        assert!(dist[600] > 0.0 && dist[0] == 0.0 && dist[2_000] == 0.0);
+        assert_trim_within_budget(&probs, 2f64.powi(-60), &exact);
+        // A budget of 1 may trim everything but one entry.
+        let (dist, trimmed) = count_distribution_of(&probs, 1.0);
+        assert_eq!(dist.iter().filter(|&&d| d != 0.0).count(), 1);
+        assert!(trimmed < 1.0);
+    }
+
+    #[test]
+    fn shared_moments_and_event_kernels() {
+        let probs = [0.25, 0.5, 1.0, 0.0];
+        assert_eq!(count_moments_of(&probs), (1.75, 0.1875 + 0.25));
+        assert_eq!(sum_from_zero(&[]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(event_probability_of(&probs), 1.0);
+        assert_eq!(event_probability_of(&[1e-300]), 1e-300);
+        assert_eq!(event_probability_of(&[]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            event_probability_of(&[0.0, 0.0]).to_bits(),
+            0.0f64.to_bits()
+        );
+        assert!((event_probability_of(&[0.5, 0.2]) - 0.6).abs() < 1e-15);
     }
 
     fn assert_sum_matches(units: &[(f64, i64)]) {
@@ -666,6 +781,15 @@ mod tests {
             picks in proptest::collection::vec((0usize..40, 0.0f64..=1.0), 0..300),
         ) {
             assert_count_matches(&with_edges(&picks));
+        }
+
+        #[test]
+        fn trimmed_count_dp_stays_within_its_trimmed_mass(
+            probs in proptest::collection::vec(0.0f64..=1.0, 0..400),
+            shift in 0i32..=70,
+        ) {
+            let (exact, _) = count_distribution_of(&probs, 0.0);
+            assert_trim_within_budget(&probs, 2f64.powi(-shift), &exact);
         }
 
         #[test]

@@ -620,8 +620,8 @@ impl Database {
     /// batch, and both are stripped from the plan the strategy executes;
     /// `TOP` stays with the strategy, which also keeps ownership of the
     /// deterministic `THRESHOLD`/`TOP`/`WITH WORLDS` rejection. `WITH
-    /// WORLDS` samples the kept tuples in scan order and seeds its groups
-    /// by group index, so it sees the same domain either way.
+    /// WORLDS` folds or samples the kept tuples in scan order and seeds
+    /// its groups by group index, so it sees the same domain either way.
     fn stream_input<'p>(
         &self,
         planned: &'p PlannedQuery,
@@ -656,8 +656,8 @@ impl Database {
             return input(empty, Cow::Borrowed(plan));
         }
         if let (true, PhysicalAction::Rows { columns, .. }) = (worlds, &plan.action) {
-            // The MC row shape checks its projection before the
-            // predicate; do the same before the scan can raise a
+            // The `WITH WORLDS` row shape checks its projection before
+            // the predicate; do the same before the scan can raise a
             // predicate error first.
             for col in columns {
                 stream.schema().index_of(col)?;
@@ -713,7 +713,7 @@ impl Database {
             physical: planned.physical.to_string(),
             strategy: planned
                 .strategy_with_context(self.worlds_threads())
-                .describe(),
+                .describe(&planned.physical),
         }))
     }
 
@@ -944,20 +944,35 @@ mod tests {
     }
 
     #[test]
-    fn with_worlds_queries_return_sampling_stats() {
+    fn with_worlds_rows_are_answered_in_closed_form() {
         let db = fig1_database();
         let out = db
             .query("SELECT * FROM pv WHERE time = 1 WITH WORLDS 20000 SEED 5")
             .unwrap();
         let w = out.worlds().unwrap();
-        assert_eq!(w.worlds, 20_000);
+        assert_eq!(w.worlds, 0, "nothing is sampled");
         assert_eq!(w.matching_tuples, 4);
         assert_eq!(w.seed, 5);
-        assert!(!w.converged);
-        // P(some room at time 1) = 1 − 0.5·0.9·0.7·0.9 ≈ 0.7165.
-        assert!((w.event_probability - 0.7165).abs() < 0.02);
-        assert!(w.event_ci_half_width > 0.0);
-        assert!(w.wall > std::time::Duration::ZERO);
+        assert!(w.converged);
+        // P(some room at time 1) = 1 − 0.5·0.9·0.7·0.9 = 0.7165.
+        assert!((w.event_probability - 0.7165).abs() < 1e-15);
+        assert_eq!(w.event_ci_half_width, 0.0);
+        assert_eq!(w.count_ci_half_width, 0.0);
+        let count = db.query("SELECT COUNT(*) FROM pv WHERE time = 1").unwrap();
+        assert_eq!(
+            w.count_mean.to_bits(),
+            count.aggregate().unwrap().groups[0].values[0]
+                .value
+                .to_bits()
+        );
+        let mass: f64 = w.count_distribution.iter().sum();
+        assert_eq!(w.count_distribution.len(), 5);
+        assert!((mass - 1.0).abs() < 1e-15);
+        let text = w.to_string();
+        assert!(
+            text.starts_with("worlds: none sampled, closed forms (seed 5"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -969,8 +984,14 @@ mod tests {
         let w = out.worlds().unwrap();
         let sum = w.sum.as_ref().unwrap();
         assert_eq!(sum.column, "room");
-        // E[Σ room] = 1·0.2 + 2·0.4 = 1.0.
-        assert!((sum.mean - 1.0).abs() < 0.05, "sum mean {}", sum.mean);
+        // E[Σ room] = 1·0.2 + 2·0.4 = 1.0, the bits SUM(room) answers.
+        let exact = db.query("SELECT SUM(room) FROM pv WHERE time = 2").unwrap();
+        assert_eq!(
+            sum.mean,
+            exact.aggregate().unwrap().groups[0].values[0].value
+        );
+        assert!((sum.mean - 1.0).abs() < 1e-15, "sum mean {}", sum.mean);
+        assert_eq!(sum.ci_half_width, 0.0);
     }
 
     #[test]
@@ -984,7 +1005,7 @@ mod tests {
         v.insert(vec![Value::Int(1), Value::Text("a".into())], 0.5)
             .unwrap();
         db.register_prob_table(v).unwrap();
-        // A single text projection runs the MC query without a SUM.
+        // A single text projection answers the domain without a SUM.
         let out = db.query("SELECT tag FROM pv WITH WORLDS 1000").unwrap();
         assert!(out.worlds().unwrap().sum.is_none());
         // Unknown columns error like the exact path's projection would —
@@ -1000,15 +1021,20 @@ mod tests {
     }
 
     #[test]
-    fn with_worlds_confidence_terminates_early() {
+    fn with_worlds_confidence_is_met_by_the_closed_form() {
         let db = fig1_database();
         let out = db
             .query("SELECT * FROM pv WITH WORLDS 1000000 SEED 2 CONFIDENCE 0.02")
             .unwrap();
         let w = out.worlds().unwrap();
         assert!(w.converged);
-        assert!(w.worlds < 1_000_000);
-        assert!(w.event_ci_half_width <= 0.02);
+        assert_eq!(w.worlds, 0);
+        assert_eq!(w.event_ci_half_width, 0.0);
+        // The clause is still validated.
+        assert!(matches!(
+            db.query("SELECT * FROM pv WITH WORLDS 10 CONFIDENCE 0"),
+            Err(DbError::Parse(_))
+        ));
     }
 
     #[test]

@@ -21,13 +21,15 @@
 //!   `GROUP BY`, `HAVING` event predicates) and `EXPLAIN`.
 //! * [`plan`] — the query planner: [`plan::LogicalPlan`] trees lowered to
 //!   [`plan::PhysicalPlan`]s and executed by a pluggable
-//!   evaluation strategy (exact closed forms, or the Monte-Carlo worlds
-//!   backend for a row domain or a `HAVING` event under `WITH WORLDS`).
+//!   evaluation strategy (exact closed forms, or the worlds backend under
+//!   `WITH WORLDS`: closed forms for a row domain, Monte Carlo for a
+//!   `HAVING` event).
 //! * `catalog` — the in-memory [`Database`] executing
 //!   statements; `SELECT`s are planned then executed, density views are
 //!   delegated to a handler supplied by the engine layer (`tspdb-core`).
 //! * `worlds` — possible-world sampling: the parallel, deterministic
-//!   [`WorldsExecutor`] behind `SELECT … WITH WORLDS`.
+//!   [`WorldsExecutor`] behind a `HAVING` event under `WITH WORLDS`, and
+//!   the [`WorldsResult`] a row query answers in closed form.
 //!
 //! ## Quick start
 //!
@@ -81,7 +83,7 @@ pub use error::DbError;
 pub use plan::{AggregateResult, PlannedQuery, Planner};
 pub use plan_cache::PlanCacheStats;
 pub use query::{CmpOp, Comparison, Conjunction};
-pub use scan::{Batch, BatchStream, Selection};
+pub use scan::{materialize, Batch, BatchStream, Selection};
 pub use schema::Schema;
 pub use sql::{parse, DensityViewSpec, SelectStmt, Statement};
 pub use table::{ProbTable, Table};

@@ -20,23 +20,26 @@
 //!   `ExactStrategy` answers with closed forms over tuple independence
 //!   (linearity of expectation for `COUNT` / `SUM` / `AVG` / `EXPECTED`,
 //!   the Poisson-binomial DP for `HAVING COUNT`, the sum-distribution DP
-//!   for `HAVING SUM`); `WorldsStrategy` answers by Monte-Carlo
-//!   possible-world sampling, inheriting the executor's bit-identical
-//!   determinism at every thread count. `WITH WORLDS` selects it only for
-//!   what has no cheap closed form: the row-level domain estimate and a
-//!   `HAVING` event. An aggregate without `HAVING` is planned onto
-//!   `ExactStrategy`, and under `WorldsStrategy` the aggregate values of a
-//!   `HAVING` statement are the same closed forms; only the event is
-//!   sampled. `WITH SYNOPSIS [BUCKETS b] [MAXERROR e]` is accepted and
-//!   planned onto `ExactStrategy` too: an exact answer meets any error
-//!   bound.
+//!   for `HAVING SUM`); `WorldsStrategy` runs a `WITH WORLDS` row plan or
+//!   `HAVING` statement. A row plan's answer (`QueryOutput::Worlds`) is
+//!   closed forms over the restricted domain, with `worlds = 0` and zero
+//!   half-widths; only a `HAVING` event is sampled, by Monte-Carlo
+//!   possible-world sampling that inherits the executor's bit-identical
+//!   determinism at every thread count. An aggregate without `HAVING` is
+//!   planned onto `ExactStrategy`, and under `WorldsStrategy` the
+//!   aggregate values of a `HAVING` statement are the same closed forms.
+//!   `WITH SYNOPSIS [BUCKETS b] [MAXERROR e]` is accepted and planned
+//!   onto `ExactStrategy` too: an exact answer meets any error bound.
 //!
 //! Both strategies evaluate the *same* plans, so every sampled event
 //! admits an exact-vs-MC differential test, and every future operator
 //! (joins, windows, parallel scans) becomes a plan node instead of another
 //! `match` arm in the catalog.
 
-use crate::aggregates::{count_distribution_of, sum_distribution_of, sum_moments_of};
+use crate::aggregates::{
+    count_distribution_of, count_moments_of, event_probability_of, sum_distribution_of,
+    sum_from_zero, sum_moments_of,
+};
 use crate::catalog::{QueryOutput, Relation};
 use crate::error::DbError;
 use crate::query::Conjunction;
@@ -47,9 +50,12 @@ use crate::sql::{
 };
 use crate::table::{ProbTable, Table};
 use crate::value::Value;
-use crate::worlds::{mix_seed, SumEventSpec, WorldsConfig, WorldsExecutor};
+use crate::worlds::{
+    mix_seed, SumEstimate, SumEventSpec, WorldsConfig, WorldsExecutor, WorldsResult,
+};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Logical plans
@@ -417,11 +423,12 @@ impl Planner {
     ///   ([`DbError::InvalidWorlds`], as before the planner existed), and a
     ///   clause with no world or a non-positive `CONFIDENCE`
     ///   ([`DbError::InvalidWorlds`]);
-    /// * `WITH WORLDS` samples only what has no cheap closed form — the
-    ///   row-level domain estimate and a `HAVING` event. An aggregate
-    ///   without `HAVING` is planned onto the exact strategy, which answers
-    ///   the clause-free statement's bytes (an exact answer meets any
-    ///   `CONFIDENCE`) but still refuses a deterministic relation;
+    /// * `WITH WORLDS` plans a row query or a `HAVING` statement onto the
+    ///   worlds strategy, which answers the row query in closed form and
+    ///   samples only the `HAVING` event. An aggregate without `HAVING` is
+    ///   planned onto the exact strategy, which answers the clause-free
+    ///   statement's bytes (an exact answer meets any `CONFIDENCE`) but
+    ///   still refuses a deterministic relation;
     /// * `WITH SYNOPSIS` is planned onto the exact strategy (an exact
     ///   answer meets any `MAXERROR`) and cannot combine with `WITH
     ///   WORLDS`.
@@ -747,8 +754,8 @@ impl fmt::Display for ExplainReport {
 
 /// A pluggable evaluation backend executing physical plans.
 pub(crate) trait EvalStrategy {
-    /// Parameter description for `EXPLAIN`.
-    fn describe(&self) -> String;
+    /// Parameter description for `EXPLAIN` of `plan`.
+    fn describe(&self, plan: &PhysicalPlan) -> String;
 
     /// Executes a physical plan against the resolved source relation.
     fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError>;
@@ -766,7 +773,7 @@ pub(crate) struct ExactStrategy {
 }
 
 impl EvalStrategy for ExactStrategy {
-    fn describe(&self) -> String {
+    fn describe(&self, _plan: &PhysicalPlan) -> String {
         "exact (closed forms: COUNT(*) = Σp, SUM = Σp·v; count DP only for HAVING COUNT, \
          sum DP only for HAVING SUM)"
             .into()
@@ -869,13 +876,22 @@ fn worlds_executor(
     })
 }
 
-/// Monte-Carlo possible-world evaluation (`WITH WORLDS`): the row-level
-/// domain estimate, and the `HAVING` event of an aggregate.
+/// Trim budget of the row-level `WITH WORLDS` count distribution: the
+/// count DP drops at most `2^-60` of probability mass from the far tails,
+/// so the answer is within L1 distance `2^-60` (plus rounding) of the
+/// untrimmed distribution. A fixed part of the answer (`docs/sql.md`),
+/// not an option.
+const ROW_COUNT_TRIM: f64 = 1.0 / (1u64 << 60) as f64;
+
+/// `WITH WORLDS` evaluation of a row plan or a `HAVING` statement.
 ///
-/// Group seeds derive deterministically from the clause seed and the
-/// group's canonical-order index (the global group keeps the clause seed
-/// itself), and each group runs the batched executor — so results stay
-/// bit-identical at every thread count, groups included.
+/// A row plan is answered in closed form over its restricted domain (see
+/// [`domain_closed_form`]): nothing is sampled. A `HAVING` event is
+/// sampled by Monte Carlo. Group seeds derive deterministically from the
+/// clause seed and the group's canonical-order index (the global group
+/// keeps the clause seed itself), and each group runs the batched
+/// executor — so results stay bit-identical at every thread count,
+/// groups included.
 #[derive(Debug, Clone)]
 pub(crate) struct WorldsStrategy {
     /// The selecting `WITH WORLDS` clause.
@@ -886,9 +902,16 @@ pub(crate) struct WorldsStrategy {
 }
 
 impl EvalStrategy for WorldsStrategy {
-    fn describe(&self) -> String {
+    fn describe(&self, plan: &PhysicalPlan) -> String {
+        let method = match plan.action {
+            PhysicalAction::Rows { .. } => {
+                "closed forms for row plans, only HAVING events sample; \
+                 count distribution within L1 2^-60; "
+            }
+            PhysicalAction::Aggregate(_) => "Monte-Carlo, ",
+        };
         let mut s = format!(
-            "worlds (Monte-Carlo, max_worlds={}, seed={}",
+            "worlds ({method}max_worlds={}, seed={}",
             self.clause.worlds,
             self.clause.seed.unwrap_or(0)
         );
@@ -925,10 +948,12 @@ impl EvalStrategy for WorldsStrategy {
                     },
                     _ => None,
                 };
-                let executor = worlds_executor(&self.clause, seed, self.threads)?;
-                Ok(QueryOutput::Worlds(executor.run_domain(
+                // Nothing samples, but the clause is refused as when it did.
+                worlds_executor(&self.clause, seed, self.threads)?;
+                Ok(QueryOutput::Worlds(domain_closed_form(
                     &probs,
                     sum.as_ref().map(|(c, v)| (*c, v.as_slice())),
+                    seed,
                 )))
             }
             PhysicalAction::Aggregate(agg) => {
@@ -946,6 +971,43 @@ impl EvalStrategy for WorldsStrategy {
                 Ok(QueryOutput::Aggregate(result))
             }
         }
+    }
+}
+
+/// The row-level `WITH WORLDS` answer over a restricted domain, from the
+/// kernels the exact operators run: `count_mean` is `COUNT(*)`'s `Σp`,
+/// `count_variance` `Σp(1 − p)`, `sum` `SUM(col)`'s `Σp·v` with
+/// `Σp(1 − p)v²`, `event_probability` `−expm1(Σ ln_1p(−p))`, and
+/// `count_distribution` the count DP trimmed to [`ROW_COUNT_TRIM`].
+/// `worlds = 0` and every half-width is 0: no world is sampled. `seed`
+/// echoes the clause, and `threads` is 1: the folds run on the calling
+/// thread.
+fn domain_closed_form(probs: &[f64], sum: Option<(&str, &[f64])>, seed: u64) -> WorldsResult {
+    let started = Instant::now();
+    let (count_mean, count_variance) = count_moments_of(probs);
+    let sum = sum.map(|(column, values)| {
+        let (mean, variance) = sum_moments_of(probs, values);
+        SumEstimate {
+            column: column.to_string(),
+            mean,
+            variance,
+            ci_half_width: 0.0,
+        }
+    });
+    WorldsResult {
+        worlds: 0,
+        matching_tuples: probs.len(),
+        seed,
+        threads: 1,
+        converged: true,
+        event_probability: event_probability_of(probs),
+        event_ci_half_width: 0.0,
+        count_distribution: count_distribution_of(probs, ROW_COUNT_TRIM).0,
+        count_mean,
+        count_variance,
+        count_ci_half_width: 0.0,
+        sum,
+        wall: started.elapsed(),
     }
 }
 
@@ -1124,11 +1186,6 @@ fn tail_probability(dist: &[f64], op: crate::query::CmpOp, k: f64) -> f64 {
     p.clamp(0.0, 1.0)
 }
 
-/// `Σ xs` from `+0.0` (`Iterator::sum` starts at `−0.0`: an empty sum is `-0`).
-fn sum_from_zero(xs: &[f64]) -> f64 {
-    xs.iter().fold(0.0, |acc, &x| acc + x)
-}
-
 /// The exact answer to an aggregate plan read off `t`'s running totals in
 /// O(1), or `None` when the plan needs the scan: it restricts, windows,
 /// groups or tests a `HAVING` event, or aggregates a column that keeps no
@@ -1199,7 +1256,9 @@ struct Tail {
 }
 
 /// The exact `HAVING` outcome of one group: the sum-distribution DP over
-/// the `HAVING SUM` column, or the Poisson-binomial count DP.
+/// the `HAVING SUM` column, or the Poisson-binomial count DP. The count DP
+/// runs at budget 0 (it trims only exact zeros): a nonzero budget would
+/// need its ε reported in the aggregate result.
 fn exact_tail(
     _group: usize,
     h: &HavingClause,
@@ -1217,7 +1276,7 @@ fn exact_tail(
             worlds: None,
         },
         None => {
-            let dist = count_distribution_of(probs);
+            let (dist, _) = count_distribution_of(probs, 0.0);
             Tail {
                 event_probability: tail_probability(&dist, h.op, k),
                 count_distribution: Some(dist),
@@ -2117,7 +2176,7 @@ mod tests {
                 assert!(
                     matches!(strategy.execute(relation, &physical), Err(DbError::Plan(_))),
                     "{} accepted an invalid plan",
-                    strategy.describe()
+                    strategy.describe(&physical)
                 );
             }
         }
@@ -2144,7 +2203,7 @@ mod tests {
             relation: "pv: probabilistic (6 tuples)".into(),
             logical: planned.logical.to_string(),
             physical: planned.physical.to_string(),
-            strategy: planned.strategy_with_context(0).describe(),
+            strategy: planned.strategy_with_context(0).describe(&planned.physical),
         };
         let text = report.to_string();
         assert!(text.contains("Aggregate [COUNT(*)]"), "{text}");
@@ -2199,7 +2258,10 @@ mod tests {
                 "{sql}"
             );
             let strategy = planned.strategy_with_context(0);
-            assert_eq!(strategy.describe(), ExactStrategy::default().describe());
+            assert_eq!(
+                strategy.describe(&planned.physical),
+                ExactStrategy::default().describe(&planned.physical)
+            );
         }
     }
 
@@ -2253,7 +2315,10 @@ mod tests {
             let planned = plan_sql(sql);
             assert_eq!(planned.strategy, lowered, "{sql}");
             let strategy = planned.strategy_with_context(0);
-            assert_eq!(strategy.describe(), ExactStrategy::default().describe());
+            assert_eq!(
+                strategy.describe(&planned.physical),
+                ExactStrategy::default().describe(&planned.physical)
+            );
         }
         for sql in [
             "SELECT * FROM pv WITH WORLDS 100",
@@ -2263,7 +2328,7 @@ mod tests {
         ] {
             assert!(
                 matches!(plan_sql(sql).strategy, StrategyKind::Worlds(_)),
-                "{sql} must still sample"
+                "{sql} stays on the worlds strategy"
             );
         }
         // A hand-built clause the parser would refuse keeps its typed error.
@@ -2293,6 +2358,40 @@ mod tests {
         assert!(
             matches!(&err, DbError::InvalidWorlds(m) if m.contains("WITH WORLDS")),
             "{err:?}"
+        );
+    }
+
+    /// A row plan samples nothing, yet a hand-built clause the planner
+    /// would refuse is still refused, and `EXPLAIN` says what runs.
+    #[test]
+    fn row_plans_validate_the_clause_they_no_longer_sample_with() {
+        let rel = Relation::Probabilistic(synth(50));
+        let planned = plan_sql("SELECT * FROM pv WITH WORLDS 10 SEED 4");
+        for (worlds, confidence) in [(0, None), (10, Some(0.0)), (10, Some(-1.0))] {
+            let strategy = WorldsStrategy {
+                clause: WorldsClause {
+                    worlds,
+                    seed: None,
+                    confidence,
+                },
+                threads: 1,
+            };
+            assert!(
+                matches!(
+                    strategy.execute(&rel, &planned.physical),
+                    Err(DbError::InvalidWorlds(_))
+                ),
+                "{worlds} worlds, confidence {confidence:?}"
+            );
+        }
+        let text = planned.strategy_with_context(1).describe(&planned.physical);
+        assert!(text.contains("closed forms for row plans"), "{text}");
+        assert!(text.contains("only HAVING events sample"), "{text}");
+        let having = plan_sql("SELECT COUNT(*) FROM pv HAVING COUNT(*) >= 1 WITH WORLDS 10");
+        let text = having.strategy_with_context(1).describe(&having.physical);
+        assert!(
+            text.starts_with("worlds (Monte-Carlo, max_worlds=10"),
+            "{text}"
         );
     }
 

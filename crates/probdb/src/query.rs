@@ -146,13 +146,12 @@ pub fn threshold(table: &ProbTable, tau: f64) -> Result<ProbTable, DbError> {
 }
 
 /// Probability that at least one tuple satisfying the predicate exists:
-/// `1 − Π(1 − p_i)` over matching tuples (tuple independence).
+/// `1 − Π(1 − p_i)` over matching tuples (tuple independence), computed
+/// as `−expm1(Σ ln_1p(−p_i))` by the kernel the row-level `WITH WORLDS`
+/// answer runs.
 pub fn event_probability(table: &ProbTable, pred: &Conjunction) -> Result<f64, DbError> {
-    let mut absent = 1.0;
-    for i in matching_rows(table, pred)? {
-        absent *= 1.0 - table.probs()[i];
-    }
-    Ok((1.0 - absent).clamp(0.0, 1.0))
+    let probs = scan::gather_probs(table.probs(), &matching_rows(table, pred)?);
+    Ok(crate::aggregates::event_probability_of(&probs))
 }
 
 /// For each distinct value of `group_column`, the most probable tuple —
@@ -240,6 +239,33 @@ mod tests {
         // Empty predicate matches all 8 tuples.
         let all = event_probability(&v, &vec![]).unwrap();
         assert!(all > 0.9);
+    }
+
+    #[test]
+    fn event_probability_keeps_tiny_and_certain_tuples() {
+        let schema = Schema::of(&[("x", ColumnType::Int)]);
+        let table = |probs: &[f64]| {
+            let mut t = ProbTable::new("t", schema.clone());
+            for &p in probs {
+                t.insert(vec![Value::Int(1)], p).unwrap();
+            }
+            t
+        };
+        // 1 − (1 − 1e-300) rounds to 0; the log form keeps the tuple.
+        assert_eq!(
+            event_probability(&table(&[1e-300]), &vec![]).unwrap(),
+            1e-300
+        );
+        assert_eq!(event_probability(&table(&[1.0]), &vec![]).unwrap(), 1.0);
+        assert_eq!(
+            event_probability(&table(&[0.3, 1.0]), &vec![]).unwrap(),
+            1.0
+        );
+        let empty = event_probability(&table(&[]), &vec![]).unwrap();
+        assert_eq!(empty.to_bits(), 0.0f64.to_bits());
+        // A predicate that matches nothing is the empty domain too.
+        let none = vec![Comparison::new("x", CmpOp::Eq, 2i64)];
+        assert_eq!(event_probability(&table(&[0.5]), &none).unwrap(), 0.0);
     }
 
     #[test]

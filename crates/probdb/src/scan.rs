@@ -479,27 +479,57 @@ pub(crate) fn restrict_stream(
     name: &str,
     plan: &PhysicalPlan,
 ) -> Result<Relation, DbError> {
+    let relation = materialize(
+        stream,
+        name,
+        &plan.predicate,
+        plan.threshold,
+        <dyn BatchStream>::next_batch,
+    )?;
+    check_threshold(plan)?;
+    Ok(relation)
+}
+
+/// The materialise loop of every streamed relation: the rows of each
+/// batch `next_batch` pulls from `stream` that satisfy `pred` (and, when
+/// probabilistic, `threshold`) are appended to a relation named `name`,
+/// pre-sized from [`BatchStream::size_hint`]. A whole batch lands as one
+/// slice copy per column. With an empty predicate and no threshold it
+/// reads the relation back whole (`Storage::scan`).
+///
+/// `next_batch` is the stream's own reader, so a source keeps its error
+/// type (a storage checksum failure stays typed) instead of going through
+/// [`DbError`].
+pub fn materialize<S, E>(
+    stream: &mut S,
+    name: &str,
+    pred: &[Comparison],
+    threshold: Option<f64>,
+    next_batch: for<'s> fn(&'s mut S) -> Result<Option<Batch<'s>>, E>,
+) -> Result<Relation, E>
+where
+    S: BatchStream + ?Sized,
+    E: From<DbError>,
+{
     let schema = stream.schema().clone();
     let rows = stream.size_hint();
-    let relation = if stream.probabilistic() {
+    Ok(if stream.probabilistic() {
         let mut t = ProbTable::new(name, schema);
         t.reserve(rows);
-        while let Some(batch) = stream.next_batch()? {
-            let sel = select(&batch, &plan.predicate, plan.threshold)?;
+        while let Some(batch) = next_batch(stream)? {
+            let sel = select(&batch, pred, threshold)?;
             t.extend_from_batch(&batch, sel)?;
         }
         Relation::Probabilistic(t)
     } else {
         let mut t = Table::new(name, schema);
         t.reserve(rows);
-        while let Some(batch) = stream.next_batch()? {
-            let sel = select(&batch, &plan.predicate, None)?;
+        while let Some(batch) = next_batch(stream)? {
+            let sel = select(&batch, pred, None)?;
             t.extend_from_batch(&batch, sel);
         }
         Relation::Deterministic(t)
-    };
-    check_threshold(plan)?;
-    Ok(relation)
+    })
 }
 
 /// `THRESHOLD`'s range check. It runs *after* the scan on every path: a

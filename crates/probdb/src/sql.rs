@@ -29,13 +29,14 @@
 //! * `THRESHOLD <tau>` — keep only tuples with probability ≥ τ
 //!   ([`crate::query::threshold`]);
 //! * `TOP <k>` — the k most probable tuples, ties to the earlier row;
-//! * `WITH WORLDS <n> [SEED <s>] [CONFIDENCE <eps>]` — estimate a row
-//!   query's domain, or an aggregate's `HAVING` event, by Monte-Carlo
-//!   possible-world sampling ([`crate::worlds::WorldsExecutor`]) over at
-//!   most `n` worlds, seeded with `s` (default 0), optionally stopping
-//!   early once the 95% CI half-width of the event-probability estimate
-//!   is ≤ `eps`. Aggregate values are exact under the clause, and an
-//!   aggregate without `HAVING` is answered by exact evaluation;
+//! * `WITH WORLDS <n> [SEED <s>] [CONFIDENCE <eps>]` — estimate an
+//!   aggregate's `HAVING` event by Monte-Carlo possible-world sampling
+//!   ([`crate::worlds::WorldsExecutor`]) over at most `n` worlds, seeded
+//!   with `s` (default 0), optionally stopping early once the 95% CI
+//!   half-width of the event estimate is ≤ `eps`. A row query's domain
+//!   answer is closed forms (no world is sampled), aggregate values are
+//!   exact under the clause, and an aggregate without `HAVING` is
+//!   answered by exact evaluation;
 //! * `WITH SYNOPSIS [BUCKETS <b>] [MAXERROR <e>]` — accepted and answered
 //!   by exact evaluation, which meets any error bound `e`; `b` is checked
 //!   and otherwise ignored. At most one `WITH` clause per statement.

@@ -6,7 +6,9 @@
 //! validation harness for the exact operators (Monte-Carlo frequencies must
 //! converge to computed probabilities) and an escape hatch for queries with
 //! no closed form, in the spirit of MCDB (Jampani et al.), which the paper
-//! cites as the ancestor of its parameter-storing design.
+//! cites as the ancestor of its parameter-storing design. Through SQL only
+//! a `HAVING` event has no closed form here: a row-level `WITH WORLDS`
+//! statement answers a [`WorldsResult`] in closed form (`crate::plan`).
 //!
 //! [`WorldsExecutor`] fans world sampling out over
 //! [`tspdb_stats::parallel`] in fixed-size *batches*, each batch seeded
@@ -19,9 +21,7 @@
 //! the exact closed forms.
 
 use crate::error::DbError;
-use crate::query::{matching_rows, CmpOp, Conjunction};
-use crate::scan;
-use crate::table::ProbTable;
+use crate::query::CmpOp;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::fmt;
@@ -74,38 +74,52 @@ impl Default for WorldsConfig {
     }
 }
 
-/// SUM-aggregate estimate over one numeric column (`Σ v_i` over tuples
-/// present in a world).
+/// The SUM aggregate over one numeric column (`Σ v_i` over tuples present
+/// in a world): its mean and variance. A row-level `WITH WORLDS` statement
+/// reports the closed forms `Σp·v` and `Σp(1 − p)v²` with a zero
+/// half-width; [`WorldsExecutor::run_domain`] reports sampled moments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SumEstimate {
     /// Summed column.
     pub column: String,
-    /// Monte-Carlo mean of the per-world sum (converges to
-    /// [`ProbTable::expected_sum`]).
+    /// Mean of the per-world sum: exactly [`ProbTable::expected_sum`]'s
+    /// `Σp·v` in a statement's answer, the sampled mean from the executor.
+    ///
+    /// [`ProbTable::expected_sum`]: crate::ProbTable::expected_sum
     pub mean: f64,
-    /// Sample variance of the per-world sum.
+    /// Variance of the per-world sum (sample variance from the executor).
     pub variance: f64,
-    /// 95% CI half-width of the mean.
+    /// 95% CI half-width of the mean; 0 for a closed form.
     pub ci_half_width: f64,
 }
 
-/// Everything one [`WorldsExecutor::run`] produces: the estimates plus the
-/// per-query sampling statistics the SQL layer surfaces.
+/// The answer to a row-level `WITH WORLDS` statement, and what one
+/// [`WorldsExecutor::run_domain`] produces: the matching-tuple count and
+/// event over a domain of independent tuples, plus the per-query
+/// statistics the SQL layer surfaces.
+///
+/// A statement's answer is closed forms: `worlds = 0`, `converged`, and
+/// every half-width 0. The executor fills the same fields with Monte-Carlo
+/// estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorldsResult {
-    /// Worlds actually sampled (≤ `max_worlds`; less on early termination).
+    /// Worlds actually sampled (≤ `max_worlds`; less on early
+    /// termination); 0 for a closed-form answer.
     pub worlds: usize,
-    /// Tuples matching the predicate (the sampling domain).
+    /// Tuples matching the predicate (the domain).
     pub matching_tuples: usize,
-    /// Seed the run was keyed on.
+    /// Seed the run was keyed on (echoed by a closed-form answer).
     pub seed: u64,
-    /// Effective fork-join width used (diagnostic only — the estimate is
-    /// identical at every width).
+    /// Effective fork-join width of the sampler (diagnostic only — the
+    /// answer is identical at every width); 1 for a closed-form answer,
+    /// whose folds run on the calling thread.
     pub threads: usize,
-    /// Whether the CI target stopped sampling before `max_worlds`.
+    /// Whether the CI target stopped sampling before `max_worlds`; always
+    /// set for a closed-form answer.
     pub converged: bool,
-    /// MC estimate of `P(at least one matching tuple exists)`; converges to
-    /// [`crate::query::event_probability`].
+    /// `P(at least one matching tuple exists)`: exactly
+    /// [`crate::query::event_probability`] in a statement's answer, the
+    /// sampled frequency from the executor.
     pub event_probability: f64,
     /// 95% CI half-width for the event probability — the *Wilson-score*
     /// width, which stays positive even at empirical frequencies of
@@ -116,17 +130,20 @@ pub struct WorldsResult {
     /// that MC estimates converge to the exact operators without bias),
     /// while this width is the Wilson one. Near the boundaries read it as
     /// an uncertainty scale — the actual 95% interval is clipped to
-    /// `[0, 1]` and one-sided at an estimate of exactly 0 or 1.
+    /// `[0, 1]` and one-sided at an estimate of exactly 0 or 1. 0 for a
+    /// closed-form answer.
     pub event_ci_half_width: f64,
-    /// MC estimate of the matching-tuple count distribution; entry `k` is
-    /// `P(count = k)`. Converges to
-    /// [`crate::aggregates::count_distribution`].
+    /// The matching-tuple count distribution, `matching_tuples + 1`
+    /// entries; entry `k` is `P(count = k)`. In a statement's answer it is
+    /// the count DP with its far tails trimmed by at most `2^-60` of mass
+    /// (L1 to [`crate::aggregates::count_distribution`]); from the
+    /// executor, the sampled histogram.
     pub count_distribution: Vec<f64>,
-    /// Mean of the sampled counts.
+    /// Mean of the count: `Σp`, or the mean of the sampled counts.
     pub count_mean: f64,
-    /// Sample variance of the sampled counts.
+    /// Variance of the count: `Σp(1 − p)`, or the sample variance.
     pub count_variance: f64,
-    /// 95% CI half-width of `count_mean`.
+    /// 95% CI half-width of `count_mean`; 0 for a closed form.
     pub count_ci_half_width: f64,
     /// SUM aggregate, when a numeric column was requested.
     pub sum: Option<SumEstimate>,
@@ -190,16 +207,27 @@ impl WorldsResult {
 
 impl fmt::Display for WorldsResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "worlds: {} sampled (seed {}, {} thread{}, {}converged, {:.3} ms)",
-            self.worlds,
-            self.seed,
+        let threads = format!(
+            "{} thread{}",
             self.threads,
-            if self.threads == 1 { "" } else { "s" },
-            if self.converged { "" } else { "not " },
-            self.wall.as_secs_f64() * 1e3,
-        )?;
+            if self.threads == 1 { "" } else { "s" }
+        );
+        let ms = self.wall.as_secs_f64() * 1e3;
+        if self.worlds == 0 {
+            writeln!(
+                f,
+                "worlds: none sampled, closed forms (seed {}, {threads}, {ms:.3} ms)",
+                self.seed
+            )?;
+        } else {
+            writeln!(
+                f,
+                "worlds: {} sampled (seed {}, {threads}, {}converged, {ms:.3} ms)",
+                self.worlds,
+                self.seed,
+                if self.converged { "" } else { "not " },
+            )?;
+        }
         writeln!(
             f,
             "event probability: {:.6} ± {:.6}",
@@ -390,37 +418,11 @@ impl WorldsExecutor {
         Ok(WorldsExecutor { config })
     }
 
-    /// Samples worlds of `table` restricted to tuples matching `pred` and
-    /// estimates the event probability, the COUNT distribution, and (when
-    /// `sum_column` names a numeric column) the SUM aggregate.
-    pub fn run(
-        &self,
-        table: &ProbTable,
-        pred: &Conjunction,
-        sum_column: Option<&str>,
-    ) -> Result<WorldsResult, DbError> {
-        // Pre-filter matching tuples once; sampling then touches only their
-        // probabilities (and summed values).
-        if let Some(col) = sum_column {
-            table.schema().index_of(col)?;
-        }
-        let rows = matching_rows(table, pred)?;
-        let probs = scan::gather_probs(table.probs(), &rows);
-        let values = match sum_column {
-            Some(col) => scan::gather_f64(&table.batch(), col, &rows)?,
-            None => Vec::new(),
-        };
-        Ok(self.run_domain(&probs, sum_column.map(|col| (col, values.as_slice()))))
-    }
-
-    /// Samples worlds of an already-restricted domain: tuple `i` exists
-    /// independently with probability `probs[i]`, and when `sum` supplies
-    /// `(column name, per-tuple values)` the SUM aggregate over present
-    /// tuples is estimated too (`sum.1` must be parallel to `probs`).
-    ///
-    /// This is the allocation-free entry point the SQL layer uses after it
-    /// has already computed the surviving tuples — no scratch `ProbTable`
-    /// needs to be materialised just to be torn apart again.
+    /// Samples worlds of a domain: tuple `i` exists independently with
+    /// probability `probs[i]`, and when `sum` supplies `(column name,
+    /// per-tuple values)` the SUM aggregate over present tuples is
+    /// estimated too (`sum.1` must be parallel to `probs`). A `HAVING
+    /// COUNT` event is read off the sampled count histogram.
     ///
     /// # Examples
     ///
@@ -642,19 +644,12 @@ impl WorldsExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregates::count_distribution;
-    use crate::query::{event_probability, CmpOp, Comparison};
-    use crate::schema::Schema;
-    use crate::value::{ColumnType, Value};
+    use crate::aggregates::{count_distribution_of, event_probability_of, sum_moments_of};
 
-    fn view() -> ProbTable {
-        let schema = Schema::of(&[("room", ColumnType::Int)]);
-        let mut v = ProbTable::new("v", schema);
-        for (room, p) in [(1, 0.5), (2, 0.25), (1, 0.4), (3, 0.9), (2, 0.05)] {
-            v.insert(vec![Value::Int(room)], p).unwrap();
-        }
-        v
-    }
+    /// Five tuples with their rooms; room 1 holds the first and third.
+    const PROBS: [f64; 5] = [0.5, 0.25, 0.4, 0.9, 0.05];
+    const ROOMS: [f64; 5] = [1.0, 2.0, 1.0, 3.0, 2.0];
+    const ROOM_1: [f64; 2] = [0.5, 0.4];
 
     fn executor(worlds: usize, seed: u64, threads: usize) -> WorldsExecutor {
         WorldsExecutor::new(WorldsConfig {
@@ -668,11 +663,9 @@ mod tests {
 
     #[test]
     fn executor_is_bit_identical_across_thread_counts() {
-        let v = view();
-        let pred = vec![Comparison::new("room", CmpOp::Eq, 1i64)];
-        let reference = executor(20_000, 99, 1).run(&v, &pred, None).unwrap();
+        let reference = executor(20_000, 99, 1).run_domain(&ROOM_1, None);
         for threads in [2, 3, 4, 8] {
-            let got = executor(20_000, 99, threads).run(&v, &pred, None).unwrap();
+            let got = executor(20_000, 99, threads).run_domain(&ROOM_1, None);
             assert_eq!(
                 got.fingerprint(),
                 reference.fingerprint(),
@@ -683,10 +676,8 @@ mod tests {
 
     #[test]
     fn executor_estimates_converge_to_exact() {
-        let v = view();
-        let pred = vec![Comparison::new("room", CmpOp::Eq, 1i64)];
-        let exact = event_probability(&v, &pred).unwrap();
-        let got = executor(40_000, 7, 0).run(&v, &pred, None).unwrap();
+        let exact = event_probability_of(&ROOM_1);
+        let got = executor(40_000, 7, 0).run_domain(&ROOM_1, None);
         assert_eq!(got.worlds, 40_000);
         assert_eq!(got.matching_tuples, 2);
         assert!(
@@ -695,7 +686,7 @@ mod tests {
             got.event_probability,
             got.event_ci_half_width
         );
-        let exact_dist = count_distribution(&v, &pred).unwrap();
+        let (exact_dist, _) = count_distribution_of(&ROOM_1, 0.0);
         assert_eq!(got.count_distribution.len(), exact_dist.len());
         for (k, (a, b)) in exact_dist.iter().zip(&got.count_distribution).enumerate() {
             assert!((a - b).abs() < 0.02, "count {k}: exact {a} vs MC {b}");
@@ -704,11 +695,8 @@ mod tests {
 
     #[test]
     fn executor_sum_matches_expected_sum() {
-        let v = view();
-        let exact = v.expected_sum("room").unwrap();
-        let got = executor(40_000, 3, 0)
-            .run(&v, &vec![], Some("room"))
-            .unwrap();
+        let (exact, _) = sum_moments_of(&PROBS, &ROOMS);
+        let got = executor(40_000, 3, 0).run_domain(&PROBS, Some(("room", &ROOMS)));
         let sum = got.sum.as_ref().unwrap();
         assert_eq!(sum.column, "room");
         assert!(
@@ -717,7 +705,6 @@ mod tests {
             sum.mean
         );
     }
-
     #[test]
     fn sum_event_converges_and_keeps_other_estimates_bit_identical() {
         let probs = [0.5, 0.25, 0.4, 0.9, 0.05];
@@ -745,7 +732,6 @@ mod tests {
 
     #[test]
     fn executor_early_termination_is_deterministic() {
-        let v = view();
         let run = |threads| {
             WorldsExecutor::new(WorldsConfig {
                 max_worlds: 1_000_000,
@@ -755,8 +741,7 @@ mod tests {
                 ..WorldsConfig::default()
             })
             .unwrap()
-            .run(&v, &vec![], None)
-            .unwrap()
+            .run_domain(&PROBS, None)
         };
         let a = run(1);
         let b = run(8);
@@ -772,9 +757,6 @@ mod tests {
         // Wald interval collapses to ±0 and would satisfy any CONFIDENCE
         // target after the first round. The Wilson interval stays open and
         // keeps sampling until it genuinely shrinks below the target.
-        let schema = Schema::of(&[("x", ColumnType::Int)]);
-        let mut v = ProbTable::new("v", schema);
-        v.insert(vec![Value::Int(1)], 1.0).unwrap();
         let run = |eps: f64, cap: usize| {
             WorldsExecutor::new(WorldsConfig {
                 max_worlds: cap,
@@ -784,8 +766,7 @@ mod tests {
                 ..WorldsConfig::default()
             })
             .unwrap()
-            .run(&v, &vec![], None)
-            .unwrap()
+            .run_domain(&[1.0], None)
         };
         // Too tight for 50k worlds: must exhaust the budget, not "converge".
         let tight = run(1e-5, 50_000);
@@ -802,8 +783,7 @@ mod tests {
 
     #[test]
     fn count_quantiles_walk_the_cdf() {
-        let v = view();
-        let got = executor(20_000, 5, 0).run(&v, &vec![], None).unwrap();
+        let got = executor(20_000, 5, 0).run_domain(&PROBS, None);
         assert!(got.count_quantile(0.0) <= got.count_quantile(0.5));
         assert!(got.count_quantile(0.5) <= got.count_quantile(1.0));
         assert!(got.count_quantile(1.0) <= 5);
@@ -813,9 +793,7 @@ mod tests {
 
     #[test]
     fn executor_on_empty_domain() {
-        let schema = Schema::of(&[("x", ColumnType::Int)]);
-        let v = ProbTable::new("v", schema);
-        let got = executor(1_000, 1, 0).run(&v, &vec![], None).unwrap();
+        let got = executor(1_000, 1, 0).run_domain(&[], None);
         assert_eq!(got.matching_tuples, 0);
         assert_eq!(got.event_probability, 0.0);
         assert_eq!(got.count_distribution, vec![1.0]);
@@ -850,22 +828,8 @@ mod tests {
     }
 
     #[test]
-    fn executor_sum_on_text_column_errors() {
-        let schema = Schema::of(&[("tag", ColumnType::Text)]);
-        let mut v = ProbTable::new("v", schema);
-        v.insert(vec![Value::Text("a".into())], 0.5).unwrap();
-        let err = executor(100, 1, 0)
-            .run(&v, &vec![], Some("tag"))
-            .unwrap_err();
-        assert!(matches!(err, DbError::TypeMismatch { .. }));
-    }
-
-    #[test]
     fn display_summarizes_the_run() {
-        let v = view();
-        let got = executor(2_000, 1, 1)
-            .run(&v, &vec![], Some("room"))
-            .unwrap();
+        let got = executor(2_000, 1, 1).run_domain(&PROBS, Some(("room", &ROOMS)));
         let text = got.to_string();
         assert!(text.contains("worlds: 2000 sampled"));
         assert!(text.contains("event probability"));

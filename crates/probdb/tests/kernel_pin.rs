@@ -1,9 +1,9 @@
 //! Pins the bits of the three per-group aggregate kernels, as committed in
 //! `tests/fixtures/kernels.txt`: the Poisson-binomial count DP
-//! ([`count_distribution_of`]), the sum DP ([`sum_distribution_of`]: its
-//! `dist`, `step`, `offset` and `exact`), and the Monte-Carlo world
-//! sampler ([`WorldsExecutor`] fingerprints, [`SumEstimate`]s and the
-//! `HAVING` events through SQL).
+//! ([`count_distribution_of`] at budget 0, the form `HAVING COUNT` runs),
+//! the sum DP ([`sum_distribution_of`]: its `dist`, `step`, `offset` and
+//! `exact`), and the Monte-Carlo world sampler ([`WorldsExecutor`]
+//! fingerprints, [`SumEstimate`]s and the `HAVING` events through SQL).
 //!
 //! The inputs are the edge cases a rewrite of those kernels can get wrong:
 //! probabilities 0, 1, the smallest subnormal, 2^-53, 1 − 2^-53 and values
@@ -181,7 +181,7 @@ fn render_count(out: &mut String) {
             &["edge", "rand", "mix"]
         };
         for family in families {
-            let dist = count_distribution_of(&probs(family, n, n as u64 + 1));
+            let (dist, _) = count_distribution_of(&probs(family, n, n as u64 + 1), 0.0);
             writeln!(out, "count {family} n={n} {}", bits(&dist)).unwrap();
         }
     }
@@ -339,6 +339,38 @@ const STATEMENTS: [&str; 8] = [
     "SELECT COUNT(*) FROM kp GROUP BY WINDOW(g, 2) HAVING SUM(x) > 0",
 ];
 
+/// The sampler over the domain a row-level `… WITH WORLDS n SEED s`
+/// statement names, at `threads`: what the statement answered while row
+/// plans were sampled. They are answered in closed form now, so their
+/// lines pin [`WorldsExecutor::run_domain`] over the statement's rows
+/// (and its one projected column).
+fn sampled_rows(db: &Database, sql: &str, threads: usize) -> String {
+    let (rows_sql, clause) = sql
+        .split_once(" WITH WORLDS ")
+        .expect("a WITH WORLDS statement");
+    let mut words = clause.split(' ');
+    let worlds = words
+        .next()
+        .and_then(|w| w.parse().ok())
+        .expect("world count");
+    let seed = words.nth(1).and_then(|s| s.parse().ok()).expect("seed");
+    let QueryOutput::ProbRows(rows) = db.query(rows_sql).unwrap() else {
+        panic!("{rows_sql} returns no probabilistic rows");
+    };
+    let values: Vec<f64> = rows.iter().filter_map(|(row, _)| row[0].as_f64()).collect();
+    let column = (rows.schema().arity() == 1).then_some((rows.schema().column(0).0, &values[..]));
+    let exec = executor(
+        worlds,
+        seed,
+        WorldsConfig::default().batch_size,
+        None,
+        threads,
+    );
+    let w = exec.run_domain(rows.probs(), column);
+    let sum = w.sum.as_ref().map(sum_estimate).unwrap_or_default();
+    format!("{} {sum}", w.fingerprint())
+}
+
 fn render_sql(out: &mut String) {
     let db = database();
     for threads in [1usize, 2] {
@@ -347,8 +379,8 @@ fn render_sql(out: &mut String) {
             let answer = match db.query(sql).unwrap() {
                 QueryOutput::Aggregate(a) => a.fingerprint(),
                 QueryOutput::Worlds(w) => {
-                    let sum = w.sum.as_ref().map(sum_estimate).unwrap_or_default();
-                    format!("{} {sum}", w.fingerprint())
+                    assert_eq!(w.worlds, 0, "{sql} samples nothing");
+                    sampled_rows(&db, sql, threads)
                 }
                 other => panic!("unexpected output for {sql}: {other:?}"),
             };

@@ -71,7 +71,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use tspdb_probdb::codec::{decode_batch, Decoder};
 use tspdb_probdb::{
-    Batch, BatchStream, Column, DbError, ProbTable, Relation, ScanSource, Schema, Table,
+    materialize, Batch, BatchStream, Column, DbError, Relation, ScanSource, Schema,
 };
 
 /// Database file magic.
@@ -612,24 +612,8 @@ impl Storage {
         let Some(mut stream) = self.scan_stream(name)? else {
             return Ok(None);
         };
-        let entry = stream.entry().clone();
-        let rows = BatchStream::size_hint(&stream);
-        let relation = if entry.probabilistic {
-            let mut t = ProbTable::new(&entry.name, entry.schema);
-            t.reserve(rows);
-            while let Some(batch) = stream.next_batch()? {
-                t.extend_from_batch(&batch, 0..batch.len())?;
-            }
-            Relation::Probabilistic(t)
-        } else {
-            let mut t = Table::new(&entry.name, entry.schema);
-            t.reserve(rows);
-            while let Some(batch) = stream.next_batch()? {
-                t.extend_from_batch(&batch, 0..batch.len());
-            }
-            Relation::Deterministic(t)
-        };
-        Ok(Some(relation))
+        let name = stream.entry().name.clone();
+        materialize(&mut stream, &name, &[], None, RelationStream::next_batch).map(Some)
     }
 
     /// Names of all relations in the on-disk catalog.
@@ -956,7 +940,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use tspdb_probdb::codec::{encode_column_type, Encoder};
-    use tspdb_probdb::{ColumnType, Value};
+    use tspdb_probdb::{ColumnType, ProbTable, Value};
 
     /// Minimal self-cleaning temp dir (no external crates in the offline
     /// build).

@@ -193,10 +193,11 @@ fn a_repeated_statement_plans_once_per_server_session() {
     handle.shutdown();
 }
 
-/// `WITH WORLDS` over the evicted twin samples only the tuples its
+/// `WITH WORLDS` over the evicted twin evaluates only the tuples its
 /// leaf-at-a-time restriction kept: the same domain, in the same order,
-/// as over the resident view, so grouped and row-shaped estimates are the
-/// same bytes at every fork-join width, and the twin stays on disk.
+/// as over the resident view, so sampled grouped events and closed-form
+/// row answers are the same bytes at every fork-join width, and the twin
+/// stays on disk.
 #[test]
 fn worlds_over_the_evicted_twin_answer_like_the_resident_view() {
     let dir = TempDir::new("worlds-evicted");
@@ -220,7 +221,7 @@ fn worlds_over_the_evicted_twin_answer_like_the_resident_view() {
         }
     }
 
-    // The MC row shape reports an unknown projected column ahead of an
+    // The row shape reports an unknown projected column ahead of an
     // unknown predicate column, resident or evicted.
     let sql = "SELECT nope FROM {rel} WHERE other >= 1 WITH WORLDS 10";
     let resident = local(engine.query(&sql.replace("{rel}", RESIDENT)));
@@ -416,4 +417,73 @@ fn with_worlds_expectations_answer_the_bytes_of_their_clause_free_twin() {
     );
     engine.evict_to_disk("raw_values").unwrap();
     assert_eq!(local(engine.query(sql)), resident);
+}
+
+/// A row-level `WITH WORLDS` statement is answered in closed form: the
+/// same bytes in process and over the wire, resident and evicted, at
+/// fork-join widths 1 and 8; a different `SEED` changes only the echoed
+/// seed; and its count and sum means are the bits of `SELECT COUNT(*),
+/// SUM(lambda)` over the same `WHERE` / `THRESHOLD` / `TOP` restriction.
+#[test]
+fn row_level_worlds_answers_are_closed_forms_on_every_path() {
+    let dir = TempDir::new("worlds-rows");
+    let engine = engine(&dir);
+    let handle = serve(&engine);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let shapes = [
+        ("*", "WHERE t >= 6000"),
+        ("lambda", "WHERE t >= 6000 THRESHOLD 0.02"),
+        ("*", "WHERE prob >= 0.05 TOP 30"),
+        ("lambda", ""),
+        ("t, lambda", "WHERE lambda >= 1"),
+    ];
+    let worlds_of = |out: Result<QueryOutput, _>, sql: &str| match out {
+        Ok(QueryOutput::Worlds(w)) => w,
+        other => panic!("{sql}: {other:?}"),
+    };
+    for threads in [1, 8] {
+        client.set_worlds_threads(threads).unwrap();
+        engine.set_worlds_threads(threads);
+        for (projection, restriction) in shapes {
+            let mut answers = Vec::new();
+            for rel in [RESIDENT, EVICTED] {
+                let sql = |seed: u64| {
+                    format!(
+                        "SELECT {projection} FROM {rel} {restriction} WITH WORLDS 1000 SEED {seed}"
+                    )
+                };
+                let in_process = local(engine.query(&sql(7)));
+                assert_eq!(remote(client.query(&sql(7))), in_process, "{}", sql(7));
+                answers.push(in_process);
+
+                let w = worlds_of(engine.query(&sql(7)), &sql(7));
+                assert_eq!((w.worlds, w.seed, w.converged), (0, 7, true), "{}", sql(7));
+                assert_eq!(
+                    (w.event_ci_half_width, w.count_ci_half_width),
+                    (0.0, 0.0),
+                    "{}",
+                    sql(7)
+                );
+                let mut reseeded = worlds_of(engine.query(&sql(99)), &sql(99));
+                assert_eq!(reseeded.seed, 99);
+                reseeded.seed = 7;
+                assert_eq!(reseeded.fingerprint(), w.fingerprint(), "{}", sql(99));
+
+                let twin = format!("SELECT COUNT(*), SUM(lambda) FROM {rel} {restriction}");
+                let exact = engine.query(&twin).unwrap();
+                let values = &exact.aggregate().unwrap().groups[0].values;
+                assert_eq!(w.count_mean.to_bits(), values[0].value.to_bits(), "{twin}");
+                if let Some(sum) = &w.sum {
+                    assert_eq!(sum.column, "lambda");
+                    assert_eq!(sum.mean.to_bits(), values[1].value.to_bits(), "{twin}");
+                    assert_eq!(sum.ci_half_width, 0.0);
+                }
+                assert_eq!(w.sum.is_some(), projection == "lambda", "{}", sql(7));
+                assert!(engine.read().relation(EVICTED).is_none(), "{}", sql(7));
+            }
+            assert_eq!(answers[0], answers[1], "resident vs evicted: {restriction}");
+        }
+    }
+    client.close().unwrap();
+    handle.shutdown();
 }

@@ -4,10 +4,12 @@
 //! questions through entirely different code paths: closed forms over
 //! tuple independence (`event_probability`, `count_distribution`,
 //! `count_moments`, `ProbTable::expected_sum`, the count and sum DPs) and
-//! sampled worlds. `WITH WORLDS` samples only what has no cheap closed
-//! form: the row-level domain estimate (with its single-column SUM) and a
-//! `HAVING COUNT` / `HAVING SUM` event. This suite pins down four
-//! invariants, permanently:
+//! sampled worlds. Through SQL, `WITH WORLDS` samples only a `HAVING
+//! COUNT` / `HAVING SUM` event; a row-level statement is answered in
+//! closed form. The sampler's convergence and width invariance are
+//! therefore checked through `WorldsExecutor::run_domain`, the entry point
+//! `HAVING` samples through. This suite pins down four invariants,
+//! permanently:
 //!
 //! 1. **Convergence** — for generated probabilistic tables the sampled
 //!    estimates land within statistical tolerance of the exact answers
@@ -17,9 +19,9 @@
 //!    results at 1 and 8 threads for the same seed, which is what makes
 //!    `WITH WORLDS` reproducible on any machine;
 //! 3. **Expectations are exact** — the aggregate values of a `WITH
-//!    WORLDS` statement are the exact strategy's bits, and a statement
-//!    without `HAVING` answers the bytes of the statement without the
-//!    clause;
+//!    WORLDS` statement and a row-level answer's moments are the exact
+//!    strategy's bits, and a statement without `HAVING` answers the bytes
+//!    of the statement without the clause;
 //! 4. **`WITH SYNOPSIS` is exact** — every statement carrying the clause
 //!    answers the bytes of the statement without it, non-finite values
 //!    included, and the whole-relation totals that answer it in O(1)
@@ -49,6 +51,23 @@ fn table_from(probs: &[f64]) -> ProbTable {
     v
 }
 
+/// The probabilities of the tuples of `table` matching `pred`, and the
+/// values of `sum_column` over them, in row order.
+fn domain(
+    table: &ProbTable,
+    pred: &[Comparison],
+    sum_column: Option<&str>,
+) -> (Vec<f64>, Option<Vec<f64>>) {
+    let sub = tspdb::probdb::query::select_prob(table, &pred.to_vec()).unwrap();
+    let values = sum_column.map(|col| {
+        let c = sub.schema().index_of(col).unwrap();
+        sub.iter()
+            .map(|(row, _)| row[c].as_f64().unwrap())
+            .collect()
+    });
+    (sub.probs().to_vec(), values)
+}
+
 fn run(
     table: &ProbTable,
     pred: &[Comparison],
@@ -56,6 +75,7 @@ fn run(
     threads: usize,
     sum_column: Option<&str>,
 ) -> WorldsResult {
+    let (probs, values) = domain(table, pred, sum_column);
     WorldsExecutor::new(WorldsConfig {
         max_worlds: WORLDS,
         seed,
@@ -63,8 +83,7 @@ fn run(
         ..WorldsConfig::default()
     })
     .unwrap()
-    .run(table, &pred.to_vec(), sum_column)
-    .unwrap()
+    .run_domain(&probs, sum_column.zip(values.as_deref()))
 }
 
 /// Runs at 1 and 8 threads, asserts bit-identical estimates, returns one.
@@ -192,8 +211,7 @@ fn early_termination_is_thread_invariant_and_honours_the_target() {
             ..WorldsConfig::default()
         })
         .unwrap()
-        .run(&v, &Vec::new(), None)
-        .unwrap()
+        .run_domain(v.probs(), None)
     };
     let one = run_ci(1);
     let eight = run_ci(8);
@@ -204,7 +222,7 @@ fn early_termination_is_thread_invariant_and_honours_the_target() {
 }
 
 /// Runs a row-level `WITH WORLDS` query at 1 and 8 worlds-threads,
-/// asserts the bit-identical fingerprint, and returns the estimate.
+/// asserts the bit-identical fingerprint, and returns the answer.
 fn run_rows_both_widths(db: &mut tspdb::Database, sql: &str) -> WorldsResult {
     db.set_worlds_threads(1);
     let one = db.query(sql).unwrap().worlds().unwrap().clone();
@@ -238,9 +256,9 @@ fn run_aggregate_both_widths(
 
 #[test]
 fn planned_sum_aggregate_agrees_between_strategies() {
-    // `SELECT SUM(col)` through the planner is Σ p·v under either clause;
-    // the sampled counterpart — the row-level estimate of one projected
-    // column — converges to it, per group.
+    // `SELECT SUM(col)` through the planner is Σ p·v under either clause,
+    // and so is the row-level answer of one projected column, bit for
+    // bit. The sampler over the same group converges to it.
     let probs: Vec<f64> = (0..24).map(|i| ((i * 41) % 89) as f64 / 100.0).collect();
     let v = table_from(&probs);
     let mut db = tspdb::Database::new();
@@ -260,10 +278,19 @@ fn planned_sum_aggregate_agrees_between_strategies() {
             e.values[0].ci_half_width.is_none(),
             "exact values carry no CI"
         );
-        let mc = run_rows_both_widths(
+        let rows = run_rows_both_widths(
             &mut db,
             &format!("SELECT reading FROM v WHERE room = {room} WITH WORLDS 30000 SEED 6"),
         );
+        let closed = rows.sum.as_ref().unwrap();
+        assert_eq!(rows.worlds, 0);
+        assert_eq!(
+            (closed.mean.to_bits(), closed.ci_half_width),
+            (e.values[0].value.to_bits(), 0.0),
+            "room {room}: the row-level SUM is the exact SUM"
+        );
+        let room_pred = [Comparison::new("room", CmpOp::Eq, room)];
+        let mc = run_both_widths(&v, &room_pred, 6, Some("reading"));
         let sum = mc.sum.as_ref().unwrap();
         let tol = 5.0 * sum.ci_half_width + 1e-6;
         assert!(
@@ -485,16 +512,20 @@ fn explain_names_plan_and_strategy_for_both_backends() {
 #[test]
 fn sql_with_worlds_matches_direct_executor_calls() {
     // The SQL surface and the Rust API must drive the very same sampler:
-    // same seed, same worlds, same estimate.
+    // a `HAVING COUNT` statement's one group ships the count histogram of
+    // `run_domain` over the same domain, seed and worlds, bit for bit.
     let probs: Vec<f64> = (0..10).map(|i| 0.1 + 0.08 * i as f64).collect();
     let v = table_from(&probs);
     let mut db = tspdb::Database::new();
     db.register_prob_table(v.clone()).unwrap();
+    let room_2 = [Comparison::new("room", CmpOp::Eq, 2i64)];
+    let (domain_probs, _) = domain(&v, &room_2, None);
     for threads in [1, 8] {
         db.set_worlds_threads(threads);
         let via_sql = db
-            .query("SELECT * FROM v WHERE room = 2 WITH WORLDS 8000 SEED 31")
+            .query("SELECT COUNT(*) FROM v WHERE room = 2 HAVING COUNT(*) >= 1 WITH WORLDS 8000 SEED 31")
             .unwrap();
+        let group = &via_sql.aggregate().unwrap().groups[0];
         let direct = WorldsExecutor::new(WorldsConfig {
             max_worlds: 8_000,
             seed: 31,
@@ -502,18 +533,20 @@ fn sql_with_worlds_matches_direct_executor_calls() {
             ..WorldsConfig::default()
         })
         .unwrap()
-        .run(
-            &tspdb::probdb::query::select_prob(&v, &vec![Comparison::new("room", CmpOp::Eq, 2i64)])
-                .unwrap(),
-            &Vec::new(),
-            None,
-        )
-        .unwrap();
+        .run_domain(&domain_probs, None);
+        assert_eq!(group.worlds, Some(direct.worlds), "threads = {threads}");
         assert_eq!(
-            via_sql.worlds().unwrap().fingerprint(),
-            direct.fingerprint(),
+            group.count_distribution.as_deref(),
+            Some(direct.count_distribution.as_slice()),
             "threads = {threads}"
         );
+        let at_least_one: f64 = direct.count_distribution[1..].iter().sum();
+        assert_eq!(group.event_probability, Some(at_least_one.clamp(0.0, 1.0)));
+        // The row-level statement over the same domain samples nothing.
+        let rows = db
+            .query("SELECT * FROM v WHERE room = 2 WITH WORLDS 8000 SEED 31")
+            .unwrap();
+        assert_eq!(rows.worlds().unwrap().worlds, 0);
     }
 }
 
