@@ -152,7 +152,7 @@ fn check(tuples: &[Tuple]) {
         let want = enumerate(&domain);
         let got: WorldsResult = db.query(sql).unwrap().worlds().unwrap().clone();
         let ctx = format!("{sql} over {domain:?}");
-        assert_eq!(got.worlds, 0, "{ctx}");
+        assert_eq!((got.worlds, got.threads), (0, 1), "{ctx}");
         assert!(got.converged, "{ctx}");
         assert_eq!(got.matching_tuples, domain.len(), "{ctx}");
         let seed = sql.split(" SEED ").nth(1).map_or(0, |s| s.parse().unwrap());
