@@ -212,7 +212,7 @@ struct TailSubscription {
 /// The registry of standing `TAIL` queries.
 ///
 /// Interior-mutable so the wire server can share one instance across its
-/// event loop and workers. [`TailRegistry::poll`] drives every
+/// reactor threads. [`TailRegistry::poll`] drives every
 /// subscription: it is cheap when nothing changed (two generation loads
 /// per subscription) and emits frames for every newly closed bucket
 /// otherwise.

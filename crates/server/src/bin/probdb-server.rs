@@ -6,8 +6,8 @@
 //!
 //! * `--addr` — listen address (default `127.0.0.1:7878`; port `0` picks
 //!   an ephemeral port, printed on stdout).
-//! * `--workers` — worker threads, i.e. the bound on concurrently served
-//!   sessions (default 8).
+//! * `--workers` — reactor threads, i.e. the bound on concurrently
+//!   executing statements (default 8).
 //! * `--data-dir` — persistent mode: open (or create) a database
 //!   directory, recover committed writes from its write-ahead log, and
 //!   journal every later write. Without it the server is purely

@@ -9,23 +9,25 @@
 //!
 //! ## Architecture
 //!
-//! * One **event-loop thread** owns a hand-rolled `epoll` reactor (the
-//!   [`poller`] module — the build environment is offline, so there is no
-//!   async runtime) plus the nonblocking listener and every connection's
-//!   socket. Per-connection read/write buffers and a small state machine
-//!   absorb partial frames: the loop never blocks on any one peer, so
-//!   thousands of idle connections cost one registered descriptor each
-//!   rather than a parked thread.
-//! * A pool of **CPU workers** executes ready requests off the loop.
-//!   When a full frame has been buffered the loop hands the decoded
-//!   request (plus the session it belongs to) to a worker; the worker
-//!   runs it against the engine, *encodes the response frame itself*, and
-//!   posts the bytes back through a completion queue + `poller::Waker`.
-//!   The loop only ever shuttles buffers.
+//! * **Run-to-completion reactors.** [`ServerConfig::workers`] threads
+//!   wait on one shared `epoll` set (the [`poller`] module — the build
+//!   environment is offline, so there is no async runtime) holding the
+//!   nonblocking listener and every connection's socket. Whichever thread
+//!   receives a connection's event reads the request, executes it,
+//!   encodes the reply and writes it itself: one wake-up per request, no
+//!   hand-off between threads. Per-connection read/write buffers absorb
+//!   partial frames, so thousands of idle connections cost one
+//!   registered descriptor each rather than a parked thread.
+//! * **One owner per connection.** Sockets are registered
+//!   `EPOLLONESHOT`: an event disarms the descriptor, so exactly one
+//!   thread owns the connection until it re-arms it after the reply. The
+//!   connection's state sits behind its own lock, which is *not* held
+//!   while a statement runs (the session is taken out first), so a TAIL
+//!   push from another thread can append and flush meanwhile.
 //! * **Backpressure** is write-interest registration: a response that
 //!   does not fit the socket buffer parks in the connection's write
-//!   buffer and the descriptor is re-registered for writability; the
-//!   loop resumes the flush when the peer drains. A peer that stops
+//!   buffer and the descriptor is re-armed for writability; whichever
+//!   thread receives that event resumes the flush. A peer that stops
 //!   reading stalls only its own connection.
 //! * **Admission control**: at most [`ServerConfig::max_connections`]
 //!   sockets are resident; a connection beyond the cap is answered with
@@ -33,8 +35,9 @@
 //!   Pre-handshake sockets must say `Hello` within
 //!   [`ServerConfig::handshake_timeout`], idle sessions are reaped after
 //!   [`ServerConfig::idle_timeout`], and a started-but-stalled frame is
-//!   bounded by a fixed completion timeout — so no peer can pin loop
-//!   state forever.
+//!   bounded by a fixed completion timeout — so no peer can pin
+//!   connection state forever. The first thread to find the sweep due
+//!   after its wait sweeps, skipping connections some thread owns.
 //! * Sessions own a prepared-statement map (`Prepare` plans a `SELECT`
 //!   once — through the engine's shared plan cache — and `Execute`
 //!   replays the plan through [`SharedEngine::execute_planned`]) and a
@@ -44,13 +47,12 @@
 //!   the same call, skipping parse and plan entirely when the catalog
 //!   generation still matches.
 //! * **TAIL continuous queries**: a [`tspdb_ingest::TailRegistry`] shared
-//!   by the workers holds every standing `TAIL SELECT ... GROUP BY
-//!   WINDOW(...)` query. After each request a worker polls the registry
-//!   (two generation loads per subscription when nothing changed) and
-//!   queues pushed `TailFrame` responses — one per newly closed window
-//!   bucket — to the owning connections through the same completion
-//!   path replies travel; the loop appends them to write buffers under
-//!   the usual backpressure rules. Subscriptions die with their
+//!   by the reactors holds every standing `TAIL SELECT ... GROUP BY
+//!   WINDOW(...)` query. After each reply the serving thread polls the
+//!   registry (two generation loads per subscription when nothing
+//!   changed) and appends pushed `TailFrame` responses — one per newly
+//!   closed window bucket — to the owning connections' write buffers
+//!   under the usual backpressure rules. Subscriptions die with their
 //!   connection.
 //!
 //! ## Quick start
@@ -80,13 +82,12 @@
 pub mod poller;
 
 use poller::{Event, Interest, Poller, Waker};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tspdb_core::{CoreError, SharedEngine};
@@ -95,15 +96,16 @@ use tspdb_probdb::plan::{PlannedQuery, Planner};
 use tspdb_probdb::sql::SelectStmt;
 use tspdb_probdb::{DbError, QueryOutput, Statement};
 use tspdb_wire::{
-    decode_message, write_frame, Request, Response, StatementId, Wire, WireError, MAX_FRAME_LEN,
+    decode_message, encode_frame, Request, Response, StatementId, WireError, MAX_FRAME_LEN,
     PROTOCOL_VERSION,
 };
 
 /// How the server identifies itself in the handshake.
 pub(crate) const SERVER_NAME: &str = concat!("tspdb-server/", env!("CARGO_PKG_VERSION"));
 
-/// The event loop's housekeeping tick: the longest it will sleep in
-/// `epoll_wait` before sweeping timeouts and checking the shutdown flag.
+/// The reactors' housekeeping tick: the longest a thread sleeps in
+/// `epoll_wait` before checking the shutdown flag, and the interval
+/// between timeout sweeps.
 const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
 /// How long a *started* frame may take to arrive in full. Wall-clock, so
@@ -124,9 +126,9 @@ const READ_BUFFER_LIMIT: usize = MAX_FRAME_LEN as usize + 4 + 64 * 1024;
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// CPU worker threads executing ready queries — the bound on
-    /// concurrently *executing* requests (connections are not bounded by
-    /// this; idle ones cost no thread at all).
+    /// Reactor threads, each serving requests to completion — the bound
+    /// on concurrently *executing* requests (connections are not bounded
+    /// by this; idle ones cost no thread at all).
     pub workers: usize,
     /// Sockets resident at once; a connection beyond the cap receives a
     /// structured error and is drained, never left hanging.
@@ -169,7 +171,7 @@ pub struct Server {
 
 /// Reactor token of the listening socket.
 const TOKEN_LISTENER: u64 = 0;
-/// Reactor token of the loop's wake eventfd.
+/// Reactor token of the shutdown eventfd.
 const TOKEN_WAKER: u64 = 1;
 /// First token handed to an accepted connection.
 const TOKEN_FIRST_CONNECTION: u64 = 2;
@@ -194,70 +196,44 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Starts the event-loop thread and the CPU worker pool; the returned
-    /// handle owns every thread.
+    /// Starts the reactor threads; the returned handle owns every thread.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.listener.local_addr()?;
         self.listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
         let waker = Arc::new(Waker::new()?);
-        let completions = Arc::new(Mutex::new(VecDeque::new()));
-        let tails = Arc::new(TailRegistry::new());
-        let tail_owners: Arc<TailOwners> = Arc::new(Mutex::new(HashMap::new()));
-        let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-
-        let workers: Vec<JoinHandle<()>> = (0..self.config.workers.max(1))
-            .map(|_| {
-                let job_rx = Arc::clone(&job_rx);
-                let engine = self.engine.clone();
-                let stats = Arc::clone(&stats);
-                let completions = Arc::clone(&completions);
-                let waker = Arc::clone(&waker);
-                let tails = Arc::clone(&tails);
-                let tail_owners = Arc::clone(&tail_owners);
-                std::thread::spawn(move || {
-                    worker_loop(
-                        &job_rx,
-                        engine,
-                        &stats,
-                        &completions,
-                        &waker,
-                        &tails,
-                        &tail_owners,
-                    )
-                })
-            })
-            .collect();
-
         let poller = Poller::new()?;
-        poller.register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        poller.register_oneshot(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        // Level-triggered and never drained: once shutdown wakes it, every
+        // thread's wait returns.
         poller.register(waker.as_raw_fd(), TOKEN_WAKER, Interest::READ)?;
 
-        let event_loop = EventLoop {
+        let reactor = Arc::new(Reactor {
             poller,
             listener: self.listener,
-            config: self.config,
+            engine: self.engine,
             shutdown: Arc::clone(&shutdown),
             stats: Arc::clone(&stats),
-            waker: Arc::clone(&waker),
-            completions,
-            job_tx,
-            connections: HashMap::new(),
-            next_token: TOKEN_FIRST_CONNECTION,
-            tails,
-            tail_owners,
-        };
-        let loop_thread = std::thread::spawn(move || event_loop.run());
-
+            connections: Mutex::new(HashMap::new()),
+            next_token: AtomicU64::new(TOKEN_FIRST_CONNECTION),
+            next_sweep: Mutex::new(Instant::now() + POLL_INTERVAL),
+            tails: TailRegistry::new(),
+            tail_owners: Mutex::new(HashMap::new()),
+            config: self.config,
+        });
+        let threads = (0..reactor.config.workers.max(1))
+            .map(|_| {
+                let reactor = Arc::clone(&reactor);
+                std::thread::spawn(move || reactor.run())
+            })
+            .collect();
         Ok(ServerHandle {
             addr,
             shutdown,
             stats,
             waker,
-            event_loop: Some(loop_thread),
-            workers,
+            threads,
         })
     }
 }
@@ -270,8 +246,7 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
     waker: Arc<Waker>,
-    event_loop: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -285,132 +260,34 @@ impl ServerHandle {
         &self.stats
     }
 
-    /// Blocks until the event loop exits (it only exits on shutdown;
-    /// this is what the server binary parks on).
+    /// Blocks until the reactor threads exit (they only exit on
+    /// shutdown; this is what the server binary parks on).
     pub fn wait(&mut self) {
-        if let Some(event_loop) = self.event_loop.take() {
-            let _ = event_loop.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 
-    /// Raises the shutdown flag, wakes the loop, and joins every thread.
-    /// The loop drops its job sender on exit, which drains the worker
-    /// pool; open connections are closed without a goodbye frame.
+    /// Raises the shutdown flag, wakes every reactor, and joins them all.
+    /// A thread executing a statement finishes it first; open
+    /// connections are closed without a goodbye frame.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.waker.wake();
-        if let Some(event_loop) = self.event_loop.take() {
-            let _ = event_loop.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.wait();
     }
 }
 
-/// Encodes one message as a length-prefixed frame, reusing
-/// [`write_frame`]'s size check.
-fn encode_frame<T: Wire>(msg: &T) -> Result<Vec<u8>, WireError> {
-    let mut buf = Vec::new();
-    write_frame(&mut buf, msg)?;
-    Ok(buf)
-}
-
-/// A ready request handed from the loop to a CPU worker. The session
-/// travels with it (the connection is `Busy` and strictly alternating,
-/// so nothing else can touch the session meanwhile).
-struct Job {
-    token: u64,
-    request: Request,
-    session: Session,
+/// Locks a mutex, recovering from poisoning: a thread that panicked
+/// mid-request left the guarded buffers consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Which session owns each live TAIL subscription (tail token →
-/// reactor connection token). Workers insert on `Tail` and remove on
-/// `TailStop`/lapse; the event loop removes every entry of a closing
-/// connection.
+/// reactor connection token). Inserted on `Tail`, removed on
+/// `TailStop`/lapse and when the owning connection closes.
 type TailOwners = Mutex<HashMap<u64, u64>>;
-
-/// Work travelling back from a CPU worker to the event loop.
-enum Completion {
-    /// A finished request: the encoded response frame plus the returned
-    /// session.
-    Reply {
-        token: u64,
-        session: Session,
-        frame: Vec<u8>,
-        keep_going: bool,
-    },
-    /// A pushed TAIL frame for whichever connection owns the
-    /// subscription — appended to that connection's write buffer outside
-    /// the request/response alternation.
-    Push { token: u64, frame: Vec<u8> },
-}
-
-/// One CPU worker: execute queued jobs until the loop drops the sender.
-fn worker_loop(
-    jobs: &Mutex<Receiver<Job>>,
-    engine: SharedEngine,
-    stats: &ServerStats,
-    completions: &Mutex<VecDeque<Completion>>,
-    waker: &Waker,
-    tails: &TailRegistry,
-    tail_owners: &TailOwners,
-) {
-    loop {
-        let job = {
-            // Recover from a poisoned lock: a worker that panicked
-            // mid-`recv` left the receiver itself intact.
-            let guard = jobs.lock().unwrap_or_else(|e| e.into_inner());
-            guard.recv()
-        };
-        let Ok(Job {
-            token,
-            request,
-            mut session,
-        }) = job
-        else {
-            return; // event loop gone
-        };
-        let (response, keep_going) = match request {
-            Request::Tail { sql } => tail_subscribe(tails, tail_owners, token, &sql),
-            Request::TailStop { token: tail } => tail_stop(tails, tail_owners, token, tail),
-            other => respond(&engine, &mut session, other),
-        };
-        stats.requests.fetch_add(1, Ordering::Relaxed);
-        let frame = match encode_frame(&response) {
-            Ok(frame) => frame,
-            // A result too large for one frame is a *server-side* error,
-            // not a dead socket: substitute a structured Error so the
-            // session keeps its "errors never kill a session" contract.
-            Err(WireError::FrameTooLarge { len, max }) => {
-                encode_frame(&Response::Error(DbError::Unsupported(format!(
-                    "result of {len} bytes exceeds the {max}-byte frame limit; \
-                     restrict the query (WHERE/LIMIT/THRESHOLD)"
-                ))))
-                .unwrap_or_default()
-            }
-            Err(_) => Vec::new(), // unencodable: the loop closes the connection
-        };
-        completions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(Completion::Reply {
-                token,
-                session,
-                frame,
-                keep_going,
-            });
-        // Whatever just ran may have closed window buckets (an INSERT
-        // landing rows past a bucket boundary, a fresh subscription
-        // replaying closed history): drive the standing queries and push
-        // their frames. Cheap when nothing changed — two generation
-        // loads per subscription. Queued after the reply, so a new
-        // subscriber sees `TailStarted` before its history frames.
-        push_tail_frames(&engine, tails, tail_owners, completions);
-        waker.wake();
-    }
-}
 
 /// Registers a TAIL standing query owned by connection `conn`. Frames
 /// start arriving via the poll that follows this request — including the
@@ -423,10 +300,7 @@ fn tail_subscribe(
 ) -> (Response, bool) {
     match tails.subscribe_sql(sql) {
         Ok(token) => {
-            tail_owners
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(token.0, conn);
+            lock(tail_owners).insert(token.0, conn);
             (Response::TailStarted { token: token.0 }, true)
         }
         Err(e) => (Response::Error(core_to_db(e)), true),
@@ -442,7 +316,7 @@ fn tail_stop(
     token: u64,
 ) -> (Response, bool) {
     let owned = {
-        let mut owners = tail_owners.lock().unwrap_or_else(|e| e.into_inner());
+        let mut owners = lock(tail_owners);
         if owners.get(&token) == Some(&conn) {
             owners.remove(&token);
             true
@@ -469,99 +343,39 @@ fn tail_stop(
     }
 }
 
-/// Polls every standing query and queues one [`Completion::Push`] per
-/// event to the owning connection. A frame that cannot be encoded (too
-/// large for the frame limit) ends its subscription with a pushed
-/// `TailStopped` rather than silently skipping a bucket.
-fn push_tail_frames(
-    engine: &SharedEngine,
-    tails: &TailRegistry,
-    tail_owners: &TailOwners,
-    completions: &Mutex<VecDeque<Completion>>,
-) {
-    let events = tails.poll(engine);
-    if events.is_empty() {
-        return;
-    }
-    for event in events {
-        let (tail, response) = match event {
-            TailEvent::Frame(f) => (
-                f.token.0,
-                Response::TailFrame {
-                    token: f.token.0,
-                    bucket: f.bucket,
-                    result: f.result,
-                },
-            ),
-            TailEvent::Lapsed { token, error } => (
-                token.0,
-                Response::TailStopped {
-                    token: token.0,
-                    reason: Some(error),
-                },
-            ),
-        };
-        let ended = matches!(response, Response::TailStopped { .. });
-        let (frame, ended) = match encode_frame(&response) {
-            Ok(frame) => (frame, ended),
-            Err(e) => {
-                tails.unsubscribe(TailToken(tail));
-                let stopped = Response::TailStopped {
-                    token: tail,
-                    reason: Some(format!("frame could not be delivered: {e}")),
-                };
-                (encode_frame(&stopped).unwrap_or_default(), true)
-            }
-        };
-        let owner = {
-            let mut owners = tail_owners.lock().unwrap_or_else(|e| e.into_inner());
-            if ended {
-                owners.remove(&tail)
-            } else {
-                owners.get(&tail).copied()
-            }
-        };
-        let (Some(conn), false) = (owner, frame.is_empty()) else {
-            continue; // connection already gone, or frame unencodable
-        };
-        completions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(Completion::Push { token: conn, frame });
-    }
-}
-
 /// Where a connection is in its life cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConnState {
     /// Accepted; waiting for a well-formed `Hello`.
     Handshake,
-    /// Session established; waiting for the next request frame.
+    /// Session established; waiting for (or executing) a request.
     Ready,
-    /// A request is out with a CPU worker (the session travelled with
-    /// it); buffered input is held un-parsed until the completion lands.
-    Busy,
     /// Flush the write buffer, then close.
     Closing,
     /// Rejected at capacity: flush the error frame, discard input, close
     /// at EOF or the stored deadline.
     Draining(Instant),
+    /// Deregistered and out of the registry; a thread still holding the
+    /// connection must not touch its descriptor again.
+    Closed,
 }
 
-/// Per-socket state owned by the event loop.
+/// Per-socket state, behind the connection's own lock.
 struct Connection {
     stream: TcpStream,
     state: ConnState,
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
+    /// Taken out while a request executes, so the lock is not held then.
     session: Option<Session>,
     created: Instant,
     last_activity: Instant,
     /// When the first byte of a still-incomplete frame arrived.
     frame_started: Option<Instant>,
-    /// Whether the descriptor is currently registered for writability.
-    wants_write: bool,
+    /// A thread is serving this connection's event: the descriptor is
+    /// disarmed until that thread re-arms it, and nobody else may.
+    owned: bool,
 }
 
 impl Connection {
@@ -576,7 +390,31 @@ impl Connection {
             created: now,
             last_activity: now,
             frame_started: None,
-            wants_write: false,
+            owned: false,
+        }
+    }
+
+    /// Queues an encoded frame, adopting its buffer when nothing is
+    /// pending so a large result is not copied again.
+    fn queue(&mut self, frame: Vec<u8>) {
+        if self.write_buf.is_empty() {
+            self.write_buf = frame;
+        } else {
+            self.write_buf.extend_from_slice(&frame);
+        }
+    }
+
+    fn write_pending(&self) -> bool {
+        self.write_pos < self.write_buf.len()
+    }
+
+    /// What to arm the descriptor for: writability too while output is
+    /// parked.
+    fn interest(&self) -> Interest {
+        if self.write_pending() {
+            Interest::READ_WRITE
+        } else {
+            Interest::READ
         }
     }
 }
@@ -591,69 +429,81 @@ enum Parsed {
     Request(Request),
 }
 
-/// The reactor: owns the poller, the listener and every connection.
-struct EventLoop {
+/// What every reactor thread shares: the poller, the listener and the
+/// connection registry.
+struct Reactor {
     poller: Poller,
     listener: TcpListener,
     config: ServerConfig,
+    engine: SharedEngine,
     shutdown: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
-    waker: Arc<Waker>,
-    completions: Arc<Mutex<VecDeque<Completion>>>,
-    job_tx: Sender<Job>,
-    connections: HashMap<u64, Connection>,
-    next_token: u64,
-    tails: Arc<TailRegistry>,
-    tail_owners: Arc<TailOwners>,
+    connections: Mutex<HashMap<u64, Arc<Mutex<Connection>>>>,
+    next_token: AtomicU64,
+    /// When the next timeout sweep is due; held by the sweeping thread.
+    next_sweep: Mutex<Instant>,
+    tails: TailRegistry,
+    tail_owners: TailOwners,
 }
 
-impl EventLoop {
-    fn run(mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return; // dropping `self` closes every socket and the job sender
-            }
-            if self.poller.wait(&mut events, Some(POLL_INTERVAL)).is_err() {
+impl Reactor {
+    /// One reactor thread: take one event at a time (so a long statement
+    /// never holds up events another thread could serve) until shutdown.
+    fn run(&self) {
+        let mut events: Vec<Event> = Vec::with_capacity(1);
+        while !self.shutdown.load(Ordering::SeqCst) {
+            if self
+                .poller
+                .wait_up_to(&mut events, 1, Some(POLL_INTERVAL))
+                .is_err()
+            {
                 return; // a broken epoll fd is unrecoverable
             }
-            for event in std::mem::take(&mut events) {
-                match event.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.waker.drain(),
-                    token => self.connection_ready(token, &event),
-                }
+            match events.pop() {
+                Some(Event {
+                    token: TOKEN_LISTENER,
+                    ..
+                }) => self.accept_ready(),
+                Some(event) if event.token != TOKEN_WAKER => self.connection_ready(event),
+                _ => {}
             }
-            self.apply_completions();
-            self.sweep(Instant::now());
+            self.sweep_if_due();
         }
     }
 
-    /// Accepts until the listener would block; every accepted socket is
-    /// made nonblocking and either admitted or rejected with a frame.
-    fn accept_ready(&mut self) {
+    fn connection(&self, token: u64) -> Option<Arc<Mutex<Connection>>> {
+        lock(&self.connections).get(&token).cloned()
+    }
+
+    /// Accepts until the listener would block, then re-arms it. Every
+    /// accepted socket is made nonblocking and either admitted or
+    /// rejected with a frame.
+    fn accept_ready(&self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => self.admit(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                // Persistent accept errors (EMFILE when fds run out, etc.)
-                // retry at the next readiness event or tick instead of
-                // spinning exactly when the process is resource-starved.
-                Err(_) => return,
+                // WouldBlock, or a persistent error (EMFILE when fds run
+                // out): retry at the next readiness event.
+                Err(_) => break,
             }
         }
+        let _ = self
+            .poller
+            .rearm(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ);
     }
 
-    fn admit(&mut self, stream: TcpStream) {
+    fn admit(&self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
         let _ = stream.set_nodelay(true);
         let now = Instant::now();
-        let at_capacity = self.connections.len() >= self.config.max_connections;
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let mut conn = Connection::new(stream, now);
-        if at_capacity {
+        // Only the thread holding the one-shot listener admits, so the
+        // count cannot race past the cap.
+        if lock(&self.connections).len() >= self.config.max_connections {
             let Ok(frame) = encode_frame(&Response::Error(DbError::Unsupported(format!(
                 "server at capacity ({} connections); try again later",
                 self.config.max_connections
@@ -662,288 +512,266 @@ impl EventLoop {
             };
             conn.write_buf = frame;
             conn.state = ConnState::Draining(now + REJECT_LINGER);
+            self.flush(&mut conn, token);
+            if conn.state == ConnState::Closed {
+                return;
+            }
         }
-        let token = self.next_token;
-        self.next_token += 1;
-        if self
-            .poller
-            .register(conn.stream.as_raw_fd(), token, Interest::READ)
-            .is_err()
-        {
-            return; // dropped: the peer sees a reset
-        }
-        self.connections.insert(token, conn);
-        if at_capacity {
-            self.flush(token);
+        let (fd, interest) = (conn.stream.as_raw_fd(), conn.interest());
+        lock(&self.connections).insert(token, Arc::new(Mutex::new(conn)));
+        if self.poller.register_oneshot(fd, token, interest).is_err() {
+            lock(&self.connections).remove(&token); // the peer sees a reset
         }
     }
 
-    fn connection_ready(&mut self, token: u64, event: &Event) {
-        if event.writable {
-            self.flush(token);
+    /// Serves one event: flush, read, then parse and answer every
+    /// complete frame, and finally re-arm the descriptor. Statements run
+    /// with the connection's lock released.
+    fn connection_ready(&self, event: Event) {
+        let token = event.token;
+        let Some(cell) = self.connection(token) else {
+            return; // closed since the event was queued
+        };
+        let mut conn = lock(&cell);
+        if conn.owned || conn.state == ConnState::Closed {
+            // A stray event from a push's re-arm racing this delivery:
+            // the owner re-arms when it is done.
+            return;
         }
-        if event.readable || event.hangup {
-            self.read_ready(token);
+        conn.owned = true;
+        if event.writable {
+            self.flush(&mut conn, token);
+        }
+        if event.readable && conn.state != ConnState::Closed {
+            self.read_ready(&mut conn, token);
+        }
+        while matches!(conn.state, ConnState::Handshake | ConnState::Ready) {
+            let request = match parse_one_frame(&mut conn) {
+                Parsed::Incomplete => break,
+                Parsed::Violation(message) => {
+                    self.fail(&mut conn, token, message);
+                    break;
+                }
+                Parsed::Request(request) => request,
+            };
+            if conn.state == ConnState::Handshake {
+                self.handshake(&mut conn, token, request);
+                continue;
+            }
+            let mut session = conn
+                .session
+                .take()
+                .expect("a ready connection owns its session");
+            drop(conn);
+            let (frame, keep_going) = self.answer(token, &mut session, request);
+            conn = lock(&cell);
+            conn.session = Some(session);
+            if conn.state == ConnState::Closed {
+                break; // a push found the socket dead meanwhile
+            }
+            conn.last_activity = Instant::now();
+            if frame.is_empty() || !keep_going {
+                conn.state = ConnState::Closing; // unencodable or goodbye
+            }
+            conn.queue(frame);
+            self.flush(&mut conn, token);
+            drop(conn);
+            // Whatever just ran may have closed window buckets (an INSERT
+            // landing rows past a bucket boundary, a fresh subscription
+            // replaying closed history): drive the standing queries. After
+            // the reply, so a new subscriber sees `TailStarted` first.
+            self.push_tail_frames();
+            conn = lock(&cell);
+        }
+        conn.owned = false;
+        if conn.state != ConnState::Closed {
+            let interest = conn.interest();
+            if self
+                .poller
+                .rearm(conn.stream.as_raw_fd(), token, interest)
+                .is_err()
+            {
+                self.close(&mut conn, token);
+            }
         }
     }
 
     /// Drains the socket into the read buffer (or the void, when
-    /// draining a rejected/closing connection), then parses.
-    fn read_ready(&mut self, token: u64) {
-        let mut disconnected = false;
-        let mut flooded = false;
-        {
-            let Some(conn) = self.connections.get_mut(&token) else {
-                return;
-            };
-            let discard = matches!(conn.state, ConnState::Draining(_) | ConnState::Closing);
-            let mut buf = [0u8; 16 * 1024];
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        disconnected = true;
-                        break;
+    /// draining a rejected/closing connection).
+    fn read_ready(&self, conn: &mut Connection, token: u64) {
+        let discard = matches!(conn.state, ConnState::Draining(_) | ConnState::Closing);
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            match conn.stream.read(&mut buf) {
+                Ok(0) => return self.close(conn, token),
+                Ok(n) => {
+                    if discard {
+                        continue;
                     }
-                    Ok(n) => {
-                        if discard {
-                            continue;
-                        }
-                        conn.read_buf.extend_from_slice(&buf[..n]);
-                        conn.last_activity = Instant::now();
-                        if conn.read_buf.len() > READ_BUFFER_LIMIT {
-                            flooded = true;
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        disconnected = true;
-                        break;
+                    conn.read_buf.extend_from_slice(&buf[..n]);
+                    conn.last_activity = Instant::now();
+                    if conn.read_buf.len() > READ_BUFFER_LIMIT {
+                        return self.close(conn, token);
                     }
                 }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return self.close(conn, token),
             }
         }
-        if disconnected || flooded {
-            self.close(token);
-            return;
-        }
-        self.process_read_buffer(token);
     }
 
-    /// Parses and dispatches complete frames until the buffer runs dry
-    /// or the connection stops being in a parsing state.
-    fn process_read_buffer(&mut self, token: u64) {
-        loop {
-            let parsed = {
-                let Some(conn) = self.connections.get_mut(&token) else {
-                    return;
+    /// Answers the handshake inline (cheap, no engine access).
+    fn handshake(&self, conn: &mut Connection, token: u64, request: Request) {
+        match request {
+            Request::Hello { version } if version == PROTOCOL_VERSION => {
+                let Ok(frame) = encode_frame(&Response::Hello {
+                    version: PROTOCOL_VERSION,
+                    server: SERVER_NAME.to_string(),
+                }) else {
+                    return self.close(conn, token);
                 };
-                if !matches!(conn.state, ConnState::Handshake | ConnState::Ready) {
-                    return;
-                }
-                parse_one_frame(conn)
+                conn.session = Some(Session::new());
+                conn.state = ConnState::Ready;
+                conn.queue(frame);
+                self.stats.sessions.fetch_add(1, Ordering::Relaxed);
+                self.flush(conn, token);
+            }
+            Request::Hello { version } => self.fail(
+                conn,
+                token,
+                format!(
+                    "protocol version {version} not supported; \
+                     server speaks {PROTOCOL_VERSION}"
+                ),
+            ),
+            _ => self.fail(
+                conn,
+                token,
+                "the first request must be the handshake".into(),
+            ),
+        }
+    }
+
+    /// Executes one post-handshake request and encodes its reply frame
+    /// (empty when unencodable: the connection closes); the bool is
+    /// `false` when the session should end.
+    fn answer(&self, token: u64, session: &mut Session, request: Request) -> (Vec<u8>, bool) {
+        let (response, keep_going) = match request {
+            Request::Tail { sql } => tail_subscribe(&self.tails, &self.tail_owners, token, &sql),
+            Request::TailStop { token: tail } => {
+                tail_stop(&self.tails, &self.tail_owners, token, tail)
+            }
+            other => respond(&self.engine, session, other),
+        };
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let frame = match encode_frame(&response) {
+            Ok(frame) => frame,
+            // A result too large for one frame is a *server-side* error,
+            // not a dead socket: substitute a structured Error so the
+            // session keeps its "errors never kill a session" contract.
+            Err(WireError::FrameTooLarge { len, max }) => {
+                encode_frame(&Response::Error(DbError::Unsupported(format!(
+                    "result of {len} bytes exceeds the {max}-byte frame limit; \
+                     restrict the query (WHERE/LIMIT/THRESHOLD)"
+                ))))
+                .unwrap_or_default()
+            }
+            Err(_) => Vec::new(),
+        };
+        (frame, keep_going)
+    }
+
+    /// Polls every standing query and delivers one frame per event to
+    /// the owning connection. A frame that cannot be encoded (too large
+    /// for the frame limit) ends its subscription with a pushed
+    /// `TailStopped` rather than silently skipping a bucket.
+    fn push_tail_frames(&self) {
+        for event in self.tails.poll(&self.engine) {
+            let (tail, response) = match event {
+                TailEvent::Frame(f) => (
+                    f.token.0,
+                    Response::TailFrame {
+                        token: f.token.0,
+                        bucket: f.bucket,
+                        result: f.result,
+                    },
+                ),
+                TailEvent::Lapsed { token, error } => (
+                    token.0,
+                    Response::TailStopped {
+                        token: token.0,
+                        reason: Some(error),
+                    },
+                ),
             };
-            match parsed {
-                Parsed::Incomplete => return,
-                Parsed::Violation(message) => {
-                    self.fail(token, message);
-                    return;
+            let ended = matches!(response, Response::TailStopped { .. });
+            let (frame, ended) = match encode_frame(&response) {
+                Ok(frame) => (frame, ended),
+                Err(e) => {
+                    self.tails.unsubscribe(TailToken(tail));
+                    let stopped = Response::TailStopped {
+                        token: tail,
+                        reason: Some(format!("frame could not be delivered: {e}")),
+                    };
+                    (encode_frame(&stopped).unwrap_or_default(), true)
                 }
-                Parsed::Request(request) => self.handle_request(token, request),
+            };
+            let owner = {
+                let mut owners = lock(&self.tail_owners);
+                if ended {
+                    owners.remove(&tail)
+                } else {
+                    owners.get(&tail).copied()
+                }
+            };
+            if let (Some(conn), false) = (owner, frame.is_empty()) {
+                self.deliver(conn, frame);
             }
         }
     }
 
-    /// Routes one complete request: handshakes are answered inline on
-    /// the loop (cheap, no engine access); everything else goes to a
-    /// CPU worker with the session in tow.
-    fn handle_request(&mut self, token: u64, request: Request) {
-        let Some(conn) = self.connections.get_mut(&token) else {
-            return;
+    /// Appends a pushed frame to a session's write buffer and flushes,
+    /// whichever thread owns the connection. Only an unowned connection
+    /// may be re-armed here; an owner re-arms with write interest itself.
+    fn deliver(&self, token: u64, frame: Vec<u8>) {
+        let Some(cell) = self.connection(token) else {
+            return; // subscriber vanished; frame is moot
         };
+        let mut conn = lock(&cell);
+        if conn.state != ConnState::Ready {
+            return; // a closing/draining connection is past caring
+        }
+        conn.queue(frame);
+        self.flush(&mut conn, token);
+        if !conn.owned && conn.state != ConnState::Closed && conn.write_pending() {
+            let _ = self
+                .poller
+                .rearm(conn.stream.as_raw_fd(), token, Interest::READ_WRITE);
+        }
+    }
+
+    /// Writes buffered output until done or the socket would block (the
+    /// re-arm then asks for writability), and finishes `Closing` /
+    /// `Draining` connections whose buffers drained.
+    fn flush(&self, conn: &mut Connection, token: u64) {
+        while conn.write_pending() {
+            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
+                Ok(0) => return self.close(conn, token),
+                Ok(n) => conn.write_pos += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return self.close(conn, token),
+            }
+        }
+        conn.write_buf.clear();
+        conn.write_pos = 0;
         match conn.state {
-            ConnState::Handshake => match request {
-                Request::Hello { version } if version == PROTOCOL_VERSION => {
-                    let Ok(frame) = encode_frame(&Response::Hello {
-                        version: PROTOCOL_VERSION,
-                        server: SERVER_NAME.to_string(),
-                    }) else {
-                        self.close(token);
-                        return;
-                    };
-                    conn.session = Some(Session::new());
-                    conn.state = ConnState::Ready;
-                    conn.write_buf.extend_from_slice(&frame);
-                    self.stats.sessions.fetch_add(1, Ordering::Relaxed);
-                    self.flush(token);
-                }
-                Request::Hello { version } => {
-                    self.fail(
-                        token,
-                        format!(
-                            "protocol version {version} not supported; \
-                             server speaks {PROTOCOL_VERSION}"
-                        ),
-                    );
-                }
-                _ => self.fail(token, "the first request must be the handshake".into()),
-            },
-            ConnState::Ready => {
-                let session = conn
-                    .session
-                    .take()
-                    .expect("a ready connection owns its session");
-                conn.state = ConnState::Busy;
-                if self
-                    .job_tx
-                    .send(Job {
-                        token,
-                        request,
-                        session,
-                    })
-                    .is_err()
-                {
-                    self.close(token); // workers gone: shutting down
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Applies every queued worker completion. A `Reply` restores the
-    /// session, queues the response frame, flushes, and resumes parsing
-    /// anything the peer sent meanwhile; a `Push` appends a TAIL frame to
-    /// the owning connection's write buffer regardless of its
-    /// request/response state.
-    fn apply_completions(&mut self) {
-        loop {
-            let completion = self
-                .completions
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front();
-            let Some(completion) = completion else { return };
-            match completion {
-                Completion::Reply {
-                    token,
-                    session,
-                    frame,
-                    keep_going,
-                } => {
-                    {
-                        let Some(conn) = self.connections.get_mut(&token) else {
-                            continue; // connection died while the worker ran
-                        };
-                        conn.session = Some(session);
-                        conn.last_activity = Instant::now();
-                        if frame.is_empty() {
-                            conn.state = ConnState::Closing; // unencodable response
-                        } else {
-                            conn.state = if keep_going {
-                                ConnState::Ready
-                            } else {
-                                ConnState::Closing
-                            };
-                            conn.write_buf.extend_from_slice(&frame);
-                        }
-                    }
-                    self.flush(token);
-                    if self
-                        .connections
-                        .get(&token)
-                        .is_some_and(|c| c.state == ConnState::Ready)
-                    {
-                        self.process_read_buffer(token);
-                    }
-                }
-                Completion::Push { token, frame } => {
-                    let deliverable = {
-                        let Some(conn) = self.connections.get_mut(&token) else {
-                            continue; // subscriber vanished; frame is moot
-                        };
-                        // Only sessions in their steady state receive
-                        // pushes; a closing/draining connection is past
-                        // caring.
-                        if matches!(conn.state, ConnState::Ready | ConnState::Busy) {
-                            conn.write_buf.extend_from_slice(&frame);
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if deliverable {
-                        self.flush(token);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Writes buffered output until done or the socket would block;
-    /// registers/deregisters write interest accordingly and finishes
-    /// `Closing`/`Draining` connections whose buffers drained.
-    fn flush(&mut self, token: u64) {
-        let mut failed = false;
-        let (done, fd) = {
-            let Some(conn) = self.connections.get_mut(&token) else {
-                return;
-            };
-            let fd = conn.stream.as_raw_fd();
-            while conn.write_pos < conn.write_buf.len() {
-                match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                    Ok(0) => {
-                        failed = true;
-                        break;
-                    }
-                    Ok(n) => conn.write_pos += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            (conn.write_pos >= conn.write_buf.len(), fd)
-        };
-        if failed {
-            self.close(token);
-            return;
-        }
-        if !done {
-            // Backpressure: resume when the peer drains its socket.
-            let conn = self
-                .connections
-                .get_mut(&token)
-                .expect("connection checked above");
-            if !conn.wants_write {
-                conn.wants_write = true;
-                let _ = self.poller.modify(fd, token, Interest::READ_WRITE);
-            }
-            return;
-        }
-        let state = {
-            let conn = self
-                .connections
-                .get_mut(&token)
-                .expect("connection checked above");
-            conn.write_buf.clear();
-            conn.write_pos = 0;
-            if conn.wants_write {
-                conn.wants_write = false;
-                let _ = self.poller.modify(fd, token, Interest::READ);
-            }
-            conn.state
-        };
-        match state {
-            ConnState::Closing => self.close(token),
+            ConnState::Closing => self.close(conn, token),
+            // Frame delivered; half-close so the peer sees EOF after the
+            // error instead of a reset, then wait out the linger.
             ConnState::Draining(_) => {
-                // Frame delivered; half-close so the peer sees EOF after
-                // the error instead of a reset, then wait out the linger.
-                if let Some(conn) = self.connections.get(&token) {
-                    let _ = conn.stream.shutdown(Shutdown::Write);
-                }
+                let _ = conn.stream.shutdown(Shutdown::Write);
             }
             _ => {}
         }
@@ -951,30 +779,39 @@ impl EventLoop {
 
     /// Answers a protocol violation with a structured error, then closes
     /// once it flushes.
-    fn fail(&mut self, token: u64, message: String) {
-        let frame = encode_frame(&Response::Error(DbError::Unsupported(message)));
-        let Some(conn) = self.connections.get_mut(&token) else {
-            return;
-        };
+    fn fail(&self, conn: &mut Connection, token: u64, message: String) {
         conn.state = ConnState::Closing;
-        if let Ok(frame) = frame {
-            conn.write_buf.extend_from_slice(&frame);
+        if let Ok(frame) = encode_frame(&Response::Error(DbError::Unsupported(message))) {
+            conn.queue(frame);
         }
-        self.flush(token);
+        self.flush(conn, token);
     }
 
-    /// Drops every connection that overstayed a deadline. `Busy`
-    /// connections are exempt — their clock restarts when the worker's
-    /// completion lands.
-    fn sweep(&mut self, now: Instant) {
-        let expired: Vec<u64> = self
-            .connections
+    /// Drops every connection that overstayed a deadline, at most once
+    /// per tick and by one thread at a time. Connections a thread owns
+    /// (or whose lock is busy) are skipped until the next sweep.
+    fn sweep_if_due(&self) {
+        let now = Instant::now();
+        let Ok(mut next) = self.next_sweep.try_lock() else {
+            return;
+        };
+        if now < *next {
+            return;
+        }
+        *next = now + POLL_INTERVAL;
+        let connections: Vec<(u64, Arc<Mutex<Connection>>)> = lock(&self.connections)
             .iter()
-            .filter(|(_, conn)| {
-                let frame_stalled = conn
-                    .frame_started
-                    .is_some_and(|s| now.duration_since(s) > FRAME_COMPLETION_TIMEOUT);
-                match conn.state {
+            .map(|(&token, cell)| (token, Arc::clone(cell)))
+            .collect();
+        for (token, cell) in connections {
+            let Ok(mut conn) = cell.try_lock() else {
+                continue;
+            };
+            let frame_stalled = conn
+                .frame_started
+                .is_some_and(|s| now.duration_since(s) > FRAME_COMPLETION_TIMEOUT);
+            let expired = !conn.owned
+                && match conn.state {
                     ConnState::Handshake => {
                         now.duration_since(conn.created) > self.config.handshake_timeout
                     }
@@ -982,31 +819,29 @@ impl EventLoop {
                         now.duration_since(conn.last_activity) > self.config.idle_timeout
                             || frame_stalled
                     }
-                    ConnState::Busy => false,
                     ConnState::Closing => {
                         now.duration_since(conn.last_activity)
                             > self.config.idle_timeout.max(self.config.handshake_timeout)
                     }
                     ConnState::Draining(deadline) => now >= deadline,
-                }
-            })
-            .map(|(&token, _)| token)
-            .collect();
-        for token in expired {
-            self.close(token);
+                    ConnState::Closed => false,
+                };
+            if expired {
+                self.close(&mut conn, token);
+            }
         }
     }
 
-    /// Removes a connection; dropping the stream closes the descriptor
-    /// (the explicit deregister just keeps the epoll set tidy first).
-    /// Any TAIL subscriptions the session owned die with it — standing
-    /// queries never outlive their subscriber.
-    fn close(&mut self, token: u64) {
-        if let Some(conn) = self.connections.remove(&token) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        }
+    /// Deregisters a connection and drops it from the registry; the
+    /// descriptor closes when the last holder lets go. Any TAIL
+    /// subscriptions the session owned die with it — standing queries
+    /// never outlive their subscriber.
+    fn close(&self, conn: &mut Connection, token: u64) {
+        conn.state = ConnState::Closed;
+        let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        lock(&self.connections).remove(&token);
         let orphaned: Vec<u64> = {
-            let mut owners = self.tail_owners.lock().unwrap_or_else(|e| e.into_inner());
+            let mut owners = lock(&self.tail_owners);
             let ids: Vec<u64> = owners
                 .iter()
                 .filter(|&(_, &conn)| conn == token)
@@ -1183,7 +1018,7 @@ fn respond(engine: &SharedEngine, session: &mut Session, req: Request) -> (Respo
             (Response::WorldsThreadsSet { threads }, true)
         }
         Request::Close => (Response::Bye, false),
-        // Dispatched in `worker_loop` before `respond` (they need the
+        // Dispatched in `Reactor::answer` before `respond` (they need the
         // registry and the connection token); reaching here is a bug.
         Request::Tail { .. } | Request::TailStop { .. } => (
             Response::Error(DbError::Unsupported(

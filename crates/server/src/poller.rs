@@ -10,15 +10,13 @@
 //!   back.
 //! * [`Interest`] — which readiness directions to watch. Registration is
 //!   level-triggered: as long as a socket stays readable/writable the
-//!   event re-fires, which keeps the event-loop state machine simple
-//!   (nothing is lost if a handler leaves bytes unconsumed).
-//! * `Waker` — an `eventfd` that lets other threads (CPU workers
-//!   finishing a query, a shutdown call) interrupt a blocked
-//!   [`Poller::wait`] from outside.
-//!
-//! The module is deliberately tiny and server-shaped rather than a
-//! general reactor: one loop thread owns the `Poller`, and everything
-//! else talks to it through the `Waker`.
+//!   event re-fires, so nothing is lost if a handler leaves bytes
+//!   unconsumed. A *one-shot* registration ([`Poller::register_oneshot`])
+//!   reports one event and then stays silent until [`Poller::rearm`]: with
+//!   several threads waiting on one poller, that makes the thread that
+//!   received the event the descriptor's only owner until it re-arms.
+//! * `Waker` — an `eventfd` another thread (a shutdown call) writes to
+//!   interrupt every blocked [`Poller::wait`] from outside.
 
 use std::io;
 use std::os::fd::RawFd;
@@ -39,6 +37,7 @@ mod sys {
     pub(crate) const EPOLLERR: u32 = 0x8;
     pub(crate) const EPOLLHUP: u32 = 0x10;
     pub(crate) const EPOLLRDHUP: u32 = 0x2000;
+    pub(crate) const EPOLLONESHOT: u32 = 1 << 30;
     const EPOLL_CLOEXEC: i32 = 0x80000;
     const EFD_CLOEXEC: i32 = 0x80000;
     const EFD_NONBLOCK: i32 = 0x800;
@@ -60,7 +59,6 @@ mod sys {
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
         fn eventfd(initval: u32, flags: i32) -> i32;
         fn close(fd: i32) -> i32;
-        fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
 
@@ -124,16 +122,6 @@ mod sys {
             Err(io::Error::last_os_error())
         } else {
             Ok(())
-        }
-    }
-
-    pub(crate) fn read_u64(fd: RawFd) -> io::Result<u64> {
-        let mut buf = [0u8; 8];
-        let rc = unsafe { read(fd, buf.as_mut_ptr(), buf.len()) };
-        if rc < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(u64::from_ne_bytes(buf))
         }
     }
 }
@@ -204,6 +192,20 @@ impl Poller {
         sys::epoll_control(self.epfd, sys::EPOLL_CTL_ADD, fd, interest.bits(), token)
     }
 
+    /// Starts watching `fd` for a single event: once it is reported the
+    /// descriptor is disarmed until [`Poller::rearm`].
+    pub fn register_oneshot(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let bits = interest.bits() | sys::EPOLLONESHOT;
+        sys::epoll_control(self.epfd, sys::EPOLL_CTL_ADD, fd, bits, token)
+    }
+
+    /// Re-enables a one-shot registration, with a possibly new interest;
+    /// readiness that is already there is reported at once.
+    pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let bits = interest.bits() | sys::EPOLLONESHOT;
+        sys::epoll_control(self.epfd, sys::EPOLL_CTL_MOD, fd, bits, token)
+    }
+
     /// Changes the interest set of an already-registered descriptor.
     pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         sys::epoll_control(self.epfd, sys::EPOLL_CTL_MOD, fd, interest.bits(), token)
@@ -219,6 +221,18 @@ impl Poller {
     /// replacing the contents of `events`. A signal interruption returns
     /// an empty set rather than an error.
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        self.wait_up_to(events, 256, timeout)
+    }
+
+    /// [`Poller::wait`] reporting at most `max` events (1 to 256): a
+    /// thread that serves what it takes before waiting again takes one,
+    /// leaving the rest to other threads.
+    pub fn wait_up_to(
+        &self,
+        events: &mut Vec<Event>,
+        max: usize,
+        timeout: Option<Duration>,
+    ) -> io::Result<()> {
         events.clear();
         let timeout_ms: i32 = match timeout {
             None => -1,
@@ -230,7 +244,8 @@ impl Poller {
             }
         };
         let mut raw = [sys::EpollEvent { events: 0, data: 0 }; 256];
-        let n = match sys::epoll_wait_events(self.epfd, &mut raw, timeout_ms) {
+        let raw = &mut raw[..max.clamp(1, 256)];
+        let n = match sys::epoll_wait_events(self.epfd, raw, timeout_ms) {
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
             Err(e) => return Err(e),
@@ -257,8 +272,9 @@ impl Drop for Poller {
     }
 }
 
-/// An `eventfd`-backed wake handle: cheap, clonable-by-`Arc`, safe to use
-/// from any thread to interrupt the loop's [`Poller::wait`].
+/// An `eventfd`-backed wake handle, safe to use from any thread. It is
+/// never drained: registered level-triggered, one wake keeps it readable,
+/// so every thread waiting on the poller returns.
 #[derive(Debug)]
 pub(crate) struct Waker {
     fd: RawFd,
@@ -272,25 +288,15 @@ impl Waker {
         })
     }
 
-    /// The descriptor to register (read interest) with the loop's poller.
+    /// The descriptor to register (read interest) with the poller.
     pub(crate) fn as_raw_fd(&self) -> RawFd {
         self.fd
     }
 
     /// Wakes the poller. Saturation (`EAGAIN` on a full counter) is fine —
-    /// the loop is already guaranteed to wake.
+    /// the descriptor is readable either way.
     pub(crate) fn wake(&self) {
-        match sys::write_u64(self.fd, 1) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-            Err(_) => {}
-        }
-    }
-
-    /// Drains pending wakes so the level-triggered registration goes
-    /// quiet until the next [`Waker::wake`].
-    pub(crate) fn drain(&self) {
-        while sys::read_u64(self.fd).is_ok() {}
+        let _ = sys::write_u64(self.fd, 1);
     }
 }
 
@@ -363,30 +369,66 @@ mod tests {
     }
 
     #[test]
-    fn waker_interrupts_a_blocked_wait_and_drains() {
-        let poller = Poller::new().unwrap();
-        let waker = Arc::new(Waker::new().unwrap());
+    fn one_wake_interrupts_every_blocked_wait() {
+        let poller = Arc::new(Poller::new().unwrap());
+        let waker = Waker::new().unwrap();
         poller
             .register(waker.as_raw_fd(), 1, Interest::READ)
             .unwrap();
-        let from_thread = Arc::clone(&waker);
         let start = Instant::now();
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            from_thread.wake();
-        });
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let poller = Arc::clone(&poller);
+                std::thread::spawn(move || {
+                    let mut events = Vec::new();
+                    poller
+                        .wait_up_to(&mut events, 1, Some(Duration::from_secs(10)))
+                        .unwrap();
+                    events
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(30));
+        waker.wake();
+        for waiter in waiters {
+            let events = waiter.join().unwrap();
+            assert!(
+                events.iter().any(|e| e.token == 1 && e.readable),
+                "{events:?}"
+            );
+        }
+        assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn a_oneshot_registration_reports_once_until_rearmed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        server_side.set_nonblocking(true).unwrap();
+        let poller = Poller::new().unwrap();
+        poller
+            .register_oneshot(server_side.as_raw_fd(), 5, Interest::READ)
+            .unwrap();
+        client.write_all(b"ping").unwrap();
         let mut events = Vec::new();
         poller
-            .wait(&mut events, Some(Duration::from_secs(10)))
+            .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
-        handle.join().unwrap();
-        assert!(start.elapsed() < Duration::from_secs(5));
-        assert!(events.iter().any(|e| e.token == 1 && e.readable));
-        waker.drain();
+        assert!(events.iter().any(|e| e.token == 5 && e.readable));
+        // Still readable, but disarmed: silent until re-armed.
         poller
-            .wait(&mut events, Some(Duration::from_millis(20)))
+            .wait(&mut events, Some(Duration::from_millis(50)))
             .unwrap();
-        assert!(events.is_empty(), "drained waker must go quiet: {events:?}");
+        assert!(events.is_empty(), "{events:?}");
+        poller
+            .rearm(server_side.as_raw_fd(), 5, Interest::READ_WRITE)
+            .unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        let ev = events.iter().find(|e| e.token == 5).unwrap();
+        assert!(ev.readable && ev.writable, "{ev:?}");
     }
 
     #[test]

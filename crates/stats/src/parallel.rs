@@ -7,16 +7,31 @@
 //! per-segment results are returned **in segment order** — callers that
 //! concatenate them obtain exactly the sequential output, regardless of
 //! thread scheduling.
+//!
+//! Only a width of `0` ("one per core") consults the OS, and only once per
+//! process: on Linux `available_parallelism` reads cgroup files, which
+//! costs tens of microseconds — more than a selective scan. An explicit
+//! width never asks the host, so the same width splits the same way on
+//! every machine.
+
+use std::sync::OnceLock;
 
 /// Resolves a thread-count knob: `0` means "one per available core",
 /// anything else is taken literally; the result never exceeds `n` work
 /// items and is at least 1.
 pub fn effective_threads(requested: usize, n: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let t = if requested == 0 { hw } else { requested };
+    let t = if requested == 0 {
+        available_cores()
+    } else {
+        requested
+    };
     t.clamp(1, n.max(1))
+}
+
+/// The host's core count, asked of the OS on first use only.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// Splits `0..n` into `threads` contiguous near-equal segments and maps
@@ -122,5 +137,18 @@ mod tests {
         assert_eq!(effective_threads(4, 100), 4);
         assert_eq!(effective_threads(4, 2), 2);
         assert_eq!(effective_threads(3, 0), 1);
+    }
+
+    #[test]
+    fn an_explicit_width_is_clamped_and_never_asks_the_host() {
+        // Only the items bound the answer: the same on a 1-core and a
+        // 64-core host.
+        for k in 1..=70 {
+            for n in 1..=70 {
+                assert_eq!(effective_threads(k, n), k.clamp(1, n), "k = {k}, n = {n}");
+            }
+        }
+        assert_eq!(effective_threads(0, 1), 1);
+        assert_eq!(effective_threads(0, usize::MAX), available_cores());
     }
 }

@@ -24,7 +24,7 @@
 //! an in-flight request's reply. A client that never sends `Tail` never
 //! sees a pushed frame, so pre-TAIL clients keep the pure alternation.
 
-use crate::codec::{decode_message, encode_message, Decoder, Encoder, Wire, WireError};
+use crate::codec::{decode_message, Decoder, Encoder, Wire, WireError};
 use std::io::{Read, Write};
 use tspdb_probdb::plan::AggregateResult;
 use tspdb_probdb::{DbError, QueryOutput};
@@ -368,26 +368,39 @@ impl Wire for Response {
     }
 }
 
-/// Writes one message as a length-prefixed frame and flushes.
-pub fn write_frame<T: Wire>(w: &mut impl Write, msg: &T) -> Result<(), WireError> {
-    let body = encode_message(msg);
-    let len = u32::try_from(body.len()).map_err(|_| WireError::FrameTooLarge {
-        len: u32::MAX,
-        max: MAX_FRAME_LEN,
-    })?;
+/// Encodes one message as a complete length-prefixed frame: the body is
+/// encoded after a reserved 4-byte slot and its length patched in, so a
+/// large result is never copied a second time to prepend its prefix.
+pub fn encode_frame<T: Wire>(msg: &T) -> Result<Vec<u8>, WireError> {
+    let mut enc = Encoder::new();
+    enc.put_u32(0);
+    msg.encode(&mut enc);
+    let mut frame = enc.into_bytes();
+    let len = u32::try_from(frame.len() - 4).unwrap_or(u32::MAX);
     if len > MAX_FRAME_LEN {
         return Err(WireError::FrameTooLarge {
             len,
             max: MAX_FRAME_LEN,
         });
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&body)?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
+    Ok(frame)
+}
+
+/// Writes one message as a length-prefixed frame in a single
+/// `write_all` — prefix and body leave together, so a `TCP_NODELAY`
+/// peer receives one segment rather than a prefix it cannot use yet —
+/// and flushes.
+pub fn write_frame<T: Wire>(w: &mut impl Write, msg: &T) -> Result<(), WireError> {
+    w.write_all(&encode_frame(msg)?)?;
     w.flush()?;
     Ok(())
 }
 
 /// Reads one length-prefixed frame and decodes its body as `T`.
+///
+/// Accepts a frame however it was split in transit: `read_exact` waits
+/// for the prefix and the body across as many reads as they take.
 ///
 /// (The server does not use this: its reads interleave with shutdown
 /// checks and wall-clock deadlines, so it reads the prefix and body

@@ -11,7 +11,8 @@
 //! `TailFrame`s for sessions holding a TAIL subscription).
 //!
 //! The crate deliberately contains **no I/O policy** beyond reading and
-//! writing one frame — connection handling, sessions and threading live
+//! writing one frame (a frame is encoded whole by [`encode_frame`] and
+//! sent in one write) — connection handling, sessions and threading live
 //! in the server; blocking convenience calls live in the client. Both
 //! ends therefore test against the exact same byte-level contract, and
 //! the encode→decode identity is property-tested here once for every
@@ -37,5 +38,6 @@ pub(crate) mod frame;
 
 pub use codec::{canonical_result_bytes, decode_message, encode_message, Wire, WireError};
 pub use frame::{
-    read_frame, write_frame, Request, Response, StatementId, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    encode_frame, read_frame, write_frame, Request, Response, StatementId, MAGIC, MAX_FRAME_LEN,
+    PROTOCOL_VERSION,
 };
