@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use tspdb_probdb::{
-    Batch, CmpOp, Column, ColumnSlice, ColumnType, Conjunction, Database, DbError, DensityViewSpec,
+    CmpOp, Column, ColumnSlice, ColumnType, Conjunction, Database, DbError, DensityViewSpec,
     PlannedQuery, Planner, QueryOutput, Relation, ScanSource, Schema, Statement, Table, Value,
 };
 use tspdb_stats::Density;
@@ -278,9 +278,7 @@ impl SharedEngine {
                 schema,
                 columns,
             } => {
-                let batch = Batch::new(schema, columns, None, 0);
-                let mut table = Table::new(name.clone(), schema.clone());
-                table.extend_from_batch(&batch, 0..batch.len());
+                let table = Table::from_columns(name.clone(), schema.clone(), columns.clone())?;
                 self.mark_dirty(std::iter::once((name.clone(), DirtyKind::Rewritten)));
                 catalog.register_table(table)?;
                 Ok(0)
@@ -727,18 +725,18 @@ impl SharedEngine {
             let Ok(c) = table.schema().index_of(time_column) else {
                 continue;
             };
-            let times = |columns: &[Column]| match columns[c].values() {
-                ColumnSlice::Int(times) => times.to_vec(),
-                _ => Vec::new(),
-            };
-            let fresh = times(columns);
-            let earlier: Vec<i64> = pending.iter().flat_map(|p| times(p)).collect();
-            let held = || table.rows().iter().filter_map(move |row| row[c].as_i64());
+            let fresh = int_values(&columns[c]);
+            let earlier: Vec<i64> = pending
+                .iter()
+                .flat_map(|p| int_values(&p[c]))
+                .copied()
+                .collect();
+            let held = int_values(table.column(c));
             let held_max = match &entry.model {
                 Some(model) if model.source_rows == table.len() => {
                     model.tail.last().map(|&(t, _)| t)
                 }
-                _ => held().max(),
+                _ => held.iter().copied().max(),
             };
             let ahead_max = held_max.max(earlier.iter().copied().max());
             let suffix = fresh.windows(2).all(|w| w[0] < w[1])
@@ -748,9 +746,9 @@ impl SharedEngine {
             if suffix {
                 continue;
             }
-            let mut ahead: Vec<i64> = held().chain(earlier).collect();
+            let mut ahead: Vec<i64> = held.iter().copied().chain(earlier).collect();
             ahead.sort_unstable();
-            let mut sorted = fresh.clone();
+            let mut sorted = fresh.to_vec();
             sorted.sort_unstable();
             let repeated = sorted
                 .windows(2)
@@ -1016,7 +1014,7 @@ fn strict_suffix(
     if old_len != model.source_rows {
         return None;
     }
-    let fresh = sorted_points(source, &source.rows()[old_len..], spec).ok()?;
+    let fresh = sorted_points(source, old_len, spec).ok()?;
     match (model.tail.last(), fresh.first()) {
         (Some(&(old_max, _)), Some(&(first, _))) if first <= old_max => None,
         _ => Some(fresh),
@@ -1049,7 +1047,7 @@ fn build_density_view(
     spec: &DensityViewSpec,
 ) -> Result<BuiltDensityView, CoreError> {
     let source = db.table(&spec.source_table)?;
-    let mut tail = sorted_points(source, source.rows(), spec)?;
+    let mut tail = sorted_points(source, 0, spec)?;
     let bounds = time_bounds_from_predicate(&spec.predicate, &spec.time_column)?;
     let (builder, omega) = view_builder(defaults, spec)?;
     let inferred = builder.infer(&points_to_series(spec, &tail), bounds)?;
@@ -1066,34 +1064,53 @@ fn build_density_view(
     Ok(BuiltDensityView { built, model })
 }
 
-/// Reads `rows` of a view's source table as `(time, value)` points sorted
-/// by time; mistyped cells and duplicate timestamps are errors.
+/// The values of an `INT` column; nothing for any other type.
+fn int_values(column: &Column) -> &[i64] {
+    match column.values() {
+        ColumnSlice::Int(values) => values,
+        _ => &[],
+    }
+}
+
+/// Reads the rows `from..` of a view's source table as `(time, value)`
+/// points sorted by time; a time column that is not `INT`, a text value
+/// column (when there is a row to read) and duplicate timestamps are
+/// errors.
 fn sorted_points(
     table: &Table,
-    rows: &[Vec<Value>],
+    from: usize,
     spec: &DensityViewSpec,
 ) -> Result<Vec<(i64, f64)>, CoreError> {
     let (time_column, value_column) = (&spec.time_column, &spec.value_column);
     let t_idx = table.schema().index_of(time_column)?;
     let v_idx = table.schema().index_of(value_column)?;
-    let mut pairs: Vec<(i64, f64)> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let t = row[t_idx].as_i64().ok_or_else(|| {
-            CoreError::Db(DbError::TypeMismatch {
-                column: time_column.to_string(),
-                expected: ColumnType::Int,
-                got: row[t_idx].column_type(),
-            })
-        })?;
-        let v = row[v_idx].as_f64().ok_or_else(|| {
-            CoreError::Db(DbError::TypeMismatch {
-                column: value_column.to_string(),
-                expected: ColumnType::Float,
-                got: row[v_idx].column_type(),
-            })
-        })?;
-        pairs.push((t, v));
+    let mismatch = |column: &str, expected, got| {
+        Err(CoreError::Db(DbError::TypeMismatch {
+            column: column.to_string(),
+            expected,
+            got,
+        }))
+    };
+    if from == table.len() {
+        return Ok(Vec::new());
     }
+    let times = match table.column(t_idx).values() {
+        ColumnSlice::Int(times) => &times[from..],
+        other => return mismatch(time_column, ColumnType::Int, other.column_type()),
+    };
+    let mut pairs: Vec<(i64, f64)> = match table.column(v_idx).values() {
+        ColumnSlice::Int(values) => times
+            .iter()
+            .zip(&values[from..])
+            .map(|(&t, &v)| (t, v as f64))
+            .collect(),
+        ColumnSlice::Float(values) => times
+            .iter()
+            .copied()
+            .zip(values[from..].iter().copied())
+            .collect(),
+        ColumnSlice::Text(_) => return mismatch(value_column, ColumnType::Float, ColumnType::Text),
+    };
     pairs.sort_by_key(|&(t, _)| t);
     if pairs.windows(2).any(|w| w[0].0 == w[1].0) {
         return Err(CoreError::InvalidConfig(format!(
@@ -2155,13 +2172,36 @@ mod tests {
                 .insert(vec![Value::Int(t), Value::Float(t as f64)])
                 .unwrap();
         }
-        let points = sorted_points(&table, table.rows(), &spec).unwrap();
+        let points = sorted_points(&table, 0, &spec).unwrap();
         assert_eq!(points, [(1, 1.0), (2, 2.0), (3, 3.0)]);
+        assert_eq!(
+            sorted_points(&table, 1, &spec).unwrap(),
+            [(1, 1.0), (2, 2.0)]
+        );
 
         let mut dup = Table::new("raw", schema);
         dup.insert(vec![Value::Int(1), Value::Float(1.0)]).unwrap();
         dup.insert(vec![Value::Int(1), Value::Float(2.0)]).unwrap();
-        assert!(sorted_points(&dup, dup.rows(), &spec).is_err());
+        assert!(sorted_points(&dup, 0, &spec).is_err());
+
+        // Mistyped columns are errors once there is a row to read.
+        for (t, r) in [
+            (ColumnType::Float, ColumnType::Float),
+            (ColumnType::Int, ColumnType::Text),
+        ] {
+            let mut bad = Table::new("raw", Schema::of(&[("t", t), ("r", r)]));
+            assert!(sorted_points(&bad, 0, &spec).unwrap().is_empty());
+            let r = if r == ColumnType::Text {
+                Value::from("x")
+            } else {
+                Value::Float(1.0)
+            };
+            bad.insert(vec![Value::Int(1), r]).unwrap();
+            assert!(matches!(
+                sorted_points(&bad, 0, &spec),
+                Err(CoreError::Db(DbError::TypeMismatch { .. }))
+            ));
+        }
     }
 
     #[test]

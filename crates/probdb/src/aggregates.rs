@@ -139,6 +139,20 @@ pub(crate) fn sum_moments_of(probs: &[f64], values: &[f64]) -> (f64, f64) {
     (mean, var)
 }
 
+/// `Σp·v`, folded in order from `+0.0`: the mean [`sum_moments_of`]
+/// returns, bit for bit, without its variance fold.
+pub(crate) fn expected_sum_of(probs: &[f64], values: &[f64]) -> f64 {
+    assert_eq!(
+        probs.len(),
+        values.len(),
+        "expected_sum_of: values must be parallel to probs"
+    );
+    probs
+        .iter()
+        .zip(values)
+        .fold(0.0, |acc, (&p, &v)| acc + p * v)
+}
+
 /// Largest dyadic scale probed when looking for an exact integer
 /// representation of the sum domain: values are checked against grids of
 /// step `2^-k` for `k = 0..=MAX_DYADIC_SHIFT`.

@@ -1,9 +1,9 @@
-//! Typed, contiguous column storage for probabilistic relations.
+//! Typed, contiguous column storage for both relation kinds.
 //!
-//! A [`crate::ProbTable`] keeps one [`Column`] per schema column — a
-//! `Vec<i64>`, `Vec<f64>` or `Vec<String>` — instead of one `Vec<Value>`
-//! per tuple, so scans read plain slices ([`ColumnSlice`]) and never chase
-//! a pointer per row. A [`crate::Value`] is only built where a single cell
+//! A [`crate::Table`] and a [`crate::ProbTable`] keep one [`Column`] per
+//! schema column — a `Vec<i64>`, `Vec<f64>` or `Vec<String>` — instead of
+//! one `Vec<Value>` per row, so scans read plain slices ([`ColumnSlice`])
+//! and never chase a pointer per row. A [`crate::Value`] is only built where a single cell
 //! has to leave the column (group keys, rendering, the row iterator).
 
 use crate::error::DbError;
@@ -65,7 +65,7 @@ impl Column {
     /// type check rows get on their way into a relation: a row of the wrong
     /// arity is an [`DbError::ArityMismatch`], a cell `Column::push`
     /// hands back a [`DbError::TypeMismatch`] (ints widen into float
-    /// columns), exactly as `Schema::check_row` reports them.
+    /// columns), exactly as `Schema::validate_row` reports them.
     pub fn from_rows(schema: &Schema, rows: Vec<Vec<Value>>) -> Result<Vec<Column>, DbError> {
         let mut columns = Column::for_schema(schema, rows.len());
         for row in rows {
@@ -102,8 +102,8 @@ impl Column {
         self.ascending
     }
 
-    /// Appends a value, widening an int into a float column exactly like
-    /// [`Value::coerce`]; a value of any other type is handed back.
+    /// Appends a value, widening an int into a float column (what
+    /// [`Value::fits`] allows); a value of any other type is handed back.
     pub(crate) fn push(&mut self, value: Value) -> Result<(), Value> {
         if !value.fits(self.column_type()) {
             return Err(value);

@@ -37,18 +37,18 @@
 //! `match` arm in the catalog.
 
 use crate::aggregates::{
-    count_distribution_of, count_moments_of, event_probability_of, sum_distribution_of,
-    sum_from_zero, sum_moments_of,
+    count_distribution_of, count_moments_of, event_probability_of, expected_sum_of,
+    sum_distribution_of, sum_from_zero, sum_moments_of,
 };
 use crate::catalog::{QueryOutput, Relation};
 use crate::error::DbError;
 use crate::query::Conjunction;
-use crate::scan::{self, Batch, Groups, Transposed};
+use crate::scan::{self, Batch, Groups};
 use crate::schema::Schema;
 use crate::sql::{
     AggExpr, AggFunc, HavingClause, SelectItem, SelectStmt, WindowSpec, WorldsClause,
 };
-use crate::table::{ProbTable, Table};
+use crate::table::ProbTable;
 use crate::value::Value;
 use crate::worlds::{
     mix_seed, SumEstimate, SumEventSpec, WorldsConfig, WorldsExecutor, WorldsResult,
@@ -263,28 +263,6 @@ pub struct AggregatePlan {
     pub aggregates: Vec<AggExpr>,
     /// Optional `HAVING` event predicate.
     pub having: Option<HavingClause>,
-}
-
-impl PhysicalPlan {
-    /// Every column name the plan reads while restricting, ordering,
-    /// grouping and aggregating — what a row-major source has to transpose
-    /// before the batch kernels can run (projected output columns are
-    /// copied row by row and not listed).
-    pub(crate) fn referenced_columns(&self) -> Vec<&str> {
-        let mut columns: Vec<&str> = self.predicate.iter().map(|c| c.column.as_str()).collect();
-        match &self.action {
-            PhysicalAction::Rows { order_by, .. } => {
-                columns.extend(order_by.iter().map(|(column, _)| column.as_str()));
-            }
-            PhysicalAction::Aggregate(agg) => {
-                columns.extend(agg.window.iter().map(|w| w.column.as_str()));
-                columns.extend(agg.group_by.iter().map(String::as_str));
-                columns.extend(agg.aggregates.iter().filter_map(|a| a.column.as_deref()));
-                columns.extend(agg.having.iter().filter_map(|h| h.agg.column.as_deref()));
-            }
-        }
-        columns
-    }
 }
 
 impl fmt::Display for PhysicalPlan {
@@ -792,36 +770,32 @@ impl EvalStrategy for ExactStrategy {
                         plan.table
                     )));
                 }
-                // `Table` is row-major; the kernels read the columns the
-                // plan references through a transposed copy.
-                let columns = Transposed::of(t, plan.referenced_columns());
-                let batch = columns.batch(t.schema());
+                let batch = t.batch();
                 match &plan.action {
                     PhysicalAction::Rows {
                         columns,
                         order_by,
                         limit,
                     } => {
-                        let mut keep = Vec::new();
-                        scan::select_into(&batch, &plan.predicate, None, &mut keep)?;
+                        let keep = scan::restrict(&batch, plan, self.threads)?;
                         let order = scan::order_rows(&batch, keep, order_by.as_ref(), *limit)?;
                         let (schema, idx) = project(t.schema(), columns)?;
-                        let mut out = Table::new(t.name().to_string(), schema);
-                        for i in order {
-                            out.insert(idx.iter().map(|&c| t.row(i)[c].clone()).collect())?;
-                        }
-                        Ok(QueryOutput::Rows(out))
+                        Ok(QueryOutput::Rows(t.gather(&order, &idx, schema)))
                     }
-                    PhysicalAction::Aggregate(agg) => Ok(QueryOutput::Aggregate(
-                        aggregate_deterministic(&batch, &plan.predicate, agg)?,
-                    )),
+                    PhysicalAction::Aggregate(agg) => {
+                        validate_aggregate_plan(agg)?;
+                        let keep = scan::restrict(&batch, plan, self.threads)?;
+                        Ok(QueryOutput::Aggregate(aggregate_deterministic(
+                            &batch, &keep, agg,
+                        )?))
+                    }
                 }
             }
             Relation::Probabilistic(t) => {
                 if let Some(result) = aggregate_from_totals(t, plan) {
                     return Ok(QueryOutput::Aggregate(result));
                 }
-                let keep = scan::restrict(t, plan, self.threads)?;
+                let keep = scan::restrict(&t.batch(), plan, self.threads)?;
                 match &plan.action {
                     PhysicalAction::Rows {
                         columns,
@@ -935,7 +909,7 @@ impl EvalStrategy for WorldsStrategy {
                 for col in columns {
                     t.schema().index_of(col)?;
                 }
-                let keep = scan::restrict(t, plan, self.threads)?;
+                let keep = scan::restrict(&t.batch(), plan, self.threads)?;
                 let probs = scan::gather_probs(t.probs(), &keep);
                 // A single projected *numeric* column additionally requests
                 // the SUM aggregate over that column (the pre-planner
@@ -957,7 +931,7 @@ impl EvalStrategy for WorldsStrategy {
                 )))
             }
             PhysicalAction::Aggregate(agg) => {
-                let keep = scan::restrict(t, plan, self.threads)?;
+                let keep = scan::restrict(&t.batch(), plan, self.threads)?;
                 let single_group = agg.window.is_none() && agg.group_by.is_empty();
                 let result =
                     aggregate_probabilistic(t, &keep, agg, "worlds", |group, h, probs, sum| {
@@ -1319,14 +1293,14 @@ fn aggregate_probabilistic(
                             .column
                             .as_ref()
                             .expect("validate_aggregate_plan checked the column");
-                        sum_moments_of(&probs, &columns[col.as_str()]).0
+                        expected_sum_of(&probs, &columns[col.as_str()])
                     }
                     AggFunc::Avg => {
                         let col = agg
                             .column
                             .as_ref()
                             .expect("validate_aggregate_plan checked the column");
-                        let (sum_mean, _) = sum_moments_of(&probs, &columns[col.as_str()]);
+                        let sum_mean = expected_sum_of(&probs, &columns[col.as_str()]);
                         ratio_of_expectations(sum_mean, count_mean)
                     }
                 };
@@ -1374,19 +1348,17 @@ fn aggregate_probabilistic(
     })
 }
 
-/// Classic SQL aggregation over a deterministic table; `HAVING` filters
-/// groups (every world is the same world, so the event either holds or
-/// does not).
+/// Classic SQL aggregation over the rows `keep` of the deterministic table
+/// `batch` spans (the caller validated `plan` before restricting);
+/// `HAVING` filters groups (every world is the same world, so the event
+/// either holds or does not).
 fn aggregate_deterministic(
     batch: &Batch<'_>,
-    pred: &Conjunction,
+    keep: &[usize],
     plan: &AggregatePlan,
 ) -> Result<AggregateResult, DbError> {
-    validate_aggregate_plan(plan)?;
-    let mut keep = Vec::new();
-    scan::select_into(batch, pred, None, &mut keep)?;
     let Groups { rows, groups } =
-        scan::group_rows(batch, &keep, plan.window.as_ref(), &plan.group_by)?;
+        scan::group_rows(batch, keep, plan.window.as_ref(), &plan.group_by)?;
     let mut out = Vec::new();
     for (key, members) in groups {
         let indices = &rows[members];
@@ -1463,6 +1435,7 @@ mod tests {
     use super::*;
     use crate::query::CmpOp;
     use crate::sql::parse;
+    use crate::table::Table;
     use crate::value::ColumnType;
     use proptest::prelude::*;
 
@@ -2544,7 +2517,7 @@ mod tests {
             let mut want = bits(sum_from_zero(built.probs()));
             for col in ["i", "f"] {
                 let values = scan::gather_f64(&batch, col, &all).unwrap();
-                let mean = sum_moments_of(built.probs(), &values).0;
+                let mean = expected_sum_of(built.probs(), &values);
                 want.push_str(&format!(" {}", bits(mean)));
             }
             let got = totals_bits(&built);

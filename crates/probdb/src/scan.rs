@@ -5,14 +5,13 @@
 //! [`Batch`]es — typed column slices, the probability slice and the global
 //! index of the batch's first row:
 //!
-//! * a resident [`ProbTable`] hands out zero-copy slices — the whole
-//!   relation, or, for a large restriction, one batch per contiguous
-//!   segment fanned over the fork-join helpers and concatenated in
-//!   segment order (`restrict`);
+//! * a resident relation — a [`ProbTable`] or a deterministic [`Table`],
+//!   both column-major — hands out zero-copy slices: the whole relation,
+//!   or, for a large restriction, one batch per contiguous segment fanned
+//!   over the fork-join helpers and concatenated in segment order
+//!   (`restrict`);
 //! * an evicted relation decodes one leaf page at a time straight into
-//!   column vectors ([`BatchStream`], consumed by `restrict_stream`);
-//! * a deterministic [`Table`] — still row-major — is transposed, for the
-//!   columns the plan references only (`Transposed`).
+//!   column vectors ([`BatchStream`], consumed by `restrict_stream`).
 //!
 //! On batches sit four kernels: the conjunction → selection kernel
 //! (`select_into`), `ORDER BY … LIMIT` / `TOP` selection over indices
@@ -52,9 +51,8 @@ const FAN_OUT_MIN_ROWS: usize = 65_536;
 #[derive(Debug, Clone)]
 pub struct Batch<'a> {
     schema: &'a Schema,
-    /// One entry per schema column; `None` where the source did not
-    /// extract the column (only [`Transposed`] leaves columns out).
-    columns: Vec<Option<BatchColumn<'a>>>,
+    /// One entry per schema column.
+    columns: Vec<BatchColumn<'a>>,
     probs: Option<&'a [f64]>,
     offset: usize,
     len: usize,
@@ -80,29 +78,45 @@ impl<'a> Batch<'a> {
         probs: Option<&'a [f64]>,
         offset: usize,
     ) -> Batch<'a> {
+        let len = probs.map_or_else(|| columns.first().map_or(0, Column::len), <[f64]>::len);
+        Batch {
+            offset,
+            ..Batch::spanning(schema, columns, probs, len)
+        }
+    }
+
+    /// A batch over the `len` rows of a relation's whole columns (a
+    /// relation of no columns still has a row count).
+    ///
+    /// # Panics
+    /// Panics when the columns do not match the schema's arity, or a
+    /// column or `probs` is not `len` long.
+    pub(crate) fn spanning(
+        schema: &'a Schema,
+        columns: &'a [Column],
+        probs: Option<&'a [f64]>,
+        len: usize,
+    ) -> Batch<'a> {
         assert_eq!(
             columns.len(),
             schema.arity(),
             "one column per schema column"
         );
-        let len = probs.map_or_else(|| columns.first().map_or(0, Column::len), <[f64]>::len);
         assert!(
-            columns.iter().all(|c| c.len() == len),
+            columns.iter().all(|c| c.len() == len) && probs.is_none_or(|p| p.len() == len),
             "batch columns differ in length"
         );
         Batch {
             schema,
             columns: columns
                 .iter()
-                .map(|c| {
-                    Some(BatchColumn {
-                        values: c.values(),
-                        ascending: c.is_ascending(),
-                    })
+                .map(|c| BatchColumn {
+                    values: c.values(),
+                    ascending: c.is_ascending(),
                 })
                 .collect(),
             probs,
-            offset,
+            offset: 0,
             len,
         }
     }
@@ -114,11 +128,9 @@ impl<'a> Batch<'a> {
             columns: self
                 .columns
                 .iter()
-                .map(|c| {
-                    c.map(|c| BatchColumn {
-                        values: c.values.slice(range.clone()),
-                        ascending: c.ascending,
-                    })
+                .map(|c| BatchColumn {
+                    values: c.values.slice(range.clone()),
+                    ascending: c.ascending,
                 })
                 .collect(),
             probs: self.probs.map(|p| &p[range.clone()]),
@@ -154,21 +166,17 @@ impl<'a> Batch<'a> {
     }
 
     /// The values of schema column `c`.
-    ///
-    /// # Panics
-    /// Panics when the source left the column out of the batch.
     pub fn values(&self, c: usize) -> ColumnSlice<'a> {
-        self.columns[c].expect("column not in batch").values
+        self.columns[c].values
     }
 
     /// Appends column `c`'s values at `sel` to `into`: a span as one slice
     /// copy, explicit positions as a gather.
     ///
     /// # Panics
-    /// Panics when the source left the column out of the batch or the
-    /// column types differ.
+    /// Panics when the column types differ.
     pub(crate) fn extend_column(&self, c: usize, sel: &Selection, into: &mut Column) {
-        let column = self.columns[c].expect("column not in batch");
+        let column = self.columns[c];
         match sel {
             Selection::Span(span) => {
                 into.extend_span(column.values.slice(span.clone()), column.ascending);
@@ -179,7 +187,7 @@ impl<'a> Batch<'a> {
 
     /// The named column, or [`DbError::UnknownColumn`].
     fn column(&self, name: &str) -> Result<BatchColumn<'a>, DbError> {
-        Ok(self.columns[self.schema.index_of(name)?].expect("plan column not in batch"))
+        Ok(self.columns[self.schema.index_of(name)?])
     }
 
     /// What `name` addresses in a predicate or `ORDER BY`: the tuple
@@ -254,11 +262,16 @@ impl Selection {
         }
     }
 
-    fn is_empty(&self) -> bool {
+    /// Number of kept positions.
+    pub(crate) fn len(&self) -> usize {
         match self {
-            Selection::Span(span) => span.is_empty(),
-            Selection::Rows(rows) => rows.is_empty(),
+            Selection::Span(span) => span.len(),
+            Selection::Rows(rows) => rows.len(),
         }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
     fn retain(self, keep: impl Fn(usize) -> bool) -> Selection {
@@ -391,11 +404,12 @@ fn numeric<T: Copy, K: PartialOrd + Copy>(
 // The scan operator over its three sources
 // ---------------------------------------------------------------------------
 
-/// Indices of the tuples a probabilistic query works on: the `WHERE`
-/// filter, then `THRESHOLD` (minimum probability), then `TOP` (the k most
-/// probable, NaN-free total order, ties to the earlier row, returned in
-/// descending probability). Shared by every strategy so all evaluate the
-/// same sub-relation.
+/// Indices of the tuples a query works on in the relation `whole` spans:
+/// the `WHERE` filter, then `THRESHOLD` (minimum probability), then `TOP`
+/// (the k most probable, NaN-free total order, ties to the earlier row,
+/// returned in descending probability). Shared by every strategy and both
+/// relation kinds so all evaluate the same sub-relation (the strategies
+/// refuse `THRESHOLD` and `TOP` on a deterministic relation first).
 ///
 /// Leading range conjuncts on an ascending column are binary searches and
 /// run on the calling thread; when per-row work is left over at least
@@ -404,41 +418,43 @@ fn numeric<T: Copy, K: PartialOrd + Copy>(
 /// [`select_relation`]). Everything else — a selective time window, an
 /// unrestricted plan — runs as one batch.
 pub(crate) fn restrict(
-    t: &ProbTable,
+    whole: &Batch<'_>,
     plan: &PhysicalPlan,
     threads: usize,
 ) -> Result<Vec<usize>, DbError> {
-    let mut keep = select_relation(t, plan, threads, FAN_OUT_MIN_ROWS)?;
+    let mut keep = select_relation(whole, plan, threads, FAN_OUT_MIN_ROWS)?;
     check_threshold(plan)?;
     if let Some(k) = plan.top {
-        keep = most_probable(keep, k, t.probs());
+        let probs = whole
+            .probs()
+            .expect("TOP is refused on a deterministic relation");
+        keep = most_probable(keep, k, probs);
     }
     Ok(keep)
 }
 
-/// `WHERE` and `THRESHOLD` over `t`. The leading conjuncts that are binary
-/// searches narrow the whole relation to one span; the rest run over that
-/// span split into `segments` contiguous ascending index ranges (0 = one
-/// per core) once it holds at least `min_rows` rows, and one batch
-/// otherwise, with the survivors concatenated **in segment order**. That
+/// `WHERE` and `THRESHOLD` over the relation `whole` spans. The leading
+/// conjuncts that are binary searches narrow the whole relation to one
+/// span; the rest run over that span split into `segments` contiguous
+/// ascending index ranges (0 = one per core) once it holds at least
+/// `min_rows` rows, and one batch otherwise, with the survivors concatenated **in segment order**. That
 /// is the sequence of conjuncts [`select`] runs over one whole batch, so
 /// the result is bit-identical at every width — errors included: the only
 /// error a batch raises is an unknown column, and a segment raises it
 /// exactly when one of its rows reaches that conjunct.
 fn select_relation(
-    t: &ProbTable,
+    whole: &Batch<'_>,
     plan: &PhysicalPlan,
     segments: usize,
     min_rows: usize,
 ) -> Result<Vec<usize>, DbError> {
-    let whole = t.batch();
-    let mut span = 0..t.len();
+    let mut span = 0..whole.len();
     let mut rest = plan.predicate.as_slice();
     while let Some((cmp, tail)) = rest.split_first() {
         if span.is_empty() || !whole.searches(cmp) {
             break;
         }
-        let Selection::Span(kept) = compare(&whole, Selection::Span(span), cmp)? else {
+        let Selection::Span(kept) = compare(whole, Selection::Span(span), cmp)? else {
             unreachable!("a binary search keeps a span");
         };
         (span, rest) = (kept, tail);
@@ -538,53 +554,6 @@ fn check_threshold(plan: &PhysicalPlan) -> Result<(), DbError> {
     match plan.threshold {
         Some(tau) if !(0.0..=1.0).contains(&tau) => Err(DbError::InvalidProbability(tau)),
         _ => Ok(()),
-    }
-}
-
-/// Column-major copies of the columns of a deterministic [`Table`] that a
-/// plan references — the adapter that lets the row-major `Table` feed the
-/// batch kernels. Columns the plan never touches are not transposed.
-#[derive(Debug)]
-pub(crate) struct Transposed {
-    columns: Vec<Option<Column>>,
-    len: usize,
-}
-
-impl Transposed {
-    /// Transposes the named columns of `t` (names the schema does not
-    /// know are skipped; the kernel that resolves them reports the error).
-    pub(crate) fn of<'n>(t: &Table, names: impl IntoIterator<Item = &'n str>) -> Transposed {
-        let mut columns: Vec<Option<Column>> = vec![None; t.schema().arity()];
-        for name in names {
-            let Ok(c) = t.schema().index_of(name) else {
-                continue;
-            };
-            columns[c].get_or_insert_with(|| t.transpose(c, 0..t.len()));
-        }
-        Transposed {
-            columns,
-            len: t.len(),
-        }
-    }
-
-    /// The table as one batch over the transposed columns.
-    pub(crate) fn batch<'a>(&'a self, schema: &'a Schema) -> Batch<'a> {
-        Batch {
-            schema,
-            columns: self
-                .columns
-                .iter()
-                .map(|c| {
-                    c.as_ref().map(|c| BatchColumn {
-                        values: c.values(),
-                        ascending: c.is_ascending(),
-                    })
-                })
-                .collect(),
-            probs: None,
-            offset: 0,
-            len: self.len,
-        }
     }
 }
 

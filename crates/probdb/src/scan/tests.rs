@@ -230,7 +230,7 @@ fn everywhere(t: &ProbTable, plan: &PhysicalPlan) {
     let want_rows = want.as_ref().map(|keep| t.take(keep)).map_err(Clone::clone);
 
     assert_eq!(
-        shown(&restrict(t, plan, 4)),
+        shown(&restrict(&t.batch(), plan, 4)),
         shown(&want),
         "resident, one batch: {plan}"
     );
@@ -238,7 +238,7 @@ fn everywhere(t: &ProbTable, plan: &PhysicalPlan) {
     // first error, come back in index order at every width.
     for segments in [1, 2, 7, 64] {
         assert_eq!(
-            shown(&select_relation(t, plan, segments, 0)),
+            shown(&select_relation(&t.batch(), plan, segments, 0)),
             shown(&want),
             "{segments} segments: {plan}"
         );
@@ -335,7 +335,7 @@ fn special_values_compare_like_value_compare() {
             for lit in 0..literal_pool().len() {
                 let plan = plan_of(conjunction_of(&[(column, op, lit)]), None);
                 assert_eq!(
-                    shown(&restrict(&table, &plan, 1)),
+                    shown(&restrict(&table.batch(), &plan, 1)),
                     shown(&reference(&table, &plan)),
                     "{:?}",
                     plan.predicate
@@ -363,7 +363,7 @@ fn int_comparisons_and_order_are_exact_beyond_2_pow_53() {
         for column in ["t", "i"] {
             let hits = |op, lit: i64| {
                 let plan = plan_of(vec![Comparison::new(column, op, lit)], None);
-                restrict(&table, &plan, 1).unwrap().len()
+                restrict(&table.batch(), &plan, 1).unwrap().len()
             };
             let at = format!("{column} around {base}");
             assert_eq!(hits(CmpOp::Eq, base + 1), 1, "{at}");
@@ -399,7 +399,7 @@ fn an_unknown_column_errors_only_when_a_row_reaches_it() {
     for (predicate, errors) in [(unreached, false), (reached, true)] {
         let plan = plan_of(predicate, Some(0.25));
         everywhere(&table, &plan);
-        let got = restrict(&table, &plan, 1);
+        let got = restrict(&table.batch(), &plan, 1);
         match got {
             Err(DbError::UnknownColumn(c)) => assert!(errors && c == "nope"),
             other => assert!(!errors, "{other:?}"),
@@ -472,7 +472,7 @@ proptest! {
         // keep" and "lower row index" come apart.
         let mut plan = plan_of(Vec::new(), None);
         plan.top = [None, Some(0), Some(4), Some(n + 1)][top];
-        let keep = restrict(&table, &plan, 1).unwrap();
+        let keep = restrict(&table.batch(), &plan, 1).unwrap();
         let all: Vec<usize> = (0..n).collect();
         let mut by_prob = all.clone();
         by_prob.sort_by(|&a, &b| table.probs()[b].total_cmp(&table.probs()[a]));
@@ -711,7 +711,7 @@ fn grouping_reports_unknown_columns_and_text_windows() {
 }
 
 #[test]
-fn the_table_adapter_transposes_only_what_the_plan_references() {
+fn a_deterministic_table_is_scanned_in_place() {
     let mut t = Table::new(
         "raw",
         Schema::of(&[
@@ -724,19 +724,25 @@ fn the_table_adapter_transposes_only_what_the_plan_references() {
         t.insert(vec![Value::Int(i), Value::Int(10 - i), Value::from("x")])
             .unwrap();
     }
-    let columns = Transposed::of(&t, ["r", "nope", "r"]);
-    assert_eq!(
-        columns
-            .columns
-            .iter()
-            .map(Option::is_some)
-            .collect::<Vec<_>>(),
-        vec![false, true, false]
-    );
-    let batch = columns.batch(t.schema());
+    let batch = t.batch();
     assert_eq!((batch.len(), batch.offset(), batch.probs()), (5, 0, None));
+    // The batch borrows the table's own columns: nothing is copied.
+    let (ColumnSlice::Float(scanned), ColumnSlice::Float(own)) =
+        (batch.values(1), t.column(1).values())
+    else {
+        panic!("a float column");
+    };
+    assert!(std::ptr::eq(scanned, own));
     let mut keep = Vec::new();
     let predicate = vec![Comparison::new("r", CmpOp::Gt, 7i64)];
     select_into(&batch, &predicate, None, &mut keep).unwrap();
     assert_eq!(keep, vec![0, 1, 2]);
+    // `t` is ascending: a range conjunct on it is a binary search that
+    // keeps a span.
+    let ascending = Comparison::new("t", CmpOp::Ge, 3i64);
+    assert!(batch.searches(&ascending));
+    assert!(matches!(
+        compare(&batch, Selection::Span(0..5), &ascending).unwrap(),
+        Selection::Span(span) if span == (3..5)
+    ));
 }

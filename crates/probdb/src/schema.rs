@@ -84,17 +84,6 @@ impl Schema {
         Ok(())
     }
 
-    /// Validates and coerces a row against the schema (ints widen into
-    /// float columns).
-    pub(crate) fn check_row(&self, row: Vec<Value>) -> Result<Vec<Value>, DbError> {
-        self.validate_row(&row)?;
-        Ok(row
-            .into_iter()
-            .zip(&self.columns)
-            .map(|(v, (_, ty))| v.coerce(*ty).expect("validated above"))
-            .collect())
-    }
-
     /// Projects this schema onto the named columns (preserving the given
     /// order); returns the new schema and the source indices.
     pub(crate) fn project(&self, names: &[String]) -> Result<(Schema, Vec<usize>), DbError> {
@@ -146,18 +135,17 @@ mod tests {
     }
 
     #[test]
-    fn check_row_coerces_and_validates() {
+    fn validate_row_checks_arity_and_types() {
         let s = sample();
-        let row = s
-            .check_row(vec![Value::Int(1), Value::Int(2), Value::from("a")])
-            .unwrap();
-        assert_eq!(row[1], Value::Float(2.0));
+        assert!(s
+            .validate_row(&[Value::Int(1), Value::Int(2), Value::from("a")])
+            .is_ok());
         assert!(matches!(
-            s.check_row(vec![Value::Int(1), Value::from("x"), Value::from("a")]),
+            s.validate_row(&[Value::Int(1), Value::from("x"), Value::from("a")]),
             Err(DbError::TypeMismatch { .. })
         ));
         assert!(matches!(
-            s.check_row(vec![Value::Int(1)]),
+            s.validate_row(&[Value::Int(1)]),
             Err(DbError::ArityMismatch { .. })
         ));
     }

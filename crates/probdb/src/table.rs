@@ -1,10 +1,21 @@
-//! Deterministic and tuple-independent probabilistic tables.
+//! Deterministic and tuple-independent probabilistic relations, both
+//! column-major.
 //!
-//! A [`ProbTable`] is the paper's target representation: a *tuple-level*
-//! probabilistic relation in which every row carries an existence
-//! probability and rows are mutually independent (the standard
-//! tuple-independent model of Dalvi & Suciu that the Ω-view builder
-//! materialises into, cf. the `prob_view` of Fig. 1/2).
+//! Both kinds are one column store: a name, a schema and one typed
+//! [`Column`] per schema column, all of the same length. A [`Table`] is the
+//! store alone. A [`ProbTable`] — the paper's target representation, a
+//! *tuple-level* probabilistic relation whose rows carry an existence
+//! probability and are mutually independent (the tuple-independent model
+//! of Dalvi & Suciu that the Ω-view builder materialises into, cf. the
+//! `prob_view` of Fig. 1/2) — adds the contiguous probabilities and their
+//! running totals.
+//!
+//! Scans borrow the columns as one zero-copy [`Batch`] (`batch()`). A copy
+//! of a relation — what an append pays while a snapshot reader still holds
+//! the relation — is one flat copy per numeric column, not one allocation
+//! per row. A tuple only becomes a `Vec<Value>` where it leaves the
+//! relation one row at a time (`row`, `iter`, rendering); [`Table::rows`]
+//! materialises every row at once.
 
 use crate::column::{Column, ColumnSlice};
 use crate::error::DbError;
@@ -12,105 +23,268 @@ use crate::scan::{Batch, Selection};
 use crate::schema::Schema;
 use crate::value::{ColumnType, Value};
 use std::fmt;
-use std::ops::Range;
 use std::sync::OnceLock;
 
-/// A deterministic relation.
+/// The storage of both relation kinds: one [`Column`] per schema column,
+/// each `len` values long.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Table {
+struct ColumnStore {
     name: String,
     schema: Schema,
-    rows: Vec<Vec<Value>>,
+    columns: Vec<Column>,
+    len: usize,
+}
+
+impl ColumnStore {
+    fn new(name: String, schema: Schema) -> ColumnStore {
+        ColumnStore {
+            name,
+            columns: Column::for_schema(&schema, 0),
+            schema,
+            len: 0,
+        }
+    }
+
+    fn from_columns(
+        name: String,
+        schema: Schema,
+        columns: Vec<Column>,
+        len: usize,
+    ) -> Result<ColumnStore, DbError> {
+        check_columns(&schema, &columns, len)?;
+        Ok(ColumnStore {
+            name,
+            schema,
+            columns,
+            len,
+        })
+    }
+
+    /// Appends a row (ints widen into float columns); a rejected row
+    /// leaves the store untouched.
+    fn insert(&mut self, row: Vec<Value>) -> Result<(), DbError> {
+        self.schema.validate_row(&row)?;
+        for (column, v) in self.columns.iter_mut().zip(row) {
+            column.push(v).expect("row validated above");
+        }
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Appends `batch`'s rows at `sel`, column by column.
+    fn extend_from_batch(&mut self, batch: &Batch<'_>, sel: &Selection) {
+        assert_eq!(batch.schema(), &self.schema, "batch of another relation");
+        for (c, column) in self.columns.iter_mut().enumerate() {
+            batch.extend_column(c, sel, column);
+        }
+        self.len += sel.len();
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        for column in &mut self.columns {
+            column.reserve(additional);
+        }
+    }
+
+    fn batch<'a>(&'a self, probs: Option<&'a [f64]>) -> Batch<'a> {
+        Batch::spanning(&self.schema, &self.columns, probs, self.len)
+    }
+
+    fn row(&self, i: usize) -> Vec<Value> {
+        assert!(i < self.len, "row {i} of {}", self.len);
+        self.columns.iter().map(|c| c.values().value(i)).collect()
+    }
+
+    /// The rows at `rows` (in that order) projected onto the columns at
+    /// `columns`, under `schema`.
+    fn gather(&self, rows: &[usize], columns: &[usize], schema: Schema) -> ColumnStore {
+        let columns = columns
+            .iter()
+            .map(|&c| {
+                let src = self.columns[c].values();
+                let mut out = Column::with_capacity(src.column_type(), rows.len());
+                out.extend_gather(src, rows);
+                out
+            })
+            .collect();
+        ColumnStore {
+            name: self.name.clone(),
+            schema,
+            columns,
+            len: rows.len(),
+        }
+    }
+
+    /// The first `max_rows` rows as aligned text, with a trailing `prob`
+    /// column when `probs` is given.
+    fn render(&self, probs: Option<&[f64]>, max_rows: usize) -> String {
+        let body: Vec<Vec<String>> = (0..self.len.min(max_rows))
+            .map(|i| {
+                let mut cells: Vec<String> = self.row(i).iter().map(Value::to_string).collect();
+                cells.extend(probs.map(|p| format!("{:.4}", p[i])));
+                cells
+            })
+            .collect();
+        let mut header: Vec<String> = self.schema.names().map(str::to_string).collect();
+        if probs.is_some() && !body.is_empty() {
+            header.push("prob".to_string());
+        }
+        let mut widths: Vec<usize> = header.iter().map(String::len).collect();
+        for row in &body {
+            for (w, c) in widths.iter_mut().zip(row) {
+                *w = (*w).max(c.len());
+            }
+        }
+        let line = |cells: &[String]| {
+            let cells: Vec<String> = cells
+                .iter()
+                .zip(&widths)
+                .map(|(cell, &w)| format!("{cell:>w$}"))
+                .collect();
+            cells.join("  ") + "\n"
+        };
+        let mut out = line(&header);
+        for row in &body {
+            out.push_str(&line(row));
+        }
+        if self.len > body.len() {
+            out.push_str(&format!("… ({} more rows)\n", self.len - body.len()));
+        }
+        out
+    }
+}
+
+/// A deterministic relation, column-major: one typed [`Column`] per schema
+/// column.
+///
+/// Scans read it as one zero-copy [`Batch`] ([`Table::batch`]), exactly as
+/// they read a [`ProbTable`]; a row is materialised only on request.
+///
+/// # Examples
+///
+/// ```
+/// use tspdb_probdb::{ColumnSlice, ColumnType, Schema, Table, Value};
+///
+/// let schema = Schema::of(&[("t", ColumnType::Int), ("r", ColumnType::Float)]);
+/// let mut raw = Table::new("raw", schema);
+/// raw.insert(vec![Value::Int(1), Value::Int(4)]).unwrap(); // 4 widens
+/// raw.insert(vec![Value::Int(2), Value::Float(3.5)]).unwrap();
+///
+/// assert_eq!(raw.column(1).values(), ColumnSlice::Float(&[4.0, 3.5]));
+/// assert_eq!(raw.row(1), vec![Value::Int(2), Value::Float(3.5)]);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    store: ColumnStore,
 }
 
 impl Table {
     /// Creates an empty table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         Table {
-            name: name.into(),
-            schema,
-            rows: Vec::new(),
+            store: ColumnStore::new(name.into(), schema),
         }
+    }
+
+    /// Assembles a table from finished columns — how a decoder builds one
+    /// without a `Vec<Value>` per row. The columns must be one per schema
+    /// column, of that column's type, all of the same length.
+    pub fn from_columns(
+        name: impl Into<String>,
+        schema: Schema,
+        columns: Vec<Column>,
+    ) -> Result<Self, DbError> {
+        let len = columns.first().map_or(0, Column::len);
+        Ok(Table {
+            store: ColumnStore::from_columns(name.into(), schema, columns, len)?,
+        })
     }
 
     /// Table name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.store.name
     }
 
     /// Table schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.store.schema
     }
 
     /// Row count.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.store.len
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.store.len == 0
     }
 
-    /// Appends a row after schema validation/coercion.
+    /// Appends a row (ints widen into float columns). A rejected row
+    /// leaves the table untouched.
     pub fn insert(&mut self, row: Vec<Value>) -> Result<(), DbError> {
-        let row = self.schema.check_row(row)?;
-        self.rows.push(row);
-        Ok(())
+        self.store.insert(row)
     }
 
     /// Appends the rows of `batch` at the batch-local positions `rows` (a
-    /// span such as `0..batch.len()`, or a [`Selection`]), in order,
-    /// transposing them back into rows — how a deterministic relation is
-    /// rebuilt from the column batches of a scan source. The batch must
-    /// carry this table's schema with every column present.
+    /// span such as `0..batch.len()`, or a [`Selection`]), in order: a span
+    /// as one slice copy per column, a [`Selection::Rows`] as a gather. The
+    /// batch must carry this table's schema.
     pub fn extend_from_batch(&mut self, batch: &Batch<'_>, rows: impl Into<Selection>) {
-        assert_eq!(batch.schema(), &self.schema, "batch of another relation");
-        let (arity, sel) = (self.schema.arity(), rows.into());
-        self.rows.extend(
-            sel.rows()
-                .map(|i| (0..arity).map(|c| batch.values(c).value(i)).collect()),
-        );
+        self.store.extend_from_batch(batch, &rows.into());
     }
 
     /// Room for `additional` more rows.
     pub fn reserve(&mut self, additional: usize) {
-        self.rows.reserve(additional);
+        self.store.reserve(additional);
     }
 
-    /// Column `c` over the rows `rows`, transposed into a typed column —
-    /// how the row-major table reaches column-major consumers (the scan
-    /// kernels, leaf pages) for just the rows they read.
-    pub fn transpose(&self, c: usize, rows: Range<usize>) -> Column {
-        let mut column = Column::with_capacity(self.schema.column(c).1, rows.len());
-        for row in &self.rows[rows] {
-            column
-                .push(row[c].clone())
-                .expect("table rows are schema-checked");
+    /// The whole table as one borrowed batch (nothing is copied).
+    pub fn batch(&self) -> Batch<'_> {
+        self.store.batch(None)
+    }
+
+    /// Column `c`.
+    pub fn column(&self, c: usize) -> &Column {
+        &self.store.columns[c]
+    }
+
+    /// All columns, in schema order.
+    pub fn columns(&self) -> &[Column] {
+        &self.store.columns
+    }
+
+    /// Row `i`, materialised.
+    pub fn row(&self, i: usize) -> Vec<Value> {
+        self.store.row(i)
+    }
+
+    /// Iterator over materialised rows. Each item allocates its row;
+    /// operators that scan use [`Table::batch`].
+    pub fn iter(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
+        (0..self.len()).map(|i| self.row(i))
+    }
+
+    /// Every row, materialised: O(rows) time and one allocation per row
+    /// on every call. For a single row use [`Table::row`], for a pass
+    /// [`Table::iter`], for a column [`Table::column`].
+    pub fn rows(&self) -> Vec<Vec<Value>> {
+        self.iter().collect()
+    }
+
+    /// The rows at `rows` (in that order) projected onto the columns at
+    /// `columns`, as a new table under `schema` — the gather that builds
+    /// row-returning results.
+    pub(crate) fn gather(&self, rows: &[usize], columns: &[usize], schema: Schema) -> Table {
+        Table {
+            store: self.store.gather(rows, columns, schema),
         }
-        column
-    }
-
-    /// Borrow of all rows.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
-    }
-
-    /// Row `i`.
-    pub(crate) fn row(&self, i: usize) -> &[Value] {
-        &self.rows[i]
     }
 
     /// Renders the table in a compact aligned text form (used by the
     /// examples and the experiment harness).
     pub fn render(&self, max_rows: usize) -> String {
-        render_rows(
-            &self.schema,
-            self.rows.iter().map(|r| (r.as_slice(), None)),
-            self.len(),
-            max_rows,
-        )
+        self.store.render(None, max_rows)
     }
 }
 
@@ -146,9 +320,8 @@ impl Table {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProbTable {
-    name: String,
-    schema: Schema,
-    columns: Vec<Column>,
+    store: ColumnStore,
+    /// One per row of `store`.
     probs: Vec<f64>,
     totals: OnceLock<Totals>,
 }
@@ -157,10 +330,7 @@ impl PartialEq for ProbTable {
     /// Compares contents only: the totals are a function of them, and one
     /// side may not have folded them yet.
     fn eq(&self, other: &Self) -> bool {
-        self.name == other.name
-            && self.schema == other.schema
-            && self.columns == other.columns
-            && self.probs == other.probs
+        self.store == other.store && self.probs == other.probs
     }
 }
 
@@ -213,9 +383,7 @@ impl ProbTable {
     /// Creates an empty probabilistic table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         ProbTable {
-            name: name.into(),
-            columns: Column::for_schema(&schema, 0),
-            schema,
+            store: ColumnStore::new(name.into(), schema),
             probs: Vec::new(),
             totals: OnceLock::new(),
         }
@@ -232,12 +400,10 @@ impl ProbTable {
         columns: Vec<Column>,
         probs: Vec<f64>,
     ) -> Result<Self, DbError> {
-        check_columns(&schema, &columns, probs.len())?;
+        let store = ColumnStore::from_columns(name.into(), schema, columns, probs.len())?;
         check_probs(&probs)?;
         Ok(ProbTable {
-            name: name.into(),
-            schema,
-            columns,
+            store,
             probs,
             totals: OnceLock::new(),
         })
@@ -245,13 +411,13 @@ impl ProbTable {
 
     /// Table name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.store.name
     }
 
     /// Schema of the deterministic attributes (the probability is carried
     /// separately, not as a column).
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.store.schema
     }
 
     /// Row count.
@@ -268,10 +434,7 @@ impl ProbTable {
     /// columns). A rejected row leaves the relation untouched.
     pub fn insert(&mut self, row: Vec<Value>, prob: f64) -> Result<(), DbError> {
         check_probs(&[prob])?;
-        self.schema.validate_row(&row)?;
-        for (column, v) in self.columns.iter_mut().zip(row) {
-            column.push(v).expect("row validated above");
-        }
+        self.store.insert(row)?;
         self.probs.push(prob);
         self.fold_totals(self.probs.len() - 1);
         Ok(())
@@ -289,11 +452,10 @@ impl ProbTable {
         batch: &Batch<'_>,
         rows: impl Into<Selection>,
     ) -> Result<(), DbError> {
-        assert_eq!(batch.schema(), &self.schema, "batch of another relation");
         let probs = batch.probs().ok_or_else(|| {
             DbError::Storage(format!(
                 "{}: probabilistic tuple without probability",
-                self.name
+                self.name()
             ))
         })?;
         let sel = rows.into();
@@ -303,9 +465,7 @@ impl ProbTable {
             self.probs.truncate(from);
             return Err(e);
         }
-        for (c, column) in self.columns.iter_mut().enumerate() {
-            batch.extend_column(c, &sel, column);
-        }
+        self.store.extend_from_batch(batch, &sel);
         self.fold_totals(from);
         Ok(())
     }
@@ -313,28 +473,15 @@ impl ProbTable {
     /// Room for `additional` more rows.
     pub fn reserve(&mut self, additional: usize) {
         self.probs.reserve(additional);
-        for column in &mut self.columns {
-            column.reserve(additional);
-        }
+        self.store.reserve(additional);
     }
 
     /// The rows at `rows` (in that order) projected onto the columns at
     /// `columns`, as a new relation under `schema` — the gather that builds
     /// row-returning results.
     pub(crate) fn gather(&self, rows: &[usize], columns: &[usize], schema: Schema) -> ProbTable {
-        let columns = columns
-            .iter()
-            .map(|&c| {
-                let src = self.columns[c].values();
-                let mut out = Column::with_capacity(src.column_type(), rows.len());
-                out.extend_gather(src, rows);
-                out
-            })
-            .collect();
         ProbTable {
-            name: self.name.clone(),
-            schema,
-            columns,
+            store: self.store.gather(rows, columns, schema),
             probs: rows.iter().map(|&i| self.probs[i]).collect(),
             totals: OnceLock::new(),
         }
@@ -342,23 +489,23 @@ impl ProbTable {
 
     /// The rows at `rows` (in that order), all columns.
     pub(crate) fn take(&self, rows: &[usize]) -> ProbTable {
-        let all: Vec<usize> = (0..self.columns.len()).collect();
-        self.gather(rows, &all, self.schema.clone())
+        let all: Vec<usize> = (0..self.schema().arity()).collect();
+        self.gather(rows, &all, self.schema().clone())
     }
 
     /// The whole relation as one borrowed batch (nothing is copied).
     pub fn batch(&self) -> Batch<'_> {
-        Batch::new(&self.schema, &self.columns, Some(&self.probs), 0)
+        self.store.batch(Some(&self.probs))
     }
 
     /// Column `c`.
     pub fn column(&self, c: usize) -> &Column {
-        &self.columns[c]
+        &self.store.columns[c]
     }
 
     /// All columns, in schema order.
     pub fn columns(&self) -> &[Column] {
-        &self.columns
+        &self.store.columns
     }
 
     /// Borrow of all probabilities (parallel to the columns).
@@ -368,7 +515,7 @@ impl ProbTable {
 
     /// Row `i`, materialised.
     pub fn row(&self, i: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.values().value(i)).collect()
+        self.store.row(i)
     }
 
     /// Row `i`, materialised, with its probability.
@@ -394,7 +541,7 @@ impl ProbTable {
     /// total: O(1) after the first read. A text column is a
     /// [`DbError::TypeMismatch`].
     pub fn expected_sum(&self, column: &str) -> Result<f64, DbError> {
-        let c = self.schema.index_of(column)?;
+        let c = self.schema().index_of(column)?;
         self.totals().weighted[c].ok_or_else(|| DbError::TypeMismatch {
             column: column.to_string(),
             expected: ColumnType::Float,
@@ -405,8 +552,8 @@ impl ProbTable {
     /// The totals, folded over every row on first use.
     fn totals(&self) -> &Totals {
         self.totals.get_or_init(|| {
-            let mut totals = Totals::new(&self.schema);
-            totals.fold(&self.columns, &self.probs, 0);
+            let mut totals = Totals::new(self.schema());
+            totals.fold(&self.store.columns, &self.probs, 0);
             totals
         })
     }
@@ -415,18 +562,13 @@ impl ProbTable {
     /// then the first read folds every row.
     fn fold_totals(&mut self, from: usize) {
         if let Some(totals) = self.totals.get_mut() {
-            totals.fold(&self.columns, &self.probs, from);
+            totals.fold(&self.store.columns, &self.probs, from);
         }
     }
 
     /// Renders the relation with a trailing probability column.
     pub fn render(&self, max_rows: usize) -> String {
-        render_rows(
-            &self.schema,
-            self.iter().map(|(r, p)| (r, Some(p))),
-            self.len(),
-            max_rows,
-        )
+        self.store.render(Some(&self.probs), max_rows)
     }
 }
 
@@ -474,57 +616,6 @@ impl fmt::Display for ProbTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.render(20))
     }
-}
-
-/// Shared text renderer for both table kinds.
-fn render_rows<R, I>(schema: &Schema, rows: I, total: usize, max_rows: usize) -> String
-where
-    R: AsRef<[Value]>,
-    I: Iterator<Item = (R, Option<f64>)>,
-{
-    let mut header: Vec<String> = schema.names().map(str::to_string).collect();
-    let mut has_prob = false;
-    let mut body: Vec<Vec<String>> = Vec::new();
-    for (row, prob) in rows.take(max_rows) {
-        let mut cells: Vec<String> = row.as_ref().iter().map(|v| v.to_string()).collect();
-        if let Some(p) = prob {
-            has_prob = true;
-            cells.push(format!("{p:.4}"));
-        }
-        body.push(cells);
-    }
-    if has_prob {
-        header.push("prob".to_string());
-    }
-    let cols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in &body {
-        for (i, c) in row.iter().enumerate() {
-            widths[i] = widths[i].max(c.len());
-        }
-    }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| {
-        let mut line = String::new();
-        for i in 0..cols {
-            if i > 0 {
-                line.push_str("  ");
-            }
-            let cell = cells.get(i).map(String::as_str).unwrap_or("");
-            line.push_str(&format!("{cell:>w$}", w = widths[i]));
-        }
-        line
-    };
-    out.push_str(&fmt_row(&header, &widths));
-    out.push('\n');
-    for row in &body {
-        out.push_str(&fmt_row(row, &widths));
-        out.push('\n');
-    }
-    if total > body.len() {
-        out.push_str(&format!("… ({} more rows)\n", total - body.len()));
-    }
-    out
 }
 
 #[cfg(test)]

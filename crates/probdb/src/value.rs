@@ -81,15 +81,6 @@ impl Value {
                 | (Value::Text(_), ColumnType::Text)
         )
     }
-
-    /// Coerces into the given column type when [`Value::fits`] allows it.
-    pub(crate) fn coerce(self, ty: ColumnType) -> Option<Value> {
-        match (self, ty) {
-            (Value::Int(i), ColumnType::Float) => Some(Value::Float(i as f64)),
-            (v, ty) if v.column_type() == ty => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// A canonical, totally ordered grouping key borrowed from a [`Value`].
@@ -220,20 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn coercion_widens_int_to_float() {
-        assert_eq!(
-            Value::Int(4).coerce(ColumnType::Float),
-            Some(Value::Float(4.0))
-        );
-        assert_eq!(Value::Float(1.5).coerce(ColumnType::Int), None);
-        assert_eq!(
-            Value::from("a").coerce(ColumnType::Text),
-            Some(Value::from("a"))
-        );
-    }
-
-    #[test]
-    fn fits_matches_coerce() {
+    fn ints_fit_float_columns_and_nothing_else_crosses_types() {
         let cases = [
             (Value::Int(1), ColumnType::Int, true),
             (Value::Int(1), ColumnType::Float, true),
@@ -243,7 +221,6 @@ mod tests {
         ];
         for (v, t, expect) in cases {
             assert_eq!(v.fits(t), expect, "{v:?} fits {t:?}");
-            assert_eq!(v.clone().coerce(t).is_some(), expect);
         }
     }
 

@@ -27,8 +27,10 @@
 //! * **Backpressure** is write-interest registration: a response that
 //!   does not fit the socket buffer parks in the connection's write
 //!   buffer and the descriptor is re-armed for writability; whichever
-//!   thread receives that event resumes the flush. A peer that stops
-//!   reading stalls only its own connection.
+//!   thread receives that event resumes the flush. Until it drains, the
+//!   connection's pipelined requests stay unparsed, so parked output holds
+//!   one reply at most (beside any TAIL pushes). A peer that stops reading stalls only its
+//!   own connection.
 //! * **Admission control**: at most [`ServerConfig::max_connections`]
 //!   sockets are resident; a connection beyond the cap is answered with
 //!   a structured [`Response::Error`] and drained, never ignored.
@@ -524,9 +526,13 @@ impl Reactor {
         }
     }
 
-    /// Serves one event: flush, read, then parse and answer every
-    /// complete frame, and finally re-arm the descriptor. Statements run
-    /// with the connection's lock released.
+    /// Serves one event: flush, read, then parse and answer complete
+    /// frames until one's reply parks (the socket would block), and
+    /// finally re-arm the descriptor. Statements run with the
+    /// connection's lock released. Parked output stops parsing: the
+    /// frames behind it wait in the read buffer until a writable event
+    /// drains the reply, so a peer that stops reading holds at most one
+    /// unsent reply, not one per pipelined request.
     fn connection_ready(&self, event: Event) {
         let token = event.token;
         let Some(cell) = self.connection(token) else {
@@ -545,7 +551,8 @@ impl Reactor {
         if event.readable && conn.state != ConnState::Closed {
             self.read_ready(&mut conn, token);
         }
-        while matches!(conn.state, ConnState::Handshake | ConnState::Ready) {
+        while matches!(conn.state, ConnState::Handshake | ConnState::Ready) && !conn.write_pending()
+        {
             let request = match parse_one_frame(&mut conn) {
                 Parsed::Incomplete => break,
                 Parsed::Violation(message) => {

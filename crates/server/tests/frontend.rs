@@ -1,11 +1,13 @@
 //! Front-end guarantees of the reactor threads, each over a real
 //! loopback socket: a long statement holds up only its own connection,
 //! frames are cut correctly however they arrive, a peer that stops
-//! reading stalls nobody, shutdown joins threads that are mid-statement,
-//! and a single thread both pushes TAIL frames and answers queries.
+//! reading stalls nobody and parks one reply at most, shutdown joins
+//! threads that are mid-statement, and a single thread both pushes TAIL
+//! frames and answers queries.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -20,14 +22,19 @@ use tspdb_wire::{
 /// DP over ~70 000 probabilities, seconds of work in a debug build and a
 /// few hundred milliseconds in a release one.
 const LONG_SQL: &str = "SELECT COUNT(*) FROM big HAVING COUNT(*) >= 10";
-/// Every tuple of `big`: a result frame of several megabytes.
-const BULK_SQL: &str = "SELECT * FROM big";
+/// Every row of `wide`: a result frame of about 7 MB, more than a
+/// loopback connection's socket buffers take (Linux caps the send buffer
+/// at 4 MiB by default), so the first reply parks.
+const BULK_SQL: &str = "SELECT * FROM wide";
+/// Rows of `wide`.
+const WIDE_ROWS: i64 = 400_000;
 /// A selective statement answered in well under a millisecond.
 const SHORT_SQL: &str = "SELECT COUNT(*) FROM raw WHERE t = 120";
 
 /// One engine for every test in this file: `raw` holds 1 500 generated
-/// readings and `big` is a density view over them with 50 points per
-/// reading (~70 000 tuples). Built once; each test binds its own server.
+/// readings, `big` is a density view over them with 50 points per
+/// reading (~70 000 tuples) and `wide` is a plain table of 400 000
+/// readings. Built once; each test binds its own server.
 fn engine() -> SharedEngine {
     static ENGINE: OnceLock<SharedEngine> = OnceLock::new();
     ENGINE
@@ -35,6 +42,12 @@ fn engine() -> SharedEngine {
             let engine = SharedEngine::new(demo_config());
             let series = tspdb_timeseries::generate::TemperatureGenerator::default().generate(1500);
             engine.load_series("raw", "r", &series).unwrap();
+            let wide = tspdb_timeseries::TimeSeries::from_parts(
+                "r".to_string(),
+                (0..WIDE_ROWS).collect(),
+                (0..WIDE_ROWS).map(|t| t as f64 * 0.25).collect(),
+            );
+            engine.load_series("wide", "r", &wide).unwrap();
             engine
                 .execute("CREATE VIEW big AS DENSITY r OVER t OMEGA delta=0.05, n=50 FROM raw")
                 .unwrap();
@@ -156,7 +169,7 @@ fn a_frame_split_across_writes_still_parses() {
 #[test]
 fn a_peer_that_stops_reading_stalls_nobody_and_gets_its_results_intact() {
     // One thread: were it to block on the stalled socket, nothing else
-    // would be served. Eight multi-megabyte results outgrow what the
+    // would be served. Each multi-megabyte result outgrows what the
     // loopback socket buffers absorb, so the server must park output.
     const RESULTS: usize = 8;
     let handle = serve(engine(), 1);
@@ -164,7 +177,15 @@ fn a_peer_that_stops_reading_stalls_nobody_and_gets_its_results_intact() {
     stalled
         .write_all(&query_frame(BULK_SQL).repeat(RESULTS))
         .unwrap();
+    // The first reply parks; the seven frames behind it stay unparsed
+    // (and unexecuted) until it drains.
+    let executed = || handle.stats().requests.load(Ordering::Relaxed);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while executed() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(executed(), 1, "statements ran behind parked output");
 
     let mut other = Client::connect(handle.addr()).unwrap();
     for _ in 0..100 {

@@ -35,7 +35,7 @@ use tspdb_probdb::codec::{
     decode_schema, encode_batch, encode_schema, encoded_row_len, DecodeError, Decoder, Encoder,
     BATCH_HEADER_LEN,
 };
-use tspdb_probdb::{Column, ColumnSlice, Relation};
+use tspdb_probdb::{ColumnSlice, Relation};
 
 /// Fault-injection points inside [`crate::Storage::checkpoint_incremental`]
 /// (tests only). Each simulates the process dying at one window of the
@@ -144,27 +144,18 @@ impl SlotAllocator {
 
 /// Encodes `relation`'s rows from index `from` onwards into sealed leaf
 /// pages, each payload one [`encode_batch`] batch holding as many rows as
-/// fit (page ids are assigned by the caller). The row-major deterministic
-/// table is transposed for those rows only.
+/// fit (page ids are assigned by the caller), read straight off the
+/// relation's columns.
 pub(crate) fn encode_leaves(relation: &Relation, from: usize) -> Result<Vec<Page>, StorageError> {
-    let transposed: Vec<Column>;
-    let (columns, probs, rows): (Vec<ColumnSlice<'_>>, Option<&[f64]>, usize) = match relation {
-        Relation::Deterministic(t) => {
-            transposed = (0..t.schema().arity())
-                .map(|c| t.transpose(c, from..t.len()))
-                .collect();
-            let columns = transposed.iter().map(Column::values).collect();
-            (columns, None, t.len() - from)
-        }
-        Relation::Probabilistic(t) => (
-            t.columns()
-                .iter()
-                .map(|c| c.values().slice(from..t.len()))
-                .collect(),
-            Some(&t.probs()[from..]),
-            t.len() - from,
-        ),
+    let (columns, probs, len) = match relation {
+        Relation::Deterministic(t) => (t.columns(), None, t.len()),
+        Relation::Probabilistic(t) => (t.columns(), Some(&t.probs()[from..]), t.len()),
     };
+    let columns: Vec<ColumnSlice<'_>> = columns
+        .iter()
+        .map(|c| c.values().slice(from..len))
+        .collect();
+    let rows = len - from;
     let header = BATCH_HEADER_LEN + columns.len();
     let mut leaves: Vec<Page> = Vec::new();
     let mut start = 0;

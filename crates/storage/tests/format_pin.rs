@@ -142,10 +142,7 @@ fn op_bits(op: &JournalOp) -> String {
 /// bit.
 fn relation_bits(relation: &Relation) -> String {
     let (kind, schema, columns, probs) = match relation {
-        Relation::Deterministic(t) => {
-            let columns = (0..t.schema().arity()).map(|c| t.transpose(c, 0..t.len()));
-            ("table", t.schema(), columns.collect(), &[][..])
-        }
+        Relation::Deterministic(t) => ("table", t.schema(), t.columns().to_vec(), &[][..]),
         Relation::Probabilistic(t) => ("view", t.schema(), t.columns().to_vec(), t.probs()),
     };
     let probs: Vec<u64> = probs.iter().map(|p| p.to_bits()).collect();

@@ -253,87 +253,96 @@ impl Wire for Schema {
     }
 }
 
+/// The protocol-1 rows of a relation: per row, one tagged cell per column,
+/// then — for a probabilistic relation — the probability. Read straight
+/// off the typed columns: no `Vec<Value>` is built per row.
+fn encode_rows(enc: &mut Encoder, columns: &[Column], probs: Option<&[f64]>, rows: usize) {
+    let columns: Vec<ColumnSlice<'_>> = columns.iter().map(Column::values).collect();
+    for i in 0..rows {
+        for column in &columns {
+            encode_column_type(enc, column.column_type());
+            match column {
+                ColumnSlice::Int(v) => enc.put_i64(v[i]),
+                ColumnSlice::Float(v) => enc.put_f64(v[i]),
+                ColumnSlice::Text(v) => enc.put_str(&v[i]),
+            }
+        }
+        if let Some(probs) = probs {
+            enc.put_f64(probs[i]);
+        }
+    }
+}
+
+/// Reads `rows` rows written by [`encode_rows`] straight into columns of
+/// `schema` (ints widen into float columns, as an insert would), pushing
+/// each row's probability onto `probs` when the relation has them. A cell
+/// of the wrong type is malformed input naming the `row` kind.
+fn decode_rows(
+    dec: &mut Decoder<'_>,
+    schema: &Schema,
+    rows: usize,
+    mut probs: Option<&mut Vec<f64>>,
+    row: &str,
+) -> Result<Vec<Column>, WireError> {
+    let mut columns = Column::for_schema(schema, rows.min(SEQ_PREALLOC_CAP));
+    for _ in 0..rows {
+        for (c, column) in columns.iter_mut().enumerate() {
+            let got = decode_column_type(dec)?;
+            let pushed = match got {
+                ColumnType::Int => column.push_int(dec.take_i64()?),
+                ColumnType::Float => column.push_float(dec.take_f64()?),
+                ColumnType::Text => column.push_text(dec.take_str()?),
+            };
+            if !pushed {
+                let e = DbError::TypeMismatch {
+                    column: schema.column(c).0.to_string(),
+                    expected: column.column_type(),
+                    got,
+                };
+                return malformed(format!("{row} violates its schema: {e}"));
+            }
+        }
+        if let Some(probs) = probs.as_deref_mut() {
+            probs.push(dec.take_f64()?);
+        }
+    }
+    Ok(columns)
+}
+
 impl Wire for Table {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_str(self.name());
         self.schema().encode(enc);
         enc.put_u32(u32::try_from(self.len()).expect("table taller than u32::MAX"));
-        for row in self.rows() {
-            for v in row {
-                v.encode(enc);
-            }
-        }
+        encode_rows(enc, self.columns(), None, self.len());
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         let name = dec.take_str()?;
         let schema = Schema::decode(dec)?;
         let rows = dec.take_seq_len()?;
-        let arity = schema.arity();
-        let mut table = Table::new(name, schema);
-        for _ in 0..rows {
-            let mut row = seq_buffer(arity);
-            for _ in 0..arity {
-                row.push(Value::decode(dec)?);
-            }
-            table
-                .insert(row)
-                .or_else(|e| malformed(format!("row violates its schema: {e}")))?;
-        }
-        Ok(table)
+        let columns = decode_rows(dec, &schema, rows, None, "row")?;
+        Table::from_columns(name, schema, columns)
+            .or_else(|e| malformed(format!("row violates its schema: {e}")))
     }
 }
 
 impl Wire for ProbTable {
     /// The frame is row-major (protocol 1): per tuple, one tagged cell per
-    /// column, then the probability. The relation is column-major, so the
-    /// encoder reads — and the decoder below fills — typed columns
-    /// directly; no `Vec<Value>` is built per tuple on either side.
+    /// column, then the probability ([`encode_rows`]).
     fn encode(&self, enc: &mut Encoder) {
         enc.put_str(self.name());
         self.schema().encode(enc);
         enc.put_u32(u32::try_from(self.len()).expect("relation taller than u32::MAX"));
-        let columns: Vec<ColumnSlice<'_>> = (0..self.schema().arity())
-            .map(|c| self.column(c).values())
-            .collect();
-        for (i, &p) in self.probs().iter().enumerate() {
-            for column in &columns {
-                encode_column_type(enc, column.column_type());
-                match column {
-                    ColumnSlice::Int(v) => enc.put_i64(v[i]),
-                    ColumnSlice::Float(v) => enc.put_f64(v[i]),
-                    ColumnSlice::Text(v) => enc.put_str(&v[i]),
-                }
-            }
-            enc.put_f64(p);
-        }
+        encode_rows(enc, self.columns(), Some(self.probs()), self.len());
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         let name = dec.take_str()?;
         let schema = Schema::decode(dec)?;
         let rows = dec.take_seq_len()?;
-        let mut columns = Column::for_schema(&schema, rows.min(SEQ_PREALLOC_CAP));
         let mut probs = seq_buffer(rows);
-        for _ in 0..rows {
-            for (c, column) in columns.iter_mut().enumerate() {
-                let got = decode_column_type(dec)?;
-                let pushed = match got {
-                    ColumnType::Int => column.push_int(dec.take_i64()?),
-                    ColumnType::Float => column.push_float(dec.take_f64()?),
-                    ColumnType::Text => column.push_text(dec.take_str()?),
-                };
-                if !pushed {
-                    let e = DbError::TypeMismatch {
-                        column: schema.column(c).0.to_string(),
-                        expected: column.column_type(),
-                        got,
-                    };
-                    return malformed(format!("tuple violates its schema: {e}"));
-                }
-            }
-            probs.push(dec.take_f64()?);
-        }
+        let columns = decode_rows(dec, &schema, rows, Some(&mut probs), "tuple")?;
         ProbTable::from_columns(name, schema, columns, probs)
             .or_else(|e| malformed(format!("tuple violates its schema: {e}")))
     }

@@ -94,7 +94,7 @@ fn main() {
                 .unwrap_or_else(|e| panic!("dirty: reading the latest t failed: {e}"));
             let start = latest
                 .rows()
-                .and_then(|t| t.rows().first()?.first()?.as_i64())
+                .and_then(|t| t.iter().next()?.first()?.as_i64())
                 .map_or(100_000, |t| (t + 1).max(100_000));
             let values: Vec<String> = (0..64)
                 .map(|i| format!("({}, {:.6})", start + i, 15.0 + i as f64 * 0.125))
