@@ -12,6 +12,7 @@ use super::*;
 use crate::catalog::{Database, QueryOutput, ScanSource};
 use crate::plan::{LogicalPlan, PhysicalAction, PlannedQuery, StrategyKind};
 use crate::query::{eval_conjunction, Comparison, Conjunction};
+use crate::sql::AggFunc;
 use crate::value::ValueKey;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -745,4 +746,287 @@ fn a_deterministic_table_is_scanned_in_place() {
         compare(&batch, Selection::Span(0..5), &ascending).unwrap(),
         Selection::Span(span) if span == (3..5)
     ));
+}
+
+// ---------------------------------------------------------------------------
+// Deterministic tables, end to end
+// ---------------------------------------------------------------------------
+
+/// Rows `from..from + n` of `raw (t INT, r FLOAT, tag TEXT)`: `t` ascending
+/// with repeats, every third `r` from [`float_pool`] (NaN, ±∞, −0.0, …),
+/// the rest small signed numbers, `tag` from [`TEXT_POOL`]. Appending
+/// `raw_rows(n, k)` to `raw_rows(0, n)` continues the same table.
+fn raw_rows(from: usize, n: usize) -> Vec<Vec<Value>> {
+    let floats = float_pool();
+    (from..from + n)
+        .map(|i| {
+            let r = if i % 3 == 0 {
+                floats[(i / 3) % floats.len()]
+            } else {
+                ((i * 37) % 101) as f64 - 50.0
+            };
+            vec![
+                Value::Int((i / 2 * 3) as i64),
+                Value::Float(r),
+                Value::from(TEXT_POOL[(i * 7) % TEXT_POOL.len()]),
+            ]
+        })
+        .collect()
+}
+
+fn raw_database(rows: usize) -> Database {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE raw (t INT, r FLOAT, tag TEXT)")
+        .unwrap();
+    db.append_rows("raw", raw_rows(0, rows)).unwrap();
+    assert!(db.table("raw").unwrap().column(0).is_ascending());
+    db
+}
+
+/// An answer as text that compares floats bit for bit (NaN equal to NaN):
+/// column names and rows, or group keys and aggregate values.
+fn answered(out: Result<QueryOutput, DbError>) -> String {
+    shown(&out.map(|out| match out {
+        QueryOutput::Rows(t) => {
+            let names: Vec<String> = t.schema().names().map(str::to_string).collect();
+            shown(&(names, t.iter().collect::<Vec<_>>()))
+        }
+        QueryOutput::Aggregate(a) => {
+            assert_eq!(a.strategy, "exact");
+            let groups: Vec<(Vec<Value>, Vec<f64>)> = a
+                .groups
+                .iter()
+                .map(|g| (g.key.clone(), g.values.iter().map(|v| v.value).collect()))
+                .collect();
+            shown(&groups)
+        }
+        other => panic!("rows or an aggregate, not {}", other.variant_name()),
+    }))
+}
+
+fn planned(sql: &str) -> Result<PlannedQuery, DbError> {
+    match crate::sql::parse(sql)? {
+        crate::sql::Statement::Select(sel) => crate::plan::Planner::plan(&sel),
+        other => panic!("a SELECT, not {other:?}"),
+    }
+}
+
+/// `sql` answered one row at a time over `rows`: [`eval_conjunction`] per
+/// row in row order (the first error wins), a stable sort on the `ORDER BY`
+/// key, then `LIMIT`; or an ordered map from group key to member rows,
+/// folded from `+0.0` in row order. Rendered as [`answered`] renders.
+fn row_reference(schema: &Schema, rows: &[Vec<Value>], sql: &str) -> String {
+    shown(&reference_output(schema, rows, sql))
+}
+
+fn key_of(v: &Value) -> ValueKey<'_> {
+    match v {
+        Value::Int(i) => ValueKey::Int(*i),
+        Value::Float(f) => ValueKey::Float(*f),
+        Value::Text(s) => ValueKey::Text(s),
+    }
+}
+
+fn reference_output(schema: &Schema, rows: &[Vec<Value>], sql: &str) -> Result<String, DbError> {
+    let plan = planned(sql)?.physical;
+    let mut keep = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        if eval_conjunction(schema, row, None, &plan.predicate)? {
+            keep.push(i);
+        }
+    }
+    let agg = match &plan.action {
+        PhysicalAction::Rows {
+            columns,
+            order_by,
+            limit,
+        } => {
+            if let Some((column, ascending)) = order_by {
+                let c = schema.index_of(column)?;
+                keep.sort_by(|&a, &b| {
+                    let ord = key_of(&rows[a][c]).cmp(&key_of(&rows[b][c]));
+                    if *ascending {
+                        ord
+                    } else {
+                        ord.reverse()
+                    }
+                });
+            }
+            keep.truncate(limit.unwrap_or(usize::MAX));
+            let names: Vec<String> = if columns.is_empty() {
+                schema.names().map(str::to_string).collect()
+            } else {
+                columns.clone()
+            };
+            let idx: Vec<usize> = names
+                .iter()
+                .map(|c| schema.index_of(c))
+                .collect::<Result<_, _>>()?;
+            let out: Vec<Vec<Value>> = keep
+                .iter()
+                .map(|&i| idx.iter().map(|&c| rows[i][c].clone()).collect())
+                .collect();
+            return Ok(shown(&(names, out)));
+        }
+        PhysicalAction::Aggregate(agg) => agg,
+    };
+    let mut groups: BTreeMap<Vec<ValueKey<'_>>, Vec<usize>> = BTreeMap::new();
+    if agg.window.is_none() && agg.group_by.is_empty() {
+        groups.insert(Vec::new(), Vec::new());
+    }
+    for &i in &keep {
+        let mut key = Vec::new();
+        if let Some(w) = &agg.window {
+            let v = rows[i][schema.index_of(&w.column)?].as_f64().unwrap();
+            key.push(ValueKey::Float(w.bucket_start(v)));
+        }
+        for c in &agg.group_by {
+            key.push(key_of(&rows[i][schema.index_of(c)?]));
+        }
+        groups.entry(key).or_default().push(i);
+    }
+    let sum = |members: &[usize], column: &str| -> f64 {
+        let c = schema.index_of(column).unwrap();
+        members
+            .iter()
+            .fold(0.0, |acc, &i| acc + rows[i][c].as_f64().unwrap())
+    };
+    let mut out: Vec<(Vec<Value>, Vec<f64>)> = Vec::new();
+    for (key, members) in groups {
+        let count = members.len() as f64;
+        if let Some(h) = &agg.having {
+            let comparand = match (&h.agg.func, &h.agg.column) {
+                (AggFunc::Sum, Some(c)) => sum(&members, c),
+                _ => count,
+            };
+            if !h.op.eval(comparand.partial_cmp(&h.value.as_f64().unwrap())) {
+                continue;
+            }
+        }
+        let values = agg
+            .aggregates
+            .iter()
+            .map(|a| match (&a.func, &a.column) {
+                (AggFunc::Count, _) => count,
+                (AggFunc::Avg, Some(c)) if count > 0.0 => sum(&members, c) / count,
+                (AggFunc::Avg, Some(_)) => 0.0,
+                (_, Some(c)) => sum(&members, c),
+                (_, None) => unreachable!("only COUNT has no column"),
+            })
+            .collect();
+        let key = key
+            .into_iter()
+            .map(|k| match k {
+                ValueKey::Int(v) => Value::Int(v),
+                ValueKey::Float(v) => Value::Float(v),
+                ValueKey::Text(v) => Value::from(v),
+            })
+            .collect();
+        out.push((key, values));
+    }
+    Ok(shown(&out))
+}
+
+/// Restrictions over `raw_rows(0, 70_000)` (`t` runs 0..=104_997): binary
+/// searches that keep a short tail, a middle span or nothing; per-row
+/// conjuncts over spans above the fan-out floor; NaN, −0.0 and text
+/// comparands; an unknown column reached by rows and one reached by none.
+const RAW_WHERE: [&str; 10] = [
+    "",
+    "WHERE t >= 104000",
+    "WHERE t > 3000 AND t <= 90000",
+    "WHERE r > 0",
+    "WHERE r = 0",
+    "WHERE r != 0 AND tag = 'ab'",
+    "WHERE t >= 2.5 AND r <= 'a'",
+    "WHERE t >= 1000 AND r < 10 AND tag != 'a'",
+    "WHERE tag >= 'a' AND nope = 1",
+    "WHERE t < -5 AND nope = 1",
+];
+
+/// Every projection, ORDER BY / LIMIT and GROUP BY WINDOW shape, with
+/// `{w}` standing for the restriction.
+const RAW_SHAPES: [&str; 11] = [
+    "SELECT * FROM raw {w}",
+    "SELECT tag, t FROM raw {w} ORDER BY r DESC LIMIT 7",
+    "SELECT r FROM raw {w} ORDER BY r LIMIT 40",
+    "SELECT r, tag FROM raw {w} ORDER BY tag LIMIT 25",
+    "SELECT * FROM raw {w} ORDER BY t DESC",
+    "SELECT t FROM raw {w} LIMIT 3",
+    "SELECT COUNT(*), SUM(r), AVG(t), EXPECTED(t) FROM raw {w}",
+    "SELECT COUNT(*), SUM(r) FROM raw {w} GROUP BY WINDOW(t, 4096)",
+    "SELECT COUNT(*), AVG(r) FROM raw {w} GROUP BY WINDOW(r, 7.5, -1)",
+    "SELECT COUNT(*), SUM(t) FROM raw {w} GROUP BY WINDOW(t, 30000), tag",
+    "SELECT COUNT(*), SUM(r) FROM raw {w} GROUP BY WINDOW(t, 4096) HAVING COUNT(*) >= 1500",
+];
+
+#[test]
+fn deterministic_statements_equal_the_row_reference_at_widths_1_and_8() {
+    // 70 000 rows: an unrestricted per-row conjunct leaves more than the
+    // fan-out floor, so width 8 splits the scan into segments.
+    let db = raw_database(70_000);
+    let table = db.table("raw").unwrap();
+    let rows: Vec<Vec<Value>> = table.iter().collect();
+    assert!(rows.len() > FAN_OUT_MIN_ROWS);
+    for w in RAW_WHERE {
+        for shape in RAW_SHAPES {
+            let sql = shape.replace("{w}", w);
+            let want = row_reference(table.schema(), &rows, &sql);
+            for width in [1, 8] {
+                db.set_worlds_threads(width);
+                assert_eq!(answered(db.query(&sql)), want, "width {width}: {sql}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_deterministic_snapshot_keeps_its_answer_across_1000_appends() {
+    let n = 3_000;
+    let mut db = raw_database(n);
+    let statements = [
+        "SELECT COUNT(*), SUM(r) FROM raw WHERE t >= 3000 GROUP BY WINDOW(t, 512)",
+        "SELECT t, r FROM raw WHERE t >= 4000 ORDER BY t DESC LIMIT 9",
+        "SELECT * FROM raw WHERE tag = 'b'",
+    ];
+    let plans: Vec<PlannedQuery> = statements.iter().map(|sql| planned(sql).unwrap()).collect();
+    let before: Vec<String> = plans
+        .iter()
+        .map(|p| answered(db.execute_planned(p)))
+        .collect();
+    // A reader takes its snapshots (one per width) before the writer
+    // appends 1 000 rows, one statement each.
+    let snapshots: Vec<_> = plans
+        .iter()
+        .flat_map(|p| {
+            let (snapshot, plan) = db.scan_input(p).unwrap();
+            let plan = plan.into_owned();
+            [1, 8].map(|width| (p, snapshot.clone(), plan.clone(), width))
+        })
+        .collect();
+    for k in 0..1_000 {
+        db.append_rows("raw", raw_rows(n + k, 1)).unwrap();
+    }
+    for (i, (p, snapshot, plan, width)) in snapshots.into_iter().enumerate() {
+        let Relation::Deterministic(held) = &*snapshot.relation else {
+            panic!("a deterministic relation");
+        };
+        assert_eq!(held.len(), n);
+        assert_eq!(
+            answered(snapshot.execute(p, &plan, width)),
+            before[i / 2],
+            "snapshot at width {width}: {}",
+            statements[i / 2]
+        );
+    }
+    // The writer's answer includes the appends.
+    let table = db.table("raw").unwrap();
+    assert_eq!(table.len(), n + 1_000);
+    let rows: Vec<Vec<Value>> = table.iter().collect();
+    assert_eq!(shown(&rows), shown(&raw_rows(0, n + 1_000)));
+    for (i, (sql, p)) in statements.iter().zip(&plans).enumerate() {
+        let after = answered(db.execute_planned(p));
+        assert_eq!(after, row_reference(table.schema(), &rows, sql), "{sql}");
+        assert_ne!(after, before[i], "{sql} sees the appends");
+    }
 }

@@ -1,14 +1,13 @@
 //! Deterministic and tuple-independent probabilistic relations, both
 //! column-major.
 //!
-//! Both kinds are one column store: a name, a schema and one typed
-//! [`Column`] per schema column, all of the same length. A [`Table`] is the
-//! store alone. A [`ProbTable`] — the paper's target representation, a
-//! *tuple-level* probabilistic relation whose rows carry an existence
-//! probability and are mutually independent (the tuple-independent model
-//! of Dalvi & Suciu that the Ω-view builder materialises into, cf. the
-//! `prob_view` of Fig. 1/2) — adds the contiguous probabilities and their
-//! running totals.
+//! A [`Table`] is the column store: a name, a schema and one typed
+//! [`Column`] per schema column, all of the same length. A [`ProbTable`] —
+//! the paper's target representation, a *tuple-level* probabilistic
+//! relation whose rows carry an existence probability and are mutually
+//! independent (the tuple-independent model of Dalvi & Suciu that the
+//! Ω-view builder materialises into, cf. the `prob_view` of Fig. 1/2) — is
+//! a `Table` plus the contiguous probabilities and their running totals.
 //!
 //! Scans borrow the columns as one zero-copy [`Batch`] (`batch()`). A copy
 //! of a relation — what an append pays while a snapshot reader still holds
@@ -25,44 +24,86 @@ use crate::value::{ColumnType, Value};
 use std::fmt;
 use std::sync::OnceLock;
 
-/// The storage of both relation kinds: one [`Column`] per schema column,
-/// each `len` values long.
+/// A deterministic relation, column-major: one typed [`Column`] per schema
+/// column, each `len` values long.
+///
+/// Scans read it as one zero-copy [`Batch`] ([`Table::batch`]), exactly as
+/// they read a [`ProbTable`]; a row is materialised only on request.
+///
+/// # Examples
+///
+/// ```
+/// use tspdb_probdb::{ColumnSlice, ColumnType, Schema, Table, Value};
+///
+/// let schema = Schema::of(&[("t", ColumnType::Int), ("r", ColumnType::Float)]);
+/// let mut raw = Table::new("raw", schema);
+/// raw.insert(vec![Value::Int(1), Value::Int(4)]).unwrap(); // 4 widens
+/// raw.insert(vec![Value::Int(2), Value::Float(3.5)]).unwrap();
+///
+/// assert_eq!(raw.column(1).values(), ColumnSlice::Float(&[4.0, 3.5]));
+/// assert_eq!(raw.row(1), vec![Value::Int(2), Value::Float(3.5)]);
+/// ```
 #[derive(Debug, Clone, PartialEq)]
-struct ColumnStore {
+pub struct Table {
     name: String,
     schema: Schema,
     columns: Vec<Column>,
+    /// Row count (kept apart from the columns: a schema may have none).
     len: usize,
 }
 
-impl ColumnStore {
-    fn new(name: String, schema: Schema) -> ColumnStore {
-        ColumnStore {
-            name,
+impl Table {
+    /// Creates an empty table.
+    pub fn new(name: impl Into<String>, schema: Schema) -> Self {
+        Table {
+            name: name.into(),
             columns: Column::for_schema(&schema, 0),
             schema,
             len: 0,
         }
     }
 
-    fn from_columns(
-        name: String,
+    /// Assembles a table from finished columns — how a decoder builds one
+    /// without a `Vec<Value>` per row. The columns must be one per schema
+    /// column, of that column's type, all of the same length.
+    pub fn from_columns(
+        name: impl Into<String>,
         schema: Schema,
         columns: Vec<Column>,
-        len: usize,
-    ) -> Result<ColumnStore, DbError> {
+    ) -> Result<Self, DbError> {
+        let len = columns.first().map_or(0, Column::len);
         check_columns(&schema, &columns, len)?;
-        Ok(ColumnStore {
-            name,
+        Ok(Table {
+            name: name.into(),
             schema,
             columns,
             len,
         })
     }
 
-    /// Appends a row (ints widen into float columns); a rejected row
-    /// leaves the store untouched.
-    fn insert(&mut self, row: Vec<Value>) -> Result<(), DbError> {
+    /// Table name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Table schema.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Row count.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends a row (ints widen into float columns). A rejected row
+    /// leaves the table untouched.
+    pub fn insert(&mut self, row: Vec<Value>) -> Result<(), DbError> {
         self.schema.validate_row(&row)?;
         for (column, v) in self.columns.iter_mut().zip(row) {
             column.push(v).expect("row validated above");
@@ -71,33 +112,64 @@ impl ColumnStore {
         Ok(())
     }
 
-    /// Appends `batch`'s rows at `sel`, column by column.
-    fn extend_from_batch(&mut self, batch: &Batch<'_>, sel: &Selection) {
+    /// Appends the rows of `batch` at the batch-local positions `rows` (a
+    /// span such as `0..batch.len()`, or a [`Selection`]), in order: a span
+    /// as one slice copy per column, a [`Selection::Rows`] as a gather. The
+    /// batch must carry this table's schema.
+    pub fn extend_from_batch(&mut self, batch: &Batch<'_>, rows: impl Into<Selection>) {
+        let sel = rows.into();
         assert_eq!(batch.schema(), &self.schema, "batch of another relation");
         for (c, column) in self.columns.iter_mut().enumerate() {
-            batch.extend_column(c, sel, column);
+            batch.extend_column(c, &sel, column);
         }
         self.len += sel.len();
     }
 
-    fn reserve(&mut self, additional: usize) {
+    /// Room for `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
         for column in &mut self.columns {
             column.reserve(additional);
         }
     }
 
-    fn batch<'a>(&'a self, probs: Option<&'a [f64]>) -> Batch<'a> {
-        Batch::spanning(&self.schema, &self.columns, probs, self.len)
+    /// The whole table as one borrowed batch (nothing is copied).
+    pub fn batch(&self) -> Batch<'_> {
+        Batch::spanning(&self.schema, &self.columns, None, self.len)
     }
 
-    fn row(&self, i: usize) -> Vec<Value> {
+    /// Column `c`.
+    pub fn column(&self, c: usize) -> &Column {
+        &self.columns[c]
+    }
+
+    /// All columns, in schema order.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// Row `i`, materialised.
+    pub fn row(&self, i: usize) -> Vec<Value> {
         assert!(i < self.len, "row {i} of {}", self.len);
         self.columns.iter().map(|c| c.values().value(i)).collect()
     }
 
+    /// Iterator over materialised rows. Each item allocates its row;
+    /// operators that scan use [`Table::batch`].
+    pub fn iter(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Every row, materialised: O(rows) time and one allocation per row
+    /// on every call. For a single row use [`Table::row`], for a pass
+    /// [`Table::iter`], for a column [`Table::column`].
+    pub fn rows(&self) -> Vec<Vec<Value>> {
+        self.iter().collect()
+    }
+
     /// The rows at `rows` (in that order) projected onto the columns at
-    /// `columns`, under `schema`.
-    fn gather(&self, rows: &[usize], columns: &[usize], schema: Schema) -> ColumnStore {
+    /// `columns`, as a new table under `schema` — the gather that builds
+    /// row-returning results.
+    pub(crate) fn gather(&self, rows: &[usize], columns: &[usize], schema: Schema) -> Table {
         let columns = columns
             .iter()
             .map(|&c| {
@@ -107,7 +179,7 @@ impl ColumnStore {
                 out
             })
             .collect();
-        ColumnStore {
+        Table {
             name: self.name.clone(),
             schema,
             columns,
@@ -115,9 +187,15 @@ impl ColumnStore {
         }
     }
 
+    /// Renders the table in a compact aligned text form (used by the
+    /// examples and the experiment harness).
+    pub fn render(&self, max_rows: usize) -> String {
+        self.render_with(None, max_rows)
+    }
+
     /// The first `max_rows` rows as aligned text, with a trailing `prob`
     /// column when `probs` is given.
-    fn render(&self, probs: Option<&[f64]>, max_rows: usize) -> String {
+    fn render_with(&self, probs: Option<&[f64]>, max_rows: usize) -> String {
         let body: Vec<Vec<String>> = (0..self.len.min(max_rows))
             .map(|i| {
                 let mut cells: Vec<String> = self.row(i).iter().map(Value::to_string).collect();
@@ -154,144 +232,10 @@ impl ColumnStore {
     }
 }
 
-/// A deterministic relation, column-major: one typed [`Column`] per schema
-/// column.
+/// A tuple-independent probabilistic relation: a [`Table`] of its
+/// deterministic attributes plus per-row existence probabilities.
 ///
-/// Scans read it as one zero-copy [`Batch`] ([`Table::batch`]), exactly as
-/// they read a [`ProbTable`]; a row is materialised only on request.
-///
-/// # Examples
-///
-/// ```
-/// use tspdb_probdb::{ColumnSlice, ColumnType, Schema, Table, Value};
-///
-/// let schema = Schema::of(&[("t", ColumnType::Int), ("r", ColumnType::Float)]);
-/// let mut raw = Table::new("raw", schema);
-/// raw.insert(vec![Value::Int(1), Value::Int(4)]).unwrap(); // 4 widens
-/// raw.insert(vec![Value::Int(2), Value::Float(3.5)]).unwrap();
-///
-/// assert_eq!(raw.column(1).values(), ColumnSlice::Float(&[4.0, 3.5]));
-/// assert_eq!(raw.row(1), vec![Value::Int(2), Value::Float(3.5)]);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table {
-    store: ColumnStore,
-}
-
-impl Table {
-    /// Creates an empty table.
-    pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        Table {
-            store: ColumnStore::new(name.into(), schema),
-        }
-    }
-
-    /// Assembles a table from finished columns — how a decoder builds one
-    /// without a `Vec<Value>` per row. The columns must be one per schema
-    /// column, of that column's type, all of the same length.
-    pub fn from_columns(
-        name: impl Into<String>,
-        schema: Schema,
-        columns: Vec<Column>,
-    ) -> Result<Self, DbError> {
-        let len = columns.first().map_or(0, Column::len);
-        Ok(Table {
-            store: ColumnStore::from_columns(name.into(), schema, columns, len)?,
-        })
-    }
-
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.store.name
-    }
-
-    /// Table schema.
-    pub fn schema(&self) -> &Schema {
-        &self.store.schema
-    }
-
-    /// Row count.
-    pub fn len(&self) -> usize {
-        self.store.len
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.store.len == 0
-    }
-
-    /// Appends a row (ints widen into float columns). A rejected row
-    /// leaves the table untouched.
-    pub fn insert(&mut self, row: Vec<Value>) -> Result<(), DbError> {
-        self.store.insert(row)
-    }
-
-    /// Appends the rows of `batch` at the batch-local positions `rows` (a
-    /// span such as `0..batch.len()`, or a [`Selection`]), in order: a span
-    /// as one slice copy per column, a [`Selection::Rows`] as a gather. The
-    /// batch must carry this table's schema.
-    pub fn extend_from_batch(&mut self, batch: &Batch<'_>, rows: impl Into<Selection>) {
-        self.store.extend_from_batch(batch, &rows.into());
-    }
-
-    /// Room for `additional` more rows.
-    pub fn reserve(&mut self, additional: usize) {
-        self.store.reserve(additional);
-    }
-
-    /// The whole table as one borrowed batch (nothing is copied).
-    pub fn batch(&self) -> Batch<'_> {
-        self.store.batch(None)
-    }
-
-    /// Column `c`.
-    pub fn column(&self, c: usize) -> &Column {
-        &self.store.columns[c]
-    }
-
-    /// All columns, in schema order.
-    pub fn columns(&self) -> &[Column] {
-        &self.store.columns
-    }
-
-    /// Row `i`, materialised.
-    pub fn row(&self, i: usize) -> Vec<Value> {
-        self.store.row(i)
-    }
-
-    /// Iterator over materialised rows. Each item allocates its row;
-    /// operators that scan use [`Table::batch`].
-    pub fn iter(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
-        (0..self.len()).map(|i| self.row(i))
-    }
-
-    /// Every row, materialised: O(rows) time and one allocation per row
-    /// on every call. For a single row use [`Table::row`], for a pass
-    /// [`Table::iter`], for a column [`Table::column`].
-    pub fn rows(&self) -> Vec<Vec<Value>> {
-        self.iter().collect()
-    }
-
-    /// The rows at `rows` (in that order) projected onto the columns at
-    /// `columns`, as a new table under `schema` — the gather that builds
-    /// row-returning results.
-    pub(crate) fn gather(&self, rows: &[usize], columns: &[usize], schema: Schema) -> Table {
-        Table {
-            store: self.store.gather(rows, columns, schema),
-        }
-    }
-
-    /// Renders the table in a compact aligned text form (used by the
-    /// examples and the experiment harness).
-    pub fn render(&self, max_rows: usize) -> String {
-        self.store.render(None, max_rows)
-    }
-}
-
-/// A tuple-independent probabilistic relation: typed columns plus per-row
-/// existence probabilities.
-///
-/// Storage is **column-major**: one [`Column`] per schema column beside the
+/// Storage is **column-major**: the table's [`Column`]s beside the
 /// contiguous `probs`, all of the same length. Scans borrow the columns as
 /// one zero-copy [`Batch`] ([`ProbTable::batch`]); a tuple only becomes a
 /// `Vec<Value>` where it leaves the relation one row at a time
@@ -320,8 +264,8 @@ impl Table {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProbTable {
-    store: ColumnStore,
-    /// One per row of `store`.
+    table: Table,
+    /// One per row of `table`.
     probs: Vec<f64>,
     totals: OnceLock<Totals>,
 }
@@ -330,7 +274,7 @@ impl PartialEq for ProbTable {
     /// Compares contents only: the totals are a function of them, and one
     /// side may not have folded them yet.
     fn eq(&self, other: &Self) -> bool {
-        self.store == other.store && self.probs == other.probs
+        self.table == other.table && self.probs == other.probs
     }
 }
 
@@ -383,7 +327,7 @@ impl ProbTable {
     /// Creates an empty probabilistic table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         ProbTable {
-            store: ColumnStore::new(name.into(), schema),
+            table: Table::new(name, schema),
             probs: Vec::new(),
             totals: OnceLock::new(),
         }
@@ -400,10 +344,16 @@ impl ProbTable {
         columns: Vec<Column>,
         probs: Vec<f64>,
     ) -> Result<Self, DbError> {
-        let store = ColumnStore::from_columns(name.into(), schema, columns, probs.len())?;
+        check_columns(&schema, &columns, probs.len())?;
         check_probs(&probs)?;
+        let table = Table {
+            name: name.into(),
+            schema,
+            columns,
+            len: probs.len(),
+        };
         Ok(ProbTable {
-            store,
+            table,
             probs,
             totals: OnceLock::new(),
         })
@@ -411,13 +361,13 @@ impl ProbTable {
 
     /// Table name.
     pub fn name(&self) -> &str {
-        &self.store.name
+        self.table.name()
     }
 
     /// Schema of the deterministic attributes (the probability is carried
     /// separately, not as a column).
     pub fn schema(&self) -> &Schema {
-        &self.store.schema
+        self.table.schema()
     }
 
     /// Row count.
@@ -434,7 +384,7 @@ impl ProbTable {
     /// columns). A rejected row leaves the relation untouched.
     pub fn insert(&mut self, row: Vec<Value>, prob: f64) -> Result<(), DbError> {
         check_probs(&[prob])?;
-        self.store.insert(row)?;
+        self.table.insert(row)?;
         self.probs.push(prob);
         self.fold_totals(self.probs.len() - 1);
         Ok(())
@@ -465,7 +415,7 @@ impl ProbTable {
             self.probs.truncate(from);
             return Err(e);
         }
-        self.store.extend_from_batch(batch, &sel);
+        self.table.extend_from_batch(batch, sel);
         self.fold_totals(from);
         Ok(())
     }
@@ -473,7 +423,7 @@ impl ProbTable {
     /// Room for `additional` more rows.
     pub fn reserve(&mut self, additional: usize) {
         self.probs.reserve(additional);
-        self.store.reserve(additional);
+        self.table.reserve(additional);
     }
 
     /// The rows at `rows` (in that order) projected onto the columns at
@@ -481,7 +431,7 @@ impl ProbTable {
     /// row-returning results.
     pub(crate) fn gather(&self, rows: &[usize], columns: &[usize], schema: Schema) -> ProbTable {
         ProbTable {
-            store: self.store.gather(rows, columns, schema),
+            table: self.table.gather(rows, columns, schema),
             probs: rows.iter().map(|&i| self.probs[i]).collect(),
             totals: OnceLock::new(),
         }
@@ -495,17 +445,17 @@ impl ProbTable {
 
     /// The whole relation as one borrowed batch (nothing is copied).
     pub fn batch(&self) -> Batch<'_> {
-        self.store.batch(Some(&self.probs))
+        Batch::spanning(self.schema(), self.columns(), Some(&self.probs), self.len())
     }
 
     /// Column `c`.
     pub fn column(&self, c: usize) -> &Column {
-        &self.store.columns[c]
+        self.table.column(c)
     }
 
     /// All columns, in schema order.
     pub fn columns(&self) -> &[Column] {
-        &self.store.columns
+        self.table.columns()
     }
 
     /// Borrow of all probabilities (parallel to the columns).
@@ -515,7 +465,7 @@ impl ProbTable {
 
     /// Row `i`, materialised.
     pub fn row(&self, i: usize) -> Vec<Value> {
-        self.store.row(i)
+        self.table.row(i)
     }
 
     /// Row `i`, materialised, with its probability.
@@ -553,7 +503,7 @@ impl ProbTable {
     fn totals(&self) -> &Totals {
         self.totals.get_or_init(|| {
             let mut totals = Totals::new(self.schema());
-            totals.fold(&self.store.columns, &self.probs, 0);
+            totals.fold(self.table.columns(), &self.probs, 0);
             totals
         })
     }
@@ -562,13 +512,13 @@ impl ProbTable {
     /// then the first read folds every row.
     fn fold_totals(&mut self, from: usize) {
         if let Some(totals) = self.totals.get_mut() {
-            totals.fold(&self.store.columns, &self.probs, from);
+            totals.fold(self.table.columns(), &self.probs, from);
         }
     }
 
     /// Renders the relation with a trailing probability column.
     pub fn render(&self, max_rows: usize) -> String {
-        self.store.render(Some(&self.probs), max_rows)
+        self.table.render_with(Some(&self.probs), max_rows)
     }
 }
 
