@@ -3,8 +3,9 @@
 //! A [`crate::Table`] and a [`crate::ProbTable`] keep one [`Column`] per
 //! schema column — a `Vec<i64>`, `Vec<f64>` or `Vec<String>` — instead of
 //! one `Vec<Value>` per row, so scans read plain slices ([`ColumnSlice`])
-//! and never chase a pointer per row. A [`crate::Value`] is only built where a single cell
-//! has to leave the column (group keys, rendering, the row iterator).
+//! and never chase a pointer per row. A [`crate::Value`] is only built
+//! where a single cell has to leave the column (group keys, rendering, the
+//! row iterator).
 
 use crate::error::DbError;
 use crate::schema::Schema;

@@ -437,11 +437,12 @@ pub(crate) fn restrict(
 /// conjuncts that are binary searches narrow the whole relation to one
 /// span; the rest run over that span split into `segments` contiguous
 /// ascending index ranges (0 = one per core) once it holds at least
-/// `min_rows` rows, and one batch otherwise, with the survivors concatenated **in segment order**. That
-/// is the sequence of conjuncts [`select`] runs over one whole batch, so
-/// the result is bit-identical at every width — errors included: the only
-/// error a batch raises is an unknown column, and a segment raises it
-/// exactly when one of its rows reaches that conjunct.
+/// `min_rows` rows, and one batch otherwise, with the survivors
+/// concatenated **in segment order**. That is the sequence of conjuncts
+/// [`select`] runs over one whole batch, so the result is bit-identical at
+/// every width — errors included: the only error a batch raises is an
+/// unknown column, and a segment raises it exactly when one of its rows
+/// reaches that conjunct.
 fn select_relation(
     whole: &Batch<'_>,
     plan: &PhysicalPlan,
