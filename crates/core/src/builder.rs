@@ -19,7 +19,7 @@ use crate::metrics::{make_metric, MetricConfig, MetricKind};
 use crate::omega::{probability_values, OmegaSpec, ProbabilityValue};
 use crate::sigma_cache::{direct_probability_values, CacheStats, SigmaCache, SigmaCacheConfig};
 use std::time::{Duration, Instant};
-use tspdb_probdb::{ColumnType, ProbTable, Schema, Value};
+use tspdb_probdb::{Column, ColumnType, ProbTable, Schema};
 use tspdb_stats::parallel::{effective_threads, map_segments, try_map_segments};
 use tspdb_stats::Density;
 use tspdb_timeseries::TimeSeries;
@@ -250,22 +250,30 @@ impl OmegaViewBuilder {
         });
 
         // Assembly: segment order == time order, so the view is identical
-        // to the sequential build.
-        let mut view = ProbTable::new(view_name.to_string(), view_schema());
+        // to the sequential build. Tuples go straight into the view's
+        // columns; `from_columns` checks the probabilities as `insert` did.
+        let tuples = tuple_segments
+            .iter()
+            .flatten()
+            .map(|(_, rows)| rows.len())
+            .sum();
+        let schema = view_schema();
+        let mut columns = Column::for_schema(&schema, tuples);
+        let mut probs = Vec::with_capacity(tuples);
         for (time, rows) in tuple_segments.into_iter().flatten() {
             for pv in rows {
-                view.insert(
-                    vec![
-                        Value::Int(time),
-                        Value::Int(pv.lambda),
-                        Value::Float(pv.lo),
-                        Value::Float(pv.hi),
-                    ],
-                    pv.rho.clamp(0.0, 1.0),
-                )?;
+                let [t, lambda, lo, hi] = &mut columns[..] else {
+                    unreachable!("the view has four columns");
+                };
+                let pushed = t.push_int(time)
+                    & lambda.push_int(pv.lambda)
+                    & lo.push_float(pv.lo)
+                    & hi.push_float(pv.hi);
+                debug_assert!(pushed, "the view's column types");
+                probs.push(pv.rho.clamp(0.0, 1.0));
             }
         }
-        Ok(view)
+        Ok(ProbTable::from_columns(view_name, schema, columns, probs)?)
     }
 
     /// Builds the probabilistic view for `series` over the Ω lattice:

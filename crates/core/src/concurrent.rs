@@ -491,15 +491,12 @@ impl SharedEngine {
         planned: &PlannedQuery,
         worlds_threads: Option<usize>,
     ) -> Result<QueryOutput, CoreError> {
-        let (snapshot, plan, threads) = {
+        let (snapshot, threads) = {
             let catalog = self.read();
-            let (snapshot, plan) = catalog.scan_input(planned)?;
             let threads = worlds_threads.unwrap_or_else(|| catalog.worlds_threads());
-            (snapshot, plan, threads)
+            (catalog.scan_input(planned, threads)?, threads)
         };
-        snapshot
-            .execute(planned, &plan, threads)
-            .map_err(CoreError::from)
+        snapshot.execute(planned, threads).map_err(CoreError::from)
     }
 
     /// Runs a parsed read-only statement; anything else is turned away

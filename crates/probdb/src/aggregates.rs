@@ -13,8 +13,7 @@
 //! `WITH WORLDS` answer and the whole-relation operators all call them.
 
 use crate::error::DbError;
-use crate::query::{matching_rows, CmpOp, Conjunction};
-use crate::scan;
+use crate::query::{matching_probs, CmpOp, Conjunction};
 use crate::table::ProbTable;
 
 /// Exact distribution of the number of matching tuples present in a
@@ -23,8 +22,7 @@ use crate::table::ProbTable;
 /// Gathers the matching probabilities and runs [`count_distribution_of`]
 /// with budget 0.
 pub fn count_distribution(table: &ProbTable, pred: &Conjunction) -> Result<Vec<f64>, DbError> {
-    let probs = scan::gather_probs(table.probs(), &matching_rows(table, pred)?);
-    Ok(count_distribution_of(&probs, 0.0).0)
+    Ok(count_distribution_of(&matching_probs(table, pred)?, 0.0).0)
 }
 
 /// Poisson-binomial distribution over an explicit probability slice, and
@@ -137,20 +135,6 @@ pub(crate) fn sum_moments_of(probs: &[f64], values: &[f64]) -> (f64, f64) {
         var += p * (1.0 - p) * v * v;
     }
     (mean, var)
-}
-
-/// `Σp·v`, folded in order from `+0.0`: the mean [`sum_moments_of`]
-/// returns, bit for bit, without its variance fold.
-pub(crate) fn expected_sum_of(probs: &[f64], values: &[f64]) -> f64 {
-    assert_eq!(
-        probs.len(),
-        values.len(),
-        "expected_sum_of: values must be parallel to probs"
-    );
-    probs
-        .iter()
-        .zip(values)
-        .fold(0.0, |acc, (&p, &v)| acc + p * v)
 }
 
 /// Largest dyadic scale probed when looking for an exact integer
@@ -403,8 +387,7 @@ pub fn prob_count_at_least(
 /// Expected count and variance of the count (`Σp_i`, `Σp_i(1−p_i)`) for
 /// tuples matching the predicate — the closed forms, no DP needed.
 pub fn count_moments(table: &ProbTable, pred: &Conjunction) -> Result<(f64, f64), DbError> {
-    let probs = scan::gather_probs(table.probs(), &matching_rows(table, pred)?);
-    Ok(count_moments_of(&probs))
+    Ok(count_moments_of(&matching_probs(table, pred)?))
 }
 
 /// Probabilities on which a kernel rewrite is most likely to differ from

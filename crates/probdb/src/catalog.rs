@@ -18,15 +18,14 @@
 
 use crate::column::Column;
 use crate::error::DbError;
-use crate::plan::{AggregateResult, ExplainReport, PhysicalPlan, PlannedQuery, Planner};
+use crate::plan::{AggregateResult, ExplainReport, PlannedQuery, Planner};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
-use crate::scan::{self, Batch, BatchStream};
+use crate::scan::{Batch, BatchStream, Source};
 use crate::schema::Schema;
 use crate::sql::{parse, SelectStmt, Statement};
 use crate::table::{check_columns, ProbTable, Table};
 use crate::value::Value;
 use crate::worlds::WorldsResult;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -40,31 +39,31 @@ pub enum Relation {
     Probabilistic(ProbTable),
 }
 
-/// An immutable snapshot of one relation, the input a query strategy
-/// consumes — see [`Database::scan_input`].
+/// What one statement reads, taken under the catalog's lock — see
+/// [`Database::scan_input`].
 #[derive(Debug, Clone)]
-pub struct RelationSnapshot {
-    /// The relation rung.
-    pub relation: Arc<Relation>,
+pub enum RelationSnapshot {
+    /// A resident relation's rung: an immutable snapshot the statement
+    /// runs over after the lock is released.
+    Resident(Arc<Relation>),
+    /// An evicted relation's answer, computed while its leaves streamed
+    /// past (a checkpoint may rewrite the pages once the lock is gone).
+    Answered(QueryOutput),
 }
 
 impl RelationSnapshot {
     /// Runs `planned`'s strategy over this snapshot — the one place a
-    /// strategy is instantiated and executed, whichever entry point the
-    /// statement came in through. `plan` is the physical plan
-    /// [`Database::scan_input`] returned next to the snapshot; `threads`
-    /// is the fork-join width (it never changes an answer). Needs no
-    /// catalog borrow, so callers sharing the catalog behind a lock run
-    /// this after releasing it.
-    pub fn execute(
-        self,
-        planned: &PlannedQuery,
-        plan: &PhysicalPlan,
-        threads: usize,
-    ) -> Result<QueryOutput, DbError> {
-        planned
-            .strategy_with_context(threads)
-            .execute(&self.relation, plan)
+    /// strategy runs over a resident relation, whichever entry point the
+    /// statement came in through; `threads` is the fork-join width (it
+    /// never changes an answer). Needs no catalog borrow, so callers
+    /// sharing the catalog behind a lock run this after releasing it.
+    pub fn execute(self, planned: &PlannedQuery, threads: usize) -> Result<QueryOutput, DbError> {
+        match self {
+            RelationSnapshot::Resident(relation) => planned
+                .strategy_with_context(threads)
+                .execute(Source::Resident(&relation), &planned.physical),
+            RelationSnapshot::Answered(out) => Ok(out),
+        }
     }
 }
 
@@ -156,15 +155,10 @@ pub trait ScanSource: std::fmt::Debug + Send + Sync {
     /// Materialises the named relation, or `None` if the source doesn't
     /// hold it either.
     fn scan(&self, name: &str) -> Result<Option<Relation>, DbError>;
-    /// Opens a lazy batch stream over the named relation, or `None` when
-    /// the source either doesn't hold it or can't stream (the default:
-    /// sources without a paged layout fall back to [`ScanSource::scan`]).
-    /// The executor uses this to restrict a disk-resident relation one
-    /// decoded leaf at a time instead of materialising it whole.
-    fn scan_stream(&self, name: &str) -> Result<Option<Box<dyn BatchStream>>, DbError> {
-        let _ = name;
-        Ok(None)
-    }
+    /// Opens a lazy batch stream over the named relation, or `None` if
+    /// the source doesn't hold it: how a statement reads an evicted
+    /// relation, one decoded leaf at a time.
+    fn scan_stream(&self, name: &str) -> Result<Option<Box<dyn BatchStream>>, DbError>;
     /// Names of all relations the source can scan.
     fn names(&self) -> Vec<String>;
 }
@@ -568,106 +562,39 @@ impl Database {
     /// Executes a planned query: resolves the scanned relation and runs
     /// the plan's strategy over it.
     pub fn execute_planned(&self, planned: &PlannedQuery) -> Result<QueryOutput, DbError> {
-        let (snapshot, plan) = self.scan_input(planned)?;
-        snapshot.execute(planned, &plan, self.worlds_threads())
+        let threads = self.worlds_threads();
+        self.scan_input(planned, threads)?.execute(planned, threads)
     }
 
-    /// Everything `planned` needs in order to execute, as an immutable
-    /// snapshot: the relation rung, plus the physical plan to run over it.
-    /// This is the MVCC read path — take the input under a shared lock,
-    /// release the lock, then
-    /// `RelationSnapshot::execute` it while writers land new rungs
+    /// What `planned` reads, as an immutable snapshot. This is the MVCC
+    /// read path — take the input under a shared lock, release the lock,
+    /// then `RelationSnapshot::execute` it while writers land new rungs
     /// (appends swap in a new rung rather than mutating the old one in
     /// place, so the snapshot stays internally consistent for as long as
     /// its `Arc` lives).
     ///
-    /// Resident relations win and cost one `Arc` clone; otherwise the
-    /// scan source's batch stream is restricted leaf by leaf, and only when
-    /// the source can't stream is the relation materialised whole. Either way the same strategy executes over the same tuple
-    /// representation, so results are bit-identical across media for a
-    /// fixed query + seed.
-    pub fn scan_input<'p>(
+    /// A resident relation wins and costs one `Arc` clone. An evicted one
+    /// is answered here, at fork-join width `threads`: the strategy
+    /// consumes the scan source's leaf stream batch by batch, and the
+    /// relation is never materialised. Both run the same operators over
+    /// the same tuples in the same order: bit-identical answers.
+    pub fn scan_input(
         &self,
-        planned: &'p PlannedQuery,
-    ) -> Result<(RelationSnapshot, Cow<'p, PhysicalPlan>), DbError> {
+        planned: &PlannedQuery,
+        threads: usize,
+    ) -> Result<RelationSnapshot, DbError> {
         let name = &planned.physical.table;
-        let relation = match self.relations.get(name) {
-            Some(r) => Arc::clone(r),
-            None => {
-                if let Some(streamed) = self.stream_input(planned)? {
-                    return Ok(streamed);
-                }
-                match self.scan_from_source(name)? {
-                    Some(r) => Arc::new(r),
-                    None => return Err(DbError::UnknownTable(name.clone())),
-                }
-            }
-        };
-        Ok((
-            RelationSnapshot { relation },
-            Cow::Borrowed(&planned.physical),
-        ))
-    }
-
-    /// [`Database::scan_input`] over the scan source's lazy batch stream,
-    /// restricting leaf by leaf instead of materialising the relation
-    /// whole. Returns `Ok(None)` when the source can't stream, so the
-    /// caller materialises the relation.
-    ///
-    /// Bit-identity with the materialised path is preserved by applying
-    /// the *same* restrictions in the *same* observable order:
-    /// [`scan::restrict_stream`] runs `WHERE` (and `THRESHOLD`) over every
-    /// batch, and both are stripped from the plan the strategy executes;
-    /// `TOP` stays with the strategy, which also keeps ownership of the
-    /// deterministic `THRESHOLD`/`TOP`/`WITH WORLDS` rejection. `WITH
-    /// WORLDS` folds or samples the kept tuples in scan order and seeds
-    /// its groups by group index, so it sees the same domain either way.
-    fn stream_input<'p>(
-        &self,
-        planned: &'p PlannedQuery,
-    ) -> Result<Option<(RelationSnapshot, Cow<'p, PhysicalPlan>)>, DbError> {
-        use crate::plan::PhysicalAction;
-
-        let plan = &planned.physical;
-        let name = &plan.table;
-        if self.dropped.contains(name) {
-            return Ok(None);
+        if let Some(relation) = self.relations.get(name) {
+            return Ok(RelationSnapshot::Resident(Arc::clone(relation)));
         }
-        let Some(source) = &self.scan_source else {
-            return Ok(None);
+        let streamed = match (&self.scan_source, self.dropped.contains(name)) {
+            (Some(source), false) => source.scan_stream(name)?,
+            _ => None,
         };
-        let Some(mut stream) = source.scan_stream(name)? else {
-            return Ok(None);
-        };
-        let input = |relation: Relation, plan| {
-            let snapshot = RelationSnapshot {
-                relation: Arc::new(relation),
-            };
-            Ok(Some((snapshot, plan)))
-        };
-        let worlds = planned.strategy.probabilistic_only();
-        if !stream.probabilistic() && (plan.threshold.is_some() || plan.top.is_some() || worlds) {
-            // The strategies reject THRESHOLD/TOP/WITH WORLDS on
-            // deterministic relations *before* evaluating any predicate;
-            // handing them an empty relation and the unstripped plan
-            // reproduces that error (and its ordering) without reading a
-            // page.
-            let empty = Relation::Deterministic(Table::new(name, stream.schema().clone()));
-            return input(empty, Cow::Borrowed(plan));
-        }
-        if let (true, PhysicalAction::Rows { columns, .. }) = (worlds, &plan.action) {
-            // The `WITH WORLDS` row shape checks its projection before
-            // the predicate; do the same before the scan can raise a
-            // predicate error first.
-            for col in columns {
-                stream.schema().index_of(col)?;
-            }
-        }
-        let relation = scan::restrict_stream(stream.as_mut(), name, plan)?;
-        let mut stripped = plan.clone();
-        stripped.predicate = Vec::new();
-        stripped.threshold = None;
-        input(relation, Cow::Owned(stripped))
+        let mut stream = streamed.ok_or_else(|| DbError::UnknownTable(name.clone()))?;
+        let strategy = planned.strategy_with_context(threads);
+        let out = strategy.execute(Source::Stream(stream.as_mut()), &planned.physical)?;
+        Ok(RelationSnapshot::Answered(out))
     }
 
     /// Plans a `SELECT` and returns its [`ExplainReport`] instead of

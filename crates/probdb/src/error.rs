@@ -54,6 +54,18 @@ pub enum DbError {
     Storage(String),
 }
 
+impl DbError {
+    /// A text column where a number is read.
+    pub(crate) fn not_numeric(column: &str) -> DbError {
+        let (expected, got) = (ColumnType::Float, ColumnType::Text);
+        DbError::TypeMismatch {
+            column: column.to_string(),
+            expected,
+            got,
+        }
+    }
+}
+
 impl fmt::Display for DbError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

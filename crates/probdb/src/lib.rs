@@ -83,7 +83,7 @@ pub use error::DbError;
 pub use plan::{AggregateResult, PlannedQuery, Planner};
 pub use plan_cache::PlanCacheStats;
 pub use query::{CmpOp, Comparison, Conjunction};
-pub use scan::{materialize, Batch, BatchStream, Selection};
+pub use scan::{Batch, BatchStream, Selection};
 pub use schema::Schema;
 pub use sql::{parse, DensityViewSpec, SelectStmt, Statement};
 pub use table::{ProbTable, Table};

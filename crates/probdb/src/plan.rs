@@ -37,23 +37,21 @@
 //! `match` arm in the catalog.
 
 use crate::aggregates::{
-    count_distribution_of, count_moments_of, event_probability_of, expected_sum_of,
-    sum_distribution_of, sum_from_zero, sum_moments_of,
+    count_distribution_of, count_moments_of, event_probability_of, sum_distribution_of,
+    sum_moments_of,
 };
-use crate::catalog::{QueryOutput, Relation};
+use crate::catalog::QueryOutput;
 use crate::error::DbError;
-use crate::query::Conjunction;
-use crate::scan::{self, Batch, Groups};
+use crate::query::{Conjunction, PROB_PSEUDO_COLUMN};
+use crate::scan::{self, Folded, Rows, Source};
 use crate::schema::Schema;
 use crate::sql::{
     AggExpr, AggFunc, HavingClause, SelectItem, SelectStmt, WindowSpec, WorldsClause,
 };
-use crate::table::ProbTable;
-use crate::value::Value;
+use crate::value::{ColumnType, Value};
 use crate::worlds::{
     mix_seed, SumEstimate, SumEventSpec, WorldsConfig, WorldsExecutor, WorldsResult,
 };
-use std::collections::BTreeMap;
 use std::fmt;
 use std::time::Instant;
 
@@ -330,16 +328,6 @@ pub enum StrategyKind {
     /// Monte-Carlo possible-world sampling (`WorldsStrategy`), carrying
     /// the `WITH WORLDS` clause that selected it.
     Worlds(WorldsClause),
-}
-
-impl StrategyKind {
-    /// Whether the strategy refuses a deterministic relation.
-    pub(crate) fn probabilistic_only(&self) -> bool {
-        match self {
-            StrategyKind::Exact { probabilistic_only } => *probabilistic_only,
-            StrategyKind::Worlds(_) => true,
-        }
-    }
 }
 
 /// A fully planned query: logical tree, lowered physical plan, and the
@@ -735,8 +723,8 @@ pub(crate) trait EvalStrategy {
     /// Parameter description for `EXPLAIN` of `plan`.
     fn describe(&self, plan: &PhysicalPlan) -> String;
 
-    /// Executes a physical plan against the resolved source relation.
-    fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError>;
+    /// Executes a physical plan over the source relation.
+    fn execute(&self, source: Source<'_>, plan: &PhysicalPlan) -> Result<QueryOutput, DbError>;
 }
 
 /// Closed-form evaluation over tuple independence.
@@ -757,60 +745,59 @@ impl EvalStrategy for ExactStrategy {
             .into()
     }
 
-    fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
-        match relation {
-            Relation::Deterministic(_) if self.probabilistic_only => {
-                Err(deterministic_worlds(&plan.table))
+    fn execute(&self, source: Source<'_>, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
+        if !source.probabilistic() {
+            if self.probabilistic_only {
+                return Err(deterministic_worlds(&plan.table));
             }
-            Relation::Deterministic(t) => {
-                if plan.threshold.is_some() || plan.top.is_some() {
-                    return Err(DbError::InvalidWorlds(format!(
-                        "THRESHOLD/TOP require a probabilistic relation; \
-                         {} is deterministic",
-                        plan.table
-                    )));
-                }
-                let batch = t.batch();
-                match &plan.action {
-                    PhysicalAction::Rows {
-                        columns,
-                        order_by,
-                        limit,
-                    } => {
-                        let keep = scan::restrict(&batch, plan, self.threads)?;
-                        let order = scan::order_rows(&batch, keep, order_by.as_ref(), *limit)?;
-                        let (schema, idx) = project(t.schema(), columns)?;
-                        Ok(QueryOutput::Rows(t.gather(&order, &idx, schema)))
-                    }
-                    PhysicalAction::Aggregate(agg) => {
-                        validate_aggregate_plan(agg)?;
-                        let keep = scan::restrict(&batch, plan, self.threads)?;
-                        Ok(QueryOutput::Aggregate(aggregate_deterministic(
-                            &batch, &keep, agg,
-                        )?))
-                    }
-                }
+            if plan.threshold.is_some() || plan.top.is_some() {
+                return Err(DbError::InvalidWorlds(format!(
+                    "THRESHOLD/TOP require a probabilistic relation; \
+                     {} is deterministic",
+                    plan.table
+                )));
             }
-            Relation::Probabilistic(t) => {
-                if let Some(result) = aggregate_from_totals(t, plan) {
-                    return Ok(QueryOutput::Aggregate(result));
-                }
-                let keep = scan::restrict(&t.batch(), plan, self.threads)?;
-                match &plan.action {
-                    PhysicalAction::Rows {
-                        columns,
-                        order_by,
-                        limit,
-                    } => {
-                        let order = scan::order_rows(&t.batch(), keep, order_by.as_ref(), *limit)?;
-                        let (schema, idx) = project(t.schema(), columns)?;
-                        Ok(QueryOutput::ProbRows(t.gather(&order, &idx, schema)))
-                    }
-                    PhysicalAction::Aggregate(agg) => Ok(QueryOutput::Aggregate(
-                        aggregate_probabilistic(t, &keep, agg, "exact", exact_tail)?,
-                    )),
-                }
+            if let PhysicalAction::Aggregate(agg) = &plan.action {
+                validate_aggregate_plan(agg)?;
             }
+        }
+        match &plan.action {
+            PhysicalAction::Rows {
+                columns,
+                order_by,
+                limit,
+            } => {
+                // An unknown ORDER BY column, then an unknown projected
+                // one, errs after the scan, even over no rows.
+                let (schema, probabilistic) = (source.schema().clone(), source.probabilistic());
+                let ranked = match order_by {
+                    Some((c, _)) if !(probabilistic && c == PROB_PSEUDO_COLUMN) => {
+                        schema.index_of(c).map(drop)
+                    }
+                    _ => Ok(()),
+                };
+                let projection = match ranked.and_then(|()| project(&schema, columns)) {
+                    Ok(projection) => projection,
+                    Err(e) => {
+                        scan::scan(source, plan, self.threads, &mut |_, _| {})?;
+                        return Err(e);
+                    }
+                };
+                let rank = order_by
+                    .as_ref()
+                    .map(|(c, ascending)| (c.as_str(), *ascending));
+                let mut out = Rows::new(&plan.table, projection, probabilistic, rank, *limit);
+                scan::scan(source, plan, self.threads, &mut |b, sel| out.offer(b, sel))?;
+                Ok(out.finish().into_output())
+            }
+            PhysicalAction::Aggregate(agg) => Ok(QueryOutput::Aggregate(aggregate(
+                source,
+                plan,
+                agg,
+                self.threads,
+                "exact",
+                exact_tail,
+            )?)),
         }
     }
 }
@@ -896,52 +883,61 @@ impl EvalStrategy for WorldsStrategy {
         s
     }
 
-    fn execute(&self, relation: &Relation, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
-        let t = match relation {
-            Relation::Probabilistic(t) => t,
-            Relation::Deterministic(_) => return Err(deterministic_worlds(&plan.table)),
-        };
+    fn execute(&self, source: Source<'_>, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
+        if !source.probabilistic() {
+            return Err(deterministic_worlds(&plan.table));
+        }
         let seed = self.clause.seed.unwrap_or(0);
         match &plan.action {
             PhysicalAction::Rows { columns, .. } => {
                 // Validate the projection exactly like the exact path —
                 // unknown columns error no matter how many are listed.
+                let schema = source.schema();
                 for col in columns {
-                    t.schema().index_of(col)?;
+                    schema.index_of(col)?;
                 }
-                let keep = scan::restrict(&t.batch(), plan, self.threads)?;
-                let probs = scan::gather_probs(t.probs(), &keep);
                 // A single projected *numeric* column additionally requests
                 // the SUM aggregate over that column (the pre-planner
                 // heuristic, kept for compatibility; `SELECT SUM(col) …` is
                 // the first-class spelling).
                 let sum = match columns.as_slice() {
-                    [col] => match t.schema().type_of(col)? {
-                        crate::value::ColumnType::Text => None,
-                        _ => Some((col.as_str(), scan::gather_f64(&t.batch(), col, &keep)?)),
-                    },
+                    [col] if schema.type_of(col)? != ColumnType::Text => {
+                        Some((col.as_str(), schema.index_of(col)?))
+                    }
                     _ => None,
                 };
+                let (mut probs, mut values) = (Vec::new(), Vec::new());
+                scan::scan(source, plan, self.threads, &mut |batch, sel| {
+                    sel.extend(batch.probs().expect("a probabilistic relation"), &mut probs);
+                    if let Some((_, c)) = sum {
+                        scan::numbers(batch.values(c), sel, &mut values);
+                    }
+                })?;
                 // Nothing samples, but the clause is refused as when it did.
                 worlds_executor(&self.clause, seed, self.threads)?;
                 Ok(QueryOutput::Worlds(domain_closed_form(
                     &probs,
-                    sum.as_ref().map(|(c, v)| (*c, v.as_slice())),
+                    sum.map(|(c, _)| (c, values.as_slice())),
                     seed,
                 )))
             }
             PhysicalAction::Aggregate(agg) => {
-                let keep = scan::restrict(&t.batch(), plan, self.threads)?;
                 let single_group = agg.window.is_none() && agg.group_by.is_empty();
-                let result =
-                    aggregate_probabilistic(t, &keep, agg, "worlds", |group, h, probs, sum| {
+                let result = aggregate(
+                    source,
+                    plan,
+                    agg,
+                    self.threads,
+                    "worlds",
+                    |group, h, probs, sum| {
                         let group_seed = if single_group {
                             seed
                         } else {
                             mix_seed(seed, group as u64)
                         };
                         self.sample_tail(group_seed, h, probs, sum)
-                    })?;
+                    },
+                )?;
                 Ok(QueryOutput::Aggregate(result))
             }
         }
@@ -1110,34 +1106,6 @@ fn validate_having(h: &HavingClause) -> Result<(), DbError> {
     Ok(())
 }
 
-/// The distinct aggregated columns of a plan — including a `HAVING
-/// SUM(col)` column that appears nowhere in the projection — extracted
-/// once per group so `SUM(r), AVG(r), EXPECTED(r)` shares one column scan
-/// instead of three.
-fn aggregated_columns<'a>(
-    plan: &'a AggregatePlan,
-    batch: &Batch<'_>,
-    indices: &[usize],
-) -> Result<BTreeMap<&'a str, Vec<f64>>, DbError> {
-    let mut columns: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-    let having_sum_column = plan.having.as_ref().and_then(|h| {
-        (h.agg.func == AggFunc::Sum)
-            .then_some(h.agg.column.as_deref())
-            .flatten()
-    });
-    let wanted = plan
-        .aggregates
-        .iter()
-        .filter_map(|agg| agg.column.as_deref())
-        .chain(having_sum_column);
-    for col in wanted {
-        if !columns.contains_key(col) {
-            columns.insert(col, scan::gather_f64(batch, col, indices)?);
-        }
-    }
-    Ok(columns)
-}
-
 /// `E[SUM] / E[COUNT]`, defined as 0 when the expected count is 0.
 fn ratio_of_expectations(sum_mean: f64, count_mean: f64) -> f64 {
     if count_mean == 0.0 {
@@ -1158,64 +1126,6 @@ fn tail_probability(dist: &[f64], op: crate::query::CmpOp, k: f64) -> f64 {
         }
     }
     p.clamp(0.0, 1.0)
-}
-
-/// The exact answer to an aggregate plan read off `t`'s running totals in
-/// O(1), or `None` when the plan needs the scan: it restricts, windows,
-/// groups or tests a `HAVING` event, or aggregates a column that keeps no
-/// total (text or unknown; the scan path owns those errors). The totals
-/// are folded in row order from `+0.0`, exactly as [`aggregate_probabilistic`]
-/// sums the one group of an unrestricted plan, so both give the same bits.
-fn aggregate_from_totals(t: &ProbTable, plan: &PhysicalPlan) -> Option<AggregateResult> {
-    let PhysicalAction::Aggregate(agg) = &plan.action else {
-        return None;
-    };
-    let whole_relation = plan.predicate.is_empty()
-        && plan.threshold.is_none()
-        && plan.top.is_none()
-        && agg.window.is_none()
-        && agg.group_by.is_empty()
-        && agg.having.is_none();
-    if !whole_relation {
-        return None;
-    }
-    let count = t.expected_count();
-    let values = agg
-        .aggregates
-        .iter()
-        .map(|a| {
-            let sum = a
-                .column
-                .as_deref()
-                .map(|col| t.expected_sum(col))
-                .transpose()
-                .ok()?;
-            let value = match (a.func, sum) {
-                (AggFunc::Count, _) => count,
-                (AggFunc::Sum | AggFunc::Expected, Some(sum)) => sum,
-                (AggFunc::Avg, Some(sum)) => ratio_of_expectations(sum, count),
-                // A column-less SUM/AVG/EXPECTED is the scan path's plan error.
-                (_, None) => return None,
-            };
-            Some(AggValue {
-                value,
-                ci_half_width: None,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(AggregateResult {
-        group_columns: Vec::new(),
-        aggregates: agg.aggregates.clone(),
-        having: None,
-        strategy: "exact",
-        groups: vec![AggregateGroup {
-            key: Vec::new(),
-            values,
-            count_distribution: None,
-            event_probability: None,
-            worlds: None,
-        }],
-    })
 }
 
 /// One group's `HAVING` outcome on a probabilistic relation.
@@ -1260,179 +1170,97 @@ fn exact_tail(
     })
 }
 
-/// Aggregate evaluation over a restricted probabilistic relation, under
-/// every strategy: O(n) linearity-of-expectation counts, sums and their
-/// ratio, and `tail` for a `HAVING` event. `tail` gets the group's index in
-/// canonical order, its probabilities and, for a `HAVING SUM`, the summed
-/// column's name and values.
-fn aggregate_probabilistic(
-    t: &ProbTable,
-    keep: &[usize],
-    plan: &AggregatePlan,
+/// Aggregate evaluation over the rows `source` keeps, under every
+/// strategy, folded group by group as they arrive ([`scan::aggregate`]).
+/// Over a probabilistic relation: O(n) linearity-of-expectation counts,
+/// sums and their ratio, and `tail` for a `HAVING` event — given the
+/// group's index in canonical order, its probabilities and, for a `HAVING
+/// SUM`, the summed column's name and values. Over a deterministic one:
+/// classic SQL aggregation, where `HAVING` filters groups (every world is
+/// the same world, so the event either holds or does not).
+fn aggregate(
+    source: Source<'_>,
+    plan: &PhysicalPlan,
+    agg: &AggregatePlan,
+    threads: usize,
     strategy: &'static str,
     tail: impl Fn(usize, &HavingClause, &[f64], Option<(&str, &[f64])>) -> Result<Tail, DbError>,
 ) -> Result<AggregateResult, DbError> {
-    validate_aggregate_plan(plan)?;
-    let batch = t.batch();
-    let Groups { rows, groups } =
-        scan::group_rows(&batch, keep, plan.window.as_ref(), &plan.group_by)?;
-    let mut out = Vec::with_capacity(groups.len());
-    for (group, (key, members)) in groups.into_iter().enumerate() {
-        let indices = &rows[members];
-        let probs = scan::gather_probs(t.probs(), indices);
-        let count_mean = sum_from_zero(&probs);
-        let columns = aggregated_columns(plan, &batch, indices)?;
-        let values: Vec<AggValue> = plan
-            .aggregates
-            .iter()
-            .map(|agg| {
-                let value = match agg.func {
-                    AggFunc::Count => count_mean,
-                    AggFunc::Sum | AggFunc::Expected => {
-                        let col = agg
-                            .column
-                            .as_ref()
-                            .expect("validate_aggregate_plan checked the column");
-                        expected_sum_of(&probs, &columns[col.as_str()])
-                    }
-                    AggFunc::Avg => {
-                        let col = agg
-                            .column
-                            .as_ref()
-                            .expect("validate_aggregate_plan checked the column");
-                        let sum_mean = expected_sum_of(&probs, &columns[col.as_str()]);
-                        ratio_of_expectations(sum_mean, count_mean)
-                    }
-                };
-                AggValue {
-                    value,
-                    ci_half_width: None,
-                }
-            })
-            .collect();
-        let tail = match &plan.having {
-            None => None,
-            Some(h) => {
-                let sum = match (h.agg.func, &h.agg.column) {
-                    (AggFunc::Sum, Some(col)) => {
-                        Some((col.as_str(), columns[col.as_str()].as_slice()))
-                    }
-                    _ => None,
-                };
-                Some(tail(group, h, &probs, sum)?)
-            }
+    let probabilistic = source.probabilistic();
+    let operands = scan::operands(agg);
+    let invalid = validate_aggregate_plan(agg).err();
+    let finish = |group: usize, g: Folded| -> Result<Option<AggregateGroup>, DbError> {
+        let count = if probabilistic { g.mass } else { g.rows as f64 };
+        let sum = |col: &Option<String>| {
+            let at = operands.iter().position(|c| Some(*c) == col.as_deref());
+            g.sums[at.expect("validate_aggregate_plan checked the column")]
         };
-        out.push(match tail {
-            None => AggregateGroup {
-                key,
-                values,
-                count_distribution: None,
-                event_probability: None,
-                worlds: None,
-            },
-            Some(tail) => AggregateGroup {
-                key,
-                values,
-                count_distribution: tail.count_distribution,
-                event_probability: Some(tail.event_probability),
-                worlds: tail.worlds,
-            },
-        });
-    }
-    Ok(AggregateResult {
-        group_columns: group_columns_of(plan),
-        aggregates: plan.aggregates.clone(),
-        having: plan.having.clone(),
-        strategy,
-        groups: out,
-    })
-}
-
-/// Classic SQL aggregation over the rows `keep` of the deterministic table
-/// `batch` spans (the caller validated `plan` before restricting);
-/// `HAVING` filters groups (every world is the same world, so the event
-/// either holds or does not).
-fn aggregate_deterministic(
-    batch: &Batch<'_>,
-    keep: &[usize],
-    plan: &AggregatePlan,
-) -> Result<AggregateResult, DbError> {
-    let Groups { rows, groups } =
-        scan::group_rows(batch, keep, plan.window.as_ref(), &plan.group_by)?;
-    let mut out = Vec::new();
-    for (key, members) in groups {
-        let indices = &rows[members];
-        let count = indices.len() as f64;
-        let columns = aggregated_columns(plan, batch, indices)?;
-        // HAVING filters deterministic groups (every world is the same
-        // world): the comparand is the group's actual COUNT or SUM.
-        if let Some(h) = &plan.having {
-            let k = h
-                .value
-                .as_f64()
-                .expect("validate_aggregate_plan checked the literal");
-            let comparand = if h.agg.func == AggFunc::Sum {
-                let col = h
-                    .agg
-                    .column
-                    .as_ref()
-                    .expect("validate_having checked the column");
-                sum_from_zero(&columns[col.as_str()])
-            } else {
-                count
-            };
-            if !h.op.eval(comparand.partial_cmp(&k)) {
-                continue;
-            }
-        }
-        let values: Vec<AggValue> = plan
+        let values = agg
             .aggregates
             .iter()
-            .map(|agg| {
-                let value = match agg.func {
+            .map(|a| AggValue {
+                value: match a.func {
                     AggFunc::Count => count,
-                    AggFunc::Sum | AggFunc::Expected => {
-                        let col = agg
-                            .column
-                            .as_ref()
-                            .expect("validate_aggregate_plan checked the column");
-                        sum_from_zero(&columns[col.as_str()])
-                    }
-                    AggFunc::Avg => {
-                        let col = agg
-                            .column
-                            .as_ref()
-                            .expect("validate_aggregate_plan checked the column");
-                        let sum = sum_from_zero(&columns[col.as_str()]);
-                        ratio_of_expectations(sum, count)
-                    }
-                };
-                AggValue {
-                    value,
-                    ci_half_width: None,
-                }
+                    AggFunc::Sum | AggFunc::Expected => sum(&a.column),
+                    AggFunc::Avg => ratio_of_expectations(sum(&a.column), count),
+                },
+                ci_half_width: None,
             })
             .collect();
-        out.push(AggregateGroup {
-            key,
+        let mut group_out = AggregateGroup {
+            key: Vec::new(),
             values,
             count_distribution: None,
             event_probability: None,
             worlds: None,
-        });
-    }
+        };
+        if let Some(h) = &agg.having {
+            let summed = (h.agg.func == AggFunc::Sum).then_some(&h.agg.column);
+            if probabilistic {
+                let sum = summed.map(|c| (c.as_deref().expect("validated"), g.values.as_slice()));
+                let tail = tail(group, h, &g.probs, sum)?;
+                group_out.count_distribution = tail.count_distribution;
+                group_out.event_probability = Some(tail.event_probability);
+                group_out.worlds = tail.worlds;
+            } else {
+                // The comparand is the group's actual COUNT or SUM.
+                let comparand = summed.map_or(count, sum);
+                let k = h.value.as_f64().expect("a validated literal");
+                if !h.op.eval(comparand.partial_cmp(&k)) {
+                    return Ok(None);
+                }
+            }
+        }
+        group_out.key = g.key;
+        Ok(Some(group_out))
+    };
+    let groups = scan::aggregate(source, plan, agg, threads, invalid, finish)?;
+    let groups = groups.into_iter().filter_map(Result::transpose);
     Ok(AggregateResult {
-        group_columns: group_columns_of(plan),
-        aggregates: plan.aggregates.clone(),
-        having: plan.having.clone(),
-        strategy: "exact",
-        groups: out,
+        group_columns: group_columns_of(agg),
+        aggregates: agg.aggregates.clone(),
+        having: agg.having.clone(),
+        strategy,
+        groups: groups.collect::<Result<_, _>>()?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregates::sum_from_zero;
+    use crate::catalog::Relation;
+    use crate::table::ProbTable;
+
+    /// `Σp·v`, folded in order from `+0.0`: the mean `sum_moments_of`
+    /// returns, bit for bit, without its variance fold.
+    fn expected_sum_of(probs: &[f64], values: &[f64]) -> f64 {
+        assert_eq!(probs.len(), values.len(), "values parallel to probs");
+        probs
+            .iter()
+            .zip(values)
+            .fold(0.0, |acc, (&p, &v)| acc + p * v)
+    }
     use crate::query::CmpOp;
     use crate::sql::parse;
     use crate::table::Table;
@@ -1561,7 +1389,7 @@ mod tests {
         let planned = plan_sql(sql);
         planned
             .strategy_with_context(1)
-            .execute(rel, &planned.physical)
+            .execute(Source::Resident(rel), &planned.physical)
             .unwrap()
     }
 
@@ -1802,7 +1630,7 @@ mod tests {
         let planned = plan_sql("SELECT COUNT(*) FROM pv GROUP BY WINDOW(tag, 2)");
         let err = planned
             .strategy_with_context(1)
-            .execute(&rel, &planned.physical)
+            .execute(Source::Resident(&rel), &planned.physical)
             .unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }));
     }
@@ -1984,7 +1812,7 @@ mod tests {
         let planned = plan_sql(&format!("{sql} {clause}"));
         let run_at = |threads| match planned
             .strategy_with_context(threads)
-            .execute(&rel, &planned.physical)
+            .execute(Source::Resident(&rel), &planned.physical)
             .unwrap()
         {
             QueryOutput::Aggregate(a) => a,
@@ -2064,7 +1892,7 @@ mod tests {
         let planned = plan_sql("SELECT SUM(tag) FROM pv");
         let err = planned
             .strategy_with_context(1)
-            .execute(&rel, &planned.physical)
+            .execute(Source::Resident(&rel), &planned.physical)
             .unwrap_err();
         assert!(matches!(err, DbError::TypeMismatch { .. }));
     }
@@ -2147,7 +1975,10 @@ mod tests {
                 ),
             ] {
                 assert!(
-                    matches!(strategy.execute(relation, &physical), Err(DbError::Plan(_))),
+                    matches!(
+                        strategy.execute(Source::Resident(relation), &physical),
+                        Err(DbError::Plan(_))
+                    ),
                     "{} accepted an invalid plan",
                     strategy.describe(&physical)
                 );
@@ -2326,7 +2157,10 @@ mod tests {
         let planned = plan_sql("SELECT COUNT(*), SUM(x) FROM d WITH WORLDS 100");
         let err = planned
             .strategy_with_context(1)
-            .execute(&Relation::Deterministic(table), &planned.physical)
+            .execute(
+                Source::Resident(&Relation::Deterministic(table)),
+                &planned.physical,
+            )
             .unwrap_err();
         assert!(
             matches!(&err, DbError::InvalidWorlds(m) if m.contains("WITH WORLDS")),
@@ -2351,7 +2185,7 @@ mod tests {
             };
             assert!(
                 matches!(
-                    strategy.execute(&rel, &planned.physical),
+                    strategy.execute(Source::Resident(&rel), &planned.physical),
                     Err(DbError::InvalidWorlds(_))
                 ),
                 "{worlds} worlds, confidence {confidence:?}"
@@ -2389,7 +2223,7 @@ mod tests {
                     let planned = plan_sql(sql);
                     match planned
                         .strategy_with_context(threads)
-                        .execute(&rel, &planned.physical)
+                        .execute(Source::Resident(&rel), &planned.physical)
                     {
                         Ok(QueryOutput::Aggregate(a)) => {
                             assert!(a.groups.iter().all(|g| g.worlds.is_none()), "{sql}");
@@ -2516,7 +2350,9 @@ mod tests {
             let batch = built.batch();
             let mut want = bits(sum_from_zero(built.probs()));
             for col in ["i", "f"] {
-                let values = scan::gather_f64(&batch, col, &all).unwrap();
+                let mut values = Vec::new();
+                let whole = scan::Selection::Span(0..built.len());
+                scan::numbers(batch.values(built.schema().index_of(col).unwrap()), &whole, &mut values);
                 let mean = expected_sum_of(built.probs(), &values);
                 want.push_str(&format!(" {}", bits(mean)));
             }
@@ -2563,26 +2399,26 @@ mod tests {
                 func,
                 column: column.map(str::to_string),
             };
-            for (aggregates, numeric) in [
-                (vec![AggExpr::count()], true),
-                (vec![AggExpr::count(), agg(AggFunc::Sum, Some("i")), agg(AggFunc::Avg, Some("f"))], true),
-                (vec![agg(AggFunc::Expected, Some("f")), agg(AggFunc::Avg, Some("i"))], true),
-                (vec![AggExpr::count(), agg(AggFunc::Sum, Some("s"))], false),
-                (vec![agg(AggFunc::Avg, Some("f")), agg(AggFunc::Sum, Some("nope"))], false),
-                (vec![agg(AggFunc::Sum, None)], false),
+            for aggregates in [
+                vec![AggExpr::count()],
+                vec![AggExpr::count(), agg(AggFunc::Sum, Some("i")), agg(AggFunc::Avg, Some("f"))],
+                vec![agg(AggFunc::Expected, Some("f")), agg(AggFunc::Avg, Some("i"))],
+                vec![AggExpr::count(), agg(AggFunc::Sum, Some("s"))],
+                vec![agg(AggFunc::Avg, Some("f")), agg(AggFunc::Sum, Some("nope"))],
+                vec![agg(AggFunc::Sum, None)],
             ] {
+                // `THRESHOLD 0` keeps every row but takes the scan; the
+                // unrestricted plan reads the totals where it can.
                 let plan = whole_relation_plan(aggregates);
+                let mut scan_plan = plan.clone();
+                scan_plan.threshold = Some(0.0);
                 let PhysicalAction::Aggregate(agg_plan) = &plan.action else {
                     unreachable!()
                 };
-                let scanned = result_bits(aggregate_probabilistic(&built, &all, agg_plan, "exact", exact_tail));
-                let fast = aggregate_from_totals(&built, &plan);
-                prop_assert_eq!(fast.is_some(), numeric, "{:?}", plan);
-                if let Some(fast) = fast {
-                    prop_assert_eq!(result_bits(Ok(fast)), scanned.clone());
-                }
+                let relation = Relation::Probabilistic(built.clone());
+                let scanned = result_bits(aggregate(Source::Resident(&relation), &scan_plan, agg_plan, 1, "exact", exact_tail));
                 let executed = ExactStrategy::default()
-                    .execute(&Relation::Probabilistic(built.clone()), &plan)
+                    .execute(Source::Resident(&relation), &plan)
                     .map(|out| match out {
                         QueryOutput::Aggregate(a) => a,
                         other => panic!("wrong output: {other:?}"),

@@ -123,9 +123,14 @@ pub(crate) fn eval_conjunction(
 /// Indices of the tuples of `table` satisfying the predicate — the batch
 /// kernel over the whole relation, shared by every operator below.
 pub(crate) fn matching_rows(table: &ProbTable, pred: &Conjunction) -> Result<Vec<usize>, DbError> {
-    let mut rows = Vec::new();
-    scan::select_into(&table.batch(), pred, None, &mut rows)?;
-    Ok(rows)
+    Ok(scan::select(&table.batch(), pred, None)?.rows().collect())
+}
+
+/// The probabilities of the tuples of `table` satisfying the predicate.
+pub(crate) fn matching_probs(table: &ProbTable, pred: &Conjunction) -> Result<Vec<f64>, DbError> {
+    let mut probs = Vec::new();
+    scan::select(&table.batch(), pred, None)?.extend(table.probs(), &mut probs);
+    Ok(probs)
 }
 
 /// Selection over a probabilistic relation: rows keep their probabilities
@@ -140,9 +145,8 @@ pub fn threshold(table: &ProbTable, tau: f64) -> Result<ProbTable, DbError> {
     if !(0.0..=1.0).contains(&tau) {
         return Err(DbError::InvalidProbability(tau));
     }
-    let mut rows = Vec::new();
-    scan::select_into(&table.batch(), &Vec::new(), Some(tau), &mut rows)?;
-    Ok(table.take(&rows))
+    let rows = scan::select(&table.batch(), &[], Some(tau))?;
+    Ok(table.take(&rows.rows().collect::<Vec<_>>()))
 }
 
 /// Probability that at least one tuple satisfying the predicate exists:
@@ -150,7 +154,7 @@ pub fn threshold(table: &ProbTable, tau: f64) -> Result<ProbTable, DbError> {
 /// as `−expm1(Σ ln_1p(−p_i))` by the kernel the row-level `WITH WORLDS`
 /// answer runs.
 pub fn event_probability(table: &ProbTable, pred: &Conjunction) -> Result<f64, DbError> {
-    let probs = scan::gather_probs(table.probs(), &matching_rows(table, pred)?);
+    let probs = matching_probs(table, pred)?;
     Ok(crate::aggregates::event_probability_of(&probs))
 }
 

@@ -1,42 +1,33 @@
-//! The scan operator: one restriction path over column batches, and the
-//! typed kernels that sit on top of it.
+//! The scan operator — one restriction path over column batches — and
+//! the fused operators that consume what it keeps.
 //!
-//! Every source of tuples feeds the same operator with borrowed
-//! [`Batch`]es — typed column slices, the probability slice and the global
-//! index of the batch's first row:
+//! A resident relation is one zero-copy [`Batch`] (for a large
+//! restriction, contiguous segments fanned over the fork-join helpers and
+//! handed on in order); an evicted one is its leaf stream
+//! ([`BatchStream`]), each leaf decoded, consumed and dropped. [`scan`]
+//! runs `WHERE`, `THRESHOLD` and `TOP` through the selection kernel
+//! (`select`) and hands each batch with its [`Selection`], in row order,
+//! to one operator: [`Rows`] appends the survivors, or holds at most 2k
+//! candidates for `ORDER BY … LIMIT k` and `TOP k`; [`aggregate`] folds
+//! each kept row into its group as it arrives. Nothing holds an index per
+//! scanned row.
 //!
-//! * a resident relation — a [`ProbTable`] or a deterministic [`Table`],
-//!   both column-major — hands out zero-copy slices: the whole relation,
-//!   or, for a large restriction, one batch per contiguous segment fanned
-//!   over the fork-join helpers and concatenated in segment order
-//!   (`restrict`);
-//! * an evicted relation decodes one leaf page at a time straight into
-//!   column vectors ([`BatchStream`], consumed by `restrict_stream`).
-//!
-//! On batches sit four kernels: the conjunction → selection kernel
-//! (`select_into`), `ORDER BY … LIMIT` / `TOP` selection over indices
-//! (`order_rows`, `smallest_k`), window / `GROUP BY` grouping
-//! (`group_rows`) and the column-wise gathers (`gather_f64`,
-//! `gather_probs`, `ProbTable::gather`).
-//!
-//! The kernels reproduce the one-row reference
-//! [`crate::query::eval_conjunction`] — and with it [`Value::compare`] —
-//! bit for bit, including *when* an unresolvable column is an error: a
-//! conjunct is only ever evaluated over the rows the conjuncts before it
-//! kept, so an unknown column in conjunct *k* errors exactly when some row
-//! reached it.
+//! The kernels reproduce [`crate::query::eval_conjunction`] (and with it
+//! [`Value::compare`]) bit for bit, including *when* an unknown column is
+//! an error: a conjunct only sees the rows the ones before it kept, and an
+//! operator's own errors wait until the scan is done.
 
-use crate::catalog::Relation;
+use crate::catalog::{QueryOutput, Relation};
 use crate::column::{Column, ColumnSlice};
 use crate::error::DbError;
-use crate::plan::PhysicalPlan;
+use crate::plan::{AggregatePlan, PhysicalPlan};
 use crate::query::{CmpOp, Comparison, PROB_PSEUDO_COLUMN};
 use crate::schema::Schema;
-use crate::sql::WindowSpec;
+use crate::sql::{AggFunc, WindowSpec};
 use crate::table::{ProbTable, Table};
-use crate::value::{ColumnType, Value};
-use std::borrow::Cow;
+use crate::value::{ColumnType, Value, ValueKey};
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use tspdb_stats::parallel::try_map_segments;
 
@@ -300,7 +291,7 @@ impl Selection {
 /// and evaluation stops at the first conjunct that leaves nothing — so a
 /// column that fails to resolve is an error exactly when a row reached its
 /// conjunct, as in the row-at-a-time reference.
-fn select(
+pub(crate) fn select(
     batch: &Batch<'_>,
     pred: &[Comparison],
     threshold: Option<f64>,
@@ -316,18 +307,6 @@ fn select(
         sel = sel.retain(|i| probs[i] >= tau);
     }
     Ok(sel)
-}
-
-/// [`select`], appending the survivors' **global** row indices to `out`.
-pub(crate) fn select_into(
-    batch: &Batch<'_>,
-    pred: &[Comparison],
-    threshold: Option<f64>,
-    out: &mut Vec<usize>,
-) -> Result<(), DbError> {
-    let sel = select(batch, pred, threshold)?;
-    out.extend(sel.rows().map(|i| batch.offset() + i));
-    Ok(())
 }
 
 /// One `column op literal` over the current selection, dispatched once on
@@ -400,158 +379,129 @@ fn numeric<T: Copy, K: PartialOrd + Copy>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// The scan operator over its three sources
+// The scan operator over its two sources
 // ---------------------------------------------------------------------------
 
-/// Indices of the tuples a query works on in the relation `whole` spans:
-/// the `WHERE` filter, then `THRESHOLD` (minimum probability), then `TOP`
-/// (the k most probable, NaN-free total order, ties to the earlier row,
-/// returned in descending probability). Shared by every strategy and both
-/// relation kinds so all evaluate the same sub-relation (the strategies
-/// refuse `THRESHOLD` and `TOP` on a deterministic relation first).
-///
-/// Leading range conjuncts on an ascending column are binary searches and
-/// run on the calling thread; when per-row work is left over at least
-/// `FAN_OUT_MIN_ROWS` of the rows they keep, those rows are split into
-/// `threads` contiguous segments restricted concurrently (see
-/// [`select_relation`]). Everything else — a selective time window, an
-/// unrestricted plan — runs as one batch.
-pub(crate) fn restrict(
-    whole: &Batch<'_>,
-    plan: &PhysicalPlan,
-    threads: usize,
-) -> Result<Vec<usize>, DbError> {
-    let mut keep = select_relation(whole, plan, threads, FAN_OUT_MIN_ROWS)?;
-    check_threshold(plan)?;
-    if let Some(k) = plan.top {
-        let probs = whole
-            .probs()
-            .expect("TOP is refused on a deterministic relation");
-        keep = most_probable(keep, k, probs);
-    }
-    Ok(keep)
+/// What a statement reads: a resident relation (one borrowed batch), or
+/// an evicted relation's leaf stream, read once and never copied whole.
+pub(crate) enum Source<'a> {
+    Resident(&'a Relation),
+    Stream(&'a mut dyn BatchStream),
 }
 
-/// `WHERE` and `THRESHOLD` over the relation `whole` spans. The leading
-/// conjuncts that are binary searches narrow the whole relation to one
-/// span; the rest run over that span split into `segments` contiguous
-/// ascending index ranges (0 = one per core) once it holds at least
-/// `min_rows` rows, and one batch otherwise, with the survivors
-/// concatenated **in segment order**. That is the sequence of conjuncts
-/// [`select`] runs over one whole batch, so the result is bit-identical at
-/// every width — errors included: the only error a batch raises is an
-/// unknown column, and a segment raises it exactly when one of its rows
-/// reaches that conjunct.
-fn select_relation(
-    whole: &Batch<'_>,
+impl Source<'_> {
+    pub(crate) fn schema(&self) -> &Schema {
+        match self {
+            Source::Resident(r) => r.batch().schema(),
+            Source::Stream(s) => s.schema(),
+        }
+    }
+
+    pub(crate) fn probabilistic(&self) -> bool {
+        match self {
+            Source::Resident(r) => matches!(r, Relation::Probabilistic(_)),
+            Source::Stream(s) => s.probabilistic(),
+        }
+    }
+}
+
+impl Relation {
+    /// The whole relation as one borrowed batch (nothing is copied).
+    pub(crate) fn batch(&self) -> Batch<'_> {
+        match self {
+            Relation::Deterministic(t) => t.batch(),
+            Relation::Probabilistic(t) => t.batch(),
+        }
+    }
+}
+
+/// Where a scan hands each batch with the rows it kept.
+pub(crate) type Sink<'s> = dyn FnMut(&Batch<'_>, &Selection) + 's;
+
+/// Runs `WHERE`, `THRESHOLD` and `TOP` over `source` and hands `sink` every
+/// batch with the rows it kept, in row order — after `TOP`, the k most
+/// probable as one batch in descending probability (ties to the earlier
+/// row). The strategies refuse `THRESHOLD` and `TOP` on a deterministic
+/// relation first. A sink cannot fail: its operator reports what it owes
+/// (an unknown `ORDER BY` column, a text `SUM`) after the scan.
+pub(crate) fn scan(
+    source: Source<'_>,
+    plan: &PhysicalPlan,
+    threads: usize,
+    sink: &mut Sink<'_>,
+) -> Result<(), DbError> {
+    let Some(k) = plan.top else {
+        return restrict(source, plan, threads, FAN_OUT_MIN_ROWS, sink);
+    };
+    let schema = source.schema().clone();
+    let all = (0..schema.arity()).collect();
+    let rank = Some((PROB_PSEUDO_COLUMN, false));
+    let mut top = Rows::new(
+        &plan.table,
+        (schema, all),
+        source.probabilistic(),
+        rank,
+        Some(k),
+    );
+    restrict(source, plan, threads, FAN_OUT_MIN_ROWS, &mut |b, sel| {
+        top.offer(b, sel)
+    })?;
+    let top = top.finish();
+    sink(&top.batch(), &Selection::Span(0..top.table.len()));
+    Ok(())
+}
+
+/// `WHERE` and `THRESHOLD` over `source`, then τ's range check (after the
+/// scan, so a predicate error a row reached comes first). A stream runs
+/// [`select`] leaf by leaf. A resident relation's leading binary-search
+/// conjuncts narrow it to one span; the rest run over that span split into
+/// `segments` contiguous ranges (0 = one per core) once it holds
+/// `min_rows` rows, and `sink` gets them **in segment order** — what
+/// [`select`] does over one batch, errors included: a segment raises an
+/// unknown column exactly when one of its rows reaches that conjunct.
+fn restrict(
+    source: Source<'_>,
     plan: &PhysicalPlan,
     segments: usize,
     min_rows: usize,
-) -> Result<Vec<usize>, DbError> {
-    let mut span = 0..whole.len();
-    let mut rest = plan.predicate.as_slice();
-    while let Some((cmp, tail)) = rest.split_first() {
-        if span.is_empty() || !whole.searches(cmp) {
-            break;
+    sink: &mut Sink<'_>,
+) -> Result<(), DbError> {
+    match source {
+        Source::Resident(relation) => {
+            let whole = relation.batch();
+            let mut span = 0..whole.len();
+            let mut rest = plan.predicate.as_slice();
+            while let Some((cmp, tail)) = rest.split_first() {
+                if span.is_empty() || !whole.searches(cmp) {
+                    break;
+                }
+                let Selection::Span(kept) = compare(&whole, Selection::Span(span), cmp)? else {
+                    unreachable!("a binary search keeps a span");
+                };
+                (span, rest) = (kept, tail);
+            }
+            let narrowed = whole.slice(span);
+            let scans = !rest.is_empty() || plan.threshold.is_some();
+            let segments = if scans && narrowed.len() >= min_rows {
+                segments
+            } else {
+                1
+            };
+            let parts = try_map_segments(narrowed.len(), segments, |rows: Range<usize>| {
+                let sel = select(&narrowed.slice(rows.clone()), rest, plan.threshold)?;
+                Ok((rows, sel))
+            })?;
+            for (rows, sel) in parts {
+                sink(&narrowed.slice(rows), &sel);
+            }
         }
-        let Selection::Span(kept) = compare(whole, Selection::Span(span), cmp)? else {
-            unreachable!("a binary search keeps a span");
-        };
-        (span, rest) = (kept, tail);
+        Source::Stream(stream) => {
+            while let Some(batch) = stream.next_batch()? {
+                let sel = select(&batch, &plan.predicate, plan.threshold)?;
+                sink(&batch, &sel);
+            }
+        }
     }
-    let narrowed = whole.slice(span);
-    let scans = !rest.is_empty() || plan.threshold.is_some();
-    let segments = if scans && narrowed.len() >= min_rows {
-        segments
-    } else {
-        1
-    };
-    let mut parts = try_map_segments(narrowed.len(), segments, |rows: Range<usize>| {
-        let (batch, mut keep) = (narrowed.slice(rows), Vec::new());
-        select_into(&batch, rest, plan.threshold, &mut keep)?;
-        Ok(keep)
-    })?;
-    Ok(match parts.len() {
-        1 => parts.pop().expect("one segment"),
-        _ => parts.concat(),
-    })
-}
-
-/// The `k` most probable of `rows`, in descending probability with ties to
-/// the lower row index — the ordering contract of the SQL `TOP` clause.
-pub(crate) fn most_probable(rows: Vec<usize>, k: usize, probs: &[f64]) -> Vec<usize> {
-    smallest_k(rows, k, |&a, &b| {
-        probs[b].total_cmp(&probs[a]).then(a.cmp(&b))
-    })
-}
-
-/// The restriction of a streamed (evicted) relation, materialised: `WHERE`
-/// and `THRESHOLD` run batch by batch as the leaves decode, and only the
-/// survivors are gathered into the result. Predicate errors surface from
-/// the first batch a row reaches them in; τ's range check follows at
-/// exhaustion — the order [`restrict`] checks them in.
-pub(crate) fn restrict_stream(
-    stream: &mut dyn BatchStream,
-    name: &str,
-    plan: &PhysicalPlan,
-) -> Result<Relation, DbError> {
-    let relation = materialize(
-        stream,
-        name,
-        &plan.predicate,
-        plan.threshold,
-        <dyn BatchStream>::next_batch,
-    )?;
-    check_threshold(plan)?;
-    Ok(relation)
-}
-
-/// The materialise loop of every streamed relation: the rows of each
-/// batch `next_batch` pulls from `stream` that satisfy `pred` (and, when
-/// probabilistic, `threshold`) are appended to a relation named `name`,
-/// pre-sized from [`BatchStream::size_hint`]. A whole batch lands as one
-/// slice copy per column. With an empty predicate and no threshold it
-/// reads the relation back whole (`Storage::scan`).
-///
-/// `next_batch` is the stream's own reader, so a source keeps its error
-/// type (a storage checksum failure stays typed) instead of going through
-/// [`DbError`].
-pub fn materialize<S, E>(
-    stream: &mut S,
-    name: &str,
-    pred: &[Comparison],
-    threshold: Option<f64>,
-    next_batch: for<'s> fn(&'s mut S) -> Result<Option<Batch<'s>>, E>,
-) -> Result<Relation, E>
-where
-    S: BatchStream + ?Sized,
-    E: From<DbError>,
-{
-    let schema = stream.schema().clone();
-    let rows = stream.size_hint();
-    Ok(if stream.probabilistic() {
-        let mut t = ProbTable::new(name, schema);
-        t.reserve(rows);
-        while let Some(batch) = next_batch(stream)? {
-            let sel = select(&batch, pred, threshold)?;
-            t.extend_from_batch(&batch, sel)?;
-        }
-        Relation::Probabilistic(t)
-    } else {
-        let mut t = Table::new(name, schema);
-        t.reserve(rows);
-        while let Some(batch) = next_batch(stream)? {
-            let sel = select(&batch, pred, None)?;
-            t.extend_from_batch(&batch, sel);
-        }
-        Relation::Deterministic(t)
-    })
-}
-
-/// `THRESHOLD`'s range check. It runs *after* the scan on every path: a
-/// predicate error a row reached is reported ahead of a bad τ.
-fn check_threshold(plan: &PhysicalPlan) -> Result<(), DbError> {
     match plan.threshold {
         Some(tau) if !(0.0..=1.0).contains(&tau) => Err(DbError::InvalidProbability(tau)),
         _ => Ok(()),
@@ -559,180 +509,473 @@ fn check_threshold(plan: &PhysicalPlan) -> Result<(), DbError> {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel 2: ORDER BY … LIMIT / TOP over indices
+// Row results, ORDER BY … LIMIT and TOP
 // ---------------------------------------------------------------------------
 
-/// The `k` smallest of `items` under `cmp`, sorted. `cmp` must be a total
-/// order without ties (callers break them by position), which makes the
-/// result equal to "stable sort, then truncate" while only ever sorting
-/// `k` items: an O(n) selection, then an O(k log k) sort.
-pub(crate) fn smallest_k<T>(
-    mut items: Vec<T>,
-    k: usize,
-    cmp: impl Fn(&T, &T) -> Ordering,
-) -> Vec<T> {
-    if k < items.len() {
-        if k > 0 {
-            items.select_nth_unstable_by(k - 1, &cmp);
+/// Rows copied out of batches onto chosen columns: a row query's answer,
+/// and the candidates of `ORDER BY … LIMIT` and `TOP`. Unranked, the first
+/// `limit` rows offered are kept. Ranked by a column (or `prob`) — ints as
+/// `i64`, floats by `f64::total_cmp`, text lexicographically, ties to the
+/// row offered first — at most `2·limit` are held: at that size the best
+/// `limit` stay, and the worst of them is the bar a later row must beat.
+pub(crate) struct Rows<'p> {
+    table: Table,
+    probs: Option<Vec<f64>>,
+    /// The batch column each column of `table` copies.
+    columns: Vec<usize>,
+    /// The (resolved) ranking column, and whether it ranks ascending.
+    rank: Option<(&'p str, bool)>,
+    limit: usize,
+    /// Each held row's rank key and offer ordinal (ranked rows only).
+    keys: Vec<(Value, usize)>,
+    offered: usize,
+    bar: Option<Value>,
+}
+
+impl<'p> Rows<'p> {
+    /// No rows yet: `schema`, taken from the batch columns `columns`.
+    pub(crate) fn new(
+        name: &str,
+        (schema, columns): (Schema, Vec<usize>),
+        probabilistic: bool,
+        rank: Option<(&'p str, bool)>,
+        limit: Option<usize>,
+    ) -> Self {
+        Rows {
+            table: Table::new(name, schema),
+            probs: probabilistic.then(Vec::new),
+            columns,
+            rank,
+            limit: limit.unwrap_or(usize::MAX),
+            keys: Vec::new(),
+            offered: 0,
+            bar: None,
         }
-        items.truncate(k);
     }
-    items.sort_unstable_by(&cmp);
-    items
-}
 
-/// The row indices a row-returning query emits: `keep` re-ordered by the
-/// `ORDER BY` column (or `prob`) and cut to `limit`. Ints order as `i64`,
-/// floats by `f64::total_cmp`, text lexicographically; ties go to the row
-/// earlier in `keep`. `batch` must span the whole relation `keep` indexes.
-pub(crate) fn order_rows(
-    batch: &Batch<'_>,
-    mut keep: Vec<usize>,
-    order_by: Option<&(String, bool)>,
-    limit: Option<usize>,
-) -> Result<Vec<usize>, DbError> {
-    let k = limit.map_or(keep.len(), |l| l.min(keep.len()));
-    let Some((column, ascending)) = order_by else {
-        keep.truncate(k);
-        return Ok(keep);
-    };
-    let key = batch.addressed(column)?.values;
-    let directed = |ord: Ordering| if *ascending { ord } else { ord.reverse() };
-    let positions: Vec<usize> = (0..keep.len()).collect();
-    let order = match key {
-        ColumnSlice::Int(v) => smallest_k(positions, k, |&a, &b| {
-            directed(v[keep[a]].cmp(&v[keep[b]])).then(a.cmp(&b))
-        }),
-        ColumnSlice::Float(v) => smallest_k(positions, k, |&a, &b| {
-            directed(v[keep[a]].total_cmp(&v[keep[b]])).then(a.cmp(&b))
-        }),
-        ColumnSlice::Text(v) => smallest_k(positions, k, |&a, &b| {
-            directed(v[keep[a]].cmp(&v[keep[b]])).then(a.cmp(&b))
-        }),
-    };
-    Ok(order.into_iter().map(|p| keep[p]).collect())
-}
-
-// ---------------------------------------------------------------------------
-// Kernel 3: window / GROUP BY grouping
-// ---------------------------------------------------------------------------
-
-/// Aggregation groups in canonical group-key order: each group is its key
-/// values plus a range of `rows`, which lists the member row indices
-/// group by group.
-#[derive(Debug)]
-pub(crate) struct Groups<'k> {
-    pub(crate) rows: Cow<'k, [usize]>,
-    pub(crate) groups: Vec<(Vec<Value>, Range<usize>)>,
-}
-
-/// Splits the kept row indices into groups by the optional temporal
-/// window and the `GROUP BY` columns, returned in canonical group-key
-/// order ([`crate::ValueKey`] order — the deterministic order every
-/// strategy and `GROUP BY` output share). A windowed plan keys each group
-/// by the bucket start ([`WindowSpec::bucket_start`], always a float)
-/// ahead of the `GROUP BY` values; no window and an empty `group_by` yield
-/// one global group with an empty key. `batch` must span the whole
-/// relation `keep` indexes.
-///
-/// Bucket starts are computed once from the numeric slice; when the keys
-/// then arrive non-decreasing — the rule for time-ordered Ω-views — groups
-/// are cut as runs of `keep` itself, otherwise positions are stably sorted
-/// by key first. Either way members keep their `keep` order within a
-/// group and nothing is allocated per tuple.
-pub(crate) fn group_rows<'k>(
-    batch: &Batch<'_>,
-    keep: &'k [usize],
-    window: Option<&WindowSpec>,
-    group_by: &[String],
-) -> Result<Groups<'k>, DbError> {
-    if window.is_none() && group_by.is_empty() {
-        return Ok(Groups {
-            rows: Cow::Borrowed(keep),
-            groups: vec![(Vec::new(), 0..keep.len())],
-        });
+    /// Offers `batch`'s rows at `sel`, in order.
+    pub(crate) fn offer(&mut self, batch: &Batch<'_>, sel: &Selection) {
+        let room = self.limit.saturating_sub(self.table.len());
+        let taken = match (self.rank, sel) {
+            (None, _) if sel.len() <= room => None,
+            (None, Selection::Span(s)) => Some(Selection::Span(s.start..s.start + room)),
+            (None, Selection::Rows(r)) => Some(Selection::Rows(r[..room].to_vec())),
+            (Some((column, ascending)), _) => {
+                let key = batch.addressed(column).expect("resolved").values;
+                let mut rows = Vec::new();
+                let live = self.limit > 0;
+                for (j, i) in sel.rows().enumerate().filter(|_| live) {
+                    let beats =
+                        |bar: &Value| directed(ascending, key.key(i).cmp(&bar.key())).is_lt();
+                    if self.bar.as_ref().is_none_or(beats) {
+                        rows.push(i);
+                        self.keys.push((key.value(i), self.offered + j));
+                        if self.keys.len() >= self.limit.saturating_mul(2) {
+                            self.copy(batch, &Selection::Rows(std::mem::take(&mut rows)));
+                            self.cut(self.limit);
+                        }
+                    }
+                }
+                Some(Selection::Rows(rows))
+            }
+        };
+        self.offered += sel.len();
+        self.copy(batch, taken.as_ref().unwrap_or(sel));
     }
-    let by: Vec<ColumnSlice<'_>> = group_by
-        .iter()
-        .map(|col| batch.column(col).map(|c| c.values))
-        .collect::<Result<_, _>>()?;
-    let starts: Option<Vec<f64>> = match window {
-        Some(w) => {
-            let values = gather_f64(batch, &w.column, keep)?;
-            Some(values.into_iter().map(|v| w.bucket_start(v)).collect())
+
+    /// Appends `batch`'s rows at `sel`.
+    fn copy(&mut self, batch: &Batch<'_>, sel: &Selection) {
+        self.table.reserve(sel.len());
+        self.table.extend_columns(batch, sel, &self.columns);
+        if let (Some(probs), Some(src)) = (&mut self.probs, batch.probs()) {
+            sel.extend(src, probs);
         }
-        None => None,
-    };
-    // Canonical key order between two positions of `keep`.
-    let cmp = |a: usize, b: usize| {
-        let mut ord = starts
-            .as_ref()
-            .map_or(Ordering::Equal, |s| s[a].total_cmp(&s[b]));
-        for col in &by {
-            ord = ord.then_with(|| col.key(keep[a]).cmp(&col.key(keep[b])));
+    }
+
+    /// Keeps the best `k` held rows, best first: an O(n) selection, then
+    /// a sort of the `k` — with the offer-order tie-break a total order, so
+    /// "stable sort, then truncate".
+    fn cut(&mut self, k: usize) {
+        let (keys, ascending) = (&self.keys, self.rank.is_none_or(|(_, asc)| asc));
+        let rank = |&a: &usize, &b: &usize| {
+            directed(ascending, keys[a].0.key().cmp(&keys[b].0.key()))
+                .then(keys[a].1.cmp(&keys[b].1))
+        };
+        let mut best: Vec<usize> = (0..keys.len()).collect();
+        if k < best.len() {
+            if k > 0 {
+                best.select_nth_unstable_by(k - 1, rank);
+            }
+            best.truncate(k);
         }
+        best.sort_unstable_by(rank);
+        self.bar = best.last().map(|&r| keys[r].0.clone());
+        self.keys = best.iter().map(|&r| keys[r].clone()).collect();
+        let all: Vec<usize> = (0..self.columns.len()).collect();
+        self.table = self.table.gather(&best, &all, self.table.schema().clone());
+        if let Some(probs) = &mut self.probs {
+            *probs = best.iter().map(|&r| probs[r]).collect();
+        }
+    }
+
+    /// The kept rows, in their final order.
+    pub(crate) fn finish(mut self) -> Self {
+        if self.rank.is_some() {
+            self.cut(self.limit);
+        }
+        self
+    }
+
+    /// The rows as one borrowed batch.
+    fn batch(&self) -> Batch<'_> {
+        let t = &self.table;
+        Batch::spanning(t.schema(), t.columns(), self.probs.as_deref(), t.len())
+    }
+
+    /// The rows as a query answer.
+    pub(crate) fn into_output(self) -> QueryOutput {
+        match self.probs {
+            Some(probs) => QueryOutput::ProbRows(ProbTable::from_table(self.table, probs)),
+            None => QueryOutput::Rows(self.table),
+        }
+    }
+}
+
+fn directed(ascending: bool, ord: Ordering) -> Ordering {
+    if ascending {
         ord
-    };
-    let n = keep.len();
-    let order: Option<Vec<usize>> = if (1..n).all(|i| cmp(i - 1, i) != Ordering::Greater) {
-        None
     } else {
-        let mut positions: Vec<usize> = (0..n).collect();
-        positions.sort_by(|&a, &b| cmp(a, b));
-        Some(positions)
-    };
-    let position = |i: usize| order.as_ref().map_or(i, |o| o[i]);
-    let mut groups = Vec::new();
-    let mut start = 0;
-    for end in 1..=n {
-        if end < n && cmp(position(end - 1), position(end)) == Ordering::Equal {
-            continue;
-        }
-        let first = position(start);
-        let mut key = Vec::with_capacity(by.len() + usize::from(starts.is_some()));
-        if let Some(starts) = &starts {
-            key.push(Value::Float(starts[first]));
-        }
-        key.extend(by.iter().map(|col| col.value(keep[first])));
-        groups.push((key, start..end));
-        start = end;
-    }
-    let rows = match order {
-        None => Cow::Borrowed(keep),
-        Some(order) => Cow::Owned(order.into_iter().map(|p| keep[p]).collect()),
-    };
-    Ok(Groups { rows, groups })
-}
-
-// ---------------------------------------------------------------------------
-// Kernel 4: column-wise gathers
-// ---------------------------------------------------------------------------
-
-/// The named numeric column at the given row indices, ints widened to
-/// `f64`. A text column is a [`DbError::TypeMismatch`] as soon as there is
-/// a row to read (an empty selection reads nothing and so succeeds, as the
-/// per-row extraction always did). `batch` must span the whole relation
-/// `rows` indexes.
-pub(crate) fn gather_f64(
-    batch: &Batch<'_>,
-    column: &str,
-    rows: &[usize],
-) -> Result<Vec<f64>, DbError> {
-    match batch.column(column)?.values {
-        ColumnSlice::Int(v) => Ok(rows.iter().map(|&i| v[i] as f64).collect()),
-        ColumnSlice::Float(v) => Ok(rows.iter().map(|&i| v[i]).collect()),
-        ColumnSlice::Text(_) if rows.is_empty() => Ok(Vec::new()),
-        ColumnSlice::Text(_) => Err(DbError::TypeMismatch {
-            column: column.to_string(),
-            expected: ColumnType::Float,
-            got: ColumnType::Text,
-        }),
+        ord.reverse()
     }
 }
 
-/// The probabilities at the given row indices.
-pub(crate) fn gather_probs(probs: &[f64], rows: &[usize]) -> Vec<f64> {
-    rows.iter().map(|&i| probs[i]).collect()
+// ---------------------------------------------------------------------------
+// Aggregation: window / GROUP BY groups folded as rows arrive
+// ---------------------------------------------------------------------------
+
+/// One group's running folds: each kept row folds in as it arrives, in
+/// row order from `+0.0` (the order of `sum_from_zero` and of the exact
+/// `Σp·v`) — the one place a group's sums accumulate.
+#[derive(Debug, Default)]
+pub(crate) struct Folded {
+    pub(crate) key: Vec<Value>,
+    pub(crate) rows: usize,
+    /// `Σp`, and per [`operands`] column `Σp·v` (`Σv` if deterministic).
+    pub(crate) mass: f64,
+    pub(crate) sums: Vec<f64>,
+    /// The probabilities and `HAVING SUM` values a `HAVING` tail reads.
+    pub(crate) probs: Vec<f64>,
+    pub(crate) values: Vec<f64>,
+}
+
+impl Folded {
+    /// Folds the rows `rows` of this group, in order.
+    fn fold(
+        &mut self,
+        probs: Option<&[f64]>,
+        operands: &[ColumnSlice<'_>],
+        (holds, held): (bool, Option<usize>),
+        rows: impl Iterator<Item = usize> + Clone,
+    ) {
+        self.rows += rows.clone().count();
+        for (sum, &col) in self.sums.iter_mut().zip(operands) {
+            let rows = rows.clone();
+            *sum = match (col, probs) {
+                (ColumnSlice::Int(v), Some(p)) => {
+                    rows.fold(*sum, |acc, i| acc + p[i] * v[i] as f64)
+                }
+                (ColumnSlice::Float(v), Some(p)) => rows.fold(*sum, |acc, i| acc + p[i] * v[i]),
+                (ColumnSlice::Int(v), None) => rows.fold(*sum, |acc, i| acc + v[i] as f64),
+                (ColumnSlice::Float(v), None) => rows.fold(*sum, |acc, i| acc + v[i]),
+                (ColumnSlice::Text(_), _) => unreachable!("a text operand is refused, never read"),
+            };
+        }
+        if let Some(p) = probs {
+            self.mass = rows.clone().fold(self.mass, |acc, i| acc + p[i]);
+            if holds {
+                self.probs.extend(rows.clone().map(|i| p[i]));
+            }
+        }
+        if let Some(j) = held {
+            self.values.extend(rows.map(|i| number(operands[j], i)));
+        }
+    }
+}
+
+/// The columns an aggregate plan folds, each once: the aggregates'
+/// columns in projection order, then a `HAVING SUM` column.
+pub(crate) fn operands(plan: &AggregatePlan) -> Vec<&str> {
+    let having = plan.having.as_ref().filter(|h| h.agg.func == AggFunc::Sum);
+    let wanted = plan.aggregates.iter().map(|a| &a.column);
+    let mut out: Vec<&str> = Vec::new();
+    for col in wanted.chain(having.map(|h| &h.agg.column)).flatten() {
+        if !out.contains(&col.as_str()) {
+            out.push(col);
+        }
+    }
+    out
+}
+
+/// Cell `i` of a numeric column as `f64`, ints widened.
+fn number(col: ColumnSlice<'_>, i: usize) -> f64 {
+    match col {
+        ColumnSlice::Int(v) => v[i] as f64,
+        ColumnSlice::Float(v) => v[i],
+        ColumnSlice::Text(_) => unreachable!("a text operand is refused, never read"),
+    }
+}
+
+/// Appends numeric column `col`'s cells at `sel` to `out`, ints widened.
+pub(crate) fn numbers(col: ColumnSlice<'_>, sel: &Selection, out: &mut Vec<f64>) {
+    out.extend(sel.rows().map(|i| number(col, i)));
+}
+
+/// A group key in canonical group-key order ([`ValueKey`] order, value by
+/// value), the order every strategy and `GROUP BY` output share.
+struct GroupKey(Vec<Value>);
+
+impl Ord for GroupKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0
+            .iter()
+            .map(Value::key)
+            .cmp(other.0.iter().map(Value::key))
+    }
+}
+
+impl PartialOrd for GroupKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for GroupKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for GroupKey {}
+
+/// The rows `source` keeps, folded into the groups of `agg` (bucket
+/// start ahead of the `GROUP BY` values; no grouping is one group, present
+/// even over no rows), each handed to `finish` with its index in canonical
+/// key order. Members fold in row order, as "stable sort, then fold"
+/// does. On a resident relation with an ascending window column (no `GROUP
+/// BY`) a group is finished once the next opens, so a `HAVING` tail holds
+/// only the open group's probabilities. Errors wait for the scan, in
+/// row-at-a-time order: `invalid`, unknown grouping columns, then the
+/// window's and the operands' (a text column, or an unknown operand of a
+/// grouped plan, only once a row is kept).
+pub(crate) fn aggregate<T>(
+    source: Source<'_>,
+    plan: &PhysicalPlan,
+    agg: &AggregatePlan,
+    threads: usize,
+    invalid: Option<DbError>,
+    mut finish: impl FnMut(usize, Folded) -> T,
+) -> Result<Vec<T>, DbError> {
+    let schema = source.schema().clone();
+    let global = agg.window.is_none() && agg.group_by.is_empty();
+    // Each owed error, and whether it is owed only if a row is kept.
+    let mut owed: Vec<(DbError, bool)> = invalid.into_iter().map(|e| (e, false)).collect();
+    // An unusable column resolves to a stand-in: nothing folds while
+    // anything is owed.
+    let mut col = |name: &str, numeric: bool, if_kept: bool| match schema.index_of(name) {
+        Ok(c) if numeric && schema.column(c).1 == ColumnType::Text => {
+            owed.push((DbError::not_numeric(name), true));
+            c
+        }
+        Ok(c) => c,
+        Err(e) => {
+            owed.push((e, if_kept));
+            0
+        }
+    };
+    let by: Vec<usize> = agg.group_by.iter().map(|c| col(c, false, false)).collect();
+    let window = agg
+        .window
+        .as_ref()
+        .map(|w| (w, col(&w.column, true, false)));
+    let names = operands(agg);
+    let operands = names.iter().map(|c| col(c, true, !global)).collect();
+    let having = agg.having.as_ref().filter(|_| source.probabilistic());
+    let summed = having
+        .filter(|h| h.agg.func == AggFunc::Sum)
+        .and_then(|h| h.agg.column.as_deref());
+    let runs = match &source {
+        Source::Resident(r) if owed.is_empty() => {
+            let ascending = window.is_some_and(|(_, c)| r.batch().columns[c].ascending);
+            ascending && by.is_empty() && plan.top.is_none()
+        }
+        _ => false,
+    };
+    let mut groups = Groups {
+        window,
+        by,
+        operands,
+        holds: having.is_some(),
+        held: names.iter().position(|n| Some(*n) == summed),
+        runs,
+        done: Vec::new(),
+        slots: Vec::new(),
+        order: BTreeMap::new(),
+        open: None,
+    };
+    if global {
+        groups.open(Vec::new(), &mut finish);
+        let whole = plan.predicate.is_empty() && plan.threshold.is_none() && plan.top.is_none();
+        if let (Source::Resident(Relation::Probabilistic(t)), true, true, None) =
+            (&source, whole, owed.is_empty(), &agg.having)
+        {
+            // The running totals fold every row from +0.0 in row order, as
+            // the scan would: the same bits in O(1).
+            let g = &mut groups.slots[0];
+            (g.rows, g.mass) = (t.len(), t.expected_count());
+            for (sum, name) in g.sums.iter_mut().zip(&names) {
+                *sum = t.expected_sum(name)?;
+            }
+            return Ok(groups.finish(&mut finish));
+        }
+    }
+    let (blocked, mut kept) = (!owed.is_empty(), false);
+    scan(source, plan, threads, &mut |batch, sel| {
+        kept |= !sel.is_empty();
+        if !blocked {
+            groups.fold(batch, sel, &mut finish);
+        }
+    })?;
+    match owed.into_iter().find(|&(_, if_kept)| kept || !if_kept) {
+        Some((e, _)) => Err(e),
+        None => Ok(groups.finish(&mut finish)),
+    }
+}
+
+/// The group state of [`aggregate`].
+struct Groups<'a, T> {
+    window: Option<(&'a WindowSpec, usize)>,
+    by: Vec<usize>,
+    /// Parallel to [`Folded::sums`].
+    operands: Vec<usize>,
+    /// Whether groups keep their probabilities, and an operand's values,
+    /// for a `HAVING` tail.
+    holds: bool,
+    held: Option<usize>,
+    /// Whether keys arrive in runs (see [`aggregate`]): one open group.
+    runs: bool,
+    done: Vec<T>,
+    /// The open groups, found by key through `order` (not in runs).
+    slots: Vec<Folded>,
+    order: BTreeMap<GroupKey, usize>,
+    open: Option<usize>,
+}
+
+impl<T> Groups<'_, T> {
+    /// Folds `batch`'s rows at `sel`, in order, into their groups, one
+    /// run of equal keys at a time.
+    fn fold(
+        &mut self,
+        batch: &Batch<'_>,
+        sel: &Selection,
+        finish: &mut impl FnMut(usize, Folded) -> T,
+    ) {
+        match sel {
+            Selection::Span(span) => self.fold_at(batch, span.len(), |j| span.start + j, finish),
+            Selection::Rows(rows) => self.fold_at(batch, rows.len(), |j| rows[j], finish),
+        }
+    }
+
+    /// [`Groups::fold`] over the batch rows `pos(0..n)`, ascending. Over a
+    /// window column the batch knows is ascending (no `GROUP BY`), starts
+    /// never go down, so a binary search finds where a run ends.
+    fn fold_at(
+        &mut self,
+        batch: &Batch<'_>,
+        n: usize,
+        pos: impl Fn(usize) -> usize + Copy,
+        finish: &mut impl FnMut(usize, Folded) -> T,
+    ) {
+        let window = self.window.map(|(w, c)| (w, batch.values(c)));
+        let start = |j: usize| window.map(|(w, col)| w.bucket_start(number(col, pos(j))));
+        let by: Vec<ColumnSlice<'_>> = self.by.iter().map(|&c| batch.values(c)).collect();
+        let operands: Vec<ColumnSlice<'_>> =
+            self.operands.iter().map(|&c| batch.values(c)).collect();
+        let search = by.is_empty() && self.window.is_some_and(|(_, c)| batch.columns[c].ascending);
+        let mut a = 0;
+        while a < n {
+            let (key, i) = (start(a), pos(a));
+            let row = || {
+                key.map(ValueKey::Float)
+                    .into_iter()
+                    .chain(by.iter().map(|c| c.key(i)))
+            };
+            let slot = match self.open {
+                Some(open) if row().eq(self.slots[open].key.iter().map(Value::key)) => open,
+                _ => {
+                    let k = key.map(Value::Float).into_iter();
+                    let k = GroupKey(k.chain(by.iter().map(|c| c.value(i))).collect());
+                    match self.order.get(&k) {
+                        Some(&slot) => slot,
+                        None => self.open(k.0, finish),
+                    }
+                }
+            };
+            self.open = Some(slot);
+            let same = |j: usize| {
+                start(j).map(f64::to_bits) == key.map(f64::to_bits)
+                    && by.iter().all(|c| c.key(pos(j)) == c.key(i))
+            };
+            let b = match (self.window, search) {
+                (None, _) if by.is_empty() => n,
+                (_, true) => {
+                    let (mut lo, mut hi) = (a + 1, n);
+                    while lo < hi {
+                        let mid = lo + (hi - lo) / 2;
+                        (lo, hi) = if same(mid) { (mid + 1, hi) } else { (lo, mid) };
+                    }
+                    lo
+                }
+                _ => (a + 1..n).find(|&j| !same(j)).unwrap_or(n),
+            };
+            let held = (self.holds, self.held);
+            self.slots[slot].fold(batch.probs(), &operands, held, (a..b).map(pos));
+            a = b;
+        }
+    }
+
+    /// Opens the group `key` and returns its slot; in runs, the group open
+    /// until now is finished first.
+    fn open(&mut self, key: Vec<Value>, finish: &mut impl FnMut(usize, Folded) -> T) -> usize {
+        if let Some(g) = self.slots.pop_if(|_| self.runs) {
+            let up = g.key.iter().map(Value::key).lt(key.iter().map(Value::key));
+            assert!(up, "the keys of an ascending window went down");
+            self.done.push(finish(self.done.len(), g));
+        }
+        if !self.runs {
+            self.order.insert(GroupKey(key.clone()), self.slots.len());
+        }
+        let sums = vec![0.0; self.operands.len()];
+        self.slots.push(Folded {
+            key,
+            sums,
+            ..Folded::default()
+        });
+        self.slots.len() - 1
+    }
+
+    /// Every group's result, in canonical group-key order.
+    fn finish(mut self, finish: &mut impl FnMut(usize, Folded) -> T) -> Vec<T> {
+        if self.runs {
+            let last = self.slots.pop().map(|g| finish(self.done.len(), g));
+            self.done.extend(last);
+            return self.done;
+        }
+        let mut slots = self.slots;
+        let order = self.order.into_values().enumerate();
+        order
+            .map(|(index, slot)| finish(index, std::mem::take(&mut slots[slot])))
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -1,21 +1,26 @@
-//! The batch kernels against their row-at-a-time references.
+//! The scan operator and its fused operators against row-at-a-time
+//! references.
 //!
 //! One harness ([`everywhere`]) runs a restriction through every way the
 //! scan operator can be fed — resident as one batch, resident narrowed by
 //! binary search and split into 1, 2, 7 and 64 concurrently restricted
-//! segments, and the evicted batch stream both directly and behind a
-//! [`Database`] — and holds each to the one-row reference
-//! [`eval_conjunction`]; the remaining tests pin the selection and grouping
-//! kernels to "sort everything, then look".
+//! segments, and the evicted batch stream in chunks of 1, 5, 1000 and a
+//! random size, directly and behind a [`Database`] — and holds each to the
+//! one-row reference [`eval_conjunction`]. [`statements_agree`] does the
+//! same for whole statements over a probabilistic relation — `TOP`,
+//! `ORDER BY … LIMIT`, windows, `GROUP BY`, `HAVING` — against a
+//! reference that materialises the restriction and then sorts, groups and
+//! folds it; the deterministic half holds 110 statements to the same kind
+//! of reference.
 
 use super::*;
-use crate::catalog::{Database, QueryOutput, ScanSource};
+use crate::aggregates::{count_distribution_of, sum_distribution_of};
+use crate::catalog::{Database, QueryOutput, RelationSnapshot, ScanSource};
 use crate::plan::{LogicalPlan, PhysicalAction, PlannedQuery, StrategyKind};
 use crate::query::{eval_conjunction, Comparison, Conjunction};
 use crate::sql::AggFunc;
 use crate::value::ValueKey;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const TWO53: i64 = 1 << 53;
@@ -224,14 +229,48 @@ fn shown<T: std::fmt::Debug>(x: &T) -> String {
     format!("{x:?}")
 }
 
+/// The global indices of the rows `source`'s restriction keeps, fanned
+/// over `segments` above `min_rows`.
+fn kept(
+    source: Source<'_>,
+    plan: &PhysicalPlan,
+    segments: usize,
+    min_rows: usize,
+) -> Result<Vec<usize>, DbError> {
+    let mut keep = Vec::new();
+    restrict(source, plan, segments, min_rows, &mut |batch, sel| {
+        keep.extend(sel.rows().map(|i| batch.offset() + i));
+    })?;
+    Ok(keep)
+}
+
+/// [`kept`] over `t` resident, as one batch.
+fn resident_kept(t: &ProbTable, plan: &PhysicalPlan) -> Result<Vec<usize>, DbError> {
+    let relation = Relation::Probabilistic(t.clone());
+    kept(Source::Resident(&relation), plan, 1, FAN_OUT_MIN_ROWS)
+}
+
+/// Leaf sizes for an evicted twin of an `n`-row relation: one row, a
+/// few, more than there are, and one picked from `salt`.
+fn chunk_sizes(n: usize, salt: &str) -> [usize; 4] {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    (n, salt).hash(&mut h);
+    [1, 5, 1000, 1 + (h.finish() as usize) % (n + 2)]
+}
+
 /// Runs `plan`'s restriction over `t` through every scan source and
 /// segment width and holds each to the row-at-a-time reference.
 fn everywhere(t: &ProbTable, plan: &PhysicalPlan) {
     let want = reference(t, plan);
-    let want_rows = want.as_ref().map(|keep| t.take(keep)).map_err(Clone::clone);
-
+    let relation = Relation::Probabilistic(t.clone());
     assert_eq!(
-        shown(&restrict(&t.batch(), plan, 4)),
+        shown(&kept(
+            Source::Resident(&relation),
+            plan,
+            4,
+            FAN_OUT_MIN_ROWS
+        )),
         shown(&want),
         "resident, one batch: {plan}"
     );
@@ -239,23 +278,20 @@ fn everywhere(t: &ProbTable, plan: &PhysicalPlan) {
     // first error, come back in index order at every width.
     for segments in [1, 2, 7, 64] {
         assert_eq!(
-            shown(&select_relation(&t.batch(), plan, segments, 0)),
+            shown(&kept(Source::Resident(&relation), plan, segments, 0)),
             shown(&want),
             "{segments} segments: {plan}"
         );
     }
-    for chunk in [1, 5, 1000] {
-        let source = Chunked {
+    for chunk in chunk_sizes(t.len(), &plan.to_string()) {
+        let mut stream = Chunked {
             relation: t.clone(),
             chunk,
-        };
-        let streamed = restrict_stream(&mut source.stream(), "v", plan).map(|r| match r {
-            Relation::Probabilistic(t) => t,
-            Relation::Deterministic(_) => panic!("a probabilistic stream"),
-        });
+        }
+        .stream();
         assert_eq!(
-            shown(&streamed),
-            shown(&want_rows),
+            shown(&kept(Source::Stream(&mut stream), plan, 1, 0)),
+            shown(&want),
             "batch stream in chunks of {chunk}: {plan}"
         );
     }
@@ -269,7 +305,7 @@ fn everywhere(t: &ProbTable, plan: &PhysicalPlan) {
             probabilistic_only: false,
         },
     };
-    let want_output = want_rows.map(QueryOutput::ProbRows);
+    let want_output = want.map(|keep| QueryOutput::ProbRows(t.take(&keep)));
     let mut resident = Database::new();
     resident.register_prob_table(t.clone()).unwrap();
     let mut evicted = Database::new();
@@ -336,7 +372,7 @@ fn special_values_compare_like_value_compare() {
             for lit in 0..literal_pool().len() {
                 let plan = plan_of(conjunction_of(&[(column, op, lit)]), None);
                 assert_eq!(
-                    shown(&restrict(&table.batch(), &plan, 1)),
+                    shown(&resident_kept(&table, &plan)),
                     shown(&reference(&table, &plan)),
                     "{:?}",
                     plan.predicate
@@ -364,7 +400,7 @@ fn int_comparisons_and_order_are_exact_beyond_2_pow_53() {
         for column in ["t", "i"] {
             let hits = |op, lit: i64| {
                 let plan = plan_of(vec![Comparison::new(column, op, lit)], None);
-                restrict(&table.batch(), &plan, 1).unwrap().len()
+                resident_kept(&table, &plan).unwrap().len()
             };
             let at = format!("{column} around {base}");
             assert_eq!(hits(CmpOp::Eq, base + 1), 1, "{at}");
@@ -375,9 +411,17 @@ fn int_comparisons_and_order_are_exact_beyond_2_pow_53() {
             assert_eq!(hits(CmpOp::Ge, base + 2), 1, "{at}");
         }
         // `ORDER BY i` reverses insertion order; no two rows tie.
-        let order = ("i".to_string(), true);
-        let got = order_rows(&table.batch(), vec![0, 1, 2], Some(&order), None).unwrap();
-        assert_eq!(got, vec![2, 1, 0], "ORDER BY i around {base}");
+        let got = rendered(single(&table).query("SELECT t FROM v ORDER BY i"));
+        let want: Vec<Value> = (0..3).rev().map(|k| Value::Int(base + k)).collect();
+        assert!(
+            got.contains(&shown(
+                &want
+                    .iter()
+                    .map(|v| (vec![v.clone()], 0.5))
+                    .collect::<Vec<_>>()
+            )),
+            "ORDER BY i around {base}: {got}"
+        );
     }
 }
 
@@ -400,8 +444,7 @@ fn an_unknown_column_errors_only_when_a_row_reaches_it() {
     for (predicate, errors) in [(unreached, false), (reached, true)] {
         let plan = plan_of(predicate, Some(0.25));
         everywhere(&table, &plan);
-        let got = restrict(&table.batch(), &plan, 1);
-        match got {
+        match resident_kept(&table, &plan) {
             Err(DbError::UnknownColumn(c)) => assert!(errors && c == "nope"),
             other => assert!(!errors, "{other:?}"),
         }
@@ -411,6 +454,414 @@ fn an_unknown_column_errors_only_when_a_row_reaches_it() {
         &table_of(&[]),
         &plan_of(vec![Comparison::new("nope", CmpOp::Eq, 1i64)], None),
     );
+}
+
+// ---------------------------------------------------------------------------
+// Whole statements over a probabilistic relation
+// ---------------------------------------------------------------------------
+
+/// `t` as the one relation of a database.
+fn single(t: &ProbTable) -> Database {
+    let mut db = Database::new();
+    db.register_prob_table(t.clone()).unwrap();
+    db
+}
+
+/// An answer as text that compares floats bit for bit: a row result's
+/// name, columns and tuples, or the aggregate result.
+fn rendered(out: Result<QueryOutput, DbError>) -> String {
+    shown(&out.map(|out| match out {
+        QueryOutput::ProbRows(t) => {
+            let names: Vec<&str> = t.schema().names().collect();
+            shown(&(t.name(), names, t.iter().collect::<Vec<_>>()))
+        }
+        QueryOutput::Aggregate(a) => shown(&a),
+        other => panic!("rows or an aggregate, not {}", other.variant_name()),
+    }))
+}
+
+/// `sql`'s answer over `t` from every medium: resident at fork-join
+/// widths 1 and 8, and evicted behind a stream at every [`chunk_sizes`].
+fn media(t: &ProbTable, sql: &str) -> Vec<(String, String)> {
+    match planned(sql) {
+        Ok(p) => planned_media(t, &p),
+        Err(e) => vec![("planner".into(), rendered(Err(e)))],
+    }
+}
+
+/// [`media`] for a planned statement.
+fn planned_media(t: &ProbTable, planned: &PlannedQuery) -> Vec<(String, String)> {
+    let resident = single(t);
+    let mut out = Vec::new();
+    for width in [1, 8] {
+        resident.set_worlds_threads(width);
+        let answer = rendered(resident.execute_planned(planned));
+        out.push((format!("resident, width {width}"), answer));
+    }
+    for chunk in chunk_sizes(t.len(), &planned.physical.to_string()) {
+        let mut evicted = Database::new();
+        evicted.attach_scan_source(Arc::new(Chunked {
+            relation: t.clone(),
+            chunk,
+        }));
+        let answer = rendered(evicted.execute_planned(planned));
+        out.push((format!("evicted, chunks of {chunk}"), answer));
+    }
+    out
+}
+
+/// Holds `sql` over `t` on every medium to [`statement_reference`].
+fn statements_agree(t: &ProbTable, sql: &str) {
+    let planned = planned(sql).unwrap();
+    let want = shown(&statement_reference(t, &planned.physical));
+    for (medium, got) in planned_media(t, &planned) {
+        assert_eq!(got, want, "{medium}: {sql}");
+    }
+}
+
+/// `sql` over `t` the way the engine answered before its operators were
+/// fused: restrict row by row ([`reference`]), keep the `TOP` k by a
+/// stable sort, then stable-sort for `ORDER BY` and cut, or group through
+/// an ordered map and fold each group's gathered columns from `+0.0` —
+/// raising each error where that evaluation raised it.
+fn statement_reference(t: &ProbTable, plan: &PhysicalPlan) -> Result<String, DbError> {
+    let mut keep = reference(t, plan)?;
+    if let Some(tau) = plan.threshold.filter(|tau| !(0.0..=1.0).contains(tau)) {
+        return Err(DbError::InvalidProbability(tau));
+    }
+    let probs = t.probs();
+    if let Some(k) = plan.top {
+        keep.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]));
+        keep.truncate(k);
+    }
+    let schema = t.schema();
+    let key = |column: &str, row: usize| match column {
+        "prob" => ValueKey::Float(probs[row]),
+        _ => t.column(schema.index_of(column).unwrap()).values().key(row),
+    };
+    let number = |c: usize, row: usize| t.column(c).values().value(row).as_f64().unwrap();
+    let agg = match &plan.action {
+        PhysicalAction::Rows {
+            columns,
+            order_by,
+            limit,
+        } => {
+            if let Some((column, ascending)) = order_by {
+                if column != "prob" {
+                    schema.index_of(column)?;
+                }
+                keep.sort_by(|&a, &b| directed(*ascending, key(column, a).cmp(&key(column, b))));
+            }
+            keep.truncate(limit.unwrap_or(usize::MAX));
+            let names: Vec<&str> = if columns.is_empty() {
+                schema.names().collect()
+            } else {
+                columns.iter().map(String::as_str).collect()
+            };
+            let idx: Vec<usize> = names
+                .iter()
+                .map(|c| schema.index_of(c))
+                .collect::<Result<_, _>>()?;
+            let rows: Vec<(Vec<Value>, f64)> = keep
+                .iter()
+                .map(|&r| {
+                    let row = idx.iter().map(|&c| t.column(c).values().value(r)).collect();
+                    (row, probs[r])
+                })
+                .collect();
+            return Ok(shown(&(t.name(), names, rows)));
+        }
+        PhysicalAction::Aggregate(agg) => agg,
+    };
+    let by: Vec<usize> = agg
+        .group_by
+        .iter()
+        .map(|c| schema.index_of(c))
+        .collect::<Result<_, _>>()?;
+    let text = |c: usize| schema.column(c).1 == ColumnType::Text;
+    let mismatch = |column: &str| DbError::TypeMismatch {
+        column: column.to_string(),
+        expected: ColumnType::Float,
+        got: ColumnType::Text,
+    };
+    let window = match &agg.window {
+        Some(w) => match schema.index_of(&w.column)? {
+            c if text(c) && !keep.is_empty() => return Err(mismatch(&w.column)),
+            c => Some((w, c)),
+        },
+        None => None,
+    };
+    let mut groups: BTreeMap<Vec<ValueKey<'_>>, Vec<usize>> = BTreeMap::new();
+    if agg.window.is_none() && agg.group_by.is_empty() {
+        groups.insert(Vec::new(), Vec::new());
+    }
+    for &row in &keep {
+        let mut key = Vec::new();
+        if let Some((w, c)) = window {
+            key.push(ValueKey::Float(w.bucket_start(number(c, row))));
+        }
+        key.extend(by.iter().map(|&c| t.column(c).values().key(row)));
+        groups.entry(key).or_default().push(row);
+    }
+    let mut wanted: Vec<&str> = agg
+        .aggregates
+        .iter()
+        .filter_map(|a| a.column.as_deref())
+        .collect();
+    if let Some(h) = agg.having.as_ref().filter(|h| h.agg.func == AggFunc::Sum) {
+        wanted.extend(h.agg.column.as_deref());
+    }
+    let mut out = Vec::new();
+    for (index, (key, members)) in groups.into_iter().enumerate() {
+        let mut columns: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+        for col in &wanted {
+            let c = schema.index_of(col)?;
+            if text(c) && !members.is_empty() {
+                return Err(mismatch(col));
+            }
+            let values = members
+                .iter()
+                .filter(|_| !text(c))
+                .map(|&r| number(c, r))
+                .collect();
+            columns.entry(col).or_insert(values);
+        }
+        let p: Vec<f64> = members.iter().map(|&r| probs[r]).collect();
+        let count = p.iter().fold(0.0, |acc, &p| acc + p);
+        let sum = |col: &Option<String>| {
+            let v = &columns[col.as_deref().unwrap()];
+            p.iter().zip(v).fold(0.0, |acc, (&p, &v)| acc + p * v)
+        };
+        let values = agg
+            .aggregates
+            .iter()
+            .map(|a| crate::plan::AggValue {
+                value: match a.func {
+                    AggFunc::Count => count,
+                    AggFunc::Sum | AggFunc::Expected => sum(&a.column),
+                    AggFunc::Avg if count == 0.0 => 0.0,
+                    AggFunc::Avg => sum(&a.column) / count,
+                },
+                ci_half_width: None,
+            })
+            .collect();
+        let (mut count_distribution, mut event_probability) = (None, None);
+        if let Some(h) = &agg.having {
+            let k = h.value.as_f64().unwrap();
+            if h.agg.func == AggFunc::Sum {
+                let v = &columns[h.agg.column.as_deref().unwrap()];
+                event_probability = Some(sum_distribution_of(&p, v)?.tail(h.op, k));
+            } else {
+                let dist = count_distribution_of(&p, 0.0).0;
+                let mut mass = 0.0;
+                for (c, &m) in dist.iter().enumerate() {
+                    if h.op.eval((c as f64).partial_cmp(&k)) {
+                        mass += m;
+                    }
+                }
+                event_probability = Some(mass.clamp(0.0, 1.0));
+                count_distribution = Some(dist);
+            }
+        }
+        let _ = index;
+        out.push(crate::plan::AggregateGroup {
+            key: key
+                .into_iter()
+                .map(|k| match k {
+                    ValueKey::Int(v) => Value::Int(v),
+                    ValueKey::Float(v) => Value::Float(v),
+                    ValueKey::Text(v) => Value::from(v),
+                })
+                .collect(),
+            values,
+            count_distribution,
+            event_probability,
+            worlds: None,
+        });
+    }
+    let mut group_columns: Vec<String> = agg.window.iter().map(|w| w.to_string()).collect();
+    group_columns.extend(agg.group_by.iter().cloned());
+    Ok(shown(&crate::plan::AggregateResult {
+        group_columns,
+        aggregates: agg.aggregates.clone(),
+        having: agg.having.clone(),
+        strategy: "exact",
+        groups: out,
+    }))
+}
+
+/// Restrictions of a [`table_of`] relation: none; a binary search on `t`;
+/// per-row conjuncts on a float (NaN, ±∞) and on `prob`; an unknown column
+/// reached only from row 12 on — in a later leaf of every stream but the
+/// one-leaf one — and one never reached.
+const PROB_WHERE: [&str; 6] = [
+    "",
+    "WHERE t >= 4",
+    "WHERE f > 0 AND prob >= 0.25",
+    "WHERE i != 3",
+    "WHERE t >= 12 AND nope = 1",
+    "WHERE t < -100 AND nope = 1",
+];
+
+/// Every shape whose operator was fused, with `{w}` standing for the
+/// restriction.
+const PROB_SHAPES: [&str; 18] = [
+    "SELECT * FROM v {w}",
+    "SELECT t, s FROM v {w} LIMIT 5",
+    "SELECT * FROM v {w} TOP 4",
+    "SELECT t, i FROM v {w} ORDER BY prob DESC LIMIT 3",
+    "SELECT * FROM v {w} ORDER BY s LIMIT 6",
+    "SELECT f, t FROM v {w} ORDER BY f DESC",
+    "SELECT s FROM v {w} THRESHOLD 0.3 TOP 5 ORDER BY t DESC LIMIT 3",
+    "SELECT t FROM v {w} ORDER BY nope LIMIT 2",
+    "SELECT COUNT(*), SUM(i), AVG(f), EXPECTED(t) FROM v {w}",
+    "SELECT COUNT(*), SUM(t) FROM v {w} GROUP BY WINDOW(t, 2.5, -1)",
+    "SELECT COUNT(*), SUM(t) FROM v {w} GROUP BY WINDOW(f, 2)",
+    "SELECT s, COUNT(*), AVG(t) FROM v {w} GROUP BY s",
+    "SELECT COUNT(*), SUM(f) FROM v {w} GROUP BY WINDOW(t, 3), i",
+    "SELECT COUNT(*) FROM v {w} GROUP BY WINDOW(t, 4) HAVING COUNT(*) >= 2",
+    "SELECT COUNT(*), SUM(t) FROM v {w} GROUP BY WINDOW(t, 4) HAVING SUM(t) >= 9",
+    "SELECT COUNT(*), SUM(t) FROM v {w} GROUP BY i TOP 6",
+    "SELECT COUNT(*), SUM(s) FROM v {w} GROUP BY WINDOW(t, 4)",
+    "SELECT COUNT(*), SUM(nope) FROM v {w} GROUP BY WINDOW(t, 4)",
+];
+
+proptest! {
+    #[test]
+    fn fused_statements_equal_the_materialised_reference_on_every_medium(
+        rows in proptest::collection::vec(
+            // Few distinct probabilities: ties straddle every leaf boundary.
+            (0usize..INTS, 0usize..10, 0usize..4, 0i64..3, 0usize..3),
+            0..40,
+        ),
+    ) {
+        let rows: Vec<_> = rows
+            .into_iter()
+            .map(|(i, f, s, step, p)| (i, f, s, step, [0.25, 0.5, 0.75][p]))
+            .collect();
+        let table = table_of(&rows);
+        for w in PROB_WHERE {
+            for shape in PROB_SHAPES {
+                statements_agree(&table, &shape.replace("{w}", w));
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_statements_over_an_empty_relation_equal_the_reference() {
+    let table = table_of(&[]);
+    for w in PROB_WHERE {
+        for shape in PROB_SHAPES {
+            statements_agree(&table, &shape.replace("{w}", w));
+        }
+    }
+    // The global group exists with nothing in it; a text SUM reads nothing.
+    let got = rendered(single(&table).query("SELECT COUNT(*), SUM(s) FROM v"));
+    assert!(
+        got.starts_with("Ok(") && got.contains("value: 0.0"),
+        "{got}"
+    );
+}
+
+#[test]
+fn errors_keep_their_order_when_the_first_leaf_reaches_nothing() {
+    // `t` runs -2..38 and only rows from t = 10 on with a non-negative `i`
+    // reach `nope`, so every stream but the one-leaf one meets the error
+    // in a later leaf, after its operator has taken rows: the predicate
+    // error still wins over a bad THRESHOLD, an unknown ORDER BY column
+    // and a text SUM.
+    let rows: Vec<_> = (0..40).map(|k| (k % INTS, k % 10, k % 4, 1, 0.5)).collect();
+    let table = table_of(&rows);
+    let nope =
+        |out: Result<String, DbError>| matches!(out, Err(DbError::UnknownColumn(c)) if c == "nope");
+    for sql in [
+        "SELECT t FROM v WHERE i >= 0 AND t >= 10 AND nope = 1 ORDER BY nada LIMIT 2",
+        "SELECT COUNT(*), SUM(s) FROM v WHERE i > -5 AND t >= 10 AND nope = 1",
+        "SELECT * FROM v WHERE t > 10 AND nope = 1 TOP 3",
+    ] {
+        assert!(
+            nope(statement_reference(&table, &planned(sql).unwrap().physical)),
+            "{sql}"
+        );
+        statements_agree(&table, sql);
+    }
+    // The parser refuses τ outside [0, 1]; a hand-built plan does not.
+    for (sql, reached) in [
+        (
+            "SELECT COUNT(*) FROM v WHERE t >= 10 AND i >= 0 AND nope = 1",
+            true,
+        ),
+        ("SELECT * FROM v WHERE t < -5 AND nope = 1 TOP 2", false),
+    ] {
+        let mut planned = planned(sql).unwrap();
+        planned.physical.threshold = Some(1.5);
+        let want = statement_reference(&table, &planned.physical);
+        assert_eq!(nope(want.clone()), reached, "{sql}");
+        assert_eq!(
+            !reached,
+            matches!(want, Err(DbError::InvalidProbability(_))),
+            "{sql}"
+        );
+        for (medium, got) in planned_media(&table, &planned) {
+            assert_eq!(got, shown(&want), "{medium}: {sql}");
+        }
+    }
+}
+
+/// The fused operators over 10^6 rows, resident at widths 1 and 8 (the
+/// fan-out splits the scan) and evicted at random leaf sizes, against
+/// [`statement_reference`]: every shape with a bounded answer but `HAVING
+/// SUM`, whose sum DP grows with `t`. Too slow for a debug build; CI runs
+/// it in release.
+#[test]
+#[ignore = "release-only: cargo test --release -p tspdb-probdb --lib -- --ignored fused_operator_sweep"]
+fn fused_operator_sweep() {
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut next = |below: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % below as u64) as usize
+    };
+    let rows: Vec<_> = (0..1_000_000)
+        .map(|_| {
+            let p = [0.25, 0.5, 0.75, 0.1 * next(11) as f64][next(4)];
+            (next(INTS), next(10), next(4), next(3) as i64, p)
+        })
+        .collect();
+    let table = table_of(&rows);
+    drop(rows);
+    let bounded = |shape: &&&str| {
+        let fits = ["COUNT", "LIMIT", "TOP"].iter().any(|k| shape.contains(k));
+        fits && !shape.contains("HAVING SUM")
+    };
+    for w in [
+        "",
+        "WHERE f > 0 AND prob >= 0.25",
+        "WHERE t >= 900000 AND nope = 1",
+    ] {
+        for shape in PROB_SHAPES.iter().filter(bounded) {
+            let sql = shape.replace("{w}", w);
+            let planned = planned(&sql).unwrap();
+            let want = shown(&statement_reference(&table, &planned.physical));
+            let resident = single(&table);
+            for width in [1, 8] {
+                resident.set_worlds_threads(width);
+                let got = rendered(resident.execute_planned(&planned));
+                assert_eq!(got, want, "resident, width {width}: {sql}");
+            }
+            for chunk in [1 + next(200), 1 + next(20_000)] {
+                let mut evicted = Database::new();
+                evicted.attach_scan_source(Arc::new(Chunked {
+                    relation: table.clone(),
+                    chunk,
+                }));
+                let got = rendered(evicted.execute_planned(&planned));
+                assert_eq!(got, want, "evicted, chunks of {chunk}: {sql}");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -434,14 +885,7 @@ fn sort_then_truncate(
     };
     let mut order = keep.to_vec();
     // `sort_by` is stable: ties stay in `keep` order in both directions.
-    order.sort_by(|&a, &b| {
-        let ord = key(a).cmp(&key(b));
-        if ascending {
-            ord
-        } else {
-            ord.reverse()
-        }
-    });
+    order.sort_by(|&a, &b| directed(ascending, key(a).cmp(&key(b))));
     order.truncate(limit.unwrap_or(usize::MAX));
     order
 }
@@ -469,34 +913,42 @@ proptest! {
         let column = ["i", "f", "s", "t", "prob"][column];
         let ascending = ascending == 1;
         let limit = [None, Some(0), Some(3), Some(n), Some(n + 7)][limit];
-        // A `TOP` first leaves `keep` in probability order, so "earlier in
-        // keep" and "lower row index" come apart.
-        let mut plan = plan_of(Vec::new(), None);
-        plan.top = [None, Some(0), Some(4), Some(n + 1)][top];
-        let keep = restrict(&table.batch(), &plan, 1).unwrap();
-        let all: Vec<usize> = (0..n).collect();
-        let mut by_prob = all.clone();
-        by_prob.sort_by(|&a, &b| table.probs()[b].total_cmp(&table.probs()[a]));
-        by_prob.truncate(plan.top.unwrap_or(n));
-        prop_assert_eq!(&keep, if plan.top.is_some() { &by_prob } else { &all });
-
-        let order = (column.to_string(), ascending);
-        let got = order_rows(&table.batch(), keep.clone(), Some(&order), limit).unwrap();
-        prop_assert_eq!(got, sort_then_truncate(&table, &keep, column, ascending, limit));
-        // No ORDER BY: LIMIT alone truncates.
-        let got = order_rows(&table.batch(), keep.clone(), None, limit).unwrap();
-        prop_assert_eq!(got, &keep[..limit.unwrap_or(n).min(keep.len())]);
+        let top = [None, Some(0), Some(4), Some(n + 1)][top];
+        // A `TOP` first leaves its rows in probability order, so "earlier
+        // offered" and "lower row index" come apart.
+        let mut keep: Vec<usize> = (0..n).collect();
+        if let Some(k) = top {
+            keep.sort_by(|&a, &b| table.probs()[b].total_cmp(&table.probs()[a]));
+            keep.truncate(k);
+        }
+        let want = table.take(&sort_then_truncate(&table, &keep, column, ascending, limit));
+        let sql = format!(
+            "SELECT * FROM v{}{}{}",
+            top.map_or(String::new(), |k| format!(" TOP {k}")),
+            format_args!(" ORDER BY {column}{}", if ascending { "" } else { " DESC" }),
+            limit.map_or(String::new(), |l| format!(" LIMIT {l}")),
+        );
+        let want = rendered(Ok(QueryOutput::ProbRows(want)));
+        for (medium, got) in media(&table, &sql) {
+            prop_assert_eq!(&got, &want, "{}: {}", medium, sql);
+        }
     }
 }
 
 #[test]
 fn order_by_an_unknown_column_errors_even_over_nothing() {
-    let table = table_of(&[]);
-    let order = ("nope".to_string(), true);
-    assert!(matches!(
-        order_rows(&table.batch(), Vec::new(), Some(&order), Some(0)),
-        Err(DbError::UnknownColumn(_))
-    ));
+    for sql in [
+        "SELECT * FROM v ORDER BY nope LIMIT 0",
+        "SELECT nada FROM v ORDER BY nope",
+    ] {
+        for (medium, got) in media(&table_of(&[]), sql) {
+            assert_eq!(
+                got,
+                shown(&Err::<String, _>(DbError::UnknownColumn("nope".into()))),
+                "{medium}"
+            );
+        }
+    }
 }
 
 /// `CREATE TABLE s (t INT, r FLOAT)` with NaN in every seventh `r`, as a
@@ -579,8 +1031,8 @@ fn order_by_a_float_column_holding_nan_is_a_total_order() {
 // Grouping
 // ---------------------------------------------------------------------------
 
-/// The grouping the run-cut kernel replaced: one key vector per tuple into
-/// an ordered map.
+/// The grouping the fused folds replaced: one key vector per tuple into
+/// an ordered map, members in `keep` order.
 fn grouped_through_a_map(
     t: &ProbTable,
     keep: &[usize],
@@ -618,17 +1070,49 @@ fn grouped_through_a_map(
         .collect()
 }
 
-fn flattened(groups: Groups<'_>) -> Vec<(Vec<Value>, Vec<usize>)> {
-    let Groups { rows, groups } = groups;
-    groups
-        .into_iter()
-        .map(|(key, members)| (key, rows[members].to_vec()))
-        .collect()
+/// An aggregate plan over `t` with `window` and `group_by`, folding
+/// `SUM(t)` and holding each group's probabilities for a `HAVING` tail.
+fn grouping_plan(window: Option<WindowSpec>, group_by: Vec<String>) -> PhysicalPlan {
+    let agg = AggregatePlan {
+        window,
+        group_by,
+        aggregates: vec![
+            crate::sql::AggExpr::count(),
+            crate::sql::AggExpr {
+                func: AggFunc::Sum,
+                column: Some("t".into()),
+            },
+        ],
+        having: Some(crate::sql::HavingClause {
+            agg: crate::sql::AggExpr::count(),
+            op: CmpOp::Ge,
+            value: Value::Int(0),
+        }),
+    };
+    PhysicalPlan {
+        action: PhysicalAction::Aggregate(agg),
+        ..plan_of(Vec::new(), None)
+    }
+}
+
+/// A group as [`folded`] reports it.
+type FoldedGroup = (usize, Vec<Value>, usize, f64, f64, Vec<f64>);
+
+/// [`aggregate`]'s groups over `source`: index, key, rows, `Σp`, `Σp·t`
+/// and the held probabilities, in the order `finish` saw them.
+fn folded(source: Source<'_>, plan: &PhysicalPlan) -> Vec<FoldedGroup> {
+    let PhysicalAction::Aggregate(agg) = &plan.action else {
+        unreachable!()
+    };
+    aggregate(source, plan, agg, 1, None, |index, g| {
+        (index, g.key, g.rows, g.mass, g.sums[0], g.probs)
+    })
+    .unwrap()
 }
 
 proptest! {
     #[test]
-    fn run_cut_grouping_equals_the_ordered_map(
+    fn fused_grouping_equals_the_ordered_map(
         rows in proptest::collection::vec(
             (0usize..9, 0usize..10, 0usize..4, 0i64..4, 0.0f64..=1.0),
             0..60,
@@ -636,6 +1120,7 @@ proptest! {
         window in 0usize..4,
         extra in 0usize..4,
         shuffle in 0u64..u64::MAX,
+        chunk in 1usize..9,
     ) {
         let table = table_of(&rows);
         // Windows over the ascending `t` (runs), over `i` (negative,
@@ -649,7 +1134,8 @@ proptest! {
             .iter()
             .map(|c| c.to_string())
             .collect();
-        // In row order — and in a scrambled `keep`, as after `TOP`.
+        let plan = grouping_plan(window.clone(), group_by.clone());
+        // In row order — and scrambled, as after `TOP`.
         let in_order: Vec<usize> = (0..table.len()).collect();
         let mut scrambled = in_order.clone();
         let mut state = shuffle | 1;
@@ -658,57 +1144,98 @@ proptest! {
             scrambled.swap(i, (state >> 33) as usize % (i + 1));
         }
         for keep in [&in_order, &scrambled] {
-            let got = group_rows(&table.batch(), keep, window.as_ref(), &group_by).unwrap();
-            let want = grouped_through_a_map(&table, keep, window.as_ref(), &group_by);
-            prop_assert_eq!(shown(&flattened(got)), shown(&want));
+            let shuffled = table.take(keep);
+            let want: Vec<_> = grouped_through_a_map(&table, keep, window.as_ref(), &group_by)
+                .into_iter()
+                .enumerate()
+                .map(|(index, (key, members))| {
+                    let p: Vec<f64> = members.iter().map(|&r| table.probs()[r]).collect();
+                    let mass = p.iter().fold(0.0, |acc, &p| acc + p);
+                    let t = table.column(3).values();
+                    let sum = members.iter().fold(0.0, |acc, &r| acc + table.probs()[r] * t.value(r).as_f64().unwrap());
+                    (index, key, members.len(), mass, sum, p)
+                })
+                .collect();
+            let relation = Relation::Probabilistic(shuffled.clone());
+            prop_assert_eq!(shown(&folded(Source::Resident(&relation), &plan)), shown(&want));
+            let mut stream = Chunked { relation: shuffled, chunk }.stream();
+            prop_assert_eq!(shown(&folded(Source::Stream(&mut stream), &plan)), shown(&want));
         }
     }
 }
 
 #[test]
-fn time_ordered_windows_are_cut_as_runs_of_keep_itself() {
+fn a_window_over_an_ascending_column_finishes_each_group_as_the_next_opens() {
     let rows: Vec<_> = (0..30).map(|k| (k % 9, 5, 0, 1, 0.5)).collect();
-    let table = table_of(&rows);
-    let keep: Vec<usize> = (0..30).collect();
+    let relation = Relation::Probabilistic(table_of(&rows));
     let window = WindowSpec {
         column: "t".into(),
         width: 4.0,
         origin: None,
     };
-    let groups = group_rows(&table.batch(), &keep, Some(&window), &[]).unwrap();
-    assert!(matches!(groups.rows, Cow::Borrowed(_)), "no copy, no sort");
-    assert_eq!(groups.groups.len(), 8);
-    // A non-monotone key takes the sort fallback and owns its row order.
-    let by = ["i".to_string()];
-    let groups = group_rows(&table.batch(), &keep, None, &by).unwrap();
-    assert!(matches!(groups.rows, Cow::Owned(_)));
-    assert_eq!(groups.groups.len(), 9);
+    let plan = grouping_plan(Some(window), Vec::new());
+    let PhysicalAction::Aggregate(agg) = &plan.action else {
+        unreachable!()
+    };
+    // `finish` sees a group while later rows are still to come: it runs
+    // inside the scan, so the held probabilities of one group at a time.
+    let mut live = Vec::new();
+    let groups = aggregate(
+        Source::Resident(&relation),
+        &plan,
+        agg,
+        1,
+        None,
+        |index, g| {
+            live.push(g.probs.capacity());
+            (index, g.rows)
+        },
+    )
+    .unwrap();
+    assert_eq!(groups.len(), 8);
+    assert!(groups.iter().enumerate().all(|(i, &(index, _))| i == index));
+    assert!(live.iter().all(|&held| held <= 8), "{live:?}");
+    // A non-monotone key groups through the map, in key order.
+    let plan = grouping_plan(None, vec!["i".to_string()]);
+    assert_eq!(folded(Source::Resident(&relation), &plan).len(), 9);
 }
 
 #[test]
 fn grouping_reports_unknown_columns_and_text_windows() {
     let table = table_of(&[(0, 0, 0, 1, 0.5)]);
-    let keep = [0];
     let window = |column: &str| WindowSpec {
         column: column.into(),
         width: 1.0,
         origin: None,
     };
+    let run = |t: &ProbTable, plan: &PhysicalPlan| {
+        let relation = Relation::Probabilistic(t.clone());
+        let PhysicalAction::Aggregate(agg) = &plan.action else {
+            unreachable!()
+        };
+        aggregate(Source::Resident(&relation), plan, agg, 1, None, |_, g| {
+            g.rows
+        })
+    };
     assert!(matches!(
-        group_rows(&table.batch(), &keep, None, &["nope".to_string()]),
+        run(&table, &grouping_plan(None, vec!["nope".to_string()])),
         Err(DbError::UnknownColumn(_))
     ));
     assert!(matches!(
-        group_rows(&table.batch(), &keep, Some(&window("nope")), &[]),
+        run(&table, &grouping_plan(Some(window("nope")), Vec::new())),
         Err(DbError::UnknownColumn(_))
     ));
     assert!(matches!(
-        group_rows(&table.batch(), &keep, Some(&window("s")), &[]),
+        run(&table, &grouping_plan(Some(window("s")), Vec::new())),
         Err(DbError::TypeMismatch { .. })
     ));
     // Nothing kept, nothing read: a text window over no rows is no groups.
-    let none = group_rows(&table.batch(), &[], Some(&window("s")), &[]).unwrap();
-    assert!(none.groups.is_empty());
+    let none = run(
+        &table_of(&[]),
+        &grouping_plan(Some(window("s")), Vec::new()),
+    )
+    .unwrap();
+    assert!(none.is_empty());
 }
 
 #[test]
@@ -734,9 +1261,8 @@ fn a_deterministic_table_is_scanned_in_place() {
         panic!("a float column");
     };
     assert!(std::ptr::eq(scanned, own));
-    let mut keep = Vec::new();
     let predicate = vec![Comparison::new("r", CmpOp::Gt, 7i64)];
-    select_into(&batch, &predicate, None, &mut keep).unwrap();
+    let keep: Vec<usize> = select(&batch, &predicate, None).unwrap().rows().collect();
     assert_eq!(keep, vec![0, 1, 2]);
     // `t` is ascending: a range conjunct on it is a binary search that
     // keeps a span.
@@ -998,22 +1524,21 @@ fn a_deterministic_snapshot_keeps_its_answer_across_1000_appends() {
     // appends 1 000 rows, one statement each.
     let snapshots: Vec<_> = plans
         .iter()
-        .flat_map(|p| {
-            let (snapshot, plan) = db.scan_input(p).unwrap();
-            let plan = plan.into_owned();
-            [1, 8].map(|width| (p, snapshot.clone(), plan.clone(), width))
-        })
+        .flat_map(|p| [1, 8].map(|width| (p, db.scan_input(p, width).unwrap(), width)))
         .collect();
     for k in 0..1_000 {
         db.append_rows("raw", raw_rows(n + k, 1)).unwrap();
     }
-    for (i, (p, snapshot, plan, width)) in snapshots.into_iter().enumerate() {
-        let Relation::Deterministic(held) = &*snapshot.relation else {
+    for (i, (p, snapshot, width)) in snapshots.into_iter().enumerate() {
+        let RelationSnapshot::Resident(relation) = &snapshot else {
+            panic!("a resident relation");
+        };
+        let Relation::Deterministic(held) = &**relation else {
             panic!("a deterministic relation");
         };
         assert_eq!(held.len(), n);
         assert_eq!(
-            answered(snapshot.execute(p, &plan, width)),
+            answered(snapshot.execute(p, width)),
             before[i / 2],
             "snapshot at width {width}: {}",
             statements[i / 2]

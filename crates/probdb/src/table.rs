@@ -117,10 +117,17 @@ impl Table {
     /// as one slice copy per column, a [`Selection::Rows`] as a gather. The
     /// batch must carry this table's schema.
     pub fn extend_from_batch(&mut self, batch: &Batch<'_>, rows: impl Into<Selection>) {
-        let sel = rows.into();
         assert_eq!(batch.schema(), &self.schema, "batch of another relation");
-        for (c, column) in self.columns.iter_mut().enumerate() {
-            batch.extend_column(c, &sel, column);
+        let all: Vec<usize> = (0..self.columns.len()).collect();
+        self.extend_columns(batch, &rows.into(), &all);
+    }
+
+    /// Appends `batch`'s rows at `sel`, taking column `c` of this table
+    /// from the batch's column `columns[c]` — how a projected row result
+    /// grows batch by batch.
+    pub(crate) fn extend_columns(&mut self, batch: &Batch<'_>, sel: &Selection, columns: &[usize]) {
+        for (column, &c) in self.columns.iter_mut().zip(columns) {
+            batch.extend_column(c, sel, column);
         }
         self.len += sel.len();
     }
@@ -426,13 +433,13 @@ impl ProbTable {
         self.table.reserve(additional);
     }
 
-    /// The rows at `rows` (in that order) projected onto the columns at
-    /// `columns`, as a new relation under `schema` — the gather that builds
-    /// row-returning results.
-    pub(crate) fn gather(&self, rows: &[usize], columns: &[usize], schema: Schema) -> ProbTable {
+    /// The relation `table` with the probabilities `probs`, one per row,
+    /// taken from a relation that checked them.
+    pub(crate) fn from_table(table: Table, probs: Vec<f64>) -> ProbTable {
+        assert_eq!(table.len(), probs.len(), "one probability per row");
         ProbTable {
-            table: self.table.gather(rows, columns, schema),
-            probs: rows.iter().map(|&i| self.probs[i]).collect(),
+            table,
+            probs,
             totals: OnceLock::new(),
         }
     }
@@ -440,7 +447,8 @@ impl ProbTable {
     /// The rows at `rows` (in that order), all columns.
     pub(crate) fn take(&self, rows: &[usize]) -> ProbTable {
         let all: Vec<usize> = (0..self.schema().arity()).collect();
-        self.gather(rows, &all, self.schema().clone())
+        let table = self.table.gather(rows, &all, self.schema().clone());
+        ProbTable::from_table(table, rows.iter().map(|&i| self.probs[i]).collect())
     }
 
     /// The whole relation as one borrowed batch (nothing is copied).
@@ -492,11 +500,7 @@ impl ProbTable {
     /// [`DbError::TypeMismatch`].
     pub fn expected_sum(&self, column: &str) -> Result<f64, DbError> {
         let c = self.schema().index_of(column)?;
-        self.totals().weighted[c].ok_or_else(|| DbError::TypeMismatch {
-            column: column.to_string(),
-            expected: ColumnType::Float,
-            got: ColumnType::Text,
-        })
+        self.totals().weighted[c].ok_or_else(|| DbError::not_numeric(column))
     }
 
     /// The totals, folded over every row on first use.

@@ -105,6 +105,17 @@ pub(crate) enum ValueKey<'a> {
     Text(&'a str),
 }
 
+impl Value {
+    /// The value's canonical grouping key.
+    pub(crate) fn key(&self) -> ValueKey<'_> {
+        match self {
+            Value::Int(i) => ValueKey::Int(*i),
+            Value::Float(f) => ValueKey::Float(*f),
+            Value::Text(s) => ValueKey::Text(s),
+        }
+    }
+}
+
 impl ValueKey<'_> {
     /// Variant rank for cross-type ordering.
     fn rank(&self) -> u8 {

@@ -71,7 +71,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use tspdb_probdb::codec::{decode_batch, Decoder};
 use tspdb_probdb::{
-    materialize, Batch, BatchStream, Column, DbError, Relation, ScanSource, Schema,
+    Batch, BatchStream, Column, DbError, ProbTable, Relation, ScanSource, Schema, Table,
 };
 
 /// Database file magic.
@@ -607,13 +607,31 @@ impl Storage {
     }
 
     /// Materialises one relation from disk (through the page cache), or
-    /// `None` if the catalog has no such relation.
+    /// `None` if the catalog has no such relation: the recovery read. Each
+    /// leaf lands as one slice copy per column, pre-sized from the
+    /// stream's size hint. Queries never come here: they consume the
+    /// stream itself.
     pub fn scan(&self, name: &str) -> Result<Option<Relation>, StorageError> {
         let Some(mut stream) = self.scan_stream(name)? else {
             return Ok(None);
         };
-        let name = stream.entry().name.clone();
-        materialize(&mut stream, &name, &[], None, RelationStream::next_batch).map(Some)
+        let (name, schema) = (stream.entry.name.clone(), stream.entry.schema.clone());
+        let rows = stream.size_hint();
+        Ok(Some(if stream.entry.probabilistic {
+            let mut t = ProbTable::new(name, schema);
+            t.reserve(rows);
+            while let Some(batch) = stream.next_batch()? {
+                t.extend_from_batch(&batch, 0..batch.len())?;
+            }
+            Relation::Probabilistic(t)
+        } else {
+            let mut t = Table::new(name, schema);
+            t.reserve(rows);
+            while let Some(batch) = stream.next_batch()? {
+                t.extend_from_batch(&batch, 0..batch.len());
+            }
+            Relation::Deterministic(t)
+        }))
     }
 
     /// Names of all relations in the on-disk catalog.
@@ -670,11 +688,6 @@ impl RelationStream {
             probs: Vec::new(),
             seen: 0,
         })
-    }
-
-    /// The streamed relation's catalog entry.
-    pub(crate) fn entry(&self) -> &CatalogEntry {
-        &self.entry
     }
 
     /// Decodes the next leaf, or `None` at end of relation — at which
@@ -1265,7 +1278,7 @@ mod tests {
             .unwrap();
 
         let mut stream = storage.scan_stream("pv").unwrap().expect("pv on disk");
-        assert!(stream.entry().probabilistic);
+        assert!(stream.entry.probabilistic);
         let mut n = 0usize;
         let mut leaves = 0usize;
         while let Some(batch) = stream.next_batch().unwrap() {

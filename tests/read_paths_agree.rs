@@ -7,7 +7,9 @@
 
 use std::path::PathBuf;
 use tspdb::timeseries::generate::TemperatureGenerator;
-use tspdb::{DbError, MetricConfig, QueryOutput, SharedEngine, ViewBuilderConfig};
+use tspdb::{
+    DbError, MetricConfig, ProbTable, QueryOutput, SharedEngine, Table, Value, ViewBuilderConfig,
+};
 use tspdb_client::{Client, ClientError};
 use tspdb_server::{Server, ServerConfig, ServerHandle};
 use tspdb_wire::canonical_result_bytes;
@@ -63,6 +65,36 @@ fn engine(dir: &TempDir) -> SharedEngine {
             .unwrap();
     }
     engine.evict_to_disk(EVICTED).unwrap();
+    // Deterministic twins holding NaN, ±∞ and −0.0 readings, and empty
+    // twins; the second of each pair is evicted.
+    let specials = [
+        f64::NAN,
+        -0.0,
+        f64::INFINITY,
+        1.5,
+        f64::NEG_INFINITY,
+        7.0,
+        0.0,
+    ];
+    let rows: Vec<Vec<Value>> = (0..2_000i64)
+        .map(|t| {
+            vec![
+                Value::Int(t),
+                Value::Float(specials[t as usize % specials.len()]),
+            ]
+        })
+        .collect();
+    for (table, rows) in [("nums", rows), ("none", Vec::new())] {
+        for twin in [table.to_string(), format!("{table}_disk")] {
+            engine
+                .execute(&format!("CREATE TABLE {twin} (t INT, r FLOAT)"))
+                .unwrap();
+            if !rows.is_empty() {
+                engine.append_rows(&twin, rows.clone()).unwrap();
+            }
+        }
+        engine.evict_to_disk(&format!("{table}_disk")).unwrap();
+    }
     engine
 }
 
@@ -90,6 +122,20 @@ fn statements(rel: &str) -> Vec<String> {
         "SELECT nope FROM {rel} WHERE lambda >= 0",
         "SELECT * FROM {rel} WHERE nope >= 1",
         "SELECT lambda, COUNT(*) FROM {rel}",
+        // Probability ties across leaf boundaries, under TOP and ORDER BY.
+        "SELECT t, lambda FROM {rel} ORDER BY prob DESC LIMIT 150",
+        "SELECT * FROM {rel} THRESHOLD 0.01 TOP 60",
+        "SELECT t, hi FROM {rel} WHERE lambda != 0 ORDER BY lo DESC LIMIT 70",
+        "SELECT COUNT(*), SUM(lambda) FROM {rel} GROUP BY WINDOW(t, 600) HAVING COUNT(*) >= 3",
+        "SELECT COUNT(*), SUM(lambda) FROM {rel} WHERE t >= 3000 GROUP BY WINDOW(t, 900) \
+         HAVING SUM(lambda) >= 0",
+        "SELECT lambda, COUNT(*), AVG(t) FROM {rel} GROUP BY lambda",
+        "SELECT COUNT(*), SUM(lambda) FROM {rel} WHERE t < 0",
+        "SELECT t FROM {rel} WHERE t < 0 ORDER BY prob DESC LIMIT 5",
+        "SELECT COUNT(*) FROM {rel} WHERE t < 0 GROUP BY WINDOW(t, 60)",
+        // An unknown column reached only by rows past the first leaf.
+        "SELECT * FROM {rel} WHERE t >= 6000 AND nope = 1",
+        "SELECT COUNT(*), SUM(lambda) FROM {rel} WHERE t >= 6000 AND nope = 1 GROUP BY lambda",
     ]
     .iter()
     .map(|sql| sql.replace("{rel}", rel))
@@ -108,6 +154,23 @@ fn local<E: Into<tspdb::CoreError>>(out: Result<QueryOutput, E>) -> Answer {
     }
 }
 
+/// [`local`], with a row result's relation name blanked, so that a
+/// relation and its evicted twin answer alike.
+fn unnamed(out: Result<QueryOutput, DbError>) -> Answer {
+    local(out.map(|out| match out {
+        QueryOutput::Rows(t) => {
+            let columns = t.columns().to_vec();
+            QueryOutput::Rows(Table::from_columns("", t.schema().clone(), columns).unwrap())
+        }
+        QueryOutput::ProbRows(t) => {
+            let (schema, columns) = (t.schema().clone(), t.columns().to_vec());
+            let probs = t.probs().to_vec();
+            QueryOutput::ProbRows(ProbTable::from_columns("", schema, columns, probs).unwrap())
+        }
+        other => other,
+    }))
+}
+
 fn remote(out: Result<QueryOutput, ClientError>) -> Answer {
     match out {
         Ok(out) => Ok(canonical_result_bytes(&out)),
@@ -123,21 +186,43 @@ fn every_read_path_returns_the_same_bytes() {
     let handle = serve(&engine);
     let mut client = Client::connect(handle.addr()).expect("connect");
 
+    // Windows keyed by NaN and ±∞, and relations with no rows.
+    let tables = [
+        "SELECT COUNT(*), SUM(t) FROM {rel} GROUP BY WINDOW(r, 2)",
+        "SELECT r, COUNT(*) FROM {rel} GROUP BY r",
+        "SELECT t, r FROM {rel} ORDER BY r DESC LIMIT 9",
+        "SELECT COUNT(*), AVG(r) FROM {rel}",
+    ];
+    let twins = |table: &str| {
+        [table.to_string(), format!("{table}_disk")].map(|rel| {
+            let statements = tables.iter().map(|sql| sql.replace("{rel}", &rel));
+            statements.collect::<Vec<_>>()
+        })
+    };
+    let [nums, nums_disk] = twins("nums");
+    let [none, none_disk] = twins("none");
     for threads in [1, 8] {
         client.set_worlds_threads(threads).unwrap();
-        for rel in [RESIDENT, EVICTED] {
-            for sql in statements(rel) {
-                let reference = local(engine.read().query(&sql));
-                let prepared = client.prepare(&sql).and_then(|id| {
+        // Each twin's answers with the relation's name left out.
+        let mut twins = Vec::new();
+        for (rel, extra) in [
+            (RESIDENT, nums.iter().chain(&none)),
+            (EVICTED, nums_disk.iter().chain(&none_disk)),
+        ] {
+            let mut answers = Vec::new();
+            for sql in statements(rel).iter().chain(extra) {
+                answers.push(unnamed(engine.read().query(sql)));
+                let reference = local(engine.read().query(sql));
+                let prepared = client.prepare(sql).and_then(|id| {
                     let out = client.execute(id);
                     client.close_statement(id)?;
                     out
                 });
                 let paths = [
-                    ("query", local(engine.query(&sql))),
-                    ("query_cached", local(engine.query_cached(&sql))),
-                    ("execute", local(engine.execute(&sql))),
-                    ("Client::query", remote(client.query(&sql))),
+                    ("query", local(engine.query(sql))),
+                    ("query_cached", local(engine.query_cached(sql))),
+                    ("execute", local(engine.execute(sql))),
+                    ("Client::query", remote(client.query(sql))),
                     ("prepared execute", remote(prepared)),
                 ];
                 for (path, answer) in paths {
@@ -149,6 +234,20 @@ fn every_read_path_returns_the_same_bytes() {
                 assert!(
                     engine.read().relation(EVICTED).is_none(),
                     "{sql} made the evicted twin resident"
+                );
+            }
+            twins.push(answers);
+        }
+        let sql = statements(RESIDENT)
+            .into_iter()
+            .chain(nums.clone())
+            .chain(none.clone());
+        for ((sql, resident), evicted) in sql.zip(&twins[0]).zip(&twins[1]) {
+            // `EXPLAIN` names the medium.
+            if !sql.starts_with("EXPLAIN") {
+                assert_eq!(
+                    resident, evicted,
+                    "resident vs evicted at width {threads}: {sql}"
                 );
             }
         }
