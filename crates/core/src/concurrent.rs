@@ -16,7 +16,9 @@
 //!   one read path and one write path. Every `SELECT`, whichever entry
 //!   point it came in through, runs [`SharedEngine::execute_planned`]: the
 //!   read lock is held just long enough to clone an immutable snapshot of
-//!   the scanned relation, and the scan itself runs outside it. Only
+//!   a resident relation (the scan runs outside it), or to stream an
+//!   evicted one's leaves once (its `HAVING` tails, sampling and sorts run
+//!   outside it). Only
 //!   mutating statements (loads, `INSERT`, `DROP`, view registration,
 //!   including the Fig. 7 `CREATE VIEW … AS DENSITY …`, fulfilled by the
 //!   [`OmegaViewBuilder`]) take the write lock. This is the "offline mode"
@@ -477,9 +479,10 @@ impl SharedEngine {
     /// The one read path: executes a planned `SELECT` against an immutable
     /// snapshot. The read lock is held only long enough to take the plan's
     /// [`Database::scan_input`] — for a resident relation, a clone of the
-    /// `Arc` of its rung; for an evicted one, the
-    /// leaf-at-a-time filtered stream off disk — and the strategy then runs
-    /// entirely outside the lock while appends land new rungs next to it.
+    /// `Arc` of its rung; for an evicted one, its leaf-at-a-time scan off
+    /// disk folded into groups or candidates — and the rest of the strategy
+    /// (for an evicted relation its `HAVING` tails, sampling and sorts)
+    /// then runs outside the lock while appends land new rungs next to it.
     /// Any number of threads can be inside this call at once.
     ///
     /// `worlds_threads` overrides the engine-wide fork-join width — of

@@ -18,7 +18,7 @@
 
 use crate::column::Column;
 use crate::error::DbError;
-use crate::plan::{AggregateResult, ExplainReport, PlannedQuery, Planner};
+use crate::plan::{AggregateResult, ExplainReport, Finish, PlannedQuery, Planner};
 use crate::plan_cache::{PlanCache, PlanCacheStats};
 use crate::scan::{Batch, BatchStream, Source};
 use crate::schema::Schema;
@@ -41,17 +41,17 @@ pub enum Relation {
 
 /// What one statement reads, taken under the catalog's lock — see
 /// [`Database::scan_input`].
-#[derive(Debug, Clone)]
-pub enum RelationSnapshot {
+pub enum RelationSnapshot<'p> {
     /// A resident relation's rung: an immutable snapshot the statement
     /// runs over after the lock is released.
     Resident(Arc<Relation>),
-    /// An evicted relation's answer, computed while its leaves streamed
-    /// past (a checkpoint may rewrite the pages once the lock is gone).
-    Answered(QueryOutput),
+    /// An evicted relation, scanned while its leaves streamed past (a
+    /// checkpoint may rewrite the pages once the lock is gone): the rest
+    /// of the answer, run after the lock is released.
+    Scanned(Finish<'p>),
 }
 
-impl RelationSnapshot {
+impl RelationSnapshot<'_> {
     /// Runs `planned`'s strategy over this snapshot — the one place a
     /// strategy runs over a resident relation, whichever entry point the
     /// statement came in through; `threads` is the fork-join width (it
@@ -62,7 +62,7 @@ impl RelationSnapshot {
             RelationSnapshot::Resident(relation) => planned
                 .strategy_with_context(threads)
                 .execute(Source::Resident(&relation), &planned.physical),
-            RelationSnapshot::Answered(out) => Ok(out),
+            RelationSnapshot::Scanned(finish) => finish(),
         }
     }
 }
@@ -574,15 +574,17 @@ impl Database {
     /// its `Arc` lives).
     ///
     /// A resident relation wins and costs one `Arc` clone. An evicted one
-    /// is answered here, at fork-join width `threads`: the strategy
-    /// consumes the scan source's leaf stream batch by batch, and the
-    /// relation is never materialised. Both run the same operators over
-    /// the same tuples in the same order: bit-identical answers.
-    pub fn scan_input(
+    /// is scanned here, at fork-join width `threads`: the strategy
+    /// consumes the scan source's leaf stream batch by batch, the relation
+    /// is never materialised, and what the answer needs after the scan
+    /// (`HAVING` tails, closed forms, the final sort) runs in
+    /// `RelationSnapshot::execute`. Both run the same operators over the
+    /// same tuples in the same order: bit-identical answers.
+    pub fn scan_input<'p>(
         &self,
-        planned: &PlannedQuery,
+        planned: &'p PlannedQuery,
         threads: usize,
-    ) -> Result<RelationSnapshot, DbError> {
+    ) -> Result<RelationSnapshot<'p>, DbError> {
         let name = &planned.physical.table;
         if let Some(relation) = self.relations.get(name) {
             return Ok(RelationSnapshot::Resident(Arc::clone(relation)));
@@ -593,49 +595,29 @@ impl Database {
         };
         let mut stream = streamed.ok_or_else(|| DbError::UnknownTable(name.clone()))?;
         let strategy = planned.strategy_with_context(threads);
-        let out = strategy.execute(Source::Stream(stream.as_mut()), &planned.physical)?;
-        Ok(RelationSnapshot::Answered(out))
+        let finish = strategy.scan(Source::Stream(stream.as_mut()), &planned.physical)?;
+        Ok(RelationSnapshot::Scanned(finish))
     }
 
     /// Plans a `SELECT` and returns its [`ExplainReport`] instead of
     /// executing it (the `EXPLAIN` statement).
     pub fn explain_select(&self, sel: &SelectStmt) -> Result<QueryOutput, DbError> {
         let planned = Planner::plan(sel)?;
-        let relation = match self
-            .relations
-            .get(&planned.physical.table)
-            .map(|r| r.as_ref())
-        {
-            Some(Relation::Deterministic(t)) => {
-                format!(
-                    "{}: deterministic ({} rows)",
-                    planned.physical.table,
-                    t.len()
-                )
+        let name = &planned.physical.table;
+        let on_disk = self
+            .scan_source
+            .as_ref()
+            .is_some_and(|s| s.names().contains(name));
+        let relation = match self.relations.get(name).map(|r| r.as_ref()) {
+            Some(Relation::Deterministic(t)) => format!("deterministic ({} rows)", t.len()),
+            Some(Relation::Probabilistic(t)) => format!("probabilistic ({} tuples)", t.len()),
+            None if on_disk && !self.dropped.contains(name) => {
+                "on disk (via scan source) — lazy leaf-at-a-time scan".into()
             }
-            Some(Relation::Probabilistic(t)) => format!(
-                "{}: probabilistic ({} tuples)",
-                planned.physical.table,
-                t.len()
-            ),
-            None if !self.dropped.contains(&planned.physical.table)
-                && self
-                    .scan_source
-                    .as_ref()
-                    .is_some_and(|s| s.names().contains(&planned.physical.table)) =>
-            {
-                format!(
-                    "{}: on disk (via scan source) — lazy leaf-at-a-time scan",
-                    planned.physical.table
-                )
-            }
-            None => format!(
-                "{}: not found (plan is still valid)",
-                planned.physical.table
-            ),
+            None => "not found (plan is still valid)".into(),
         };
         Ok(QueryOutput::Explain(ExplainReport {
-            relation,
+            relation: format!("{name}: {relation}"),
             logical: planned.logical.to_string(),
             physical: planned.physical.to_string(),
             strategy: planned

@@ -718,13 +718,25 @@ impl fmt::Display for ExplainReport {
 // Evaluation strategies
 // ---------------------------------------------------------------------------
 
+/// The rest of an answer once its scan is done — `HAVING` tails, closed
+/// forms over the kept domain, the final sort. It needs nothing more of
+/// the source, so an evicted relation's leaves (and the catalog lock that
+/// keeps them) are released before it runs.
+pub type Finish<'p> = Box<dyn FnOnce() -> Result<QueryOutput, DbError> + Send + 'p>;
+
 /// A pluggable evaluation backend executing physical plans.
 pub(crate) trait EvalStrategy {
     /// Parameter description for `EXPLAIN` of `plan`.
     fn describe(&self, plan: &PhysicalPlan) -> String;
 
+    /// Scans the source relation for a physical plan and returns the rest
+    /// of the answer.
+    fn scan<'p>(&self, source: Source<'_>, plan: &'p PhysicalPlan) -> Result<Finish<'p>, DbError>;
+
     /// Executes a physical plan over the source relation.
-    fn execute(&self, source: Source<'_>, plan: &PhysicalPlan) -> Result<QueryOutput, DbError>;
+    fn execute(&self, source: Source<'_>, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
+        self.scan(source, plan)?()
+    }
 }
 
 /// Closed-form evaluation over tuple independence.
@@ -745,7 +757,7 @@ impl EvalStrategy for ExactStrategy {
             .into()
     }
 
-    fn execute(&self, source: Source<'_>, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
+    fn scan<'p>(&self, source: Source<'_>, plan: &'p PhysicalPlan) -> Result<Finish<'p>, DbError> {
         if !source.probabilistic() {
             if self.probabilistic_only {
                 return Err(deterministic_worlds(&plan.table));
@@ -788,16 +800,11 @@ impl EvalStrategy for ExactStrategy {
                     .map(|(c, ascending)| (c.as_str(), *ascending));
                 let mut out = Rows::new(&plan.table, projection, probabilistic, rank, *limit);
                 scan::scan(source, plan, self.threads, &mut |b, sel| out.offer(b, sel))?;
-                Ok(out.finish().into_output())
+                Ok(Box::new(move || Ok(out.finish().into_output())))
             }
-            PhysicalAction::Aggregate(agg) => Ok(QueryOutput::Aggregate(aggregate(
-                source,
-                plan,
-                agg,
-                self.threads,
-                "exact",
-                exact_tail,
-            )?)),
+            PhysicalAction::Aggregate(agg) => {
+                aggregate(source, plan, agg, self.threads, "exact", exact_tail)
+            }
         }
     }
 }
@@ -883,7 +890,7 @@ impl EvalStrategy for WorldsStrategy {
         s
     }
 
-    fn execute(&self, source: Source<'_>, plan: &PhysicalPlan) -> Result<QueryOutput, DbError> {
+    fn scan<'p>(&self, source: Source<'_>, plan: &'p PhysicalPlan) -> Result<Finish<'p>, DbError> {
         if !source.probabilistic() {
             return Err(deterministic_worlds(&plan.table));
         }
@@ -915,30 +922,18 @@ impl EvalStrategy for WorldsStrategy {
                 })?;
                 // Nothing samples, but the clause is refused as when it did.
                 worlds_executor(&self.clause, seed, self.threads)?;
-                Ok(QueryOutput::Worlds(domain_closed_form(
-                    &probs,
-                    sum.map(|(c, _)| (c, values.as_slice())),
-                    seed,
-                )))
+                Ok(Box::new(move || {
+                    let sum = sum.map(|(c, _)| (c, values.as_slice()));
+                    Ok(QueryOutput::Worlds(domain_closed_form(&probs, sum, seed)))
+                }))
             }
             PhysicalAction::Aggregate(agg) => {
-                let single_group = agg.window.is_none() && agg.group_by.is_empty();
-                let result = aggregate(
-                    source,
-                    plan,
-                    agg,
-                    self.threads,
-                    "worlds",
-                    |group, h, probs, sum| {
-                        let group_seed = if single_group {
-                            seed
-                        } else {
-                            mix_seed(seed, group as u64)
-                        };
-                        self.sample_tail(group_seed, h, probs, sum)
-                    },
-                )?;
-                Ok(QueryOutput::Aggregate(result))
+                let this = self.clone();
+                let grouped = agg.window.is_some() || !agg.group_by.is_empty();
+                let tail = move |g, h: &HavingClause, p: &[f64], s: Option<(&str, &[f64])>| {
+                    this.sample_tail(grouped.then_some(g), h, p, s)
+                };
+                aggregate(source, plan, agg, self.threads, "worlds", tail)
             }
         }
     }
@@ -984,14 +979,18 @@ fn domain_closed_form(probs: &[f64], sum: Option<(&str, &[f64])>, seed: u64) -> 
 impl WorldsStrategy {
     /// One group's sampled `HAVING` outcome: a `HAVING SUM` event through
     /// its one tallied column, a `HAVING COUNT` event through the count
-    /// histogram it ships.
+    /// histogram it ships. Group `Some(g)`, the `g`-th in canonical order,
+    /// samples with the clause seed mixed with `g`; the one group of an
+    /// ungrouped statement (`None`) with the clause seed itself.
     fn sample_tail(
         &self,
-        seed: u64,
+        group: Option<usize>,
         h: &HavingClause,
         probs: &[f64],
         sum: Option<(&str, &[f64])>,
     ) -> Result<Tail, DbError> {
+        let seed = self.clause.seed.unwrap_or(0);
+        let seed = group.map_or(seed, |g| mix_seed(seed, g as u64));
         let executor = worlds_executor(&self.clause, seed, self.threads)?;
         let k = h
             .value
@@ -1030,12 +1029,8 @@ impl WorldsStrategy {
 /// `WINDOW(col, width[, origin])` rendering) ahead of the `GROUP BY`
 /// columns — matching the key layout [`scan::group_rows`] produces.
 fn group_columns_of(plan: &AggregatePlan) -> Vec<String> {
-    let mut cols = Vec::with_capacity(plan.group_by.len() + usize::from(plan.window.is_some()));
-    if let Some(w) = &plan.window {
-        cols.push(w.to_string());
-    }
-    cols.extend(plan.group_by.iter().cloned());
-    cols
+    let window = plan.window.iter().map(WindowSpec::to_string);
+    window.chain(plan.group_by.iter().cloned()).collect()
 }
 
 /// Checks the invariants [`Planner::plan`] guarantees for plans it built —
@@ -1074,14 +1069,12 @@ fn validate_window(w: &WindowSpec) -> Result<(), DbError> {
             w.width
         )));
     }
-    if let Some(o) = w.origin {
-        if !o.is_finite() {
-            return Err(DbError::Plan(format!(
-                "WINDOW origin must be finite, got {o}"
-            )));
-        }
+    match w.origin {
+        Some(o) if !o.is_finite() => Err(DbError::Plan(format!(
+            "WINDOW origin must be finite, got {o}"
+        ))),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Validates a `HAVING` event predicate. `COUNT(*)` events evaluate
@@ -1106,26 +1099,14 @@ fn validate_having(h: &HavingClause) -> Result<(), DbError> {
     Ok(())
 }
 
-/// `E[SUM] / E[COUNT]`, defined as 0 when the expected count is 0.
-fn ratio_of_expectations(sum_mean: f64, count_mean: f64) -> f64 {
-    if count_mean == 0.0 {
-        0.0
-    } else {
-        sum_mean / count_mean
-    }
-}
-
 /// `P(count op k)` over a count distribution: sums the mass of every
 /// count value satisfying the comparison.
 fn tail_probability(dist: &[f64], op: crate::query::CmpOp, k: f64) -> f64 {
-    let mut p = 0.0;
-    for (c, &mass) in dist.iter().enumerate() {
-        let holds = op.eval((c as f64).partial_cmp(&k));
-        if holds {
-            p += mass;
-        }
-    }
-    p.clamp(0.0, 1.0)
+    let holds = dist
+        .iter()
+        .enumerate()
+        .filter(|&(c, _)| op.eval((c as f64).partial_cmp(&k)));
+    holds.fold(0.0, |p, (_, &mass)| p + mass).clamp(0.0, 1.0)
 }
 
 /// One group's `HAVING` outcome on a probabilistic relation.
@@ -1177,19 +1158,22 @@ fn exact_tail(
 /// group's index in canonical order, its probabilities and, for a `HAVING
 /// SUM`, the summed column's name and values. Over a deterministic one:
 /// classic SQL aggregation, where `HAVING` filters groups (every world is
-/// the same world, so the event either holds or does not).
-fn aggregate(
+/// the same world, so the event either holds or does not). A resident
+/// relation's groups finish as they close; a stream's after it is released.
+fn aggregate<'p>(
     source: Source<'_>,
     plan: &PhysicalPlan,
-    agg: &AggregatePlan,
+    agg: &'p AggregatePlan,
     threads: usize,
     strategy: &'static str,
-    tail: impl Fn(usize, &HavingClause, &[f64], Option<(&str, &[f64])>) -> Result<Tail, DbError>,
-) -> Result<AggregateResult, DbError> {
+    tail: impl Fn(usize, &HavingClause, &[f64], Option<(&str, &[f64])>) -> Result<Tail, DbError>
+        + Send
+        + 'p,
+) -> Result<Finish<'p>, DbError> {
     let probabilistic = source.probabilistic();
     let operands = scan::operands(agg);
     let invalid = validate_aggregate_plan(agg).err();
-    let finish = |group: usize, g: Folded| -> Result<Option<AggregateGroup>, DbError> {
+    let finish = move |group: usize, g: Folded| -> Result<Option<AggregateGroup>, DbError> {
         let count = if probabilistic { g.mass } else { g.rows as f64 };
         let sum = |col: &Option<String>| {
             let at = operands.iter().position(|c| Some(*c) == col.as_deref());
@@ -1202,7 +1186,9 @@ fn aggregate(
                 value: match a.func {
                     AggFunc::Count => count,
                     AggFunc::Sum | AggFunc::Expected => sum(&a.column),
-                    AggFunc::Avg => ratio_of_expectations(sum(&a.column), count),
+                    // `E[SUM] / E[COUNT]`, 0 when the expected count is 0.
+                    AggFunc::Avg if count == 0.0 => 0.0,
+                    AggFunc::Avg => sum(&a.column) / count,
                 },
                 ci_half_width: None,
             })
@@ -1234,15 +1220,24 @@ fn aggregate(
         group_out.key = g.key;
         Ok(Some(group_out))
     };
-    let groups = scan::aggregate(source, plan, agg, threads, invalid, finish)?;
-    let groups = groups.into_iter().filter_map(Result::transpose);
-    Ok(AggregateResult {
-        group_columns: group_columns_of(agg),
-        aggregates: agg.aggregates.clone(),
-        having: agg.having.clone(),
-        strategy,
-        groups: groups.collect::<Result<_, _>>()?,
-    })
+    let result = move |groups: Vec<Result<Option<AggregateGroup>, DbError>>| {
+        let groups = groups.into_iter().filter_map(Result::transpose);
+        Ok(QueryOutput::Aggregate(AggregateResult {
+            group_columns: group_columns_of(agg),
+            aggregates: agg.aggregates.clone(),
+            having: agg.having.clone(),
+            strategy,
+            groups: groups.collect::<Result<_, _>>()?,
+        }))
+    };
+    if let Source::Resident(_) = source {
+        let groups = scan::aggregate(source, plan, agg, threads, invalid, finish);
+        let out = result(groups?);
+        return Ok(Box::new(move || out));
+    }
+    let groups = scan::aggregate(source, plan, agg, threads, invalid, |i, g| (i, g))?;
+    let groups = groups.into_iter().map(move |(i, g)| finish(i, g));
+    Ok(Box::new(move || result(groups.collect())))
 }
 
 #[cfg(test)]
@@ -2399,24 +2394,34 @@ mod tests {
                 func,
                 column: column.map(str::to_string),
             };
-            for aggregates in [
-                vec![AggExpr::count()],
-                vec![AggExpr::count(), agg(AggFunc::Sum, Some("i")), agg(AggFunc::Avg, Some("f"))],
-                vec![agg(AggFunc::Expected, Some("f")), agg(AggFunc::Avg, Some("i"))],
-                vec![AggExpr::count(), agg(AggFunc::Sum, Some("s"))],
-                vec![agg(AggFunc::Avg, Some("f")), agg(AggFunc::Sum, Some("nope"))],
-                vec![agg(AggFunc::Sum, None)],
+            for (aggregates, numeric) in [
+                (vec![AggExpr::count()], true),
+                (vec![AggExpr::count(), agg(AggFunc::Sum, Some("i")), agg(AggFunc::Avg, Some("f"))], true),
+                (vec![agg(AggFunc::Expected, Some("f")), agg(AggFunc::Avg, Some("i"))], true),
+                (vec![AggExpr::count(), agg(AggFunc::Sum, Some("s"))], false),
+                (vec![agg(AggFunc::Avg, Some("f")), agg(AggFunc::Sum, Some("nope"))], false),
+                (vec![agg(AggFunc::Sum, None)], false),
             ] {
                 // `THRESHOLD 0` keeps every row but takes the scan; the
-                // unrestricted plan reads the totals where it can.
+                // unrestricted plan reads the totals exactly when every
+                // aggregate is numeric.
                 let plan = whole_relation_plan(aggregates);
                 let mut scan_plan = plan.clone();
                 scan_plan.threshold = Some(0.0);
                 let PhysicalAction::Aggregate(agg_plan) = &plan.action else {
                     unreachable!()
                 };
+                let fast = scan::from_totals(&built, &plan, agg_plan);
+                prop_assert_eq!(fast.is_some(), numeric, "{:?}", plan);
+                prop_assert!(scan::from_totals(&built, &scan_plan, agg_plan).is_none());
                 let relation = Relation::Probabilistic(built.clone());
-                let scanned = result_bits(aggregate(Source::Resident(&relation), &scan_plan, agg_plan, 1, "exact", exact_tail));
+                let scanned = aggregate(Source::Resident(&relation), &scan_plan, agg_plan, 1, "exact", exact_tail)
+                    .and_then(|finish| finish())
+                    .map(|out| match out {
+                        QueryOutput::Aggregate(a) => a,
+                        other => panic!("wrong output: {other:?}"),
+                    });
+                let scanned = result_bits(scanned);
                 let executed = ExactStrategy::default()
                     .execute(Source::Resident(&relation), &plan)
                     .map(|out| match out {

@@ -10,7 +10,9 @@
 //! to one operator: [`Rows`] appends the survivors, or holds at most 2k
 //! candidates for `ORDER BY … LIMIT k` and `TOP k`; [`aggregate`] folds
 //! each kept row into its group as it arrives. Nothing holds an index per
-//! scanned row.
+//! scanned row: per-row conjuncts and `THRESHOLD` keep their positions
+//! for at most [`SLICE_ROWS`] rows at a time (a fan-out segment, at most
+//! [`FAN_OUT_MIN_ROWS`]), whatever the relation's size.
 //!
 //! The kernels reproduce [`crate::query::eval_conjunction`] (and with it
 //! [`Value::compare`]) bit for bit, including *when* an unknown column is
@@ -29,7 +31,7 @@ use crate::value::{ColumnType, Value, ValueKey};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use tspdb_stats::parallel::try_map_segments;
+use tspdb_stats::parallel::{effective_threads, try_map_segments};
 
 /// Segment fan-out only pays for itself above this many rows left to
 /// compare: a comparison loop runs at about a row per nanosecond, a thread
@@ -37,6 +39,11 @@ use tspdb_stats::parallel::try_map_segments;
 /// restricted as one batch on the calling thread (same kernel, same
 /// result).
 const FAN_OUT_MIN_ROWS: usize = 65_536;
+
+/// Per-row work over a resident relation runs over slices of at most this
+/// many rows, so the positions a [`Selection`] keeps stay bounded (32 KiB)
+/// — about a leaf's worth, as a stream hands them over.
+const SLICE_ROWS: usize = 4096;
 
 /// A borrowed run of consecutive rows of one relation, column-major.
 #[derive(Debug, Clone)]
@@ -454,10 +461,11 @@ pub(crate) fn scan(
 /// `WHERE` and `THRESHOLD` over `source`, then τ's range check (after the
 /// scan, so a predicate error a row reached comes first). A stream runs
 /// [`select`] leaf by leaf. A resident relation's leading binary-search
-/// conjuncts narrow it to one span; the rest run over that span split into
-/// `segments` contiguous ranges (0 = one per core) once it holds
-/// `min_rows` rows, and `sink` gets them **in segment order** — what
-/// [`select`] does over one batch, errors included: a segment raises an
+/// conjuncts narrow it to one span; per-row work left over runs over that
+/// span in slices of [`SLICE_ROWS`], or, once the span holds `min_rows`
+/// rows, in rounds of `segments` contiguous ranges (0 = one per core) of
+/// [`FAN_OUT_MIN_ROWS`] rows each, and `sink` gets them **in row order** —
+/// what [`select`] does over one batch, errors included: a slice raises an
 /// unknown column exactly when one of its rows reaches that conjunct.
 fn restrict(
     source: Source<'_>,
@@ -481,18 +489,22 @@ fn restrict(
                 (span, rest) = (kept, tail);
             }
             let narrowed = whole.slice(span);
-            let scans = !rest.is_empty() || plan.threshold.is_some();
-            let segments = if scans && narrowed.len() >= min_rows {
-                segments
-            } else {
-                1
+            let rows = narrowed.len();
+            let per_row = !rest.is_empty() || plan.threshold.is_some();
+            let (width, round) = match effective_threads(segments, rows) {
+                w if per_row && rows >= min_rows && w > 1 => (w, w * FAN_OUT_MIN_ROWS),
+                _ if per_row => (1, SLICE_ROWS),
+                _ => (1, rows.max(1)),
             };
-            let parts = try_map_segments(narrowed.len(), segments, |rows: Range<usize>| {
-                let sel = select(&narrowed.slice(rows.clone()), rest, plan.threshold)?;
-                Ok((rows, sel))
-            })?;
-            for (rows, sel) in parts {
-                sink(&narrowed.slice(rows), &sel);
+            for start in (0..rows).step_by(round) {
+                let part = narrowed.slice(start..rows.min(start + round));
+                let parts = try_map_segments(part.len(), width, |rows: Range<usize>| {
+                    let sel = select(&part.slice(rows.clone()), rest, plan.threshold)?;
+                    Ok((rows, sel))
+                })?;
+                for (rows, sel) in parts {
+                    sink(&part.slice(rows), &sel);
+                }
             }
         }
         Source::Stream(stream) => {
@@ -761,8 +773,9 @@ impl Eq for GroupKey {}
 /// start ahead of the `GROUP BY` values; no grouping is one group, present
 /// even over no rows), each handed to `finish` with its index in canonical
 /// key order. Members fold in row order, as "stable sort, then fold"
-/// does. On a resident relation with an ascending window column (no `GROUP
-/// BY`) a group is finished once the next opens, so a `HAVING` tail holds
+/// does. An unrestricted global aggregate over a resident view is read off
+/// its totals ([`from_totals`]). On a resident relation with an ascending
+/// window column (no `GROUP BY`) a group is finished once the next opens, so a `HAVING` tail holds
 /// only the open group's probabilities. Errors wait for the scan, in
 /// row-at-a-time order: `invalid`, unknown grouping columns, then the
 /// window's and the operands' (a text column, or an unknown operand of a
@@ -775,6 +788,11 @@ pub(crate) fn aggregate<T>(
     invalid: Option<DbError>,
     mut finish: impl FnMut(usize, Folded) -> T,
 ) -> Result<Vec<T>, DbError> {
+    if let Source::Resident(Relation::Probabilistic(t)) = &source {
+        if let Some(g) = from_totals(t, plan, agg) {
+            return Ok(vec![finish(0, g)]);
+        }
+    }
     let schema = source.schema().clone();
     let global = agg.window.is_none() && agg.group_by.is_empty();
     // Each owed error, and whether it is owed only if a row is kept.
@@ -824,19 +842,6 @@ pub(crate) fn aggregate<T>(
     };
     if global {
         groups.open(Vec::new(), &mut finish);
-        let whole = plan.predicate.is_empty() && plan.threshold.is_none() && plan.top.is_none();
-        if let (Source::Resident(Relation::Probabilistic(t)), true, true, None) =
-            (&source, whole, owed.is_empty(), &agg.having)
-        {
-            // The running totals fold every row from +0.0 in row order, as
-            // the scan would: the same bits in O(1).
-            let g = &mut groups.slots[0];
-            (g.rows, g.mass) = (t.len(), t.expected_count());
-            for (sum, name) in g.sums.iter_mut().zip(&names) {
-                *sum = t.expected_sum(name)?;
-            }
-            return Ok(groups.finish(&mut finish));
-        }
     }
     let (blocked, mut kept) = (!owed.is_empty(), false);
     scan(source, plan, threads, &mut |batch, sel| {
@@ -849,6 +854,24 @@ pub(crate) fn aggregate<T>(
         Some((e, _)) => Err(e),
         None => Ok(groups.finish(&mut finish)),
     }
+}
+
+/// The one group of an unrestricted global aggregate with no `HAVING`,
+/// read off `t`'s running totals in O(1) (they fold every row from `+0.0`
+/// in row order, as the scan would: the same bits) — `None` when an
+/// aggregate names no column or one with no total (text or unknown).
+pub(crate) fn from_totals(t: &ProbTable, p: &PhysicalPlan, agg: &AggregatePlan) -> Option<Folded> {
+    let whole = p.predicate.is_empty() && p.threshold.is_none() && p.top.is_none();
+    let global = agg.window.is_none() && agg.group_by.is_empty() && agg.having.is_none();
+    let named = (agg.aggregates.iter()).all(|a| a.func == AggFunc::Count || a.column.is_some());
+    (whole && global && named).then_some(())?;
+    let sums = operands(agg).into_iter().map(|c| t.expected_sum(c).ok());
+    Some(Folded {
+        rows: t.len(),
+        mass: t.expected_count(),
+        sums: sums.collect::<Option<_>>()?,
+        ..Folded::default()
+    })
 }
 
 /// The group state of [`aggregate`].

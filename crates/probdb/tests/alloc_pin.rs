@@ -201,13 +201,17 @@ fn probabilistic_scans_allocate_for_their_answer_not_the_relation() {
             // One group per 1 000 readings.
             "SELECT COUNT(*) FROM v GROUP BY WINDOW(t, 60000)",
             "SELECT t, lambda FROM v ORDER BY prob DESC LIMIT 100",
+            // Per-row work: a conjunct on an unsorted column, a threshold.
+            "SELECT COUNT(*), SUM(lambda) FROM v WHERE lambda >= 0",
+            "SELECT COUNT(*), SUM(lambda) FROM v THRESHOLD 0.1",
         ];
         let answers = shapes.map(|sql| {
             let (_, bytes, peak, out) = peaked(|| db.query(sql).unwrap());
             let groups = out.aggregate().map_or(0, |a| a.groups.len());
             (bytes, peak, groups)
         });
-        let [(sum_bytes, ..), (window_bytes, _, groups), (top_bytes, top_peak, _)] = answers;
+        let [(sum_bytes, ..), (window_bytes, _, groups), (top_bytes, top_peak, _), per_row @ ..] =
+            answers;
         assert_eq!(groups, readings as usize / 1_000);
         // Two kept indices per tuple alone would be 8 bytes each.
         assert!(sum_bytes <= 64 * 1024, "{readings}: {sum_bytes} B");
@@ -218,6 +222,11 @@ fn probabilistic_scans_allocate_for_their_answer_not_the_relation() {
         // At most 2k candidates of two columns live at once.
         assert!(top_peak <= 64 * 1024, "{readings}: {top_peak} B live");
         assert!(top_bytes <= 1024 * 1024, "{readings}: {top_bytes} B");
+        // The kept positions of one slice of rows at a time, not of the
+        // relation.
+        for (_, peak, _) in per_row {
+            assert!(peak <= 64 * 1024, "{readings}: {peak} B live");
+        }
         seen.push(answers);
     }
     let [small, large] = [&seen[0], &seen[1]];
@@ -231,4 +240,7 @@ fn probabilistic_scans_allocate_for_their_answer_not_the_relation() {
     // cuts' churn, which grows with the log of the relation, in bytes.
     assert_eq!(small[2].1, large[2].1, "{seen:?}");
     assert!(large[2].0 < small[2].0 * 3 / 2, "{seen:?}");
+    for shape in 3..5 {
+        assert_eq!(small[shape].1, large[shape].1, "{seen:?}");
+    }
 }

@@ -617,3 +617,47 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+/// A statement over an evicted relation holds the catalog's read lock only
+/// while the relation's leaves stream past; its `HAVING` tail (here
+/// sampled worlds) runs after the lock is released, so a writer's appends
+/// do not wait for it.
+#[test]
+fn appends_land_while_an_evicted_statements_tail_runs() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+    let dir = TempDir::new();
+    let engine = reopen(&dir);
+    let series = TemperatureGenerator::default().generate(150);
+    engine.load_series("raw_values", "r", &series).unwrap();
+    engine
+        .execute("CREATE VIEW pv AS DENSITY r OVER t OMEGA delta=0.5, n=6 FROM raw_values")
+        .unwrap();
+    engine.execute("CREATE TABLE log (t INT)").unwrap();
+    engine.evict_to_disk("pv").unwrap();
+    let query = "SELECT COUNT(*) FROM pv HAVING COUNT(*) >= 2 WITH WORLDS 200000 SEED 7";
+    let done = AtomicBool::new(false);
+    let (took, slowest, appended) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let start = Instant::now();
+            let out = engine.query(query);
+            done.store(true, Ordering::SeqCst);
+            out.map(|_| start.elapsed())
+        });
+        let (mut slowest, mut appended) = (Duration::ZERO, 0);
+        while !done.load(Ordering::SeqCst) {
+            let start = Instant::now();
+            engine
+                .append_rows("log", vec![vec![Value::Int(appended)]])
+                .unwrap();
+            slowest = slowest.max(start.elapsed());
+            appended += 1;
+        }
+        (reader.join().unwrap().unwrap(), slowest, appended)
+    });
+    eprintln!("statement {took:?}, slowest append {slowest:?}, {appended} appends");
+    assert!(
+        slowest < took / 2,
+        "an append waited {slowest:?} on a {took:?} statement"
+    );
+}
